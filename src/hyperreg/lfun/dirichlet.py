@@ -79,8 +79,6 @@ def kronecker_symbol(D: int, n: int) -> int:
     """Kronecker symbol (D|n)."""
     if n == 0:
         return 1 if D in (1, -1) else 0
-    if gcd(D, n) != 1 and gcd(D, abs(n)) != 1:
-        pass
     a, b = D, n
     if b < 0:
         b = -b

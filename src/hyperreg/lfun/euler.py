@@ -105,13 +105,14 @@ def euler_from_character(chi, P: int) -> EulerFactorTable:
 def dirichlet_coefficients(table: EulerFactorTable, M: int,
                            require_coverage: bool = True) -> list:
     """a_1..a_M (index 0 unused) from 1/f_p(p^-s) expansions."""
-    missing = [p for p in _primes_upto(M) if p not in table.factors]
+    primes = _primes_upto(M)
+    missing = [p for p in primes if p not in table.factors]
     if missing and require_coverage:
         raise EulerError(f"missing Euler factors for primes {missing[:5]}..."
                          f" (P_max={table.p_max}, need {M})")
     a = [0] * (M + 1)
     a[1] = 1
-    for p in _primes_upto(M):
+    for p in primes:
         f = table.factors.get(p)
         if f is None:
             continue
@@ -131,7 +132,8 @@ def dirichlet_coefficients(table: EulerFactorTable, M: int,
         pe = [1]
         while pe[-1] * p <= M:
             pe.append(pe[-1] * p)
-        for n in range(M, 0, -1):
+        # only n <= M // p have a multiple n p^e <= M: O(M log log M) over all p
+        for n in range(M // p, 0, -1):
             if n % p == 0:
                 continue
             for e in range(1, len(pe)):

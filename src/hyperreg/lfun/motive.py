@@ -6,12 +6,15 @@ Gamma_C(s + nu) = 2 (2 pi)^(-(s+nu)) Gamma(s + nu) factors, satisfying
 Lambda(s) = sign * Lambda(w + 1 - s).
 
 The incomplete-Mellin kernel F(s, y) = (1/2 pi i) int gamma(s+u) y^(-u) du/u
-is computed on a truncated vertical line with a uniform trapezoid rule;
-nodes are cached per (gamma data, s, precision) and reused across all y
-through a single complex-power recurrence.  Derivatives in s use kernels
-with the digamma-weighted integrand.  At points where gamma has a pole of
-order m (trivial zeros), the order-m derivative comes from the leading
-Taylor coefficient Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+is computed on a truncated vertical line with a uniform trapezoid rule.
+Derivatives in s use the digamma-weighted integrand.  One kernel per
+(gamma data, s, precision) holds the nodes of every derivative order
+0..d, built in one sweep, and evaluates all orders at a y through a single
+complex-power recurrence.  Each side of the functional equation is one pass
+over n that accumulates every order, each with its own stopping rule.  At
+points where gamma has a pole of order m (trivial zeros), the order-m
+derivative comes from the leading Taylor coefficient
+Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
 """
 
 from __future__ import annotations
@@ -132,13 +135,15 @@ _kernel_lock = threading.Lock()
 class _Kernel:
     """F_d(s, y) = (1/2 pi i) int gamma(s+u) ell(s+u)^indicators y^-u du/u.
 
-    deriv 0, 1, 2 multiply the integrand by 1, ell, ell^2 + ell'.
+    Orders d = 0..order multiply the integrand by 1, ell, ell^2 + ell'.
+    Each order's node list ends at its own decay floor.
     Valid for real s, c > 0, y > 0.
     """
 
-    def __init__(self, spec, s_val, c, pol: PrecisionPolicy, deriv: int = 0):
+    def __init__(self, spec, s_val, c, pol: PrecisionPolicy, order: int = 0):
         ctx = pol.ctx
         self.ctx = ctx
+        self.order = order
         wd = pol.working_digits
         # real parts of the integrand poles in u: u = 0 plus the gamma poles
         u_poles = [ctx.mpf(0)]
@@ -157,47 +162,64 @@ class _Kernel:
         d_min = min(c - u for u in u_poles)
         d_min = min(d_min, c)
         self.h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
-        nodes = []
+        self.nodes = [[] for _ in range(order + 1)]
+        building = list(range(order + 1))
         k = 0
         floor = ctx.mpf(10) ** (-(wd + 8))
-        while True:
+        while building:
             t = k * self.h
             u = ctx.mpc(c, t)
             g = _gamma_value(spec, ctx, s_val + u)
-            if deriv >= 1:
+            if building[-1] >= 1:
                 ell = _gamma_logderiv(spec, ctx, s_val + u, 1)
-                g = g * ell if deriv == 1 else g * (ell * ell + _gamma_logderiv(spec, ctx, s_val + u, 2))
-            val = g / u
-            nodes.append(val)
-            if k > 8 and abs(val) < floor:
-                break
-            if k > 40000:
+            if building[-1] == 2:
+                ell2 = _gamma_logderiv(spec, ctx, s_val + u, 2)
+            for d in list(building):
+                weighted = g if d == 0 else g * ell if d == 1 else g * (ell * ell + ell2)
+                val = weighted / u
+                self.nodes[d].append(val)
+                if k > 8 and abs(val) < floor:
+                    building.remove(d)
+            if building and k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
             k += 1
-        self.nodes = nodes
 
-    def __call__(self, y):
+    def __call__(self, y, order=None):
+        """[F_0(s, y), ..., F_order(s, y)], all orders by default."""
         ctx = self.ctx
+        nodes = self.nodes if order is None else self.nodes[:order + 1]
         lny = ctx.log(y)
         rot = ctx.expj(-self.h * lny)
-        acc = self.nodes[0] / 2
+        powers = []
         r = ctx.mpc(1)
-        for g in self.nodes[1:]:
+        for _ in range(max(map(len, nodes)) - 1):
             r = r * rot
-            acc += g * r
-        # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-        total = 2 * acc.real * self.h / (2 * ctx.pi)
-        return ctx.power(y, -self.c) * total
+            powers.append(r)
+        scale = ctx.power(y, -self.c)
+        values = []
+        for order_nodes in nodes:
+            acc = order_nodes[0] / 2
+            for g, r in zip(order_nodes[1:], powers):
+                acc += g * r
+            # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
+            total = 2 * acc.real * self.h / (2 * ctx.pi)
+            values.append(scale * total)
+        return values
 
 
-def _kernel(spec, s_val, c, pol, deriv):
-    key = (spec.gamma_signature(), repr(s_val), repr(c), pol.working_digits, deriv)
+def _kernel(spec, s_val, c, pol, order):
+    """The cached kernel for (gamma data, s, c, precision) covering orders 0..order."""
+    key = (spec.gamma_signature(), repr(s_val), repr(c), pol.working_digits)
     with _kernel_lock:
-        if key in _kernel_cache:
-            return _kernel_cache[key]
-    k = _Kernel(spec, s_val, c, pol, deriv)
+        k = _kernel_cache.get(key)
+    if k is not None and k.order >= order:
+        return k
+    k = _Kernel(spec, s_val, c, pol, order)
     with _kernel_lock:
-        _kernel_cache[key] = k
+        # a concurrent build of a higher order keeps its entry
+        cur = _kernel_cache.get(key)
+        if cur is None or cur.order < order:
+            _kernel_cache[key] = k
     return k
 
 
@@ -205,65 +227,70 @@ def _kernel(spec, s_val, c, pol, deriv):
 # Lambda and L values
 # ---------------------------------------------------------------------------
 
-def _sum_side(spec, s_val, pol, order: int, A, mirror: bool):
-    """sum_n a_n n^(-sigma) N^(sigma/2) (d/ds)^order [...] for one side.
+def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list):
+    """[sum_n a_n n^(-sigma) N^(sigma/2) (d/ds)^d [...] for d = 0..order], one side.
 
     mirror = False: sigma = s0, argument y = n/(A sqrt(N));
     mirror = True:  sigma = w+1-s0, y = n A / sqrt(N); d/ds brings a -1.
+    a holds the Dirichlet coefficients a_1..a_P of the Euler table.  One pass
+    over n serves every order; an order that meets its stopping rule stops
+    accumulating while the others go on.
     """
     ctx = pol.ctx
     w = spec.weight
     sigma = (w + 1 - s_val) if mirror else s_val
     sig_abs = ctx.mpf(w) / 2 + 1
     c = max(sig_abs - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    kers = [_kernel(spec, sigma, c, pol, d) for d in range(order + 1)]
+    ker = _kernel(spec, sigma, c, pol, order)
     sqN = ctx.sqrt(ctx.mpf(spec.conductor))
     lnN2 = ctx.log(spec.conductor) / 2
-    if spec.euler is None:
-        raise MotiveError("spec has no Euler data")
+    sgn = -1 if mirror else 1
     # break threshold above the kernel's trapezoid noise plateau
     floor = ctx.mpf(10) ** (-(pol.working_digits - 6))
     M_cap = spec.euler.p_max
-    a = dirichlet_coefficients(spec.euler, M_cap)
-    total = ctx.mpf(0)
-    quiet = 0
-    n_used = 0
+    totals = [ctx.mpf(0)] * (order + 1)
+    quiet = [0] * (order + 1)
+    live = list(range(order + 1))          # the orders still accumulating
     for n in range(1, M_cap + 1):
         an = a[n]
         yn = n / (sqN * A) if not mirror else n * A / sqN
-        n_used = n
         if an == 0:
             # the kernel only shrinks with n; reuse the quiet counter
-            if quiet:
-                quiet += 1
-                if quiet >= 8 and n > sqN:
-                    break
+            for d in list(live):
+                if quiet[d]:
+                    quiet[d] += 1
+                    if quiet[d] >= 8 and n > sqN:
+                        live.remove(d)
+            if not live:
+                break
             continue
         base = an * ctx.power(n, -sigma) * ctx.power(ctx.mpf(spec.conductor), sigma / 2)
-        if order == 0:
-            term = base * kers[0](yn)
-        else:
-            sgn = -1 if mirror else 1
+        kv = ker(yn, live[-1])
+        if live[-1] >= 1:
             lfac = (-ctx.log(n) + lnN2)
-            if order == 1:
-                term = base * (sgn * lfac * kers[0](yn) + sgn * kers[1](yn))
+        for d in list(live):
+            if d == 0:
+                term = base * kv[0]
+            elif d == 1:
+                term = base * (sgn * lfac * kv[0] + sgn * kv[1])
             else:
-                term = base * (lfac * lfac * kers[0](yn) + 2 * lfac * kers[1](yn)
-                               + kers[2](yn))
-        total += term
-        if abs(term) < floor and n > sqN:
-            quiet += 1
-            if quiet >= 8:
-                break
-        else:
-            quiet = 0
+                term = base * (lfac * lfac * kv[0] + 2 * lfac * kv[1] + kv[2])
+            totals[d] += term
+            if abs(term) < floor and n > sqN:
+                quiet[d] += 1
+                if quiet[d] >= 8:
+                    live.remove(d)
+            else:
+                quiet[d] = 0
+        if not live:
+            break
     else:
         needed = int(2 * M_cap) + 100
         raise CoverageError(
             f"Euler coverage P_max={spec.euler.p_max} insufficient "
             f"(series still contributing at n={M_cap}); need roughly {needed}",
             required=needed)
-    return total, n_used
+    return totals
 
 
 def _pole_correction(spec, ctx, s_val, order, A):
@@ -286,18 +313,23 @@ def _pole_correction(spec, ctx, s_val, order, A):
 
 def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
                   cutoff_A=None):
-    """[Lambda(s0), ..., Lambda^(order)(s0)] by the smoothed AFE."""
+    """[Lambda(s0), ..., Lambda^(order)(s0)] by the smoothed AFE, order <= 2."""
+    if spec.euler is None:
+        raise MotiveError("spec has no Euler data")
+    if order not in (0, 1, 2):
+        raise MotiveError("derivative_order must be 0, 1, or 2")
     ctx = pol.ctx
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     s_val = ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator \
         if isinstance(s0, (int, Fraction)) else ctx.convert(s0)
+    a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
+    right = _sum_side(spec, s_val, pol, order, A, False, a)
+    left = _sum_side(spec, s_val, pol, order, A, True, a)
+    sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
+        else ctx.mpf(spec.sign)
     out = []
     for d in range(order + 1):
-        right, _ = _sum_side(spec, s_val, pol, d, A, mirror=False)
-        left, _ = _sum_side(spec, s_val, pol, d, A, mirror=True)
-        sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
-            else ctx.mpf(spec.sign)
-        val = right + sign * left - _pole_correction(spec, ctx, s_val, d, A)
+        val = right[d] + sign * left[d] - _pole_correction(spec, ctx, s_val, d, A)
         if hasattr(val, "imag") and abs(val.imag) < ctx.mpf(10) ** (-pol.target_digits):
             val = val.real
         out.append(val)
@@ -311,29 +343,30 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     At trivial zeros forced by gamma poles of order m, only
     derivative_order == m is meaningful and the value is
     m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+    The self-test compares Lambda(s0) at the cutoffs 1.31 and 1; the
+    cutoff-1 value is the main path's own when no cutoff_A is given.
     """
     ctx = pol.ctx
     s0f = Fraction(s0) if isinstance(s0, (int, Fraction)) else None
     m = gamma_pole_order(spec, s0f) if s0f is not None else 0
+    if m > 0 and derivative_order != m:
+        raise MotiveError(
+            f"gamma pole of order {m} at s0: only the order-{m} derivative "
+            "(leading Taylor coefficient) is supported here")
+    lams = lambda_derivs(spec, s0, 0 if m > 0 else derivative_order, pol, cutoff_A)
     err = ctx.mpf(0)
     if self_test:
         lamA = lambda_derivs(spec, s0, 0, pol, cutoff_A=ctx.mpf("1.31"))[0]
-        lam1 = lambda_derivs(spec, s0, 0, pol)[0]
+        lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol)[0]
         err = abs(lamA - lam1)
         if err > ctx.mpf(10) ** (-pol.target_digits + 4):
             raise MotiveError(
                 f"functional-equation self-test residual {ctx.nstr(err, 4)} too large")
     if m > 0:
-        if derivative_order != m:
-            raise MotiveError(
-                f"gamma pole of order {m} at s0: only the order-{m} derivative "
-                "(leading Taylor coefficient) is supported here")
-        lam = lambda_derivs(spec, s0, 0, pol, cutoff_A)[0]
         g = _gamma_pole_limit(spec, ctx, s0f)
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator
-        val = ctx.factorial(m) * lam / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
+        val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
         return val, err
-    lams = lambda_derivs(spec, s0, derivative_order, pol, cutoff_A)
     s_val = ctx.convert(s0) if not isinstance(s0, (int, Fraction)) \
         else ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator
     # L = Lambda / (N^(s/2) gamma): divide with the product rule
@@ -351,6 +384,4 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     # (log pref)'' = ell2 ; Lambda = pref * L =>
     # Lambda'' = pref (L'' + 2 ell1 L' + (ell1^2 + ell2) L)
     L2 = (lams[2] - 2 * ell1 * pref * L1 - (ell1 ** 2 + ell2) * pref * L0) / pref
-    if derivative_order == 2:
-        return L2, err
-    raise MotiveError("derivative_order must be 0, 1, or 2")
+    return L2, err

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperreg.lfun.dirichlet import (LfunError, dedekind_quadratic_deriv0,
                                      dirichlet_L, functional_equation_residual,
@@ -115,6 +117,41 @@ def test_multiplicativity_closed_under_products():
     # also a_{p^2} = a_p^2 for this totally multiplicative character
     for p in (3, 5, 7, 13):
         assert a[p * p] == a[p] ** 2
+
+
+def _dirichlet_inverse_of_product(factors, M):
+    """a_1..a_M of prod_p 1/f_p(p^-s): expand P = prod_p f_p(p^-s), then invert
+    it under Dirichlet convolution, a_n = -sum_{d | n, d > 1} P_d a_(n/d)."""
+    prod = [0] * (M + 1)
+    prod[1] = 1
+    for p, f in factors.items():
+        local = {p ** e: c for e, c in enumerate(f) if e and p ** e <= M}
+        times_f = prod[:]
+        for n in range(1, M + 1):
+            for q, c in local.items():
+                if n * q <= M:
+                    times_f[n * q] += prod[n] * c
+        prod = times_f
+    a = [0] * (M + 1)
+    a[1] = 1
+    for n in range(2, M + 1):
+        a[n] = -sum(prod[d] * a[n // d] for d in range(2, n + 1) if n % d == 0)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dirichlet_coefficients_vs_brute_force(data):
+    degree = data.draw(st.integers(1, 4), label="degree")
+    M = data.draw(st.integers(1, 300), label="M")
+    factors = {}
+    for p in (p for p in range(2, M + 1) if all(p % q for q in range(2, p))):
+        if data.draw(st.booleans()):
+            continue                    # a missing prime
+        factors[p] = [1] + data.draw(st.lists(st.integers(-9, 9), max_size=degree))
+    table = EulerFactorTable(factors, degree)
+    assert dirichlet_coefficients(table, M, require_coverage=False) \
+        == _dirichlet_inverse_of_product(factors, M)
 
 
 def test_gamma_pole_order():

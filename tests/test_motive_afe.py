@@ -1,0 +1,112 @@
+"""The smoothed AFE evaluator: recorded CLI output, work counts, fail-fast paths."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from hyperreg import cli
+from hyperreg.lfun import euler, motive
+from hyperreg.lfun.dirichlet import kronecker_character
+from hyperreg.lfun.euler import euler_from_character
+from hyperreg.lfun.motive import LFunctionSpec, MotiveError, lambda_derivs, motive_L
+from hyperreg.mpnum import PrecisionPolicy
+
+EULER_P = 400
+
+# stdout of `hyperreg --digits 8 lfun SPEC --s S --order K`, recorded before the
+# AFE sides were fused into one pass; any change in a printed byte fails here.
+GOLDEN = {
+    (-4, "2", 0): '{\n "label": "chi_-4",\n "order": 0,\n "s": "2",\n'
+                  ' "self_test_residual": "1.08e-23",\n "value": "0.91596559"\n}\n',
+    (5, "0", 1): '{\n "label": "chi_5",\n "order": 1,\n "s": "0",\n'
+                 ' "self_test_residual": "3.31e-24",\n "value": "0.48121183"\n}\n',
+}
+
+
+def _character_spec(D):
+    """L(chi_D, s): gamma factor Gamma_R(s) if chi_D is even, Gamma_R(s + 1) if odd."""
+    table = euler_from_character(kronecker_character(D), EULER_P)
+    return LFunctionSpec(1, 0, abs(D), (("R", Fraction(0 if D > 0 else 1)),), 1,
+                         table, label=f"chi_{D}")
+
+
+def _write_spec(D, directory):
+    euler_path = directory / f"chi{D}.jsonl"
+    euler_path.write_text(_character_spec(D).euler.to_jsonl())
+    spec_path = directory / f"chi{D}.json"
+    spec_path.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": abs(D),
+        "gamma_shifts": [["R", "0" if D > 0 else "1"]], "sign": 1,
+        "euler_path": str(euler_path), "label": f"chi_{D}"}))
+    return spec_path
+
+
+@pytest.mark.parametrize("D, s, order", sorted(GOLDEN))
+def test_lfun_cli_golden(D, s, order, tmp_path, capsys):
+    spec_path = _write_spec(D, tmp_path)
+    code = cli.main(["--digits", "8", "lfun", str(spec_path), "--s", s,
+                     "--order", str(order)])
+    assert code == 0
+    assert capsys.readouterr().out == GOLDEN[(D, s, order)]
+
+
+def test_orders_stop_independently():
+    """Each order keeps its own stopping rule: asking for more orders changes none."""
+    pol = PrecisionPolicy(8)
+    spec = _character_spec(-4)
+    up_to_2 = lambda_derivs(spec, 2, 2, pol)
+    assert up_to_2[:2] == lambda_derivs(spec, 2, 1, pol)
+    assert up_to_2[:1] == lambda_derivs(spec, 2, 0, pol)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_motive_L_work_counts(monkeypatch):
+    """One lambda_derivs per cutoff, one Dirichlet table each, one kernel per side."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    lam_calls = _count_calls(monkeypatch, motive, "lambda_derivs")
+    coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
+    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    motive_L(_character_spec(-4), 2, 1, PrecisionPolicy(8))
+    assert len(lam_calls) == 2
+    assert len(coeff_calls) <= 2
+    assert len(kernel_builds) <= 2
+
+
+def test_trivial_zero_wrong_order_fails_fast(monkeypatch):
+    lam_calls = _count_calls(monkeypatch, motive, "lambda_derivs")
+    with pytest.raises(MotiveError):
+        motive_L(_character_spec(5), 0, 0, PrecisionPolicy(8))
+    assert lam_calls == []
+
+
+def test_unsupported_order_fails_fast(monkeypatch):
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
+    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    for order in (-1, 3):
+        with pytest.raises(MotiveError):
+            motive_L(_character_spec(-4), 2, order, PrecisionPolicy(8))
+    assert coeff_calls == [] and kernel_builds == []
+
+
+def test_lambda_derivs_needs_euler_data(monkeypatch):
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    spec = LFunctionSpec(1, 0, 4, (("R", Fraction(1)),), 1, None)
+    with pytest.raises(MotiveError):
+        lambda_derivs(spec, 2, 0, PrecisionPolicy(8))
+    assert kernel_builds == []
