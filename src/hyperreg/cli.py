@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--case", required=True)
     r.add_argument("--t", required=True,
                    help="rational t-point, or a comma-separated list "
-                        "(evaluated concurrently, output in input order)")
-    r.add_argument("--workers", type=int, default=4)
+                        "(evaluated in input order)")
+    r.add_argument("--workers", type=int, default=4,
+                   help="accepted for compatibility; has no effect "
+                        "(points are evaluated serially)")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=("identities", "ode", "continuation",
@@ -161,7 +163,7 @@ def cmd_period(args, pol: PrecisionPolicy):
 
 
 def cmd_regulator(args, pol: PrecisionPolicy):
-    from .lfun.ratio import ratio_report
+    from .lfun.ratio import check_ratio_point, ratio_report
     from .regulators.reporting import CaseError, check_case, t_interval_ok
     case = args.case
     try:
@@ -174,21 +176,19 @@ def cmd_regulator(args, pol: PrecisionPolicy):
     for t in points:
         if not t_interval_ok(case, t):
             raise CliError(f"t = {t} outside the validity interval of case {case}")
+        try:
+            check_ratio_point(case, t)
+        except CaseError as exc:
+            raise CliError(str(exc))
     fixtures_dir = args.fixtures or "fixtures"
-
-    def run_one(t):
-        return json.loads(ratio_report(case, t, pol, fixtures_dir).to_json(pol))
-
     try:
-        if len(points) == 1:
-            return run_one(points[0])
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            return list(pool.map(run_one, points))
+        docs = [json.loads(ratio_report(case, t, pol, fixtures_dir).to_json(pol))
+                for t in points]
     except (DivergenceError, TailBoundError) as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     except CaseError as exc:
         raise CliError(str(exc), EXIT_VERIFY)
+    return docs[0] if len(docs) == 1 else docs
 
 
 def cmd_verify(args, pol: PrecisionPolicy):

@@ -18,12 +18,18 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
+from .mpnum import special
+
 __all__ = ["ExactNum", "EX_I", "EX_PI", "EX_LN2", "EX_CAT", "EX_Z3", "EX_B4",
            "ex_zeta2", "ex_zeta4", "two_pi_i_pow", "AtomValueError"]
 
 
 class AtomValueError(KeyError):
     """An atom without a numeric value reached numeric evaluation."""
+
+
+# atom name -> name of its constant in mpnum.special
+_SPECIAL_ATOMS = {"pi": "pi", "ln2": "ln2", "cat": "catalan", "z3": "zeta3", "b4": "b4"}
 
 
 def _reduce_i(mono: dict) -> tuple:
@@ -171,16 +177,11 @@ class ExactNum:
     def to_mp(self, ctx, extra_values: dict | None = None):
         """Numeric value under an mpmath context.
 
-        Atoms without built-in values must appear in extra_values.
+        Atoms without built-in values must appear in extra_values.  The
+        built-in transcendental atoms come from the per-precision memo
+        ``mpnum.special``; extra_values never enter it.
         """
-        vals = {
-            "i": ctx.mpc(0, 1),
-            "pi": ctx.pi,
-            "ln2": ctx.ln2,
-            "cat": ctx.catalan,
-            "z3": ctx.zeta(3),
-            "b4": (ctx.zeta(4, ctx.mpf(1) / 4) - ctx.zeta(4, ctx.mpf(3) / 4)) / ctx.mpf(4) ** 4,
-        }
+        vals = {"i": ctx.mpc(0, 1)}
         if extra_values:
             vals.update(extra_values)
         total = ctx.mpf(0)
@@ -188,7 +189,9 @@ class ExactNum:
             term = ctx.mpf(c.numerator) / c.denominator
             for name, e in mono:
                 if name not in vals:
-                    raise AtomValueError(f"atom {name!r} has no numeric value")
+                    if name not in _SPECIAL_ATOMS:
+                        raise AtomValueError(f"atom {name!r} has no numeric value")
+                    vals[name] = special(_SPECIAL_ATOMS[name], ctx)
                 term = term * vals[name] ** e
             total = total + term
         if ctx.im(total) == 0:

@@ -311,18 +311,27 @@ def _pole_correction(spec, ctx, s_val, order, A):
     return corr
 
 
-def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
-                  cutoff_A=None):
-    """[Lambda(s0), ..., Lambda^(order)(s0)] by the smoothed AFE, order <= 2."""
+def _check_request(spec: LFunctionSpec, order: int):
     if spec.euler is None:
         raise MotiveError("spec has no Euler data")
     if order not in (0, 1, 2):
         raise MotiveError("derivative_order must be 0, 1, or 2")
+
+
+def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
+                  cutoff_A=None, a=None):
+    """[Lambda(s0), ..., Lambda^(order)(s0)] by the smoothed AFE, order <= 2.
+
+    `a` is the Dirichlet table of spec.euler up to its p_max; it is built
+    here when not given.
+    """
+    _check_request(spec, order)
     ctx = pol.ctx
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     s_val = ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator \
         if isinstance(s0, (int, Fraction)) else ctx.convert(s0)
-    a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
+    if a is None:
+        a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     right = _sum_side(spec, s_val, pol, order, A, False, a)
     left = _sum_side(spec, s_val, pol, order, A, True, a)
     sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
@@ -344,7 +353,8 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     derivative_order == m is meaningful and the value is
     m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
     The self-test compares Lambda(s0) at the cutoffs 1.31 and 1; the
-    cutoff-1 value is the main path's own when no cutoff_A is given.
+    cutoff-1 value is the main path's own when no cutoff_A is given.  All
+    paths share one Dirichlet table.
     """
     ctx = pol.ctx
     s0f = Fraction(s0) if isinstance(s0, (int, Fraction)) else None
@@ -353,11 +363,14 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         raise MotiveError(
             f"gamma pole of order {m} at s0: only the order-{m} derivative "
             "(leading Taylor coefficient) is supported here")
-    lams = lambda_derivs(spec, s0, 0 if m > 0 else derivative_order, pol, cutoff_A)
+    order = 0 if m > 0 else derivative_order
+    _check_request(spec, order)
+    a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
+    lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a)
     err = ctx.mpf(0)
     if self_test:
-        lamA = lambda_derivs(spec, s0, 0, pol, cutoff_A=ctx.mpf("1.31"))[0]
-        lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol)[0]
+        lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a)[0]
+        lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol, a=a)[0]
         err = abs(lamA - lam1)
         if err > ctx.mpf(10) ** (-pol.target_digits + 4):
             raise MotiveError(

@@ -10,7 +10,7 @@ from ..regulators.fixtures import fixture_L_value, load_fixture
 from ..regulators.reporting import (CaseError, RegulatorReport, check_case,
                                     detect_rational)
 
-__all__ = ["ratio_report"]
+__all__ = ["ratio_report", "check_ratio_point"]
 
 
 def _find_entry(rows: list, t: Fraction):
@@ -20,10 +20,19 @@ def _find_entry(rows: list, t: Fraction):
     return None
 
 
+def check_ratio_point(case: str, t: Fraction):
+    """Raise CaseError unless `case` has a ratio pipeline that accepts t."""
+    if case not in ("k4", "k2", "appB", "cy0"):
+        raise CaseError(f"no ratio pipeline for case {case!r}")
+    if case == "cy0" and t.numerator != 1:
+        raise CaseError("cy0 ratio points are t = 1/n")
+
+
 def ratio_report(case: str, t: Fraction, pol: PrecisionPolicy,
                  fixtures_dir="fixtures") -> RegulatorReport:
     """Assemble r(t) and, when L-data is available, the measured ratio."""
     check_case(case)
+    check_ratio_point(case, t)
     rows = load_fixture(case, fixtures_dir)
     entry = _find_entry(rows, t)
     lval = fixture_L_value(entry, pol) if entry else None
@@ -43,12 +52,8 @@ def ratio_report(case: str, t: Fraction, pol: PrecisionPolicy,
             rep.detected_ratio = detect_rational(rep.measured_ratio, pol.tol)
         if entry and entry.get("expected_ratio") is not None:
             rep.expected_ratio = entry["expected_ratio"]
-    elif case == "cy0":
-        if t.numerator != 1:
-            raise CaseError("cy0 ratio points are t = 1/n")
+    else:  # cy0 at t = 1/n
         rep = cy0.cy0_class_number_check(t.denominator, pol)
-    else:
-        raise CaseError(f"no ratio pipeline for case {case!r}")
 
     if rep.measured_ratio is None and lval is None and case != "cy0":
         rep.notes.append("regulator-only: no L-data available")

@@ -3,11 +3,17 @@
 The response body is stored verbatim on disk keyed by the urlencoded
 label, with a sidecar recording the URL and fetch time; re-fetch is a
 cache hit (bit-identical).  Offline mode never touches the network.
+
+Each file is written to a temporary name and moved into place, the body
+before its sidecar, so a crash part-way leaves either no entry or a whole
+one.  A cached body that does not decode counts as a miss.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 import urllib.error
 import urllib.parse
@@ -44,20 +50,36 @@ def lmfdb_fetch(label: str, cache_dir, offline: bool = False,
     """
     body_path, meta_path = _cache_paths(label, cache_dir)
     if body_path.exists():
-        body = body_path.read_bytes()
-        return _parse_body(body, label, provenance=f"cache:{body_path}")
+        doc = _decode(body_path.read_bytes())
+        if doc is not None:
+            return _table(doc, label, provenance=f"cache:{body_path}")
     if offline:
         raise NotFoundError(f"offline mode and no cached response for {label!r}")
     url = ENDPOINT_TEMPLATE.format(label=urllib.parse.quote(label, safe=""))
     if opener is None:
         opener = _default_opener(retries)
     body = opener(url)
+    doc = _decode(body)
+    if doc is None:
+        raise EulerError(f"unparseable response body for {label!r}")
     body_path.parent.mkdir(parents=True, exist_ok=True)
-    body_path.write_bytes(body)
-    meta_path.write_text(json.dumps(
+    _write_atomic(body_path, body)
+    _write_atomic(meta_path, json.dumps(
         {"url": url, "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-         "label": label}, sort_keys=True))
-    return _parse_body(body, label, provenance=f"web:{url}")
+         "label": label}, sort_keys=True).encode("utf-8"))
+    return _table(doc, label, provenance=f"web:{url}")
+
+
+def _write_atomic(path: Path, data: bytes):
+    """Write data to a temporary file beside path, then rename it into place."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _default_opener(retries: int):
@@ -80,11 +102,15 @@ def _default_opener(retries: int):
     return open_url
 
 
-def _parse_body(body: bytes, label: str, provenance: str) -> EulerFactorTable:
+def _decode(body: bytes):
+    """The JSON document in body, or None if it does not decode."""
     try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise EulerError(f"unparseable response body for {label!r}: {exc}") from None
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
+def _table(doc, label: str, provenance: str) -> EulerFactorTable:
     # accept either our own JSONL-ish dict or the LMFDB API shape
     if isinstance(doc, dict) and "data" in doc:
         rows = doc["data"]

@@ -4,6 +4,11 @@ Everything downstream computes with mpmath reals/complexes at a working
 precision fixed by a :class:`PrecisionPolicy`.  Each policy owns a private
 mpmath context, so concurrent evaluations with different policies never
 fight over a global precision setting.
+
+:func:`special` is the one memo of transcendental constants (pi, log 2,
+Catalan's constant, Euler's gamma, zeta(2), zeta(3), beta(4)), keyed by
+the context's binary precision and filled on first use; the exact-to-float
+boundary (``ExactNum.to_mp``) reads its atoms from it.
 """
 
 from __future__ import annotations
@@ -12,12 +17,9 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
 
-RationalX = Fraction
-
-_CONSTANT_NAMES = ("pi", "catalan", "euler_gamma", "zeta2", "zeta3")
+_CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
 
 
 class MPNumError(ValueError):
@@ -78,23 +80,28 @@ class PrecisionPolicy:
         return self.ctx.mpf(10) ** (-self.target_digits)
 
 
-# RealMP / ComplexMP are mpmath values produced under a policy's context.
-RealMP = mpmath.mpf
-ComplexMP = mpmath.mpc
-
+# (name, binary precision) -> mpf; the values are the same in every
+# context at that precision, so one table serves all policies
 _const_cache: dict = {}
 _const_lock = threading.Lock()
 
 
-def special(name: str, pol: PrecisionPolicy):
-    """Transcendental constants, memoized per working precision."""
-    key = (name, pol.working_digits)
+def special(name: str, pol):
+    """Transcendental constant at the precision of `pol`, memoized per precision.
+
+    `pol` is a :class:`PrecisionPolicy` or an mpmath context; the value is
+    returned as an mpf of that context.
+    """
+    ctx = pol.ctx if isinstance(pol, PrecisionPolicy) else pol
+    key = (name, ctx.prec)
     with _const_lock:
-        if key in _const_cache:
-            return _const_cache[key]
-    ctx = pol.ctx
+        val = _const_cache.get(key)
+    if val is not None:
+        return ctx.make_mpf(val)
     if name == "pi":
         val = +ctx.pi
+    elif name == "ln2":
+        val = +ctx.ln2
     elif name == "catalan":
         val = +ctx.catalan
     elif name == "euler_gamma":
@@ -103,10 +110,12 @@ def special(name: str, pol: PrecisionPolicy):
         val = ctx.pi ** 2 / 6
     elif name == "zeta3":
         val = ctx.zeta(3)
+    elif name == "b4":
+        val = (ctx.zeta(4, ctx.mpf(1) / 4) - ctx.zeta(4, ctx.mpf(3) / 4)) / ctx.mpf(4) ** 4
     else:
         raise MPNumError(f"unknown constant {name!r}; expected one of {_CONSTANT_NAMES}")
     with _const_lock:
-        _const_cache[key] = val
+        _const_cache[key] = val._mpf_
     return val
 
 

@@ -23,6 +23,7 @@ sums sometimes drop it), and the dual-path identity pins it down exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..exactnum import EX_Z3, ExactNum, ex_zeta2
 from ..hypergeom import parse_hg
@@ -226,16 +227,18 @@ def k4_entries(K: int):
     """The four exact inner series with the dual-path check.
 
     Returns dict with the four closed-form LogSeries; raises on any
-    cross-path disagreement.
+    cross-path disagreement.  The checked entries are built once per K;
+    each call gets its own copy.
     """
+    return _copy_entries(_entries_checked(K))
+
+
+@lru_cache(maxsize=8)
+def _entries_checked(K: int):
+    # lru_cache keeps no result when a check raises, so a failure repeats
+    closed = _entries_built(K)
     M = frobenius_generator(K, 2, Fraction(0))
     N = frobenius_generator(K, 2, Fraction(1, 2))
-    closed = {
-        "log_primitive": log_primitive_series(K),
-        "sqrt_primitive_inner": sqrt_primitive_inner(K),
-        "sqrt_deformed_inner": sqrt_deformed_inner(K),
-        "log_deformed_inner": log_deformed_inner(K),
-    }
     pairs = [
         ("log_primitive", M.slot(0)),
         ("log_deformed_inner", M.slot(2)),
@@ -311,23 +314,6 @@ def frobenius_generator_period(K: int, s_order: int) -> SLaurent:
     return SLaurent(out, s_order, 0)
 
 
-def k4_entry_values(t: Fraction, pol: PrecisionPolicy, K: int = 40):
-    """Numeric (log primitive, sqrt primitive, sqrt deformed, log deformed)
-    at t, from the cross-checked series."""
-    ctx = pol.ctx
-    ent = k4_entries(K)
-    tv = ctx.mpf(t.numerator) / t.denominator
-    sq = ctx.sqrt(tv)
-    pref = -1 / (4 * ctx.pi ** 2)
-
-    def ev(name):
-        v, _ = ent[name].to_floating(pol).evaluate(t, pol, require_tail=False)
-        return v
-
-    return (ev("log_primitive"), sq * ev("sqrt_primitive_inner"),
-            sq * pref * ev("sqrt_deformed_inner"), pref * ev("log_deformed_inner"))
-
-
 def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,
            fixture=None) -> RegulatorReport:
     """The 2x2 determinant r(t) for t in (0, 4^-4)."""
@@ -353,12 +339,28 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,
 
 
 def _entries_unchecked(K: int):
+    return _copy_entries(_entries_built(K))
+
+
+@lru_cache(maxsize=8)
+def _entries_built(K: int):
     return {
         "log_primitive": log_primitive_series(K),
         "sqrt_primitive_inner": sqrt_primitive_inner(K),
         "sqrt_deformed_inner": sqrt_deformed_inner(K),
         "log_deformed_inner": log_deformed_inner(K),
     }
+
+
+def _copy_entries(ent):
+    """A copy of cached entries that shares no mutable container with them."""
+    def copy_coeff(c):
+        return ExactNum(c.terms) if isinstance(c, ExactNum) else c
+
+    return {name: LogSeries([None if p is None else
+                             PowSeries(p.offset, [copy_coeff(c) for c in p.coeffs])
+                             for p in ls.parts])
+            for name, ls in ent.items()}
 
 
 def _det_value(ent, t: Fraction, pol: PrecisionPolicy):

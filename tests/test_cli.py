@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "hyperreg.cli"]
 
 
@@ -62,6 +64,29 @@ def test_determinism_and_concurrency():
     assert a.stdout == b.stdout
     docs = json.loads(a.stdout)
     assert [d["t"] for d in docs] == ["1/1024", "1/4096", "1/16384"]
+
+
+@pytest.mark.parametrize("case, t", [("elliptic", "1/20"), ("quintic", "1/20"),
+                                     ("cy0", "2/9")])
+def test_regulator_without_ratio_pipeline_exit2(case, t):
+    """Nothing is verified for these points, so they are usage errors."""
+    out = run("regulator", "--case", case, "--t", t)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+
+
+def test_regulator_list_is_serial_in_input_order():
+    """A t-list prints exactly the single-point reports, in input order;
+    --workers is still accepted and changes nothing."""
+    points = ("1/65536", "1/1024", "1/16384", "1/4096")
+    common = ("--digits", "20", "--json", "regulator", "--case", "k4")
+    singles = [run(*common, "--t", t) for t in points]
+    assert all(s.returncode == 0 for s in singles)
+    listed = run(*common, "--t", ",".join(points))
+    assert listed.returncode == 0
+    assert json.loads(listed.stdout) == [json.loads(s.stdout) for s in singles]
+    assert run(*common, "--t", ",".join(points), "--workers", "1").stdout == listed.stdout
 
 
 def test_config_file_merging(tmp_path):

@@ -130,3 +130,46 @@ def test_k2_r0_engine():
     c = out.parts[0].coeffs
     assert c[1] == two_pi_i_pow(3) * 16
     assert c[3] == two_pi_i_pow(3) * 16 * (-16)
+
+
+def test_entries_cache_hands_out_copies():
+    """Mutating what k4_entries returns leaves later calls untouched."""
+    from hyperreg.regulators import k4
+    first = k4_entries(12)
+    first["log_primitive"].parts[0].coeffs[1] = F(0)
+    first["sqrt_deformed_inner"].parts[0].coeffs[0].terms.clear()
+    first["log_deformed_inner"].parts.pop()
+    again = k4_entries(12)
+    assert again == k4._entries_built.__wrapped__(12)
+    assert again["log_primitive"].part(0).coeffs[1] == 16
+    assert k4._entries_unchecked(12) == again
+
+
+def test_failed_check_is_not_cached(monkeypatch):
+    """A failing dual-path check raises on every call and poisons nothing."""
+    from hyperreg.regulators import k4
+    from hyperreg.regulators.reporting import CaseError
+    k4._entries_checked.cache_clear()
+    k4._entries_built.cache_clear()
+    monkeypatch.setattr(k4, "log_primitive_series",
+                        lambda K: LogSeries.constant(F(0), K + 1))
+    for _ in range(2):
+        with pytest.raises(CaseError, match="dual-path"):
+            k4_entries(6)
+    monkeypatch.undo()
+    k4._entries_built.cache_clear()           # it holds the broken build
+    assert k4_entries(6)["log_primitive"] == log_primitive_series(6)
+
+
+def test_det_builds_entries_once_per_K(pol, monkeypatch):
+    from hyperreg.regulators import k4
+    k4._entries_checked.cache_clear()
+    k4._entries_built.cache_clear()
+    builds = []
+    real = k4.log_primitive_series
+    monkeypatch.setattr(k4, "log_primitive_series", lambda K: builds.append(K) or real(K))
+    t = T_POINTS[3]
+    first = k4_det(t, pol).r_value
+    assert len(builds) == 2 and builds[1] == 2 * builds[0]
+    assert k4_det(t, pol).r_value == first
+    assert len(builds) == 2

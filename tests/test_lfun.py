@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -252,3 +253,74 @@ def test_web_cache_roundtrip(tmp_path):
     # offline miss is a distinct error
     with pytest.raises(NotFoundError):
         lmfdb_fetch("missing/label", tmp_path, offline=True)
+
+
+LABEL = "test/label/1-2-3"
+BODY = json.dumps({"degree": 2, "factors": {"2": [1, -1], "3": [1, 2]}}).encode()
+
+
+def _opener(calls, body=BODY):
+    def opener(url):
+        calls.append(url)
+        return body
+    return opener
+
+
+def _cache_files(tmp_path):
+    return sorted(p.name for p in (tmp_path / "lmfdb").iterdir())
+
+
+def test_web_cache_torn_body_is_a_miss(tmp_path):
+    calls = []
+    lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls))
+    body_path = next(p for p in (tmp_path / "lmfdb").glob("*.json")
+                     if not p.name.endswith(".meta.json"))
+    body_path.write_bytes(BODY[:17])          # a write cut short
+    with pytest.raises(NotFoundError):
+        lmfdb_fetch(LABEL, tmp_path, offline=True)
+    table = lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls))
+    assert len(calls) == 2
+    assert table.factors == {2: [1, -1], 3: [1, 2]}
+    assert body_path.read_bytes() == BODY
+    assert lmfdb_fetch(LABEL, tmp_path, offline=True).factors == table.factors
+
+
+def test_web_cache_writes_body_then_meta_atomically(tmp_path, monkeypatch):
+    from hyperreg.lfun import web
+    moved = []
+    real_replace = web.os.replace
+
+    def replace(src, dst):
+        moved.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(web.os, "replace", replace)
+    lmfdb_fetch(LABEL, tmp_path, opener=_opener([]))
+    assert len(moved) == 2
+    assert not moved[0].endswith(".meta.json") and moved[1].endswith(".meta.json")
+    assert _cache_files(tmp_path) == sorted(moved)
+
+
+def test_web_cache_crash_before_rename_leaves_no_entry(tmp_path, monkeypatch):
+    from hyperreg.lfun import web
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(web.os, "replace", crash)
+    calls = []
+    with pytest.raises(OSError):
+        lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls))
+    assert _cache_files(tmp_path) == []
+    monkeypatch.undo()
+    lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls))
+    assert len(calls) == 2
+
+
+def test_web_unparseable_response_is_not_cached(tmp_path):
+    calls = []
+    with pytest.raises(EulerError):
+        lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls, BODY[:17]))
+    assert not (tmp_path / "lmfdb").exists() or _cache_files(tmp_path) == []
+    with pytest.raises(NotFoundError):
+        lmfdb_fetch(LABEL, tmp_path, offline=True)
