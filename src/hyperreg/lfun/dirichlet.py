@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..mpnum import PrecisionPolicy, hurwitz_zeta
 
@@ -39,15 +39,15 @@ class DirichletChar:
             unit = gcd(a, q) == 1
             if unit != (self.angles[a] is not None):
                 raise LfunError("angle table support must be the units mod q")
-        # multiplicativity on the table
-        for a in range(1, q):
-            if self.angles[a] is None:
-                continue
-            for b in range(1, q):
-                if self.angles[b] is None:
-                    continue
-                ab = (a * b) % q
-                if (self.angles[a] + self.angles[b] - self.angles[ab]) % 1 != 0:
+        # multiplicativity on the table, in integer numerators over the lcm L
+        # of the angle denominators: e(x) = 1 iff L x = 0 mod L
+        L = lcm(*(x.denominator for x in self.angles if x is not None))
+        num = [None if x is None else x.numerator * (L // x.denominator)
+               for x in self.angles]
+        units = [b for b in range(1, q) if num[b] is not None]
+        for a in units:
+            for b in units:
+                if (num[a] + num[b] - num[a * b % q]) % L:
                     raise LfunError(f"table not multiplicative at ({a},{b})")
 
     @property

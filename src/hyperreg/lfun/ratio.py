@@ -24,8 +24,10 @@ def check_ratio_point(case: str, t: Fraction):
     """Raise CaseError unless `case` has a ratio pipeline that accepts t."""
     if case not in ("k4", "k2", "appB", "cy0"):
         raise CaseError(f"no ratio pipeline for case {case!r}")
-    if case == "cy0" and t.numerator != 1:
-        raise CaseError("cy0 ratio points are t = 1/n")
+    if case == "cy0":
+        if t.numerator != 1:
+            raise CaseError("cy0 ratio points are t = 1/n")
+        cy0.check_class_number_point(t.denominator)
 
 
 def ratio_report(case: str, t: Fraction, pol: PrecisionPolicy,

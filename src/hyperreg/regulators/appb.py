@@ -2,19 +2,20 @@
 
 Reuses the Puiseux S-series machinery of the quintic module; the
 determinant det Re [[S0, S0'], [S1, S1']] interpolates the L'(M_t, 1)
-data for integer t in (0, 3125/432).  The companion closed-form gamma
-function (with its 27^-s scale and the half-integer support) feeds the
-weight-gap warm-up series Pi_0, whose coefficient ratios are exact
-rationals.
+data for integer t in (0, 3125/432).  Each S-column is summed in one pass
+that also yields its derivative and the finite-difference probe.  The
+companion closed-form gamma function (with its 27^-s scale and the
+half-integer support) feeds the weight-gap warm-up series Pi_0, whose
+coefficient ratios are exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..hypergeom import parse_hg, scale_C
+from ..hypergeom import parse_hg
 from ..mpnum import PrecisionPolicy
-from .quintic import S_A, gamma_big, _gamma_ratio
+from .quintic import S_n, column_sums
 from .reporting import CaseError, RegulatorReport
 
 DATA = parse_hg("1/5,2/5,3/5,4/5;1/6,5/6,1,1")
@@ -50,61 +51,21 @@ def pi0_relative_coefficients(n_terms: int) -> list:
     return out
 
 
-def S_n_appb(n: int, t: Fraction, pol: PrecisionPolicy, derivative: bool = False):
-    """S_n(t) per the eV** recipe, or its t-derivative (termwise exact)."""
-    ctx = pol.ctx
-    g0 = gamma_big(DATA, ctx.mpf(0), pol)
-    acc = ctx.mpc(0)
-    for j, aj in enumerate(DATA.a):
-        phase = ctx.expjpi(2 * n * ctx.mpf(aj.numerator) / aj.denominator)
-        acc += phase * _S_A_maybe_deriv(j, t, pol, derivative)
-    return acc / g0
-
-
-def _S_A_maybe_deriv(j: int, t: Fraction, pol: PrecisionPolicy, derivative: bool):
-    if not derivative:
-        return S_A(DATA, j, t, pol)
-    # d/dt [ (lam t)^(l+a)/(l+a) ] = (lam t)^(l+a) / t
-    ctx = pol.ctx
-    C = scale_C(DATA)
-    lam_t = Fraction(t, 1) / C
-    if not (0 < lam_t < 1):
-        raise CaseError(f"series diverges at t = {t}")
-    aj = DATA.a[j]
-    x = ctx.mpf(lam_t.numerator) / lam_t.denominator
-    g = gamma_big(DATA, ctx.mpf(aj.numerator) / aj.denominator, pol)
-    xp = ctx.power(x, ctx.mpf(aj.numerator) / aj.denominator)
-    tv = ctx.mpf(t.numerator) / t.denominator
-    acc = ctx.mpf(0)
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    s = aj
-    l = 0
-    while True:
-        term = g * xp / tv
-        acc += term
-        if abs(term) < tol * max(1, abs(acc)) and l > 8:
-            return acc
-        if l > pol.max_terms:
-            raise CaseError("S_A' truncation cap hit")
-        r = _gamma_ratio(DATA, s)
-        g = g * ctx.mpf(r.numerator) / r.denominator
-        xp *= x
-        s += 1
-        l += 1
-
-
 def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     """det Re [[S0, S0'], [S1, S1']] at t in (0, 3125/432)."""
     if not (0 < t < T_SUP):
         raise CaseError(f"t = {t} outside (0, {T_SUP})")
     ctx = pol.ctx
-    m = [[S_n_appb(0, t, pol), S_n_appb(0, t, pol, derivative=True)],
-         [S_n_appb(1, t, pol), S_n_appb(1, t, pol, derivative=True)]]
+    th = Fraction(1, 10 ** 8)
+    # one pass per column: S_Aj(t), S_Aj'(t) (termwise exact), S_Aj(t +- th)
+    requests = ((t, False), (t, True), (t + th, False), (t - th, False))
+    cols = list(zip(*(column_sums(DATA, j, requests, pol) for j in range(DATA.m))))
+    m = [[S_n(DATA, 0, cols[0], pol), S_n(DATA, 0, cols[1], pol)],
+         [S_n(DATA, 1, cols[0], pol), S_n(DATA, 1, cols[1], pol)]]
     det = ctx.re(m[0][0]) * ctx.re(m[1][1]) - ctx.re(m[0][1]) * ctx.re(m[1][0])
     rep = RegulatorReport("appB", t, det)
     # finite-difference probe of the derivative column (fd error budget 1e-12)
-    th = Fraction(1, 10 ** 8)
-    fd = (ctx.re(S_n_appb(0, t + th, pol)) - ctx.re(S_n_appb(0, t - th, pol))) \
+    fd = (ctx.re(S_n(DATA, 0, cols[2], pol)) - ctx.re(S_n(DATA, 0, cols[3], pol))) \
         / (2 * ctx.mpf(10) ** -8)
     dev = abs(fd - ctx.re(m[0][1])) / max(1, abs(m[0][1]))
     rep.crosschecks.append(("derivative_column_fd_probe", dev))

@@ -175,13 +175,19 @@ def _fundamental_unit_norm(D: int) -> int:
     return -1 if period % 2 else 1
 
 
-def cy0_class_number_check(n: int, pol: PrecisionPolicy) -> RegulatorReport:
-    """Measured ratio -zeta'_K(0) / (2 r(1/n)) against the h/8 oracle."""
+def check_class_number_point(n: int) -> int:
+    """D = n(n - 4) for t = 1/n; CaseError unless n > 5 and D is squarefree."""
     if n <= 5:
         raise CaseError("need n > 5")
     D = n * (n - 4)
     if not is_squarefree(D):
         raise CaseError(f"discriminant {D} = {n}({n}-4) not squarefree")
+    return D
+
+
+def cy0_class_number_check(n: int, pol: PrecisionPolicy) -> RegulatorReport:
+    """Measured ratio -zeta'_K(0) / (2 r(1/n)) against the h/8 oracle."""
+    D = check_class_number_point(n)
     ctx = pol.ctx
     t = Fraction(1, n)
     r, dev = cy0_regulator(t, pol)

@@ -284,10 +284,6 @@ def _tilde_series(alpha: Fraction, z, pol: PrecisionPolicy, harmonic_factor=Fals
     return g0 * acc
 
 
-def _plain_series(alpha: Fraction, z, pol: PrecisionPolicy):
-    return S_alpha(alpha, z, pol, alternating=True)
-
-
 # D~'s k = 0 slot.  The display is singular at k = 0; the value below makes
 # the assembly agree with the contour integral identically in z (PSLQ-pinned
 # to 30+ digits, then verified at five sample points).  Only the -8 part is
@@ -319,16 +315,6 @@ def mb_left_assembly(z, pol: PrecisionPolicy):
         + 4 * ctx.pi * i * (log4z + 4) ** 2
     norm = (2 * ctx.pi * i) ** 3 / 4
     return R0 / norm
-
-
-def k2_mellin_barnes(z, side: str, pol: PrecisionPolicy):
-    if side == "right":
-        return mb_right_series(z, pol)
-    if side == "contour":
-        return mb_contour(z, pol)
-    if side == "left":
-        return mb_left_assembly(z, pol)
-    raise CaseError("side must be right, left, or contour")
 
 
 def mb_compare(z, pol: PrecisionPolicy):

@@ -7,6 +7,12 @@ For index data (a, b) define
 with lam = exp(sum psi(a_i) - sum psi(b_i)) = 1/C, C the exact rational
 scale of the data.  Exponentials of suitable S_n are roots of quintic
 polynomials; their logs assemble the rank-2 regulator determinant.
+
+Each column j is summed in one pass over l (`column_sums`): the exact ratio
+G(s+1)/G(s) is formed once per step, in integers, and feeds every sum
+requested of the column (several t, weight 1/(l + a_j) or 1/t).  The
+branches n only recombine the column values with their phases, so each
+(data, t, j) column is summed once per determinant.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from fractions import Fraction
 
 from ..hypergeom import HGData, parse_hg, scale_C
 from ..mpnum import PrecisionPolicy
+from ..series import DivergenceError
 from .reporting import CaseError, RegulatorReport
 
 DATA_J0 = parse_hg("1/10,3/10,7/10,9/10;1/4,1/2,3/4,1")
@@ -33,62 +40,92 @@ def gamma_big(h: HGData, s, pol: PrecisionPolicy):
 
 
 def _gamma_ratio(h: HGData, s: Fraction) -> Fraction:
-    """G(s+1)/G(s) = prod_i (b_i - s - 1) / prod_i (s + 1 - a_i), exact."""
-    num = Fraction(1)
+    """G(s+1)/G(s) = prod_i (b_i - s - 1) / prod_i (s + 1 - a_i), exact (ints, one gcd)."""
+    p, q = s.numerator, s.denominator
+    num = den = 1
     for bi in h.b:
-        num *= bi - s - 1
-    den = Fraction(1)
+        num *= bi.numerator * q - (p + q) * bi.denominator
+        den *= bi.denominator * q
     for ai in h.a:
-        den *= s + 1 - ai
-    return num / den
+        num *= ai.denominator * q
+        den *= (p + q) * ai.denominator - ai.numerator * q
+    return Fraction(num, den)
+
+
+def column_sums(h: HGData, j: int, requests, pol: PrecisionPolicy) -> list:
+    """One pass over l for column j, serving every (t, derivative) request.
+
+    Request (t, False) is S_Aj(t); (t, True) is its t-derivative
+    sum_l G(l + a_j) (lam t)^(l + a_j) / t.  G(l + a_j) is updated once per
+    step for all requests; each keeps its own power, accumulator, stopping
+    rule and cap check.  Returns the sums in request order.
+    """
+    ctx = pol.ctx
+    C = scale_C(h)
+    aj = h.a[j]
+    a_mp = ctx.mpf(aj.numerator) / aj.denominator
+    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
+    sums = []      # per request: [x, x^(l + a_j), weight t or None for l + a_j, accumulator]
+    for t, derivative in requests:
+        lam_t = Fraction(t, 1) / C
+        if not (0 < lam_t < 1):
+            raise CaseError(f"series for S_A diverges at t = {t} (lam t = {lam_t})")
+        x = ctx.mpf(lam_t.numerator) / lam_t.denominator
+        w = ctx.mpf(t.numerator) / t.denominator if derivative else None
+        sums.append([x, ctx.power(x, a_mp), w, ctx.mpf(0)])
+    g = gamma_big(h, a_mp, pol)
+    s, l, running = aj, 0, sums
+    while True:
+        denom = ctx.mpf(s.numerator) / s.denominator
+        still = []
+        for st in running:
+            x, xp, w, acc = st
+            term = g * xp / (denom if w is None else w)
+            st[3] = acc = acc + term
+            if abs(term) < tol * max(1, abs(acc)) and l > 8:
+                continue
+            if l > pol.max_terms:
+                name = "S_A" if w is None else "S_A'"
+                raise DivergenceError(f"{name} truncation cap hit after {pol.max_terms} "
+                                      "terms (raise --max-terms)")
+            st[1] = xp * x
+            still.append(st)
+        if not still:
+            return [st[3] for st in sums]
+        running = still
+        r = _gamma_ratio(h, s)
+        g = g * ctx.mpf(r.numerator) / r.denominator
+        s += 1
+        l += 1
 
 
 def S_A(h: HGData, j: int, t: Fraction, pol: PrecisionPolicy):
     """S_{A_j}(t), converging for |t| < C (ratio lam*t = t/C)."""
-    ctx = pol.ctx
-    C = scale_C(h)
-    lam_t = Fraction(t, 1) / C
-    if not (0 < lam_t < 1):
-        raise CaseError(f"series for S_A diverges at t = {t} (lam t = {lam_t})")
-    aj = h.a[j]
-    x = ctx.mpf(lam_t.numerator) / lam_t.denominator
-    g = gamma_big(h, ctx.mpf(aj.numerator) / aj.denominator, pol)
-    xp = ctx.power(x, ctx.mpf(aj.numerator) / aj.denominator)
-    acc = ctx.mpf(0)
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    s = aj
-    l = 0
-    while True:
-        denom = ctx.mpf(s.numerator) / s.denominator
-        term = g * xp / denom
-        acc += term
-        if abs(term) < tol * max(1, abs(acc)) and l > 8:
-            break
-        if l > pol.max_terms:
-            raise CaseError("S_A truncation cap hit")
-        r = _gamma_ratio(h, s)
-        g = g * ctx.mpf(r.numerator) / r.denominator
-        xp *= x
-        s += 1
-        l += 1
-    return acc
+    return column_sums(h, j, ((t, False),), pol)[0]
 
 
-def S_n(h: HGData, n: int, t: Fraction, pol: PrecisionPolicy):
-    """S_n(t) = (1/G(0)) sum_j e(n a_j) S_Aj(t)."""
+def S_n(h: HGData, n: int, cols: list, pol: PrecisionPolicy):
+    """S_n = (1/G(0)) sum_j e(n a_j) S_Aj from the column values S_Aj."""
     ctx = pol.ctx
     g0 = gamma_big(h, ctx.mpf(0), pol)
     acc = ctx.mpc(0)
-    for j, aj in enumerate(h.a):
+    for aj, col in zip(h.a, cols):
         phase = ctx.expjpi(2 * n * ctx.mpf(aj.numerator) / aj.denominator)
-        acc += phase * S_A(h, j, t, pol)
+        acc += phase * col
     return acc / g0
 
 
-def quintic_S(J: int, n: int, t: Fraction, pol: PrecisionPolicy):
-    if J not in (0, 1):
-        raise CaseError("J selects the 0 or 1 index family")
-    return S_n(DATA_J0 if J == 0 else DATA_J1, n, t, pol)
+def _columns(t: Fraction, pol: PrecisionPolicy):
+    """The S_Aj columns of the J0 data at 256 t^2 and of the J1 data at t^2."""
+    return ([S_A(DATA_J0, j, 256 * t * t, pol) for j in range(DATA_J0.m)],
+            [S_A(DATA_J1, j, t * t, pol) for j in range(DATA_J1.m)])
+
+
+def _exponentials(c0: list, c1: list, pol: PrecisionPolicy):
+    """exp(S0_n / 5) and exp(S1_n) for the branches n = 1..4."""
+    ctx = pol.ctx
+    return ([ctx.exp(S_n(DATA_J0, n, c0, pol) / 5) for n in range(1, 5)],
+            [ctx.exp(S_n(DATA_J1, n, c1, pol)) for n in range(1, 5)])
 
 
 def _poly_J1(x, t, ctx):
@@ -99,53 +136,60 @@ def _poly_J0(X, t, ctx):
     return (X - 1) ** 5 + 16 * t * (X ** 3 + X ** 2)
 
 
-def quintic_roots_residuals(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
-    """Residuals of the Puiseux exponentials in their quintics at t,
-    minimized over the branch index n; returns (res0, res1, branch0, branch1)."""
+def _roots_residuals(x0: list, x1: list, t: Fraction, pol: PrecisionPolicy):
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
     best0 = best1 = None
     for n in range(1, 5):
-        x1 = ctx.exp(quintic_S(1, n, t * t, pol))
-        r1 = abs(_poly_J1(x1, tv, ctx))
+        r1 = abs(_poly_J1(x1[n - 1], tv, ctx))
         if best1 is None or r1 < best1[0]:
             best1 = (r1, n)
-        x0 = ctx.exp(quintic_S(0, n, 256 * t * t, pol) / 5)
-        r0 = abs(_poly_J0(x0, tv * tv, ctx))
+        r0 = abs(_poly_J0(x0[n - 1], tv * tv, ctx))
         if best0 is None or r0 < best0[0]:
             best0 = (r0, n)
     return best0[0], best1[0], best0[1], best1[1]
 
 
-def quintic_intertwining(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
-    """phi(exp(S1(t^2))) = exp(S0(256 t^2)/5) with
-    phi(x) = -((x-1)^3 - t x + t/2) * 2/t; residual minimized over branches."""
+def _intertwining(x0: list, x1: list, t: Fraction, pol: PrecisionPolicy):
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
     best = None
     for n in range(1, 5):
-        x1 = ctx.exp(quintic_S(1, n, t * t, pol))
-        phi = -((x1 - 1) ** 3 - tv * x1 + tv / 2) * 2 / tv
+        phi = -((x1[n - 1] - 1) ** 3 - tv * x1[n - 1] + tv / 2) * 2 / tv
         for n0 in range(1, 5):
-            x0 = ctx.exp(quintic_S(0, n0, 256 * t * t, pol) / 5)
-            r = abs(phi - x0)
+            r = abs(phi - x0[n0 - 1])
             if best is None or r < best[0]:
                 best = (r, n, n0)
     return best
 
 
+def quintic_roots_residuals(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
+    """Residuals of the Puiseux exponentials in their quintics at t,
+    minimized over the branch index n; returns (res0, res1, branch0, branch1)."""
+    return _roots_residuals(*_exponentials(*_columns(t, pol), pol), t, pol)
+
+
+def quintic_intertwining(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
+    """phi(exp(S1(t^2))) = exp(S0(256 t^2)/5) with
+    phi(x) = -((x-1)^3 - t x + t/2) * 2/t; residual minimized over branches."""
+    return _intertwining(*_exponentials(*_columns(t, pol), pol), t, pol)
+
+
 def quintic_det(pol: PrecisionPolicy) -> RegulatorReport:
     """(25/2) det Re [[S0_1(256), S1_1(1)], [S0_3(256), S1_3(1)]]."""
     ctx = pol.ctx
-    m = [[quintic_S(0, 1, Fraction(256), pol), quintic_S(1, 1, Fraction(1), pol)],
-         [quintic_S(0, 3, Fraction(256), pol), quintic_S(1, 3, Fraction(1), pol)]]
+    t = Fraction(1)
+    c0, c1 = _columns(t, pol)
+    m = [[S_n(DATA_J0, 1, c0, pol), S_n(DATA_J1, 1, c1, pol)],
+         [S_n(DATA_J0, 3, c0, pol), S_n(DATA_J1, 3, c1, pol)]]
     det = ctx.re(m[0][0]) * ctx.re(m[1][1]) - ctx.re(m[0][1]) * ctx.re(m[1][0])
     val = ctx.mpf(25) / 2 * det
     rep = RegulatorReport("quintic", None, val)
-    res0, res1, b0, b1 = quintic_roots_residuals(pol)
+    x0, x1 = _exponentials(c0, c1, pol)
+    res0, res1, b0, b1 = _roots_residuals(x0, x1, t, pol)
     rep.check("puiseux_root_residual_J0", res0, pol)
     rep.check("puiseux_root_residual_J1", res1, pol)
-    inter = quintic_intertwining(pol)
+    inter = _intertwining(x0, x1, t, pol)
     rep.check("phi_intertwining_residual", inter[0], pol)
     rep.notes.append(f"branch assignment: roots (n0={b0}, n1={b1}), "
                      f"intertwining pair {inter[1:]} chosen by minimal residual")
