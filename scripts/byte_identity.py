@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Compare the CLI output of two hyperreg checkouts byte for byte.
+
+    python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the roots of two checkouts, each holding
+`src/` and `fixtures/`.  Every command line of a fixed list runs as a fresh
+`python -m hyperreg.cli` process from each root, the two side by side; any
+difference in stdout, stderr or exit code is printed, and the script exits
+1 if there was one, 0 otherwise.  Standard library only.
+
+The list: the cli-regulators operations of the benchmark with every seeded
+variant, `verify ode|identities|ratios`, the k4, cy0 and appB points at
+--digits 20, 30 and 50, and the two `lfun` runs whose stdout the tests pin.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TABLE_A = (
+    "1/5,2/5,3/5,4/5", "1/10,3/10,7/10,9/10", "1/2,1/2,1/2,1/2",
+    "1/3,1/3,2/3,2/3", "1/4,1/4,3/4,3/4", "1/6,1/6,5/6,5/6",
+    "1/12,5/12,7/12,11/12", "1/8,3/8,5/8,7/8", "1/6,1/3,2/3,5/6",
+    "1/2,1/2,1/3,2/3", "1/2,1/2,1/4,3/4", "1/2,1/2,1/6,5/6",
+    "1/3,2/3,1/4,3/4", "1/4,3/4,1/6,5/6",
+)
+K4_T = "1/1024,1/4096,1/16384,1/65536"
+EULER_P = 400
+# (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
+LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
+
+
+def regulator_argvs() -> list:
+    out = []
+    for a in TABLE_A:
+        for var in ("z", "t"):
+            out.append(["period", f"{a};1,1,1,1", "--var", var, "-K", "120"])
+    for a in ("1/2,1/2,1/2,1/2", "1/2,1/2,1/3,2/3"):
+        out.append(["period", f"{a};1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"])
+    for n in (7, 11, 35):
+        out.append(["regulator", "--case", "cy0", "--t", f"1/{n}"])
+    out.append(["regulator", "--case", "k4", "--t", "1/65536"])
+    out.append(["regulator", "--case", "k4", "--t", K4_T])
+    for t in ("1/16", "1", "49", "2", "3", "5"):
+        out.append(["regulator", "--case", "k2", "--t", t])
+    for t in ("2", "5", "7"):
+        out.append(["regulator", "--case", "appB", "--t", t])
+    out.append(["hadamard", "k4", "-K", "20"])
+    out.append(["hadamard", "k2_R0", "-K", "12"])
+    for suite in ("ode", "identities", "ratios"):
+        out.append(["verify", suite])
+    for digits in ("20", "30", "50"):
+        for case, points in (("k4", K4_T), ("cy0", "1/7,1/11,1/35")):
+            out.append(["--digits", digits, "regulator", "--case", case, "--t", points])
+        # one process per point: at --digits 50 the point 7 hits the S_A cap
+        for t in ("2", "5", "7"):
+            out.append(["--digits", digits, "regulator", "--case", "appB", "--t", t])
+    return out
+
+
+def kronecker(D: int, n: int) -> int:
+    """Kronecker symbol (D|n) for n > 0."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if D % 2 == 0:
+            return 0
+        if D % 8 in (3, 5):
+            result = -result
+    a, b = D % n, n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                result = -result
+        a, b = b, a
+        if a % 4 == 3 and b % 4 == 3:
+            result = -result
+        a %= b
+    return result if b == 1 else 0
+
+
+def character_spec(D: int, directory: Path) -> Path:
+    """Spec of L(chi_D, s) with Euler factors 1 - chi_D(p) x for p <= EULER_P."""
+    euler = directory / f"chi{D}.jsonl"
+    with open(euler, "w", encoding="utf-8") as fh:
+        for p in range(2, EULER_P + 1):
+            if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+                c = kronecker(D, p)
+                fh.write(json.dumps({"p": p, "factor": [1, -c] if c else [1]}) + "\n")
+    spec = directory / f"chi{D}.json"
+    spec.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": abs(D),
+        "gamma_shifts": [["R", "0" if D > 0 else "1"]], "sign": 1,
+        "euler_path": str(euler), "label": f"chi_{D}"}))
+    return spec
+
+
+def start(root: Path, argv: list) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.Popen([sys.executable, "-m", "hyperreg.cli"] + argv, cwd=root,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in args]
+    for root in roots:
+        if not (root / "src" / "hyperreg").is_dir():
+            print(f"error: {root} has no src/hyperreg", file=sys.stderr)
+            return 2
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        specs = {D: str(character_spec(D, Path(tmp))) for D in {D for D, _, _ in LFUN_RUNS}}
+        argvs = regulator_argvs() + [
+            ["--digits", "8", "lfun", specs[D], "--s", s, "--order", str(order)]
+            for D, s, order in LFUN_RUNS]
+        for cmd in argvs:
+            procs = [start(root, cmd) for root in roots]
+            (out0, err0), (out1, err1) = (p.communicate() for p in procs)
+            same = (out0, err0, procs[0].returncode) == (out1, err1, procs[1].returncode)
+            print(f"{'same' if same else 'DIFFERENT'}  exit {procs[0].returncode}"
+                  f"/{procs[1].returncode}  {' '.join(cmd)}", flush=True)
+            if not same:
+                differ += 1
+                for name, a, b in (("stdout", out0, out1), ("stderr", err0, err1)):
+                    if a != b:
+                        print(f"  {name} parent: {a.decode(errors='replace')!r}")
+                        print(f"  {name} change: {b.decode(errors='replace')!r}")
+    print(f"{len(argvs)} command lines, {differ} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,6 +95,11 @@ class ExactNum:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            out = dict(self.terms)
+            if other:
+                out[()] = out.get((), Fraction(0)) + other
+            return ExactNum(out)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -118,6 +123,8 @@ class ExactNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExactNum({k: v * other for k, v in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

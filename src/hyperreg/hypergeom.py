@@ -233,12 +233,21 @@ def coeff_stream(h: HGData, K: int, scale: Fraction = Fraction(1)) -> list:
 # s-deformation
 # ---------------------------------------------------------------------------
 
-def _linear_pochhammer(c0: Fraction, k: int, order: int) -> list:
-    """[c0 + s]_k as a truncated s-polynomial (dense, rational)."""
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for i in range(k):
-        out = sp_mul(out, [c0 + i, Fraction(1)], order)
-    return out
+def _ck_rows(h: HGData, K: int, s_order: int) -> list:
+    """[c_0(s), ..., c_(K-1)(s)] by c_(k+1) = c_k prod_j (a_j+k+s) / prod_j (b_j+k+s).
+
+    One truncated-series step per k, so O(K) products for all K rows.
+    """
+    rows = [[Fraction(1)] + [Fraction(0)] * s_order]
+    for k in range(K - 1):
+        num = [Fraction(1)]
+        for aj in h.a:
+            num = sp_mul(num, [aj + k, Fraction(1)], s_order)
+        den = [Fraction(1)]
+        for bj in h.b:
+            den = sp_mul(den, [bj + k, Fraction(1)], s_order)
+        rows.append(sp_mul(sp_mul(rows[-1], num, s_order), sp_inv(den, s_order), s_order))
+    return rows
 
 
 def ck_s(h: HGData, k: int, s_order: int) -> list:
@@ -247,13 +256,9 @@ def ck_s(h: HGData, k: int, s_order: int) -> list:
     For b all ones this is a_k(s)/alpha(s), the Frobenius-normalized
     deformation with purely rational coefficients.
     """
-    num = [Fraction(1)] + [Fraction(0)] * s_order
-    for aj in h.a:
-        num = sp_mul(num, _linear_pochhammer(aj, k, s_order), s_order)
-    den = [Fraction(1)] + [Fraction(0)] * s_order
-    for bj in h.b:
-        den = sp_mul(den, _linear_pochhammer(bj, k, s_order), s_order)
-    return sp_mul(num, sp_inv(den, s_order), s_order)
+    if k < 0:
+        raise HGError("k must be nonnegative")
+    return _ck_rows(h, k + 1, s_order)[k]
 
 
 # psi^(m)(a) - psi^(m)(1) for the supported exact indices
@@ -363,10 +368,12 @@ def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
 
     For b = 1's this is the generating series of Frobenius periods:
     its s^m coefficient phi_m satisfies phi_m - log^m z / m! -> 0 at z=0.
+    The rows c_0(s)..c_(K-1)(s) come from one pass of the term-ratio
+    recurrence, not from K separate Pochhammer products.
     """
     if s_order > 4:
         raise HGError("s_order is capped at 4")
-    cks = [ck_s(h, k, s_order) for k in range(K)]
+    cks = _ck_rows(h, K, s_order)
     fac = [1] * (s_order + 1)
     for j in range(1, s_order + 1):
         fac[j] = fac[j - 1] * j
@@ -382,9 +389,15 @@ def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
 
 
 def frobenius_E(h: HGData, K: int, s_order: int,
-                pol: PrecisionPolicy | None = None, mode: str = "exact") -> SLaurent:
-    """E(s, z) = alpha(s) * Phi(s, z), the Betti-period generating series."""
-    phi = frobenius_phi(h, K, s_order)
+                pol: PrecisionPolicy | None = None, mode: str = "exact",
+                phi: SLaurent | None = None) -> SLaurent:
+    """E(s, z) = alpha(s) * Phi(s, z), the Betti-period generating series.
+
+    phi, when given, is frobenius_phi(h, K, s_order) already built by the
+    caller; otherwise it is built here.
+    """
+    if phi is None:
+        phi = frobenius_phi(h, K, s_order)
     alpha = alpha_s(h, s_order, pol, mode)
     terms = {}
     for m in range(s_order + 1):

@@ -169,38 +169,49 @@ def dirichlet_L(chi: DirichletChar, s, derivative_order: int, pol: PrecisionPoli
             if v:
                 acc += v * (-ctx.psi(0, ctx.mpf(a) / q))
         return acc / q
-    qs = ctx.power(q, -sc)
+    total = _hurwitz_sum(chi, sc, 0, pol)
+    dtotal = _hurwitz_sum(chi, sc, 1, pol) if derivative_order else None
+    return _assemble_L(chi.modulus, sc, total, dtotal, ctx)
+
+
+def _hurwitz_sum(chi: DirichletChar, sc, derivative_in_s: int, pol: PrecisionPolicy):
+    """sum_a chi(a) zeta^(d)(s, a/q) over a = 1..q, in ascending a."""
+    ctx = pol.ctx
+    q = chi.modulus
     total = ctx.mpf(0)
     for a in range(1, q + 1):
         v = chi.value(a, ctx)
         if not v:
             continue
-        total += v * hurwitz_zeta(sc, Fraction(a, q), 0, pol)
-    if derivative_order == 0:
-        out = qs * total
-    else:
-        dtotal = ctx.mpf(0)
-        for a in range(1, q + 1):
-            v = chi.value(a, ctx)
-            if not v:
-                continue
-            dtotal += v * hurwitz_zeta(sc, Fraction(a, q), 1, pol)
-        out = qs * (dtotal - ctx.log(q) * total)
+        total += v * hurwitz_zeta(sc, Fraction(a, q), derivative_in_s, pol)
+    return total
+
+
+def _assemble_L(q: int, sc, total, dtotal, ctx):
+    """q^-s total for L(chi, s), or q^-s (dtotal - log q total) for L'(chi, s)."""
+    qs = ctx.power(q, -sc)
+    out = qs * total if dtotal is None else qs * (dtotal - ctx.log(q) * total)
     if isinstance(out, ctx.mpc) and out.imag == 0:
         return out.real
     return out
 
 
 def dedekind_quadratic_deriv0(D: int, pol: PrecisionPolicy):
-    """zeta_K'(0) = zeta(0) L'(chi_D, 0) = -L'(chi_D, 0)/2 for real quadratic K."""
+    """zeta_K'(0) = zeta(0) L'(chi_D, 0) = -L'(chi_D, 0)/2 for real quadratic K.
+
+    The order-0 Hurwitz sum is computed once and serves both the check
+    L(chi_D, 0) = 0 and L'(chi_D, 0): 2 phi(D) Hurwitz-zeta calls in all.
+    """
     if D <= 1:
         raise LfunError("need a real quadratic field (D > 1)")
     chi = kronecker_character(D)
     ctx = pol.ctx
-    lval = dirichlet_L(chi, 0, 0, pol)
+    sc = ctx.mpf(0)
+    total = _hurwitz_sum(chi, sc, 0, pol)
+    lval = _assemble_L(D, sc, total, None, ctx)
     if abs(lval) > pol.tol:
         raise LfunError(f"L(chi_{D}, 0) expected to vanish, got {ctx.nstr(lval, 5)}")
-    lp = dirichlet_L(chi, 0, 1, pol)
+    lp = _assemble_L(D, sc, total, _hurwitz_sum(chi, sc, 1, pol), ctx)
     return -lp / 2
 
 

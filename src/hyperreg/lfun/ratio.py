@@ -28,6 +28,8 @@ def check_ratio_point(case: str, t: Fraction):
         if t.numerator != 1:
             raise CaseError("cy0 ratio points are t = 1/n")
         cy0.check_class_number_point(t.denominator)
+    if case == "appB":
+        appb.check_point(t)
 
 
 def ratio_report(case: str, t: Fraction, pol: PrecisionPolicy,

@@ -1,19 +1,27 @@
 """Hypergeometric differential operators and exact residual checks.
 
-Operators act on LogSeries purely symbolically through the D-action table
-(D = z d/dz); no numerical differentiation happens anywhere, so residuals
-of the Frobenius and inhomogeneous equations can be asserted to be
-*exactly* zero in exact mode.
+Operators act on LogSeries purely symbolically (D = z d/dz); no numerical
+differentiation happens anywhere, so residuals of the Frobenius and
+inhomogeneous equations can be asserted to be *exactly* zero in exact mode.
+Each factor product P(D) = prod (D + c) of L acts in one step through P's
+Taylor table at each exponent:
+
+    P(D) z^e log^j z = sum_i C(j, i) P^(i)(e) z^e log^(j-i) z.
+
+``residual_frobenius`` builds Phi(s, z) once and forms E = alpha Phi from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from .hypergeom import HGData, W_r, frobenius_E, frobenius_phi, z_s_logs, alpha_s
 from .mpnum import PrecisionPolicy
-from .series import LogSeries, PowSeries, SLaurent, sp_mul, theta
+from .series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent,
+                     _czero, sp_mul)
 
 __all__ = ["HGOperator", "ResidualReport", "hg_operator", "apply_operator",
            "residual_frobenius", "residual_inhomogeneous"]
@@ -40,18 +48,74 @@ def hg_operator(h: HGData, var: str = "z", scale: Fraction = Fraction(1)) -> HGO
     return HGOperator(tuple(h.b), tuple(h.a), var, Fraction(scale))
 
 
+@lru_cache(maxsize=64)
+def _taylor_table(factors: tuple, offset: Fraction, K: int) -> tuple:
+    """Rows (P(e), P'(e), ..., P^(n)(e)) at e = offset + k for k < K,
+    where P(x) = prod_c (x + c) over the n factors."""
+    table = []
+    for k in range(K):
+        e = offset + k
+        t = [Fraction(1)]                  # Taylor coefficients of P(e + x)
+        for c in factors:
+            a = e + c
+            t = [a * t[0]] + [a * t[i] + t[i - 1] for i in range(1, len(t))] + [t[-1]]
+        fac = 1
+        for i in range(2, len(t)):
+            fac *= i
+            t[i] = fac * t[i]
+        table.append(tuple(t))
+    return tuple(table)
+
+
 def _apply_shifted_chain(factors, f: LogSeries) -> LogSeries:
-    """prod (D + c) applied to f, exactly."""
-    out = f
-    for c in factors:
-        out = theta(out) + out.scale(Fraction(c))
-    return out
+    """prod (D + c) applied to f, exactly, in one step.
+
+    With P(x) = prod (x + c), D acts on z^e log^j z as e plus the lowering
+    map log^j -> j log^(j-1), so
+
+        P(D) z^e log^j z = sum_i C(j, i) P^(i)(e) z^e log^(j-i) z.
+
+    P's Taylor table is computed once per exponent.  Output part m gathers
+    the input parts m .. m + deg P on the window PowSeries addition gives
+    them: from the lowest offset up to the lowest bound.
+    """
+    factors = tuple(Fraction(c) for c in factors)
+    n = len(factors)
+    out = []
+    for m in range(len(f.parts)):
+        src = [(m + i, p) for i, p in enumerate(f.parts[m:m + n + 1]) if p is not None]
+        if not src:
+            out.append(None)
+            continue
+        lo = min(p.offset for _, p in src)
+        if any((p.offset - lo).denominator != 1 for _, p in src):
+            raise OffsetMismatch("log-parts on exponent lattices differing by a non-integer")
+        width = int(min(p.bound for _, p in src) - lo)
+        if width <= 0:
+            raise SeriesError("truncation windows do not overlap")
+        acc = [None] * width
+        for j, p in src:
+            i = j - m
+            b = comb(j, i)
+            base = int(p.offset - lo)
+            table = _taylor_table(factors, p.offset, p.K)
+            for k, c in enumerate(p.coeffs[:max(0, width - base)]):
+                w = table[k][i]
+                if not w or _czero(c):
+                    continue
+                term = c * (w if b == 1 else b * w)
+                prev = acc[base + k]
+                acc[base + k] = term if prev is None else prev + term
+        out.append(PowSeries(lo, [0 if x is None else x for x in acc]))
+    return LogSeries(out)
 
 
 def apply_operator(L: HGOperator, f: LogSeries) -> LogSeries:
     """L f; input truncated at K terms, output exact through the same window."""
     lead = _apply_shifted_chain([bj - 1 for bj in L.b_part], f)
-    tail = _apply_shifted_chain(list(L.a_part), f).shift(1).scale(L.scale)
+    tail = _apply_shifted_chain(list(L.a_part), f).shift(1)
+    if L.scale != 1:
+        tail = tail.scale(L.scale)
     return lead - tail
 
 
@@ -138,7 +202,7 @@ def residual_frobenius(h: HGData, s_order: int, K: int,
         # E = alpha * Phi with alpha carried symbolically: the residual is
         # asserted as a polynomial identity in alpha_1..alpha_s_order.
         alpha_mode = "symbolic" if mode == "exact" else "floating"
-        E = frobenius_E(h, K, s_order, pol, alpha_mode)
+        E = frobenius_E(h, K, s_order, pol, alpha_mode, phi=phi)
         lhsE = apply_operator_s(L, E)
         alpha = alpha_s(h, s_order, pol, alpha_mode)
         rhsE = _mul_spoly_slaurent(sp_mul(rhs_poly, alpha, s_order), zs)

@@ -51,12 +51,23 @@ def pi0_relative_coefficients(n_terms: int) -> list:
     return out
 
 
-def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
-    """det Re [[S0, S0'], [S1, S1']] at t in (0, 3125/432)."""
+PROBE_STEP = Fraction(1, 10 ** 8)   # step of the finite-difference derivative probe
+
+
+def check_point(t: Fraction):
+    """Raise CaseError unless t and both probe points t +- PROBE_STEP lie in (0, 3125/432)."""
     if not (0 < t < T_SUP):
         raise CaseError(f"t = {t} outside (0, {T_SUP})")
+    if not (0 < t - PROBE_STEP and t + PROBE_STEP < T_SUP):
+        raise CaseError(f"t = {t} is within the finite-difference probe step 10^-8 "
+                        f"of an end of (0, {T_SUP})")
+
+
+def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
+    """det Re [[S0, S0'], [S1, S1']] at t in (0, 3125/432), at least 10^-8 from either end."""
+    check_point(t)
     ctx = pol.ctx
-    th = Fraction(1, 10 ** 8)
+    th = PROBE_STEP
     # one pass per column: S_Aj(t), S_Aj'(t) (termwise exact), S_Aj(t +- th)
     requests = ((t, False), (t, True), (t + th, False), (t - th, False))
     cols = list(zip(*(column_sums(DATA, j, requests, pol) for j in range(DATA.m))))

@@ -61,8 +61,12 @@ def G_list(K: int) -> list:
 
 def Gp_list(K: int) -> list:
     """G'_k = 8 G_k^2 - 2 H'_2k + H'_k + zeta(2) in the atom ring."""
+    return _gp_from(G_list(K))
+
+
+def _gp_from(G: list) -> list:
+    K = len(G) - 1
     H2 = harmonic2(2 * K)
-    G = G_list(K)
     z2 = ex_zeta2()
     out = []
     for k in range(K + 1):
@@ -95,11 +99,19 @@ def sqrt_primitive_inner(K: int) -> LogSeries:
     return LogSeries([PowSeries(0, [B[k] / (k + Fraction(1, 2)) for k in range(K + 1)])])
 
 
+def _deformed_atoms(K: int) -> tuple:
+    """binom(2k,k)^4, G_k and G'_k for k <= K: what both deformed entries read."""
+    G = G_list(K)
+    return binom4_list(K), G, _gp_from(G)
+
+
 def sqrt_deformed_inner(K: int) -> LogSeries:
     """Braced series of the sqrt(t)/(-4 pi^2) entry (log^2-coefficient halved)."""
-    B = binom4_list(K)
-    G = G_list(K)
-    Gp = Gp_list(K)
+    return _sqrt_deformed(*_deformed_atoms(K))
+
+
+def _sqrt_deformed(B: list, G: list, Gp: list) -> LogSeries:
+    K = len(B) - 1
     c0, c1, c2 = [], [], []
     for k in range(K + 1):
         kh = k + Fraction(1, 2)
@@ -112,9 +124,11 @@ def sqrt_deformed_inner(K: int) -> LogSeries:
 
 def log_deformed_inner(K: int) -> LogSeries:
     """Braced series of the (-1/4 pi^2) entry (log^2-coefficient halved)."""
-    B = binom4_list(K)
-    G = G_list(K)
-    Gp = Gp_list(K)
+    return _log_deformed(*_deformed_atoms(K))
+
+
+def _log_deformed(B: list, G: list, Gp: list) -> LogSeries:
+    K = len(B) - 1
     z3 = EX_Z3
     z2 = ex_zeta2()
     c0 = [ExactNum.from_rational(0) - 8 * z3]
@@ -323,11 +337,12 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,
         import math
         K = max(32, int((pol.working_digits + 10) * math.log(10)
                         / -math.log(256 * float(t))) + 8)
-    ent = k4_entries(K) if K <= 40 else _entries_unchecked(K)
-    val = _det_value(ent, t, pol)
+    if K <= 40:
+        _entries_checked(K)
+    val = _det_value(_entries_built(K), t, pol)
     # stability: doubled precision and doubled truncation
     pol2 = pol.doubled()
-    val2 = _det_value(_entries_unchecked(2 * K), t, pol2)
+    val2 = _det_value(_entries_built(2 * K), t, pol2)
     stab = abs(val - pol.ctx.convert(val2))
     rep = RegulatorReport("k4", t, val)
     rep.check("precision_doubling_stability", stab, pol)
@@ -342,14 +357,28 @@ def _entries_unchecked(K: int):
     return _copy_entries(_entries_built(K))
 
 
+class _Entries(dict):
+    """The four exact entries of one K, with their floating copies.
+
+    ``floating`` maps a binary precision to the entries' coefficients as raw
+    mpf values, converted once and handed out as mpfs of the caller's
+    context (the pattern of ``mpnum.special``).
+    """
+
+    def __init__(self, entries: dict):
+        super().__init__(entries)
+        self.floating: dict = {}
+
+
 @lru_cache(maxsize=8)
 def _entries_built(K: int):
-    return {
+    atoms = _deformed_atoms(K)
+    return _Entries({
         "log_primitive": log_primitive_series(K),
         "sqrt_primitive_inner": sqrt_primitive_inner(K),
-        "sqrt_deformed_inner": sqrt_deformed_inner(K),
-        "log_deformed_inner": log_deformed_inner(K),
-    }
+        "sqrt_deformed_inner": _sqrt_deformed(*atoms),
+        "log_deformed_inner": _log_deformed(*atoms),
+    })
 
 
 def _copy_entries(ent):
@@ -363,18 +392,33 @@ def _copy_entries(ent):
             for name, ls in ent.items()}
 
 
-def _det_value(ent, t: Fraction, pol: PrecisionPolicy):
+def _det_value(ent: _Entries, t: Fraction, pol: PrecisionPolicy):
+    """r(t) from the cached entries of one K.
+
+    The entries are converted to floating once per binary precision and
+    kept in ``ent.floating``; later calls at that precision only rewrap the
+    stored values, so every call sums the same bits.
+    """
     ctx = pol.ctx
+    raw = ent.floating.get(ctx.prec)
+    if raw is None:
+        raw = {name: [None if p is None else (p.offset, [c._mpf_ for c in p.coeffs])
+                      for p in ls.to_floating(pol).parts]
+               for name, ls in ent.items()}
+        ent.floating[ctx.prec] = raw
     tv = ctx.mpf(t.numerator) / t.denominator
     sq = ctx.sqrt(tv)
     pref = -1 / (4 * ctx.pi ** 2)
 
-    def ev(ls: LogSeries):
-        v, _ = ls.to_floating(pol).evaluate(t, pol, require_tail=False)
+    def ev(name: str):
+        ls = LogSeries([None if p is None else
+                        PowSeries(p[0], [ctx.make_mpf(c) for c in p[1]])
+                        for p in raw[name]])
+        v, _ = ls.evaluate(t, pol, require_tail=False)
         return v
 
-    lp = ev(ent["log_primitive"])
-    sp = sq * ev(ent["sqrt_primitive_inner"])
-    sd = sq * pref * ev(ent["sqrt_deformed_inner"])
-    ld = pref * ev(ent["log_deformed_inner"])
+    lp = ev("log_primitive")
+    sp = sq * ev("sqrt_primitive_inner")
+    sd = sq * pref * ev("sqrt_deformed_inner")
+    ld = pref * ev("log_deformed_inner")
     return sp * ld - sd * lp
