@@ -10,7 +10,8 @@ difference in stdout, stderr or exit code is printed, and the script exits
 1 if there was one, 0 otherwise.  Standard library only.
 
 The list: the cli-regulators operations of the benchmark with every seeded
-variant, `verify ode|identities|ratios`, the k4, cy0 and appB points at
+variant, `verify ode|identities|ratios|continuation` (the last is the one
+CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, and the two `lfun` runs whose stdout the tests pin.
 """
 
@@ -53,7 +54,7 @@ def regulator_argvs() -> list:
         out.append(["regulator", "--case", "appB", "--t", t])
     out.append(["hadamard", "k4", "-K", "20"])
     out.append(["hadamard", "k2_R0", "-K", "12"])
-    for suite in ("ode", "identities", "ratios"):
+    for suite in ("ode", "identities", "ratios", "continuation"):
         out.append(["verify", suite])
     for digits in ("20", "30", "50"):
         for case, points in (("k4", K4_T), ("cy0", "1/7,1/11,1/35")):

@@ -120,12 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy(args) -> PrecisionPolicy:
-    digits = args.digits if args.digits else 30
-    max_terms = args.max_terms if args.max_terms else 4000
+    digits = 30 if args.digits is None else args.digits
+    max_terms = 4000 if args.max_terms is None else args.max_terms
+    if digits < 1:
+        raise CliError(f"--digits must be at least 1, got {digits}")
+    if max_terms < 16:
+        raise CliError(f"--max-terms must be at least 16, got {max_terms}")
     return PrecisionPolicy(digits, max_terms=max_terms)
 
 
 def cmd_period(args, pol: PrecisionPolicy):
+    if args.K < 1:
+        raise CliError(f"-K is the number of coefficients and must be at least 1, got {args.K}")
     if args.data == "appB:pi0":
         from .regulators.appb import pi0_relative_coefficients
         coeffs = pi0_relative_coefficients(args.K)
@@ -151,6 +157,8 @@ def cmd_period(args, pol: PrecisionPolicy):
            "mode": args.mode or "exact", "coefficients": shown}
     if args.point:
         t0 = _parse_rational(args.point)
+        if t0 <= 0:
+            raise CliError(f"--point must be positive, got {t0}")
         from .series import LogSeries, PowSeries
         ls = LogSeries.from_pow(PowSeries(0, coeffs))
         try:
@@ -238,6 +246,8 @@ def cmd_fetch(args, pol: PrecisionPolicy):
 def cmd_hadamard(args, pol: PrecisionPolicy):
     from .regulators.hadamard import hadamard_regulator
     from .regulators.reporting import CaseError
+    if args.K < 0:
+        raise CliError(f"-K must be non-negative, got {args.K}")
     try:
         out = hadamard_regulator(args.which, args.K)
     except CaseError as exc:
@@ -256,9 +266,14 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         for key in ("digits", "max_terms", "mode", "fixtures", "cache"):
-            if getattr(args, key, None) in (None, False) and key in cfg:
+            if getattr(args, key, None) is None and key in cfg:
                 val = cfg[key]
-                setattr(args, key, int(val) if key in ("digits", "max_terms") else val)
+                if key in ("digits", "max_terms"):
+                    try:
+                        val = int(val)
+                    except ValueError:
+                        raise CliError(f"config {key} must be an integer, got {val!r}")
+                setattr(args, key, val)
         pol = _policy(args)
         handler = {
             "period": cmd_period, "regulator": cmd_regulator,

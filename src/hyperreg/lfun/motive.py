@@ -128,8 +128,11 @@ def _gamma_pole_limit(spec, ctx, s0: Fraction):
 # kernel on a truncated vertical line
 # ---------------------------------------------------------------------------
 
+# (gamma data, s, c, precision) -> _Kernel; the oldest insertion is evicted
+# once more than _KERNEL_CACHE_SIZE kernels are held
 _kernel_cache: dict = {}
 _kernel_lock = threading.Lock()
+_KERNEL_CACHE_SIZE = 32
 
 
 class _Kernel:
@@ -220,6 +223,8 @@ def _kernel(spec, s_val, c, pol, order):
         cur = _kernel_cache.get(key)
         if cur is None or cur.order < order:
             _kernel_cache[key] = k
+            while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+                del _kernel_cache[next(iter(_kernel_cache))]
     return k
 
 

@@ -17,6 +17,7 @@ All values are normalized so the methods return R_0 / ((1/4)(2 pi i)^3).
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from ..hypergeom import parse_hg
@@ -228,10 +229,41 @@ def mb_right_series(z, pol: PrecisionPolicy):
         n += 1
 
 
+# binary precision -> {s: (num, den)}: the z-free parts of the mb_contour
+# integrand at the quadrature node s as raw _mpc_ tuples, the same for every
+# z.  Only the node sets of the last _MB_PRECISIONS precisions are kept.
+_mb_cache: dict = {}
+_mb_lock = threading.Lock()
+_MB_PRECISIONS = 4
+
+
+def _mb_parts(ctx, s):
+    """(Gamma(-s) Gamma(1+4s) Gamma(1+2s), Gamma(1+s)^5 2^(10s) (s+1/2)) as
+    raw tuples, memoized per (ctx.prec, s)."""
+    prec = ctx.prec
+    with _mb_lock:
+        nodes = _mb_cache.get(prec)
+        if nodes is None:
+            nodes = _mb_cache[prec] = {}
+            while len(_mb_cache) > _MB_PRECISIONS:
+                del _mb_cache[next(iter(_mb_cache))]
+        parts = nodes.get(s._mpc_)
+    if parts is None:
+        num = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s)
+        den = ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2)
+        parts = (num._mpc_, den._mpc_)
+        with _mb_lock:
+            nodes[s._mpc_] = parts
+    return parts
+
+
 def mb_contour(z, pol: PrecisionPolicy):
     """R_0 normalized, by the vertical-line integral at Re s = -1/8:
     (1/2 pi i) int Gamma(-s) Gamma(1+4s) Gamma(1+2s) z^(s+1/2)
-                 / (Gamma(1+s)^5 2^(10 s) (s+1/2)) ds."""
+                 / (Gamma(1+s)^5 2^(10 s) (s+1/2)) ds.
+
+    The z-free numerator and denominator at each quadrature node s are
+    memoized in `_mb_cache`, keyed by (working binary precision, s)."""
     ctx = pol.ctx
     zv = ctx.convert(z)
     if zv <= 0:
@@ -240,15 +272,14 @@ def mb_contour(z, pol: PrecisionPolicy):
 
     def integrand(tt):
         s = ctx.mpc(sigma, tt)
-        val = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s) \
-            * ctx.power(zv, s + ctx.mpf(1) / 2) \
-            / (ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2))
-        return val
+        num, den = _mb_parts(ctx, s)
+        # num * z^(s+1/2) / den: the left-to-right order of the full product
+        return ctx.make_mpc(num) * ctx.power(zv, s + ctx.mpf(1) / 2) / ctx.make_mpc(den)
 
     # conjugate symmetry: (1/2 pi) int_R = (1/pi) Re int_0^inf
     T = (pol.working_digits + 10) * ctx.log(10) / ctx.pi
     with ctx.workdps(pol.working_digits + 10):
-        val = ctx.quad(lambda tt: integrand(tt), [0, T / 8, T / 3, T])
+        val = ctx.quad(integrand, [0, T / 8, T / 3, T])
     return (val.real if hasattr(val, "real") else val) / ctx.pi
 
 

@@ -142,3 +142,37 @@ def test_hyperreg_cache_env(tmp_path):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 3
     assert "offline" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--digits", "0", "verify", "ode"],
+    ["--digits", "-5", "verify", "ode"],
+    ["--max-terms", "0", "verify", "ode"],
+    ["--max-terms", "5", "verify", "ode"],
+    ["period", "1/2;1", "-K", "-3"],
+    ["period", "1/2;1", "-K", "0"],
+    ["period", "appB:pi0", "-K", "-3"],
+    ["period", "1/2;1", "-K", "5", "--point", "0"],
+    ["period", "1/2;1", "-K", "5", "--point=-1/2"],
+    ["hadamard", "k4", "-K", "-3"],
+])
+def test_bad_settings_exit2_one_line(argv):
+    out = run(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("digits=abc\n", ["verify", "ode"]),
+    ("max_terms=5\n", ["verify", "ode"]),
+    ("digits=20\n", ["--digits", "0", "verify", "ode"]),
+])
+def test_bad_config_settings_exit2_one_line(tmp_path, config, argv):
+    cfg = tmp_path / "hyperreg.cfg"
+    cfg.write_text(config)
+    out = run("--config", str(cfg), *argv)
+    assert out.returncode == 2
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr

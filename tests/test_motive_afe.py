@@ -121,3 +121,27 @@ def test_motive_L_builds_one_dirichlet_table(monkeypatch, cutoff_A):
     motive_L(_character_spec(-4), 2, 1, PrecisionPolicy(8), cutoff_A=cutoff_A)
     assert len(lam_calls) == (2 if cutoff_A is None else 3)
     assert len(coeff_calls) == 1
+
+
+def test_kernel_cache_is_bounded(monkeypatch):
+    """Past the bound the oldest kernel is evicted; rebuilding it gives equal values."""
+    assert isinstance(motive._KERNEL_CACHE_SIZE, int) and motive._KERNEL_CACHE_SIZE > 0
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    monkeypatch.setattr(motive, "_KERNEL_CACHE_SIZE", 2)
+    spec = _character_spec(-4)
+    pol = PrecisionPolicy(8)
+    ctx = pol.ctx
+    sigmas = [ctx.mpf(2) + ctx.mpf(i) / 7 for i in range(4)]
+    c = ctx.mpf("0.75")
+    y = ctx.mpf("0.3")
+    first = motive._kernel(spec, sigmas[0], c, pol, 1)
+    values = first(y)
+    for sigma in sigmas[1:]:
+        motive._kernel(spec, sigma, c, pol, 0)
+        assert len(motive._kernel_cache) <= 2
+    assert all(k is not first for k in motive._kernel_cache.values())
+    rebuilt = motive._kernel(spec, sigmas[0], c, pol, 1)
+    assert rebuilt is not first and rebuilt(y) == values
+    # a lower-order request keeps the higher-order entry
+    assert motive._kernel(spec, sigmas[0], c, pol, 0) is rebuilt
+    assert len(motive._kernel_cache) <= 2
