@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage/parse error, 3 numerical divergence,
 4 verification failure.  All rational inputs are exact "p/q" strings;
 decimals are rejected for t-points.  A key=value config file may supply
-defaults; explicit flags win.  HYPERREG_CACHE overrides the cache dir.
+defaults for digits, max_terms, mode, fixtures and cache; explicit flags
+win.  HYPERREG_CACHE overrides the cache dir.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
+CONFIG_KEYS = ("digits", "max_terms", "mode", "fixtures", "cache")
 
 
 class CliError(Exception):
@@ -51,11 +53,22 @@ def _load_config(path):
                     continue
                 if "=" not in line:
                     raise CliError(f"config line without '=': {line!r}")
-                k, v = line.split("=", 1)
-                out[k.strip()] = v.strip()
+                k, v = (x.strip() for x in line.split("=", 1))
+                if k not in CONFIG_KEYS:
+                    raise CliError(f"unknown config key {k!r}; "
+                                   f"allowed: {', '.join(CONFIG_KEYS)}")
+                out[k] = v
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}")
     return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors as one 'error: ...' line and exit 2, no usage block."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
 
 
 def _add_common(parser, suppress=False):
@@ -73,13 +86,12 @@ def _add_common(parser, suppress=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _add_common(common, suppress=True)
-    ap = argparse.ArgumentParser(prog="hyperreg", description=__doc__)
+    ap = _Parser(prog="hyperreg", description=__doc__)
     _add_common(ap)
     sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+                            parser_class=lambda **kw: _Parser(parents=[common], **kw))
 
     p = sub.add_parser("period", help="hypergeometric coefficient stream")
     p.add_argument("data", help="'a1,..;b1,..' or a gamma vector via --gamma "
@@ -265,7 +277,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args.config)
-        for key in ("digits", "max_terms", "mode", "fixtures", "cache"):
+        for key in CONFIG_KEYS:
             if getattr(args, key, None) is None and key in cfg:
                 val = cfg[key]
                 if key in ("digits", "max_terms"):

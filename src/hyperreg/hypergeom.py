@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
 from .mpnum import PrecisionPolicy
-from .series import (LogSeries, PowSeries, SLaurent,
-                     sp_exp, sp_inv, sp_mul)
+from .series import LogSeries, PowSeries, SLaurent, sp_exp, sp_mul
 
 __all__ = ["HGData", "GammaVector", "CycleType", "HGError",
            "parse_hg", "parse_gamma", "from_gamma", "scale_C",
@@ -236,18 +236,38 @@ def coeff_stream(h: HGData, K: int, scale: Fraction = Fraction(1)) -> list:
 def _ck_rows(h: HGData, K: int, s_order: int) -> list:
     """[c_0(s), ..., c_(K-1)(s)] by c_(k+1) = c_k prod_j (a_j+k+s) / prod_j (b_j+k+s).
 
-    One truncated-series step per k, so O(K) products for all K rows.
+    One truncated-series step per k, so O(K) products for all K rows.  The
+    steps run in integers: with D the common denominator of the indices and
+    u = D s, both products are integer polynomials in u, and each row is an
+    integer u-series over one denominator, reduced after every step.
     """
+    D = lcm(*(x.denominator for x in h.a + h.b))
+    v, d = [1] + [0] * s_order, 1
     rows = [[Fraction(1)] + [Fraction(0)] * s_order]
     for k in range(K - 1):
-        num = [Fraction(1)]
-        for aj in h.a:
-            num = sp_mul(num, [aj + k, Fraction(1)], s_order)
-        den = [Fraction(1)]
-        for bj in h.b:
-            den = sp_mul(den, [bj + k, Fraction(1)], s_order)
-        rows.append(sp_mul(sp_mul(rows[-1], num, s_order), sp_inv(den, s_order), s_order))
+        num = _linear_product([int(D * (aj + k)) for aj in h.a], s_order)
+        den = _linear_product([int(D * (bj + k)) for bj in h.b], s_order)
+        # v num / den times q0^(s_order+1): every division below is exact
+        q0 = den[0]
+        qo = q0 ** (s_order + 1)
+        w = []
+        for n in range(s_order + 1):
+            acc = qo * sum(num[i] * v[n - i] for i in range(n + 1))
+            acc -= sum(den[i] * w[n - i] for i in range(1, n + 1))
+            w.append(acc // q0)
+        d *= qo
+        g = gcd(d, *w)
+        v, d = [x // g for x in w], d // g
+        rows.append([Fraction(x * D ** n, d) for n, x in enumerate(v)])
     return rows
+
+
+def _linear_product(roots: list, order: int) -> list:
+    """Coefficients of prod_c (c + u) in u, through u^order."""
+    out = [1]
+    for c in roots:
+        out = [c * out[0]] + [c * out[i] + out[i - 1] for i in range(1, len(out))] + [out[-1]]
+    return (out + [0] * order)[:order + 1]
 
 
 def ck_s(h: HGData, k: int, s_order: int) -> list:
@@ -363,6 +383,39 @@ def z_s_logs(s_order: int, K: int = 1) -> SLaurent:
     return SLaurent(terms, s_order, 0)
 
 
+def _rows_slaurent(rows: list, s_order: int) -> SLaurent:
+    """sum_k rows[k](s) x^(k+s) as an SLaurent in s, each row an s-series.
+
+    x^s = sum_j s^j log^j x / j!, so slot m, log-power j holds the s^(m-j)
+    piece of every row over j!.
+    """
+    fac = [1] * (s_order + 1)
+    for j in range(1, s_order + 1):
+        fac[j] = fac[j - 1] * j
+    terms = {}
+    for m in range(s_order + 1):
+        terms[(m, 0)] = LogSeries([
+            PowSeries(0, [row[m - j] * Fraction(1, fac[j]) for row in rows])
+            for j in range(m + 1)])
+    return SLaurent(terms, s_order, 0)
+
+
+def _s_series_times(c: list, F: SLaurent) -> SLaurent:
+    """c(s) F(s) for a truncated s-series c and an F without negative slots."""
+    terms = {}
+    for m in range(F.s_order + 1):
+        acc = None
+        for i in range(m + 1):
+            sub = F.slot(m - i)
+            if sub.is_zero():
+                continue
+            piece = sub.scale(c[i])
+            acc = piece if acc is None else acc + piece
+        if acc is not None:
+            terms[(m, 0)] = acc
+    return SLaurent(terms, F.s_order, 0)
+
+
 def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
     """Phi-hat(s, z) = sum_k c_k(s) z^(k+s), exact rational coefficients.
 
@@ -373,19 +426,7 @@ def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
     """
     if s_order > 4:
         raise HGError("s_order is capped at 4")
-    cks = _ck_rows(h, K, s_order)
-    fac = [1] * (s_order + 1)
-    for j in range(1, s_order + 1):
-        fac[j] = fac[j - 1] * j
-    terms = {}
-    for m in range(s_order + 1):
-        # log-power j carries the s^j piece of z^s times c_k's s^(m-j) piece
-        parts = []
-        for j in range(m + 1):
-            coeffs = [cks[k][m - j] * Fraction(1, fac[j]) for k in range(K)]
-            parts.append(PowSeries(0, coeffs))
-        terms[(m, 0)] = LogSeries(parts)
-    return SLaurent(terms, s_order, 0)
+    return _rows_slaurent(_ck_rows(h, K, s_order), s_order)
 
 
 def frobenius_E(h: HGData, K: int, s_order: int,
@@ -398,20 +439,7 @@ def frobenius_E(h: HGData, K: int, s_order: int,
     """
     if phi is None:
         phi = frobenius_phi(h, K, s_order)
-    alpha = alpha_s(h, s_order, pol, mode)
-    terms = {}
-    for m in range(s_order + 1):
-        acc = None
-        for i in range(m + 1):
-            a = alpha[i]
-            sub = phi.slot(m - i)
-            if sub.is_zero():
-                continue
-            piece = sub.scale(a)
-            acc = piece if acc is None else acc + piece
-        if acc is not None:
-            terms[(m, 0)] = acc
-    return SLaurent(terms, s_order, 0)
+    return _s_series_times(alpha_s(h, s_order, pol, mode), phi)
 
 
 def W_r(h: HGData, r: int, K: int) -> LogSeries:

@@ -2,7 +2,8 @@
 
 Operators act on LogSeries purely symbolically (D = z d/dz); no numerical
 differentiation happens anywhere, so residuals of the Frobenius and
-inhomogeneous equations can be asserted to be *exactly* zero in exact mode.
+inhomogeneous equations are asserted to be *exactly* zero.  Residuals are
+checked in exact mode only; there is no floating residual.
 Each factor product P(D) = prod (D + c) of L acts in one step through P's
 Taylor table at each exponent:
 
@@ -19,7 +20,6 @@ from functools import lru_cache
 from math import comb
 
 from .hypergeom import HGData, W_r, frobenius_E, frobenius_phi, z_s_logs, alpha_s
-from .mpnum import PrecisionPolicy
 from .series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent,
                      _czero, sp_mul)
 
@@ -127,13 +127,13 @@ def apply_operator_s(L: HGOperator, F: SLaurent) -> SLaurent:
 
 @dataclass
 class ResidualReport:
-    max_abs_residual: object     # 0 (exact mode) or an mpf
+    max_abs_residual: int        # 0 when every residual coefficient vanishes, else 1
     terms_checked: int
-    mode: str                    # "exact" | "floating"
+    mode = "exact"               # residuals are only ever checked exactly
 
     @property
     def exact_zero(self) -> bool:
-        return self.mode == "exact" and self.max_abs_residual == 0
+        return self.max_abs_residual == 0
 
 
 def _s_poly_b_shift(h: HGData, s_order: int) -> list:
@@ -159,31 +159,17 @@ def _mul_spoly_slaurent(poly: list, F: SLaurent) -> SLaurent:
     return SLaurent(terms, F.s_order, F.min_order)
 
 
-def _count_and_max(diff: SLaurent, pol: PrecisionPolicy | None):
-    n = 0
-    mx = 0
-    for (_, _), v in diff.terms.items():
-        for p in v.parts:
-            if p is None:
-                continue
-            for c in p.coeffs:
-                n += 1
-                if pol is not None:
-                    mag = abs(c) if not hasattr(c, "to_mp") else abs(c.to_mp(pol.ctx))
-                    if mag > mx:
-                        mx = mag
-    return n, mx
+def _count_terms(F: SLaurent) -> int:
+    return sum(len(p.coeffs) for v in F.terms.values() for p in v.parts if p is not None)
 
 
-def residual_frobenius(h: HGData, s_order: int, K: int,
-                       pol: PrecisionPolicy | None = None,
-                       mode: str = "exact") -> ResidualReport:
+def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
     """Verify L E = prod_j(s + b_j - 1) alpha(s) z^s and the Phi analogue.
 
     The Phi residual is a purely rational computation.  The E residual is
     run with alpha(s) carried as opaque symbolic coefficients, so a zero
     here is an identity valid for every value of alpha -- no numeric alpha
-    enters in exact mode.
+    enters.
     """
     if s_order > 4:
         raise ValueError("s_order capped at 4")
@@ -193,53 +179,30 @@ def residual_frobenius(h: HGData, s_order: int, K: int,
 
     phi = frobenius_phi(h, K, s_order)
     lhs = apply_operator_s(L, phi)
-    rhs = _mul_spoly_slaurent(rhs_poly, zs)
-    diff = lhs - rhs
-    n1, _ = _count_and_max(lhs, None)
-    checked = n1
+    diff = lhs - _mul_spoly_slaurent(rhs_poly, zs)
 
     if h.b_all_ones():
         # E = alpha * Phi with alpha carried symbolically: the residual is
         # asserted as a polynomial identity in alpha_1..alpha_s_order.
-        alpha_mode = "symbolic" if mode == "exact" else "floating"
-        E = frobenius_E(h, K, s_order, pol, alpha_mode, phi=phi)
-        lhsE = apply_operator_s(L, E)
-        alpha = alpha_s(h, s_order, pol, alpha_mode)
+        E = frobenius_E(h, K, s_order, mode="symbolic", phi=phi)
+        alpha = alpha_s(h, s_order, mode="symbolic")
         rhsE = _mul_spoly_slaurent(sp_mul(rhs_poly, alpha, s_order), zs)
-        diffE = lhsE - rhsE
+        diffE = apply_operator_s(L, E) - rhsE
     else:
         diffE = SLaurent({}, s_order, 0)
-
-    if mode == "exact":
-        bad = not (_is_zero_slaurent(diff) and _is_zero_slaurent(diffE))
-        return ResidualReport(1 if bad else 0, checked, "exact")
-    _, m1 = _count_and_max(diff, pol)
-    _, m2 = _count_and_max(diffE, pol)
-    return ResidualReport(max(m1, m2), checked, "floating")
+    bad = not (_is_zero_slaurent(diff) and _is_zero_slaurent(diffE))
+    return ResidualReport(1 if bad else 0, _count_terms(lhs))
 
 
 def _is_zero_slaurent(F: SLaurent) -> bool:
     return all(v.is_zero() for v in F.terms.values())
 
 
-def residual_inhomogeneous(h: HGData, r: int, K: int,
-                           pol: PrecisionPolicy | None = None,
-                           mode: str = "exact") -> ResidualReport:
+def residual_inhomogeneous(h: HGData, r: int, K: int) -> ResidualReport:
     """Verify L W_r = z^(1/r) in every retained coefficient slot."""
     L = hg_operator(h)
     w = W_r(h, r, K)
     lhs = apply_operator(L, w)
     rhs = LogSeries.from_pow(PowSeries(Fraction(1, r), [Fraction(1)] + [0] * (K - 1)))
-    diff = lhs - rhs
     n = sum(len(p.coeffs) for p in lhs.parts if p is not None)
-    if mode == "exact":
-        return ResidualReport(0 if diff.is_zero() else 1, n, "exact")
-    mx = 0
-    ctx = pol.ctx
-    for p in diff.parts:
-        if p is None:
-            continue
-        for c in p.coeffs:
-            mag = abs(c) if not hasattr(c, "to_mp") else abs(c.to_mp(ctx))
-            mx = max(mx, mag)
-    return ResidualReport(mx, n, "floating")
+    return ResidualReport(0 if (lhs - rhs).is_zero() else 1, n)

@@ -5,7 +5,9 @@ The four matrix entries are built twice and compared slot by slot:
 * closed harmonic-sum formulas with G_k = H_2k - H_k and
   G'_k = 8 G_k^2 - 2 H'_2k + H'_k + zeta(2);
 * generic Frobenius deformation: s-expansion of
-  sum_k binom(2k+2s, k+s)^4 t^(k+s) / (k+s+shift), shift 0 or 1/2.
+  sum_k binom(2k+2s, k+s)^4 t^(k+s) / (k+s+shift), shift 0 or 1/2, built
+  from hypergeom's rows c_k(s) and alpha(s) of the same data, since
+  binom(2k+2s, k+s)^4 = 256^s alpha(s) 256^k c_k(s).
 
 Both live in the exact atom ring, so equality is asserted coefficientwise.
 The determinant of the regulator matrix is
@@ -25,13 +27,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..exactnum import EX_Z3, ExactNum, ex_zeta2
-from ..hypergeom import parse_hg
+from .. import hypergeom
+from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
 from ..mpnum import PrecisionPolicy
-from ..series import LogSeries, PowSeries, SLaurent, sp_inv, sp_mul, theta
+from ..series import LogSeries, PowSeries, SLaurent, sp_exp, sp_inv, sp_mul, theta
 from .reporting import CaseError, RegulatorReport, detect_rational
 
-DATA = parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
+DATA = hypergeom.parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
 SCALE = 256          # z = 256 t
 T_POINTS = (Fraction(1, 4 ** 5), Fraction(1, 4 ** 6),
             Fraction(1, 4 ** 7), Fraction(1, 4 ** 8))
@@ -147,92 +149,31 @@ def _log_deformed(B: list, G: list, Gp: list) -> LogSeries:
 
 # -- Frobenius path ----------------------------------------------------------
 
-def _binom2s_pow4(s_order: int) -> list:
-    """binom(2s, s)^4 = exp(4 sum_m (2^m - 2)/m! psi^(m-1)(1) s^m) in atoms."""
-    z2 = ex_zeta2()
-    z4 = ExactNum.atom("pi", 4, Fraction(1, 90))
-    psi2 = -2 * EX_Z3       # psi''(1)
-    log_c = [ExactNum.from_rational(0)] * (s_order + 1)
-    vals = {2: z2, 3: psi2, 4: 6 * z4}     # psi^(m-1)(1) for m = 2, 3, 4
-    fac = 1
-    for m in range(1, s_order + 1):
-        fac *= m
-        if m == 1:
-            continue
-        log_c[m] = vals[m] * Fraction(4 * (2 ** m - 2), fac)
-    out = [ExactNum.from_rational(1)] + [ExactNum.from_rational(0)] * s_order
-    # exp of the series
-    from ..series import sp_exp
-    return sp_exp(log_c, s_order)
-
-
-def _ratio_spoly(k: int, s_order: int) -> list:
-    """binom(2k+2+2s, k+1+s)^4 / binom(2k+2s, k+s)^4 = (2(2k+2s+1)/(k+1+s))^4."""
-    num = [Fraction(2 * (2 * k + 1)), Fraction(4)] + [Fraction(0)] * (s_order - 1)
-    den = [Fraction(k + 1), Fraction(1)] + [Fraction(0)] * (s_order - 1)
-    r = sp_mul(num, sp_inv(den, s_order), s_order)
-    r2 = sp_mul(r, r, s_order)
-    return sp_mul(r2, r2, s_order)
-
-
-def frobenius_generator(K: int, s_order: int, shift: Fraction) -> SLaurent:
+def frobenius_generator(K: int, s_order: int, shift: Fraction | None) -> SLaurent:
     """sum_k binom(2k+2s,k+s)^4 t^(k+s) / (k+s+shift) as an SLaurent in s.
 
     shift = 1/2 gives the N-series; shift = 0 the M-series (whose k = 0
-    term carries the s^-1 slot).
+    term carries the s^-1 slot); shift = None the period series without
+    the 1/(k+s+shift) weight.  For shift = 0 the series s M is built and
+    its slots moved down by one.
     """
-    pole = (shift == 0)
-    min_order = -1 if pole else 0
-    c0 = _binom2s_pow4(s_order + (1 if pole else 0))
-    # rational parts R_k(s) (relative to c0) and 1/(k+s+shift)
-    slots: dict = {}
+    pole = shift == 0
     o = s_order + (1 if pole else 0)
-    Rk = [Fraction(1)] + [Fraction(0)] * o
-    fac = [1]
-    for j in range(1, o + 1):
-        fac.append(fac[-1] * j)
-    for k in range(K + 1):
-        if k == 0 and pole:
-            # t^s / s: slot (m) gets log^j t / j! at m = j - 1
-            for j in range(o + 1):
-                m = j - 1
-                if m > s_order:
-                    continue
-                ls = slots.setdefault(m, {})
-                ls.setdefault(j, {})[0] = ls.get(j, {}).get(0, 0) + Fraction(1, fac[j])
+    rows = []
+    for k, ck in enumerate(hypergeom._ck_rows(DATA, K + 1, o)):
+        if shift is None:
+            w = [Fraction(1)]
+        elif pole:      # s / (k + s)
+            w = [Fraction(1)] if k == 0 else [0] + sp_inv([Fraction(k), Fraction(1)], o - 1)
         else:
-            inv = sp_inv([k + shift, Fraction(1)] + [Fraction(0)] * (o - 1), o)
-            cks = sp_mul(Rk, inv, o)
-            # t^(k+s): distribute log powers
-            for m in range(s_order + 1):
-                ls = slots.setdefault(m, {})
-                for j in range(m + 1):
-                    cc = cks[m - j] * Fraction(1, fac[j])
-                    if cc:
-                        ls.setdefault(j, {})[k] = ls.get(j, {}).get(k, 0) + cc
-        Rk = sp_mul(Rk, _ratio_spoly(k, o), o)
-    # assemble LogSeries per s-slot, multiply through by c0(s)
-    base = {}
-    for m, ls in slots.items():
-        parts = []
-        for j in range(max(ls) + 1 if ls else 0):
-            coeffs = [Fraction(0)] * (K + 1)
-            for k, v in ls.get(j, {}).items():
-                coeffs[k] = v
-            parts.append(PowSeries(0, coeffs))
-        base[(m, 0)] = LogSeries(parts)
-    gen = SLaurent(base, s_order, min_order)
-    # multiply by c0(s) in s
-    out: dict = {}
-    for (m, _), v in gen.terms.items():
-        for i, ci in enumerate(c0):
-            mm = m + i
-            if mm > s_order:
-                continue
-            piece = v.scale(ci)
-            key = (mm, 0)
-            out[key] = piece if key not in out else out[key] + piece
-    return SLaurent(out, s_order, min_order)
+            w = sp_inv([k + shift, Fraction(1)], o)
+        rows.append([SCALE ** k * c for c in sp_mul(ck, w, o)])
+    # 256^s = exp(8 log 2 s); its log 2 atoms cancel those of alpha(s) exactly
+    c0 = sp_mul(hypergeom.alpha_s(DATA, o), sp_exp([0, 8 * EX_LN2], o), o)
+    gen = hypergeom._s_series_times(c0, hypergeom._rows_slaurent(rows, o))
+    if not pole:
+        return gen
+    return SLaurent({(m - 1, lg): v for (m, lg), v in gen.terms.items()}, s_order, -1)
 
 
 # -- the case-study surface --------------------------------------------------
@@ -283,49 +224,11 @@ def generator_derivative_identity(K: int) -> bool:
     sum binom^4(s) t^(k+s) in every retained (s, log) slot."""
     M = frobenius_generator(K, 2, Fraction(0))
     DM = M.theta_z()
-    E = frobenius_generator_period(K, 2)
+    E = frobenius_generator(K, 2, None)
     for m in range(-1, 3):
         if not (DM.slot(m) == E.slot(m)):
             return False
     return True
-
-
-def frobenius_generator_period(K: int, s_order: int) -> SLaurent:
-    """sum_k binom(2k+2s, k+s)^4 t^(k+s) as an SLaurent in s."""
-    c0 = _binom2s_pow4(s_order)
-    slots: dict = {}
-    Rk = [Fraction(1)] + [Fraction(0)] * s_order
-    fac = [1]
-    for j in range(1, s_order + 1):
-        fac.append(fac[-1] * j)
-    for k in range(K + 1):
-        for m in range(s_order + 1):
-            ls = slots.setdefault(m, {})
-            for j in range(m + 1):
-                cc = Rk[m - j] * Fraction(1, fac[j])
-                if cc:
-                    ls.setdefault(j, {})[k] = cc
-        Rk = sp_mul(Rk, _ratio_spoly(k, s_order), s_order)
-    base = {}
-    for m, ls in slots.items():
-        parts = []
-        for j in range(max(ls) + 1 if ls else 0):
-            coeffs = [Fraction(0)] * (K + 1)
-            for k, v in ls.get(j, {}).items():
-                coeffs[k] = v
-            parts.append(PowSeries(0, coeffs))
-        base[(m, 0)] = LogSeries(parts)
-    gen = SLaurent(base, s_order, 0)
-    out: dict = {}
-    for (m, _), v in gen.terms.items():
-        for i, ci in enumerate(c0):
-            mm = m + i
-            if mm > s_order:
-                continue
-            piece = v.scale(ci)
-            key = (mm, 0)
-            out[key] = piece if key not in out else out[key] + piece
-    return SLaurent(out, s_order, 0)
 
 
 def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,

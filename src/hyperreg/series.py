@@ -29,7 +29,7 @@ from .mpnum import PrecisionPolicy
 __all__ = ["PowSeries", "LogSeries", "SLaurent", "ResidueRule", "EpsExpansion",
            "SeriesError", "OffsetMismatch", "DivergenceError", "TailBoundError",
            "theta", "anti_dlog", "hadamard", "residue_extract",
-           "sp_mul", "sp_inv", "sp_exp", "sp_add", "sp_scale"]
+           "sp_mul", "sp_inv", "sp_exp"]
 
 
 class SeriesError(ValueError):
@@ -145,9 +145,6 @@ class PowSeries:
     def shift(self, m) -> "PowSeries":
         """Multiply by z^m."""
         return PowSeries(self.offset + Fraction(m), self.coeffs)
-
-    def truncate(self, K: int) -> "PowSeries":
-        return PowSeries(self.offset, self.coeffs[:K])
 
     def __eq__(self, other):
         if not isinstance(other, PowSeries):
@@ -532,25 +529,6 @@ class SLaurent:
         return SLaurent({k: v.scale(c) for k, v in self.terms.items()},
                         self.s_order, self.min_order)
 
-    def mul_log_s(self) -> "SLaurent":
-        out = {}
-        for (m, lg), v in self.terms.items():
-            if lg == 1:
-                raise SeriesError("unsupported integrand shape: log(s)^2 or deeper")
-            out[(m, 1)] = v
-        return SLaurent(out, self.s_order, self.min_order)
-
-    def s_antiderivative(self) -> "SLaurent":
-        """Integral from 0 in s, termwise (no log-s slots, no 1/s term)."""
-        out = {}
-        for (m, lg), v in self.terms.items():
-            if lg != 0:
-                raise SeriesError("antiderivative of log(s) terms not supported")
-            if m == -1:
-                raise SeriesError("antiderivative of s^-1 not supported")
-            out[(m + 1, 0)] = v.scale(Fraction(1, m + 1))
-        return SLaurent(out, self.s_order + 1, self.min_order + 1)
-
     def theta_z(self) -> "SLaurent":
         return SLaurent({k: theta(v) for k, v in self.terms.items()},
                         self.s_order, self.min_order)
@@ -645,15 +623,6 @@ def residue_extract(integrand: SLaurent, rule: ResidueRule) -> EpsExpansion:
 # dense truncated power series helpers in one auxiliary variable
 # (used for expansions in the Frobenius parameter s)
 # ---------------------------------------------------------------------------
-
-def sp_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def sp_scale(a: list, c) -> list:
-    return [c * x for x in a]
-
 
 def sp_mul(a: list, b: list, order: int) -> list:
     out = [0] * (order + 1)

@@ -155,6 +155,9 @@ def test_hyperreg_cache_env(tmp_path):
     ["period", "1/2;1", "-K", "5", "--point", "0"],
     ["period", "1/2;1", "-K", "5", "--point=-1/2"],
     ["hadamard", "k4", "-K", "-3"],
+    ["period", "1/2;1", "-K", "5", "--point", "-1/2"],
+    ["regulator", "--case", "k4"],
+    ["period", "1/2;1", "--var", "w"],
 ])
 def test_bad_settings_exit2_one_line(argv):
     out = run(*argv)
@@ -168,6 +171,7 @@ def test_bad_settings_exit2_one_line(argv):
     ("digits=abc\n", ["verify", "ode"]),
     ("max_terms=5\n", ["verify", "ode"]),
     ("digits=20\n", ["--digits", "0", "verify", "ode"]),
+    ("digitz=5\n", ["period", "1/2;1", "-K", "3", "--point", "1/2"]),
 ])
 def test_bad_config_settings_exit2_one_line(tmp_path, config, argv):
     cfg = tmp_path / "hyperreg.cfg"
@@ -176,3 +180,9 @@ def test_bad_config_settings_exit2_one_line(tmp_path, config, argv):
     assert out.returncode == 2
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+def test_help_exit0():
+    out = run("period", "--help")
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: hyperreg period")

@@ -161,6 +161,26 @@ def test_failed_check_is_not_cached(monkeypatch):
     assert k4_entries(6)["log_primitive"] == log_primitive_series(6)
 
 
+def test_dual_path_reads_hypergeom_rows(monkeypatch):
+    """The Frobenius side of the check is built from hypergeom's c_k(s)
+    rows: one corrupted row makes the dual-path check fail."""
+    from hyperreg import hypergeom
+    from hyperreg.regulators import k4
+    from hyperreg.regulators.reporting import CaseError
+    real = hypergeom._ck_rows
+
+    def corrupted(*args):
+        rows = real(*args)
+        rows[3][0] += 1
+        return rows
+
+    monkeypatch.setattr(hypergeom, "_ck_rows", corrupted)
+    k4._entries_checked.cache_clear()
+    k4._entries_built.cache_clear()
+    with pytest.raises(CaseError, match="dual-path"):
+        k4_entries(8)
+
+
 def test_det_builds_entries_once_per_K(pol, monkeypatch):
     from hyperreg.regulators import k4
     k4._entries_checked.cache_clear()
