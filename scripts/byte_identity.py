@@ -12,7 +12,9 @@ difference in stdout, stderr or exit code is printed, and the script exits
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
---digits 20, 30 and 50, and the two `lfun` runs whose stdout the tests pin.
+--digits 20, 30 and 50, the two `lfun` runs whose stdout the tests pin
+(Gamma_R, orders 0 and 1), and one Gamma_C order-2 `lfun` run on the quintic
+spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ K4_T = "1/1024,1/4096,1/16384,1/65536"
 EULER_P = 400
 # (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
+# the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
+QUINTIC_P = 3000
 
 
 def regulator_argvs() -> list:
@@ -103,6 +107,22 @@ def character_spec(D: int, directory: Path) -> Path:
     return spec
 
 
+def quintic_spec(root: Path, directory: Path) -> Path:
+    """Spec of the quintic's L-function with the Euler factors of root for p <= QUINTIC_P."""
+    euler = directory / "quintic_prefix.jsonl"
+    with open(root / "fixtures" / "euler" / "quintic_field.jsonl", encoding="utf-8") as src, \
+            open(euler, "w", encoding="utf-8") as dst:
+        for line in src:
+            if json.loads(line)["p"] <= QUINTIC_P:
+                dst.write(line)
+    spec = directory / "quintic.json"
+    spec.write_text(json.dumps({
+        "degree": 4, "weight": 0, "conductor": 2869,
+        "gamma_shifts": [["C", "0"], ["C", "0"]], "sign": 1,
+        "euler_path": str(euler), "label": "zetaK/zeta for Y^5-Y+1"}))
+    return spec
+
+
 def start(root: Path, argv: list) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.Popen([sys.executable, "-m", "hyperreg.cli"] + argv, cwd=root,
@@ -125,6 +145,8 @@ def main(argv=None) -> int:
         argvs = regulator_argvs() + [
             ["--digits", "8", "lfun", specs[D], "--s", s, "--order", str(order)]
             for D, s, order in LFUN_RUNS]
+        argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
+                      "--s", "0", "--order", "2"])
         for cmd in argvs:
             procs = [start(root, cmd) for root in roots]
             (out0, err0), (out1, err1) = (p.communicate() for p in procs)

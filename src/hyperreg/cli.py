@@ -24,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
 CONFIG_KEYS = ("digits", "max_terms", "mode", "fixtures", "cache")
+MODES = ("exact", "floating")
 
 
 class CliError(Exception):
@@ -76,7 +77,7 @@ def _add_common(parser, suppress=False):
     parser.add_argument("--config", help="key=value defaults file", default=d)
     parser.add_argument("--digits", type=int, default=d)
     parser.add_argument("--max-terms", type=int, default=d)
-    parser.add_argument("--mode", choices=("exact", "floating"), default=d)
+    parser.add_argument("--mode", choices=MODES, default=d)
     parser.add_argument("--fixtures", default=d)
     parser.add_argument("--cache", default=d)
     parser.add_argument("--offline", action="store_true",
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
                         val = int(val)
                     except ValueError:
                         raise CliError(f"config {key} must be an integer, got {val!r}")
+                if key == "mode" and val not in MODES:
+                    raise CliError(f"config mode must be one of {', '.join(MODES)}, "
+                                   f"got {val!r}")
                 setattr(args, key, val)
         pol = _policy(args)
         handler = {

@@ -10,11 +10,14 @@ is computed on a truncated vertical line with a uniform trapezoid rule.
 Derivatives in s use the digamma-weighted integrand.  One kernel per
 (gamma data, s, precision) holds the nodes of every derivative order
 0..d, built in one sweep, and evaluates all orders at a y through a single
-complex-power recurrence.  Each side of the functional equation is one pass
-over n that accumulates every order, each with its own stopping rule.  At
-points where gamma has a pole of order m (trivial zeros), the order-m
-derivative comes from the leading Taylor coefficient
-Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+complex-power recurrence.  That evaluation accumulates only the real part
+of each trapezoid sum, the one the kernel uses, on raw mpmath tuples
+rounded by mpmath's own mpf_add and mpf_sub, so its values have the bits
+of the same loop on mpc objects (see _Kernel.__call__).  Each side of the
+functional equation is one pass over n that accumulates every order, each
+with its own stopping rule.  At points where gamma has a pole of order m
+(trivial zeros), the order-m derivative comes from the leading Taylor
+coefficient Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+
+from mpmath.libmp import fone, ftwo, fzero, mpf_add, mpf_div, mpf_sub
 
 from ..mpnum import PrecisionPolicy
 from .euler import EulerFactorTable, dirichlet_coefficients
@@ -186,26 +191,62 @@ class _Kernel:
             if building and k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
             k += 1
+        # each node as one flat raw tuple, the real part's raw mpf then the
+        # imaginary part's, for __call__
+        self._raw = [[v._mpc_[0] + v._mpc_[1] for v in nodes] for nodes in self.nodes]
 
     def __call__(self, y, order=None):
-        """[F_0(s, y), ..., F_order(s, y)], all orders by default."""
+        """[F_0(s, y), ..., F_order(s, y)], all orders by default.
+
+        The sum of node * rot^k is formed on raw mpmath tuples, and of it only
+        the real part, the one the full-line trapezoid uses.  The bits are
+        those of the loop `r = r * rot; acc += g * r` on mpc objects:
+        mpc_mul forms its four products exactly and rounds re = a*c - b*d
+        and im = a*d + b*c with mpf_sub and mpf_add, and mpc addition rounds
+        the real and the imaginary part apart.  Here the powers take
+        mpc_mul's own steps, the products are formed inline exactly as
+        mpf_mul returns them without a precision, and every rounding is
+        mpmath's own mpf_sub or mpf_add at the context's (prec, rounding),
+        the pair mpc arithmetic passes, so no value can move.  The imaginary
+        part of the sum, and two of the four products per term, are never
+        formed.
+        """
         ctx = self.ctx
-        nodes = self.nodes if order is None else self.nodes[:order + 1]
+        prec, rnd = ctx._prec_rounding
+        raw = self._raw if order is None else self._raw[:order + 1]
         lny = ctx.log(y)
-        rot = ctx.expj(-self.h * lny)
+        # (s1, m1, e1, b1, s2, m2, e2, b2) is one factor, sign, mantissa,
+        # exponent and bit count of its real then its imaginary part, and
+        # s3..b4 the other.  Every node and power is finite, so a product
+        # with a zero mantissa is zero.
+        (s3, m3, e3, b3), (s4, m4, e4, b4) = ctx.expj(-self.h * lny)._mpc_
+        s1, m1, e1, b1, s2, m2, e2, b2 = fone + fzero
         powers = []
-        r = ctx.mpc(1)
-        for _ in range(max(map(len, nodes)) - 1):
-            r = r * rot
+        for _ in range(max(map(len, raw)) - 1):
+            m, b = m1 * m3, b1 + b3 - 1
+            ac = (s1 ^ s3, m, e1 + e3, b + (m >> b)) if m else fzero
+            m, b = m2 * m4, b2 + b4 - 1
+            bd = (s2 ^ s4, m, e2 + e4, b + (m >> b)) if m else fzero
+            m, b = m1 * m4, b1 + b4 - 1
+            ad = (s1 ^ s4, m, e1 + e4, b + (m >> b)) if m else fzero
+            m, b = m2 * m3, b2 + b3 - 1
+            bc = (s2 ^ s3, m, e2 + e3, b + (m >> b)) if m else fzero
+            r = mpf_sub(ac, bd, prec, rnd) + mpf_add(ad, bc, prec, rnd)
             powers.append(r)
+            s1, m1, e1, b1, s2, m2, e2, b2 = r
         scale = ctx.power(y, -self.c)
         values = []
-        for order_nodes in nodes:
-            acc = order_nodes[0] / 2
-            for g, r in zip(order_nodes[1:], powers):
-                acc += g * r
+        for order_nodes in raw:
+            acc = mpf_div(order_nodes[0][:4], ftwo, prec, rnd)
+            for (s1, m1, e1, b1, s2, m2, e2, b2), (s3, m3, e3, b3, s4, m4, e4, b4) \
+                    in zip(order_nodes[1:], powers):
+                m, b = m1 * m3, b1 + b3 - 1
+                ac = (s1 ^ s3, m, e1 + e3, b + (m >> b)) if m else fzero
+                m, b = m2 * m4, b2 + b4 - 1
+                bd = (s2 ^ s4, m, e2 + e4, b + (m >> b)) if m else fzero
+                acc = mpf_add(acc, mpf_sub(ac, bd, prec, rnd), prec, rnd)
             # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-            total = 2 * acc.real * self.h / (2 * ctx.pi)
+            total = 2 * ctx.make_mpf(acc) * self.h / (2 * ctx.pi)
             values.append(scale * total)
         return values
 
@@ -253,6 +294,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list):
     # break threshold above the kernel's trapezoid noise plateau
     floor = ctx.mpf(10) ** (-(pol.working_digits - 6))
     M_cap = spec.euler.p_max
+    N_half_sigma = ctx.power(ctx.mpf(spec.conductor), sigma / 2)
     totals = [ctx.mpf(0)] * (order + 1)
     quiet = [0] * (order + 1)
     live = list(range(order + 1))          # the orders still accumulating
@@ -269,7 +311,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list):
             if not live:
                 break
             continue
-        base = an * ctx.power(n, -sigma) * ctx.power(ctx.mpf(spec.conductor), sigma / 2)
+        base = an * ctx.power(n, -sigma) * N_half_sigma
         kv = ker(yn, live[-1])
         if live[-1] >= 1:
             lfac = (-ctx.log(n) + lnN2)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from numbers import Rational
 
 from .exactnum import ExactNum
@@ -161,16 +162,14 @@ def _ps_equal(a: PowSeries, b: PowSeries) -> bool:
     d = b.offset - a.offset
     if d.denominator != 1:
         return all(_czero(c) for c in a.coeffs) and all(_czero(c) for c in b.coeffs)
-    lo = min(a.offset, b.offset)
-    hi = max(a.bound, b.bound)
-    for e in range(int(hi - lo)):
-        exp = lo + e
-        ca = a.coeffs[int(exp - a.offset)] if a.offset <= exp < a.bound else 0
-        cb = b.coeffs[int(exp - b.offset)] if b.offset <= exp < b.bound else 0
-        if isinstance(ca, ExactNum) or isinstance(cb, ExactNum):
-            if ExactNum._coerce(ca) != ExactNum._coerce(cb):
+    # both windows from the lower offset; zip_longest pads the shorter end
+    pad = [0] * abs(int(d))
+    ca, cb = (a.coeffs, pad + b.coeffs) if d > 0 else (pad + a.coeffs, b.coeffs)
+    for x, y in zip_longest(ca, cb, fillvalue=0):
+        if isinstance(x, ExactNum) or isinstance(y, ExactNum):
+            if ExactNum._coerce(x) != ExactNum._coerce(y):
                 return False
-        elif ca != cb:
+        elif x != y:
             return False
     return True
 

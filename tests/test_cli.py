@@ -172,6 +172,7 @@ def test_bad_settings_exit2_one_line(argv):
     ("max_terms=5\n", ["verify", "ode"]),
     ("digits=20\n", ["--digits", "0", "verify", "ode"]),
     ("digitz=5\n", ["period", "1/2;1", "-K", "3", "--point", "1/2"]),
+    ("mode=bogus\n", ["period", "1/2;1", "-K", "3"]),
 ])
 def test_bad_config_settings_exit2_one_line(tmp_path, config, argv):
     cfg = tmp_path / "hyperreg.cfg"

@@ -145,3 +145,65 @@ def test_kernel_cache_is_bounded(monkeypatch):
     # a lower-order request keeps the higher-order entry
     assert motive._kernel(spec, sigmas[0], c, pol, 0) is rebuilt
     assert len(motive._kernel_cache) <= 2
+
+
+def _mpc_object_sums(ker, y):
+    """The kernel sums with mpc arithmetic, the imaginary part included.
+
+    The reference bits for `_Kernel.__call__`, which forms only the real
+    part on raw tuples.  Order d's value reads only its own nodes and the
+    powers they meet, so a request for orders 0..k is the first k + 1
+    entries of this list.
+    """
+    ctx = ker.ctx
+    nodes = ker.nodes
+    lny = ctx.log(y)
+    rot = ctx.expj(-ker.h * lny)
+    powers = []
+    r = ctx.mpc(1)
+    for _ in range(max(map(len, nodes)) - 1):
+        r = r * rot
+        powers.append(r)
+    scale = ctx.power(y, -ker.c)
+    values = []
+    for order_nodes in nodes:
+        acc = order_nodes[0] / 2
+        for g, r in zip(order_nodes[1:], powers):
+            acc += g * r
+        total = 2 * acc.real * ker.h / (2 * ctx.pi)
+        values.append(scale * total)
+    return values
+
+
+QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
+
+
+# (gamma data, sigma, digits): the two sides of the chi_-4 run at s = 2 and
+# of the quintic run at s = 0; the 20-digit kernels of the larger sides are
+# left out for time
+@pytest.mark.parametrize("gamma, sigma, digits", [
+    ((("R", Fraction(1)),), "2", 8),
+    ((("R", Fraction(1)),), "-1", 8),
+    ((("R", Fraction(1)),), "-1", 20),
+    (QUINTIC_GAMMA, "0", 8),
+    (QUINTIC_GAMMA, "0", 20),
+    (QUINTIC_GAMMA, "1", 8),
+])
+def test_kernel_real_part_sum_is_bit_identical(gamma, sigma, digits):
+    """Summing only the real part on raw tuples keeps every bit of the mpc loop."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    sigma = ctx.mpf(sigma)
+    # the line abscissa _sum_side picks for weight 0
+    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol, 2)
+    # each order's node list ends at its own floor, so the lists differ in length
+    assert len({len(nodes) for nodes in ker.nodes}) == 3
+    # the raw sum reads a zero mantissa as zero, which needs finite nodes
+    assert all(ctx.isfinite(v) for nodes in ker.nodes for v in nodes)
+    for y in ("0.05", "0.7", "1", "3.9", "40"):
+        y = ctx.mpf(y)
+        expected = _mpc_object_sums(ker, y)
+        assert ker(y) == expected
+        for order in (0, 1, 2):
+            assert ker(y, order) == expected[:order + 1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hyperreg.exactnum import (EX_I, EX_PI, ExactNum, ex_zeta2, two_pi_i_pow)
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.series import (DivergenceError, LogSeries, OffsetMismatch,
-                             PowSeries, ResidueRule, SLaurent, anti_dlog,
+                             PowSeries, ResidueRule, SLaurent, _czero, anti_dlog,
                              hadamard, residue_extract, theta)
 
 F = Fraction
@@ -208,3 +208,54 @@ def test_json_roundtrip(pol):
     text = ls.to_json()
     back = LogSeries.from_json(text)
     assert back == ls
+
+
+def _ps_equal_by_exponent(a, b):
+    """PowSeries equality walked one exponent of the union window at a time."""
+    d = b.offset - a.offset
+    if d.denominator != 1:
+        return all(_czero(c) for c in a.coeffs) and all(_czero(c) for c in b.coeffs)
+    lo = min(a.offset, b.offset)
+    hi = max(a.bound, b.bound)
+    for e in range(int(hi - lo)):
+        exp = lo + e
+        ca = a.coeffs[int(exp - a.offset)] if a.offset <= exp < a.bound else 0
+        cb = b.coeffs[int(exp - b.offset)] if b.offset <= exp < b.bound else 0
+        if isinstance(ca, ExactNum) or isinstance(cb, ExactNum):
+            if ExactNum._coerce(ca) != ExactNum._coerce(cb):
+                return False
+        elif ca != cb:
+            return False
+    return True
+
+
+_EQ_CASES = [
+    # equal windows, and the same values with zero padding at either end
+    (PowSeries(0, [F(1), F(2)]), PowSeries(0, [F(1), F(2)]), True),
+    (PowSeries(0, [F(1), F(2)]), PowSeries(-2, [0, 0, F(1), F(2), 0]), True),
+    (PowSeries(F(1, 3), [0, F(5)]), PowSeries(F(4, 3), [F(5), 0, 0]), True),
+    (PowSeries(3, []), PowSeries(0, [0, 0]), True),
+    (PowSeries(0, [0]), PowSeries(7, []), True),
+    # unequal: a value differs, or the padding meets a nonzero coefficient
+    (PowSeries(0, [F(1), F(2)]), PowSeries(0, [F(1), F(3)]), False),
+    (PowSeries(0, [F(1), F(2)]), PowSeries(1, [F(2)]), False),
+    (PowSeries(0, [F(1), F(2)]), PowSeries(0, [F(1), F(2), F(1, 9)]), False),
+    (PowSeries(2, [F(1)]), PowSeries(0, [F(1), 0, F(1)]), False),
+    # ExactNum against Fraction and int, atoms included
+    (PowSeries(0, [ExactNum.from_rational(F(1, 2)), 2]), PowSeries(0, [F(1, 2), F(2)]), True),
+    (PowSeries(-1, [0, EX_PI]), PowSeries(0, [EX_PI, ExactNum.from_rational(0)]), True),
+    (PowSeries(0, [EX_PI]), PowSeries(0, [F(3)]), False),
+    (PowSeries(0, [F(1)]), PowSeries(1, [EX_PI]), False),
+    # offsets that differ by a non-integer: equal only if both are zero
+    (PowSeries(0, [0, 0]), PowSeries(F(1, 2), [0]), True),
+    (PowSeries(0, [0, ExactNum.from_rational(0)]), PowSeries(F(1, 2), []), True),
+    (PowSeries(0, [F(1)]), PowSeries(F(1, 2), [F(1)]), False),
+    (PowSeries(0, [0]), PowSeries(F(1, 2), [EX_PI]), False),
+]
+
+
+@pytest.mark.parametrize("a, b, expected", _EQ_CASES)
+def test_powseries_equality_aligned_windows(a, b, expected):
+    """Aligned-list equality gives the truth value of the exponent-by-exponent walk."""
+    assert _ps_equal_by_exponent(a, b) is expected
+    assert (a == b) is expected and (b == a) is expected
