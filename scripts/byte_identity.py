@@ -12,9 +12,10 @@ difference in stdout, stderr or exit code is printed, and the script exits
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
---digits 20, 30 and 50, the two `lfun` runs whose stdout the tests pin
-(Gamma_R, orders 0 and 1), and one Gamma_C order-2 `lfun` run on the quintic
-spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P.
+--digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
+`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), and one
+Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
+PARENT_SRC cut to p <= QUINTIC_P.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ TABLE_A = (
     "1/3,2/3,1/4,3/4", "1/4,3/4,1/6,5/6",
 )
 K4_T = "1/1024,1/4096,1/16384,1/65536"
+K2_T = "1/16,1,49,2"
 EULER_P = 400
 # (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
@@ -66,6 +68,8 @@ def regulator_argvs() -> list:
         # one process per point: at --digits 50 the point 7 hits the S_A cap
         for t in ("2", "5", "7"):
             out.append(["--digits", digits, "regulator", "--case", "appB", "--t", t])
+    for digits in ("20", "50"):
+        out.append(["--digits", digits, "regulator", "--case", "k2", "--t", K2_T])
     return out
 
 

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     lf.add_argument("spec", help="JSON file with degree/weight/conductor/"
                                  "gamma_shifts/sign/euler_path[/poles]")
     lf.add_argument("--s", required=True)
-    lf.add_argument("--order", type=int, default=0)
+    lf.add_argument("--order", type=int, choices=(0, 1, 2), default=0)
 
     f = sub.add_parser("fetch", help="populate the web cache for a label")
     f.add_argument("label")
@@ -224,6 +224,10 @@ def cmd_lfun(args, pol: PrecisionPolicy):
     from .lfun.euler import euler_ingest
     from .lfun.motive import LFunctionSpec, motive_L, MotiveError
     try:
+        s_val = Fraction(args.s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"cannot parse --s {args.s!r}: {exc}")
+    try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         table = euler_ingest(doc["euler_path"], doc.get("degree"))
@@ -237,7 +241,7 @@ def cmd_lfun(args, pol: PrecisionPolicy):
     except (OSError, KeyError, ValueError) as exc:
         raise CliError(f"bad spec file: {exc}")
     try:
-        val, err = motive_L(spec, Fraction(args.s), args.order, pol)
+        val, err = motive_L(spec, s_val, args.order, pol)
     except MotiveError as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     return {"label": spec.label, "s": args.s, "order": args.order,

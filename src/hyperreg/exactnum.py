@@ -21,7 +21,7 @@ from numbers import Rational
 from .mpnum import special
 
 __all__ = ["ExactNum", "EX_I", "EX_PI", "EX_LN2", "EX_CAT", "EX_Z3", "EX_B4",
-           "ex_zeta2", "ex_zeta4", "two_pi_i_pow", "AtomValueError"]
+           "ex_zeta2", "two_pi_i_pow", "AtomValueError"]
 
 
 class AtomValueError(KeyError):
@@ -216,10 +216,6 @@ EX_B4 = ExactNum.atom("b4")
 
 def ex_zeta2() -> ExactNum:
     return ExactNum.atom("pi", 2, Fraction(1, 6))
-
-
-def ex_zeta4() -> ExactNum:
-    return ExactNum.atom("pi", 4, Fraction(1, 90))
 
 
 def two_pi_i_pow(m: int) -> ExactNum:

@@ -170,7 +170,9 @@ class _Kernel:
         d_min = min(c - u for u in u_poles)
         d_min = min(d_min, c)
         self.h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
-        self.nodes = [[] for _ in range(order + 1)]
+        # each node as one flat raw tuple, the real part's raw mpf then the
+        # imaginary part's, for __call__
+        self._raw = [[] for _ in range(order + 1)]
         building = list(range(order + 1))
         k = 0
         floor = ctx.mpf(10) ** (-(wd + 8))
@@ -185,15 +187,17 @@ class _Kernel:
             for d in list(building):
                 weighted = g if d == 0 else g * ell if d == 1 else g * (ell * ell + ell2)
                 val = weighted / u
-                self.nodes[d].append(val)
+                self._raw[d].append(val._mpc_[0] + val._mpc_[1])
                 if k > 8 and abs(val) < floor:
                     building.remove(d)
             if building and k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
             k += 1
-        # each node as one flat raw tuple, the real part's raw mpf then the
-        # imaginary part's, for __call__
-        self._raw = [[v._mpc_[0] + v._mpc_[1] for v in nodes] for nodes in self.nodes]
+
+    @property
+    def nodes(self):
+        """The node values of orders 0..order as mpc objects, rebuilt from _raw."""
+        return [[self.ctx.make_mpc((r[:4], r[4:])) for r in raw] for raw in self._raw]
 
     def __call__(self, y, order=None):
         """[F_0(s, y), ..., F_order(s, y)], all orders by default.

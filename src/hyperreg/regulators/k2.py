@@ -6,6 +6,8 @@ Machinery:
   rational ratios Gamma^alpha_(k+1)/Gamma^alpha_k;
 * the determinant matrix in S_alpha(z) = sum Gamma^alpha_k z^-k and
   R_alpha(z) = sum Gamma^alpha_k z^-k/(k - 1/2 + alpha);
+* every k2 sum is sum_k (+-1)^k Gamma^alpha_k z^-k w(k) with a weight of
+  _weights; _stream_sums forms all a caller needs in one pass per stream;
 * the period R_0 three ways: right-half-plane series (|z| < 1), numeric
   Mellin-Barnes line integral (any z > 0), and the left-plane assembly
   in the alternating series A~, B~, C~, D~ (|z| > 1), compared modulo
@@ -19,13 +21,14 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 
-from ..hypergeom import parse_hg
+from .. import hypergeom
 from ..mpnum import PrecisionPolicy
 from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
-DATA = parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
+DATA = hypergeom.parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
 A4 = DATA.a
 EXPECTED_RATIOS = {
     Fraction(1, 16): Fraction(1, 64),
@@ -47,20 +50,15 @@ def gamma_alpha0(alpha: Fraction, pol: PrecisionPolicy):
     return val
 
 
-def gamma_ratio(alpha: Fraction, k: int) -> Fraction:
-    """Gamma^alpha_(k+1) / Gamma^alpha_k, exact."""
-    num = (alpha + k) ** 4
-    den = Fraction(1)
-    for ai in A4:
-        den *= alpha + k + ai
-    return num / den
-
-
 def gamma_ratios_rel(alpha: Fraction, K: int) -> list:
-    """[Gamma^alpha_k / Gamma^alpha_0 for k = 0..K], exact."""
+    """[Gamma^alpha_k / Gamma^alpha_0 for k = 0..K], exact, from the ratios
+    Gamma^alpha_(k+1) / Gamma^alpha_k = (alpha+k)^4 / prod_i (alpha+k+a_i)."""
     out = [Fraction(1)]
     for k in range(K):
-        out.append(out[-1] * gamma_ratio(alpha, k))
+        den = Fraction(1)
+        for ai in A4:
+            den *= alpha + k + ai
+        out.append(out[-1] * ((alpha + k) ** 4 / den))
     return out
 
 
@@ -72,40 +70,59 @@ def _suggest_K(z, pol: PrecisionPolicy) -> int:
     return max(24, int((pol.working_digits + 10) * math.log(10) / math.log(zf)) + 12)
 
 
-def S_alpha(alpha: Fraction, z, pol: PrecisionPolicy, alternating: bool = False):
-    """sum_k (+-1)^k Gamma^alpha_k z^-k, |z| > 1."""
+def _weights(rel: list, alpha: Fraction, kind: str) -> list:
+    """Exact w(k) Gamma^alpha_k / Gamma^alpha_0 for k = 0..K, rel from
+    gamma_ratios_rel; 0 where a sum leaves k out.
+
+    "S": w = 1;  "R": w = 1/(k - 1/2 + alpha), k > 0 if alpha = 1/2;
+    "D": D~'s harmonic factor w = (4 H_(4k+1) - 10 H_2k + 6 H_k + 1/k)/k, k > 0.
+    """
+    half = Fraction(1, 2)
+    if kind == "S":
+        return list(rel)
+    if kind == "R":
+        return [Fraction(0) if k == 0 and alpha == half else c / (k - half + alpha)
+                for k, c in enumerate(rel)]
+    H = list(accumulate((Fraction(1, j) for j in range(1, 4 * len(rel) - 2)),
+                        initial=Fraction(0)))
+    return [Fraction(0)] + [c * (4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k]
+                                 + Fraction(1, k)) / k
+                            for k, c in enumerate(rel) if k]
+
+
+def _stream_sums(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
+                 alternating: bool = False) -> list:
+    """[sum_k (+-1)^k Gamma^alpha_k z^-k w(k) for each kind of _weights in
+    kinds] followed by Gamma^alpha_0, from one pass over k, |z| > 1.
+
+    The kinds share the powers z^-k; a zero weight adds nothing."""
     ctx = pol.ctx
     K = _suggest_K(z, pol)
     rel = gamma_ratios_rel(alpha, K)
     g0 = gamma_alpha0(alpha, pol)
+    ws = [_weights(rel, alpha, kind) for kind in kinds]
+    if alternating:
+        ws = [[-c if k % 2 else c for k, c in enumerate(w)] for w in ws]
     zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
+    accs = [ctx.mpf(0)] * len(ws)
     zp = ctx.mpf(1)
     for k in range(K + 1):
-        c = rel[k] if not alternating else (-1) ** k * rel[k]
-        acc += ctx.mpf(c.numerator) / c.denominator * zp
+        for i, w in enumerate(ws):
+            c = w[k]
+            if c:
+                accs[i] += ctx.mpf(c.numerator) / c.denominator * zp
         zp *= zin
-    return g0 * acc
+    return [g0 * acc for acc in accs] + [g0]
 
 
-def R_alpha(alpha: Fraction, z, pol: PrecisionPolicy, alternating: bool = False):
-    """sum_k (+-1)^k Gamma^alpha_k z^-k / (k - 1/2 + alpha), k > 0 if alpha = 1/2."""
-    ctx = pol.ctx
-    K = _suggest_K(z, pol)
-    rel = gamma_ratios_rel(alpha, K)
-    g0 = gamma_alpha0(alpha, pol)
-    zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
-    zp = ctx.mpf(1)
-    start = 1 if alpha == Fraction(1, 2) else 0
-    for k in range(K + 1):
-        if k >= start:
-            c = rel[k] / (k - Fraction(1, 2) + alpha)
-            if alternating:
-                c = (-1) ** k * c
-            acc += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return g0 * acc
+def S_alpha(alpha: Fraction, z, pol: PrecisionPolicy):
+    """sum_k Gamma^alpha_k z^-k, |z| > 1."""
+    return _stream_sums(alpha, z, pol, "S")[0]
+
+
+def R_alpha(alpha: Fraction, z, pol: PrecisionPolicy):
+    """sum_k Gamma^alpha_k z^-k / (k - 1/2 + alpha), k > 0 if alpha = 1/2."""
+    return _stream_sums(alpha, z, pol, "R")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +134,14 @@ def k2_entries(z, pol: PrecisionPolicy) -> RegulatorMatrix:
     zv = ctx.convert(z)
     if zv <= 1:
         raise CaseError(f"z = {z} must exceed 1")
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    threeq = Fraction(3, 4)
+    (r2, s2, _), (r1, s1, _), (r3, s3, _) = (
+        _stream_sums(Fraction(n, 4), zv, pol, "RS") for n in (2, 1, 3))
     log4z = ctx.log(4 * zv)
     sq2 = ctx.sqrt(ctx.mpf(2))
-    e11 = 4 * (log4z + 4) - sq2 / ctx.pi * R_alpha(half, zv, pol)
-    e12 = 4 * sq2 / (ctx.pi * ctx.sqrt(zv)) * S_alpha(half, zv, pol)
-    e21 = -(zv ** ctx.mpf("0.25") * R_alpha(quarter, zv, pol)
-            + zv ** ctx.mpf("-0.25") * R_alpha(threeq, zv, pol)) / (4 * ctx.pi)
-    e22 = (zv ** ctx.mpf("-0.25") * S_alpha(quarter, zv, pol)
-           + zv ** ctx.mpf("-0.75") * S_alpha(threeq, zv, pol)) / ctx.pi
+    e11 = 4 * (log4z + 4) - sq2 / ctx.pi * r2
+    e12 = 4 * sq2 / (ctx.pi * ctx.sqrt(zv)) * s2
+    e21 = -(zv ** ctx.mpf("0.25") * r1 + zv ** ctx.mpf("-0.25") * r3) / (4 * ctx.pi)
+    e22 = (zv ** ctx.mpf("-0.25") * s1 + zv ** ctx.mpf("-0.75") * s3) / ctx.pi
     return RegulatorMatrix([[e11, e12], [e21, e22]],
                            normalization="(2 pi i)^2 divided out of the chain rows")
 
@@ -178,13 +192,8 @@ def theta_ladder_residual(K: int):
     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         rel = gamma_ratios_rel(alpha, K)
         off = alpha - Fraction(1, 2)
-        start = 1 if alpha == Fraction(1, 2) else 0
-        r_coeffs = [Fraction(0)] * (K + 1)
-        s_coeffs = [Fraction(0)] * (K + 1)
-        for k in range(K + 1):
-            if k >= start:
-                r_coeffs[k] = rel[k] / (k + off)
-            s_coeffs[k] = rel[k]
+        r_coeffs = _weights(rel, alpha, "R")
+        s_coeffs = _weights(rel, alpha, "S")
         r_ls = LogSeries.from_pow(PowSeries(off, r_coeffs))
         s_ls = LogSeries.from_pow(PowSeries(off, s_coeffs))
         lhs = theta(r_ls)
@@ -220,11 +229,7 @@ def mb_right_series(z, pol: PrecisionPolicy):
             return acc
         if n > pol.max_terms:
             raise CaseError("right series cap hit")
-        ratio = Fraction(-1)
-        for ai in A4:
-            ratio *= ai + n
-        ratio /= Fraction(n + 1) ** 4
-        c *= ratio
+        c *= -hypergeom._ratio(DATA, n)
         zp *= zv
         n += 1
 
@@ -286,43 +291,21 @@ def mb_contour(z, pol: PrecisionPolicy):
 def _tilde_series(alpha: Fraction, z, pol: PrecisionPolicy, harmonic_factor=False):
     """A~/B~/C~/D~ building blocks: sum_k (-1)^k Gamma^alpha_k z^-k / (k + alpha - 1/2),
     or with the D~ harmonic factor (4 H_(4k+1) - 10 H_2k + 6 H_k + 1/k)/k."""
-    ctx = pol.ctx
-    K = _suggest_K(z, pol)
-    rel = gamma_ratios_rel(alpha, K)
-    g0 = gamma_alpha0(alpha, pol)
-    zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
-    zp = ctx.mpf(1)
-    H = [Fraction(0)]
-    for j in range(1, 4 * K + 2):
-        H.append(H[-1] + Fraction(1, j))
-    for k in range(K + 1):
-        if harmonic_factor:
-            if k == 0:
-                zp *= zin
-                continue
-            c = rel[k] * (4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k]
-                          + Fraction(1, k)) / k
-        else:
-            if k == 0 and alpha == Fraction(1, 2):
-                # C~ starts at k = 1
-                zp *= zin
-                continue
-            c = rel[k] / (k + alpha - Fraction(1, 2))
-        c = (-1) ** k * c
-        acc += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return g0 * acc
+    return _stream_sums(alpha, z, pol, "D" if harmonic_factor else "R", alternating=True)[0]
 
 
-# D~'s k = 0 slot.  The display is singular at k = 0; the value below makes
-# the assembly agree with the contour integral identically in z (PSLQ-pinned
-# to 30+ digits, then verified at five sample points).  Only the -8 part is
-# canonical: pi^2-multiples of Gamma^(1/2)_0 here are (2 pi i)^3 Q shifts.
-def _dtilde_k0(pol: PrecisionPolicy):
+def _left_blocks(zv, pol: PrecisionPolicy):
+    """(A~, B~, C~, D~), one alternating pass per Gamma^alpha stream; C~ and
+    D~ share the alpha = 1/2 pass."""
     ctx = pol.ctx
-    g0 = gamma_alpha0(Fraction(1, 2), pol)
-    return g0 * (-8 - 2 * ctx.pi ** 2 / 3)
+    At, _ = _stream_sums(Fraction(1, 4), zv, pol, "R", alternating=True)
+    Bt, _ = _stream_sums(Fraction(3, 4), zv, pol, "R", alternating=True)
+    Ct, Dt, g0 = _stream_sums(Fraction(1, 2), zv, pol, "RD", alternating=True)
+    # D~'s k = 0 slot.  The display is singular at k = 0; the value below makes
+    # the assembly agree with the contour integral identically in z (PSLQ-pinned
+    # to 30+ digits, then verified at five sample points).  Only the -8 part is
+    # canonical: pi^2-multiples of Gamma^(1/2)_0 here are (2 pi i)^3 Q shifts.
+    return At, Bt, Ct, Dt + g0 * (-8 - 2 * ctx.pi ** 2 / 3)
 
 
 def mb_left_assembly(z, pol: PrecisionPolicy):
@@ -333,10 +316,7 @@ def mb_left_assembly(z, pol: PrecisionPolicy):
     zv = ctx.convert(z)
     if zv <= 1:
         raise CaseError("left assembly needs z > 1")
-    At = _tilde_series(Fraction(1, 4), zv, pol)
-    Bt = _tilde_series(Fraction(3, 4), zv, pol)
-    Ct = _tilde_series(Fraction(1, 2), zv, pol)
-    Dt = _tilde_series(Fraction(1, 2), zv, pol, harmonic_factor=True) + _dtilde_k0(pol)
+    At, Bt, Ct, Dt = _left_blocks(zv, pol)
     log4z = ctx.log(4 * zv)
     i = ctx.mpc(0, 1)
     sq2 = ctx.sqrt(ctx.mpf(2))
@@ -378,10 +358,7 @@ def k2_monodromy_chain(z, pol: PrecisionPolicy):
     """The monodromy combinations (R1, R2, R3, R4), |z| > 1."""
     ctx = pol.ctx
     zv = ctx.convert(z)
-    At = _tilde_series(Fraction(1, 4), zv, pol)
-    Bt = _tilde_series(Fraction(3, 4), zv, pol)
-    Ct = _tilde_series(Fraction(1, 2), zv, pol)
-    Dt = _tilde_series(Fraction(1, 2), zv, pol, harmonic_factor=True) + _dtilde_k0(pol)
+    At, Bt, Ct, Dt = _left_blocks(zv, pol)
     log4z = ctx.log(4 * zv)
     i = ctx.mpc(0, 1)
     sq2 = ctx.sqrt(ctx.mpf(2))

@@ -458,7 +458,6 @@ def hadamard(a: PowSeries, b: PowSeries) -> PowSeries:
 @dataclass(frozen=True)
 class ResidueRule:
     orientation: str = "counterclockwise"   # or "clockwise"
-    eps_symbol: str = "eps"
 
     def __post_init__(self):
         if self.orientation not in ("counterclockwise", "clockwise"):

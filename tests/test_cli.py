@@ -183,6 +183,41 @@ def test_bad_config_settings_exit2_one_line(tmp_path, config, argv):
     assert "Traceback" not in out.stderr
 
 
+def _chi_minus4_spec(directory):
+    """Spec of L(chi_-4, s) with its Euler factors for p < 50."""
+    euler = directory / "chi-4.jsonl"
+    lines = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        factor = [1] if p == 2 else [1, -1] if p % 4 == 1 else [1, 1]
+        lines.append(json.dumps({"p": p, "factor": factor}))
+    euler.write_text("\n".join(lines) + "\n")
+    spec = directory / "chi-4.json"
+    spec.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": 4, "gamma_shifts": [["R", "1"]],
+        "sign": 1, "euler_path": str(euler), "label": "chi_-4"}))
+    return spec
+
+
+@pytest.mark.parametrize("argv", [
+    ["--s", "abc"],
+    ["--s", "1/0"],
+    ["--s", "2", "--order", "3"],
+    ["--s", "2", "--order", "-1"],
+])
+def test_bad_lfun_settings_exit2_one_line(tmp_path, argv):
+    out = run("--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)), *argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_lfun_decimal_s_accepted(tmp_path):
+    out = run("--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)), "--s", "2.5")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["s"] == "2.5"
+
+
 def test_help_exit0():
     out = run("period", "--help")
     assert out.returncode == 0

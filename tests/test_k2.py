@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import k2
 from hyperreg.regulators.reporting import CaseError
 
@@ -116,3 +117,112 @@ def test_k2_det_reports(pol):
     assert any("not of the form" in n for n in rep2.notes)
     with pytest.raises(CaseError):
         k2.k2_det(F(1, 2048), pol)
+
+
+# The three summation loops k2 had before they became one pass, kept as the
+# reference the one pass must match bit for bit.
+
+def _ref_gamma_ratios_rel(alpha, K):
+    out = [F(1)]
+    for k in range(K):
+        num = (alpha + k) ** 4
+        den = F(1)
+        for ai in k2.A4:
+            den *= alpha + k + ai
+        out.append(out[-1] * (num / den))
+    return out
+
+
+def _ref_S_alpha(alpha, z, pol):
+    ctx = pol.ctx
+    K = k2._suggest_K(z, pol)
+    rel = _ref_gamma_ratios_rel(alpha, K)
+    g0 = k2.gamma_alpha0(alpha, pol)
+    zin = 1 / ctx.convert(z)
+    acc = ctx.mpf(0)
+    zp = ctx.mpf(1)
+    for k in range(K + 1):
+        c = rel[k]
+        acc += ctx.mpf(c.numerator) / c.denominator * zp
+        zp *= zin
+    return g0 * acc
+
+
+def _ref_R_alpha(alpha, z, pol):
+    ctx = pol.ctx
+    K = k2._suggest_K(z, pol)
+    rel = _ref_gamma_ratios_rel(alpha, K)
+    g0 = k2.gamma_alpha0(alpha, pol)
+    zin = 1 / ctx.convert(z)
+    acc = ctx.mpf(0)
+    zp = ctx.mpf(1)
+    start = 1 if alpha == F(1, 2) else 0
+    for k in range(K + 1):
+        if k >= start:
+            c = rel[k] / (k - F(1, 2) + alpha)
+            acc += ctx.mpf(c.numerator) / c.denominator * zp
+        zp *= zin
+    return g0 * acc
+
+
+def _ref_tilde_series(alpha, z, pol, harmonic_factor=False):
+    ctx = pol.ctx
+    K = k2._suggest_K(z, pol)
+    rel = _ref_gamma_ratios_rel(alpha, K)
+    g0 = k2.gamma_alpha0(alpha, pol)
+    zin = 1 / ctx.convert(z)
+    acc = ctx.mpf(0)
+    zp = ctx.mpf(1)
+    H = [F(0)]
+    for j in range(1, 4 * K + 2):
+        H.append(H[-1] + F(1, j))
+    for k in range(K + 1):
+        if harmonic_factor:
+            if k == 0:
+                zp *= zin
+                continue
+            c = rel[k] * (4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k] + F(1, k)) / k
+        else:
+            if k == 0 and alpha == F(1, 2):
+                zp *= zin
+                continue
+            c = rel[k] / (k + alpha - F(1, 2))
+        c = (-1) ** k * c
+        acc += ctx.mpf(c.numerator) / c.denominator * zp
+        zp *= zin
+    return g0 * acc
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize("z", ["1.2", "2", "10", "1024"])
+def test_stream_sums_match_the_separate_loops(digits, z):
+    pol = PrecisionPolicy(digits)
+    zv = pol.ctx.mpf(z)
+    for alpha in (F(1, 4), F(1, 2), F(3, 4)):
+        assert k2.S_alpha(alpha, zv, pol) == _ref_S_alpha(alpha, zv, pol)
+        assert k2.R_alpha(alpha, zv, pol) == _ref_R_alpha(alpha, zv, pol)
+        for harmonic in (False, True):
+            assert k2._tilde_series(alpha, zv, pol, harmonic_factor=harmonic) \
+                == _ref_tilde_series(alpha, zv, pol, harmonic_factor=harmonic)
+
+
+def _count_gamma_alpha0(monkeypatch):
+    calls = []
+    real = k2.gamma_alpha0
+
+    def counting(alpha, pol):
+        calls.append(alpha)
+        return real(alpha, pol)
+
+    monkeypatch.setattr(k2, "gamma_alpha0", counting)
+    return calls
+
+
+def test_one_pass_per_stream(monkeypatch, pol):
+    """k2_entries, the left assembly and the monodromy chain sum each
+    Gamma^alpha stream once."""
+    calls = _count_gamma_alpha0(monkeypatch)
+    for run in (k2.k2_entries, k2.mb_left_assembly, k2.k2_monodromy_chain):
+        calls.clear()
+        run(pol.ctx.mpf(2), pol)
+        assert sorted(calls) == [F(1, 4), F(1, 2), F(3, 4)], run.__name__
