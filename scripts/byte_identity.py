@@ -13,9 +13,10 @@ The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
-`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), and one
+`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), one
 Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
-PARENT_SRC cut to p <= QUINTIC_P.
+PARENT_SRC cut to p <= QUINTIC_P, and the EXIT_ARGVS: `period --point` rows
+whose tail is not certified and series truncation caps, all of which exit 3.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ EULER_P = 400
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
+# exit 3 with one error line: a point outside the disk of convergence, two
+# truncations whose certified tail exceeds 10^-30, and two series cap hits
+EXIT_ARGVS = (
+    ["period", "1/2;1", "-K", "3", "--point", "2"],
+    ["period", "1/2;1", "-K", "30", "--point", "9/10"],
+    ["period", "1/3,1/3,2/3,2/3;1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"],
+    ["--max-terms", "16", "regulator", "--case", "cy0", "--t", "1/7"],
+    ["--max-terms", "16", "verify", "continuation"],
+)
 
 
 def regulator_argvs() -> list:
@@ -151,6 +161,7 @@ def main(argv=None) -> int:
             for D, s, order in LFUN_RUNS]
         argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
                       "--s", "0", "--order", "2"])
+        argvs += [list(argv) for argv in EXIT_ARGVS]
         for cmd in argvs:
             procs = [start(root, cmd) for root in roots]
             (out0, err0), (out1, err1) = (p.communicate() for p in procs)

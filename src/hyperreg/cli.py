@@ -172,14 +172,16 @@ def cmd_period(args, pol: PrecisionPolicy):
         t0 = _parse_rational(args.point)
         if t0 <= 0:
             raise CliError(f"--point must be positive, got {t0}")
-        from .series import LogSeries, PowSeries
-        ls = LogSeries.from_pow(PowSeries(0, coeffs))
-        try:
-            val, tail = ls.to_floating(pol).evaluate(t0, pol, require_tail=False)
-        except DivergenceError as exc:
-            raise CliError(str(exc), EXIT_DIVERGENCE)
-        out["value"] = pol.ctx.nstr(val, pol.target_digits)
-        out["tail_bound"] = pol.ctx.nstr(tail, 3)
+        from .series import ratio_sum
+        ctx = pol.ctx
+        z, zp, terms = ctx.mpf(t0.numerator) / t0.denominator, ctx.mpf(1), []
+        for c in coeffs:
+            terms.append(ctx.mpf(c.numerator) / c.denominator * zp)
+            zp = zp * z
+        # t_(k+1)/t_k = scale t0 prod (k + a_j) / (k + b_j), as in coeff_stream
+        val, tail = ratio_sum(terms, (scale * t0, h.a, h.b), pol, "period", flag="-K")
+        out["value"] = ctx.nstr(val, pol.target_digits)
+        out["tail_bound"] = ctx.nstr(tail, 3)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
 from .mpnum import PrecisionPolicy
@@ -309,10 +309,7 @@ def psi_diff_exact(a: Fraction, m: int, k: int = 0) -> ExactNum:
     if (a, m) not in _PSI_BASE_DIFF:
         raise HGError(f"no exact polygamma reduction for index {a}, order {m}")
     base = _PSI_BASE_DIFF[(a, m)]
-    fac = 1
-    for i in range(1, m + 1):
-        fac *= i
-    sign_fac = Fraction((-1) ** m * fac)
+    sign_fac = Fraction((-1) ** m * factorial(m))
     tail_a = sum((Fraction(1) / (a + j) ** (m + 1) for j in range(k)), Fraction(0))
     tail_1 = sum((Fraction(1, j ** (m + 1)) for j in range(1, k + 1)), Fraction(0))
     return base + sign_fac * (tail_a - tail_1)
@@ -337,27 +334,23 @@ def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
         if any(aj not in EXACT_INDICES for aj in h.a):
             raise HGError(f"unsupported a_j for exact mode in {h}; use floating")
         log_alpha = [ExactNum.from_rational(0)] * (s_order + 1)
-        fac = 1
         for m in range(1, s_order + 1):
-            fac *= m
             acc = ExactNum.from_rational(0)
             for aj in h.a:
                 acc = acc + psi_diff_exact(aj, m - 1, 0)
-            log_alpha[m] = acc * Fraction(1, fac)
+            log_alpha[m] = acc * Fraction(1, factorial(m))
         return sp_exp(log_alpha, s_order)
     if mode == "floating":
         if pol is None:
             raise HGError("floating mode requires a precision policy")
         ctx = pol.ctx
         log_alpha = [ctx.mpf(0)] * (s_order + 1)
-        fac = 1
         for m in range(1, s_order + 1):
-            fac *= m
             acc = ctx.mpf(0)
             for aj in h.a:
                 acc += ctx.psi(m - 1, ctx.mpf(aj.numerator) / aj.denominator) \
                     - ctx.psi(m - 1, 1)
-            log_alpha[m] = acc / fac
+            log_alpha[m] = acc / factorial(m)
         return sp_exp(log_alpha, s_order)
     raise HGError(f"unknown mode {mode!r}")
 
@@ -373,12 +366,9 @@ def ak_s(h: HGData, k: int, s_order: int, pol: PrecisionPolicy | None = None,
 
 def z_s_logs(s_order: int, K: int = 1) -> SLaurent:
     """z^s = sum_j s^j log^j z / j! as an SLaurent with K retained z-terms."""
-    fac = 1
     terms = {}
     for j in range(s_order + 1):
-        if j:
-            fac *= j
-        ps = PowSeries(0, [Fraction(1, fac)] + [0] * (K - 1))
+        ps = PowSeries(0, [Fraction(1, factorial(j))] + [0] * (K - 1))
         terms[(j, 0)] = LogSeries.from_pow(ps, j)
     return SLaurent(terms, s_order, 0)
 
@@ -389,9 +379,7 @@ def _rows_slaurent(rows: list, s_order: int) -> SLaurent:
     x^s = sum_j s^j log^j x / j!, so slot m, log-power j holds the s^(m-j)
     piece of every row over j!.
     """
-    fac = [1] * (s_order + 1)
-    for j in range(1, s_order + 1):
-        fac[j] = fac[j - 1] * j
+    fac = [factorial(j) for j in range(s_order + 1)]
     terms = {}
     for m in range(s_order + 1):
         terms[(m, 0)] = LogSeries([
@@ -450,11 +438,8 @@ def W_r(h: HGData, r: int, K: int) -> LogSeries:
     if r < 2:
         raise HGError("r must be at least 2")
     rr = Fraction(1, r)
-    coeffs = []
-    cur = Fraction(1)
-    for aj in h.a:
-        cur *= Fraction(1) / rr
-    coeffs.append(cur)
+    cur = Fraction(r) ** h.m        # prod_j 1 / [1/r]_1
+    coeffs = [cur]
     for k in range(K - 1):
         ratio = Fraction(1)
         for aj in h.a:

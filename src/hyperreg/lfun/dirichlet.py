@@ -130,21 +130,25 @@ def quartic_character_mod5() -> DirichletChar:
                              Fraction(3, 4), Fraction(1, 2)))
 
 
+def is_squarefree(n: int) -> bool:
+    if n < 1:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
 def _is_fundamental(D: int) -> bool:
-    def squarefree(n):
-        d = 2
-        while d * d <= n:
-            if n % (d * d) == 0:
-                return False
-            d += 1
-        return True
     if D == 1:
         return True
     if D % 4 == 1:
-        return squarefree(abs(D))
+        return is_squarefree(abs(D))
     if D % 4 == 0:
         m = D // 4
-        return m % 4 in (2, 3) and squarefree(abs(m))
+        return m % 4 in (2, 3) and is_squarefree(abs(m))
     return False
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .hypergeom import HGData, W_r, frobenius_E, frobenius_phi, z_s_logs, alpha_s
 from .series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent,
@@ -59,10 +59,8 @@ def _taylor_table(factors: tuple, offset: Fraction, K: int) -> tuple:
         for c in factors:
             a = e + c
             t = [a * t[0]] + [a * t[i] + t[i - 1] for i in range(1, len(t))] + [t[-1]]
-        fac = 1
         for i in range(2, len(t)):
-            fac *= i
-            t[i] = fac * t[i]
+            t[i] = factorial(i) * t[i]
         table.append(tuple(t))
     return tuple(table)
 

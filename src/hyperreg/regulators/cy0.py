@@ -9,32 +9,25 @@ n(n-4) squarefree it interpolates Dirichlet-regulator data, and the ratio
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from math import comb
+from operator import mul
 
-from ..lfun.dirichlet import dedekind_quadratic_deriv0
+from ..lfun.dirichlet import dedekind_quadratic_deriv0, is_squarefree
 from ..mpnum import PrecisionPolicy
+from ..series import ratio_sum
 from .reporting import CaseError, RegulatorReport, detect_rational
 
 
 def _series_value(t: Fraction, pol: PrecisionPolicy):
-    """-2 log t - 2 sum_{k>0} binom(2k,k) t^k / k with chained binomials."""
+    """-2 log t - 2 sum_{k>0} binom(2k,k) t^k / k."""
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
-    acc = ctx.mpf(0)
-    term_t = ctx.mpf(1)
-    binom = 1
-    k = 0
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    while True:
-        k += 1
-        binom = binom * 2 * (2 * k - 1) // k
-        term_t *= tv
-        term = binom * term_t / k
-        acc += term
-        if term < tol and k > 8:
-            break
-        if k > pol.max_terms:
-            raise CaseError("series truncation cap hit in cy0 regulator")
-    return -2 * ctx.log(tv) - 2 * acc
+    powers = accumulate(repeat(tv), mul)         # t, t^2, ... by repeated products
+    terms = (comb(2 * k, k) * tk / k for k, tk in zip(count(1), powers))
+    # t_(k+1) / t_k = 4t (k + 1/2) k / (k + 1)^2
+    ratio = (4 * t, (Fraction(1, 2), 0), (1, 1))
+    return -2 * ctx.log(tv) - 2 * ratio_sum(terms, ratio, pol, "cy0 series", start=1)[0]
 
 
 def cy0_regulator(t: Fraction, pol: PrecisionPolicy):
@@ -51,17 +44,6 @@ def cy0_regulator(t: Fraction, pol: PrecisionPolicy):
     if abs(closed - series) > pol.tol:
         raise CaseError("series / closed-form disagreement in cy0 regulator")
     return closed, abs(closed - series)
-
-
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 # --- exact real-quadratic class number -------------------------------------

@@ -9,29 +9,23 @@ the identity log 16 - sum = (8/pi) L(chi_-4, 2) is checked to full precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from math import comb
+from operator import mul
 
 from ..mpnum import PrecisionPolicy, special
+from ..series import ratio_sum
 from .reporting import CaseError
 
 
 def _sum_interior(t: Fraction, pol: PrecisionPolicy):
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
-    acc = ctx.mpf(0)
-    binom = 1
-    tp = ctx.mpf(1)
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    m = 0
-    while True:
-        m += 1
-        binom = binom * 2 * (2 * m - 1) // m
-        tp *= tv
-        term = ctx.mpf(binom) ** 2 * tp / m
-        acc += term
-        if term < tol and m > 8:
-            return acc
-        if m > pol.max_terms:
-            raise CaseError("series cap hit inside the disk; raise max_terms")
+    powers = accumulate(repeat(tv), mul)         # t, t^2, ... by repeated products
+    terms = (ctx.mpf(comb(2 * m, m)) ** 2 * tm / m for m, tm in zip(count(1), powers))
+    # t_(m+1) / t_m = 16t (m + 1/2)^2 m / (m + 1)^3
+    ratio = (16 * t, (Fraction(1, 2), Fraction(1, 2), 0), (1, 1, 1))
+    return ratio_sum(terms, ratio, pol, "elliptic series", start=1)[0]
 
 
 def _sum_quadrature(t: Fraction, pol: PrecisionPolicy):

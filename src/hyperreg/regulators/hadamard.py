@@ -18,6 +18,7 @@ Two engines:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from ..exactnum import ExactNum, two_pi_i_pow
 from ..series import (EpsExpansion, LogSeries, PowSeries, ResidueRule,
@@ -28,21 +29,12 @@ PI_I = ExactNum.atom("pi") * ExactNum.atom("i")
 
 
 def _binom2_list(K: int) -> list:
-    out = [1]
-    b = 1
-    for k in range(1, K + 1):
-        b = b * 2 * (2 * k - 1) // k
-        out.append(b ** 2)
-    return out
+    return [comb(2 * k, k) ** 2 for k in range(K + 1)]
 
 
 def _binom4n_2n_list(K: int) -> list:
     """binom(4n, 2n) binom(2n, n) for n = 0..K."""
-    out = []
-    from math import comb
-    for n in range(K + 1):
-        out.append(comb(4 * n, 2 * n) * comb(2 * n, n))
-    return out
+    return [comb(4 * n, 2 * n) * comb(2 * n, n) for n in range(K + 1)]
 
 
 def k4_engine(K: int) -> LogSeries:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
+
+from mpmath.libmp import to_rational
 
 from .. import hypergeom
 from ..mpnum import PrecisionPolicy
-from ..series import LogSeries, PowSeries, theta
+from ..series import LogSeries, PowSeries, ratio_sum, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
 DATA = hypergeom.parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
@@ -130,6 +132,11 @@ def R_alpha(alpha: Fraction, z, pol: PrecisionPolicy):
 # ---------------------------------------------------------------------------
 
 def k2_entries(z, pol: PrecisionPolicy) -> RegulatorMatrix:
+    return _entries(z, pol)[0]
+
+
+def _entries(z, pol: PrecisionPolicy):
+    """k2_entries' matrix and the R sums (R_(1/2), R_(1/4), R_(3/4)) it is built from."""
     ctx = pol.ctx
     zv = ctx.convert(z)
     if zv <= 1:
@@ -142,8 +149,9 @@ def k2_entries(z, pol: PrecisionPolicy) -> RegulatorMatrix:
     e12 = 4 * sq2 / (ctx.pi * ctx.sqrt(zv)) * s2
     e21 = -(zv ** ctx.mpf("0.25") * r1 + zv ** ctx.mpf("-0.25") * r3) / (4 * ctx.pi)
     e22 = (zv ** ctx.mpf("-0.25") * s1 + zv ** ctx.mpf("-0.75") * s3) / ctx.pi
-    return RegulatorMatrix([[e11, e12], [e21, e22]],
-                           normalization="(2 pi i)^2 divided out of the chain rows")
+    mat = RegulatorMatrix([[e11, e12], [e21, e22]],
+                          normalization="(2 pi i)^2 divided out of the chain rows")
+    return mat, (r2, r1, r3)
 
 
 def integral_model_point(t: Fraction) -> bool:
@@ -217,21 +225,18 @@ def mb_right_series(z, pol: PrecisionPolicy):
     zv = ctx.convert(z)
     if abs(zv) >= 1:
         raise CaseError("right series needs |z| < 1")
-    acc = ctx.mpf(0)
-    c = Fraction(1)
-    zp = ctx.sqrt(zv)
-    n = 0
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    while True:
-        term = ctx.mpf(c.numerator) / c.denominator * zp / (n + ctx.mpf(1) / 2)
-        acc += term
-        if abs(term) < tol and n > 8:
-            return acc
-        if n > pol.max_terms:
-            raise CaseError("right series cap hit")
-        c *= -hypergeom._ratio(DATA, n)
-        zp *= zv
-        n += 1
+
+    def terms():
+        c, zp = Fraction(1), ctx.sqrt(zv)
+        for n in count():
+            yield ctx.mpf(c.numerator) / c.denominator * zp / (n + ctx.mpf(1) / 2)
+            c *= -hypergeom._ratio(DATA, n)
+            zp *= zv
+
+    # t_(n+1) / t_n = -z prod_i (n + a_i) (n + 1/2) / ((n + 1)^4 (n + 3/2))
+    ratio = (-Fraction(*to_rational(zv._mpf_)),
+             DATA.a + (Fraction(1, 2),), DATA.b + (Fraction(3, 2),))
+    return ratio_sum(terms(), ratio, pol, "k2 right series")[0]
 
 
 # binary precision -> {s: (num, den)}: the z-free parts of the mb_contour
@@ -375,24 +380,23 @@ def chain_vs_entries(z, pol: PrecisionPolicy):
     """Real-part comparison of the matrix rows against -1/4 (R1-row) and
     +1/4 (R4-row) of the chain matrix under z <-> -z (the (-1)^k twist).
 
-    Returns the maximum deviation over the two R-entries.
+    Returns the maximum deviation over the two R-entries.  The R sums are
+    the ones the matrix is built from, so each stream is summed once.
     """
     ctx = pol.ctx
     zv = ctx.convert(z)
-    mat = k2_entries(zv, pol)
+    mat, (r2, r1, r3) = _entries(zv, pol)
     # C~(-z) = R-type series in z: the twist is the identity on our
     # normalized streams, so compare against the chain built from the
     # non-alternating series directly.
     log4z = ctx.log(4 * zv)
     sq2 = ctx.sqrt(ctx.mpf(2))
-    R1_tw = -16 * sq2 * ctx.pi * R_alpha(Fraction(1, 2), zv, pol) \
-        + 64 * ctx.pi ** 2 * (log4z + 4)
+    R1_tw = -16 * sq2 * ctx.pi * r2 + 64 * ctx.pi ** 2 * (log4z + 4)
     lhs1 = mat.entries[0][0]
     rhs1 = -(R1_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4
     dev1 = abs(lhs1 - ctx.re(rhs1))
     z14 = zv ** ctx.mpf("0.25")
-    R4_tw = 4 * ctx.pi * R_alpha(Fraction(1, 4), zv, pol) * z14 \
-        + 4 * ctx.pi * R_alpha(Fraction(3, 4), zv, pol) / z14
+    R4_tw = 4 * ctx.pi * r1 * z14 + 4 * ctx.pi * r3 / z14
     lhs2 = mat.entries[1][0]
     rhs2 = (R4_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4
     dev2 = abs(lhs2 - ctx.re(rhs2))

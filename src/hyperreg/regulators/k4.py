@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import comb
 
 from .. import hypergeom
 from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
@@ -43,17 +45,11 @@ EXPECTED_RATIOS = (Fraction(4), Fraction(64, 3), Fraction(8), Fraction(4))
 # -- harmonic atoms ----------------------------------------------------------
 
 def harmonic(K: int) -> list:
-    H = [Fraction(0)]
-    for k in range(1, K + 1):
-        H.append(H[-1] + Fraction(1, k))
-    return H
+    return list(accumulate((Fraction(1, k) for k in range(1, K + 1)), initial=Fraction(0)))
 
 
 def harmonic2(K: int) -> list:
-    H = [Fraction(0)]
-    for k in range(1, K + 1):
-        H.append(H[-1] + Fraction(1, k * k))
-    return H
+    return list(accumulate((Fraction(1, k * k) for k in range(1, K + 1)), initial=Fraction(0)))
 
 
 def G_list(K: int) -> list:
@@ -70,19 +66,12 @@ def _gp_from(G: list) -> list:
     K = len(G) - 1
     H2 = harmonic2(2 * K)
     z2 = ex_zeta2()
-    out = []
-    for k in range(K + 1):
-        out.append(ExactNum.from_rational(8 * G[k] ** 2 - 2 * H2[2 * k] + H2[k]) + z2)
-    return out
+    return [ExactNum.from_rational(8 * G[k] ** 2 - 2 * H2[2 * k] + H2[k]) + z2
+            for k in range(K + 1)]
 
 
 def binom4_list(K: int) -> list:
-    out = [1]
-    b = 1
-    for k in range(1, K + 1):
-        b = b * 2 * (2 * k - 1) // k
-        out.append(b ** 4)
-    return out
+    return [comb(2 * k, k) ** 4 for k in range(K + 1)]
 
 
 # -- closed-form entries -----------------------------------------------------

@@ -8,7 +8,7 @@ with lam = exp(sum psi(a_i) - sum psi(b_i)) = 1/C, C the exact rational
 scale of the data.  Exponentials of suitable S_n are roots of quintic
 polynomials; their logs assemble the rank-2 regulator determinant.
 
-Each column j is summed in one pass over l (`column_sums`): the exact ratio
+Each column j walks one G-stream over l (`column_sums`): the exact ratio
 G(s+1)/G(s) is formed once per step, in integers, and feeds every sum
 requested of the column (several t, weight 1/(l + a_j) or 1/t).  The
 branches n only recombine the column values with their phases, so each
@@ -18,10 +18,11 @@ branches n only recombine the column values with their phases, so each
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from ..hypergeom import HGData, parse_hg, scale_C
 from ..mpnum import PrecisionPolicy
-from ..series import DivergenceError
+from ..series import ratio_sum
 from .reporting import CaseError, RegulatorReport
 
 DATA_J0 = parse_hg("1/10,3/10,7/10,9/10;1/4,1/2,3/4,1")
@@ -53,50 +54,47 @@ def _gamma_ratio(h: HGData, s: Fraction) -> Fraction:
 
 
 def column_sums(h: HGData, j: int, requests, pol: PrecisionPolicy) -> list:
-    """One pass over l for column j, serving every (t, derivative) request.
+    """One G-stream over l for column j, serving every (t, derivative) request.
 
     Request (t, False) is S_Aj(t); (t, True) is its t-derivative
-    sum_l G(l + a_j) (lam t)^(l + a_j) / t.  G(l + a_j) is updated once per
-    step for all requests; each keeps its own power, accumulator, stopping
-    rule and cap check.  Returns the sums in request order.
+    sum_l G(l + a_j) (lam t)^(l + a_j) / t.  G(l + a_j) is formed once per
+    step l, as far as the slowest request needs; each request is summed by
+    `ratio_sum` with its own power and a stop relative to its sum.
+    Returns the sums in request order.
     """
     ctx = pol.ctx
     C = scale_C(h)
     aj = h.a[j]
     a_mp = ctx.mpf(aj.numerator) / aj.denominator
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    sums = []      # per request: [x, x^(l + a_j), weight t or None for l + a_j, accumulator]
+    # G(s) and s as mpfs at s = l + a_j for l = 0, 1, ..., shared by the requests;
+    # s is the last one formed
+    gs, ds, s = [gamma_big(h, a_mp, pol)], [a_mp], aj
+
+    def terms(x, w):
+        nonlocal s
+        xp = ctx.power(x, a_mp)
+        for l in count():
+            if l == len(gs):
+                r, s = _gamma_ratio(h, s), s + 1
+                gs.append(gs[-1] * ctx.mpf(r.numerator) / r.denominator)
+                ds.append(ctx.mpf(s.numerator) / s.denominator)
+            yield gs[l] * xp / (ds[l] if w is None else w)
+            xp *= x
+
+    jobs = []       # every request is checked before any is summed
     for t, derivative in requests:
         lam_t = Fraction(t, 1) / C
         if not (0 < lam_t < 1):
             raise CaseError(f"series for S_A diverges at t = {t} (lam t = {lam_t})")
+        # t_(l+1) / t_l = (-1)^m lam_t prod_i (s + 1 - b_i) / (s + 1 - a_i) at
+        # s = l + a_j, times (l + a_j) / (l + a_j + 1) for the weight 1 / (l + a_j)
+        wt = () if derivative else (aj,)
+        ratio = ((-1) ** h.m * lam_t, tuple(aj + 1 - bi for bi in h.b) + wt,
+                 tuple(aj + 1 - ai for ai in h.a) + tuple(a + 1 for a in wt))
         x = ctx.mpf(lam_t.numerator) / lam_t.denominator
         w = ctx.mpf(t.numerator) / t.denominator if derivative else None
-        sums.append([x, ctx.power(x, a_mp), w, ctx.mpf(0)])
-    g = gamma_big(h, a_mp, pol)
-    s, l, running = aj, 0, sums
-    while True:
-        denom = ctx.mpf(s.numerator) / s.denominator
-        still = []
-        for st in running:
-            x, xp, w, acc = st
-            term = g * xp / (denom if w is None else w)
-            st[3] = acc = acc + term
-            if abs(term) < tol * max(1, abs(acc)) and l > 8:
-                continue
-            if l > pol.max_terms:
-                name = "S_A" if w is None else "S_A'"
-                raise DivergenceError(f"{name} truncation cap hit after {pol.max_terms} "
-                                      "terms (raise --max-terms)")
-            st[1] = xp * x
-            still.append(st)
-        if not still:
-            return [st[3] for st in sums]
-        running = still
-        r = _gamma_ratio(h, s)
-        g = g * ctx.mpf(r.numerator) / r.denominator
-        s += 1
-        l += 1
+        jobs.append((terms(x, w), ratio, "S_A'" if derivative else "S_A"))
+    return [ratio_sum(it, ratio, pol, name, relative=True)[0] for it, ratio, name in jobs]
 
 
 def S_A(h: HGData, j: int, t: Fraction, pol: PrecisionPolicy):

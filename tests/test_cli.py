@@ -222,3 +222,16 @@ def test_help_exit0():
     out = run("period", "--help")
     assert out.returncode == 0
     assert out.stdout.startswith("usage: hyperreg period")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-terms", "16", "regulator", "--case", "cy0", "--t", "1/7"],
+    ["--max-terms", "16", "verify", "continuation"],
+])
+def test_series_cap_hit_exit3_one_line(argv):
+    """A series cap hit is a divergence wherever it happens, named by its flag."""
+    out = run(*argv)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert "truncation cap hit" in out.stderr and "--max-terms" in out.stderr

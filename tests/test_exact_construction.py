@@ -18,7 +18,7 @@ from hyperreg.hypergeom import HGData, ck_s, frobenius_phi, parse_hg
 from hyperreg.lfun import dirichlet
 from hyperreg.lfun.dirichlet import dirichlet_L, kronecker_character
 from hyperreg.mpnum import PrecisionPolicy
-from hyperreg.regulators import appb, k4
+from hyperreg.regulators import appb, hadamard, k4
 from hyperreg.regulators.reporting import CaseError
 from hyperreg.series import LogSeries, PowSeries, SeriesError, sp_inv, sp_mul, theta
 
@@ -234,3 +234,17 @@ def test_appB_probe_step_points_are_usage_errors(t, capsys, monkeypatch):
     with pytest.raises(CaseError, match="probe step"):
         appb.appB_det(F(t), PrecisionPolicy(20))
     assert sums == []
+
+
+def test_binomial_and_harmonic_lists_match_the_chained_loops():
+    """math.comb and accumulate give the lists the chained loops built."""
+    K = 80
+    b, b2, b4, H, H2 = 1, [1], [1], [F(0)], [F(0)]
+    for k in range(1, K + 1):
+        b = b * 2 * (2 * k - 1) // k
+        b2.append(b ** 2)
+        b4.append(b ** 4)
+        H.append(H[-1] + F(1, k))
+        H2.append(H2[-1] + F(1, k * k))
+    assert k4.binom4_list(K) == b4 and hadamard._binom2_list(K) == b2
+    assert k4.harmonic(K) == H and k4.harmonic2(K) == H2

@@ -226,3 +226,31 @@ def test_one_pass_per_stream(monkeypatch, pol):
         calls.clear()
         run(pol.ctx.mpf(2), pol)
         assert sorted(calls) == [F(1, 4), F(1, 2), F(3, 4)], run.__name__
+
+
+def _ref_chain_vs_entries(z, pol):
+    """chain_vs_entries as it was, with its own three R_alpha passes."""
+    ctx = pol.ctx
+    zv = ctx.convert(z)
+    mat = k2.k2_entries(zv, pol)
+    log4z = ctx.log(4 * zv)
+    sq2 = ctx.sqrt(ctx.mpf(2))
+    R1_tw = -16 * sq2 * ctx.pi * k2.R_alpha(F(1, 2), zv, pol) \
+        + 64 * ctx.pi ** 2 * (log4z + 4)
+    dev1 = abs(mat.entries[0][0] - ctx.re(-(R1_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4))
+    z14 = zv ** ctx.mpf("0.25")
+    R4_tw = 4 * ctx.pi * k2.R_alpha(F(1, 4), zv, pol) * z14 \
+        + 4 * ctx.pi * k2.R_alpha(F(3, 4), zv, pol) / z14
+    dev2 = abs(mat.entries[1][0] - ctx.re((R4_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4))
+    return max(dev1, dev2)
+
+
+@pytest.mark.parametrize("digits, z", [(30, 1024), (20, 2), (50, 49 * 1024)])
+def test_chain_vs_entries_reuses_the_matrix_sums(monkeypatch, digits, z):
+    """3 Gamma^alpha passes, not 6, and the deviation keeps its bits."""
+    pol = PrecisionPolicy(digits)
+    zv = pol.ctx.mpf(z)
+    want = _ref_chain_vs_entries(zv, pol)
+    calls = _count_gamma_alpha0(monkeypatch)
+    assert k2.chain_vs_entries(zv, pol) == want
+    assert len(calls) == 3
