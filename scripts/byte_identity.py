@@ -15,8 +15,10 @@ CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), one
 Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
-PARENT_SRC cut to p <= QUINTIC_P, and the EXIT_ARGVS: `period --point` rows
-whose tail is not certified and series truncation caps, all of which exit 3.
+PARENT_SRC cut to p <= QUINTIC_P, the PERIOD_ARGVS (`period --gamma`,
+`--mode floating` and `appB:pi0`), the EXIT_ARGVS: `period --point` rows
+whose tail is not certified and series truncation caps, all of which exit 3,
+and the USAGE_ARGVS, which exit 2.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ EXIT_ARGVS = (
     ["period", "1/3,1/3,2/3,2/3;1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"],
     ["--max-terms", "16", "regulator", "--case", "cy0", "--t", "1/7"],
     ["--max-terms", "16", "verify", "continuation"],
+)
+
+# the other period paths: gamma vectors, floating output, appB's relative series
+PERIOD_ARGVS = (
+    ["period", "--gamma", "-K", "8", "--var", "t", "--", "5,-1,-1,-1,-1,-1"],
+    ["period", "--gamma", "-K", "8", "--", "2,2,-1,-1,-1,-1"],
+    ["--mode", "floating", "period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "20"],
+    ["period", "appB:pi0", "-K", "5"],
+)
+# exit 2 with one error line: malformed data, an unknown case, a t outside
+# its case's interval and a missing spec file
+USAGE_ARGVS = (
+    ["period", "1/2,1/2;1"],
+    ["regulator", "--case", "nope", "--t", "1/2"],
+    ["regulator", "--case", "k4", "--t", "1/2"],
+    ["lfun", "missing-spec.json", "--s", "2"],
 )
 
 
@@ -161,7 +179,7 @@ def main(argv=None) -> int:
             for D, s, order in LFUN_RUNS]
         argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
                       "--s", "0", "--order", "2"])
-        argvs += [list(argv) for argv in EXIT_ARGVS]
+        argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
         for cmd in argvs:
             procs = [start(root, cmd) for root in roots]
             (out0, err0), (out1, err1) = (p.communicate() for p in procs)

@@ -15,9 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import hypergeom
-from .mpnum import PrecisionPolicy
-from .series import DivergenceError, TailBoundError
+from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,16 +148,17 @@ def cmd_period(args, pol: PrecisionPolicy):
         coeffs = pi0_relative_coefficients(args.K)
         return {"series": "appB-pi0-relative",
                 "coefficients": [str(c) for c in coeffs]}
+    from . import hgdata
     try:
         if args.gamma:
-            h, C = hypergeom.from_gamma(hypergeom.parse_gamma(args.data))
+            h, C = hgdata.from_gamma(hgdata.parse_gamma(args.data))
         else:
-            h = hypergeom.parse_hg(args.data)
-            C = hypergeom.scale_C(h) if args.var == "t" else Fraction(1)
-    except hypergeom.HGError as exc:
+            h = hgdata.parse_hg(args.data)
+            C = hgdata.scale_C(h) if args.var == "t" else Fraction(1)
+    except hgdata.HGError as exc:
         raise CliError(str(exc))
     scale = C if args.var == "t" else Fraction(1)
-    coeffs = hypergeom.coeff_stream(h, args.K, scale)
+    coeffs = hgdata.coeff_stream(h, args.K, scale)
     if args.mode == "floating":
         ctx = pol.ctx
         shown = [ctx.nstr(ctx.mpf(c.numerator) / c.denominator, pol.target_digits)

@@ -17,8 +17,6 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
-
 _CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
 
 
@@ -28,6 +26,14 @@ class MPNumError(ValueError):
 
 class PolesError(MPNumError):
     """Argument hit a pole of the requested function."""
+
+
+class DivergenceError(ArithmeticError):
+    pass
+
+
+class TailBoundError(ArithmeticError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,12 @@ class PrecisionPolicy:
 
         One clone per thread: sharing a live context between threads is
         not bit-deterministic, and the concurrency contract promises
-        results independent of scheduling.
+        results independent of scheduling.  mpmath is imported here, at the
+        first context, so a run that never asks for one never loads it.
         """
         c = getattr(self._local, "ctx", None)
         if c is None:
+            from mpmath import mp
             c = mp.clone()
             c.dps = self.working_digits
             self._local.ctx = c

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..hypergeom import parse_hg
+from ..hgdata import parse_hg
 from ..mpnum import PrecisionPolicy
 from .quintic import S_n, column_sums
 from .reporting import CaseError, RegulatorReport

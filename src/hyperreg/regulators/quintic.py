@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from ..hypergeom import HGData, parse_hg, scale_C
+from ..hgdata import HGData, parse_hg, scale_C
 from ..mpnum import PrecisionPolicy
 from ..series import ratio_sum
 from .reporting import CaseError, RegulatorReport

@@ -28,7 +28,7 @@ from itertools import zip_longest
 from numbers import Rational
 
 from .exactnum import ExactNum
-from .mpnum import PrecisionPolicy
+from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError
 
 __all__ = ["PowSeries", "LogSeries", "SLaurent", "ResidueRule", "EpsExpansion",
            "SeriesError", "OffsetMismatch", "DivergenceError", "TailBoundError",
@@ -43,14 +43,6 @@ class SeriesError(ValueError):
 
 class OffsetMismatch(SeriesError):
     """Offsets differ by a non-integer; padding cannot reconcile them."""
-
-
-class DivergenceError(ArithmeticError):
-    pass
-
-
-class TailBoundError(ArithmeticError):
-    pass
 
 
 def _is_exact(c) -> bool:

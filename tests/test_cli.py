@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +237,58 @@ def test_series_cap_hit_exit3_one_line(argv):
     assert out.stdout == ""
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
     assert "truncation cap hit" in out.stderr and "--max-terms" in out.stderr
+
+
+def test_continuation_cap_hit_skips_contour(monkeypatch, capsys):
+    """The series side is summed first, so its cap hit exits before the contour runs."""
+    from hyperreg import cli
+    from hyperreg.regulators import k2
+    calls = []
+    monkeypatch.setattr(k2, "mb_contour", lambda *a: calls.append(a))
+    assert cli.main(["--max-terms", "16", "verify", "continuation"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: k2 right series truncation cap hit after 16 terms (raise --max-terms)\n"
+    assert calls == []
+
+
+# a fresh interpreter runs cli.main(argv), then prints its loaded modules as the last line
+_PROBE = ("import json, sys\nfrom hyperreg import cli\ncli.main(json.loads(sys.argv[1]))\n"
+          "print(json.dumps(sorted(sys.modules)))\n")
+
+
+def _loaded_modules(argv):
+    import hyperreg
+    src = str(Path(hyperreg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_exact_period_loads_no_mpmath_or_series():
+    loaded = _loaded_modules(["period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "120"])
+    assert "hyperreg.hgdata" in loaded
+    assert not loaded & {"mpmath", "hyperreg.series", "hyperreg.exactnum", "hyperreg.hypergeom"}
+
+
+def test_regulator_loads_only_its_case():
+    loaded = _loaded_modules(["regulator", "--case", "k2", "--t", "1/16"])
+    assert "hyperreg.regulators.k2" in loaded
+    assert not loaded & {f"hyperreg.{m}" for m in (
+        "regulators.k4", "regulators.cy0", "regulators.appb", "regulators.quintic",
+        "lfun.motive", "lfun.euler")}
+
+
+def test_lfun_loads_no_hypergeom_or_series(tmp_path):
+    loaded = _loaded_modules(["--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)),
+                              "--s", "2"])
+    assert "hyperreg.lfun.motive" in loaded
+    assert not loaded & {"hyperreg.hypergeom", "hyperreg.series"}
+
+
+def test_hypergeom_reexports_resolve():
+    from hyperreg import hgdata, hypergeom
+    for name in hypergeom.__all__:
+        assert getattr(hypergeom, name) is not None
+    assert hypergeom.coeff_stream is hgdata.coeff_stream

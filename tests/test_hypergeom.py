@@ -215,3 +215,35 @@ def test_constant_term_vs_footnote_identity():
         for j in range(1, k + 1):
             fact *= j
         assert ct == pred
+
+
+# the 14 hypergeometric data of the table, each with b = (1, 1, 1, 1)
+TABLE_A = (
+    "1/5,2/5,3/5,4/5", "1/10,3/10,7/10,9/10", "1/2,1/2,1/2,1/2",
+    "1/3,1/3,2/3,2/3", "1/4,1/4,3/4,3/4", "1/6,1/6,5/6,5/6",
+    "1/12,5/12,7/12,11/12", "1/8,3/8,5/8,7/8", "1/6,1/3,2/3,5/6",
+    "1/2,1/2,1/3,2/3", "1/2,1/2,1/4,3/4", "1/2,1/2,1/6,5/6",
+    "1/3,2/3,1/4,3/4", "1/4,3/4,1/6,5/6",
+)
+
+
+def _coeff_stream_fraction_loop(h, K, scale):
+    """The Fraction-by-Fraction recurrence coeff_stream ran before its integer form."""
+    out = [F(1)]
+    for k in range(K - 1):
+        ratio = F(1)
+        for aj in h.a:
+            ratio *= k + aj
+        den = F(1)
+        for bj in h.b:
+            den *= k + bj
+        out.append(out[-1] * (ratio / den) * scale)
+    return out
+
+
+@pytest.mark.parametrize("a", TABLE_A)
+def test_integer_coeff_stream_matches_fraction_loop(a):
+    h = parse_hg(a + ";1,1,1,1")
+    for scale in (F(1), scale_C(h)):
+        for K in (1, 2, 120):
+            assert coeff_stream(h, K, scale) == _coeff_stream_fraction_loop(h, K, scale)
