@@ -16,9 +16,9 @@ CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), one
 Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
 PARENT_SRC cut to p <= QUINTIC_P, the PERIOD_ARGVS (`period --gamma`,
-`--mode floating` and `appB:pi0`), the EXIT_ARGVS: `period --point` rows
-whose tail is not certified and series truncation caps, all of which exit 3,
-and the USAGE_ARGVS, which exit 2.
+`--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
+--point` rows whose tail is not certified and series truncation caps, all of
+which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2.
 """
 
 from __future__ import annotations
@@ -60,15 +60,35 @@ PERIOD_ARGVS = (
     ["period", "--gamma", "-K", "8", "--", "2,2,-1,-1,-1,-1"],
     ["--mode", "floating", "period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "20"],
     ["period", "appB:pi0", "-K", "5"],
+    ["period", "appB:pi0", "-K", "200"],
+    ["period", "1/5,2/5,3/5,4/5;1/6,5/6,1,1", "--var", "t", "-K", "120"],
 )
 # exit 2 with one error line: malformed data, an unknown case, a t outside
-# its case's interval and a missing spec file
+# its case's interval, a missing spec file, and (fixture_usage_argvs) a k4
+# fixture that is not JSON or whose L-value is shorter than --digits
 USAGE_ARGVS = (
     ["period", "1/2,1/2;1"],
     ["regulator", "--case", "nope", "--t", "1/2"],
     ["regulator", "--case", "k4", "--t", "1/2"],
     ["lfun", "missing-spec.json", "--s", "2"],
 )
+BAD_K4_FIXTURES = {
+    "not-json": "[{",
+    "short-L": json.dumps([{"t": "1/1024", "expected_ratio": "4", "L_value": "0.123456",
+                            "L_derivative_order": 2}]),
+}
+
+
+def fixture_usage_argvs(directory: Path) -> list:
+    """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, written under directory."""
+    out = []
+    for name, text in BAD_K4_FIXTURES.items():
+        (directory / name).mkdir()
+        (directory / name / "k4.json").write_text(text)
+        fixtures = str(directory / name)
+        out.append(["--fixtures", fixtures, "regulator", "--case", "k4", "--t", "1/1024"])
+        out.append(["--fixtures", fixtures, "verify", "ratios"])
+    return out
 
 
 def regulator_argvs() -> list:
@@ -180,6 +200,7 @@ def main(argv=None) -> int:
         argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
                       "--s", "0", "--order", "2"])
         argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
+        argvs += fixture_usage_argvs(Path(tmp))
         for cmd in argvs:
             procs = [start(root, cmd) for root in roots]
             (out0, err0), (out1, err1) = (p.communicate() for p in procs)

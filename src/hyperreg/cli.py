@@ -202,6 +202,7 @@ def cmd_regulator(args, pol: PrecisionPolicy):
             check_ratio_point(case, t)
         except CaseError as exc:
             raise CliError(str(exc))
+    from .regulators.fixtures import FixtureError
     fixtures_dir = args.fixtures or "fixtures"
     try:
         docs = [json.loads(ratio_report(case, t, pol, fixtures_dir).to_json(pol))
@@ -210,14 +211,22 @@ def cmd_regulator(args, pol: PrecisionPolicy):
         raise CliError(str(exc), EXIT_DIVERGENCE)
     except CaseError as exc:
         raise CliError(str(exc), EXIT_VERIFY)
+    except FixtureError as exc:
+        raise CliError(str(exc))
     return docs[0] if len(docs) == 1 else docs
 
 
 def cmd_verify(args, pol: PrecisionPolicy):
+    from .regulators.fixtures import FixtureError
     from .verify import run_suite
-    results, ok = run_suite(args.suite, pol, args.fixtures or "fixtures")
+    try:
+        results, ok = run_suite(args.suite, pol, args.fixtures or "fixtures")
+    except FixtureError as exc:
+        raise CliError(str(exc))
     if not ok:
-        raise CliError(json.dumps(results, indent=1), EXIT_VERIFY)
+        _print_result(results, args.as_json)
+        failed = [r["check"] for r in results if r["status"] not in ("pass", "skipped")]
+        raise CliError(f"verification failed: {', '.join(failed)}", EXIT_VERIFY)
     return results
 
 
@@ -275,6 +284,11 @@ def cmd_hadamard(args, pol: PrecisionPolicy):
             "verified": "matches closed form coefficientwise"}
 
 
+def _print_result(result, as_json: bool):
+    print(json.dumps(result, sort_keys=True) if as_json
+          else json.dumps(result, indent=1, sort_keys=True))
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -308,10 +322,7 @@ def main(argv=None) -> int:
     except (DivergenceError, TailBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    if args.as_json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        print(json.dumps(result, indent=1, sort_keys=True))
+    _print_result(result, args.as_json)
     return EXIT_OK
 
 

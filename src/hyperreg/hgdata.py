@@ -1,8 +1,11 @@
 """Hypergeometric data (a, b), gamma vectors, the scale C and the exact stream a_k C^k.
 
 A datum (a, b) is a pair of equal-length lists of rationals in (0, 1].
+Every exact series here and in the case studies steps by a hypergeometric
+term ratio x prod_i (k + alpha_i) / (k + beta_i); `term_ratio` is the one
+place that step is written, and `ratio_stream` is its running product.
 Standard library only, so an exact ``period`` loads neither mpmath nor the
-series algebra.  :mod:`hyperreg.hypergeom` re-exports every name.
+series algebra.  :mod:`hyperreg.hypergeom` re-exports the data and stream names.
 """
 
 from __future__ import annotations
@@ -188,38 +191,51 @@ def scale_C(h: HGData) -> Fraction:
 # coefficient streams
 # ---------------------------------------------------------------------------
 
-def _ratio(h: HGData, k: int) -> Fraction:
-    num = Fraction(1)
-    for aj in h.a:
-        num *= k + aj
-    den = Fraction(1)
-    for bj in h.b:
-        den *= k + bj
-    return num / den
+def term_ratio(x, alpha, beta, k) -> Fraction:
+    """t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i), exactly.
+
+    x, k and the alpha_i, beta_i (as many of each) are ints or Fractions;
+    the products run in integers, reduced once.  (x, alpha, beta) is the
+    triple `series.ratio_sum` certifies a tail from.
+    """
+    p, q = k.as_integer_ratio()
+    num, den = x.as_integer_ratio()
+    for a in alpha:
+        n, d = a.as_integer_ratio()
+        num *= p * d + n * q
+        den *= d
+    for b in beta:
+        n, d = b.as_integer_ratio()
+        num *= d
+        den *= p * d + n * q
+    return Fraction(num, den)
+
+
+def ratio_stream(x, alpha, beta, K: int) -> list:
+    """[t_0, ..., t_(K-1)] from t_0 = 1 and t_(k+1) = t_k term_ratio(x, alpha, beta, k).
+
+    The running product is a pair of integers: with D the common denominator
+    of the alpha_i and beta_i, the factors D (k + alpha_i) and D (k + beta_i)
+    are integers, and each step is one Fraction.
+    """
+    D = lcm(*(c.denominator for c in (*alpha, *beta)))
+    A, B = [int(D * c) for c in alpha], [int(D * c) for c in beta]
+    xn, xd = x.as_integer_ratio()
+    out, N, M = [Fraction(1)], 1, 1
+    for k in range(K - 1):
+        t = Fraction(N * xn * prod(D * k + a for a in A), M * xd * prod(D * k + b for b in B))
+        N, M = t.numerator, t.denominator
+        out.append(t)
+    return out
 
 
 def coeff_ak(h: HGData, k: int) -> Fraction:
     """a_k = prod_j [a_j]_k / prod_j [b_j]_k, exactly."""
     if k < 0:
         raise HGError("k must be nonnegative")
-    val = Fraction(1)
-    for i in range(k):
-        val *= _ratio(h, i)
-    return val
+    return ratio_stream(1, h.a, h.b, k + 1)[k]
 
 
 def coeff_stream(h: HGData, K: int, scale: Fraction = Fraction(1)) -> list:
-    """[a_0, a_1 C, a_2 C^2, ...]: coefficients in t when z = C t.
-
-    In integers, as hypergeom._ck_rows: with D the common denominator of the
-    indices, a_(k+1) / a_k = prod (D k + D a_j) / prod (D k + D b_j).
-    """
-    D = lcm(*(x.denominator for x in h.a + h.b))
-    A, B = [int(D * x) for x in h.a], [int(D * x) for x in h.b]
-    out, N, M = [Fraction(1)], 1, 1
-    for k in range(K - 1):
-        c = Fraction(N * scale.numerator * prod(D * k + x for x in A),
-                     M * scale.denominator * prod(D * k + x for x in B))
-        N, M = c.numerator, c.denominator
-        out.append(c)
-    return out
+    """[a_0, a_1 C, a_2 C^2, ...]: coefficients in t when z = C t."""
+    return ratio_stream(scale, h.a, h.b, K)

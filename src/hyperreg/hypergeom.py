@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
-from .hgdata import (CycleType, GammaVector, HGData, HGError, _ratio, coeff_ak,  # noqa: F401
-                     coeff_stream, from_gamma, parse_gamma, parse_hg, scale_C)
+from .hgdata import (CycleType, GammaVector, HGData, HGError, coeff_ak,  # noqa: F401
+                     coeff_stream, from_gamma, parse_gamma, parse_hg, ratio_stream, scale_C)
 from .mpnum import PrecisionPolicy
 from .series import LogSeries, PowSeries, SLaurent, sp_exp, sp_mul
 
@@ -234,15 +234,9 @@ def W_r(h: HGData, r: int, K: int) -> LogSeries:
     if r < 2:
         raise HGError("r must be at least 2")
     rr = Fraction(1, r)
-    cur = Fraction(r) ** h.m        # prod_j 1 / [1/r]_1
-    coeffs = [cur]
-    for k in range(K - 1):
-        ratio = Fraction(1)
-        for aj in h.a:
-            ratio *= (aj + rr + k) / (rr + k + 1)
-        cur *= ratio
-        coeffs.append(cur)
-    return LogSeries.from_pow(PowSeries(rr, coeffs))
+    # prod_j 1 / [1/r]_(k+1) = r^m / prod_j [1/r + 1]_k
+    stream = ratio_stream(1, tuple(aj + rr for aj in h.a), (rr + 1,) * h.m, K)
+    return LogSeries.from_pow(PowSeries(rr, [r ** h.m * c for c in stream]))
 
 
 # ---------------------------------------------------------------------------

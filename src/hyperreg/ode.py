@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .hypergeom import HGData, W_r, frobenius_E, frobenius_phi, z_s_logs, alpha_s
+from .hypergeom import (HGData, W_r, _s_series_times, alpha_s, frobenius_E, frobenius_phi,
+                        z_s_logs)
 from .series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent,
                      _czero, sp_mul)
 
@@ -142,21 +143,6 @@ def _s_poly_b_shift(h: HGData, s_order: int) -> list:
     return out
 
 
-def _mul_spoly_slaurent(poly: list, F: SLaurent) -> SLaurent:
-    terms: dict = {}
-    for (m, lg), v in F.terms.items():
-        for i, c in enumerate(poly):
-            key = (m + i, lg)
-            if key[0] > F.s_order:
-                continue
-            piece = v.scale(c)
-            if key in terms:
-                terms[key] = terms[key] + piece
-            else:
-                terms[key] = piece
-    return SLaurent(terms, F.s_order, F.min_order)
-
-
 def _count_terms(F: SLaurent) -> int:
     return sum(len(p.coeffs) for v in F.terms.values() for p in v.parts if p is not None)
 
@@ -177,14 +163,14 @@ def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
 
     phi = frobenius_phi(h, K, s_order)
     lhs = apply_operator_s(L, phi)
-    diff = lhs - _mul_spoly_slaurent(rhs_poly, zs)
+    diff = lhs - _s_series_times(rhs_poly, zs)
 
     if h.b_all_ones():
         # E = alpha * Phi with alpha carried symbolically: the residual is
         # asserted as a polynomial identity in alpha_1..alpha_s_order.
         E = frobenius_E(h, K, s_order, mode="symbolic", phi=phi)
         alpha = alpha_s(h, s_order, mode="symbolic")
-        rhsE = _mul_spoly_slaurent(sp_mul(rhs_poly, alpha, s_order), zs)
+        rhsE = _s_series_times(sp_mul(rhs_poly, alpha, s_order), zs)
         diffE = apply_operator_s(L, E) - rhsE
     else:
         diffE = SLaurent({}, s_order, 0)

@@ -6,14 +6,14 @@ data for integer t in (0, 3125/432).  Each S-column is summed in one pass
 that also yields its derivative and the finite-difference probe.  The
 companion closed-form gamma function (with its 27^-s scale and the
 half-integer support) feeds the weight-gap warm-up series Pi_0, whose
-coefficient ratios are exact rationals.
+coefficient ratios reduce to those of 2F1(1/3, 2/3; 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..hgdata import parse_hg
+from ..hgdata import parse_hg, ratio_stream
 from ..mpnum import PrecisionPolicy
 from .quintic import S_n, column_sums
 from .reporting import CaseError, RegulatorReport
@@ -31,24 +31,12 @@ def gamma_closed_form(s, pol: PrecisionPolicy):
     return -num / (2 * den)
 
 
-def pi0_ratio(n: int) -> Fraction:
-    """Gamma_cf(n + 3/2) / Gamma_cf(n + 1/2), exact."""
-    s = Fraction(2 * n + 1, 2)
-    num = Fraction(1)
-    for j in range(1, 7):
-        num *= 6 * s + j
-    num *= (s + 1) ** 3 * (3 * s - Fraction(1, 2))
-    den = ((2 * s + 1) * (2 * s + 2)) ** 3 \
-        * (3 * s + 1) * (3 * s + 2) * (3 * s + 3) * (3 * s + Fraction(5, 2)) * 27
-    return num / den
-
-
 def pi0_relative_coefficients(n_terms: int) -> list:
-    """[1, 2/9, 10/81, ...]: Gamma_cf(k + 1/2)/Gamma_cf(1/2) for k < n_terms."""
-    out = [Fraction(1)]
-    for k in range(n_terms - 1):
-        out.append(out[-1] * pi0_ratio(k))
-    return out
+    """[1, 2/9, 10/81, ...]: Gamma_cf(k + 1/2)/Gamma_cf(1/2) for k < n_terms.
+
+    Gamma_cf(k + 3/2)/Gamma_cf(k + 1/2) = (k + 1/3)(k + 2/3)/(k + 1)^2, so
+    this is the 2F1(1/3, 2/3; 1) stream."""
+    return ratio_stream(1, (Fraction(1, 3), Fraction(2, 3)), (1, 1), n_terms)
 
 
 PROBE_STEP = Fraction(1, 10 ** 8)   # step of the finite-difference derivative probe

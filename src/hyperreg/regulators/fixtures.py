@@ -33,11 +33,16 @@ def load_fixture(case: str, fixtures_dir) -> list:
     if not isinstance(doc, list):
         raise FixtureError(f"{path}: expected a list of entries")
     out = []
-    for row in doc:
+    for i, row in enumerate(doc):
+        if not isinstance(row, dict):
+            raise FixtureError(f"{path}: entry {i} is not an object")
         entry = dict(row)
-        entry["t"] = Fraction(row["t"]) if row.get("t") else None
-        entry["expected_ratio"] = (Fraction(row["expected_ratio"])
-                                   if row.get("expected_ratio") else None)
+        for key in ("t", "expected_ratio"):
+            try:
+                entry[key] = Fraction(row[key]) if row.get(key) else None
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise FixtureError(f"{path}: entry {i}: cannot parse {key} {row[key]!r}: "
+                                   f"{exc}") from None
         out.append(entry)
     return out
 

@@ -55,13 +55,7 @@ def gamma_alpha0(alpha: Fraction, pol: PrecisionPolicy):
 def gamma_ratios_rel(alpha: Fraction, K: int) -> list:
     """[Gamma^alpha_k / Gamma^alpha_0 for k = 0..K], exact, from the ratios
     Gamma^alpha_(k+1) / Gamma^alpha_k = (alpha+k)^4 / prod_i (alpha+k+a_i)."""
-    out = [Fraction(1)]
-    for k in range(K):
-        den = Fraction(1)
-        for ai in A4:
-            den *= alpha + k + ai
-        out.append(out[-1] * ((alpha + k) ** 4 / den))
-    return out
+    return hgdata.ratio_stream(1, (alpha,) * 4, tuple(alpha + ai for ai in A4), K + 1)
 
 
 def _suggest_K(z, pol: PrecisionPolicy) -> int:
@@ -230,7 +224,7 @@ def mb_right_series(z, pol: PrecisionPolicy):
         c, zp = Fraction(1), ctx.sqrt(zv)
         for n in count():
             yield ctx.mpf(c.numerator) / c.denominator * zp / (n + ctx.mpf(1) / 2)
-            c *= -hgdata._ratio(DATA, n)
+            c *= hgdata.term_ratio(-1, DATA.a, DATA.b, n)
             zp *= zv
 
     # t_(n+1) / t_n = -z prod_i (n + a_i) (n + 1/2) / ((n + 1)^4 (n + 3/2))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 
-from ..hgdata import HGData, parse_hg, scale_C
+from ..hgdata import HGData, parse_hg, scale_C, term_ratio
 from ..mpnum import PrecisionPolicy
 from ..series import ratio_sum
 from .reporting import CaseError, RegulatorReport
@@ -41,16 +41,9 @@ def gamma_big(h: HGData, s, pol: PrecisionPolicy):
 
 
 def _gamma_ratio(h: HGData, s: Fraction) -> Fraction:
-    """G(s+1)/G(s) = prod_i (b_i - s - 1) / prod_i (s + 1 - a_i), exact (ints, one gcd)."""
-    p, q = s.numerator, s.denominator
-    num = den = 1
-    for bi in h.b:
-        num *= bi.numerator * q - (p + q) * bi.denominator
-        den *= bi.denominator * q
-    for ai in h.a:
-        num *= ai.denominator * q
-        den *= (p + q) * ai.denominator - ai.numerator * q
-    return Fraction(num, den)
+    """G(s+1)/G(s) = prod_i (b_i - s - 1) / prod_i (s + 1 - a_i): the step of
+    ((-1)^m, b, a) at k = -s - 1, exact."""
+    return term_ratio((-1) ** h.m, h.b, h.a, Fraction(-s.numerator - s.denominator, s.denominator))
 
 
 def column_sums(h: HGData, j: int, requests, pol: PrecisionPolicy) -> list:

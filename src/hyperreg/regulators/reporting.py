@@ -41,17 +41,18 @@ def detect_rational(x, tol, max_height: int = 10 ** 6):
 
     Heights (|p| and q) are capped at max_height, mirroring the
     numerical-evidence methodology: failure to match is an answer,
-    not an error.
+    not an error.  x is an mpmath number; the candidate is formed in x's own
+    context, at its precision.
     """
-    import mpmath
-    if isinstance(x, mpmath.mpc):
+    ctx = x.context
+    if isinstance(x, ctx.mpc):
         if abs(x.imag) > tol:
             return None
         x = x.real
-    fr = Fraction(mpmath.nstr(x, 40)).limit_denominator(max_height)
+    fr = Fraction(ctx.nstr(x, 40)).limit_denominator(max_height)
     if abs(fr.numerator) > max_height:
         return None
-    err = abs(x - mpmath.mpf(fr.numerator) / fr.denominator)
+    err = abs(x - ctx.mpf(fr.numerator) / fr.denominator)
     if err <= 10 * tol:
         return fr
     return None

@@ -292,3 +292,40 @@ def test_hypergeom_reexports_resolve():
     for name in hypergeom.__all__:
         assert getattr(hypergeom, name) is not None
     assert hypergeom.coeff_stream is hgdata.coeff_stream
+
+
+# --- fixture errors and failing verification -----------------------------------
+
+_K4_ROW = {"t": "1/1024", "expected_ratio": "4", "L_derivative_order": 2}
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    ("[{", ["regulator", "--case", "k4", "--t", "1/1024"]),
+    ("[{", ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, L_value="0.123456")]), ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, L_value="0.123456")]),
+     ["regulator", "--case", "k4", "--t", "1/1024"]),
+    (json.dumps(["not an object"]), ["regulator", "--case", "k4", "--t", "1/1024"]),
+    (json.dumps([dict(_K4_ROW, t="one")]), ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, t=[1])]), ["regulator", "--case", "k4", "--t", "1/1024"]),
+    (json.dumps([dict(_K4_ROW, expected_ratio="4/0")]), ["verify", "ratios"]),
+])
+def test_fixture_error_exit2_one_line(tmp_path, fixture, argv):
+    (tmp_path / "k4.json").write_text(fixture)
+    out = run("--fixtures", str(tmp_path), *argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert str(tmp_path / "k4.json") in out.stderr or "digits" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_failing_verify_prints_results_and_one_error_line(monkeypatch, capsys):
+    from hyperreg import cli, verify
+    rows = [{"check": "forced", "status": "fail", "detail": "made to fail"},
+            {"check": "fine", "status": "pass", "detail": ""}]
+    monkeypatch.setattr(verify, "suite_identities", lambda pol: [dict(r) for r in rows])
+    assert cli.main(["verify", "identities"]) == 4
+    out = capsys.readouterr()
+    assert json.loads(out.out) == [dict(r, suite="identities") for r in rows]
+    assert out.err == "error: verification failed: forced\n"

@@ -254,3 +254,9 @@ def test_chain_vs_entries_reuses_the_matrix_sums(monkeypatch, digits, z):
     calls = _count_gamma_alpha0(monkeypatch)
     assert k2.chain_vs_entries(zv, pol) == want
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("alpha", (F(1, 4), F(1, 2), F(3, 4)))
+def test_gamma_ratios_rel_matches_fraction_loop(alpha):
+    for K in (0, 1, 60):
+        assert k2.gamma_ratios_rel(alpha, K) == _ref_gamma_ratios_rel(alpha, K)

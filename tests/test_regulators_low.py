@@ -92,3 +92,17 @@ def test_quadrature_vs_summation_overlap(pol):
     from hyperreg.regulators.elliptic import _sum_interior, _sum_quadrature
     for t in (F(1, 20), F(1, 32), F(3, 64)):
         assert abs(_sum_interior(t, pol) - _sum_quadrature(t, pol)) < 10 * pol.tol
+
+
+@pytest.mark.parametrize("digits", (30, 50))
+def test_detect_rational_uses_the_value_precision(digits):
+    """The candidate is formed at the value's own precision, not mpmath's global 15 digits."""
+    from hyperreg.mpnum import PrecisionPolicy
+    from hyperreg.regulators.reporting import detect_rational
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    assert detect_rational(ctx.mpf(64) / 3, pol.tol) == F(64, 3)
+    assert detect_rational(ctx.mpf(1) / 640, pol.tol) == F(1, 640)
+    assert detect_rational(ctx.mpc(1, 0) / 7, pol.tol) == F(1, 7)
+    assert detect_rational(ctx.mpc(1, 1) / 7, pol.tol) is None
+    assert detect_rational(ctx.pi, pol.tol) is None
