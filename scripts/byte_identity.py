@@ -13,8 +13,9 @@ The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
-`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), one
-Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
+`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
+KERNEL_RUNS (an order-1 Gamma_R(s) kernel, and chi_-4 at --digits 20 and
+12), one Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
 PARENT_SRC cut to p <= QUINTIC_P, the PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
@@ -42,6 +43,9 @@ K2_T = "1/16,1,49,2"
 EULER_P = 400
 # (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
+# (D, s, order, digits) of kernel paths no recorded run takes: a genuine
+# order-1 Gamma_R(s) kernel, and Gamma_R(s + 1) at two more precisions
+KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two
@@ -193,10 +197,11 @@ def main(argv=None) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        specs = {D: str(character_spec(D, Path(tmp))) for D in {D for D, _, _ in LFUN_RUNS}}
+        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] + list(KERNEL_RUNS)
+        specs = {D: str(character_spec(D, Path(tmp))) for D in {run[0] for run in runs}}
         argvs = regulator_argvs() + [
-            ["--digits", "8", "lfun", specs[D], "--s", s, "--order", str(order)]
-            for D, s, order in LFUN_RUNS]
+            ["--digits", digits, "lfun", specs[D], "--s", s, "--order", str(order)]
+            for D, s, order, digits in runs]
         argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
                       "--s", "0", "--order", "2"])
         argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError
+from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError, ratio_sum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,7 +171,6 @@ def cmd_period(args, pol: PrecisionPolicy):
         t0 = _parse_rational(args.point)
         if t0 <= 0:
             raise CliError(f"--point must be positive, got {t0}")
-        from .series import ratio_sum
         ctx = pol.ctx
         z, zp, terms = ctx.mpf(t0.numerator) / t0.denominator, ctx.mpf(1), []
         for c in coeffs:
@@ -232,7 +231,7 @@ def cmd_verify(args, pol: PrecisionPolicy):
 
 def cmd_lfun(args, pol: PrecisionPolicy):
     from .lfun.euler import euler_ingest
-    from .lfun.motive import LFunctionSpec, motive_L, MotiveError
+    from .lfun.motive import LFunctionSpec, MotiveError, PointError, motive_L
     try:
         s_val = Fraction(args.s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -252,6 +251,8 @@ def cmd_lfun(args, pol: PrecisionPolicy):
         raise CliError(f"bad spec file: {exc}")
     try:
         val, err = motive_L(spec, s_val, args.order, pol)
+    except PointError as exc:
+        raise CliError(str(exc))
     except MotiveError as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     return {"label": spec.label, "s": args.s, "order": args.order,

@@ -196,7 +196,7 @@ def term_ratio(x, alpha, beta, k) -> Fraction:
 
     x, k and the alpha_i, beta_i (as many of each) are ints or Fractions;
     the products run in integers, reduced once.  (x, alpha, beta) is the
-    triple `series.ratio_sum` certifies a tail from.
+    triple `mpnum.ratio_sum` certifies a tail from.
     """
     p, q = k.as_integer_ratio()
     num, den = x.as_integer_ratio()

@@ -10,10 +10,17 @@ is computed on a truncated vertical line with a uniform trapezoid rule.
 Derivatives in s use the digamma-weighted integrand.  One kernel per
 (gamma data, s, precision) holds the nodes of every derivative order
 0..d, built in one sweep, and evaluates all orders at a y through a single
-complex-power recurrence.  That evaluation accumulates only the real part
-of each trapezoid sum, the one the kernel uses, on raw mpmath tuples
-rounded by mpmath's own mpf_add and mpf_sub, so its values have the bits
-of the same loop on mpc objects (see _Kernel.__call__).  Each side of the
+complex-power recurrence.  The sweep runs on raw mpmath tuples with the libmp
+calls of the mpc expressions in _gamma_value and _gamma_logderiv, so every
+node has their bits; it forms the logs of pi and 2 pi once per kernel, and
+x, the power, Gamma and psi once per node and distinct (kind, shift) factor,
+so Gamma_C(s)^2 costs one Gamma per node.  Evaluation accumulates only the
+real part of each trapezoid sum, the one the kernel uses, with exact
+products in Python integers and each sum rounded once by _add_round, to the
+bits mpf_add gives, so its values have the bits of the same loop on mpc
+objects (see _Kernel.__call__).  A point the request cannot be served at (a
+pole of Lambda, or the wrong order at a trivial zero) raises PointError
+before any table or kernel is built.  Each side of the
 functional equation is one pass over n that accumulates every order, each
 with its own stopping rule.  At points where gamma has a pole of order m
 (trivial zeros), the order-m derivative comes from the leading Taylor
@@ -26,17 +33,25 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import fone, ftwo, fzero, mpf_add, mpf_div, mpf_sub
+from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
+                          mpc_div, mpc_div_mpf, mpc_exp, mpc_gamma, mpc_log, mpc_mul,
+                          mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_pow, mpc_psi, mpf_add,
+                          mpf_div, mpf_lt, mpf_mul_int, round_nearest)
 
 from ..mpnum import PrecisionPolicy
 from .euler import EulerFactorTable, dirichlet_coefficients
 
 __all__ = ["LFunctionSpec", "motive_L", "lambda_derivs", "CoverageError",
-           "MotiveError"]
+           "MotiveError", "PointError"]
 
 
 class MotiveError(ValueError):
     pass
+
+
+class PointError(MotiveError):
+    """The point cannot serve the request: a pole of Lambda, or a trivial zero
+    asked for a derivative order other than its gamma pole order."""
 
 
 class CoverageError(MotiveError):
@@ -140,6 +155,45 @@ _kernel_lock = threading.Lock()
 _KERNEL_CACHE_SIZE = 32
 
 
+def _add_round(s1, m1, e1, s2, m2, e2, prec, rnd):
+    """(-1)^s1 m1 2^e1 + (-1)^s2 m2 2^e2, rounded once, as a raw mpf.
+
+    The operands are exact, with odd mantissas, as every normalized mpf and
+    every exact product of two has.  Their sum is formed in Python integers,
+    rounded to nearest with ties to even and stripped of trailing zeros:
+    the correctly rounded value in mpmath's canonical form, which is what
+    mpf_add returns on its exact branch, so every bit matches.  mpf_add
+    itself serves the other cases: a rounding mode other than nearest, a zero
+    operand, and exponents more than 100 apart (its perturbation branch).
+    """
+    if rnd != round_nearest or not m1 or not m2 or not -100 <= e1 - e2 <= 100:
+        return mpf_add((s1, m1, e1, m1.bit_length()) if m1 else fzero,
+                       (s2, m2, e2, m2.bit_length()) if m2 else fzero, prec, rnd)
+    if s1:
+        m1 = -m1
+    if s2:
+        m2 = -m2
+    if e1 > e2:
+        man, exp = (m1 << (e1 - e2)) + m2, e2
+    else:
+        man, exp = m1 + (m2 << (e2 - e1)), e1
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    elif not man:
+        return fzero
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
+        exp += n
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+    return sign, man, exp, man.bit_length()
+
+
 class _Kernel:
     """F_d(s, y) = (1/2 pi i) int gamma(s+u) ell(s+u)^indicators y^-u du/u.
 
@@ -153,10 +207,18 @@ class _Kernel:
         self.ctx = ctx
         self.order = order
         wd = pol.working_digits
+        if not spec.gamma_shifts:
+            # the integrand y^-u / u alone decays like 1/|u|, never to the floor
+            raise MotiveError("kernel quadrature failed to decay")
+        # the distinct (kind, shift) factors with their shifts as mpfs, and the
+        # index of every factor of gamma, in order, into them
+        keys = [(kind, Fraction(sh)) for kind, sh in spec.gamma_shifts]
+        distinct = list(dict.fromkeys(keys))
+        index = [distinct.index(key) for key in keys]
+        factors = [(kind, ctx.mpf(sh.numerator) / sh.denominator) for kind, sh in distinct]
         # real parts of the integrand poles in u: u = 0 plus the gamma poles
         u_poles = [ctx.mpf(0)]
-        for kind, sh in spec.gamma_shifts:
-            shv = ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
+        for kind, shv in factors:
             base = -(s_val + shv)
             step = 2 if kind == "R" else 1
             u = base
@@ -170,25 +232,77 @@ class _Kernel:
         d_min = min(c - u for u in u_poles)
         d_min = min(d_min, c)
         self.h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
+        floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
+        # The nodes are built on raw tuples by the libmp calls the mpc
+        # expressions of _gamma_value and _gamma_logderiv at s + u make, in
+        # their order, so every bit is theirs.  Formed once per kernel: the
+        # base of each power with its log as mpc_pow takes it, and the
+        # constant of each ell term; once per node and distinct factor: x,
+        # the power, Gamma and psi.
+        prec, rnd = ctx._prec_rounding
+        pi = ctx.pi._mpf_
+        power_base = {"R": (pi, fzero), "C": (mpf_mul_int(pi, 2, prec, rnd), fzero)}
+        log_base = {kind: mpc_log(z, prec + 10) for kind, z in power_base.items()}
+        ell_const = {"R": (-ctx.log(ctx.pi) / 2)._mpf_, "C": (-ctx.log(2 * ctx.pi))._mpf_}
+        four = from_int(4)
+        s_mpf, c_mpf, h_mpf = s_val._mpf_, ctx.mpf(c)._mpf_, self.h._mpf_
+        raw_factors = [(kind, shv._mpf_) for kind, shv in factors]
         # each node as one flat raw tuple, the real part's raw mpf then the
         # imaginary part's, for __call__
         self._raw = [[] for _ in range(order + 1)]
         building = list(range(order + 1))
         k = 0
-        floor = ctx.mpf(10) ** (-(wd + 8))
         while building:
-            t = k * self.h
-            u = ctx.mpc(c, t)
-            g = _gamma_value(spec, ctx, s_val + u)
-            if building[-1] >= 1:
-                ell = _gamma_logderiv(spec, ctx, s_val + u, 1)
-            if building[-1] == 2:
-                ell2 = _gamma_logderiv(spec, ctx, s_val + u, 2)
+            top = building[-1]
+            u = (c_mpf, mpf_mul_int(h_mpf, k, prec, rnd))
+            s = mpc_add_mpf(u, s_mpf, prec, rnd)
+            per_factor = []
+            for kind, shv in raw_factors:
+                x = mpc_add_mpf(s, shv, prec, rnd)
+                if kind == "R":
+                    arg = mpc_div_mpf(x, ftwo, prec, rnd)
+                    w = mpc_div_mpf(mpc_neg(x, prec, rnd), ftwo, prec, rnd)
+                else:
+                    arg, w = x, mpc_neg(x, prec, rnd)
+                # mpc_pow's own steps, its log of the base read from log_base
+                power = mpc_pow(power_base[kind], w, prec, rnd) if w[1] == fzero \
+                    else mpc_exp(mpc_mul(log_base[kind], w, prec + 10), prec, rnd)
+                ell1 = ell2 = None
+                if top >= 1:
+                    psi = mpc_psi(0, arg, prec, rnd)
+                    if kind == "R":
+                        psi = mpc_div_mpf(psi, ftwo, prec, rnd)
+                    ell1 = mpc_add_mpf(psi, ell_const[kind], prec, rnd)
+                if top == 2:
+                    ell2 = mpc_psi(1, arg, prec, rnd)
+                    if kind == "R":
+                        ell2 = mpc_div_mpf(ell2, four, prec, rnd)
+                per_factor.append((kind, power, mpc_gamma(arg, prec, rnd), ell1, ell2))
+            # gamma and its ell terms factor by factor, from the mpf 1 and 0
+            # the expressions start at
+            g = ell = ell_2 = None
+            for i in index:
+                kind, power, gamma, ell1, ell2 = per_factor[i]
+                if g is None:
+                    g = mpc_mul_mpf(power, ftwo if kind == "C" else fone, prec, rnd)
+                else:
+                    if kind == "C":
+                        g = mpc_mul_int(g, 2, prec, rnd)
+                    g = mpc_mul(g, power, prec, rnd)
+                g = mpc_mul(g, gamma, prec, rnd)
+                if top >= 1:
+                    ell = mpc_add_mpf(ell1, fzero, prec, rnd) if ell is None \
+                        else mpc_add(ell, ell1, prec, rnd)
+                if top == 2:
+                    ell_2 = mpc_add_mpf(ell2, fzero, prec, rnd) if ell_2 is None \
+                        else mpc_add(ell_2, ell2, prec, rnd)
             for d in list(building):
-                weighted = g if d == 0 else g * ell if d == 1 else g * (ell * ell + ell2)
-                val = weighted / u
-                self._raw[d].append(val._mpc_[0] + val._mpc_[1])
-                if k > 8 and abs(val) < floor:
+                weighted = g if d == 0 else mpc_mul(g, ell, prec, rnd) if d == 1 else \
+                    mpc_mul(g, mpc_add(mpc_mul(ell, ell, prec, rnd), ell_2, prec, rnd),
+                            prec, rnd)
+                val = mpc_div(weighted, u, prec, rnd)
+                self._raw[d].append(val[0] + val[1])
+                if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
                     building.remove(d)
             if building and k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
@@ -206,51 +320,41 @@ class _Kernel:
         the real part, the one the full-line trapezoid uses.  The bits are
         those of the loop `r = r * rot; acc += g * r` on mpc objects:
         mpc_mul forms its four products exactly and rounds re = a*c - b*d
-        and im = a*d + b*c with mpf_sub and mpf_add, and mpc addition rounds
-        the real and the imaginary part apart.  Here the powers take
-        mpc_mul's own steps, the products are formed inline exactly as
-        mpf_mul returns them without a precision, and every rounding is
-        mpmath's own mpf_sub or mpf_add at the context's (prec, rounding),
-        the pair mpc arithmetic passes, so no value can move.  The imaginary
-        part of the sum, and two of the four products per term, are never
-        formed.
+        and im = a*d + b*c once each, and mpc addition rounds the real and
+        the imaginary part apart.  Here the products are formed exactly in
+        integers and every sum is rounded once by _add_round at the
+        context's (prec, rounding), the pair mpc arithmetic passes, to the
+        bits mpf_add would give, so no value can move.  The imaginary part
+        of the sum, and two of the four products per term, are never formed.
         """
         ctx = self.ctx
         prec, rnd = ctx._prec_rounding
         raw = self._raw if order is None else self._raw[:order + 1]
         lny = ctx.log(y)
-        # (s1, m1, e1, b1, s2, m2, e2, b2) is one factor, sign, mantissa,
-        # exponent and bit count of its real then its imaginary part, and
-        # s3..b4 the other.  Every node and power is finite, so a product
-        # with a zero mantissa is zero.
-        (s3, m3, e3, b3), (s4, m4, e4, b4) = ctx.expj(-self.h * lny)._mpc_
-        s1, m1, e1, b1, s2, m2, e2, b2 = fone + fzero
+        # (s1, m1, e1, s2, m2, e2) is one factor, sign, mantissa and exponent
+        # of its real then its imaginary part, and s3..e4 the other; the bit
+        # counts are not needed
+        (s3, m3, e3, _), (s4, m4, e4, _) = ctx.expj(-self.h * lny)._mpc_
+        s1, m1, e1, _, s2, m2, e2, _ = fone + fzero
         powers = []
         for _ in range(max(map(len, raw)) - 1):
-            m, b = m1 * m3, b1 + b3 - 1
-            ac = (s1 ^ s3, m, e1 + e3, b + (m >> b)) if m else fzero
-            m, b = m2 * m4, b2 + b4 - 1
-            bd = (s2 ^ s4, m, e2 + e4, b + (m >> b)) if m else fzero
-            m, b = m1 * m4, b1 + b4 - 1
-            ad = (s1 ^ s4, m, e1 + e4, b + (m >> b)) if m else fzero
-            m, b = m2 * m3, b2 + b3 - 1
-            bc = (s2 ^ s3, m, e2 + e3, b + (m >> b)) if m else fzero
-            r = mpf_sub(ac, bd, prec, rnd) + mpf_add(ad, bc, prec, rnd)
+            r = (_add_round(s1 ^ s3, m1 * m3, e1 + e3, s2 ^ s4 ^ 1, m2 * m4, e2 + e4,
+                            prec, rnd)
+                 + _add_round(s1 ^ s4, m1 * m4, e1 + e4, s2 ^ s3, m2 * m3, e2 + e3,
+                              prec, rnd))
             powers.append(r)
-            s1, m1, e1, b1, s2, m2, e2, b2 = r
+            s1, m1, e1, _, s2, m2, e2, _ = r
         scale = ctx.power(y, -self.c)
         values = []
         for order_nodes in raw:
-            acc = mpf_div(order_nodes[0][:4], ftwo, prec, rnd)
-            for (s1, m1, e1, b1, s2, m2, e2, b2), (s3, m3, e3, b3, s4, m4, e4, b4) \
+            sa, ma, ea, ba = mpf_div(order_nodes[0][:4], ftwo, prec, rnd)
+            for (s1, m1, e1, _, s2, m2, e2, _), (s3, m3, e3, _, s4, m4, e4, _) \
                     in zip(order_nodes[1:], powers):
-                m, b = m1 * m3, b1 + b3 - 1
-                ac = (s1 ^ s3, m, e1 + e3, b + (m >> b)) if m else fzero
-                m, b = m2 * m4, b2 + b4 - 1
-                bd = (s2 ^ s4, m, e2 + e4, b + (m >> b)) if m else fzero
-                acc = mpf_add(acc, mpf_sub(ac, bd, prec, rnd), prec, rnd)
+                s, m, e, _ = _add_round(s1 ^ s3, m1 * m3, e1 + e3, s2 ^ s4 ^ 1, m2 * m4,
+                                        e2 + e4, prec, rnd)
+                sa, ma, ea, ba = _add_round(sa, ma, ea, s, m, e, prec, rnd)
             # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-            total = 2 * ctx.make_mpf(acc) * self.h / (2 * ctx.pi)
+            total = 2 * ctx.make_mpf((sa, ma, ea, ba)) * self.h / (2 * ctx.pi)
             values.append(scale * total)
         return values
 
@@ -349,8 +453,6 @@ def _pole_correction(spec, ctx, s_val, order, A):
     for (p0, res) in spec.poles:
         p0v = ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator
         d = p0v - s_val
-        if d == 0:
-            raise MotiveError("evaluation point sits on a pole of Lambda")
         Au = ctx.power(A, d)
         lnA = ctx.log(A)
         if order == 0:
@@ -362,11 +464,21 @@ def _pole_correction(spec, ctx, s_val, order, A):
     return corr
 
 
-def _check_request(spec: LFunctionSpec, order: int):
+def _s_value(ctx, s0):
+    if isinstance(s0, (int, Fraction)):
+        return ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator
+    return ctx.convert(s0)
+
+
+def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
+    """Refuse what no sum can serve, before any table or kernel is built."""
     if spec.euler is None:
         raise MotiveError("spec has no Euler data")
     if order not in (0, 1, 2):
         raise MotiveError("derivative_order must be 0, 1, or 2")
+    for p0, _ in spec.poles:
+        if ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator == s_val:
+            raise PointError("evaluation point sits on a pole of Lambda")
 
 
 def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
@@ -376,11 +488,10 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     `a` is the Dirichlet table of spec.euler up to its p_max; it is built
     here when not given.
     """
-    _check_request(spec, order)
     ctx = pol.ctx
+    s_val = _s_value(ctx, s0)
+    _check_request(spec, order, ctx, s_val)
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
-    s_val = ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator \
-        if isinstance(s0, (int, Fraction)) else ctx.convert(s0)
     if a is None:
         a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     right = _sum_side(spec, s_val, pol, order, A, False, a)
@@ -411,11 +522,12 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     s0f = Fraction(s0) if isinstance(s0, (int, Fraction)) else None
     m = gamma_pole_order(spec, s0f) if s0f is not None else 0
     if m > 0 and derivative_order != m:
-        raise MotiveError(
+        raise PointError(
             f"gamma pole of order {m} at s0: only the order-{m} derivative "
             "(leading Taylor coefficient) is supported here")
     order = 0 if m > 0 else derivative_order
-    _check_request(spec, order)
+    s_val = _s_value(ctx, s0)
+    _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a)
     err = ctx.mpf(0)
@@ -431,8 +543,6 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator
         val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
         return val, err
-    s_val = ctx.convert(s0) if not isinstance(s0, (int, Fraction)) \
-        else ctx.mpf(Fraction(s0).numerator) / Fraction(s0).denominator
     # L = Lambda / (N^(s/2) gamma): divide with the product rule
     g0 = _gamma_value(spec, ctx, s_val)
     lnN2 = ctx.log(spec.conductor) / 2

@@ -9,6 +9,11 @@ fight over a global precision setting.
 Catalan's constant, Euler's gamma, zeta(2), zeta(3), beta(4)), keyed by
 the context's binary precision and filled on first use; the exact-to-float
 boundary (``ExactNum.to_mp``) reads its atoms from it.
+
+:func:`ratio_sum` sums every numeric series of the package: it owns the
+stopping index, the cap and the tail bound certified by the exact term
+ratio.  It lives here, beside the policy it reads, so that a process that
+sums a series loads no series algebra.
 """
 
 from __future__ import annotations
@@ -125,6 +130,56 @@ def special(name: str, pol):
     with _const_lock:
         _const_cache[key] = val._mpf_
     return val
+
+
+# ---------------------------------------------------------------------------
+# numeric summation with a tail certified by the exact term ratio
+# ---------------------------------------------------------------------------
+
+def ratio_sum(terms, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
+              start: int = 0, relative: bool = False, flag: str = "--max-terms"):
+    """Sum the terms t_start, t_(start+1), ... in order; certify the tail.
+
+    A list is summed in full.  An iterator is summed up to the first k > 8
+    with |t_k| < 10^-(working digits + 5), times max(1, |sum|) if `relative`,
+    and raises DivergenceError past k = max_terms.  ratio = (x, alpha, beta)
+    declares t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i) exactly,
+    x rational.  With t_n the last term added, the rest of the series is at
+    most |t_n| rho / (1 - rho) for rho = sup over k >= n of |t_(k+1) / t_k|:
+    the explicit-ratio case of Mezzarobba and Salvy (JSC 2010).
+    TailBoundError, naming `flag`, when rho >= 1 or the bound exceeds
+    10^-digits.  Returns (sum, bound).
+    """
+    ctx = pol.ctx
+    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
+    acc, full = ctx.mpf(0), isinstance(terms, list)
+    for k, t in enumerate(terms, start):
+        acc = acc + t
+        if full:
+            continue
+        if abs(t) < (tol * max(1, abs(acc)) if relative else tol) and k > 8:
+            break
+        if k > pol.max_terms:
+            raise DivergenceError(f"{name} truncation cap hit after {pol.max_terms} "
+                                  "terms (raise --max-terms)")
+    x, alpha, beta = ratio
+    rho = abs(Fraction(x))
+    for a, b in zip(alpha, beta, strict=True):
+        if k + a < 0 or k + b <= 0:         # not past this factor's zero and pole
+            rho = Fraction(1)
+            break
+        # past them (j + a) / (j + b) is monotone in j with limit 1
+        rho *= max(Fraction(k + a) / (k + b), 1)
+    if rho >= 1:
+        raise TailBoundError(f"{name}: the term ratio past k = {k} is not bounded below 1, "
+                             f"so the tail is not certified (raise {flag}, or the point "
+                             "lies outside the disk of convergence)")
+    bound = abs(t) * (ctx.mpf(rho.numerator) / (rho.denominator - rho.numerator))
+    if bound > pol.tol:
+        raise TailBoundError(f"{name}: certified tail bound {ctx.nstr(bound, 3)} exceeds "
+                             f"10^-{pol.target_digits} after {k + 1 - start} terms "
+                             f"(raise {flag})")
+    return acc, bound
 
 
 def _check_not_nonpositive_integer(ctx, x):

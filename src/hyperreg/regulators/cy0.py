@@ -14,8 +14,7 @@ from math import comb
 from operator import mul
 
 from ..lfun.dirichlet import dedekind_quadratic_deriv0, is_squarefree
-from ..mpnum import PrecisionPolicy
-from ..series import ratio_sum
+from ..mpnum import PrecisionPolicy, ratio_sum
 from .reporting import CaseError, RegulatorReport, detect_rational
 
 

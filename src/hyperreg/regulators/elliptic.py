@@ -13,8 +13,7 @@ from itertools import accumulate, count, repeat
 from math import comb
 from operator import mul
 
-from ..mpnum import PrecisionPolicy, special
-from ..series import ratio_sum
+from ..mpnum import PrecisionPolicy, ratio_sum, special
 from .reporting import CaseError
 
 

@@ -26,8 +26,8 @@ from itertools import accumulate, count
 from mpmath.libmp import to_rational
 
 from .. import hgdata
-from ..mpnum import PrecisionPolicy
-from ..series import LogSeries, PowSeries, ratio_sum, theta
+from ..mpnum import PrecisionPolicy, ratio_sum
+from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
 DATA = hgdata.parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")

@@ -21,8 +21,7 @@ from fractions import Fraction
 from itertools import count
 
 from ..hgdata import HGData, parse_hg, scale_C, term_ratio
-from ..mpnum import PrecisionPolicy
-from ..series import ratio_sum
+from ..mpnum import PrecisionPolicy, ratio_sum
 from .reporting import CaseError, RegulatorReport
 
 DATA_J0 = parse_hg("1/10,3/10,7/10,9/10;1/4,1/2,3/4,1")

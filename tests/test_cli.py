@@ -214,6 +214,47 @@ def test_bad_lfun_settings_exit2_one_line(tmp_path, argv):
     assert "Traceback" not in out.stderr
 
 
+def _zeta_spec(directory):
+    """Spec of zeta(s): Gamma_R(s), simple poles of Lambda at s = 1 and 0."""
+    euler = directory / "zeta.jsonl"
+    euler.write_text("".join(json.dumps({"p": p, "factor": [1, -1]}) + "\n"
+                             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+    spec = directory / "zeta.json"
+    spec.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": 1, "gamma_shifts": [["R", "0"]],
+        "sign": 1, "euler_path": str(euler), "poles": [["1", 1], ["0", -1]],
+        "label": "zeta"}))
+    return spec
+
+
+def _chi5_spec(directory):
+    """Spec of L(chi_5, s), whose Gamma_R(s) has a pole at the trivial zero s = 0."""
+    euler = directory / "chi5.jsonl"
+    lines = []
+    for p in (2, 3, 5, 7, 11, 13):
+        c = 0 if p == 5 else 1 if p % 5 in (1, 4) else -1
+        lines.append(json.dumps({"p": p, "factor": [1, -c] if c else [1]}))
+    euler.write_text("\n".join(lines) + "\n")
+    spec = directory / "chi5.json"
+    spec.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": [["R", "0"]],
+        "sign": 1, "euler_path": str(euler), "label": "chi_5"}))
+    return spec
+
+
+@pytest.mark.parametrize("make_spec, argv, message", [
+    (_chi5_spec, ["--s", "0", "--order", "0"], "gamma pole of order 1"),
+    (_zeta_spec, ["--s", "1"], "pole of Lambda"),
+    (_zeta_spec, ["--s", "0", "--order", "1"], "pole of Lambda"),
+])
+def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, message):
+    out = run("--digits", "8", "lfun", str(make_spec(tmp_path)), *argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert message in out.stderr and "Traceback" not in out.stderr
+
+
 def test_lfun_decimal_s_accepted(tmp_path):
     out = run("--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)), "--s", "2.5")
     assert out.returncode == 0
@@ -270,6 +311,18 @@ def test_exact_period_loads_no_mpmath_or_series():
     loaded = _loaded_modules(["period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "120"])
     assert "hyperreg.hgdata" in loaded
     assert not loaded & {"mpmath", "hyperreg.series", "hyperreg.exactnum", "hyperreg.hypergeom"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "1/2,1/2,1/3,2/3;1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"],
+    ["regulator", "--case", "cy0", "--t", "1/7"],
+    ["regulator", "--case", "appB", "--t", "2"],
+])
+def test_ratio_sum_callers_load_no_series_algebra(argv):
+    """ratio_sum lives in mpnum: summing loads neither series nor exactnum."""
+    loaded = _loaded_modules(argv)
+    assert "hyperreg.mpnum" in loaded
+    assert not loaded & {"hyperreg.series", "hyperreg.exactnum"}
 
 
 def test_regulator_loads_only_its_case():

@@ -11,7 +11,8 @@ from hyperreg import cli
 from hyperreg.lfun import euler, motive
 from hyperreg.lfun.dirichlet import kronecker_character
 from hyperreg.lfun.euler import euler_from_character
-from hyperreg.lfun.motive import LFunctionSpec, MotiveError, lambda_derivs, motive_L
+from hyperreg.lfun.motive import (LFunctionSpec, MotiveError, PointError, lambda_derivs,
+                                  motive_L)
 from hyperreg.mpnum import PrecisionPolicy
 
 EULER_P = 400
@@ -88,9 +89,32 @@ def test_motive_L_work_counts(monkeypatch):
 
 def test_trivial_zero_wrong_order_fails_fast(monkeypatch):
     lam_calls = _count_calls(monkeypatch, motive, "lambda_derivs")
-    with pytest.raises(MotiveError):
+    with pytest.raises(PointError):
         motive_L(_character_spec(5), 0, 0, PrecisionPolicy(8))
     assert lam_calls == []
+
+
+def _zeta_spec():
+    """zeta(s): Gamma_R(s), simple poles of Lambda at s = 1 (residue 1) and 0 (-1)."""
+    table = euler.EulerFactorTable({p: [1, -1] for p in (2, 3, 5, 7, 11, 13)}, 1, "zeta")
+    return LFunctionSpec(1, 0, 1, (("R", Fraction(0)),), 1, table,
+                         poles=((Fraction(1), 1), (Fraction(0), -1)), label="zeta")
+
+
+@pytest.mark.parametrize("s0, order", [(1, 0), (Fraction(1), 2), (0, 1)])
+def test_pole_of_lambda_fails_fast(monkeypatch, s0, order):
+    """A point on a pole of Lambda is refused before any table or kernel is built."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
+    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    pol = PrecisionPolicy(8)
+    with pytest.raises(PointError, match="pole of Lambda"):
+        motive_L(_zeta_spec(), s0, order, pol)
+    with pytest.raises(PointError, match="pole of Lambda"):
+        lambda_derivs(_zeta_spec(), s0, order, pol)
+    with pytest.raises(PointError, match="pole of Lambda"):
+        lambda_derivs(_zeta_spec(), pol.ctx.convert(s0), order, pol)
+    assert coeff_calls == [] and kernel_builds == []
 
 
 def test_unsupported_order_fails_fast(monkeypatch):

@@ -1,4 +1,4 @@
-"""series.ratio_sum: the summation driver and its certified tail.
+"""mpnum.ratio_sum, re-exported by series: series summation and its certified tail.
 
 Each caller declares t_(k+1)/t_k = x prod (k + alpha_i) / (k + beta_i); the
 declarations are checked against the exact terms of each series and against
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperreg import cli, hypergeom, series
+from hyperreg import cli, hypergeom, mpnum, series
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import appb, cy0, elliptic, k2, quintic
 from hyperreg.series import DivergenceError, TailBoundError, ratio_sum
@@ -76,6 +76,10 @@ def test_ratio_before_a_pole_is_not_certified():
     terms = [pol.ctx.mpf(10) ** -40] * 2
     with pytest.raises(TailBoundError, match="not bounded below 1"):
         ratio_sum(terms, (F(1, 100), (F(0),), (F(-5, 2),)), pol)
+
+
+def test_series_reexports_ratio_sum():
+    assert series.ratio_sum is mpnum.ratio_sum
 
 
 # --- each caller's declared ratio ----------------------------------------------
@@ -179,7 +183,7 @@ def test_quintic_column_ratio(monkeypatch, derivative):
 
 def test_period_ratio(monkeypatch):
     pol = PrecisionPolicy(30)
-    calls = _spy(monkeypatch, series)
+    calls = _spy(monkeypatch, cli)
     code, _, err = main(["period", "1/2,1/2,1/3,2/3;1,1,1,1", "--var", "t", "-K", "120",
                          "--point", "1/1024"])
     assert code == 0, err
