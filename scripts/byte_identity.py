@@ -49,13 +49,16 @@ KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two
-# truncations whose certified tail exceeds 10^-30, and two series cap hits
+# truncations whose certified tail exceeds 10^-30, two series cap hits, and
+# the fixed truncations of k4 and k2 past the cap
 EXIT_ARGVS = (
     ["period", "1/2;1", "-K", "3", "--point", "2"],
     ["period", "1/2;1", "-K", "30", "--point", "9/10"],
     ["period", "1/3,1/3,2/3,2/3;1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"],
     ["--max-terms", "16", "regulator", "--case", "cy0", "--t", "1/7"],
     ["--max-terms", "16", "verify", "continuation"],
+    ["--max-terms", "16", "regulator", "--case", "k4", "--t", "1/1024"],
+    ["--max-terms", "16", "regulator", "--case", "k2", "--t", "49"],
 )
 
 # the other period paths: gamma vectors, floating output, appB's relative series
@@ -68,12 +71,14 @@ PERIOD_ARGVS = (
     ["period", "1/5,2/5,3/5,4/5;1/6,5/6,1,1", "--var", "t", "-K", "120"],
 )
 # exit 2 with one error line: malformed data, an unknown case, a t outside
-# its case's interval, a missing spec file, and (fixture_usage_argvs) a k4
-# fixture that is not JSON or whose L-value is shorter than --digits
+# its case's interval, a k2 point too close to |z| = 1, a missing spec file,
+# and (fixture_usage_argvs) a k4 fixture that is not JSON or whose L-value is
+# shorter than --digits, and an lfun spec that is not a JSON object
 USAGE_ARGVS = (
     ["period", "1/2,1/2;1"],
     ["regulator", "--case", "nope", "--t", "1/2"],
     ["regulator", "--case", "k4", "--t", "1/2"],
+    ["regulator", "--case", "k2", "--t", "1/1000"],
     ["lfun", "missing-spec.json", "--s", "2"],
 )
 BAD_K4_FIXTURES = {
@@ -83,8 +88,12 @@ BAD_K4_FIXTURES = {
 }
 
 
+BAD_SPEC = "[1, 2]"
+
+
 def fixture_usage_argvs(directory: Path) -> list:
-    """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, written under directory."""
+    """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
+    BAD_SPEC, written under directory."""
     out = []
     for name, text in BAD_K4_FIXTURES.items():
         (directory / name).mkdir()
@@ -92,6 +101,8 @@ def fixture_usage_argvs(directory: Path) -> list:
         fixtures = str(directory / name)
         out.append(["--fixtures", fixtures, "regulator", "--case", "k4", "--t", "1/1024"])
         out.append(["--fixtures", fixtures, "verify", "ratios"])
+    (directory / "bad-spec.json").write_text(BAD_SPEC)
+    out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
     return out
 
 

@@ -29,6 +29,7 @@ coefficient Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +40,10 @@ from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add
                           mpf_div, mpf_lt, mpf_mul_int, round_nearest)
 
 from ..mpnum import PrecisionPolicy
-from .euler import EulerFactorTable, dirichlet_coefficients
+from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest
 
-__all__ = ["LFunctionSpec", "motive_L", "lambda_derivs", "CoverageError",
-           "MotiveError", "PointError"]
+__all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
+           "CoverageError", "MotiveError", "PointError"]
 
 
 class MotiveError(ValueError):
@@ -82,6 +83,69 @@ class LFunctionSpec:
 
     def gamma_signature(self):
         return tuple((k, Fraction(sh)) for k, sh in self.gamma_shifts)
+
+
+# the JSON types of a spec file's fields, checked where spec_from_json reads
+# them; each refusal is a ValueError, never a TypeError or a truncated value
+
+def _spec_int(value, what: str) -> int:
+    """An integral JSON number, or a string of digits."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    raise MotiveError(f"{what} must be an integer, got {value!r}")
+
+
+def _spec_rational(value, what: str) -> Fraction:
+    """A JSON number or a 'p/q' string, exactly."""
+    if type(value) in (int, float, str):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise MotiveError(f"{what} must be a rational, got {value!r}")
+
+
+def _spec_real(value, what: str):
+    """A finite JSON number, as parsed."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return value
+    raise MotiveError(f"{what} must be a finite number, got {value!r}")
+
+
+def _spec_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MotiveError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _spec_pairs(value, what: str) -> list:
+    if not (isinstance(value, list)
+            and all(isinstance(x, list) and len(x) == 2 for x in value)):
+        raise MotiveError(f"{what} must be a list of pairs, got {value!r}")
+    return value
+
+
+def spec_from_json(doc) -> LFunctionSpec:
+    """The spec a parsed JSON spec file describes, with its Euler table ingested.
+
+    KeyError for a missing field; MotiveError or EulerError (both ValueErrors)
+    for a field of the wrong type or value.
+    """
+    if not isinstance(doc, dict):
+        raise MotiveError(f"expected a JSON object, got {type(doc).__name__}")
+    degree = _spec_int(doc["degree"], "degree")
+    table = euler_ingest(_spec_str(doc["euler_path"], "euler_path"), degree)
+    return LFunctionSpec(
+        degree=degree, weight=_spec_int(doc["weight"], "weight"),
+        conductor=_spec_int(doc["conductor"], "conductor"),
+        gamma_shifts=tuple((k, _spec_rational(s, "gamma shift"))
+                           for k, s in _spec_pairs(doc["gamma_shifts"], "gamma_shifts")),
+        sign=_spec_real(doc.get("sign", 1), "sign"), euler=table,
+        poles=tuple((_spec_rational(p, "pole"), _spec_real(r, "pole residue"))
+                    for p, r in _spec_pairs(doc.get("poles", []), "poles")),
+        label=_spec_str(doc.get("label", ""), "label"))
 
 
 def _gamma_value(spec, ctx, s):

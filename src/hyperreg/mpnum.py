@@ -10,14 +10,18 @@ Catalan's constant, Euler's gamma, zeta(2), zeta(3), beta(4)), keyed by
 the context's binary precision and filled on first use; the exact-to-float
 boundary (``ExactNum.to_mp``) reads its atoms from it.
 
-:func:`ratio_sum` sums every numeric series of the package: it owns the
-stopping index, the cap and the tail bound certified by the exact term
-ratio.  It lives here, beside the policy it reads, so that a process that
-sums a series loads no series algebra.
+:func:`ratio_sum` sums every numeric series of the package that stops
+where its terms fall below the working precision: it owns the stopping
+index, the cap and the tail bound certified by the exact term ratio.
+:func:`fixed_terms` owns the truncations fixed in advance from a decay
+rate (the k4 entries and k2's z^-k streams), and holds them to the same
+cap, ``max_terms``.  Both live here, beside the policy they read, so that
+a process that sums a series loads no series algebra.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,6 +184,20 @@ def ratio_sum(terms, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
                              f"10^-{pol.target_digits} after {k + 1 - start} terms "
                              f"(raise {flag})")
     return acc, bound
+
+
+def fixed_terms(rate: float, pol: PrecisionPolicy, least: int, pad: int, name: str) -> int:
+    """Truncation index K of a series whose terms fall like e^(-rate k).
+
+    K = max(least, int((working digits + 10) ln 10 / rate) + pad), the last
+    index summed.  DivergenceError, naming --max-terms, when K exceeds
+    max_terms: the cap ratio_sum keeps for the series it stops itself.
+    """
+    K = max(least, int((pol.working_digits + 10) * math.log(10) / rate) + pad)
+    if K > pol.max_terms:
+        raise DivergenceError(f"{name} truncation cap hit: it needs {K} terms, more than "
+                              f"{pol.max_terms} (raise --max-terms)")
+    return K
 
 
 def _check_not_nonpositive_integer(ctx, x):

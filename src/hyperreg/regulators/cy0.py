@@ -166,6 +166,14 @@ def check_class_number_point(n: int) -> int:
     return D
 
 
+def check_point(t: Fraction) -> int:
+    """D for a ratio point t = 1/n; CaseError unless t has that form and
+    check_class_number_point accepts n."""
+    if t.numerator != 1:
+        raise CaseError("cy0 ratio points are t = 1/n")
+    return check_class_number_point(t.denominator)
+
+
 def cy0_class_number_check(n: int, pol: PrecisionPolicy) -> RegulatorReport:
     """Measured ratio -zeta'_K(0) / (2 r(1/n)) against the h/8 oracle."""
     D = check_class_number_point(n)

@@ -19,6 +19,7 @@ All values are normalized so the methods return R_0 / ((1/4)(2 pi i)^3).
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from itertools import accumulate, count
@@ -26,7 +27,7 @@ from itertools import accumulate, count
 from mpmath.libmp import to_rational
 
 from .. import hgdata
-from ..mpnum import PrecisionPolicy, ratio_sum
+from ..mpnum import PrecisionPolicy, fixed_terms, ratio_sum
 from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
@@ -58,12 +59,21 @@ def gamma_ratios_rel(alpha: Fraction, K: int) -> list:
     return hgdata.ratio_stream(1, (alpha,) * 4, tuple(alpha + ai for ai in A4), K + 1)
 
 
-def _suggest_K(z, pol: PrecisionPolicy) -> int:
-    import math
-    zf = float(z)
+def _z_float(z) -> float:
+    """float(z), inf past the float range, or CaseError when z <= 1.05: the
+    z^-k streams need z past it."""
+    try:
+        zf = float(z)
+    except OverflowError:       # a Fraction; an mpf converts to inf itself
+        zf = math.inf
     if zf <= 1.05:
         raise CaseError(f"z = {z} too close to the |z| = 1 boundary")
-    return max(24, int((pol.working_digits + 10) * math.log(10) / math.log(zf)) + 12)
+    return zf
+
+
+def _suggest_K(z, pol: PrecisionPolicy) -> int:
+    """The fixed truncation of the z^-k streams, z > 1.05."""
+    return fixed_terms(math.log(_z_float(z)), pol, 24, 12, "k2 z^-k streams")
 
 
 def _weights(rel: list, alpha: Fraction, kind: str) -> list:
@@ -155,18 +165,24 @@ def integral_model_point(t: Fraction) -> bool:
     x = t
     for _ in range(40):
         if x.denominator == 1:
-            import math
             r = math.isqrt(x.numerator)
             return r * r == x.numerator
         x *= 4
     return False
 
 
-def k2_det(t: Fraction, pol: PrecisionPolicy, fixture=None) -> RegulatorReport:
-    ctx = pol.ctx
+def check_point(t: Fraction):
+    """Raise CaseError unless z = 2^10 t exceeds 1 and clears _z_float's 1.05."""
     z = 1024 * t
     if z <= 1:
         raise CaseError(f"z = 2^10 t = {z} must exceed 1")
+    _z_float(z)
+
+
+def k2_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
+    check_point(t)
+    ctx = pol.ctx
+    z = 1024 * t
     zv = ctx.mpf(z.numerator) / z.denominator
     mat = k2_entries(zv, pol)
     val = mat.det()
@@ -176,9 +192,6 @@ def k2_det(t: Fraction, pol: PrecisionPolicy, fixture=None) -> RegulatorReport:
     rep.check("theta_ladder_exact", dev, pol)
     if not integral_model_point(t):
         rep.notes.append("t is not of the form n^2/4^o: rationality not expected")
-    if fixture is not None:
-        rep.measured_ratio = fixture / val
-        rep.detected_ratio = detect_rational(rep.measured_ratio, pol.tol)
     rep.expected_ratio = EXPECTED_RATIOS.get(t)
     return rep
 

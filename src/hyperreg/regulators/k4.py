@@ -24,6 +24,7 @@ sums sometimes drop it), and the dual-path identity pins it down exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -31,9 +32,9 @@ from math import comb
 
 from .. import hypergeom
 from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
-from ..mpnum import PrecisionPolicy
+from ..mpnum import PrecisionPolicy, fixed_terms
 from ..series import LogSeries, PowSeries, SLaurent, sp_exp, sp_inv, sp_mul, theta
-from .reporting import CaseError, RegulatorReport, detect_rational
+from .reporting import CaseError, RegulatorReport
 
 DATA = hypergeom.parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
 SCALE = 256          # z = 256 t
@@ -220,15 +221,22 @@ def generator_derivative_identity(K: int) -> bool:
     return True
 
 
-def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,
-           fixture=None) -> RegulatorReport:
-    """The 2x2 determinant r(t) for t in (0, 4^-4)."""
-    if not (0 < t < Fraction(1, 256)):
-        raise CaseError(f"t = {t} outside (0, 1/256)")
+def check_point(t: Fraction):
+    """Raise CaseError unless t lies in (0, 4^-4), where the z = 256 t series converge."""
+    if not (0 < t < Fraction(1, SCALE)):
+        raise CaseError(f"t = {t} outside the validity interval of case k4")
+
+
+def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None) -> RegulatorReport:
+    """The 2x2 determinant r(t) for t in (0, 4^-4).
+
+    K defaults to the fixed truncation of terms falling like (256 t)^k; the
+    doubled run takes 2K terms under the doubled policy, whose cap is doubled too.
+    """
+    check_point(t)
     if K is None:
-        import math
-        K = max(32, int((pol.working_digits + 10) * math.log(10)
-                        / -math.log(256 * float(t))) + 8)
+        x = SCALE * float(t)        # 0.0 below the float range: K is then the least
+        K = fixed_terms(-math.log(x) if x else math.inf, pol, 32, 8, "k4 entries")
     if K <= 40:
         _entries_checked(K)
     val = _det_value(_entries_built(K), t, pol)
@@ -239,9 +247,6 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None,
     rep = RegulatorReport("k4", t, val)
     rep.check("precision_doubling_stability", stab, pol)
     rep.notes.append("integral model at t = 4^-5 .. 4^-8")
-    if fixture is not None:
-        rep.measured_ratio = fixture / val
-        rep.detected_ratio = detect_rational(rep.measured_ratio, pol.tol)
     return rep
 
 

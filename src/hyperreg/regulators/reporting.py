@@ -21,21 +21,6 @@ def check_case(case: str) -> str:
     return case
 
 
-# validity intervals for the t-parameter, per case (None = no interval rule)
-def t_interval_ok(case: str, t: Fraction) -> bool:
-    if case == "cy0":
-        return 0 < t < Fraction(1, 4)
-    if case == "elliptic":
-        return 0 < t <= Fraction(1, 16)
-    if case == "k4":
-        return 0 < t < Fraction(1, 256)
-    if case == "k2":
-        return 1024 * t > 1
-    if case == "appB":
-        return 0 < t < Fraction(3125, 432)
-    return True
-
-
 def detect_rational(x, tol, max_height: int = 10 ** 6):
     """Nearest small-height rational within 10*tol, or None.
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,19 @@ def test_period_parse_error_exit2():
 def test_period_divergent_point_exit3():
     out = run("period", "1/2;1", "--var", "t", "-K", "64", "--point", "2/3")
     assert out.returncode == 3
+
+
+@pytest.mark.parametrize("case, t, message", [
+    ("k2", "1/1000", "error: z = 128/125 too close to the |z| = 1 boundary\n"),
+    ("k2", "1/2048", "error: z = 2^10 t = 1/2 must exceed 1\n"),
+    ("k4", "1/2", "error: t = 1/2 outside the validity interval of case k4\n"),
+    ("appB", "8", "error: t = 8 outside (0, 3125/432)\n"),
+    ("cy0", "1/3", "error: need n > 5\n"),
+])
+def test_regulator_point_refused_by_its_case_exit2(case, t, message):
+    """Each case judges its own points; nothing is computed for a refused one."""
+    out = run("regulator", "--case", case, "--t", t)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message)
 
 
 def test_regulator_out_of_range_exit2():
@@ -160,6 +174,8 @@ def test_hyperreg_cache_env(tmp_path):
     ["period", "1/2;1", "-K", "5", "--point", "-1/2"],
     ["regulator", "--case", "k4"],
     ["period", "1/2;1", "--var", "w"],
+    ["regulator", "--case", "k4", "--t=--"],
+    ["--digits=--", "verify", "ode"],
 ])
 def test_bad_settings_exit2_one_line(argv):
     out = run(*argv)
@@ -255,6 +271,32 @@ def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, me
     assert message in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("change", [
+    {"sign": "abc"}, {"sign": None}, {"sign": [1]},
+    {"gamma_shifts": [["R", [1]]]}, {"gamma_shifts": 5},
+    {"poles": [["1", "x"]]}, {"euler_path": ["chi-4.jsonl"]},
+    {"conductor": 4.5}, {"degree": True},
+])
+def test_malformed_lfun_spec_exit2_one_line(tmp_path, change):
+    """Each field's JSON type is checked where it is read; a conductor of 4.5
+    is refused, not truncated to 4."""
+    spec = _chi_minus4_spec(tmp_path)
+    spec.write_text(json.dumps(dict(json.loads(spec.read_text()), **change)))
+    out = run("--digits", "8", "lfun", str(spec), "--s", "2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: bad spec file: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_lfun_spec_not_an_object_exit2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[1, 2]")
+    out = run("lfun", str(spec), "--s", "2")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: bad spec file: expected a JSON object, got list\n"
+
+
 def test_lfun_decimal_s_accepted(tmp_path):
     out = run("--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)), "--s", "2.5")
     assert out.returncode == 0
@@ -270,6 +312,8 @@ def test_help_exit0():
 @pytest.mark.parametrize("argv", [
     ["--max-terms", "16", "regulator", "--case", "cy0", "--t", "1/7"],
     ["--max-terms", "16", "verify", "continuation"],
+    ["--max-terms", "16", "regulator", "--case", "k4", "--t", "1/1024"],
+    ["--max-terms", "16", "regulator", "--case", "k2", "--t", "49"],
 ])
 def test_series_cap_hit_exit3_one_line(argv):
     """A series cap hit is a divergence wherever it happens, named by its flag."""
@@ -278,6 +322,21 @@ def test_series_cap_hit_exit3_one_line(argv):
     assert out.stdout == ""
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
     assert "truncation cap hit" in out.stderr and "--max-terms" in out.stderr
+
+
+def test_k4_fixed_truncation_past_the_cap_exits_at_once():
+    """K = 32365 at t = 255/65536 is past the default cap of 4000: refused before
+    any entry is built."""
+    argv = ["regulator", "--case", "k4", "--t", "255/65536"]
+    out = run(*argv, timeout=60)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == ("error: k4 entries truncation cap hit: it needs 32365 terms, "
+                          "more than 4000 (raise --max-terms)\n")
+    from hyperreg import cli
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
 
 
 def test_continuation_cap_hit_skips_contour(monkeypatch, capsys):
