@@ -7,7 +7,10 @@ PARENT_SRC and CHANGE_SRC are the roots of two checkouts, each holding
 `src/` and `fixtures/`.  Every command line of a fixed list runs as a fresh
 `python -m hyperreg.cli` process from each root, the two side by side; any
 difference in stdout, stderr or exit code is printed, and the script exits
-1 if there was one, 0 otherwise.  Standard library only.
+1 if there was one, 0 otherwise.  Standard library only.  Each root gets its
+own empty HYPERREG_CACHE directory, and every `lfun` line runs twice per
+root, so the second run reads the AFE kernels the first one saved: the
+output with a warm kernel store is compared as well as the cold one.
 
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
@@ -190,8 +193,8 @@ def quintic_spec(root: Path, directory: Path) -> Path:
     return spec
 
 
-def start(root: Path, argv: list) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def start(root: Path, argv: list, cache: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), HYPERREG_CACHE=str(cache))
     return subprocess.Popen([sys.executable, "-m", "hyperreg.cli"] + argv, cwd=root,
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
@@ -217,12 +220,16 @@ def main(argv=None) -> int:
                       "--s", "0", "--order", "2"])
         argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
         argvs += fixture_usage_argvs(Path(tmp))
-        for cmd in argvs:
-            procs = [start(root, cmd) for root in roots]
+        # the second run of an lfun line finds its kernels in the store
+        argvs = [cmd for cmd in argvs for _ in range(2 if "lfun" in cmd else 1)]
+        caches = [Path(tmp) / f"cache{i}" for i in range(len(roots))]
+        for i, cmd in enumerate(argvs):
+            procs = [start(root, cmd, cache) for root, cache in zip(roots, caches)]
             (out0, err0), (out1, err1) = (p.communicate() for p in procs)
             same = (out0, err0, procs[0].returncode) == (out1, err1, procs[1].returncode)
+            warm = "  (warm store)" if i and argvs[i - 1] is cmd else ""
             print(f"{'same' if same else 'DIFFERENT'}  exit {procs[0].returncode}"
-                  f"/{procs[1].returncode}  {' '.join(cmd)}", flush=True)
+                  f"/{procs[1].returncode}  {' '.join(cmd)}{warm}", flush=True)
             if not same:
                 differ += 1
                 for name, a, b in (("stdout", out0, out1), ("stderr", err0, err1)):

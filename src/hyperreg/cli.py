@@ -4,7 +4,14 @@ Exit codes: 0 success, 2 usage/parse error, 3 numerical divergence,
 4 verification failure.  All rational inputs are exact "p/q" strings;
 decimals are rejected for t-points.  A key=value config file may supply
 defaults for digits, max_terms, mode, fixtures and cache; explicit flags
-win.  HYPERREG_CACHE overrides the cache dir.
+win.
+
+The cache directory is --cache (or the config key cache), else
+HYPERREG_CACHE, else .hyperreg-cache in the working directory.  `fetch`
+keeps web responses in its lmfdb/ and `lfun` keeps built AFE kernels in its
+kernels/, one file per (gamma data, s, c, precision, mpmath version and
+backend, kernel build code); a corrupt or stale file is rebuilt, and the
+directory is safe to delete.
 """
 
 from __future__ import annotations
@@ -83,7 +90,8 @@ def _add_common(parser, suppress=False):
     parser.add_argument("--max-terms", type=int, default=d)
     parser.add_argument("--mode", choices=MODES, default=d)
     parser.add_argument("--fixtures", default=d)
-    parser.add_argument("--cache", default=d)
+    parser.add_argument("--cache", default=d,
+                        help="cache directory: web responses for fetch, AFE kernels for lfun")
     parser.add_argument("--offline", action="store_true",
                         default=argparse.SUPPRESS if suppress else False)
     parser.add_argument("--json", action="store_true", dest="as_json",
@@ -144,6 +152,10 @@ def _policy(args) -> PrecisionPolicy:
     if max_terms < 16:
         raise CliError(f"--max-terms must be at least 16, got {max_terms}")
     return PrecisionPolicy(digits, max_terms=max_terms)
+
+
+def _cache_dir(args) -> str:
+    return args.cache or os.environ.get("HYPERREG_CACHE") or ".hyperreg-cache"
 
 
 def cmd_period(args, pol: PrecisionPolicy):
@@ -246,7 +258,8 @@ def cmd_lfun(args, pol: PrecisionPolicy):
     except (OSError, KeyError, ValueError) as exc:
         raise CliError(f"bad spec file: {exc}")
     try:
-        val, err = motive_L(spec, s_val, args.order, pol)
+        val, err = motive_L(spec, s_val, args.order, pol,
+                            store=os.path.join(_cache_dir(args), "kernels"))
     except PointError as exc:
         raise CliError(str(exc))
     except MotiveError as exc:
@@ -258,9 +271,8 @@ def cmd_lfun(args, pol: PrecisionPolicy):
 
 def cmd_fetch(args, pol: PrecisionPolicy):
     from .lfun.web import FetchError, lmfdb_fetch
-    cache = args.cache or os.environ.get("HYPERREG_CACHE", ".hyperreg-cache")
     try:
-        table = lmfdb_fetch(args.label, cache, offline=args.offline)
+        table = lmfdb_fetch(args.label, _cache_dir(args), offline=args.offline)
     except FetchError as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     return {"label": args.label, "p_max": table.p_max,

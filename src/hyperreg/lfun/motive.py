@@ -25,11 +25,27 @@ functional equation is one pass over n that accumulates every order, each
 with its own stopping rule.  At points where gamma has a pole of order m
 (trivial zeros), the order-m derivative comes from the leading Taylor
 coefficient Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+
+Kernels are cached in memory per process, and, when motive_L or
+lambda_derivs is given a directory `store`, on disk as well: each kernel
+built is saved there as <sha256 of its key>.json and a later process loads
+it instead of building it (see _stored_kernel).  The key is the gamma data,
+the raw mpfs of s and c, the context's (prec, rounding), the working digits,
+mpmath's version and backend, and a digest of the bytecode of
+_Kernel.__init__, so an edit to the build invalidates every old entry.  An
+entry holds its key, c, h and every node as (sign, mantissa, exponent)
+integers, under a sha256 of that text; one that does not decode, holds
+another key or fails its checksum is a miss, rebuilt and rewritten.  The
+loaded nodes are the saved ones, so every value keeps its bits, and the
+directory is safe to delete.  With store=None, the default, the library
+reads and writes no file; the `lfun` command passes <cache dir>/kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -423,14 +439,19 @@ class _Kernel:
         return values
 
 
-def _kernel(spec, s_val, c, pol, order):
-    """The cached kernel for (gamma data, s, c, precision) covering orders 0..order."""
+def _kernel(spec, s_val, c, pol, order, store=None):
+    """The cached kernel for (gamma data, s, c, precision) covering orders 0..order.
+
+    On a miss in memory the kernel comes from the directory `store` when one
+    is given (see _stored_kernel), and is built here otherwise.
+    """
     key = (spec.gamma_signature(), repr(s_val), repr(c), pol.working_digits)
     with _kernel_lock:
         k = _kernel_cache.get(key)
     if k is not None and k.order >= order:
         return k
-    k = _Kernel(spec, s_val, c, pol, order)
+    k = _Kernel(spec, s_val, c, pol, order) if store is None \
+        else _stored_kernel(store, spec, s_val, c, pol, order)
     with _kernel_lock:
         # a concurrent build of a higher order keeps its entry
         cur = _kernel_cache.get(key)
@@ -442,24 +463,150 @@ def _kernel(spec, s_val, c, pol, order):
 
 
 # ---------------------------------------------------------------------------
+# kernel store: built kernels saved as files, one per key
+# ---------------------------------------------------------------------------
+
+# an entry file is {"sha256":"<64 hex digits>","entry":<entry JSON>}, and its
+# entry JSON starts at this offset
+_ENTRY_START = len('{"sha256":"') + 64 + len('","entry":')
+
+
+@functools.cache
+def _sha256():
+    """The sha256 constructor: CPython's own module where it has one (up to
+    3.11), since hashlib loads OpenSSL, 3.6 MB more resident memory."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
+@functools.cache
+def _build_digest() -> str:
+    """sha256 of the bytecode, names and constants of _Kernel.__init__ and
+    of the code nested in it; source positions are left out."""
+    h = _sha256()()
+    codes = [_Kernel.__init__.__code__]
+    while codes:
+        code = codes.pop()
+        h.update(code.co_code)
+        h.update(repr(code.co_names).encode())
+        for const in code.co_consts:
+            if isinstance(const, type(code)):
+                codes.append(const)
+            else:
+                # a frozenset's repr follows string hashing, which varies by process
+                h.update(repr(sorted(map(repr, const)) if isinstance(const, frozenset)
+                              else const).encode())
+    return h.hexdigest()
+
+
+def _store_key(spec, s_val, c, pol) -> dict:
+    """Everything a kernel's nodes depend on but its order, as JSON values."""
+    import mpmath
+    ctx = pol.ctx
+    return {"gamma": [[kind, str(sh)] for kind, sh in spec.gamma_signature()],
+            "s": list(s_val._mpf_), "c": list(ctx.mpf(c)._mpf_),
+            "prec_rounding": list(ctx._prec_rounding),
+            "working_digits": pol.working_digits,
+            "mpmath": [mpmath.__version__, mpmath.libmp.BACKEND], "build": _build_digest()}
+
+
+def _entry_file(body: bytes) -> bytes:
+    """The file of an entry whose JSON text is body: body and its sha256."""
+    return b'{"sha256":"%s","entry":%s}\n' % (_sha256()(body).hexdigest().encode(), body)
+
+
+def _stored_kernel(store, spec, s_val, c, pol, order):
+    """The kernel of orders 0..order at least, read from the directory store,
+    or built and saved there.
+
+    The entry of a key is the file <sha256 of the key>.json, read only when
+    the in-memory cache misses.  An entry that does not decode, holds another
+    key, fails its checksum or covers fewer orders is a miss, and the kernel
+    built then replaces it.  An OSError while reading or writing is a miss or
+    a skipped write, never an error.
+    """
+    import json
+    key = _store_key(spec, s_val, c, pol)
+    name = _sha256()(json.dumps(key, sort_keys=True).encode()).hexdigest() + ".json"
+    path = os.path.join(store, name)
+    try:
+        k = _read_entry(path, key, pol.ctx, order)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        k = None
+    if k is None:
+        k = _Kernel(spec, s_val, c, pol, order)
+        try:
+            _write_entry(path, key, k)
+        except (OSError, ValueError):
+            pass    # ValueError: a mantissa past Python's int-to-text digit limit
+    return k
+
+
+def _read_entry(path, key, ctx, order):
+    """The kernel in the entry at path, or None if it is no entry of key
+    covering order."""
+    import json
+    with open(path, "rb") as fh:
+        data = fh.read()
+    body = data[_ENTRY_START:-2]
+    if _entry_file(body) != data:
+        return None
+    entry = json.loads(body)
+    if entry["key"] != key or len(entry["nodes"]) <= order:
+        return None
+    k = _Kernel.__new__(_Kernel)
+    k.ctx, k.order = ctx, len(entry["nodes"]) - 1
+    # the nodes, c and h are finite mpfs, whose bit count is their mantissa's
+    k.c, k.h = (ctx.make_mpf((s, m, e, m.bit_length())) for s, m, e in (entry["c"], entry["h"]))
+    k._raw = [[(s1, m1, e1, m1.bit_length(), s2, m2, e2, m2.bit_length())
+               for s1, m1, e1, s2, m2, e2 in nodes] for nodes in entry["nodes"]]
+    return k
+
+
+def _write_entry(path, key, k):
+    """Save kernel k as the entry at path: written to a temporary file in
+    the same directory and moved into place, so a reader sees a whole entry
+    or none."""
+    import json
+    import tempfile
+    store = os.path.dirname(path)
+    body = json.dumps(
+        {"key": key, "c": list(k.c._mpf_[:3]), "h": list(k.h._mpf_[:3]),
+         "nodes": [[[r[0], r[1], r[2], r[4], r[5], r[6]] for r in nodes] for nodes in k._raw]},
+        separators=(",", ":")).encode()
+    os.makedirs(store, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=store, prefix=os.path.basename(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_entry_file(body))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Lambda and L values
 # ---------------------------------------------------------------------------
 
-def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list):
+def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None):
     """[sum_n a_n n^(-sigma) N^(sigma/2) (d/ds)^d [...] for d = 0..order], one side.
 
     mirror = False: sigma = s0, argument y = n/(A sqrt(N));
     mirror = True:  sigma = w+1-s0, y = n A / sqrt(N); d/ds brings a -1.
     a holds the Dirichlet coefficients a_1..a_P of the Euler table.  One pass
     over n serves every order; an order that meets its stopping rule stops
-    accumulating while the others go on.
+    accumulating while the others go on.  store is _kernel's.
     """
     ctx = pol.ctx
     w = spec.weight
     sigma = (w + 1 - s_val) if mirror else s_val
     sig_abs = ctx.mpf(w) / 2 + 1
     c = max(sig_abs - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = _kernel(spec, sigma, c, pol, order)
+    ker = _kernel(spec, sigma, c, pol, order, store)
     sqN = ctx.sqrt(ctx.mpf(spec.conductor))
     lnN2 = ctx.log(spec.conductor) / 2
     sgn = -1 if mirror else 1
@@ -546,11 +693,12 @@ def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
 
 
 def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
-                  cutoff_A=None, a=None):
+                  cutoff_A=None, a=None, store=None):
     """[Lambda(s0), ..., Lambda^(order)(s0)] by the smoothed AFE, order <= 2.
 
     `a` is the Dirichlet table of spec.euler up to its p_max; it is built
-    here when not given.
+    here when not given.  `store` is a directory of saved kernels, read and
+    written (see _stored_kernel); None, the default, touches no file.
     """
     ctx = pol.ctx
     s_val = _s_value(ctx, s0)
@@ -558,8 +706,8 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     if a is None:
         a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right = _sum_side(spec, s_val, pol, order, A, False, a)
-    left = _sum_side(spec, s_val, pol, order, A, True, a)
+    right = _sum_side(spec, s_val, pol, order, A, False, a, store)
+    left = _sum_side(spec, s_val, pol, order, A, True, a, store)
     sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
         else ctx.mpf(spec.sign)
     out = []
@@ -572,7 +720,7 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
 
 
 def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolicy,
-             cutoff_A=None, self_test: bool = True):
+             cutoff_A=None, self_test: bool = True, store=None):
     """L-derivative at s0 with an error estimate: returns (value, err).
 
     At trivial zeros forced by gamma poles of order m, only
@@ -580,7 +728,8 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
     The self-test compares Lambda(s0) at the cutoffs 1.31 and 1; the
     cutoff-1 value is the main path's own when no cutoff_A is given.  All
-    paths share one Dirichlet table.
+    paths share one Dirichlet table and the kernel store `store`, a
+    directory, which None, the default, leaves unread and unwritten.
     """
     ctx = pol.ctx
     s0f = Fraction(s0) if isinstance(s0, (int, Fraction)) else None
@@ -593,11 +742,12 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     s_val = _s_value(ctx, s0)
     _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a)
+    lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
     err = ctx.mpf(0)
     if self_test:
-        lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a)[0]
-        lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol, a=a)[0]
+        lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a, store=store)[0]
+        lam1 = lams[0] if cutoff_A is None \
+            else lambda_derivs(spec, s0, 0, pol, a=a, store=store)[0]
         err = abs(lamA - lam1)
         if err > ctx.mpf(10) ** (-pol.target_digits + 4):
             raise MotiveError(
