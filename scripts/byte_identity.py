@@ -17,9 +17,10 @@ variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
-KERNEL_RUNS (an order-1 Gamma_R(s) kernel, and chi_-4 at --digits 20 and
-12), one Gamma_C order-2 `lfun` run on the quintic spec with the Euler data of
-PARENT_SRC cut to p <= QUINTIC_P, the PERIOD_ARGVS (`period --gamma`,
+KERNEL_RUNS (an order-1 Gamma_R(s) kernel, an order-2 Gamma_R(s + 1) kernel,
+and chi_-4 at --digits 20 and 12), one Gamma_C order-2 `lfun` run on the
+quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
+PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2.
@@ -47,8 +48,10 @@ EULER_P = 400
 # (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
 # (D, s, order, digits) of kernel paths no recorded run takes: a genuine
-# order-1 Gamma_R(s) kernel, and Gamma_R(s + 1) at two more precisions
-KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
+# order-1 Gamma_R(s) kernel, a genuine order-2 Gamma_R(s + 1) kernel (its
+# three node lists of different lengths: 1369, 1377 and 1385 nodes at
+# sigma = 2), and Gamma_R(s + 1) at two more precisions
+KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two

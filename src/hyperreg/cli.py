@@ -214,9 +214,11 @@ def cmd_regulator(args, pol: PrecisionPolicy):
         raise CliError("no t-points given")
     for t in points:        # every point is checked before any is computed
         try:
-            check_ratio_point(case, t)
+            check_ratio_point(case, t, pol)
         except CaseError as exc:
             raise CliError(str(exc))
+        except DivergenceError as exc:
+            raise CliError(str(exc), EXIT_DIVERGENCE)
     from .regulators.fixtures import FixtureError
     fixtures_dir = args.fixtures or "fixtures"
     try:

@@ -14,11 +14,12 @@ complex-power recurrence.  The sweep runs on raw mpmath tuples with the libmp
 calls of the mpc expressions in _gamma_value and _gamma_logderiv, so every
 node has their bits; it forms the logs of pi and 2 pi once per kernel, and
 x, the power, Gamma and psi once per node and distinct (kind, shift) factor,
-so Gamma_C(s)^2 costs one Gamma per node.  Evaluation accumulates only the
-real part of each trapezoid sum, the one the kernel uses, with exact
-products in Python integers and each sum rounded once by _add_round, to the
-bits mpf_add gives, so its values have the bits of the same loop on mpc
-objects (see _Kernel.__call__).  A point the request cannot be served at (a
+so Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one pass over the
+nodes that forms each power of the rotation once and feeds it to every
+order, accumulating only the real part of each trapezoid sum, the one the
+kernel uses, on signed integer mantissas; each sum is rounded once by _sum
+to the bits mpf_add gives, so the values have the bits of the same loop on
+mpc objects (see _Kernel.__call__).  A point the request cannot be served at (a
 pole of Lambda, or the wrong order at a trivial zero) raises PointError
 before any table or kernel is built.  Each side of the
 functional equation is one pass over n that accumulates every order, each
@@ -52,8 +53,8 @@ from fractions import Fraction
 
 from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
                           mpc_div, mpc_div_mpf, mpc_exp, mpc_gamma, mpc_log, mpc_mul,
-                          mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_pow, mpc_psi, mpf_add,
-                          mpf_div, mpf_lt, mpf_mul_int, round_nearest)
+                          mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_pow, mpc_psi, from_man_exp,
+                          mpf_add, mpf_lt, mpf_mul_int, mpf_neg, round_nearest)
 
 from ..mpnum import PrecisionPolicy
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest
@@ -235,43 +236,42 @@ _kernel_lock = threading.Lock()
 _KERNEL_CACHE_SIZE = 32
 
 
-def _add_round(s1, m1, e1, s2, m2, e2, prec, rnd):
-    """(-1)^s1 m1 2^e1 + (-1)^s2 m2 2^e2, rounded once, as a raw mpf.
+_ANY_GAP = 1 << 62     # _sum's far for operands of at most prec + 1 bits
 
-    The operands are exact, with odd mantissas, as every normalized mpf and
-    every exact product of two has.  Their sum is formed in Python integers,
-    rounded to nearest with ties to even and stripped of trailing zeros:
-    the correctly rounded value in mpmath's canonical form, which is what
-    mpf_add returns on its exact branch, so every bit matches.  mpf_add
-    itself serves the other cases: a rounding mode other than nearest, a zero
-    operand, and exponents more than 100 apart (its perturbation branch).
+
+def _sum(m1, e1, m2, e2, prec, far):
+    """m1 2^e1 + m2 2^e2 rounded once to prec bits, to nearest with ties to
+    even, as (signed mantissa of prec or prec + 1 bits, exponent) or (0, 0):
+    mpf_add's value, by a floor shift whose remainder is compared with half.
+    mpf_add rounds inexactly only for an operand over prec + 4 bits below the
+    other's lead and 100 below its last, and a larger one of over prec + 5
+    significant bits; products of two prec- or (prec + 1)-bit values lie so
+    far apart only if their exponents differ by more than far = prec + 1,
+    and go to mpf_add.  Operands of at most prec + 1 bits take _ANY_GAP.
     """
-    if rnd != round_nearest or not m1 or not m2 or not -100 <= e1 - e2 <= 100:
-        return mpf_add((s1, m1, e1, m1.bit_length()) if m1 else fzero,
-                       (s2, m2, e2, m2.bit_length()) if m2 else fzero, prec, rnd)
-    if s1:
-        m1 = -m1
-    if s2:
-        m2 = -m2
-    if e1 > e2:
-        man, exp = (m1 << (e1 - e2)) + m2, e2
+    d = e1 - e2
+    if d >= 0:
+        man, exp = (m1 << d) + m2, e2
     else:
-        man, exp = m1 + (m2 << (e2 - e1)), e1
-    sign = 0
-    if man < 0:
-        sign, man = 1, -man
-    elif not man:
-        return fzero
+        man, exp, d = m1 + (m2 << -d), e1, -d
+    if d > far:
+        x, y = from_man_exp(m1, e1), from_man_exp(m2, e2)
+        return _widen(mpf_add(x, y, prec, round_nearest), prec)
     n = man.bit_length() - prec
     if n > 0:
-        t = man >> (n - 1)
-        man = (t >> 1) + 1 if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)) else t >> 1
-        exp += n
-    if not man & 1:
-        z = (man & -man).bit_length() - 1
-        man >>= z
-        exp += z
-    return sign, man, exp, man.bit_length()
+        q = man >> n
+        rem, half = man - (q << n), 1 << (n - 1)
+        if rem > half or rem == half and q & 1:
+            q += 1
+        return q, exp + n
+    return (man << -n, exp + n) if man else (0, 0)
+
+
+def _widen(raw, prec):
+    """A finite raw mpf as _sum's (signed mantissa widened to prec bits, exponent)."""
+    sign, man, exp, bc = raw
+    shift = max(prec - bc, 0) if man else 0
+    return (-man if sign else man) << shift, exp - shift
 
 
 class _Kernel:
@@ -393,50 +393,48 @@ class _Kernel:
         """The node values of orders 0..order as mpc objects, rebuilt from _raw."""
         return [[self.ctx.make_mpc((r[:4], r[4:])) for r in raw] for raw in self._raw]
 
+    def _signed(self, prec):
+        """Each node as (re, exp, -im, exp) for _sum, widened to prec bits (the
+        context's, which rounded it) once per kernel and precision."""
+        if getattr(self, "_signed_nodes", (None,))[0] != prec:
+            self._signed_nodes = prec, [[_widen(r[:4], prec) + _widen(mpf_neg(r[4:]), prec)
+                                         for r in raw] for raw in self._raw]
+        return self._signed_nodes[1]
+
     def __call__(self, y, order=None):
         """[F_0(s, y), ..., F_order(s, y)], all orders by default.
 
-        The sum of node * rot^k is formed on raw mpmath tuples, and of it only
-        the real part, the one the full-line trapezoid uses.  The bits are
-        those of the loop `r = r * rot; acc += g * r` on mpc objects:
-        mpc_mul forms its four products exactly and rounds re = a*c - b*d
-        and im = a*d + b*c once each, and mpc addition rounds the real and
-        the imaginary part apart.  Here the products are formed exactly in
-        integers and every sum is rounded once by _add_round at the
-        context's (prec, rounding), the pair mpc arithmetic passes, to the
-        bits mpf_add would give, so no value can move.  The imaginary part
-        of the sum, and two of the four products per term, are never formed.
+        The real part of the sum of node * rot^k, which the full-line
+        trapezoid uses, with the bits of `r = r * rot; acc += g * r` on mpc
+        objects, which rounds each part of a product and each addition once:
+        here _sum does, on signed integer mantissas, in one pass over k.
+        mpmath contexts round to nearest, the mode _sum serves.
         """
         ctx = self.ctx
         prec, rnd = ctx._prec_rounding
-        raw = self._raw if order is None else self._raw[:order + 1]
-        lny = ctx.log(y)
-        # (s1, m1, e1, s2, m2, e2) is one factor, sign, mantissa and exponent
-        # of its real then its imaginary part, and s3..e4 the other; the bit
-        # counts are not needed
-        (s3, m3, e3, _), (s4, m4, e4, _) = ctx.expj(-self.h * lny)._mpc_
-        s1, m1, e1, _, s2, m2, e2, _ = fone + fzero
-        powers = []
-        for _ in range(max(map(len, raw)) - 1):
-            r = (_add_round(s1 ^ s3, m1 * m3, e1 + e3, s2 ^ s4 ^ 1, m2 * m4, e2 + e4,
-                            prec, rnd)
-                 + _add_round(s1 ^ s4, m1 * m4, e1 + e4, s2 ^ s3, m2 * m3, e2 + e3,
-                              prec, rnd))
-            powers.append(r)
-            s1, m1, e1, _, s2, m2, e2, _ = r
+        if rnd != round_nearest:
+            raise MotiveError(f"kernel sums round to nearest, not {rnd!r}")
+        nodes = self._signed(prec)[:None if order is None else order + 1]
+        re, im = ctx.expj(-self.h * ctx.log(y))._mpc_
+        # r_1 = rot, and each sum starts at half its first node
+        a, ea, b, eb = c, ec, s, es = _widen(re, prec) + _widen(im, prec)
+        acc = [(g[0][0], g[0][1] - 1) for g in nodes]
+        far = prec + 1
+        live = sorted(range(len(nodes)), key=lambda d: -len(nodes[d]))
+        for k in range(1, len(nodes[live[0]])):
+            while len(nodes[live[-1]]) <= k:
+                live.pop()
+            for d in live:
+                g_re, e_re, g_im, e_im = nodes[d][k]
+                t, et = _sum(g_re * a, e_re + ea, g_im * b, e_im + eb, prec, far)
+                m, e = acc[d]
+                acc[d] = _sum(m, e, t, et, prec, _ANY_GAP)
+            a, ea, b, eb = _sum(a * c, ea + ec, -b * s, eb + es, prec, far) + \
+                _sum(a * s, ea + es, b * c, eb + ec, prec, far)
         scale = ctx.power(y, -self.c)
-        values = []
-        for order_nodes in raw:
-            sa, ma, ea, ba = mpf_div(order_nodes[0][:4], ftwo, prec, rnd)
-            for (s1, m1, e1, _, s2, m2, e2, _), (s3, m3, e3, _, s4, m4, e4, _) \
-                    in zip(order_nodes[1:], powers):
-                s, m, e, _ = _add_round(s1 ^ s3, m1 * m3, e1 + e3, s2 ^ s4 ^ 1, m2 * m4,
-                                        e2 + e4, prec, rnd)
-                sa, ma, ea, ba = _add_round(sa, ma, ea, s, m, e, prec, rnd)
-            # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-            total = 2 * ctx.make_mpf((sa, ma, ea, ba)) * self.h / (2 * ctx.pi)
-            values.append(scale * total)
-        return values
+        # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
+        return [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
+                for total in acc]
 
 
 def _kernel(spec, s_val, c, pol, order, store=None):

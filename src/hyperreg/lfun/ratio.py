@@ -1,7 +1,7 @@
 """Ratio reports: L-derivative over regulator determinant, per case and point.
 
 Each case module with a ratio pipeline judges its own points with
-`check_point(t)`; this module dispatches to it and is the one place that
+`check_point(t, pol)`; this module dispatches to it and is the one place that
 forms the measured ratio L / r.
 """
 
@@ -34,16 +34,17 @@ def _case_module(case: str):
     return import_module(f"..regulators.{_MODULES[case]}", __package__)
 
 
-def check_ratio_point(case: str, t: Fraction):
-    """Raise CaseError unless `case` has a ratio pipeline that accepts t."""
-    _case_module(case).check_point(t)
+def check_ratio_point(case: str, t: Fraction, pol: PrecisionPolicy):
+    """Raise CaseError unless `case` has a ratio pipeline that accepts t, and
+    DivergenceError when the point needs more terms than pol allows."""
+    _case_module(case).check_point(t, pol)
 
 
 def ratio_report(case: str, t: Fraction, pol: PrecisionPolicy,
                  fixtures_dir="fixtures") -> RegulatorReport:
     """Assemble r(t) and, when L-data is available, the measured ratio."""
     mod = _case_module(case)
-    mod.check_point(t)
+    mod.check_point(t, pol)
     entry = _find_entry(load_fixture(case, fixtures_dir), t)
     lval = fixture_L_value(entry, pol) if entry else None
     if case == "cy0":       # t = 1/n against its own class-number oracle

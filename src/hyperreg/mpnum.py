@@ -15,7 +15,8 @@ where its terms fall below the working precision: it owns the stopping
 index, the cap and the tail bound certified by the exact term ratio.
 :func:`fixed_terms` owns the truncations fixed in advance from a decay
 rate (the k4 entries and k2's z^-k streams), and holds them to the same
-cap, ``max_terms``.  Both live here, beside the policy they read, so that
+cap, ``max_terms``, through :func:`capped_terms`, which also caps cy0's
+finite residue sum.  They live here, beside the policy they read, so that
 a process that sums a series loads no series algebra.
 """
 
@@ -193,7 +194,13 @@ def fixed_terms(rate: float, pol: PrecisionPolicy, least: int, pad: int, name: s
     index summed.  DivergenceError, naming --max-terms, when K exceeds
     max_terms: the cap ratio_sum keeps for the series it stops itself.
     """
-    K = max(least, int((pol.working_digits + 10) * math.log(10) / rate) + pad)
+    return capped_terms(max(least, int((pol.working_digits + 10) * math.log(10) / rate) + pad),
+                        pol, name)
+
+
+def capped_terms(K: int, pol: PrecisionPolicy, name: str) -> int:
+    """K, the terms a sum fixed in advance takes; DivergenceError, naming
+    --max-terms, when K exceeds max_terms."""
     if K > pol.max_terms:
         raise DivergenceError(f"{name} truncation cap hit: it needs {K} terms, more than "
                               f"{pol.max_terms} (raise --max-terms)")

@@ -40,20 +40,28 @@ def pi0_relative_coefficients(n_terms: int) -> list:
 
 
 PROBE_STEP = Fraction(1, 10 ** 8)   # step of the finite-difference derivative probe
+# below this t the central difference at PROBE_STEP misses the probe's 10^-12
+# budget at every --digits (1/250 reads 1.17e-12, 1/500 4.77e-12; 1/200 passes)
+T_INF = Fraction(1, 200)
 
 
-def check_point(t: Fraction):
-    """Raise CaseError unless t and both probe points t +- PROBE_STEP lie in (0, 3125/432)."""
+def check_point(t: Fraction, pol: PrecisionPolicy):
+    """Raise CaseError unless t and both probe points t +- PROBE_STEP lie in
+    (0, 3125/432) and t >= T_INF, where the probe can pass; pol sets no
+    bound here."""
     if not (0 < t < T_SUP):
         raise CaseError(f"t = {t} outside (0, {T_SUP})")
     if not (0 < t - PROBE_STEP and t + PROBE_STEP < T_SUP):
         raise CaseError(f"t = {t} is within the finite-difference probe step 10^-8 "
                         f"of an end of (0, {T_SUP})")
+    if t < T_INF:
+        raise CaseError(f"t = {t} below {T_INF}, where the finite-difference probe "
+                        "cannot meet its 10^-12 budget")
 
 
 def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
-    """det Re [[S0, S0'], [S1, S1']] at t in (0, 3125/432), at least 10^-8 from either end."""
-    check_point(t)
+    """det Re [[S0, S0'], [S1, S1']] at t in [1/200, 3125/432), at least 10^-8 from its end."""
+    check_point(t, pol)
     ctx = pol.ctx
     th = PROBE_STEP
     # one pass per column: S_Aj(t), S_Aj'(t) (termwise exact), S_Aj(t +- th)

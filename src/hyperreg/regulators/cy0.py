@@ -14,7 +14,7 @@ from math import comb
 from operator import mul
 
 from ..lfun.dirichlet import dedekind_quadratic_deriv0, is_squarefree
-from ..mpnum import PrecisionPolicy, ratio_sum
+from ..mpnum import PrecisionPolicy, capped_terms, ratio_sum
 from .reporting import CaseError, RegulatorReport, detect_rational
 
 
@@ -156,27 +156,33 @@ def _fundamental_unit_norm(D: int) -> int:
     return -1 if period % 2 else 1
 
 
-def check_class_number_point(n: int) -> int:
-    """D = n(n - 4) for t = 1/n; CaseError unless n > 5 and D is squarefree."""
+def check_class_number_point(n: int, pol: PrecisionPolicy) -> int:
+    """D = n(n - 4) for t = 1/n; CaseError unless n > 5 and D is squarefree.
+
+    zeta_K'(0) is a sum over the D residues mod D, counted against the
+    policy's cap: DivergenceError, naming --max-terms, when D exceeds it.
+    That is checked first, so the squarefree test's trial division, which
+    grows like sqrt(D), only runs on a D that can be summed.
+    """
     if n <= 5:
         raise CaseError("need n > 5")
-    D = n * (n - 4)
+    D = capped_terms(n * (n - 4), pol, "cy0 residue sum")
     if not is_squarefree(D):
         raise CaseError(f"discriminant {D} = {n}({n}-4) not squarefree")
     return D
 
 
-def check_point(t: Fraction) -> int:
+def check_point(t: Fraction, pol: PrecisionPolicy) -> int:
     """D for a ratio point t = 1/n; CaseError unless t has that form and
-    check_class_number_point accepts n."""
+    check_class_number_point accepts n under pol."""
     if t.numerator != 1:
         raise CaseError("cy0 ratio points are t = 1/n")
-    return check_class_number_point(t.denominator)
+    return check_class_number_point(t.denominator, pol)
 
 
 def cy0_class_number_check(n: int, pol: PrecisionPolicy) -> RegulatorReport:
     """Measured ratio -zeta'_K(0) / (2 r(1/n)) against the h/8 oracle."""
-    D = check_class_number_point(n)
+    D = check_class_number_point(n, pol)
     ctx = pol.ctx
     t = Fraction(1, n)
     r, dev = cy0_regulator(t, pol)

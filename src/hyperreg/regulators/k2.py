@@ -171,8 +171,9 @@ def integral_model_point(t: Fraction) -> bool:
     return False
 
 
-def check_point(t: Fraction):
-    """Raise CaseError unless z = 2^10 t exceeds 1 and clears _z_float's 1.05."""
+def check_point(t: Fraction, pol: PrecisionPolicy):
+    """Raise CaseError unless z = 2^10 t exceeds 1 and clears _z_float's 1.05;
+    pol sets no bound here (k2_det checks K against its cap)."""
     z = 1024 * t
     if z <= 1:
         raise CaseError(f"z = 2^10 t = {z} must exceed 1")
@@ -180,7 +181,7 @@ def check_point(t: Fraction):
 
 
 def k2_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
-    check_point(t)
+    check_point(t, pol)
     ctx = pol.ctx
     z = 1024 * t
     zv = ctx.mpf(z.numerator) / z.denominator

@@ -172,8 +172,8 @@ def k4_entries(K: int):
     """The four exact inner series with the dual-path check.
 
     Returns dict with the four closed-form LogSeries; raises on any
-    cross-path disagreement.  The checked entries are built once per K;
-    each call gets its own copy.
+    cross-path disagreement.  The check runs once per K, on the first K + 1
+    coefficients of the largest K built so far; each call gets its own copy.
     """
     return _copy_entries(_entries_checked(K))
 
@@ -181,7 +181,7 @@ def k4_entries(K: int):
 @lru_cache(maxsize=8)
 def _entries_checked(K: int):
     # lru_cache keeps no result when a check raises, so a failure repeats
-    closed = _entries_built(K)
+    closed = _entries_built(K).prefix(K)
     M = frobenius_generator(K, 2, Fraction(0))
     N = frobenius_generator(K, 2, Fraction(1, 2))
     pairs = [
@@ -221,8 +221,9 @@ def generator_derivative_identity(K: int) -> bool:
     return True
 
 
-def check_point(t: Fraction):
-    """Raise CaseError unless t lies in (0, 4^-4), where the z = 256 t series converge."""
+def check_point(t: Fraction, pol: PrecisionPolicy):
+    """Raise CaseError unless t lies in (0, 4^-4), where the z = 256 t series
+    converge; pol sets no bound here (k4_det checks K against its cap)."""
     if not (0 < t < Fraction(1, SCALE)):
         raise CaseError(f"t = {t} outside the validity interval of case k4")
 
@@ -233,16 +234,16 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None) -> Regulator
     K defaults to the fixed truncation of terms falling like (256 t)^k; the
     doubled run takes 2K terms under the doubled policy, whose cap is doubled too.
     """
-    check_point(t)
+    check_point(t, pol)
     if K is None:
         x = SCALE * float(t)        # 0.0 below the float range: K is then the least
         K = fixed_terms(-math.log(x) if x else math.inf, pol, 32, 8, "k4 entries")
     if K <= 40:
         _entries_checked(K)
-    val = _det_value(_entries_built(K), t, pol)
+    val = _det_value(K, t, pol)
     # stability: doubled precision and doubled truncation
     pol2 = pol.doubled()
-    val2 = _det_value(_entries_built(2 * K), t, pol2)
+    val2 = _det_value(2 * K, t, pol2)
     stab = abs(val - pol.ctx.convert(val2))
     rep = RegulatorReport("k4", t, val)
     rep.check("precision_doubling_stability", stab, pol)
@@ -251,31 +252,71 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None) -> Regulator
 
 
 def _entries_unchecked(K: int):
-    return _copy_entries(_entries_built(K))
+    return _copy_entries(_entries_built(K).prefix(K))
 
 
 class _Entries(dict):
     """The four exact entries of one K, with their floating copies.
 
-    ``floating`` maps a binary precision to the entries' coefficients as raw
-    mpf values, converted once and handed out as mpfs of the caller's
-    context (the pattern of ``mpnum.special``).
+    The entries of a smaller K are the first K + 1 coefficients of these:
+    every coefficient depends on k alone.  ``floating`` maps a binary
+    precision to (n, raw): the first n coefficients of each entry's parts as
+    raw mpfs, so each coefficient is converted once per precision, and the
+    copies are handed out as mpfs of the caller's context (the pattern of
+    ``mpnum.special``).  A larger build takes the floating copies over.
     """
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries: dict, K: int, floating: dict):
         super().__init__(entries)
-        self.floating: dict = {}
+        self.K = K
+        self.floating = floating
+
+    def _parts(self, start: int, stop: int) -> dict:
+        return {name: LogSeries([None if p is None else
+                                 PowSeries(p.offset, p.coeffs[start:stop]) for p in ls.parts])
+                for name, ls in self.items()}
+
+    def prefix(self, K: int) -> dict:
+        """The entries of K."""
+        return self._parts(0, K + 1)
+
+    def floated(self, K: int, pol: PrecisionPolicy) -> dict:
+        """The entries of K at pol's precision, {name: [None or (offset, [raw
+        mpf])]}, converting only the coefficients not converted there yet."""
+        n, raw = self.floating.get(pol.ctx.prec, (0, {}))
+        if n <= K:
+            # the new state is built whole and then stored, never changed in place
+            raw = {name: [None if p is None else
+                          (p.offset, (raw[name][j][1] if n else []) + [c._mpf_ for c in p.coeffs])
+                          for j, p in enumerate(ls.to_floating(pol).parts)]
+                   for name, ls in self._parts(n, K + 1).items()}
+            n = K + 1
+            self.floating[pol.ctx.prec] = n, raw
+        return {name: [None if p is None else (p[0], p[1][:K + 1]) for p in parts]
+                for name, parts in raw.items()}
 
 
-@lru_cache(maxsize=8)
-def _entries_built(K: int):
+# the _Entries of the largest K built so far, under the key "largest"
+_built: dict = {}
+
+
+def _entries_built(K: int) -> _Entries:
+    """Entries covering K: those of the largest K built, built anew only
+    when K exceeds it."""
+    ent = _built.get("largest")
+    if ent is None or ent.K < K:
+        ent = _built["largest"] = _build_entries(K, ent.floating if ent else {})
+    return ent
+
+
+def _build_entries(K: int, floating: dict | None = None) -> _Entries:
     atoms = _deformed_atoms(K)
     return _Entries({
         "log_primitive": log_primitive_series(K),
         "sqrt_primitive_inner": sqrt_primitive_inner(K),
         "sqrt_deformed_inner": _sqrt_deformed(*atoms),
         "log_deformed_inner": _log_deformed(*atoms),
-    })
+    }, K, {} if floating is None else floating)
 
 
 def _copy_entries(ent):
@@ -289,20 +330,15 @@ def _copy_entries(ent):
             for name, ls in ent.items()}
 
 
-def _det_value(ent: _Entries, t: Fraction, pol: PrecisionPolicy):
-    """r(t) from the cached entries of one K.
+def _det_value(K: int, t: Fraction, pol: PrecisionPolicy):
+    """r(t) from the entries of K.
 
-    The entries are converted to floating once per binary precision and
-    kept in ``ent.floating``; later calls at that precision only rewrap the
-    stored values, so every call sums the same bits.
+    Their floating copies at pol's precision are converted once per
+    coefficient (see _Entries.floated); later calls only rewrap the stored
+    values, so every call sums the same bits.
     """
     ctx = pol.ctx
-    raw = ent.floating.get(ctx.prec)
-    if raw is None:
-        raw = {name: [None if p is None else (p.offset, [c._mpf_ for c in p.coeffs])
-                      for p in ls.to_floating(pol).parts]
-               for name, ls in ent.items()}
-        ent.floating[ctx.prec] = raw
+    raw = _entries_built(K).floated(K, pol)
     tv = ctx.mpf(t.numerator) / t.denominator
     sq = ctx.sqrt(tv)
     pref = -1 / (4 * ctx.pi ** 2)

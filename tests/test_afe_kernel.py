@@ -1,9 +1,9 @@
 """The AFE kernel on raw tuples: its one-rounding sum and its node construction.
 
-`_add_round` is checked bit for bit against mpmath's mpf_add and mpf_sub, on
-both sides of its fallback.  The nodes are checked `==` against the per-node
-loop over `_gamma_value` and `_gamma_logderiv` that built them before, kept
-here as the reference.
+`_sum` is checked bit for bit against mpmath's mpf_add and mpf_sub at
+round_nearest, on both sides of its hand-off to mpf_add.  The nodes are
+checked `==` against the per-node loop over `_gamma_value` and
+`_gamma_logderiv` that built them before, kept here as the reference.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (fzero, mpf_add, mpf_sub, round_ceiling, round_down, round_floor,
-                          round_nearest, round_up)
+from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_sub, round_floor, round_nearest
 
 from hyperreg.lfun import motive
 from hyperreg.lfun.motive import LFunctionSpec, MotiveError
@@ -23,66 +22,174 @@ from hyperreg.mpnum import PrecisionPolicy
 F = Fraction
 
 
-# --- the rounding helper ---------------------------------------------------------
+# --- the rounding of the kernel sums ---------------------------------------------
+
+def _value(sign, man, exp):
+    """_sum's (signed mantissa, exponent) of a value of at most prec bits,
+    widened as the kernel widens its nodes and rotation."""
+    return motive._widen((sign, man, exp, man.bit_length()) if man else fzero, 0)
+
 
 @st.composite
-def _operand(draw, prec):
-    """(sign, odd mantissa of up to 2 prec bits, exponent), or a zero."""
-    if draw(st.integers(0, 19)) == 0:
-        return 0, 0, 0
-    bits = draw(st.integers(1, 2 * prec))
+def _factor(draw, prec):
+    """A rounded value as the kernel holds one: an odd mantissa of up to prec
+    bits widened to prec, a carry to a power of two (prec + 1 bits), or zero."""
+    kind = draw(st.integers(0, 19))
+    exp = draw(st.integers(-300, 300))
+    if kind == 0:
+        return 0, 0
+    if kind == 1:
+        return (-1) ** draw(st.integers(0, 1)) << prec, exp
+    bits = draw(st.integers(1, prec))
     man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
-    return draw(st.integers(0, 1)), man, draw(st.integers(-300, 300))
+    return motive._widen((draw(st.integers(0, 1)), man, exp, bits), prec)
 
 
-def _raw(sign, man, exp):
-    return (sign, man, exp, man.bit_length()) if man else fzero
+@st.composite
+def _operands(draw, prec):
+    """Two operands of _sum with the far bound the kernel passes for them: two
+    products of rounded values (odd mantissas of up to 2 prec bits), far =
+    prec + 1, or two rounded values, far = _ANY_GAP; the second at an exponent
+    offset of up to 400 bits, the exact negation of the first (the sum
+    cancels), or one bit `drop` places below the first's last place of prec
+    bits (drop = 1 puts the exact sum on a tie)."""
+    products = draw(st.booleans())
+    far = prec + 1 if products else motive._ANY_GAP
+    one = motive._widen(fone, prec)
+
+    def operand():
+        (m1, e1), (m2, e2) = draw(_factor(prec)), draw(_factor(prec)) if products else one
+        return m1 * m2, e1 + e2
+
+    m1, e1 = operand()
+    kind = draw(st.sampled_from(["random", "cancel", "tie"]))
+    if kind == "cancel":
+        return (m1, e1), (-m1, e1), far
+    if kind == "tie":
+        bits = draw(st.integers(max(1, prec - 20), prec))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+        exp = draw(st.integers(-300, 300))
+        drop = draw(st.sampled_from([1, 1, 1, 2, 3, 60, 120]))
+        (m1, e1), (m2, e2) = (motive._widen((draw(st.integers(0, 1)), man, exp, bits), prec),
+                              _value(draw(st.integers(0, 1)), 1, exp + bits - prec - drop))
+        return (m1 * one[0], e1 + one[1]), (m2 * one[0], e2 + one[1]), far
+    m2, e2 = operand()
+    return (m1, e1), (m2, e1 + draw(st.integers(-400, 400)) if m2 else e2), far
 
 
 @st.composite
 def _case(draw):
     prec = draw(st.integers(10, 300))
-    rnd = draw(st.sampled_from([round_nearest] * 6 + [round_floor, round_ceiling,
-                                                       round_down, round_up]))
-    a = draw(_operand(prec))
-    kind = draw(st.sampled_from(["random", "cancel", "tie"]))
-    if kind == "cancel":
-        # the same magnitude with the other sign: the sum is exactly zero
-        b = (a[0] ^ 1, a[1], a[2])
-    elif kind == "tie":
-        # a exact at prec bits, b one bit `drop` places below a's last place of
-        # prec bits: drop = 1 puts the exact sum on a tie
-        bits = draw(st.integers(max(1, prec - 20), prec))
-        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
-        a = (draw(st.integers(0, 1)), man, draw(st.integers(-300, 300)))
-        drop = draw(st.sampled_from([1, 1, 1, 2, 3, 60, 120]))
-        b = (draw(st.integers(0, 1)), 1, a[2] + bits - prec - drop)
-    else:
-        b = (draw(st.integers(0, 1)),) + draw(_operand(prec))[1:]
-        b = (b[0], b[1], a[2] + draw(st.integers(-120, 120)) if b[1] else 0)
-    return prec, rnd, a, b
+    return (prec,) + draw(_operands(prec))
+
+
+def _as_mpf(value):
+    return from_man_exp(*value)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(_case())
-def test_add_round_matches_mpf_add_bit_for_bit(case):
-    prec, rnd, (s1, m1, e1), (s2, m2, e2) = case
-    x, y = _raw(s1, m1, e1), _raw(s2, m2, e2)
-    assert motive._add_round(s1, m1, e1, s2, m2, e2, prec, rnd) == mpf_add(x, y, prec, rnd)
-    # a difference is the sum with the second sign flipped
-    assert motive._add_round(s1, m1, e1, s2 ^ 1, m2, e2, prec, rnd) == \
-        mpf_sub(x, y, prec, rnd)
+def test_sum_matches_mpf_add_bit_for_bit(case):
+    """_sum is mpf_add at round_nearest, bit for bit, on the operands the
+    kernel gives it, at every exponent offset; its mantissa stays prec or
+    prec + 1 bits wide."""
+    prec, (m1, e1), (m2, e2), far = case
+    x, y = _as_mpf((m1, e1)), _as_mpf((m2, e2))
+    for total, expected in ((motive._sum(m1, e1, m2, e2, prec, far), mpf_add),
+                            (motive._sum(m1, e1, -m2, e2, prec, far), mpf_sub)):
+        assert _as_mpf(total) == expected(x, y, prec, round_nearest)
+        assert total == (0, 0) or abs(total[0]).bit_length() in (prec, prec + 1)
 
 
-@pytest.mark.parametrize("offset", [-101, -100, 100, 101])
-def test_add_round_at_the_fallback_edge(offset):
-    """Both sides of the 100-bit exponent gap, where mpf_add may perturb."""
+# products of four 200-bit factors whose exact sum rounds to another value
+# than mpf_add's: the second lies 206 bits below the first, and mpf_add
+# rounds the first nudged by one unit in its place
+FAR_FACTORS = (1328900471813977952006156982734440419263294114624991380833169,
+               1383464709271363398548657431838961016598679971894673224120897,
+               1076462849601229472546594364562531592668518944921899074883793,
+               1329676814298799045148698172081730086349227379507374993113167)
+
+
+def test_far_products_take_mpf_adds_rounding():
+    """Past far, _sum hands the products to mpf_add, which is not the exact
+    rounding there: the bits of the mpc loop are mpf_add's."""
+    prec = 200
+    x, y, u, v = FAR_FACTORS
+    p, q, eq = x * y, u * v, -206
+    expected = mpf_add(_as_mpf((p, 0)), _as_mpf((q, eq)), prec, round_nearest)
+    assert _as_mpf(motive._sum(p, 0, q, eq, prec, prec + 1)) == expected
+    total = (p << -eq) + q                  # the exact sum in units of 2^eq
+    n = total.bit_length() - prec
+    exact = round(Fraction(total, 1 << n))  # to nearest, ties to even
+    assert from_man_exp(exact, n + eq) != expected
+
+
+@pytest.mark.parametrize("gap", ["-far-1", "-far", "far", "far+1"])
+def test_sum_at_the_far_edge(gap):
+    """Products far and far + 1 bits apart in exponent, on either side of the
+    hand-off to mpf_add."""
     prec = 53
+    far = prec + 1
+    offset = {"-far-1": -far - 1, "-far": -far, "far": far, "far+1": far + 1}[gap]
     for s1, s2 in ((0, 0), (0, 1), (1, 0)):
-        m1, m2 = (1 << 60) - 1, 3
-        e1, e2 = 0, -offset
-        assert motive._add_round(s1, m1, e1, s2, m2, e2, prec, round_nearest) == \
-            mpf_add(_raw(s1, m1, e1), _raw(s2, m2, e2), prec, round_nearest)
+        p = (-1) ** s1 * ((1 << 53) - 1) * ((1 << 53) - 3)
+        q = (-1) ** s2 * (1 << 52) * ((1 << 53) - 5)
+        assert _as_mpf(motive._sum(p, 0, q, -offset, prec, far)) == \
+            mpf_add(_as_mpf((p, 0)), _as_mpf((q, -offset)), prec, round_nearest)
+
+
+def test_kernel_rounds_to_nearest_only(monkeypatch):
+    """The rounding mode is checked once per call: another than nearest fails."""
+    pol = PrecisionPolicy(6)
+    ctx = pol.ctx
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    monkeypatch.setattr(ctx, "_prec_rounding", [ctx.prec, round_floor])
+    with pytest.raises(MotiveError, match="round to nearest"):
+        ker(ctx.mpf("0.5"))
+
+
+def test_signed_nodes_derived_once_per_kernel(monkeypatch):
+    """The nodes are widened on the first call only; each call widens just the
+    two parts of its rotation."""
+    pol = PrecisionPolicy(6)
+    ctx = pol.ctx
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol, 1)
+    calls = []
+    original = motive._widen
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(motive, "_widen", counted)
+    first = ker(ctx.mpf("0.5"))
+    assert len(calls) == 2 * sum(map(len, ker._raw)) + 2
+    derived = ker._signed_nodes
+    del calls[:]
+    assert ker(ctx.mpf("0.5")) == first and len(calls) == 2
+    assert ker._signed_nodes is derived
+
+
+def test_kernel_sums_take_their_far_bounds(monkeypatch):
+    """One call rounds 2 sums per rotation step and 2 per node past the
+    first: the products with far = prec + 1, the accumulations with
+    _ANY_GAP."""
+    pol = PrecisionPolicy(6)
+    ctx = pol.ctx
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(-1), ctx.mpf("2.75"), pol, 2)
+    fars = []
+    original = motive._sum
+
+    def counted(*args):
+        fars.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(motive, "_sum", counted)
+    ker(ctx.mpf("0.5"))
+    steps = max(map(len, ker._raw)) - 1
+    terms = sum(len(nodes) - 1 for nodes in ker._raw)
+    assert fars.count(ctx.prec + 1) == 2 * steps + terms
+    assert fars.count(motive._ANY_GAP) == terms and len(fars) == 2 * steps + 2 * terms
 
 
 # --- the node construction -------------------------------------------------------

@@ -196,7 +196,7 @@ def test_residual_frobenius_builds_phi_once(monkeypatch):
 
 def test_k4_floats_entries_once_per_K_and_precision(monkeypatch):
     k4._entries_checked.cache_clear()
-    k4._entries_built.cache_clear()
+    k4._built.clear()
     floats = _count_calls(monkeypatch, LogSeries, "to_floating")
     pol = PrecisionPolicy(20)
     t = k4.T_POINTS[3]

@@ -140,7 +140,7 @@ def test_entries_cache_hands_out_copies():
     first["sqrt_deformed_inner"].parts[0].coeffs[0].terms.clear()
     first["log_deformed_inner"].parts.pop()
     again = k4_entries(12)
-    assert again == k4._entries_built.__wrapped__(12)
+    assert again == k4._build_entries(12)
     assert again["log_primitive"].part(0).coeffs[1] == 16
     assert k4._entries_unchecked(12) == again
 
@@ -150,14 +150,14 @@ def test_failed_check_is_not_cached(monkeypatch):
     from hyperreg.regulators import k4
     from hyperreg.regulators.reporting import CaseError
     k4._entries_checked.cache_clear()
-    k4._entries_built.cache_clear()
+    k4._built.clear()
     monkeypatch.setattr(k4, "log_primitive_series",
                         lambda K: LogSeries.constant(F(0), K + 1))
     for _ in range(2):
         with pytest.raises(CaseError, match="dual-path"):
             k4_entries(6)
     monkeypatch.undo()
-    k4._entries_built.cache_clear()           # it holds the broken build
+    k4._built.clear()                         # it holds the broken build
     assert k4_entries(6)["log_primitive"] == log_primitive_series(6)
 
 
@@ -176,7 +176,7 @@ def test_dual_path_reads_hypergeom_rows(monkeypatch):
 
     monkeypatch.setattr(hypergeom, "_ck_rows", corrupted)
     k4._entries_checked.cache_clear()
-    k4._entries_built.cache_clear()
+    k4._built.clear()
     with pytest.raises(CaseError, match="dual-path"):
         k4_entries(8)
 
@@ -184,7 +184,7 @@ def test_dual_path_reads_hypergeom_rows(monkeypatch):
 def test_det_builds_entries_once_per_K(pol, monkeypatch):
     from hyperreg.regulators import k4
     k4._entries_checked.cache_clear()
-    k4._entries_built.cache_clear()
+    k4._built.clear()
     builds = []
     real = k4.log_primitive_series
     monkeypatch.setattr(k4, "log_primitive_series", lambda K: builds.append(K) or real(K))
@@ -193,3 +193,43 @@ def test_det_builds_entries_once_per_K(pol, monkeypatch):
     assert len(builds) == 2 and builds[1] == 2 * builds[0]
     assert k4_det(t, pol).r_value == first
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("K", [32, 53, 99])
+def test_entries_of_K_are_a_prefix_of_2K(K):
+    """Each coefficient depends on k alone, so the entries of K are the first
+    K + 1 coefficients of those of 2K: a smaller K can be served from a
+    larger build."""
+    from hyperreg.regulators import k4
+    small, large = k4._build_entries(K), k4._build_entries(2 * K).prefix(K)
+    for name, ls in small.items():
+        assert [p.coeffs for p in ls.parts] == [p.coeffs for p in large[name].parts]
+        assert [p.offset for p in ls.parts] == [p.offset for p in large[name].parts]
+
+
+def test_point_list_builds_and_floats_the_largest_K_once(monkeypatch):
+    """A four-point list at 30 digits (K = 99, 53, 38, 32 and their doubles)
+    builds the entries of 99 and 198 only, and converts each exact
+    coefficient at most once per precision."""
+    from hyperreg import series
+    from hyperreg.mpnum import PrecisionPolicy
+    from hyperreg.regulators import k4
+    k4._entries_checked.cache_clear()
+    k4._built.clear()
+    builds, floats = [], {}
+    real_build, real_to_mp = k4.log_primitive_series, series._to_mp
+    monkeypatch.setattr(k4, "log_primitive_series", lambda K: builds.append(K) or real_build(K))
+
+    def counted(c, ctx):
+        if not isinstance(c, ctx.mpf):
+            floats[ctx.prec] = floats.get(ctx.prec, 0) + 1
+        return real_to_mp(c, ctx)
+
+    monkeypatch.setattr(series, "_to_mp", counted)
+    pol = PrecisionPolicy(30)
+    first = [k4_det(t, pol).r_value for t in T_POINTS]
+    assert builds == [99, 198]
+    # 10 parts over the four entries: 2 + 1 + 3 + 4
+    assert floats == {pol.ctx.prec: 10 * 100, pol.doubled().ctx.prec: 10 * 199}
+    assert [k4_det(t, pol).r_value for t in T_POINTS] == first
+    assert builds == [99, 198] and sum(floats.values()) == 10 * 299

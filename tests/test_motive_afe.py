@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperreg import cli
 from hyperreg.lfun import euler, motive
@@ -231,3 +234,24 @@ def test_kernel_real_part_sum_is_bit_identical(gamma, sigma, digits):
         assert ker(y) == expected
         for order in (0, 1, 2):
             assert ker(y, order) == expected[:order + 1]
+
+
+@functools.cache
+def _order2_kernel():
+    """The order-2 Gamma_R(s + 1) kernel of the chi_-4 mirror side at s = 2
+    (sigma = -1, 8 digits): three node lists of 367, 370 and 372 nodes."""
+    pol = PrecisionPolicy(8)
+    ctx = pol.ctx
+    return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), ctx.mpf(-1),
+                          ctx.mpf("2.75"), pol, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
+       st.sampled_from([None, 0, 1, 2]))
+def test_kernel_sum_is_bit_identical_at_any_y(y, order):
+    """At any y, every order's value is the mpc loop's, bit for bit."""
+    ker = _order2_kernel()
+    y = ker.ctx.mpf(y.numerator) / y.denominator
+    expected = _mpc_object_sums(ker, y)
+    assert ker(y, order) == (expected if order is None else expected[:order + 1])

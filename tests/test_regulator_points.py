@@ -3,10 +3,9 @@
 Every run is `--max-terms 16 regulator --case C --t T[,T...]`, in process
 through `cli.main`.  A run exits 2 exactly when some point is refused (an
 unknown case, a t that does not parse, a t its case's `check_point`
-rejects); otherwise it computes and exits 0 or 3, the cap of 16 terms
-making most runs a divergence.  The one exception is an appB point below
-t = 1/100, where the finite-difference probe of the derivative column fails
-and the run exits 4 with that line.
+rejects); otherwise it exits 0 or 3, the cap of 16 terms making most runs
+a divergence, and a cy0 point whose residue sum exceeds the cap exiting 3
+before anything is computed.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from hyperreg import cli
 from hyperreg.lfun.ratio import check_ratio_point
+from hyperreg.mpnum import DivergenceError, PrecisionPolicy
 from hyperreg.regulators.reporting import CASE_IDS, CaseError
 
 JUNK_CASES = ("", "nope", "K4", "appb", "k4 ", "cy")
@@ -48,8 +49,11 @@ POINTS = {
     "k4": st.one_of(_near(Fraction(0), Fraction(1, 10 ** 6)),
                     _near(Fraction(1, 256), Fraction(1, 10 ** 6)),
                     st.just(Fraction(1, 10 ** 400))),
+    # and around the lower point rule t = 1/200
     "appB": st.one_of(_near(Fraction(0), Fraction(1, 10 ** 7)),
                       _near(APPB_END, Fraction(1, 10 ** 7)),
+                      st.fractions(min_value=Fraction(1, 250), max_value=Fraction(1, 100),
+                                   max_denominator=10 ** 4),
                       st.fractions(min_value=Fraction(1, 100), max_value=APPB_END,
                                    max_denominator=1000)),
     "cy0": st.builds(Fraction, st.integers(-2, 5), st.integers(1, 100)),
@@ -66,17 +70,24 @@ def regulator_runs(draw):
     return case, ",".join(texts)
 
 
+# the policy of `--max-terms 16` at the default digits
+POLICY = PrecisionPolicy(max_terms=16)
+
+
 def _refused(case: str, text: str) -> bool:
-    """Whether the CLI must refuse `--case case --t text` before computing."""
+    """Whether the CLI must refuse `--case case --t text` before computing:
+    the first point whose check fails decides, a cap (exit 3) or a refusal."""
     try:
         points = [cli._parse_rational(x) for x in text.split(",") if x.strip()]
     except cli.CliError:
         return True
     try:
         for t in points:
-            check_ratio_point(case, t)
+            check_ratio_point(case, t, POLICY)
     except CaseError:
         return True
+    except DivergenceError:
+        return False
     return not points
 
 
@@ -94,11 +105,6 @@ def _run_in_process(argv: list):
     return code, out.getvalue(), err.getvalue()
 
 
-def _fd_probe_failure(case: str, text: str, code: int, err: str) -> bool:
-    return (case == "appB" and code == 4 and "fails the fd probe" in err
-            and any(Fraction(x) < Fraction(1, 100) for x in text.split(",") if x.strip()))
-
-
 @settings(max_examples=1000, deadline=None)
 @given(regulator_runs())
 def test_regulator_exit_matches_check_ratio_point(run):
@@ -107,7 +113,7 @@ def test_regulator_exit_matches_check_ratio_point(run):
     if _refused(case, text):
         assert code == 2, (code, err)
     else:
-        assert code in (0, 3) or _fd_probe_failure(case, text, code, err), (code, err)
+        assert code in (0, 3), (code, err)
     if code:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
@@ -135,16 +141,42 @@ def test_in_process_run_matches_subprocess():
 def test_det_entry_refuses_with_its_check_point_line(pol, module, det, t):
     mod = importlib.import_module(f"hyperreg.regulators.{module}")
     with pytest.raises(CaseError) as want:
-        mod.check_point(t)
+        mod.check_point(t, pol)
     with pytest.raises(CaseError) as got:
         getattr(mod, det)(t, pol)
     assert str(got.value) == str(want.value)
 
 
-def test_cy0_check_point():
+def test_cy0_check_point(pol):
     from hyperreg.regulators import cy0
-    assert cy0.check_point(Fraction(1, 7)) == 21
+    assert cy0.check_point(Fraction(1, 7), pol) == 21
     for t, message in ((Fraction(2, 7), "t = 1/n"), (Fraction(1, 5), "n > 5"),
                        (Fraction(1, 8), "not squarefree")):
         with pytest.raises(CaseError, match=message):
-            cy0.check_point(t)
+            cy0.check_point(t, pol)
+    # D = n(n - 4) residues against the cap of 4000: n = 65 fits, 66 does not
+    assert cy0.check_point(Fraction(1, 65), pol) == 65 * 61
+    with pytest.raises(DivergenceError, match="needs 4092 terms, more than 4000"):
+        cy0.check_point(Fraction(1, 66), pol)
+    # the cap comes before the squarefree test: 68 * 64 is not squarefree
+    with pytest.raises(DivergenceError, match="--max-terms"):
+        cy0.check_point(Fraction(1, 68), pol)
+
+
+def test_cy0_point_past_the_cap_exits_at_once():
+    """t = 1/1000000007 (D about 10^18, whose squarefree test would take
+    about 10^9 trial divisions) exits 3 with one line naming --max-terms."""
+    start = time.perf_counter()
+    code, out, err = _run_in_process(["regulator", "--case", "cy0", "--t", "1/1000000007"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: cy0 residue sum truncation cap hit") and "--max-terms" in err
+
+
+@pytest.mark.parametrize("t", ["1/201", "1/250", "1/1000", "1/100000"])
+def test_appB_below_its_lower_point_rule_is_a_usage_error(t):
+    """Below t = 1/200 the probe cannot pass: refused with exit 2 and one line."""
+    code, out, err = _run_in_process(["regulator", "--case", "appB", "--t", t])
+    assert (code, out) == (2, "")
+    assert err == f"error: t = {t} below 1/200, where the finite-difference probe " \
+                  "cannot meet its 10^-12 budget\n"
