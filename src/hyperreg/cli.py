@@ -121,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--t", required=True,
                    help="rational t-point, or a comma-separated list "
                         "(evaluated in input order)")
-    r.add_argument("--workers", type=int, default=4,
-                   help="accepted for compatibility; has no effect "
-                        "(points are evaluated serially)")
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=("identities", "ode", "continuation",

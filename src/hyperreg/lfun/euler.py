@@ -8,6 +8,7 @@ computes a local factor from hypergeometric data.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,22 @@ class EulerFactorTable:
         for p in sorted(self.factors):
             lines.append(json.dumps({"p": p, "factor": self.factors[p]}, sort_keys=True))
         return "\n".join(lines) + "\n"
+
+
+def write_atomic(path, data: bytes):
+    """Write data to a temporary file beside path, then move it into place,
+    so a reader sees the whole file or none; the temporary file is removed
+    if that fails.  The directory must exist."""
+    import tempfile
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=os.path.basename(path),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:

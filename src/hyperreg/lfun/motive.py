@@ -3,18 +3,21 @@
 Lambda(s) = N^(s/2) gamma(s) L(s) with gamma(s) a product of
 Gamma_R(s + mu) = pi^(-(s+mu)/2) Gamma((s+mu)/2) and
 Gamma_C(s + nu) = 2 (2 pi)^(-(s+nu)) Gamma(s + nu) factors, satisfying
-Lambda(s) = sign * Lambda(w + 1 - s).
+Lambda(s) = sign * Lambda(w + 1 - s).  Both are 2^(1-e) (2^(1-e) pi)^(-x/2^e)
+Gamma(x/2^e), with the halvings e = 1 and 0 held in _HALVINGS, which the
+pole order and the limit at a pole read as well.
 
 The incomplete-Mellin kernel F(s, y) = (1/2 pi i) int gamma(s+u) y^(-u) du/u
 is computed on a truncated vertical line with a uniform trapezoid rule.
 Derivatives in s use the digamma-weighted integrand.  One kernel per
 (gamma data, s, precision) holds the nodes of every derivative order
 0..d, built in one sweep, and evaluates all orders at a y through a single
-complex-power recurrence.  The sweep runs on raw mpmath tuples with the libmp
-calls of the mpc expressions in _gamma_value and _gamma_logderiv, so every
-node has their bits; it forms the logs of pi and 2 pi once per kernel, and
-x, the power, Gamma and psi once per node and distinct (kind, shift) factor,
-so Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one pass over the
+complex-power recurrence.  One raw evaluator, _gamma_raw, forms gamma and its
+log-derivative terms on libmp tuples, with the bits of the per-kind mpc
+expressions; the sweep calls it at every node s + u and motive_L at its real
+s.  The logs of pi and 2 pi are formed once per kernel, and x, the power,
+Gamma and psi once per node and distinct (kind, shift) factor, so
+Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one pass over the
 nodes that forms each power of the rotation once and feeds it to every
 order, accumulating only the real part of each trapezoid sum, the one the
 kernel uses, on signed integer mantissas; each sum is rounded once by _sum
@@ -33,7 +36,8 @@ built is saved there as <sha256 of its key>.json and a later process loads
 it instead of building it (see _stored_kernel).  The key is the gamma data,
 the raw mpfs of s and c, the context's (prec, rounding), the working digits,
 mpmath's version and backend, and a digest of the bytecode of
-_Kernel.__init__, so an edit to the build invalidates every old entry.  An
+_Kernel.__init__, of the motive functions it calls and of _HALVINGS, so an
+edit to the build invalidates every old entry.  An
 entry holds its key, c, h and every node as (sign, mantissa, exponent)
 integers, under a sha256 of that text; one that does not decode, holds
 another key or fails its checksum is a miss, rebuilt and rewritten.  The
@@ -48,16 +52,17 @@ import functools
 import math
 import os
 import threading
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
-                          mpc_div, mpc_div_mpf, mpc_exp, mpc_gamma, mpc_log, mpc_mul,
-                          mpc_mul_int, mpc_mul_mpf, mpc_neg, mpc_pow, mpc_psi, from_man_exp,
-                          mpf_add, mpf_lt, mpf_mul_int, mpf_neg, round_nearest)
+from mpmath.libmp import (from_man_exp, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
+                          mpc_div_mpf, mpc_exp, mpc_gamma, mpc_log, mpc_mul, mpc_neg, mpc_pow,
+                          mpc_psi, mpc_shift, mpf_add, mpf_lt, mpf_mul_int, mpf_neg,
+                          round_nearest)
 
 from ..mpnum import PrecisionPolicy
-from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest
+from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
 
 __all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
            "CoverageError", "MotiveError", "PointError"]
@@ -95,7 +100,7 @@ class LFunctionSpec:
         if self.conductor < 1:
             raise MotiveError("conductor must be positive")
         for kind, _ in self.gamma_shifts:
-            if kind not in ("R", "C"):
+            if kind not in _HALVINGS:
                 raise MotiveError("gamma factor kind must be R or C")
 
     def gamma_signature(self):
@@ -165,64 +170,91 @@ def spec_from_json(doc) -> LFunctionSpec:
         label=_spec_str(doc.get("label", ""), "label"))
 
 
-def _gamma_value(spec, ctx, s):
-    val = ctx.mpf(1)
-    for kind, sh in spec.gamma_shifts:
-        x = s + ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
-        if kind == "R":
-            val = val * ctx.power(ctx.pi, -x / 2) * ctx.gamma(x / 2)
-        else:
-            val = val * 2 * ctx.power(2 * ctx.pi, -x) * ctx.gamma(x)
-    return val
+# the halvings e of each kind of gamma factor: Gamma_R(x) = pi^(-x/2) Gamma(x/2)
+# and Gamma_C(x) = 2 (2 pi)^(-x) Gamma(x) are both
+# 2^(1-e) (2^(1-e) pi)^(-x/2^e) Gamma(x/2^e), with e = 1 and e = 0
+_HALVINGS = {"R": 1, "C": 0}
 
 
-def _gamma_logderiv(spec, ctx, s, order):
-    """order 1 -> sum dlog factors; order 2 -> its derivative."""
-    acc = ctx.mpf(0)
-    for kind, sh in spec.gamma_shifts:
-        x = s + ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
-        if kind == "R":
-            acc += (-ctx.log(ctx.pi) / 2 + ctx.psi(0, x / 2) / 2) if order == 1 \
-                else ctx.psi(1, x / 2) / 4
-        else:
-            acc += (-ctx.log(2 * ctx.pi) + ctx.psi(0, x)) if order == 1 \
-                else ctx.psi(1, x)
-    return acc
+def _pole_index(kind, x: Fraction):
+    """j where x/2^e = -j for an integer j >= 0, a pole of the factor at x;
+    None elsewhere."""
+    y = x / 2 ** _HALVINGS[kind]
+    return int(-y) if y <= 0 and y.denominator == 1 else None
 
 
 def gamma_pole_order(spec, s0: Fraction) -> int:
-    m = 0
-    for kind, sh in spec.gamma_shifts:
-        x = Fraction(s0) + Fraction(sh)
-        if kind == "R":
-            if x <= 0 and x.denominator == 1 and x % 2 == 0:
-                m += 1
-        else:
-            if x <= 0 and x.denominator == 1:
-                m += 1
-    return m
+    return sum(_pole_index(kind, Fraction(s0) + Fraction(sh)) is not None
+               for kind, sh in spec.gamma_shifts)
 
 
 def _gamma_pole_limit(spec, ctx, s0: Fraction):
-    """lim (s - s0)^m gamma(s) at a pole of order m."""
+    """lim (s - s0)^m gamma(s) at a pole of order m: a factor with a pole at
+    x/2^e = -j contributes 2 (-1)^j (2^(1-e) pi)^j / j!, the others their value."""
+    factors, index = _gamma_factors(spec, ctx)
+    s = ((ctx.mpf(s0.numerator) / s0.denominator)._mpf_, fzero)
     val = ctx.mpf(1)
-    s0v = ctx.mpf(s0.numerator) / s0.denominator
-    for kind, sh in spec.gamma_shifts:
-        x = Fraction(s0) + Fraction(sh)
-        xv = s0v + ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
-        if kind == "R":
-            if x <= 0 and x.denominator == 1 and x % 2 == 0:
-                j = int(-x) // 2
-                val *= 2 * (-1) ** j * ctx.power(ctx.pi, j) / ctx.factorial(j)
-            else:
-                val *= ctx.power(ctx.pi, -xv / 2) * ctx.gamma(xv / 2)
+    for (kind, sh), i in zip(spec.gamma_shifts, index):
+        j = _pole_index(kind, Fraction(s0) + Fraction(sh))
+        if j is None:
+            val *= ctx.make_mpf(_gamma_raw([factors[i]], [0], s, 0, *ctx._prec_rounding)[0][0])
         else:
-            if x <= 0 and x.denominator == 1:
-                j = int(-x)
-                val *= 2 * (-1) ** j * ctx.power(2 * ctx.pi, j) / ctx.factorial(j)
-            else:
-                val *= 2 * ctx.power(2 * ctx.pi, -xv) * ctx.gamma(xv)
+            base = ctx.ldexp(ctx.pi, 1 - _HALVINGS[kind])
+            val *= 2 * (-1) ** j * ctx.power(base, j) / ctx.factorial(j)
     return val
+
+
+def _gamma_factors(spec, ctx):
+    """The distinct (kind, shift) factors of gamma as raw
+    (e, shift, base 2^(1-e) pi, its log as mpc_pow takes it, the constant
+    -log(2^(1-e) pi)/2^e of the factor's ell), and the index of every factor
+    of gamma, in order, into them."""
+    keys = [(kind, Fraction(sh)) for kind, sh in spec.gamma_shifts]
+    distinct = list(dict.fromkeys(keys))
+    factors = []
+    for kind, sh in distinct:
+        e = _HALVINGS[kind]
+        base = ctx.ldexp(ctx.pi, 1 - e)
+        factors.append((e, (ctx.mpf(sh.numerator) / sh.denominator)._mpf_, (base._mpf_, fzero),
+                        mpc_log((base._mpf_, fzero), ctx.prec + 10),
+                        ctx.ldexp(-ctx.log(base), -e)._mpf_))
+    return factors, [distinct.index(key) for key in keys]
+
+
+def _gamma_raw(factors, index, s, top, prec, rnd):
+    """(gamma(s), ell(s), ell'(s)) at the raw mpc s, ell = (log gamma)', on raw
+    tuples; ell only for top >= 1 and ell' for top == 2, else None.
+
+    x, the power, Gamma and psi are formed once per distinct factor, so
+    Gamma_C(s)^2 costs one Gamma.  x has at most prec bits, so its halvings
+    are exact, and so is the factor 2^(1-e) on the power; psi(0, .) has prec
+    + 20 bits, so Gamma_R's halving of it rounds, and Gamma_C's sum alone does.
+    """
+    per_factor = []
+    for e, shift, base, log_base, ell_const in factors:
+        x = mpc_add_mpf(s, shift, prec, rnd)
+        arg = mpc_shift(x, -e)
+        w = mpc_neg(arg)
+        # mpc_pow's own steps, its log of the base read from log_base
+        power = mpc_pow(base, w, prec, rnd) if w[1] == fzero \
+            else mpc_exp(mpc_mul(log_base, w, prec + 10), prec, rnd)
+        ell1 = ell2 = None
+        if top >= 1:
+            psi = mpc_psi(0, arg, prec, rnd)
+            ell1 = mpc_add_mpf(mpc_div_mpf(psi, ftwo, prec, rnd) if e else psi, ell_const,
+                               prec, rnd)
+        if top == 2:
+            ell2 = mpc_shift(mpc_psi(1, arg, prec, rnd), -2 * e)
+        per_factor.append((mpc_shift(power, 1 - e), mpc_gamma(arg, prec, rnd), ell1, ell2))
+    g = ell = ell_2 = None
+    for i in index:
+        power, gamma, ell1, ell2 = per_factor[i]
+        g = mpc_mul(power if g is None else mpc_mul(g, power, prec, rnd), gamma, prec, rnd)
+        if top >= 1:
+            ell = ell1 if ell is None else mpc_add(ell, ell1, prec, rnd)
+        if top == 2:
+            ell_2 = ell2 if ell_2 is None else mpc_add(ell_2, ell2, prec, rnd)
+    return g, ell, ell_2
 
 
 # ---------------------------------------------------------------------------
@@ -290,92 +322,32 @@ class _Kernel:
         if not spec.gamma_shifts:
             # the integrand y^-u / u alone decays like 1/|u|, never to the floor
             raise MotiveError("kernel quadrature failed to decay")
-        # the distinct (kind, shift) factors with their shifts as mpfs, and the
-        # index of every factor of gamma, in order, into them
-        keys = [(kind, Fraction(sh)) for kind, sh in spec.gamma_shifts]
-        distinct = list(dict.fromkeys(keys))
-        index = [distinct.index(key) for key in keys]
-        factors = [(kind, ctx.mpf(sh.numerator) / sh.denominator) for kind, sh in distinct]
+        factors, index = _gamma_factors(spec, ctx)
         # real parts of the integrand poles in u: u = 0 plus the gamma poles
         u_poles = [ctx.mpf(0)]
-        for kind, shv in factors:
-            base = -(s_val + shv)
-            step = 2 if kind == "R" else 1
-            u = base
+        for e, shift, *_ in factors:
+            u = -(s_val + ctx.make_mpf(shift))
             while u > ctx.mpf("0.01"):
                 u_poles.append(u)
-                u -= step
-        u_max = max(u_poles)
-        c = max(c, u_max + ctx.mpf("0.75"))
+                u -= 2 ** e
+        c = max(c, max(u_poles) + ctx.mpf("0.75"))
         self.c = c
-        # trapezoid step from the distance to the nearest pole of the strip
+        # trapezoid step from the distance to the nearest pole of the strip,
+        # u = 0 among them
         d_min = min(c - u for u in u_poles)
-        d_min = min(d_min, c)
         self.h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
         floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
-        # The nodes are built on raw tuples by the libmp calls the mpc
-        # expressions of _gamma_value and _gamma_logderiv at s + u make, in
-        # their order, so every bit is theirs.  Formed once per kernel: the
-        # base of each power with its log as mpc_pow takes it, and the
-        # constant of each ell term; once per node and distinct factor: x,
-        # the power, Gamma and psi.
         prec, rnd = ctx._prec_rounding
-        pi = ctx.pi._mpf_
-        power_base = {"R": (pi, fzero), "C": (mpf_mul_int(pi, 2, prec, rnd), fzero)}
-        log_base = {kind: mpc_log(z, prec + 10) for kind, z in power_base.items()}
-        ell_const = {"R": (-ctx.log(ctx.pi) / 2)._mpf_, "C": (-ctx.log(2 * ctx.pi))._mpf_}
-        four = from_int(4)
         s_mpf, c_mpf, h_mpf = s_val._mpf_, ctx.mpf(c)._mpf_, self.h._mpf_
-        raw_factors = [(kind, shv._mpf_) for kind, shv in factors]
         # each node as one flat raw tuple, the real part's raw mpf then the
         # imaginary part's, for __call__
         self._raw = [[] for _ in range(order + 1)]
         building = list(range(order + 1))
         k = 0
         while building:
-            top = building[-1]
             u = (c_mpf, mpf_mul_int(h_mpf, k, prec, rnd))
-            s = mpc_add_mpf(u, s_mpf, prec, rnd)
-            per_factor = []
-            for kind, shv in raw_factors:
-                x = mpc_add_mpf(s, shv, prec, rnd)
-                if kind == "R":
-                    arg = mpc_div_mpf(x, ftwo, prec, rnd)
-                    w = mpc_div_mpf(mpc_neg(x, prec, rnd), ftwo, prec, rnd)
-                else:
-                    arg, w = x, mpc_neg(x, prec, rnd)
-                # mpc_pow's own steps, its log of the base read from log_base
-                power = mpc_pow(power_base[kind], w, prec, rnd) if w[1] == fzero \
-                    else mpc_exp(mpc_mul(log_base[kind], w, prec + 10), prec, rnd)
-                ell1 = ell2 = None
-                if top >= 1:
-                    psi = mpc_psi(0, arg, prec, rnd)
-                    if kind == "R":
-                        psi = mpc_div_mpf(psi, ftwo, prec, rnd)
-                    ell1 = mpc_add_mpf(psi, ell_const[kind], prec, rnd)
-                if top == 2:
-                    ell2 = mpc_psi(1, arg, prec, rnd)
-                    if kind == "R":
-                        ell2 = mpc_div_mpf(ell2, four, prec, rnd)
-                per_factor.append((kind, power, mpc_gamma(arg, prec, rnd), ell1, ell2))
-            # gamma and its ell terms factor by factor, from the mpf 1 and 0
-            # the expressions start at
-            g = ell = ell_2 = None
-            for i in index:
-                kind, power, gamma, ell1, ell2 = per_factor[i]
-                if g is None:
-                    g = mpc_mul_mpf(power, ftwo if kind == "C" else fone, prec, rnd)
-                else:
-                    if kind == "C":
-                        g = mpc_mul_int(g, 2, prec, rnd)
-                    g = mpc_mul(g, power, prec, rnd)
-                g = mpc_mul(g, gamma, prec, rnd)
-                if top >= 1:
-                    ell = mpc_add_mpf(ell1, fzero, prec, rnd) if ell is None \
-                        else mpc_add(ell, ell1, prec, rnd)
-                if top == 2:
-                    ell_2 = mpc_add_mpf(ell2, fzero, prec, rnd) if ell_2 is None \
-                        else mpc_add(ell_2, ell2, prec, rnd)
+            g, ell, ell_2 = _gamma_raw(factors, index, mpc_add_mpf(u, s_mpf, prec, rnd),
+                                       building[-1], prec, rnd)
             for d in list(building):
                 weighted = g if d == 0 else mpc_mul(g, ell, prec, rnd) if d == 1 else \
                     mpc_mul(g, mpc_add(mpc_mul(ell, ell, prec, rnd), ell_2, prec, rnd),
@@ -387,11 +359,6 @@ class _Kernel:
             if building and k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
             k += 1
-
-    @property
-    def nodes(self):
-        """The node values of orders 0..order as mpc objects, rebuilt from _raw."""
-        return [[self.ctx.make_mpc((r[:4], r[4:])) for r in raw] for raw in self._raw]
 
     def _signed(self, prec):
         """Each node as (re, exp, -im, exp) for _sum, widened to prec bits (the
@@ -482,16 +449,23 @@ def _sha256():
 
 @functools.cache
 def _build_digest() -> str:
-    """sha256 of the bytecode, names and constants of _Kernel.__init__ and
-    of the code nested in it; source positions are left out."""
-    h = _sha256()()
-    codes = [_Kernel.__init__.__code__]
+    """sha256 of the bytecode, names and constants of _Kernel.__init__, of
+    the code nested in it and of every function of this module it calls,
+    directly or not, and of _HALVINGS; source positions are left out."""
+    h = _sha256()(repr(sorted(_HALVINGS.items())).encode())
+    codes, seen = [_Kernel.__init__.__code__], set()
     while codes:
         code = codes.pop()
         h.update(code.co_code)
         h.update(repr(code.co_names).encode())
+        for name in code.co_names:
+            f = globals().get(name)
+            if name not in seen and isinstance(f, types.FunctionType) \
+                    and f.__module__ == __name__:
+                seen.add(name)
+                codes.append(f.__code__)
         for const in code.co_consts:
-            if isinstance(const, type(code)):
+            if isinstance(const, types.CodeType):
                 codes.append(const)
             else:
                 # a frozenset's repr follows string hashing, which varies by process
@@ -565,25 +539,15 @@ def _read_entry(path, key, ctx, order):
 
 
 def _write_entry(path, key, k):
-    """Save kernel k as the entry at path: written to a temporary file in
-    the same directory and moved into place, so a reader sees a whole entry
-    or none."""
+    """Save kernel k as the entry at path, atomically: a reader sees a whole
+    entry or none."""
     import json
-    import tempfile
-    store = os.path.dirname(path)
     body = json.dumps(
         {"key": key, "c": list(k.c._mpf_[:3]), "h": list(k.h._mpf_[:3]),
          "nodes": [[[r[0], r[1], r[2], r[4], r[5], r[6]] for r in nodes] for nodes in k._raw]},
         separators=(",", ":")).encode()
-    os.makedirs(store, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=store, prefix=os.path.basename(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_entry_file(body))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    write_atomic(path, _entry_file(body))
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +719,18 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator
         val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
         return val, err
-    # L = Lambda / (N^(s/2) gamma): divide with the product rule
-    g0 = _gamma_value(spec, ctx, s_val)
-    lnN2 = ctx.log(spec.conductor) / 2
-    ell1 = _gamma_logderiv(spec, ctx, s_val, 1) + lnN2
+    # L = Lambda / (N^(s/2) gamma): divide with the product rule, gamma and
+    # its ell terms from the kernel's evaluator at the real s
+    g0, ell1, ell2 = (v if v is None else ctx.make_mpf(v[0]) for v in _gamma_raw(
+        *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), derivative_order, *ctx._prec_rounding))
     pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * g0
     L0 = lams[0] / pref
     if derivative_order == 0:
         return L0, err
+    ell1 += ctx.log(spec.conductor) / 2
     L1 = (lams[1] - ell1 * lams[0]) / pref
     if derivative_order == 1:
         return L1, err
-    ell2 = _gamma_logderiv(spec, ctx, s_val, 2)
     # (log pref)'' = ell2 ; Lambda = pref * L =>
     # Lambda'' = pref (L'' + 2 ell1 L' + (ell1^2 + ell2) L)
     L2 = (lams[2] - 2 * ell1 * pref * L1 - (ell1 ** 2 + ell2) * pref * L0) / pref

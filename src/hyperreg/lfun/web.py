@@ -12,15 +12,13 @@ one.  A cached body that does not decode counts as a miss.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from pathlib import Path
 
-from .euler import EulerError, EulerFactorTable
+from .euler import EulerError, EulerFactorTable, write_atomic
 
 __all__ = ["lmfdb_fetch", "FetchError", "NotFoundError", "ENDPOINT_TEMPLATE"]
 
@@ -63,23 +61,11 @@ def lmfdb_fetch(label: str, cache_dir, offline: bool = False,
     if doc is None:
         raise EulerError(f"unparseable response body for {label!r}")
     body_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(body_path, body)
-    _write_atomic(meta_path, json.dumps(
+    write_atomic(body_path, body)
+    write_atomic(meta_path, json.dumps(
         {"url": url, "fetched_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
          "label": label}, sort_keys=True).encode("utf-8"))
     return _table(doc, label, provenance=f"web:{url}")
-
-
-def _write_atomic(path: Path, data: bytes):
-    """Write data to a temporary file beside path, then rename it into place."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _default_opener(retries: int):

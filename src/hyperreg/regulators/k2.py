@@ -301,12 +301,6 @@ def mb_contour(z, pol: PrecisionPolicy):
     return (val.real if hasattr(val, "real") else val) / ctx.pi
 
 
-def _tilde_series(alpha: Fraction, z, pol: PrecisionPolicy, harmonic_factor=False):
-    """A~/B~/C~/D~ building blocks: sum_k (-1)^k Gamma^alpha_k z^-k / (k + alpha - 1/2),
-    or with the D~ harmonic factor (4 H_(4k+1) - 10 H_2k + 6 H_k + 1/k)/k."""
-    return _stream_sums(alpha, z, pol, "D" if harmonic_factor else "R", alternating=True)[0]
-
-
 def _left_blocks(zv, pol: PrecisionPolicy):
     """(A~, B~, C~, D~), one alternating pass per Gamma^alpha stream; C~ and
     D~ share the alpha = 1/2 pass."""

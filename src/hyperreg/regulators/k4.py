@@ -251,10 +251,6 @@ def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None) -> Regulator
     return rep
 
 
-def _entries_unchecked(K: int):
-    return _copy_entries(_entries_built(K).prefix(K))
-
-
 class _Entries(dict):
     """The four exact entries of one K, with their floating copies.
 

@@ -1,9 +1,10 @@
 """The AFE kernel on raw tuples: its one-rounding sum and its node construction.
 
 `_sum` is checked bit for bit against mpmath's mpf_add and mpf_sub at
-round_nearest, on both sides of its hand-off to mpf_add.  The nodes are
-checked `==` against the per-node loop over `_gamma_value` and
-`_gamma_logderiv` that built them before, kept here as the reference.
+round_nearest, on both sides of its hand-off to mpf_add.  The nodes, and
+`_gamma_raw` that builds them, are checked `==` against the per-node loop
+over `_gamma_value` and `_gamma_logderiv`, the mpc expressions of each kind
+of factor, kept here as the reference.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_sub, round_floor, round_nearest
 
@@ -194,6 +195,64 @@ def test_kernel_sums_take_their_far_bounds(monkeypatch):
 
 # --- the node construction -------------------------------------------------------
 
+def _gamma_value(spec, ctx, s):
+    val = ctx.mpf(1)
+    for kind, sh in spec.gamma_shifts:
+        x = s + ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
+        if kind == "R":
+            val = val * ctx.power(ctx.pi, -x / 2) * ctx.gamma(x / 2)
+        else:
+            val = val * 2 * ctx.power(2 * ctx.pi, -x) * ctx.gamma(x)
+    return val
+
+
+def _gamma_logderiv(spec, ctx, s, order):
+    """order 1 -> sum dlog factors; order 2 -> its derivative."""
+    acc = ctx.mpf(0)
+    for kind, sh in spec.gamma_shifts:
+        x = s + ctx.mpf(Fraction(sh).numerator) / Fraction(sh).denominator
+        if kind == "R":
+            acc += (-ctx.log(ctx.pi) / 2 + ctx.psi(0, x / 2) / 2) if order == 1 \
+                else ctx.psi(1, x / 2) / 4
+        else:
+            acc += (-ctx.log(2 * ctx.pi) + ctx.psi(0, x)) if order == 1 \
+                else ctx.psi(1, x)
+    return acc
+
+
+@st.composite
+def _gamma_point(draw):
+    """Mixed gamma data (one to three factors, shifts in halves from -2 to 2),
+    a precision, an order and a complex s off the poles, its imaginary part
+    zero about one time in five."""
+    gamma = tuple(draw(st.lists(st.tuples(st.sampled_from("RC"),
+                                          st.integers(-4, 4).map(lambda n: F(n, 2))),
+                                min_size=1, max_size=3)))
+    re = draw(st.fractions(-6, 6, max_denominator=64))
+    im = draw(st.one_of(st.just(F(0)), st.fractions(-60, 60, max_denominator=64)))
+    if im == 0:
+        for kind, sh in gamma:
+            x = (re + sh) / (2 if kind == "R" else 1)
+            assume(not (x <= 0 and x.denominator == 1))
+    return gamma, draw(st.sampled_from([6, 15, 30, 60])), draw(st.integers(0, 2)), re, im
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gamma_point())
+def test_gamma_raw_matches_the_mpc_expressions(point):
+    """gamma, ell and ell' from _gamma_raw at a complex s are the per-kind mpc
+    expressions', bit for bit."""
+    gamma, digits, top, re, im = point
+    ctx = PrecisionPolicy(digits).ctx
+    spec = LFunctionSpec(1, 0, 1, gamma)
+    s = ctx.mpc(ctx.mpf(re.numerator) / re.denominator, ctx.mpf(im.numerator) / im.denominator)
+    g, ell, ell2 = motive._gamma_raw(*motive._gamma_factors(spec, ctx), s._mpc_, top,
+                                     *ctx._prec_rounding)
+    assert g == _gamma_value(spec, ctx, s)._mpc_
+    assert ell == (_gamma_logderiv(spec, ctx, s, 1)._mpc_ if top >= 1 else None)
+    assert ell2 == (_gamma_logderiv(spec, ctx, s, 2)._mpc_ if top == 2 else None)
+
+
 def _reference_raw(spec, s_val, c, pol, order):
     """(c, h, nodes) of _Kernel from the per-node mpc loop over _gamma_value
     and _gamma_logderiv, each node's real and imaginary raw mpf in one tuple."""
@@ -210,11 +269,11 @@ def _reference_raw(spec, s_val, c, pol, order):
     floor = ctx.mpf(10) ** (-(wd + 8))
     while building:
         u = ctx.mpc(c, k * h)
-        g = motive._gamma_value(spec, ctx, s_val + u)
+        g = _gamma_value(spec, ctx, s_val + u)
         if building[-1] >= 1:
-            ell = motive._gamma_logderiv(spec, ctx, s_val + u, 1)
+            ell = _gamma_logderiv(spec, ctx, s_val + u, 1)
         if building[-1] == 2:
-            ell2 = motive._gamma_logderiv(spec, ctx, s_val + u, 2)
+            ell2 = _gamma_logderiv(spec, ctx, s_val + u, 2)
         for d in list(building):
             weighted = g if d == 0 else g * ell if d == 1 else g * (ell * ell + ell2)
             val = weighted / u

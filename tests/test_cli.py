@@ -94,7 +94,7 @@ def test_regulator_without_ratio_pipeline_exit2(case, t):
 
 def test_regulator_list_is_serial_in_input_order():
     """A t-list prints exactly the single-point reports, in input order;
-    --workers is still accepted and changes nothing."""
+    --workers, once accepted and ignored, is a usage error."""
     points = ("1/65536", "1/1024", "1/16384", "1/4096")
     common = ("--digits", "20", "--json", "regulator", "--case", "k4")
     singles = [run(*common, "--t", t) for t in points]
@@ -102,7 +102,9 @@ def test_regulator_list_is_serial_in_input_order():
     listed = run(*common, "--t", ",".join(points))
     assert listed.returncode == 0
     assert json.loads(listed.stdout) == [json.loads(s.stdout) for s in singles]
-    assert run(*common, "--t", ",".join(points), "--workers", "1").stdout == listed.stdout
+    out = run(*common, "--t", ",".join(points), "--workers", "1")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
 
 def test_config_file_merging(tmp_path):
@@ -357,10 +359,10 @@ _PROBE = ("import json, sys\nfrom hyperreg import cli\ncli.main(json.loads(sys.a
           "print(json.dumps(sorted(sys.modules)))\n")
 
 
-def _loaded_modules(argv):
+def _loaded_modules(argv, probe=_PROBE):
     import hyperreg
     src = str(Path(hyperreg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     return set(json.loads(out.stdout.splitlines()[-1]))
@@ -397,6 +399,24 @@ def test_lfun_loads_no_hypergeom_or_series(tmp_path):
                               "--s", "2"])
     assert "hyperreg.lfun.motive" in loaded
     assert not loaded & {"hyperreg.hypergeom", "hyperreg.series"}
+
+
+def test_shared_atomic_writer_loads_no_openssl_or_mpmath(tmp_path):
+    """lfun and fetch write their caches through euler.write_atomic: a cold
+    `lfun`, which saves its kernels, loads no urllib.request or OpenSSL, and
+    a fetch that saves a response loads no mpmath."""
+    cache = tmp_path / "cache"
+    loaded = _loaded_modules(["--cache", str(cache), "--digits", "8", "lfun",
+                              str(_chi_minus4_spec(tmp_path)), "--s", "2"])
+    assert "hyperreg.lfun.euler" in loaded and len(list((cache / "kernels").iterdir())) == 2
+    assert not loaded & {"urllib.request", "http.client", "ssl", "_ssl"}
+    fetch = ("import json, sys\nfrom hyperreg.lfun.web import lmfdb_fetch\n"
+             "lmfdb_fetch('test/label', json.loads(sys.argv[1]), opener=lambda url: json.dumps(\n"
+             "    {'degree': 1, 'factors': {'2': [1, -1]}}).encode())\n"
+             "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = _loaded_modules(str(cache), fetch)
+    assert len(list((cache / "lmfdb").iterdir())) == 2
+    assert "hyperreg.lfun.euler" in loaded and "mpmath" not in loaded
 
 
 def test_hypergeom_reexports_resolve():

@@ -79,8 +79,8 @@ def test_monodromy_rotation(pol):
     ctx = pol.ctx
     zv = ctx.mpf(1024)
     _, _, R3, R4 = k2.k2_monodromy_chain(zv, pol)
-    At = k2._tilde_series(F(1, 4), zv, pol)
-    Bt = k2._tilde_series(F(3, 4), zv, pol)
+    At = k2._stream_sums(F(1, 4), zv, pol, "R", alternating=True)[0]
+    Bt = k2._stream_sums(F(3, 4), zv, pol, "R", alternating=True)[0]
     i = ctx.mpc(0, 1)
     z14 = zv ** ctx.mpf("0.25")
     R4_rot = 4 * ctx.pi * At * (i * z14) + 4 * ctx.pi * Bt * (-i / z14)
@@ -202,7 +202,8 @@ def test_stream_sums_match_the_separate_loops(digits, z):
         assert k2.S_alpha(alpha, zv, pol) == _ref_S_alpha(alpha, zv, pol)
         assert k2.R_alpha(alpha, zv, pol) == _ref_R_alpha(alpha, zv, pol)
         for harmonic in (False, True):
-            assert k2._tilde_series(alpha, zv, pol, harmonic_factor=harmonic) \
+            assert k2._stream_sums(alpha, zv, pol, "D" if harmonic else "R",
+                                   alternating=True)[0] \
                 == _ref_tilde_series(alpha, zv, pol, harmonic_factor=harmonic)
 
 

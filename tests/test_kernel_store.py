@@ -169,16 +169,37 @@ def test_other_mpmath_version_is_a_miss(tmp_path, builds, monkeypatch):
     assert len(_entries(tmp_path)) == 2
 
 
-def test_build_code_is_in_the_key(builds):
-    """Editing the build gives other keys, so no entry of the old build is read."""
+def _edited(*args):
+    """The code of an edited build function."""
+    return args
+
+
+def test_build_code_is_in_the_key(monkeypatch):
+    """Editing the build, a function of motive it calls (_gamma_raw, the raw
+    Gamma evaluator, or _gamma_factors) or the halving table gives other
+    keys, so no entry of the old build is read; undoing the edit gives the
+    old key back."""
     spec, pol, [(sigma, c), _] = _sides("R1", 2, 8)
-    before = motive._store_key(spec, sigma, c, pol)
     motive._build_digest.cache_clear()
+    before = motive._store_key(spec, sigma, c, pol)
+    edits = [(motive._Kernel, "__init__", lambda self, *args: None),
+             (motive, "_HALVINGS", {"R": 1, "C": 1}),
+             (motive, "_HALVINGS", {"R": 1, "C": 0, "D": 2}),
+             (motive._gamma_raw, "__code__", _edited.__code__),
+             (motive._gamma_factors, "__code__", _edited.__code__)]
+    builds = set()
     try:
-        after = motive._store_key(spec, sigma, c, pol)       # `counted` is the build now
+        for target, name, value in edits:
+            with monkeypatch.context() as m:
+                m.setattr(target, name, value)
+                motive._build_digest.cache_clear()
+                after = motive._store_key(spec, sigma, c, pol)
+            assert {k for k in before if before[k] != after[k]} == {"build"}
+            builds.add(after["build"])
     finally:
         motive._build_digest.cache_clear()
-    assert {k for k in before if before[k] != after[k]} == {"build"}
+    assert len(builds) == len(edits)
+    assert motive._store_key(spec, sigma, c, pol) == before
 
 
 def test_unwritable_store_changes_no_output(tmp_path):

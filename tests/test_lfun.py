@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hyperreg.lfun.dirichlet import (LfunError, dedekind_quadratic_deriv0,
 from hyperreg.lfun.euler import (EulerError, EulerFactorTable,
                                  check_multiplicativity, dirichlet_coefficients,
                                  euler_from_character, euler_ingest)
+from hyperreg.lfun import motive
 from hyperreg.lfun.motive import (CoverageError, LFunctionSpec, MotiveError,
                                   gamma_pole_order, motive_L)
 from hyperreg.lfun.web import NotFoundError, lmfdb_fetch
@@ -164,6 +166,43 @@ def test_gamma_pole_order():
     assert gamma_pole_order(spec2, F(1)) == 1       # the K2 L'(1) regime
 
 
+# gamma data whose poles the halving table places: each factor alone, with
+# shifts 0 and 1, and mixed products
+POLE_GAMMAS = {
+    "R0": (("R", F(0)),), "R1": (("R", F(1)),), "C0": (("C", F(0)),), "C1": (("C", F(1)),),
+    "R0R1": (("R", F(0)), ("R", F(1))), "C0C0": (("C", F(0)), ("C", F(0))),
+    "R0C0": (("R", F(0)), ("C", F(0))), "C0C-1R1": (("C", F(0)), ("C", F(-1)), ("R", F(1))),
+    "R1/2C1/2": (("R", F(1, 2)), ("C", F(1, 2))),
+}
+
+
+def _gamma_by_definition(ctx, gamma, s):
+    """gamma(s) from Gamma_R(x) = pi^(-x/2) Gamma(x/2), Gamma_C(x) = 2 (2 pi)^(-x) Gamma(x)."""
+    val = ctx.mpf(1)
+    for kind, sh in gamma:
+        x = s + ctx.mpf(sh.numerator) / sh.denominator
+        val *= ctx.pi ** (-x / 2) * ctx.gamma(x / 2) if kind == "R" \
+            else 2 * (2 * ctx.pi) ** (-x) * ctx.gamma(x)
+    return val
+
+
+@pytest.mark.parametrize("gamma", POLE_GAMMAS)
+@pytest.mark.parametrize("s0", range(0, -6, -1))
+def test_gamma_pole_order_and_limit_by_definition(gamma, s0):
+    """The pole order m and lim (s - s0)^m gamma(s) at s0 agree with
+    eps^m gamma(s0 + eps), eps = 10^-25, evaluated at 60 digits: |gamma|
+    grows like eps^-m, and the limit agrees to 20 digits."""
+    spec = LFunctionSpec(1, 0, 1, POLE_GAMMAS[gamma])
+    m = gamma_pole_order(spec, F(s0))
+    pol = PrecisionPolicy(30)
+    limit = motive._gamma_pole_limit(spec, pol.ctx, F(s0))
+    with mpmath.workdps(60):
+        eps = mpmath.mpf(10) ** -25
+        near = eps ** m * _gamma_by_definition(mpmath.mp, spec.gamma_shifts, s0 + eps)
+        assert round(mpmath.log10(abs(near / eps ** m)) / 25) == m
+        assert abs(limit - near) < mpmath.mpf(10) ** -20 * abs(near)
+
+
 @pytest.mark.slow
 def test_motive_zeta(pol):
     ctx = pol.ctx
@@ -286,15 +325,15 @@ def test_web_cache_torn_body_is_a_miss(tmp_path):
 
 
 def test_web_cache_writes_body_then_meta_atomically(tmp_path, monkeypatch):
-    from hyperreg.lfun import web
+    from hyperreg.lfun import euler
     moved = []
-    real_replace = web.os.replace
+    real_replace = euler.os.replace
 
     def replace(src, dst):
         moved.append(Path(dst).name)
         real_replace(src, dst)
 
-    monkeypatch.setattr(web.os, "replace", replace)
+    monkeypatch.setattr(euler.os, "replace", replace)
     lmfdb_fetch(LABEL, tmp_path, opener=_opener([]))
     assert len(moved) == 2
     assert not moved[0].endswith(".meta.json") and moved[1].endswith(".meta.json")
@@ -302,12 +341,12 @@ def test_web_cache_writes_body_then_meta_atomically(tmp_path, monkeypatch):
 
 
 def test_web_cache_crash_before_rename_leaves_no_entry(tmp_path, monkeypatch):
-    from hyperreg.lfun import web
+    from hyperreg.lfun import euler
 
     def crash(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(web.os, "replace", crash)
+    monkeypatch.setattr(euler.os, "replace", crash)
     calls = []
     with pytest.raises(OSError):
         lmfdb_fetch(LABEL, tmp_path, opener=_opener(calls))

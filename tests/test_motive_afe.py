@@ -174,6 +174,11 @@ def test_kernel_cache_is_bounded(monkeypatch):
     assert len(motive._kernel_cache) <= 2
 
 
+def _nodes(ker):
+    """The node values of orders 0..order as mpc objects, from their raw tuples."""
+    return [[ker.ctx.make_mpc((r[:4], r[4:])) for r in raw] for raw in ker._raw]
+
+
 def _mpc_object_sums(ker, y):
     """The kernel sums with mpc arithmetic, the imaginary part included.
 
@@ -183,7 +188,7 @@ def _mpc_object_sums(ker, y):
     entries of this list.
     """
     ctx = ker.ctx
-    nodes = ker.nodes
+    nodes = _nodes(ker)
     lny = ctx.log(y)
     rot = ctx.expj(-ker.h * lny)
     powers = []
@@ -225,9 +230,9 @@ def test_kernel_real_part_sum_is_bit_identical(gamma, sigma, digits):
     c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
     ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol, 2)
     # each order's node list ends at its own floor, so the lists differ in length
-    assert len({len(nodes) for nodes in ker.nodes}) == 3
+    assert len({len(nodes) for nodes in ker._raw}) == 3
     # the raw sum reads a zero mantissa as zero, which needs finite nodes
-    assert all(ctx.isfinite(v) for nodes in ker.nodes for v in nodes)
+    assert all(ctx.isfinite(v) for nodes in _nodes(ker) for v in nodes)
     for y in ("0.05", "0.7", "1", "3.9", "40"):
         y = ctx.mpf(y)
         expected = _mpc_object_sums(ker, y)
