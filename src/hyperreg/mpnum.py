@@ -16,8 +16,9 @@ index, the cap and the tail bound certified by the exact term ratio.
 :func:`fixed_terms` owns the truncations fixed in advance from a decay
 rate (the k4 entries and k2's z^-k streams), and holds them to the same
 cap, ``max_terms``, through :func:`capped_terms`, which also caps cy0's
-finite residue sum.  They live here, beside the policy they read, so that
-a process that sums a series loads no series algebra.
+finite residue sum; :func:`power_sums` sums those truncations, all rows
+of one point in one pass.  They live here, beside the policy they read,
+so that a process that sums a series loads no series algebra.
 """
 
 from __future__ import annotations
@@ -196,6 +197,21 @@ def fixed_terms(rate: float, pol: PrecisionPolicy, least: int, pad: int, name: s
     """
     return capped_terms(max(least, int((pol.working_digits + 10) * math.log(10) / rate) + pad),
                         pol, name)
+
+
+def power_sums(rows, x, ctx) -> list:
+    """[sum_k row[k] x^k for each row of ctx numbers], in one pass over k
+    ascending: x^k is formed once, by repeated multiplication, and a zero
+    row[k] adds nothing.  A row ends at the K fixed_terms chose; no tail is
+    bounded here."""
+    accs = [ctx.mpf(0)] * len(rows)
+    xp = ctx.mpf(1)
+    for k in range(max(map(len, rows), default=0)):
+        for i, row in enumerate(rows):
+            if k < len(row) and row[k]:
+                accs[i] = accs[i] + row[k] * xp
+        xp = xp * x
+    return accs
 
 
 def capped_terms(K: int, pol: PrecisionPolicy, name: str) -> int:

@@ -27,7 +27,7 @@ from itertools import accumulate, count
 from mpmath.libmp import to_rational
 
 from .. import hgdata
-from ..mpnum import PrecisionPolicy, fixed_terms, ratio_sum
+from ..mpnum import PrecisionPolicy, fixed_terms, power_sums, ratio_sum
 from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
@@ -99,9 +99,10 @@ def _weights(rel: list, alpha: Fraction, kind: str) -> list:
 def _stream_sums(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
                  alternating: bool = False) -> list:
     """[sum_k (+-1)^k Gamma^alpha_k z^-k w(k) for each kind of _weights in
-    kinds] followed by Gamma^alpha_0, from one pass over k, |z| > 1.
+    kinds] followed by Gamma^alpha_0, |z| > 1.
 
-    The kinds share the powers z^-k; a zero weight adds nothing."""
+    The floated weights of all kinds are summed in one power_sums pass, so
+    they share the powers z^-k; a zero weight adds nothing."""
     ctx = pol.ctx
     K = _suggest_K(z, pol)
     rel = gamma_ratios_rel(alpha, K)
@@ -109,16 +110,8 @@ def _stream_sums(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
     ws = [_weights(rel, alpha, kind) for kind in kinds]
     if alternating:
         ws = [[-c if k % 2 else c for k, c in enumerate(w)] for w in ws]
-    zin = 1 / ctx.convert(z)
-    accs = [ctx.mpf(0)] * len(ws)
-    zp = ctx.mpf(1)
-    for k in range(K + 1):
-        for i, w in enumerate(ws):
-            c = w[k]
-            if c:
-                accs[i] += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return [g0 * acc for acc in accs] + [g0]
+    rows = [[ctx.mpf(c.numerator) / c.denominator for c in w] for w in ws]
+    return [g0 * acc for acc in power_sums(rows, 1 / ctx.convert(z), ctx)] + [g0]
 
 
 def S_alpha(alpha: Fraction, z, pol: PrecisionPolicy):

@@ -32,7 +32,7 @@ from math import comb
 
 from .. import hypergeom
 from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
-from ..mpnum import PrecisionPolicy, fixed_terms
+from ..mpnum import PrecisionPolicy, fixed_terms, power_sums
 from ..series import LogSeries, PowSeries, SLaurent, sp_exp, sp_inv, sp_mul, theta
 from .reporting import CaseError, RegulatorReport
 
@@ -256,10 +256,10 @@ class _Entries(dict):
 
     The entries of a smaller K are the first K + 1 coefficients of these:
     every coefficient depends on k alone.  ``floating`` maps a binary
-    precision to (n, raw): the first n coefficients of each entry's parts as
-    raw mpfs, so each coefficient is converted once per precision, and the
-    copies are handed out as mpfs of the caller's context (the pattern of
-    ``mpnum.special``).  A larger build takes the floating copies over.
+    precision to (n, raw): the first n coefficients of each entry's parts
+    (all of which start at t^0) as raw mpfs, so each coefficient is converted
+    once per precision, and the copies are handed out as mpfs of the caller's
+    context (the pattern of ``mpnum.special``).  A larger build takes them over.
     """
 
     def __init__(self, entries: dict, K: int, floating: dict):
@@ -277,19 +277,17 @@ class _Entries(dict):
         return self._parts(0, K + 1)
 
     def floated(self, K: int, pol: PrecisionPolicy) -> dict:
-        """The entries of K at pol's precision, {name: [None or (offset, [raw
-        mpf])]}, converting only the coefficients not converted there yet."""
+        """The entries of K at pol's precision, {name: [[raw mpf] per log-part]},
+        converting only the coefficients not converted there yet."""
         n, raw = self.floating.get(pol.ctx.prec, (0, {}))
         if n <= K:
             # the new state is built whole and then stored, never changed in place
-            raw = {name: [None if p is None else
-                          (p.offset, (raw[name][j][1] if n else []) + [c._mpf_ for c in p.coeffs])
+            raw = {name: [(raw[name][j] if n else []) + [c._mpf_ for c in p.coeffs]
                           for j, p in enumerate(ls.to_floating(pol).parts)]
                    for name, ls in self._parts(n, K + 1).items()}
             n = K + 1
             self.floating[pol.ctx.prec] = n, raw
-        return {name: [None if p is None else (p[0], p[1][:K + 1]) for p in parts]
-                for name, parts in raw.items()}
+        return {name: [p[:K + 1] for p in parts] for name, parts in raw.items()}
 
 
 # the _Entries of the largest K built so far, under the key "largest"
@@ -331,23 +329,23 @@ def _det_value(K: int, t: Fraction, pol: PrecisionPolicy):
 
     Their floating copies at pol's precision are converted once per
     coefficient (see _Entries.floated); later calls only rewrap the stored
-    values, so every call sums the same bits.
+    values, so every call sums the same bits.  Every log-part of the four
+    entries is summed at t in one power_sums pass, and each entry is then
+    sum_j s_j (log t)^j in ascending j.
     """
     ctx = pol.ctx
     raw = _entries_built(K).floated(K, pol)
     tv = ctx.mpf(t.numerator) / t.denominator
+    sums = iter(power_sums([[ctx.make_mpf(c) for c in part]
+                            for parts in raw.values() for part in parts], tv, ctx))
+    lg = ctx.log(tv)
+    # the sums come in the order of raw's entries and, within one, of j
+    val = {name: sum((next(sums) * lg ** j for j in range(len(parts))), ctx.mpf(0))
+           for name, parts in raw.items()}
     sq = ctx.sqrt(tv)
     pref = -1 / (4 * ctx.pi ** 2)
-
-    def ev(name: str):
-        ls = LogSeries([None if p is None else
-                        PowSeries(p[0], [ctx.make_mpf(c) for c in p[1]])
-                        for p in raw[name]])
-        v, _ = ls.evaluate(t, pol, require_tail=False)
-        return v
-
-    lp = ev("log_primitive")
-    sp = sq * ev("sqrt_primitive_inner")
-    sd = sq * pref * ev("sqrt_deformed_inner")
-    ld = pref * ev("log_deformed_inner")
+    lp = val["log_primitive"]
+    sp = sq * val["sqrt_primitive_inner"]
+    sd = sq * pref * val["sqrt_deformed_inner"]
+    ld = pref * val["log_deformed_inner"]
     return sp * ld - sd * lp

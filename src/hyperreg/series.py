@@ -13,6 +13,8 @@ The carriers here are:
 
 :func:`ratio_sum`, re-exported from :mod:`mpnum`, sums numeric series to a
 stopping index or cap, with a tail bound certified by their exact term ratio.
+``LogSeries.evaluate`` sums a stored truncation through :func:`mpnum.power_sums`
+and bounds no tail: its K is fixed in advance, by ``mpnum.fixed_terms``.
 
 Coefficients are exact (int / Fraction / ExactNum) or floating (mpf/mpc);
 the two modes are never mixed inside one series.  Exact series convert
@@ -28,7 +30,7 @@ from itertools import zip_longest
 from numbers import Rational
 
 from .exactnum import ExactNum
-from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError, ratio_sum
+from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError, power_sums, ratio_sum
 
 __all__ = ["PowSeries", "LogSeries", "SLaurent", "ResidueRule", "EpsExpansion",
            "SeriesError", "OffsetMismatch", "DivergenceError", "TailBoundError",
@@ -43,10 +45,6 @@ class SeriesError(ValueError):
 
 class OffsetMismatch(SeriesError):
     """Offsets differ by a non-integer; padding cannot reconcile them."""
-
-
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Rational, ExactNum))
 
 
 def _czero(c) -> bool:
@@ -84,9 +82,6 @@ class PowSeries:
     def bound(self) -> Fraction:
         """Exponent through which the series is trusted (exclusive)."""
         return self.offset + len(self.coeffs)
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs)
 
     def copy(self) -> "PowSeries":
         return PowSeries(self.offset, self.coeffs)
@@ -193,17 +188,10 @@ class LogSeries:
     def constant(cls, c, K: int = 1) -> "LogSeries":
         return cls([PowSeries(0, [c] + [0] * (K - 1))])
 
-    @property
-    def J(self) -> int:
-        return len(self.parts) - 1
-
     def part(self, j: int):
         if 0 <= j < len(self.parts):
             return self.parts[j]
         return None
-
-    def is_exact(self) -> bool:
-        return all(p is None or p.is_exact() for p in self.parts)
 
     def is_zero(self) -> bool:
         return all(p is None or all(_czero(c) for c in p.coeffs) for p in self.parts)
@@ -265,57 +253,24 @@ class LogSeries:
         return LogSeries([None if p is None else p.to_floating(pol) for p in self.parts])
 
     # -- evaluation ------------------------------------------------------
-    def evaluate(self, z0, pol: PrecisionPolicy, require_tail: bool = True):
-        """Numeric value at z0 > 0 with a tail estimate.
+    def evaluate(self, z0, pol: PrecisionPolicy):
+        """Value at z0 > 0 of the stored truncation.
 
-        Sums each log-part in ascending k (fixed order, scheduling
-        independent) and bounds the tail by last-term / (1 - ratio) with
-        the ratio observed over the trailing terms.  Raises
-        DivergenceError when the terms persistently fail to decay, and
-        TailBoundError when the requested accuracy is out of reach for
-        the retained truncation (if require_tail).
+        Every log-part is summed in one power_sums pass (ascending k, a fixed
+        order), and the parts are added as sum_j z0^offset (log z0)^j s_j in
+        ascending j.  No tail is bounded: the truncation is the caller's.
         """
         ctx = pol.ctx
         z = ctx.mpf(z0.numerator) / z0.denominator if isinstance(z0, Rational) else ctx.convert(z0)
         if z <= 0:
             raise SeriesError("evaluation point must be positive")
+        parts = [(j, p) for j, p in enumerate(self.parts) if p is not None]
+        sums = power_sums([[_to_mp(c, ctx) for c in p.coeffs] for _, p in parts], z, ctx)
         lg = ctx.log(z)
         total = ctx.mpf(0)
-        tail = ctx.mpf(0)
-        for j, p in enumerate(self.parts):
-            if p is None or p.K == 0:
-                continue
-            zp = z ** (ctx.mpf(p.offset.numerator) / p.offset.denominator)
-            acc = ctx.mpf(0)
-            terms = []
-            for c in p.coeffs:
-                t = _to_mp(c, ctx) * zp
-                acc = acc + t
-                terms.append(abs(t))
-                zp = zp * z
-            part_val = acc * lg ** j
-            total = total + part_val
-            # tail estimate from the trailing decay; the observed ratios of
-            # the series arising here approach their limit from below like 1/k,
-            # so extrapolate before bounding the geometric tail
-            nz = [t for t in terms[-8:] if t > 0]
-            if len(terms) >= 4 and nz:
-                ratios = [terms[i + 1] / terms[i] for i in range(len(terms) - 4, len(terms) - 1)
-                          if terms[i] > 0]
-                r = max(ratios) if ratios else ctx.mpf(0)
-                if len(ratios) >= 2 and ratios[-1] > ratios[-2]:
-                    r = ratios[-1] + (ratios[-1] - ratios[-2]) * len(terms)
-                r = min(r, ctx.mpf("0.9995"))
-                if r >= ctx.mpf("0.999"):
-                    raise DivergenceError(
-                        f"term ratio {ctx.nstr(r, 6)} >= 0.999; z0 outside disk of convergence")
-                last = terms[-1]
-                tail = tail + abs(lg) ** j * last * r / (1 - r) * ctx.mpf("1.25")
-        if require_tail and tail > pol.tol:
-            raise TailBoundError(
-                f"tail estimate {ctx.nstr(tail, 3)} exceeds 10^-{pol.target_digits}; "
-                "increase K or max_terms")
-        return total, tail
+        for (j, p), acc in zip(parts, sums):
+            total = total + acc * z ** _to_mp(p.offset, ctx) * lg ** j
+        return total
 
     # -- serialization ---------------------------------------------------
     def to_json(self, pol: PrecisionPolicy | None = None) -> str:
@@ -340,24 +295,6 @@ class LogSeries:
             }
             for p in self.parts]}
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogSeries":
-        doc = json.loads(text)
-        parts = []
-        for p in doc["parts"]:
-            if p is None:
-                parts.append(None)
-                continue
-            coeffs = []
-            for c in p["coeffs"]:
-                if "/" in c:
-                    coeffs.append(Fraction(c))
-                else:
-                    import mpmath
-                    coeffs.append(mpmath.mpf(c))
-            parts.append(PowSeries(Fraction(p["offset"]), coeffs))
-        return cls(parts)
 
 
 # ---------------------------------------------------------------------------
