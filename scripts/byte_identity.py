@@ -18,7 +18,8 @@ CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
 KERNEL_RUNS (an order-1 Gamma_R(s) kernel, an order-2 Gamma_R(s + 1) kernel,
-and chi_-4 at --digits 20 and 12), one Gamma_C order-2 `lfun` run on the
+and chi_-4 at --digits 20 and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
+both sides share their kernel values), one Gamma_C order-2 `lfun` run on the
 quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
 PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
@@ -52,6 +53,9 @@ LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
 # three node lists of different lengths: 1369, 1377 and 1385 nodes at
 # sigma = 2), and Gamma_R(s + 1) at two more precisions
 KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
+# chi_-4 at the centre s = 1/2, orders 0 and 1: both sides of the functional
+# equation take one kernel at the same points y_n
+CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two
@@ -214,7 +218,7 @@ def main(argv=None) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] + list(KERNEL_RUNS)
+        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] + list(KERNEL_RUNS + CENTRE_RUNS)
         specs = {D: str(character_spec(D, Path(tmp))) for D in {run[0] for run in runs}}
         argvs = regulator_argvs() + [
             ["--digits", digits, "lfun", specs[D], "--s", s, "--order", str(order)]

@@ -1,8 +1,10 @@
 """Dirichlet characters and native L / L' evaluation via Hurwitz zeta.
 
 L(chi, s) = q^(-s) sum_a chi(a) zeta(s, a/q); the s-derivative routes
-through the Hurwitz-zeta derivative, and L'(chi, 0) for even nonprincipal
-characters reduces to sum_a chi(a) log Gamma(a/q) (Lerch).
+through the Hurwitz-zeta derivative, and so does L'(chi, 0) in
+dedekind_quadratic_deriv0, which sums chi(a) zeta'(0, a/q).  Lerch's
+zeta'(0, x) = log Gamma(x) - log(2 pi)/2, which would write that sum with
+log Gamma, is not used here; `verify identities` checks it at x = k/12.
 """
 
 from __future__ import annotations

@@ -52,12 +52,6 @@ class EulerFactorTable:
     def good(self, p: int) -> bool:
         return p in self.factors and len(self.factors[p]) - 1 == self.degree
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for p in sorted(self.factors):
-            lines.append(json.dumps({"p": p, "factor": self.factors[p]}, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
 
 def write_atomic(path, data: bytes):
     """Write data to a temporary file beside path, then move it into place,

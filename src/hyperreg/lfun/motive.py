@@ -44,6 +44,13 @@ another key or fails its checksum is a miss, rebuilt and rewritten.  The
 loaded nodes are the saved ones, so every value keeps its bits, and the
 directory is safe to delete.  With store=None, the default, the library
 reads and writes no file; the `lfun` command passes <cache dir>/kernels.
+
+Each kernel also keeps a table of its values (_Kernel.values): the list
+F_0..F_d a call returns, per (prec, rounding) and raw mpf of y, at most
+_KERNEL_VALUES_SIZE per kernel.  Each order's sum reads only its own nodes,
+so a lower order is a prefix of a stored list with the bits a new call gives.
+A repeated call at one point, or the mirror side at the centre s = (w+1)/2
+with cutoff 1, evaluates no kernel.  The table is never stored.
 """
 
 from __future__ import annotations
@@ -266,6 +273,9 @@ def _gamma_raw(factors, index, s, top, prec, rnd):
 _kernel_cache: dict = {}
 _kernel_lock = threading.Lock()
 _KERNEL_CACHE_SIZE = 32
+# (precision, y) -> [F_0, ..., F_d] per kernel (_Kernel.values); the oldest
+# insertion is evicted once a kernel holds more than _KERNEL_VALUES_SIZE
+_KERNEL_VALUES_SIZE = 1024
 
 
 _ANY_GAP = 1 << 62     # _sum's far for operands of at most prec + 1 bits
@@ -402,6 +412,21 @@ class _Kernel:
         # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
         return [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
                 for total in acc]
+
+    def values(self, y, order):
+        """[F_0(s, y), ..., F_order(s, y)] at an mpf y: a copy of the prefix of
+        the list stored in the kernel's table, made at the first lookup so a
+        loaded kernel has one too; a miss, or fewer orders stored, calls."""
+        key = (tuple(self.ctx._prec_rounding), y._mpf_)
+        table = vars(self).setdefault("_values", {})
+        vals = table.get(key)
+        if vals is None or len(vals) <= order:
+            vals = self(y, order)
+            with _kernel_lock:
+                table[key] = vals
+                while len(table) > _KERNEL_VALUES_SIZE:
+                    del table[next(iter(table))]
+        return vals[:order + 1]
 
 
 def _kernel(spec, s_val, c, pol, order, store=None):
@@ -593,7 +618,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
                 break
             continue
         base = an * ctx.power(n, -sigma) * N_half_sigma
-        kv = ker(yn, live[-1])
+        kv = ker.values(yn, live[-1])
         if live[-1] >= 1:
             lfac = (-ctx.log(n) + lnN2)
         for d in list(live):

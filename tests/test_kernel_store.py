@@ -27,6 +27,8 @@ from hyperreg.lfun.euler import euler_from_character
 from hyperreg.lfun.motive import LFunctionSpec, motive_L
 from hyperreg.mpnum import PrecisionPolicy
 
+from eulerfile import to_jsonl
+
 GAMMAS = {"R1": (("R", Fraction(1)),), "R0": (("R", Fraction(0)),),
           "CC": (("C", Fraction(0)), ("C", Fraction(0)))}
 # `hyperreg --digits 8 lfun` on L(chi_-4, s) at s = 2, as tests/test_motive_afe.py records it
@@ -87,7 +89,7 @@ def test_loaded_kernel_is_the_built_one(tmp_path, builds, gamma, s, order, digit
 
 def _write_chi4_spec(directory):
     euler_path = directory / "chi-4.jsonl"
-    euler_path.write_text(euler_from_character(kronecker_character(-4), 400).to_jsonl())
+    euler_path.write_text(to_jsonl(euler_from_character(kronecker_character(-4), 400)))
     spec_path = directory / "chi-4.json"
     spec_path.write_text(json.dumps({
         "degree": 1, "weight": 0, "conductor": 4, "gamma_shifts": [["R", "1"]], "sign": 1,

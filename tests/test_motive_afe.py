@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hyperreg.lfun.euler import euler_from_character
 from hyperreg.lfun.motive import (LFunctionSpec, MotiveError, PointError, lambda_derivs,
                                   motive_L)
 from hyperreg.mpnum import PrecisionPolicy
+
+from eulerfile import to_jsonl
 
 EULER_P = 400
 
@@ -39,7 +42,7 @@ def _character_spec(D):
 
 def _write_spec(D, directory):
     euler_path = directory / f"chi{D}.jsonl"
-    euler_path.write_text(_character_spec(D).euler.to_jsonl())
+    euler_path.write_text(to_jsonl(_character_spec(D).euler))
     spec_path = directory / f"chi{D}.json"
     spec_path.write_text(json.dumps({
         "degree": 1, "weight": 0, "conductor": abs(D),
@@ -260,3 +263,127 @@ def test_kernel_sum_is_bit_identical_at_any_y(y, order):
     y = ker.ctx.mpf(y.numerator) / y.denominator
     expected = _mpc_object_sums(ker, y)
     assert ker(y, order) == (expected if order is None else expected[:order + 1])
+
+
+# --- the table of kernel values ----------------------------------------------------
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+# (gamma data, sigma, digits): the chi_-4 mirror side at s = 2 at 8 and 20
+# digits, and the quintic's Gamma_C(s)^2 at s = 0
+@pytest.mark.parametrize("gamma, sigma, digits", [
+    ((("R", Fraction(1)),), "-1", 8),
+    ((("R", Fraction(1)),), "-1", 20),
+    (QUINTIC_GAMMA, "0", 8),
+])
+def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
+    """Every order the table serves, a hit, a miss or a longer refill, has the
+    bits of the call of a fresh copy of the kernel, which has no table."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    sigma = ctx.mpf(sigma)
+    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol, 2)
+    fresh = copy.copy(ker)
+    for y in ("0.05", "0.7", "1", "3.9"):
+        y = ctx.mpf(y)
+        for order in (0, 2, 1, 0, 2):
+            assert _bits(ker.values(y, order)) == _bits(fresh(y, order))
+
+
+def _table_kernel():
+    """A copy of _order2_kernel(), whose table starts empty, and its context."""
+    ker = copy.copy(_order2_kernel())
+    return ker, ker.ctx
+
+
+def test_lower_order_request_is_a_hit(monkeypatch):
+    ker, ctx = _table_kernel()
+    calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
+    y = ctx.mpf("0.3")
+    both = ker.values(y, 1)
+    assert len(calls) == 1
+    assert ker.values(y, 0) == both[:1] and len(calls) == 1
+
+
+def test_higher_order_request_evaluates_again(monkeypatch):
+    ker, ctx = _table_kernel()
+    calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
+    y = ctx.mpf("0.3")
+    ker.values(y, 0)
+    both = ker.values(y, 1)
+    assert len(calls) == 2
+    assert ker.values(y, 1) == both and ker.values(y, 0) == both[:1] and len(calls) == 2
+
+
+def test_returned_list_is_a_copy():
+    ker, ctx = _table_kernel()
+    y = ctx.mpf("0.3")
+    got = ker.values(y, 1)
+    expected = list(got)
+    got[0] = ctx.mpf(7)
+    got.append(ctx.mpf(8))
+    assert ker.values(y, 1) == expected and ker.values(y, 0) == expected[:1]
+
+
+def test_kernel_table_is_bounded(monkeypatch):
+    """Past the bound the oldest y is evicted, and asking for it evaluates again."""
+    assert isinstance(motive._KERNEL_VALUES_SIZE, int) and motive._KERNEL_VALUES_SIZE > 0
+    monkeypatch.setattr(motive, "_KERNEL_VALUES_SIZE", 3)
+    ker, ctx = _table_kernel()
+    ys = [ctx.mpf(n) / 7 for n in range(1, 6)]
+    for y in ys:
+        ker.values(y, 0)
+        assert len(ker._values) <= 3
+    calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
+    ker.values(ys[-1], 0)
+    assert calls == []
+    ker.values(ys[0], 0)
+    assert len(calls) == 1 and len(ker._values) == 3
+
+
+def test_repeated_lambda_derivs_evaluates_no_kernel(monkeypatch):
+    """A second identical call reads every kernel value from the tables."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    spec = _character_spec(-4)
+    pol = PrecisionPolicy(8)
+    first = lambda_derivs(spec, 2, 1, pol)
+    calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
+    again = lambda_derivs(spec, 2, 1, pol)
+    assert calls == [] and _bits(again) == _bits(first)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
+    """At s = (w + 1)/2 with cutoff 1 both sides use one kernel and the same
+    y_n, so the mirror side evaluates nothing; its sums are the right side's,
+    with d/ds's sign on order 1."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    spec = _character_spec(-4)
+    pol = PrecisionPolicy(8)
+    ctx = pol.ctx
+    s_val, A = ctx.mpf(1) / 2, ctx.mpf(1)
+    a = euler.dirichlet_coefficients(spec.euler, spec.euler.p_max)
+    right = motive._sum_side(spec, s_val, pol, order, A, False, a)
+    calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
+    left = motive._sum_side(spec, s_val, pol, order, A, True, a)
+    assert calls == [] and _bits(left) == _bits(right[:1] + [-v for v in right[1:]])
+
+
+def test_kernel_table_is_not_saved(tmp_path):
+    """The store entry of a kernel is the same before and after its table
+    fills, and the kernel loaded from it makes a table of its own."""
+    pol = PrecisionPolicy(8)
+    ctx = pol.ctx
+    spec, s_val, c = _character_spec(-4), ctx.mpf(-1), ctx.mpf("2.75")
+    ker = motive._stored_kernel(tmp_path, spec, s_val, c, pol, 1)
+    (entry,) = tmp_path.iterdir()
+    before = entry.read_bytes()
+    y, key = ctx.mpf("0.3"), motive._store_key(spec, s_val, c, pol)
+    filled = ker.values(y, 1)
+    motive._write_entry(entry, key, ker)
+    assert entry.read_bytes() == before
+    loaded = motive._read_entry(entry, key, ctx, 1)
+    assert _bits(loaded.values(y, 1)) == _bits(filled) and len(loaded._values) == 1
