@@ -17,8 +17,8 @@ variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
-KERNEL_RUNS (an order-1 Gamma_R(s) kernel, an order-2 Gamma_R(s + 1) kernel,
-and chi_-4 at --digits 20 and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
+KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
+--digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
 both sides share their kernel values), one Gamma_C order-2 `lfun` run on the
 quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
 PERIOD_ARGVS (`period --gamma`,
@@ -48,11 +48,12 @@ K2_T = "1/16,1,49,2"
 EULER_P = 400
 # (D, s, order) of the lfun runs recorded in tests/test_motive_afe.py
 LFUN_RUNS = ((-4, "2", 0), (5, "0", 1))
-# (D, s, order, digits) of kernel paths no recorded run takes: a genuine
-# order-1 Gamma_R(s) kernel, a genuine order-2 Gamma_R(s + 1) kernel (its
-# three node lists of different lengths: 1369, 1377 and 1385 nodes at
-# sigma = 2), and Gamma_R(s + 1) at two more precisions
-KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2", 0, "12"))
+# (D, s, order, digits) of kernel paths no recorded run takes: order 1 on a
+# Gamma_R(s) kernel, order 2 on a Gamma_R(s + 1) kernel, and Gamma_R(s + 1)
+# at two more precisions, at 20 digits order 0 and then order 2, which reads
+# the kernels the order-0 line saved
+KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2", 2, "20"),
+               (-4, "2", 0, "12"))
 # chi_-4 at the centre s = 1/2, orders 0 and 1: both sides of the functional
 # equation take one kernel at the same points y_n
 CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))

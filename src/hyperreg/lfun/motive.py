@@ -8,27 +8,28 @@ Gamma(x/2^e), with the halvings e = 1 and 0 held in _HALVINGS, which the
 pole order and the limit at a pole read as well.
 
 The incomplete-Mellin kernel F(s, y) = (1/2 pi i) int gamma(s+u) y^(-u) du/u
-is computed on a truncated vertical line with a uniform trapezoid rule.
-Derivatives in s use the digamma-weighted integrand.  One kernel per
-(gamma data, s, precision) holds the nodes of every derivative order
-0..d, built in one sweep, and evaluates all orders at a y through a single
-complex-power recurrence.  One raw evaluator, _gamma_raw, forms gamma and its
-log-derivative terms on libmp tuples, with the bits of the per-kind mpc
-expressions; the sweep calls it at every node s + u and motive_L at its real
-s.  The logs of pi and 2 pi are formed once per kernel, and x, the power,
-Gamma and psi once per node and distinct (kind, shift) factor, so
-Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one pass over the
-nodes that forms each power of the rotation once and feeds it to every
-order, accumulating only the real part of each trapezoid sum, the one the
-kernel uses, on signed integer mantissas; each sum is rounded once by _sum
-to the bits mpf_add gives, so the values have the bits of the same loop on
-mpc objects (see _Kernel.__call__).  A point the request cannot be served at (a
-pole of Lambda, or the wrong order at a trivial zero) raises PointError
-before any table or kernel is built.  Each side of the
-functional equation is one pass over n that accumulates every order, each
-with its own stopping rule.  At points where gamma has a pole of order m
-(trivial zeros), the order-m derivative comes from the leading Taylor
-coefficient Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+is computed on a truncated vertical line with a uniform trapezoid rule.  Its
+s-derivatives come by parts, since d/ds gamma(s+u) = d/du gamma(s+u): with
+I_j(y) = (1/2 pi i) int gamma(s+u) y^(-u) u^(-j) du, F_0 = I_1,
+F_1 = log y I_1 + I_2 and F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3.  So one
+kernel per (gamma data, s, precision) holds one node list, gamma(s+u)/u, for
+every order; the I_2 and I_3 lists, that one divided by u once and twice, are
+formed when an order first needs them.  One raw evaluator, _gamma_raw, forms
+gamma on libmp tuples with the bits of the per-kind mpc expressions, at every
+node s + u and at motive_L's real s; the logs of pi and 2 pi are formed once
+per kernel, and x, the power and Gamma once per node and distinct (kind,
+shift) factor, so Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one
+pass over the nodes that forms each power of the rotation once and feeds it
+to every I_j, accumulating only the real part of each trapezoid sum, the one
+the kernel uses, on signed integer mantissas; each sum is rounded once by
+_sum to the bits mpf_add gives, so the values have the bits of the same loop
+on mpc objects (see _Kernel.__call__).  A point the request cannot be served
+at (a pole of Lambda, or the wrong order at a trivial zero) raises PointError
+before any table or kernel is built.  Each side of the functional equation is
+one pass over n that accumulates every order, each with its own stopping
+rule.  At points where gamma has a pole of order m (trivial zeros), the
+order-m derivative comes from the leading Taylor coefficient
+Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
 
 Kernels are cached in memory per process, and, when motive_L or
 lambda_derivs is given a directory `store`, on disk as well: each kernel
@@ -38,7 +39,7 @@ the raw mpfs of s and c, the context's (prec, rounding), the working digits,
 mpmath's version and backend, and a digest of the bytecode of
 _Kernel.__init__, of the motive functions it calls and of _HALVINGS, so an
 edit to the build invalidates every old entry.  An
-entry holds its key, c, h and every node as (sign, mantissa, exponent)
+entry holds its key, c, h and the node list as (sign, mantissa, exponent)
 integers, under a sha256 of that text; one that does not decode, holds
 another key or fails its checksum is a miss, rebuilt and rewritten.  The
 loaded nodes are the saved ones, so every value keeps its bits, and the
@@ -47,10 +48,10 @@ reads and writes no file; the `lfun` command passes <cache dir>/kernels.
 
 Each kernel also keeps a table of its values (_Kernel.values): the list
 F_0..F_d a call returns, per (prec, rounding) and raw mpf of y, at most
-_KERNEL_VALUES_SIZE per kernel.  Each order's sum reads only its own nodes,
-so a lower order is a prefix of a stored list with the bits a new call gives.
-A repeated call at one point, or the mirror side at the centre s = (w+1)/2
-with cutoff 1, evaluates no kernel.  The table is never stored.
+_KERNEL_VALUES_SIZE per kernel.  F_d reads only I_1..I_(d+1), each summed on
+its own, so a lower order is a prefix of a stored list with the bits a new
+call gives.  A repeated call at one point, or the mirror side at the centre
+s = (w+1)/2 with cutoff 1, evaluates no kernel.  The table is never stored.
 """
 
 from __future__ import annotations
@@ -63,12 +64,11 @@ import types
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import (from_man_exp, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf, mpc_div,
-                          mpc_div_mpf, mpc_exp, mpc_gamma, mpc_log, mpc_mul, mpc_neg, mpc_pow,
-                          mpc_psi, mpc_shift, mpf_add, mpf_lt, mpf_mul_int, mpf_neg,
-                          round_nearest)
+from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp, mpc_gamma,
+                          mpc_log, mpc_mul, mpc_neg, mpc_pow, mpc_shift, mpf_add, mpf_lt,
+                          mpf_mul_int, mpf_neg, round_nearest)
 
-from ..mpnum import PrecisionPolicy
+from ..mpnum import PrecisionPolicy, digamma
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
 
 __all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
@@ -204,7 +204,7 @@ def _gamma_pole_limit(spec, ctx, s0: Fraction):
     for (kind, sh), i in zip(spec.gamma_shifts, index):
         j = _pole_index(kind, Fraction(s0) + Fraction(sh))
         if j is None:
-            val *= ctx.make_mpf(_gamma_raw([factors[i]], [0], s, 0, *ctx._prec_rounding)[0][0])
+            val *= ctx.make_mpf(_gamma_raw([factors[i]], [0], s, *ctx._prec_rounding)[0])
         else:
             base = ctx.ldexp(ctx.pi, 1 - _HALVINGS[kind])
             val *= 2 * (-1) ** j * ctx.power(base, j) / ctx.factorial(j)
@@ -213,9 +213,8 @@ def _gamma_pole_limit(spec, ctx, s0: Fraction):
 
 def _gamma_factors(spec, ctx):
     """The distinct (kind, shift) factors of gamma as raw
-    (e, shift, base 2^(1-e) pi, its log as mpc_pow takes it, the constant
-    -log(2^(1-e) pi)/2^e of the factor's ell), and the index of every factor
-    of gamma, in order, into them."""
+    (e, shift, base 2^(1-e) pi, its log as mpc_pow takes it), and the index
+    of every factor of gamma, in order, into them."""
     keys = [(kind, Fraction(sh)) for kind, sh in spec.gamma_shifts]
     distinct = list(dict.fromkeys(keys))
     factors = []
@@ -223,45 +222,31 @@ def _gamma_factors(spec, ctx):
         e = _HALVINGS[kind]
         base = ctx.ldexp(ctx.pi, 1 - e)
         factors.append((e, (ctx.mpf(sh.numerator) / sh.denominator)._mpf_, (base._mpf_, fzero),
-                        mpc_log((base._mpf_, fzero), ctx.prec + 10),
-                        ctx.ldexp(-ctx.log(base), -e)._mpf_))
+                        mpc_log((base._mpf_, fzero), ctx.prec + 10)))
     return factors, [distinct.index(key) for key in keys]
 
 
-def _gamma_raw(factors, index, s, top, prec, rnd):
-    """(gamma(s), ell(s), ell'(s)) at the raw mpc s, ell = (log gamma)', on raw
-    tuples; ell only for top >= 1 and ell' for top == 2, else None.
+def _gamma_raw(factors, index, s, prec, rnd):
+    """gamma(s) at the raw mpc s, on raw tuples.
 
-    x, the power, Gamma and psi are formed once per distinct factor, so
+    x, the power and Gamma are formed once per distinct factor, so
     Gamma_C(s)^2 costs one Gamma.  x has at most prec bits, so its halvings
-    are exact, and so is the factor 2^(1-e) on the power; psi(0, .) has prec
-    + 20 bits, so Gamma_R's halving of it rounds, and Gamma_C's sum alone does.
+    are exact, and so is the factor 2^(1-e) on the power.
     """
     per_factor = []
-    for e, shift, base, log_base, ell_const in factors:
+    for e, shift, base, log_base in factors:
         x = mpc_add_mpf(s, shift, prec, rnd)
         arg = mpc_shift(x, -e)
         w = mpc_neg(arg)
         # mpc_pow's own steps, its log of the base read from log_base
         power = mpc_pow(base, w, prec, rnd) if w[1] == fzero \
             else mpc_exp(mpc_mul(log_base, w, prec + 10), prec, rnd)
-        ell1 = ell2 = None
-        if top >= 1:
-            psi = mpc_psi(0, arg, prec, rnd)
-            ell1 = mpc_add_mpf(mpc_div_mpf(psi, ftwo, prec, rnd) if e else psi, ell_const,
-                               prec, rnd)
-        if top == 2:
-            ell2 = mpc_shift(mpc_psi(1, arg, prec, rnd), -2 * e)
-        per_factor.append((mpc_shift(power, 1 - e), mpc_gamma(arg, prec, rnd), ell1, ell2))
-    g = ell = ell_2 = None
+        per_factor.append((mpc_shift(power, 1 - e), mpc_gamma(arg, prec, rnd)))
+    g = None
     for i in index:
-        power, gamma, ell1, ell2 = per_factor[i]
+        power, gamma = per_factor[i]
         g = mpc_mul(power if g is None else mpc_mul(g, power, prec, rnd), gamma, prec, rnd)
-        if top >= 1:
-            ell = ell1 if ell is None else mpc_add(ell, ell1, prec, rnd)
-        if top == 2:
-            ell_2 = ell2 if ell_2 is None else mpc_add(ell_2, ell2, prec, rnd)
-    return g, ell, ell_2
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +302,18 @@ def _widen(raw, prec):
 
 
 class _Kernel:
-    """F_d(s, y) = (1/2 pi i) int gamma(s+u) ell(s+u)^indicators y^-u du/u.
+    """F_d(s, y) = (d/ds)^d (1/2 pi i) int gamma(s+u) y^-u du/u, d = 0, 1, 2.
 
-    Orders d = 0..order multiply the integrand by 1, ell, ell^2 + ell'.
-    Each order's node list ends at its own decay floor.
+    One list of nodes gamma(s+u)/u at u = c + i h k, k = 0, 1, ..., ending at
+    the decay floor, serves every order: by parts, with I_j the integral of
+    gamma(s+u) y^-u u^-j, F_0 = I_1, F_1 = log y I_1 + I_2 and
+    F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3.  The I_2 and I_3 nodes are the
+    list divided by u once and twice, formed when an order first needs them.
     Valid for real s, c > 0, y > 0.
     """
 
-    def __init__(self, spec, s_val, c, pol: PrecisionPolicy, order: int = 0):
-        ctx = pol.ctx
-        self.ctx = ctx
-        self.order = order
+    def __init__(self, spec, s_val, c, pol: PrecisionPolicy):
+        self.ctx = ctx = pol.ctx
         wd = pol.working_digits
         if not spec.gamma_shifts:
             # the integrand y^-u / u alone decays like 1/|u|, never to the floor
@@ -351,67 +337,80 @@ class _Kernel:
         s_mpf, c_mpf, h_mpf = s_val._mpf_, ctx.mpf(c)._mpf_, self.h._mpf_
         # each node as one flat raw tuple, the real part's raw mpf then the
         # imaginary part's, for __call__
-        self._raw = [[] for _ in range(order + 1)]
-        building = list(range(order + 1))
+        self._raw = []
         k = 0
-        while building:
+        while True:
             u = (c_mpf, mpf_mul_int(h_mpf, k, prec, rnd))
-            g, ell, ell_2 = _gamma_raw(factors, index, mpc_add_mpf(u, s_mpf, prec, rnd),
-                                       building[-1], prec, rnd)
-            for d in list(building):
-                weighted = g if d == 0 else mpc_mul(g, ell, prec, rnd) if d == 1 else \
-                    mpc_mul(g, mpc_add(mpc_mul(ell, ell, prec, rnd), ell_2, prec, rnd),
-                            prec, rnd)
-                val = mpc_div(weighted, u, prec, rnd)
-                self._raw[d].append(val[0] + val[1])
-                if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
-                    building.remove(d)
-            if building and k > 40000:
+            val = mpc_div(_gamma_raw(factors, index, mpc_add_mpf(u, s_mpf, prec, rnd), prec, rnd),
+                          u, prec, rnd)
+            self._raw.append(val[0] + val[1])
+            if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
+                break
+            if k > 40000:
                 raise MotiveError("kernel quadrature failed to decay")
             k += 1
 
-    def _signed(self, prec):
-        """Each node as (re, exp, -im, exp) for _sum, widened to prec bits (the
-        context's, which rounded it) once per kernel and precision."""
-        if getattr(self, "_signed_nodes", (None,))[0] != prec:
-            self._signed_nodes = prec, [[_widen(r[:4], prec) + _widen(mpf_neg(r[4:]), prec)
-                                         for r in raw] for raw in self._raw]
-        return self._signed_nodes[1]
+    def _signed(self, prec, order):
+        """The nodes of I_1..I_(order+1), each as (re, exp, -im, exp) for _sum,
+        widened to prec bits (the context's, which rounded it).  I_1's are the
+        built nodes and I_(j+1)'s are I_j's divided by u = c + i h k; a list is
+        formed when a call first needs it, once per kernel and precision."""
+        held, raws, signed = getattr(self, "_signed_nodes", (None, None, None))
+        if held != prec:
+            raws, signed = [self._raw], []
+        if len(signed) <= order:
+            c, h = self.c._mpf_, self.h._mpf_
+            while len(raws) <= order:
+                divided = []
+                for k, r in enumerate(raws[-1]):
+                    u = (c, mpf_mul_int(h, k, prec, round_nearest))
+                    q = mpc_div((r[:4], r[4:]), u, prec, round_nearest)
+                    divided.append(q[0] + q[1])
+                raws = raws + [divided]
+            signed = signed + [[_widen(r[:4], prec) + _widen(mpf_neg(r[4:]), prec) for r in raw]
+                               for raw in raws[len(signed):order + 1]]
+            self._signed_nodes = prec, raws, signed
+        return signed
 
-    def __call__(self, y, order=None):
-        """[F_0(s, y), ..., F_order(s, y)], all orders by default.
+    def __call__(self, y, order):
+        """[F_0(s, y), ..., F_order(s, y)], order <= 2.
 
-        The real part of the sum of node * rot^k, which the full-line
-        trapezoid uses, with the bits of `r = r * rot; acc += g * r` on mpc
-        objects, which rounds each part of a product and each addition once:
-        here _sum does, on signed integer mantissas, in one pass over k.
-        mpmath contexts round to nearest, the mode _sum serves.
+        I_1..I_(order+1) are each the real part of the sum of node * rot^k,
+        which the full-line trapezoid uses, with the bits of `r = r * rot;
+        acc += g * r` on mpc objects, which rounds each part of a product and
+        each addition once: here _sum does, on signed integer mantissas, in
+        one pass over k.  mpmath contexts round to nearest, the mode _sum
+        serves.  The F_d are then formed from them on mpf objects.
         """
         ctx = self.ctx
         prec, rnd = ctx._prec_rounding
         if rnd != round_nearest:
             raise MotiveError(f"kernel sums round to nearest, not {rnd!r}")
-        nodes = self._signed(prec)[:None if order is None else order + 1]
-        re, im = ctx.expj(-self.h * ctx.log(y))._mpc_
+        lists = self._signed(prec, order)[:order + 1]
+        lny = ctx.log(y)
+        re, im = ctx.expj(-self.h * lny)._mpc_
         # r_1 = rot, and each sum starts at half its first node
         a, ea, b, eb = c, ec, s, es = _widen(re, prec) + _widen(im, prec)
-        acc = [(g[0][0], g[0][1] - 1) for g in nodes]
+        acc = [(g[0][0], g[0][1] - 1) for g in lists]
         far = prec + 1
-        live = sorted(range(len(nodes)), key=lambda d: -len(nodes[d]))
-        for k in range(1, len(nodes[live[0]])):
-            while len(nodes[live[-1]]) <= k:
-                live.pop()
-            for d in live:
-                g_re, e_re, g_im, e_im = nodes[d][k]
+        for k in range(1, len(self._raw)):
+            for j, nodes in enumerate(lists):
+                g_re, e_re, g_im, e_im = nodes[k]
                 t, et = _sum(g_re * a, e_re + ea, g_im * b, e_im + eb, prec, far)
-                m, e = acc[d]
-                acc[d] = _sum(m, e, t, et, prec, _ANY_GAP)
+                m, e = acc[j]
+                acc[j] = _sum(m, e, t, et, prec, _ANY_GAP)
             a, ea, b, eb = _sum(a * c, ea + ec, -b * s, eb + es, prec, far) + \
                 _sum(a * s, ea + es, b * c, eb + ec, prec, far)
         scale = ctx.power(y, -self.c)
         # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-        return [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
+        ints = [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
                 for total in acc]
+        out = ints[:1]
+        if order >= 1:
+            out.append(lny * ints[0] + ints[1])
+        if order == 2:
+            out.append(lny * lny * ints[0] + 2 * lny * ints[1] + 2 * ints[2])
+        return out
 
     def values(self, y, order):
         """[F_0(s, y), ..., F_order(s, y)] at an mpf y: a copy of the prefix of
@@ -429,8 +428,8 @@ class _Kernel:
         return vals[:order + 1]
 
 
-def _kernel(spec, s_val, c, pol, order, store=None):
-    """The cached kernel for (gamma data, s, c, precision) covering orders 0..order.
+def _kernel(spec, s_val, c, pol, store=None):
+    """The cached kernel for (gamma data, s, c, precision).
 
     On a miss in memory the kernel comes from the directory `store` when one
     is given (see _stored_kernel), and is built here otherwise.
@@ -438,17 +437,15 @@ def _kernel(spec, s_val, c, pol, order, store=None):
     key = (spec.gamma_signature(), repr(s_val), repr(c), pol.working_digits)
     with _kernel_lock:
         k = _kernel_cache.get(key)
-    if k is not None and k.order >= order:
+    if k is not None:
         return k
-    k = _Kernel(spec, s_val, c, pol, order) if store is None \
-        else _stored_kernel(store, spec, s_val, c, pol, order)
+    k = _Kernel(spec, s_val, c, pol) if store is None \
+        else _stored_kernel(store, spec, s_val, c, pol)
     with _kernel_lock:
-        # a concurrent build of a higher order keeps its entry
-        cur = _kernel_cache.get(key)
-        if cur is None or cur.order < order:
-            _kernel_cache[key] = k
-            while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
-                del _kernel_cache[next(iter(_kernel_cache))]
+        # a concurrent build of the same key keeps its entry
+        k = _kernel_cache.setdefault(key, k)
+        while len(_kernel_cache) > _KERNEL_CACHE_SIZE:
+            del _kernel_cache[next(iter(_kernel_cache))]
     return k
 
 
@@ -500,7 +497,7 @@ def _build_digest() -> str:
 
 
 def _store_key(spec, s_val, c, pol) -> dict:
-    """Everything a kernel's nodes depend on but its order, as JSON values."""
+    """Everything a kernel's nodes depend on, as JSON values."""
     import mpmath
     ctx = pol.ctx
     return {"gamma": [[kind, str(sh)] for kind, sh in spec.gamma_signature()],
@@ -515,14 +512,13 @@ def _entry_file(body: bytes) -> bytes:
     return b'{"sha256":"%s","entry":%s}\n' % (_sha256()(body).hexdigest().encode(), body)
 
 
-def _stored_kernel(store, spec, s_val, c, pol, order):
-    """The kernel of orders 0..order at least, read from the directory store,
-    or built and saved there.
+def _stored_kernel(store, spec, s_val, c, pol):
+    """The kernel read from the directory store, or built and saved there.
 
     The entry of a key is the file <sha256 of the key>.json, read only when
     the in-memory cache misses.  An entry that does not decode, holds another
-    key, fails its checksum or covers fewer orders is a miss, and the kernel
-    built then replaces it.  An OSError while reading or writing is a miss or
+    key or fails its checksum is a miss, and the kernel built then replaces
+    it.  An OSError while reading or writing is a miss or
     a skipped write, never an error.
     """
     import json
@@ -530,11 +526,11 @@ def _stored_kernel(store, spec, s_val, c, pol, order):
     name = _sha256()(json.dumps(key, sort_keys=True).encode()).hexdigest() + ".json"
     path = os.path.join(store, name)
     try:
-        k = _read_entry(path, key, pol.ctx, order)
+        k = _read_entry(path, key, pol.ctx)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         k = None
     if k is None:
-        k = _Kernel(spec, s_val, c, pol, order)
+        k = _Kernel(spec, s_val, c, pol)
         try:
             _write_entry(path, key, k)
         except (OSError, ValueError):
@@ -542,9 +538,8 @@ def _stored_kernel(store, spec, s_val, c, pol, order):
     return k
 
 
-def _read_entry(path, key, ctx, order):
-    """The kernel in the entry at path, or None if it is no entry of key
-    covering order."""
+def _read_entry(path, key, ctx):
+    """The kernel in the entry at path, or None if it is no entry of key."""
     import json
     with open(path, "rb") as fh:
         data = fh.read()
@@ -552,14 +547,14 @@ def _read_entry(path, key, ctx, order):
     if _entry_file(body) != data:
         return None
     entry = json.loads(body)
-    if entry["key"] != key or len(entry["nodes"]) <= order:
+    if entry["key"] != key:
         return None
     k = _Kernel.__new__(_Kernel)
-    k.ctx, k.order = ctx, len(entry["nodes"]) - 1
+    k.ctx = ctx
     # the nodes, c and h are finite mpfs, whose bit count is their mantissa's
     k.c, k.h = (ctx.make_mpf((s, m, e, m.bit_length())) for s, m, e in (entry["c"], entry["h"]))
-    k._raw = [[(s1, m1, e1, m1.bit_length(), s2, m2, e2, m2.bit_length())
-               for s1, m1, e1, s2, m2, e2 in nodes] for nodes in entry["nodes"]]
+    k._raw = [(s1, m1, e1, m1.bit_length(), s2, m2, e2, m2.bit_length())
+              for s1, m1, e1, s2, m2, e2 in entry["nodes"]]
     return k
 
 
@@ -569,7 +564,7 @@ def _write_entry(path, key, k):
     import json
     body = json.dumps(
         {"key": key, "c": list(k.c._mpf_[:3]), "h": list(k.h._mpf_[:3]),
-         "nodes": [[[r[0], r[1], r[2], r[4], r[5], r[6]] for r in nodes] for nodes in k._raw]},
+         "nodes": [[r[0], r[1], r[2], r[4], r[5], r[6]] for r in k._raw]},
         separators=(",", ":")).encode()
     os.makedirs(os.path.dirname(path), exist_ok=True)
     write_atomic(path, _entry_file(body))
@@ -593,7 +588,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     sigma = (w + 1 - s_val) if mirror else s_val
     sig_abs = ctx.mpf(w) / 2 + 1
     c = max(sig_abs - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = _kernel(spec, sigma, c, pol, order, store)
+    ker = _kernel(spec, sigma, c, pol, store)
     sqN = ctx.sqrt(ctx.mpf(spec.conductor))
     lnN2 = ctx.log(spec.conductor) / 2
     sgn = -1 if mirror else 1
@@ -736,7 +731,7 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         lam1 = lams[0] if cutoff_A is None \
             else lambda_derivs(spec, s0, 0, pol, a=a, store=store)[0]
         err = abs(lamA - lam1)
-        if err > ctx.mpf(10) ** (-pol.target_digits + 4):
+        if err > ctx.mpf(10) ** (-pol.target_digits):
             raise MotiveError(
                 f"functional-equation self-test residual {ctx.nstr(err, 4)} too large")
     if m > 0:
@@ -744,19 +739,23 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator
         val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
         return val, err
-    # L = Lambda / (N^(s/2) gamma): divide with the product rule, gamma and
-    # its ell terms from the kernel's evaluator at the real s
-    g0, ell1, ell2 = (v if v is None else ctx.make_mpf(v[0]) for v in _gamma_raw(
-        *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), derivative_order, *ctx._prec_rounding))
-    pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * g0
+    # L = Lambda / (N^(s/2) gamma) by the product rule: gamma from the kernel's
+    # evaluator, ell = (log N^(s/2) gamma)' and ell2 = ell' through psi(x/2^e)
+    pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * ctx.make_mpf(_gamma_raw(
+        *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), *ctx._prec_rounding)[0])
     L0 = lams[0] / pref
     if derivative_order == 0:
         return L0, err
-    ell1 += ctx.log(spec.conductor) / 2
+    ell1, ell2 = ctx.log(spec.conductor) / 2, ctx.mpf(0)
+    for kind, sh in spec.gamma_shifts:
+        e = _HALVINGS[kind]
+        x = ctx.ldexp(s_val + _s_value(ctx, Fraction(sh)), -e)
+        ell1 += ctx.ldexp(digamma(x, 0, pol) - ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
+        if derivative_order == 2:
+            ell2 += ctx.ldexp(digamma(x, 1, pol), -2 * e)
     L1 = (lams[1] - ell1 * lams[0]) / pref
     if derivative_order == 1:
         return L1, err
-    # (log pref)'' = ell2 ; Lambda = pref * L =>
-    # Lambda'' = pref (L'' + 2 ell1 L' + (ell1^2 + ell2) L)
+    # Lambda = pref * L => Lambda'' = pref (L'' + 2 ell1 L' + (ell1^2 + ell2) L)
     L2 = (lams[2] - 2 * ell1 * pref * L1 - (ell1 ** 2 + ell2) * pref * L0) / pref
     return L2, err

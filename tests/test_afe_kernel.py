@@ -3,8 +3,11 @@
 `_sum` is checked bit for bit against mpmath's mpf_add and mpf_sub at
 round_nearest, on both sides of its hand-off to mpf_add.  The nodes, and
 `_gamma_raw` that builds them, are checked `==` against the per-node loop
-over `_gamma_value` and `_gamma_logderiv`, the mpc expressions of each kind
-of factor, kept here as the reference.
+over `_gamma_value`, the mpc expressions of each kind of factor, and the
+I_2 and I_3 nodes `==` against that list divided by u on mpc objects.  The
+digamma-weighted nodes of `_reference_raw` (`_gamma_logderiv`), which
+differentiate under the integral, are the accuracy reference for every
+order the kernel forms by parts.
 """
 
 from __future__ import annotations
@@ -146,51 +149,73 @@ def test_kernel_rounds_to_nearest_only(monkeypatch):
     ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
     monkeypatch.setattr(ctx, "_prec_rounding", [ctx.prec, round_floor])
     with pytest.raises(MotiveError, match="round to nearest"):
-        ker(ctx.mpf("0.5"))
+        ker(ctx.mpf("0.5"), 0)
 
 
-def test_signed_nodes_derived_once_per_kernel(monkeypatch):
-    """The nodes are widened on the first call only; each call widens just the
-    two parts of its rotation."""
-    pol = PrecisionPolicy(6)
-    ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol, 1)
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of motive.<name> from here on."""
     calls = []
-    original = motive._widen
+    original = getattr(motive, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(motive, "_widen", counted)
-    first = ker(ctx.mpf("0.5"))
-    assert len(calls) == 2 * sum(map(len, ker._raw)) + 2
+    monkeypatch.setattr(motive, name, counted)
+    return calls
+
+
+def test_signed_nodes_derived_once_per_kernel(monkeypatch):
+    """Each node list is widened on the first call that needs it only; each
+    call widens just the two parts of its rotation."""
+    pol = PrecisionPolicy(6)
+    ctx = pol.ctx
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    calls = _counted(monkeypatch, "_widen")
+    y = ctx.mpf("0.5")
+    first = ker(y, 1)
+    assert len(calls) == 2 * 2 * len(ker._raw) + 2
     derived = ker._signed_nodes
     del calls[:]
-    assert ker(ctx.mpf("0.5")) == first and len(calls) == 2
+    assert ker(y, 1) == first and ker(y, 0) == first[:1] and len(calls) == 4
     assert ker._signed_nodes is derived
+    del calls[:]
+    assert ker(y, 2)[:2] == first and len(calls) == 2 * len(ker._raw) + 2
+
+
+def test_order_zero_divides_no_node(monkeypatch):
+    """Order 0 reads the built nodes alone; I_2 and I_3 divide each node by u
+    once, on the first call of an order that needs them."""
+    pol = PrecisionPolicy(6)
+    ctx = pol.ctx
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    divisions = _counted(monkeypatch, "mpc_div")
+    y = ctx.mpf("0.5")
+    ker(y, 0)
+    assert divisions == []
+    ker(y, 1)
+    assert len(divisions) == len(ker._raw)
+    ker(y, 2)
+    ker(y, 1)
+    assert len(divisions) == 2 * len(ker._raw)
 
 
 def test_kernel_sums_take_their_far_bounds(monkeypatch):
     """One call rounds 2 sums per rotation step and 2 per node past the
-    first: the products with far = prec + 1, the accumulations with
-    _ANY_GAP."""
+    first of each of its node lists, all of one length: the products with
+    far = prec + 1, the accumulations with _ANY_GAP."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(-1), ctx.mpf("2.75"), pol, 2)
-    fars = []
-    original = motive._sum
-
-    def counted(*args):
-        fars.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(motive, "_sum", counted)
-    ker(ctx.mpf("0.5"))
-    steps = max(map(len, ker._raw)) - 1
-    terms = sum(len(nodes) - 1 for nodes in ker._raw)
-    assert fars.count(ctx.prec + 1) == 2 * steps + terms
-    assert fars.count(motive._ANY_GAP) == terms and len(fars) == 2 * steps + 2 * terms
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(-1), ctx.mpf("2.75"), pol)
+    for order in (0, 1, 2):
+        calls = _counted(monkeypatch, "_sum")
+        ker(ctx.mpf("0.5"), order)
+        monkeypatch.undo()
+        fars = [args[-1] for args in calls]
+        steps = len(ker._raw) - 1
+        terms = (order + 1) * steps
+        assert fars.count(ctx.prec + 1) == 2 * steps + terms
+        assert fars.count(motive._ANY_GAP) == terms and len(fars) == 2 * steps + 2 * terms
 
 
 # --- the node construction -------------------------------------------------------
@@ -223,8 +248,8 @@ def _gamma_logderiv(spec, ctx, s, order):
 @st.composite
 def _gamma_point(draw):
     """Mixed gamma data (one to three factors, shifts in halves from -2 to 2),
-    a precision, an order and a complex s off the poles, its imaginary part
-    zero about one time in five."""
+    a precision and a complex s off the poles, its imaginary part zero about
+    one time in five."""
     gamma = tuple(draw(st.lists(st.tuples(st.sampled_from("RC"),
                                           st.integers(-4, 4).map(lambda n: F(n, 2))),
                                 min_size=1, max_size=3)))
@@ -234,28 +259,28 @@ def _gamma_point(draw):
         for kind, sh in gamma:
             x = (re + sh) / (2 if kind == "R" else 1)
             assume(not (x <= 0 and x.denominator == 1))
-    return gamma, draw(st.sampled_from([6, 15, 30, 60])), draw(st.integers(0, 2)), re, im
+    return gamma, draw(st.sampled_from([6, 15, 30, 60])), re, im
 
 
 @settings(max_examples=300, deadline=None)
 @given(_gamma_point())
 def test_gamma_raw_matches_the_mpc_expressions(point):
-    """gamma, ell and ell' from _gamma_raw at a complex s are the per-kind mpc
-    expressions', bit for bit."""
-    gamma, digits, top, re, im = point
+    """gamma from _gamma_raw at a complex s is the per-kind mpc expressions',
+    bit for bit."""
+    gamma, digits, re, im = point
     ctx = PrecisionPolicy(digits).ctx
     spec = LFunctionSpec(1, 0, 1, gamma)
     s = ctx.mpc(ctx.mpf(re.numerator) / re.denominator, ctx.mpf(im.numerator) / im.denominator)
-    g, ell, ell2 = motive._gamma_raw(*motive._gamma_factors(spec, ctx), s._mpc_, top,
-                                     *ctx._prec_rounding)
+    g = motive._gamma_raw(*motive._gamma_factors(spec, ctx), s._mpc_, *ctx._prec_rounding)
     assert g == _gamma_value(spec, ctx, s)._mpc_
-    assert ell == (_gamma_logderiv(spec, ctx, s, 1)._mpc_ if top >= 1 else None)
-    assert ell2 == (_gamma_logderiv(spec, ctx, s, 2)._mpc_ if top == 2 else None)
 
 
 def _reference_raw(spec, s_val, c, pol, order):
-    """(c, h, nodes) of _Kernel from the per-node mpc loop over _gamma_value
-    and _gamma_logderiv, each node's real and imaginary raw mpf in one tuple."""
+    """(c, h, node lists of orders 0..order) from the per-node mpc loop over
+    _gamma_value and _gamma_logderiv, each node's real and imaginary raw mpf
+    in one tuple: order d weights the integrand by 1, ell or ell^2 + ell',
+    ell = (log gamma)', and each order's list ends at its own decay floor.
+    Its order-0 list is the kernel's construction."""
     ctx = pol.ctx
     wd = pol.working_digits
     u_poles = [ctx.mpf(0)] + [u for kind, sh in spec.gamma_shifts
@@ -307,20 +332,61 @@ GRID = [(g, "-1", 6) for g in GAMMAS] + [(g, "0", 8) for g in GAMMAS] + \
        [("CC", "2", 6), ("CC", "-1", 20)]
 
 
-@pytest.mark.parametrize("gamma, sigma, digits", GRID)
-def test_kernel_nodes_match_the_mpc_loop(gamma, sigma, digits):
-    """Every order's nodes are the reference's; a kernel of order 0 or 1 builds
-    the first lists of the order-2 kernel."""
-    pol = PrecisionPolicy(digits)
-    ctx = pol.ctx
+def _grid_args(gamma, sigma, ctx):
+    """(spec, sigma, c) of a GRID row, c the line abscissa _sum_side picks for
+    weight 0."""
     s_val = ctx.mpf(sigma)
     c = max(1 - s_val + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    spec = LFunctionSpec(1, 0, 1, GAMMAS[gamma])
-    c_ref, h_ref, raw_ref = _reference_raw(spec, s_val, c, pol, 2)
-    for order in (2, 1, 0):
-        ker = motive._Kernel(spec, s_val, c, pol, order)
-        assert (ker.c, ker.h) == (c_ref, h_ref)
-        assert ker._raw == raw_ref[:order + 1]
+    return LFunctionSpec(1, 0, 1, GAMMAS[gamma]), s_val, c
+
+
+@pytest.mark.parametrize("gamma, sigma, digits", GRID)
+def test_kernel_nodes_match_the_mpc_loop(gamma, sigma, digits):
+    """The nodes are the reference's order-0 list, and the I_2 and I_3 lists
+    are it divided by u = c + i h k once and twice on mpc objects."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    args = _grid_args(gamma, sigma, ctx)
+    ker = motive._Kernel(*args, pol)
+    c_ref, h_ref, (raw_ref,) = _reference_raw(*args, pol, 0)
+    assert (ker.c, ker.h) == (c_ref, h_ref)
+    assert ker._raw == raw_ref
+    ker._signed(ctx.prec, 2)
+    _, raws, _ = ker._signed_nodes
+    expected = [ctx.make_mpc((r[:4], r[4:])) for r in raw_ref]
+    for raw in raws[1:]:
+        expected = [g / ctx.mpc(ker.c, k * ker.h) for k, g in enumerate(expected)]
+        assert raw == [g._mpc_[0] + g._mpc_[1] for g in expected]
+
+
+def _trapezoid(ctx, c, h, raw, y):
+    """The full-line trapezoid sum of a node list at y on mpc objects."""
+    rot = ctx.expj(-h * ctx.log(y))
+    acc, r = ctx.make_mpc((raw[0][:4], raw[0][4:])) / 2, ctx.mpc(1)
+    for node in raw[1:]:
+        r = r * rot
+        acc += ctx.make_mpc((node[:4], node[4:])) * r
+    return ctx.power(y, -c) * 2 * acc.real * h / (2 * ctx.pi)
+
+
+@pytest.mark.parametrize("gamma, sigma, digits", GRID)
+def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
+    """Every order the kernel forms by parts is within 10^-(working digits - 1)
+    of the digamma-weighted reference at doubled precision, relative to
+    max(1, |F_d|).  The trapezoid sums round at the working precision: at
+    y = 0.05 the order-0 value, the reference's own construction, is off by
+    up to 2.2 10^-(working digits), and orders 1 and 2 by up to 4.1."""
+    pol, ref = PrecisionPolicy(digits), PrecisionPolicy(digits).doubled()
+    ctx, rctx = pol.ctx, ref.ctx
+    ker = motive._Kernel(*_grid_args(gamma, sigma, ctx), pol)
+    c_ref, h_ref, raws = _reference_raw(*_grid_args(gamma, sigma, rctx), ref, 2)
+    for y in ("0.05", "0.7", "1", "3.9", "40"):
+        got = ker(ctx.mpf(y), 2)
+        y = rctx.mpf(y)
+        for value, raw in zip(got, raws):
+            expected = _trapezoid(rctx, c_ref, h_ref, raw, y)
+            limit = rctx.mpf(10) ** (1 - pol.working_digits) * max(1, abs(expected))
+            assert abs(rctx.mpf(value) - expected) < limit
 
 
 @pytest.mark.parametrize("gamma, per_node", [("CC", 1), ("RR", 2)])
@@ -336,8 +402,8 @@ def test_one_gamma_per_distinct_factor_per_node(monkeypatch, gamma, per_node):
     monkeypatch.setattr(motive, "mpc_gamma", counted)
     pol = PrecisionPolicy(6)
     ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol.ctx.mpf(-1),
-                         pol.ctx.mpf("2.75"), pol, 2)
-    assert len(calls) == per_node * max(map(len, ker._raw))
+                         pol.ctx.mpf("2.75"), pol)
+    assert len(calls) == per_node * len(ker._raw)
 
 
 def test_kernel_without_gamma_factors_fails():

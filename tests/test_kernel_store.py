@@ -34,6 +34,9 @@ GAMMAS = {"R1": (("R", Fraction(1)),), "R0": (("R", Fraction(0)),),
 # `hyperreg --digits 8 lfun` on L(chi_-4, s) at s = 2, as tests/test_motive_afe.py records it
 CHI4_STDOUT = ('{\n "label": "chi_-4",\n "order": 0,\n "s": "2",\n'
                ' "self_test_residual": "1.08e-23",\n "value": "0.91596559"\n}\n')
+# the same with --order 2, as the digamma-weighted order-2 kernels printed it
+CHI4_ORDER2_STDOUT = ('{\n "label": "chi_-4",\n "order": 2,\n "s": "2",\n'
+                      ' "self_test_residual": "1.08e-23",\n "value": "-0.074415212"\n}\n')
 # PYTHONPATH for a fresh interpreter that imports this hyperreg
 SRC = str(Path(hyperreg.__file__).resolve().parents[1])
 
@@ -55,14 +58,14 @@ def _entries(store):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The (s, order) of every kernel built from here on."""
+    """The s of every kernel built from here on."""
     motive._build_digest()          # the store key reads the unwrapped build
     calls = []
     original = motive._Kernel.__init__
 
-    def counted(self, spec, s_val, c, pol, order=0):
-        calls.append((s_val, order))
-        original(self, spec, s_val, c, pol, order)
+    def counted(self, spec, s_val, c, pol):
+        calls.append(s_val)
+        original(self, spec, s_val, c, pol)
 
     monkeypatch.setattr(motive._Kernel, "__init__", counted)
     return calls
@@ -73,16 +76,16 @@ def builds(monkeypatch):
 def test_loaded_kernel_is_the_built_one(tmp_path, builds, gamma, s, order, digits):
     spec, pol, sides = _sides(gamma, s, digits)
     for sigma, c in sides:
-        built = motive._stored_kernel(tmp_path, spec, sigma, c, pol, order)
-        loaded = motive._stored_kernel(tmp_path, spec, sigma, c, pol, order)
+        built = motive._stored_kernel(tmp_path, spec, sigma, c, pol)
+        loaded = motive._stored_kernel(tmp_path, spec, sigma, c, pol)
         assert len(builds) == 1
         builds.clear()
-        fresh = motive._Kernel(spec, sigma, c, pol, order)
+        fresh = motive._Kernel(spec, sigma, c, pol)
         for k in (built, loaded):
             assert k._raw == fresh._raw
-            assert (k.c._mpf_, k.h._mpf_, k.order) == (fresh.c._mpf_, fresh.h._mpf_, order)
+            assert (k.c._mpf_, k.h._mpf_) == (fresh.c._mpf_, fresh.h._mpf_)
         y = pol.ctx.mpf("0.3")
-        assert loaded(y) == fresh(y)
+        assert loaded(y, order) == fresh(y, order)
         builds.clear()
     assert len(_entries(tmp_path)) == 2
 
@@ -112,21 +115,54 @@ def test_lfun_stdout_cold_and_warm(tmp_path, monkeypatch, capsys, builds):
     assert len(_entries(tmp_path / "cache" / "kernels")) == 2
 
 
-def test_higher_order_entry_serves_lower_order(tmp_path, builds):
-    spec, pol, [(sigma, c), _] = _sides("R0", 2, 8)
-    order2 = motive._stored_kernel(tmp_path, spec, sigma, c, pol, 2)
-    order0 = motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0)
-    assert builds == [(sigma, 2)]
-    assert order0.order == 2 and order0._raw == order2._raw
+def _chi4_orders(tmp_path, monkeypatch, orders):
+    """lambda_derivs for L(chi_-4, s) at s = 2 and 8 digits at each order in
+    turn, each with an empty memory cache, as a fresh process would; returns
+    the values and the number of entries written."""
+    spec = LFunctionSpec(1, 0, 4, GAMMAS["R1"], 1,
+                         euler_from_character(kronecker_character(-4), 400))
+    writes = []
+    original = motive._write_entry
+    monkeypatch.setattr(motive, "_write_entry", lambda *args: writes.append(original(*args)))
+    values = []
+    for order in orders:
+        monkeypatch.setattr(motive, "_kernel_cache", {})
+        values.append(motive.lambda_derivs(spec, 2, order, PrecisionPolicy(8), store=tmp_path))
+    return values, len(writes)
 
 
-def test_request_above_stored_order_replaces_entry(tmp_path, builds):
-    spec, pol, [(sigma, c), _] = _sides("R0", 2, 8)
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0)
-    order1 = motive._stored_kernel(tmp_path, spec, sigma, c, pol, 1)
-    assert motive._stored_kernel(tmp_path, spec, sigma, c, pol, 1)._raw == order1._raw
-    assert builds == [(sigma, 0), (sigma, 1)]
-    assert len(_entries(tmp_path)) == 1
+def test_higher_order_entry_serves_lower_order(tmp_path, monkeypatch, builds):
+    """The entries an order-2 run saves serve a later order-0 run, which
+    builds nothing and gets Lambda(2) bit for bit."""
+    (order2, order0), writes = _chi4_orders(tmp_path, monkeypatch, (2, 0))
+    assert len(builds) == 2 and writes == 2
+    assert len(_entries(tmp_path)) == 2
+    assert order0[0] == order2[0]
+
+
+def test_request_above_stored_order_replaces_entry(tmp_path, monkeypatch, builds):
+    """A kernel serves orders 0-2, so a request above the order of the run
+    that saved an entry reads that entry: orders 0, 1 and 2 build one kernel
+    per side, and the entries stay byte for byte as the order-0 run wrote them."""
+    _chi4_orders(tmp_path, monkeypatch, (0,))
+    files = {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()}
+    _, writes = _chi4_orders(tmp_path, monkeypatch, (1, 2))
+    assert len(builds) == 2 and writes == 0
+    assert {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()} == files
+
+
+def test_lfun_orders_share_the_stored_kernels(tmp_path, monkeypatch, capsys, builds):
+    """`lfun --order 0`, then `--order 2` on the same --cache, builds the two
+    kernels once and prints what the per-order kernels printed."""
+    spec_path = _write_chi4_spec(tmp_path)
+    outs = []
+    for order in ("0", "2"):
+        monkeypatch.setattr(motive, "_kernel_cache", {})
+        assert cli.main(["--cache", str(tmp_path / "cache"), "--digits", "8", "lfun",
+                         str(spec_path), "--s", "2", "--order", order]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [CHI4_STDOUT, CHI4_ORDER2_STDOUT]
+    assert len(builds) == 2
 
 
 def _truncate(path, other):
@@ -148,25 +184,25 @@ def _other_key(path, other):
 @pytest.mark.parametrize("spoil", [_truncate, _flip_digit, _other_key])
 def test_spoiled_entry_is_a_miss_and_rewritten(tmp_path, builds, spoil):
     spec, pol, sides = _sides("R1", 2, 8)
-    kernels = [motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0) for sigma, c in sides]
+    kernels = [motive._stored_kernel(tmp_path, spec, sigma, c, pol) for sigma, c in sides]
     files = {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()}
     path = next(p for p in Path(tmp_path).iterdir()
                 if json.loads(p.read_bytes())["entry"]["key"]["s"] == list(sides[0][0]._mpf_))
     other = next(p for p in Path(tmp_path).iterdir() if p != path)
     spoil(path, other)
     builds.clear()
-    again = motive._stored_kernel(tmp_path, spec, sides[0][0], sides[0][1], pol, 0)
-    assert builds == [(sides[0][0], 0)]
+    again = motive._stored_kernel(tmp_path, spec, sides[0][0], sides[0][1], pol)
+    assert builds == [sides[0][0]]
     assert again._raw == kernels[0]._raw
     assert {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()} == files
 
 
 def test_other_mpmath_version_is_a_miss(tmp_path, builds, monkeypatch):
     spec, pol, [(sigma, c), _] = _sides("R1", 2, 8)
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0)
+    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
     monkeypatch.setattr(mpmath, "__version__", mpmath.__version__ + ".other")
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0)
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol, 0)
+    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
+    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
     assert len(builds) == 2
     assert len(_entries(tmp_path)) == 2
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hyperreg import cli
 from hyperreg.lfun import euler, motive
-from hyperreg.lfun.dirichlet import kronecker_character
+from hyperreg.lfun.dirichlet import dirichlet_L, kronecker_character
 from hyperreg.lfun.euler import euler_from_character
 from hyperreg.lfun.motive import (LFunctionSpec, MotiveError, PointError, lambda_derivs,
                                   motive_L)
@@ -58,6 +58,59 @@ def test_lfun_cli_golden(D, s, order, tmp_path, capsys):
                      "--order", str(order)])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN[(D, s, order)]
+
+
+def test_self_test_limit_is_ten_to_the_minus_digits(monkeypatch, tmp_path, capsys):
+    """A cutoff residual of 10^-(digits - 2), under the former limit
+    10^-(digits - 4), is a divergence: MotiveError, and exit 3 from `lfun`
+    with one error line."""
+    original = motive.lambda_derivs
+
+    def spoiled(spec, s0, order, pol, cutoff_A=None, *args, **kwargs):
+        out = original(spec, s0, order, pol, cutoff_A, *args, **kwargs)
+        if cutoff_A is not None:
+            out[0] += pol.ctx.mpf(10) ** (2 - pol.target_digits)
+        return out
+
+    monkeypatch.setattr(motive, "lambda_derivs", spoiled)
+    with pytest.raises(MotiveError, match="self-test residual"):
+        motive_L(_character_spec(-4), 2, 0, PrecisionPolicy(8))
+    code = cli.main(["--digits", "8", "lfun", str(_write_spec(-4, tmp_path)), "--s", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "self-test residual" in out.err
+
+
+def _hurwitz_L(D, s, order):
+    """L^(order)(chi_D, s) at 60 digits from L(s) = q^-s sum_a chi_D(a)
+    zeta(s, a/q), q = |D|: dirichlet_L for orders 0 and 1, and for order 2
+    sum_a chi_D(a) q^-s (log^2 q zeta - 2 log q zeta' + zeta'') with mpmath's
+    Hurwitz zeta derivatives."""
+    pol = PrecisionPolicy(45)
+    ctx = pol.ctx
+    chi, s = kronecker_character(D), ctx.mpf(s.numerator) / s.denominator
+    if order < 2:
+        return dirichlet_L(chi, s, order, pol)
+    q = abs(D)
+    lq = ctx.log(q)
+    total = ctx.mpf(0)
+    for a in range(1, q):
+        z0, z1, z2 = (ctx.zeta(s, ctx.mpf(a) / q, derivative=j) for j in range(3))
+        total += chi.value(a, ctx) * (lq * lq * z0 - 2 * lq * z1 + z2)
+    return ctx.power(q, -s) * total
+
+
+@pytest.mark.parametrize("D, s", [(D, s) for D in (-4, 8, -3)
+                                  for s in (Fraction(2), Fraction(1, 2))])
+def test_derivatives_match_the_hurwitz_route(D, s):
+    """L, L' and L'' by the AFE at 8 and 18 digits are within 10^-(digits + 10)
+    of the Hurwitz-zeta route, which shares no code with the kernel."""
+    spec = _character_spec(D)
+    for digits in (8, 18):
+        pol = PrecisionPolicy(digits)
+        for order in (0, 1, 2):
+            value, _ = motive_L(spec, s, order, pol)
+            assert abs(value - _hurwitz_L(D, s, order)) < pol.ctx.mpf(10) ** -(digits + 10)
 
 
 def test_orders_stop_independently():
@@ -164,50 +217,55 @@ def test_kernel_cache_is_bounded(monkeypatch):
     sigmas = [ctx.mpf(2) + ctx.mpf(i) / 7 for i in range(4)]
     c = ctx.mpf("0.75")
     y = ctx.mpf("0.3")
-    first = motive._kernel(spec, sigmas[0], c, pol, 1)
-    values = first(y)
+    first = motive._kernel(spec, sigmas[0], c, pol)
+    values = first(y, 1)
     for sigma in sigmas[1:]:
-        motive._kernel(spec, sigma, c, pol, 0)
+        motive._kernel(spec, sigma, c, pol)
         assert len(motive._kernel_cache) <= 2
     assert all(k is not first for k in motive._kernel_cache.values())
-    rebuilt = motive._kernel(spec, sigmas[0], c, pol, 1)
-    assert rebuilt is not first and rebuilt(y) == values
-    # a lower-order request keeps the higher-order entry
-    assert motive._kernel(spec, sigmas[0], c, pol, 0) is rebuilt
+    rebuilt = motive._kernel(spec, sigmas[0], c, pol)
+    assert rebuilt is not first and rebuilt(y, 1) == values
+    assert motive._kernel(spec, sigmas[0], c, pol) is rebuilt
     assert len(motive._kernel_cache) <= 2
 
 
 def _nodes(ker):
-    """The node values of orders 0..order as mpc objects, from their raw tuples."""
-    return [[ker.ctx.make_mpc((r[:4], r[4:])) for r in raw] for raw in ker._raw]
+    """The node lists of I_1, I_2 and I_3 as mpc objects: the kernel's nodes
+    from their raw tuples, then each list divided by u = c + i h k."""
+    ctx = ker.ctx
+    lists = [[ctx.make_mpc((r[:4], r[4:])) for r in ker._raw]]
+    for _ in range(2):
+        lists.append([g / ctx.mpc(ker.c, k * ker.h) for k, g in enumerate(lists[-1])])
+    return lists
 
 
 def _mpc_object_sums(ker, y):
-    """The kernel sums with mpc arithmetic, the imaginary part included.
+    """[F_0, F_1, F_2] with mpc arithmetic, the imaginary part included.
 
     The reference bits for `_Kernel.__call__`, which forms only the real
-    part on raw tuples.  Order d's value reads only its own nodes and the
-    powers they meet, so a request for orders 0..k is the first k + 1
-    entries of this list.
+    part on raw tuples: each I_j sum, then the parts F_0 = I_1,
+    F_1 = log y I_1 + I_2 and F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3 on
+    mpf objects.  F_d reads only I_1..I_(d+1), each summed on its own, so a
+    request for orders 0..k is the first k + 1 entries of this list.
     """
     ctx = ker.ctx
-    nodes = _nodes(ker)
     lny = ctx.log(y)
     rot = ctx.expj(-ker.h * lny)
     powers = []
     r = ctx.mpc(1)
-    for _ in range(max(map(len, nodes)) - 1):
+    for _ in range(len(ker._raw) - 1):
         r = r * rot
         powers.append(r)
     scale = ctx.power(y, -ker.c)
-    values = []
-    for order_nodes in nodes:
-        acc = order_nodes[0] / 2
-        for g, r in zip(order_nodes[1:], powers):
+    ints = []
+    for nodes in _nodes(ker):
+        acc = nodes[0] / 2
+        for g, r in zip(nodes[1:], powers):
             acc += g * r
         total = 2 * acc.real * ker.h / (2 * ctx.pi)
-        values.append(scale * total)
-    return values
+        ints.append(scale * total)
+    i1, i2, i3 = ints
+    return [i1, lny * i1 + i2, lny * lny * i1 + 2 * lny * i2 + 2 * i3]
 
 
 QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
@@ -225,44 +283,41 @@ QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
     (QUINTIC_GAMMA, "1", 8),
 ])
 def test_kernel_real_part_sum_is_bit_identical(gamma, sigma, digits):
-    """Summing only the real part on raw tuples keeps every bit of the mpc loop."""
+    """Summing only the real part on raw tuples, and dividing the nodes by u
+    on raw tuples, keeps every bit of the mpc loop."""
     pol = PrecisionPolicy(digits)
     ctx = pol.ctx
     sigma = ctx.mpf(sigma)
     # the line abscissa _sum_side picks for weight 0
     c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol, 2)
-    # each order's node list ends at its own floor, so the lists differ in length
-    assert len({len(nodes) for nodes in ker._raw}) == 3
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
     # the raw sum reads a zero mantissa as zero, which needs finite nodes
     assert all(ctx.isfinite(v) for nodes in _nodes(ker) for v in nodes)
     for y in ("0.05", "0.7", "1", "3.9", "40"):
         y = ctx.mpf(y)
         expected = _mpc_object_sums(ker, y)
-        assert ker(y) == expected
-        for order in (0, 1, 2):
+        for order in (2, 0, 1):
             assert ker(y, order) == expected[:order + 1]
 
 
 @functools.cache
-def _order2_kernel():
-    """The order-2 Gamma_R(s + 1) kernel of the chi_-4 mirror side at s = 2
-    (sigma = -1, 8 digits): three node lists of 367, 370 and 372 nodes."""
+def _mirror_kernel():
+    """The Gamma_R(s + 1) kernel of the chi_-4 mirror side at s = 2
+    (sigma = -1, 8 digits): one node list of 367 nodes."""
     pol = PrecisionPolicy(8)
     ctx = pol.ctx
     return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), ctx.mpf(-1),
-                          ctx.mpf("2.75"), pol, 2)
+                          ctx.mpf("2.75"), pol)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
-       st.sampled_from([None, 0, 1, 2]))
+       st.sampled_from([0, 1, 2]))
 def test_kernel_sum_is_bit_identical_at_any_y(y, order):
     """At any y, every order's value is the mpc loop's, bit for bit."""
-    ker = _order2_kernel()
+    ker = _mirror_kernel()
     y = ker.ctx.mpf(y.numerator) / y.denominator
-    expected = _mpc_object_sums(ker, y)
-    assert ker(y, order) == (expected if order is None else expected[:order + 1])
+    assert ker(y, order) == _mpc_object_sums(ker, y)[:order + 1]
 
 
 # --- the table of kernel values ----------------------------------------------------
@@ -285,7 +340,7 @@ def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
     ctx = pol.ctx
     sigma = ctx.mpf(sigma)
     c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol, 2)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
     fresh = copy.copy(ker)
     for y in ("0.05", "0.7", "1", "3.9"):
         y = ctx.mpf(y)
@@ -294,8 +349,8 @@ def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
 
 
 def _table_kernel():
-    """A copy of _order2_kernel(), whose table starts empty, and its context."""
-    ker = copy.copy(_order2_kernel())
+    """A copy of _mirror_kernel(), whose table starts empty, and its context."""
+    ker = copy.copy(_mirror_kernel())
     return ker, ker.ctx
 
 
@@ -378,12 +433,12 @@ def test_kernel_table_is_not_saved(tmp_path):
     pol = PrecisionPolicy(8)
     ctx = pol.ctx
     spec, s_val, c = _character_spec(-4), ctx.mpf(-1), ctx.mpf("2.75")
-    ker = motive._stored_kernel(tmp_path, spec, s_val, c, pol, 1)
+    ker = motive._stored_kernel(tmp_path, spec, s_val, c, pol)
     (entry,) = tmp_path.iterdir()
     before = entry.read_bytes()
     y, key = ctx.mpf("0.3"), motive._store_key(spec, s_val, c, pol)
     filled = ker.values(y, 1)
     motive._write_entry(entry, key, ker)
     assert entry.read_bytes() == before
-    loaded = motive._read_entry(entry, key, ctx, 1)
+    loaded = motive._read_entry(entry, key, ctx)
     assert _bits(loaded.values(y, 1)) == _bits(filled) and len(loaded._values) == 1
