@@ -19,7 +19,8 @@ CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
 KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
-both sides share their kernel values), one Gamma_C order-2 `lfun` run on the
+both sides share their kernel values), the ZETA_RUNS (zeta at orders 1 and
+2, the one spec whose Lambda has poles), one Gamma_C order-2 `lfun` run on the
 quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
 PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
@@ -57,6 +58,8 @@ KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2"
 # chi_-4 at the centre s = 1/2, orders 0 and 1: both sides of the functional
 # equation take one kernel at the same points y_n
 CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
+# (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
+ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two
@@ -169,20 +172,35 @@ def kronecker(D: int, n: int) -> int:
     return result if b == 1 else 0
 
 
-def character_spec(D: int, directory: Path) -> Path:
-    """Spec of L(chi_D, s) with Euler factors 1 - chi_D(p) x for p <= EULER_P."""
-    euler = directory / f"chi{D}.jsonl"
+def degree_one_spec(name: str, chi, directory: Path, **fields) -> Path:
+    """Spec `name`.json of a degree-1 L-function with Euler factors
+    1 - chi(p) x for p <= EULER_P, in `name`.jsonl; fields are its other
+    spec fields."""
+    euler = directory / f"{name}.jsonl"
     with open(euler, "w", encoding="utf-8") as fh:
         for p in range(2, EULER_P + 1):
             if all(p % q for q in range(2, int(p ** 0.5) + 1)):
-                c = kronecker(D, p)
+                c = chi(p)
                 fh.write(json.dumps({"p": p, "factor": [1, -c] if c else [1]}) + "\n")
-    spec = directory / f"chi{D}.json"
-    spec.write_text(json.dumps({
-        "degree": 1, "weight": 0, "conductor": abs(D),
-        "gamma_shifts": [["R", "0" if D > 0 else "1"]], "sign": 1,
-        "euler_path": str(euler), "label": f"chi_{D}"}))
+    spec = directory / f"{name}.json"
+    spec.write_text(json.dumps({"degree": 1, "weight": 0, "sign": 1,
+                                "euler_path": str(euler), **fields}))
     return spec
+
+
+def character_spec(D: int, directory: Path) -> Path:
+    """Spec of L(chi_D, s) with Euler factors 1 - chi_D(p) x for p <= EULER_P."""
+    return degree_one_spec(f"chi{D}", lambda p: kronecker(D, p), directory,
+                           conductor=abs(D), gamma_shifts=[["R", "0" if D > 0 else "1"]],
+                           label=f"chi_{D}")
+
+
+def zeta_spec(directory: Path) -> Path:
+    """Spec of zeta(s), whose Lambda has simple poles at s = 1 (residue 1) and
+    s = 0 (-1), with Euler factors 1 - x for p <= EULER_P."""
+    return degree_one_spec("zeta", lambda p: 1, directory, conductor=1,
+                           gamma_shifts=[["R", "0"]], poles=[["1", 1], ["0", -1]],
+                           label="zeta")
 
 
 def quintic_spec(root: Path, directory: Path) -> Path:
@@ -224,6 +242,9 @@ def main(argv=None) -> int:
         argvs = regulator_argvs() + [
             ["--digits", digits, "lfun", specs[D], "--s", s, "--order", str(order)]
             for D, s, order, digits in runs]
+        zeta = str(zeta_spec(Path(tmp)))
+        argvs += [["--digits", "8", "lfun", zeta, "--s", s, "--order", str(order)]
+                  for s, order in ZETA_RUNS]
         argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
                       "--s", "0", "--order", "2"])
         argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]

@@ -8,27 +8,35 @@ Gamma(x/2^e), with the halvings e = 1 and 0 held in _HALVINGS, which the
 pole order and the limit at a pole read as well.
 
 The incomplete-Mellin kernel F(s, y) = (1/2 pi i) int gamma(s+u) y^(-u) du/u
-is computed on a truncated vertical line with a uniform trapezoid rule.  Its
-s-derivatives come by parts, since d/ds gamma(s+u) = d/du gamma(s+u): with
-I_j(y) = (1/2 pi i) int gamma(s+u) y^(-u) u^(-j) du, F_0 = I_1,
-F_1 = log y I_1 + I_2 and F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3.  So one
-kernel per (gamma data, s, precision) holds one node list, gamma(s+u)/u, for
-every order; the I_2 and I_3 lists, that one divided by u once and twice, are
-formed when an order first needs them.  One raw evaluator, _gamma_raw, forms
-gamma on libmp tuples with the bits of the per-kind mpc expressions, at every
-node s + u and at motive_L's real s; the logs of pi and 2 pi are formed once
-per kernel, and x, the power and Gamma once per node and distinct (kind,
-shift) factor, so Gamma_C(s)^2 costs one Gamma per node.  Evaluation is one
-pass over the nodes that forms each power of the rotation once and feeds it
-to every I_j, accumulating only the real part of each trapezoid sum, the one
-the kernel uses, on signed integer mantissas; each sum is rounded once by
-_sum to the bits mpf_add gives, so the values have the bits of the same loop
-on mpc objects (see _Kernel.__call__).  A point the request cannot be served
-at (a pole of Lambda, or the wrong order at a trivial zero) raises PointError
-before any table or kernel is built.  Each side of the functional equation is
-one pass over n that accumulates every order, each with its own stopping
-rule.  At points where gamma has a pole of order m (trivial zeros), the
-order-m derivative comes from the leading Taylor coefficient
+is computed on a truncated vertical line with a uniform trapezoid rule.  A
+kernel returns I_1..I_(order+1), I_j(y) = (1/2 pi i) int gamma(s+u) y^(-u)
+u^(-j) du, so F = I_1, and shifting u by eps gives
+F(s+eps, y) = y^eps sum_j eps^j I_(j+1)(y).  So one kernel per (gamma data,
+s, precision) holds one node list, gamma(s+u)/u, for every order; the I_2 and
+I_3 lists, it divided by u once and twice, are formed when first needed.
+One raw evaluator, _gamma_raw, forms gamma on libmp tuples with the bits of
+the per-kind mpc expressions, at every node s + u and at motive_L's real s;
+the logs of pi and 2 pi are formed once per kernel, and x, the power and
+Gamma once per node and distinct (kind, shift) factor, so Gamma_C(s)^2 costs
+one Gamma per node.  Evaluation is one pass over the nodes that forms each
+power of the rotation once and feeds it to every I_j, accumulating only the
+real part of each trapezoid sum, the one the kernel uses, on signed integer
+mantissas; each sum is rounded once by _sum to the bits mpf_add gives, so
+the values have the bits of the same loop on mpc objects (see
+_Kernel.__call__).  A point the request cannot be served at (a pole of
+Lambda, or the wrong order at a trivial zero) raises PointError before any
+table or kernel is built.
+
+Each side of the functional equation is one pass over n that accumulates
+every R_j = sum_n a_n n^(-s) N^(s/2) I_(j+1)(y_n), each with its own stopping
+rule.  On the right side y_n = n/(A sqrt(N)), so the factor
+y_n^eps n^(-eps) N^(eps/2) of the term at s + eps is A^(-eps) for every n;
+the mirror side, at w + 1 - s - eps, gives A^(-eps) too, with (-eps)^j for
+eps^j.  With M_j the mirror sums, Lambda^(d)(s)/d! = [eps^d] A^(-eps)
+sum_j eps^j (R_j + (-1)^j sign M_j - sum over the poles p0 of
+res A^(p0-s)/(p0-s)^(j+1)), and no term carries a log n.  At points where
+gamma has a pole of order m (trivial zeros), the order-m derivative comes
+from the leading Taylor coefficient
 Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
 
 Kernels are cached in memory per process, and, when motive_L or
@@ -47,11 +55,11 @@ directory is safe to delete.  With store=None, the default, the library
 reads and writes no file; the `lfun` command passes <cache dir>/kernels.
 
 Each kernel also keeps a table of its values (_Kernel.values): the list
-F_0..F_d a call returns, per (prec, rounding) and raw mpf of y, at most
-_KERNEL_VALUES_SIZE per kernel.  F_d reads only I_1..I_(d+1), each summed on
-its own, so a lower order is a prefix of a stored list with the bits a new
-call gives.  A repeated call at one point, or the mirror side at the centre
-s = (w+1)/2 with cutoff 1, evaluates no kernel.  The table is never stored.
+I_1..I_(d+1) a call returns, per (prec, rounding) and raw mpf of y, at most
+_KERNEL_VALUES_SIZE per kernel.  Each I_j is summed on its own, so a lower
+order is a prefix of a stored list with the bits a new call gives.  A
+repeated call at one point, or the mirror side at the centre s = (w+1)/2
+with cutoff 1, evaluates no kernel.  The table is never stored.
 """
 
 from __future__ import annotations
@@ -258,7 +266,7 @@ def _gamma_raw(factors, index, s, prec, rnd):
 _kernel_cache: dict = {}
 _kernel_lock = threading.Lock()
 _KERNEL_CACHE_SIZE = 32
-# (precision, y) -> [F_0, ..., F_d] per kernel (_Kernel.values); the oldest
+# (precision, y) -> [I_1, ..., I_(d+1)] per kernel (_Kernel.values); the oldest
 # insertion is evicted once a kernel holds more than _KERNEL_VALUES_SIZE
 _KERNEL_VALUES_SIZE = 1024
 
@@ -302,14 +310,13 @@ def _widen(raw, prec):
 
 
 class _Kernel:
-    """F_d(s, y) = (d/ds)^d (1/2 pi i) int gamma(s+u) y^-u du/u, d = 0, 1, 2.
+    """I_j(s, y) = (1/2 pi i) int gamma(s+u) y^-u u^-j du, j = 1, 2, 3.
 
     One list of nodes gamma(s+u)/u at u = c + i h k, k = 0, 1, ..., ending at
-    the decay floor, serves every order: by parts, with I_j the integral of
-    gamma(s+u) y^-u u^-j, F_0 = I_1, F_1 = log y I_1 + I_2 and
-    F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3.  The I_2 and I_3 nodes are the
-    list divided by u once and twice, formed when an order first needs them.
-    Valid for real s, c > 0, y > 0.
+    the decay floor, serves every order: I_1 is the kernel F(s, y) and
+    F(s+eps, y) = y^eps sum_j eps^j I_(j+1)(y).  The I_2 and I_3 nodes are
+    the list divided by u once and twice, formed when first needed.  Valid
+    for real s, c > 0, y > 0.
     """
 
     def __init__(self, spec, s_val, c, pol: PrecisionPolicy):
@@ -373,22 +380,20 @@ class _Kernel:
         return signed
 
     def __call__(self, y, order):
-        """[F_0(s, y), ..., F_order(s, y)], order <= 2.
+        """[I_1(s, y), ..., I_(order+1)(s, y)], order <= 2.
 
-        I_1..I_(order+1) are each the real part of the sum of node * rot^k,
-        which the full-line trapezoid uses, with the bits of `r = r * rot;
-        acc += g * r` on mpc objects, which rounds each part of a product and
-        each addition once: here _sum does, on signed integer mantissas, in
-        one pass over k.  mpmath contexts round to nearest, the mode _sum
-        serves.  The F_d are then formed from them on mpf objects.
+        Each is the real part of the sum of node * rot^k, which the full-line
+        trapezoid uses, with the bits of `r = r * rot; acc += g * r` on mpc
+        objects, which rounds each part of a product and each addition once:
+        here _sum does, on signed integer mantissas, in one pass over k.
+        mpmath contexts round to nearest, the mode _sum serves.
         """
         ctx = self.ctx
         prec, rnd = ctx._prec_rounding
         if rnd != round_nearest:
             raise MotiveError(f"kernel sums round to nearest, not {rnd!r}")
         lists = self._signed(prec, order)[:order + 1]
-        lny = ctx.log(y)
-        re, im = ctx.expj(-self.h * lny)._mpc_
+        re, im = ctx.expj(-self.h * ctx.log(y))._mpc_
         # r_1 = rot, and each sum starts at half its first node
         a, ea, b, eb = c, ec, s, es = _widen(re, prec) + _widen(im, prec)
         acc = [(g[0][0], g[0][1] - 1) for g in lists]
@@ -403,19 +408,14 @@ class _Kernel:
                 _sum(a * s, ea + es, b * c, eb + ec, prec, far)
         scale = ctx.power(y, -self.c)
         # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-        ints = [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
+        return [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
                 for total in acc]
-        out = ints[:1]
-        if order >= 1:
-            out.append(lny * ints[0] + ints[1])
-        if order == 2:
-            out.append(lny * lny * ints[0] + 2 * lny * ints[1] + 2 * ints[2])
-        return out
 
     def values(self, y, order):
-        """[F_0(s, y), ..., F_order(s, y)] at an mpf y: a copy of the prefix of
-        the list stored in the kernel's table, made at the first lookup so a
-        loaded kernel has one too; a miss, or fewer orders stored, calls."""
+        """[I_1(s, y), ..., I_(order+1)(s, y)] at an mpf y: a copy of the
+        prefix of the list stored in the kernel's table, made at the first
+        lookup so a loaded kernel has one too; a miss, or fewer orders
+        stored, calls."""
         key = (tuple(self.ctx._prec_rounding), y._mpf_)
         table = vars(self).setdefault("_values", {})
         vals = table.get(key)
@@ -575,12 +575,12 @@ def _write_entry(path, key, k):
 # ---------------------------------------------------------------------------
 
 def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None):
-    """[sum_n a_n n^(-sigma) N^(sigma/2) (d/ds)^d [...] for d = 0..order], one side.
+    """[sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order], one side.
 
-    mirror = False: sigma = s0, argument y = n/(A sqrt(N));
-    mirror = True:  sigma = w+1-s0, y = n A / sqrt(N); d/ds brings a -1.
+    mirror = False: sigma = s0, argument y_n = n/(A sqrt(N));
+    mirror = True:  sigma = w+1-s0, y_n = n A / sqrt(N).
     a holds the Dirichlet coefficients a_1..a_P of the Euler table.  One pass
-    over n serves every order; an order that meets its stopping rule stops
+    over n serves every j; a sum that meets its stopping rule stops
     accumulating while the others go on.  store is _kernel's.
     """
     ctx = pol.ctx
@@ -590,46 +590,37 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     c = max(sig_abs - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
     ker = _kernel(spec, sigma, c, pol, store)
     sqN = ctx.sqrt(ctx.mpf(spec.conductor))
-    lnN2 = ctx.log(spec.conductor) / 2
-    sgn = -1 if mirror else 1
     # break threshold above the kernel's trapezoid noise plateau
     floor = ctx.mpf(10) ** (-(pol.working_digits - 6))
     M_cap = spec.euler.p_max
     N_half_sigma = ctx.power(ctx.mpf(spec.conductor), sigma / 2)
     totals = [ctx.mpf(0)] * (order + 1)
     quiet = [0] * (order + 1)
-    live = list(range(order + 1))          # the orders still accumulating
+    live = list(range(order + 1))          # the sums still accumulating
     for n in range(1, M_cap + 1):
         an = a[n]
         yn = n / (sqN * A) if not mirror else n * A / sqN
         if an == 0:
             # the kernel only shrinks with n; reuse the quiet counter
-            for d in list(live):
-                if quiet[d]:
-                    quiet[d] += 1
-                    if quiet[d] >= 8 and n > sqN:
-                        live.remove(d)
+            for j in list(live):
+                if quiet[j]:
+                    quiet[j] += 1
+                    if quiet[j] >= 8 and n > sqN:
+                        live.remove(j)
             if not live:
                 break
             continue
         base = an * ctx.power(n, -sigma) * N_half_sigma
         kv = ker.values(yn, live[-1])
-        if live[-1] >= 1:
-            lfac = (-ctx.log(n) + lnN2)
-        for d in list(live):
-            if d == 0:
-                term = base * kv[0]
-            elif d == 1:
-                term = base * (sgn * lfac * kv[0] + sgn * kv[1])
-            else:
-                term = base * (lfac * lfac * kv[0] + 2 * lfac * kv[1] + kv[2])
-            totals[d] += term
+        for j in list(live):
+            term = base * kv[j]
+            totals[j] += term
             if abs(term) < floor and n > sqN:
-                quiet[d] += 1
-                if quiet[d] >= 8:
-                    live.remove(d)
+                quiet[j] += 1
+                if quiet[j] >= 8:
+                    live.remove(j)
             else:
-                quiet[d] = 0
+                quiet[j] = 0
         if not live:
             break
     else:
@@ -641,19 +632,13 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     return totals
 
 
-def _pole_correction(spec, ctx, s_val, order, A):
+def _pole_correction(spec, ctx, s_val, j, A):
+    """sum over the poles p0 of res A^(p0-s)/(p0-s)^(j+1), the eps^j
+    coefficient of the pole terms of Lambda(s+eps) A^eps."""
     corr = ctx.mpf(0)
     for (p0, res) in spec.poles:
-        p0v = ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator
-        d = p0v - s_val
-        Au = ctx.power(A, d)
-        lnA = ctx.log(A)
-        if order == 0:
-            corr += res * Au / d
-        elif order == 1:
-            corr += res * Au * (-lnA / d + 1 / d ** 2)
-        else:
-            corr += res * Au * (lnA ** 2 / d - 2 * lnA / d ** 2 + 2 / d ** 3)
+        d = ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator - s_val
+        corr += res * ctx.power(A, d) / d ** (j + 1)
     return corr
 
 
@@ -692,9 +677,16 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     left = _sum_side(spec, s_val, pol, order, A, True, a, store)
     sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
         else ctx.mpf(spec.sign)
+    # Lambda(s+eps) = A^(-eps) sum_j eps^j coeffs[j]; A^(-eps) has the
+    # coefficients (-log A)^k / k!, and at d = 0 every factor below is an
+    # exact 1, so Lambda(s0) keeps the bits of coeffs[0]
+    coeffs = [right[j] + (-1) ** j * sign * left[j] - _pole_correction(spec, ctx, s_val, j, A)
+              for j in range(order + 1)]
+    lnA = ctx.log(A)
     out = []
     for d in range(order + 1):
-        val = right[d] + sign * left[d] - _pole_correction(spec, ctx, s_val, d, A)
+        val = ctx.factorial(d) * sum((-lnA) ** k / ctx.factorial(k) * coeffs[d - k]
+                                     for k in range(d + 1))
         if hasattr(val, "imag") and abs(val.imag) < ctx.mpf(10) ** (-pol.target_digits):
             val = val.real
         out.append(val)
@@ -739,23 +731,20 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator
         val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
         return val, err
-    # L = Lambda / (N^(s/2) gamma) by the product rule: gamma from the kernel's
-    # evaluator, ell = (log N^(s/2) gamma)' and ell2 = ell' through psi(x/2^e)
+    # L = Lambda / pref, pref = N^(s/2) gamma(s) from the kernel's evaluator:
+    # pref(s)/pref(s+eps) = exp(-ell_1 eps - ell_2 eps^2/2 - ...), with
+    # ell_j = (d/ds)^j log pref through psi^(j-1)(x/2^e), has the
+    # coefficients inv
     pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * ctx.make_mpf(_gamma_raw(
         *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), *ctx._prec_rounding)[0])
-    L0 = lams[0] / pref
-    if derivative_order == 0:
-        return L0, err
-    ell1, ell2 = ctx.log(spec.conductor) / 2, ctx.mpf(0)
+    ell = [ctx.log(spec.conductor) / 2, ctx.mpf(0)]
     for kind, sh in spec.gamma_shifts:
         e = _HALVINGS[kind]
         x = ctx.ldexp(s_val + _s_value(ctx, Fraction(sh)), -e)
-        ell1 += ctx.ldexp(digamma(x, 0, pol) - ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
-        if derivative_order == 2:
-            ell2 += ctx.ldexp(digamma(x, 1, pol), -2 * e)
-    L1 = (lams[1] - ell1 * lams[0]) / pref
-    if derivative_order == 1:
-        return L1, err
-    # Lambda = pref * L => Lambda'' = pref (L'' + 2 ell1 L' + (ell1^2 + ell2) L)
-    L2 = (lams[2] - 2 * ell1 * pref * L1 - (ell1 ** 2 + ell2) * pref * L0) / pref
-    return L2, err
+        ell[0] -= ctx.ldexp(ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
+        for j in range(derivative_order):
+            ell[j] += ctx.ldexp(digamma(x, j, pol), -(j + 1) * e)
+    inv = [1, -ell[0], (ell[0] ** 2 - ell[1]) / 2]
+    d = derivative_order
+    return ctx.factorial(d) * sum(lams[k] / ctx.factorial(k) * inv[d - k]
+                                  for k in range(d + 1)) / pref, err

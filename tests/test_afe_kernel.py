@@ -6,8 +6,8 @@ round_nearest, on both sides of its hand-off to mpf_add.  The nodes, and
 over `_gamma_value`, the mpc expressions of each kind of factor, and the
 I_2 and I_3 nodes `==` against that list divided by u on mpc objects.  The
 digamma-weighted nodes of `_reference_raw` (`_gamma_logderiv`), which
-differentiate under the integral, are the accuracy reference for every
-order the kernel forms by parts.
+differentiate under the integral, are the accuracy reference for the
+s-derivatives of F that the kernel's I_j give by parts.
 """
 
 from __future__ import annotations
@@ -371,8 +371,10 @@ def _trapezoid(ctx, c, h, raw, y):
 
 @pytest.mark.parametrize("gamma, sigma, digits", GRID)
 def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
-    """Every order the kernel forms by parts is within 10^-(working digits - 1)
-    of the digamma-weighted reference at doubled precision, relative to
+    """F_0 = I_1, F_1 = log y I_1 + I_2 and F_2 = (log y)^2 I_1 + 2 log y I_2
+    + 2 I_3, formed from the kernel's values on mpf objects, the s-derivatives
+    of F by parts, are each within 10^-(working digits - 1) of the
+    digamma-weighted reference at doubled precision, relative to
     max(1, |F_d|).  The trapezoid sums round at the working precision: at
     y = 0.05 the order-0 value, the reference's own construction, is off by
     up to 2.2 10^-(working digits), and orders 1 and 2 by up to 4.1."""
@@ -381,7 +383,9 @@ def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
     ker = motive._Kernel(*_grid_args(gamma, sigma, ctx), pol)
     c_ref, h_ref, raws = _reference_raw(*_grid_args(gamma, sigma, rctx), ref, 2)
     for y in ("0.05", "0.7", "1", "3.9", "40"):
-        got = ker(ctx.mpf(y), 2)
+        i1, i2, i3 = ker(ctx.mpf(y), 2)
+        lny = ctx.log(ctx.mpf(y))
+        got = [i1, lny * i1 + i2, lny * lny * i1 + 2 * lny * i2 + 2 * i3]
         y = rctx.mpf(y)
         for value, raw in zip(got, raws):
             expected = _trapezoid(rctx, c_ref, h_ref, raw, y)

@@ -205,16 +205,36 @@ def test_gamma_pole_order_and_limit_by_definition(gamma, s0):
         assert abs(limit - near) < mpmath.mpf(10) ** -20 * abs(near)
 
 
+def _zeta_spec(p_below):
+    """zeta(s): Gamma_R(s), simple poles of Lambda at s = 1 (residue 1) and
+    0 (-1), Euler factors 1 - x for the primes below p_below."""
+    primes = [p for p in range(2, p_below) if all(p % q for q in range(2, p))]
+    table = EulerFactorTable({p: [1, -1] for p in primes}, 1, "zeta")
+    return LFunctionSpec(1, 0, 1, (("R", F(0)),), 1, table,
+                         poles=((F(1), 1), (F(0), -1)), label="zeta")
+
+
 @pytest.mark.slow
 def test_motive_zeta(pol):
-    ctx = pol.ctx
-    primes = [p for p in range(2, 120) if all(p % q for q in range(2, p))]
-    table = EulerFactorTable({p: [1, -1] for p in primes}, 1, "zeta")
-    spec = LFunctionSpec(1, 0, 1, (("R", F(0)),), 1, table,
-                         poles=((F(1), 1), (F(0), -1)), label="zeta")
+    spec = _zeta_spec(120)
     pol12 = PrecisionPolicy(14)
     val, err = motive_L(spec, 2, 0, pol12)
     assert abs(val - pol12.ctx.pi ** 2 / 6) < pol12.ctx.mpf(10) ** -12
+
+
+@pytest.mark.parametrize("cutoff", [None, "1.31", 2], ids=["A=1", "A=1.31", "A=2"])
+@pytest.mark.parametrize("s", [F(2), F(3), F(1, 2)], ids=["s=2", "s=3", "s=1/2"])
+def test_motive_zeta_derivatives_at_any_cutoff(s, cutoff):
+    """zeta, zeta' and zeta'' within 10^-12 of mpmath's: the pole terms of
+    Lambda at orders 0, 1 and 2, and the factor A^(-eps) of a cutoff A != 1
+    at every order."""
+    pol = PrecisionPolicy(12)
+    spec = _zeta_spec(400)
+    for order in (0, 1, 2):
+        value, _ = motive_L(spec, s, order, pol, cutoff_A=cutoff)
+        with mpmath.workdps(pol.working_digits):
+            expected = mpmath.zeta(mpmath.mpf(s.numerator) / s.denominator, derivative=order)
+            assert abs(mpmath.mpf(value) - expected) < mpmath.mpf(10) ** -12
 
 
 @pytest.mark.slow

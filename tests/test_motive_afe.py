@@ -240,17 +240,14 @@ def _nodes(ker):
 
 
 def _mpc_object_sums(ker, y):
-    """[F_0, F_1, F_2] with mpc arithmetic, the imaginary part included.
+    """[I_1, I_2, I_3] with mpc arithmetic, the imaginary part included.
 
     The reference bits for `_Kernel.__call__`, which forms only the real
-    part on raw tuples: each I_j sum, then the parts F_0 = I_1,
-    F_1 = log y I_1 + I_2 and F_2 = (log y)^2 I_1 + 2 log y I_2 + 2 I_3 on
-    mpf objects.  F_d reads only I_1..I_(d+1), each summed on its own, so a
-    request for orders 0..k is the first k + 1 entries of this list.
+    part on raw tuples.  Each I_j is summed on its own, so a request for
+    orders 0..k is the first k + 1 entries of this list.
     """
     ctx = ker.ctx
-    lny = ctx.log(y)
-    rot = ctx.expj(-ker.h * lny)
+    rot = ctx.expj(-ker.h * ctx.log(y))
     powers = []
     r = ctx.mpc(1)
     for _ in range(len(ker._raw) - 1):
@@ -264,8 +261,7 @@ def _mpc_object_sums(ker, y):
             acc += g * r
         total = 2 * acc.real * ker.h / (2 * ctx.pi)
         ints.append(scale * total)
-    i1, i2, i3 = ints
-    return [i1, lny * i1 + i2, lny * lny * i1 + 2 * lny * i2 + 2 * i3]
+    return ints
 
 
 QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
@@ -413,8 +409,9 @@ def test_repeated_lambda_derivs_evaluates_no_kernel(monkeypatch):
 @pytest.mark.parametrize("order", [0, 1])
 def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
     """At s = (w + 1)/2 with cutoff 1 both sides use one kernel and the same
-    y_n, so the mirror side evaluates nothing; its sums are the right side's,
-    with d/ds's sign on order 1."""
+    y_n, so the mirror side evaluates nothing; its sums are the right side's
+    bit for bit at every order, since the mirror's (-1)^j is applied by
+    lambda_derivs, not in the sums."""
     monkeypatch.setattr(motive, "_kernel_cache", {})
     spec = _character_spec(-4)
     pol = PrecisionPolicy(8)
@@ -424,7 +421,7 @@ def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
     right = motive._sum_side(spec, s_val, pol, order, A, False, a)
     calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
     left = motive._sum_side(spec, s_val, pol, order, A, True, a)
-    assert calls == [] and _bits(left) == _bits(right[:1] + [-v for v in right[1:]])
+    assert calls == [] and _bits(left) == _bits(right)
 
 
 def test_kernel_table_is_not_saved(tmp_path):
