@@ -23,7 +23,8 @@ both sides share their kernel values), the ZETA_RUNS (zeta at orders 1 and
 2, the one spec whose Lambda has poles), one Gamma_C order-2 `lfun` run on the
 quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
 PERIOD_ARGVS (`period --gamma`,
-`--mode floating`, `appB:pi0` and the appB data), the EXIT_ARGVS: `period
+`--mode floating`, `appB:pi0`, the appB data, and two `--point` sums of K
+terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2.
 """
@@ -75,7 +76,9 @@ EXIT_ARGVS = (
     ["--max-terms", "16", "regulator", "--case", "k2", "--t", "49"],
 )
 
-# the other period paths: gamma vectors, floating output, appB's relative series
+# the other period paths: gamma vectors, floating output, appB's relative series,
+# and --point sums of all K terms at a wide working precision: at K = 200 the
+# tail (1.9e-29) fails the 10^-50 gate, exit 3; at K = 500 a value is printed
 PERIOD_ARGVS = (
     ["period", "--gamma", "-K", "8", "--var", "t", "--", "5,-1,-1,-1,-1,-1"],
     ["period", "--gamma", "-K", "8", "--", "2,2,-1,-1,-1,-1"],
@@ -83,6 +86,10 @@ PERIOD_ARGVS = (
     ["period", "appB:pi0", "-K", "5"],
     ["period", "appB:pi0", "-K", "200"],
     ["period", "1/5,2/5,3/5,4/5;1/6,5/6,1,1", "--var", "t", "-K", "120"],
+    ["--digits", "50", "period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "200",
+     "--point", "1/4096"],
+    ["--digits", "50", "period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "500",
+     "--point", "1/4096"],
 )
 # exit 2 with one error line: malformed data, an unknown case, a t outside
 # its case's interval, a k2 point too close to |z| = 1, a missing spec file,

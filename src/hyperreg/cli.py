@@ -187,12 +187,9 @@ def cmd_period(args, pol: PrecisionPolicy):
         if t0 <= 0:
             raise CliError(f"--point must be positive, got {t0}")
         ctx = pol.ctx
-        z, zp, terms = ctx.mpf(t0.numerator) / t0.denominator, ctx.mpf(1), []
-        for c in coeffs:
-            terms.append(ctx.mpf(c.numerator) / c.denominator * zp)
-            zp = zp * z
-        # t_(k+1)/t_k = scale t0 prod (k + a_j) / (k + b_j), as in coeff_stream
-        val, tail = ratio_sum(terms, (scale * t0, h.a, h.b), pol, "period", flag="-K")
+        # t_0 = 1, t_(k+1)/t_k = scale t0 prod (k + a_j) / (k + b_j), as in coeff_stream
+        val, tail, _ = ratio_sum(1, (scale * t0, h.a, h.b), pol, "period", flag="-K",
+                                 count=args.K)
         out["value"] = ctx.nstr(val, pol.target_digits)
         out["tail_bound"] = ctx.nstr(tail, 3)
     return out

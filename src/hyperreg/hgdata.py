@@ -2,8 +2,9 @@
 
 A datum (a, b) is a pair of equal-length lists of rationals in (0, 1].
 Every exact series here and in the case studies steps by a hypergeometric
-term ratio x prod_i (k + alpha_i) / (k + beta_i); `term_ratio` is the one
-place that step is written, and `ratio_stream` is its running product.
+term ratio x prod_i (k + alpha_i) / (k + beta_i); `term_step` is the one
+place that step is written, as a pair of integers: `ratio_stream` is its
+exact running product, and `mpnum.ratio_sum` its fixed-point one.
 Standard library only, so an exact ``period`` loads neither mpmath nor the
 series algebra.  :mod:`hyperreg.hypergeom` re-exports the data and stream names.
 """
@@ -191,39 +192,35 @@ def scale_C(h: HGData) -> Fraction:
 # coefficient streams
 # ---------------------------------------------------------------------------
 
-def term_ratio(x, alpha, beta, k) -> Fraction:
-    """t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i), exactly.
+def term_step(x, alpha, beta):
+    """k -> (p, q), integers with p / q = t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i).
 
-    x, k and the alpha_i, beta_i (as many of each) are ints or Fractions;
-    the products run in integers, reduced once.  (x, alpha, beta) is the
-    triple `mpnum.ratio_sum` certifies a tail from.
-    """
-    p, q = k.as_integer_ratio()
-    num, den = x.as_integer_ratio()
-    for a in alpha:
-        n, d = a.as_integer_ratio()
-        num *= p * d + n * q
-        den *= d
-    for b in beta:
-        n, d = b.as_integer_ratio()
-        num *= d
-        den *= p * d + n * q
-    return Fraction(num, den)
-
-
-def ratio_stream(x, alpha, beta, K: int) -> list:
-    """[t_0, ..., t_(K-1)] from t_0 = 1 and t_(k+1) = t_k term_ratio(x, alpha, beta, k).
-
-    The running product is a pair of integers: with D the common denominator
-    of the alpha_i and beta_i, the factors D (k + alpha_i) and D (k + beta_i)
-    are integers, and each step is one Fraction.
+    x and the alpha_i, beta_i (as many of each) are ints or Fractions.  With
+    D the common denominator of the alpha_i and beta_i, p = x_n prod_i
+    (D k + D alpha_i) and q = x_d prod_i (D k + D beta_i) for x = x_n / x_d:
+    every factor is an integer at integer k, and the powers of D cancel.
     """
     D = lcm(*(c.denominator for c in (*alpha, *beta)))
     A, B = [int(D * c) for c in alpha], [int(D * c) for c in beta]
     xn, xd = x.as_integer_ratio()
+
+    def step(k):
+        Dk = D * k
+        return xn * prod(map(Dk.__add__, A)), xd * prod(map(Dk.__add__, B))
+    return step
+
+
+def ratio_stream(x, alpha, beta, K: int) -> list:
+    """[t_0, ..., t_(K-1)] from t_0 = 1 and t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i).
+
+    The running product is a pair of integers, and each step is one
+    Fraction of the integers of `term_step`.
+    """
+    step = term_step(x, alpha, beta)
     out, N, M = [Fraction(1)], 1, 1
     for k in range(K - 1):
-        t = Fraction(N * xn * prod(D * k + a for a in A), M * xd * prod(D * k + b for b in B))
+        p, q = step(k)
+        t = Fraction(N * p, M * q)
         N, M = t.numerator, t.denominator
         out.append(t)
     return out

@@ -11,8 +11,10 @@ the context's binary precision and filled on first use; the exact-to-float
 boundary (``ExactNum.to_mp``) reads its atoms from it.
 
 :func:`ratio_sum` sums every numeric series of the package that stops
-where its terms fall below the working precision: it owns the stopping
-index, the cap and the tail bound certified by the exact term ratio.
+where its terms fall below the working precision: from the first term and
+the exact term ratio it forms every later term itself, in fixed point, and
+owns the stopping index, the cap, the tail bound the ratio certifies and
+the bound on its own rounding.
 :func:`fixed_terms` owns the truncations fixed in advance from a decay
 rate (the k4 entries and k2's z^-k streams), and holds them to the same
 cap, ``max_terms``, through :func:`capped_terms`, which also caps cy0's
@@ -28,7 +30,12 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .hgdata import term_step
+
 _CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
+
+
+_GUARD_BITS = 32        # bits of ratio_sum's running term beyond the working precision
 
 
 class MPNumError(ValueError):
@@ -142,32 +149,53 @@ def special(name: str, pol):
 # numeric summation with a tail certified by the exact term ratio
 # ---------------------------------------------------------------------------
 
-def ratio_sum(terms, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
-              start: int = 0, relative: bool = False, flag: str = "--max-terms"):
-    """Sum the terms t_start, t_(start+1), ... in order; certify the tail.
+def ratio_sum(first, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
+              start: int = 0, relative: bool = False, flag: str = "--max-terms",
+              count: int | None = None):
+    """Sum t_start, t_(start+1), ... from t_start = `first`; certify tail and rounding.
 
-    A list is summed in full.  An iterator is summed up to the first k > 8
-    with |t_k| < 10^-(working digits + 5), times max(1, |sum|) if `relative`,
-    and raises DivergenceError past k = max_terms.  ratio = (x, alpha, beta)
-    declares t_(k+1) / t_k = x prod_i (k + alpha_i) / (k + beta_i) exactly,
-    x rational.  With t_n the last term added, the rest of the series is at
-    most |t_n| rho / (1 - rho) for rho = sup over k >= n of |t_(k+1) / t_k|:
-    the explicit-ratio case of Mezzarobba and Salvy (JSC 2010).
-    TailBoundError, naming `flag`, when rho >= 1 or the bound exceeds
-    10^-digits.  Returns (sum, bound).
+    ratio = (x, alpha, beta) declares t_(k+1) / t_k = x prod_i (k + alpha_i) /
+    (k + beta_i) exactly, x rational; every later term is formed from it as
+    an integer mantissa T of _GUARD_BITS more bits than the working precision,
+    by one exact product with the integers p, q of `hgdata.term_step` and one
+    truncating division, with error bound E <- ceil(E |p| / q) + 1 units of T.
+    The sum is an integer in the units of the first term's T, returned
+    exactly (so with more bits than the working precision); `rounding`
+    bounds its error, the E included (that of `first` is the caller's).
+
+    `count` terms, at least 1, are summed in full.  Otherwise the sum stops at the first
+    k > 8 with |t_k| < 10^-(working digits + 5), times max(1, |sum|) if
+    `relative`, and raises DivergenceError past k = max_terms.  With t_n the
+    last term added, the rest of the series is at most |t_n| rho / (1 - rho)
+    for rho = sup over k >= n of |t_(k+1) / t_k|: the explicit-ratio case of
+    Mezzarobba and Salvy (JSC 2010); |t_n| is taken as (|T| + E) 2^e.
+    TailBoundError, naming `flag`, when rho >= 1 or tail + rounding exceeds
+    10^-digits.  Returns (sum, tail, rounding).
     """
     ctx = pol.ctx
-    tol = ctx.mpf(10) ** (-pol.working_digits - 5)
-    acc, full = ctx.mpf(0), isinstance(terms, list)
-    for k, t in enumerate(terms, start):
-        acc = acc + t
-        if full:
-            continue
-        if abs(t) < (tol * max(1, abs(acc)) if relative else tol) and k > 8:
-            break
-        if k > pol.max_terms:
-            raise DivergenceError(f"{name} truncation cap hit after {pol.max_terms} "
-                                  "terms (raise --max-terms)")
+    wp = ctx.prec + _GUARD_BITS
+    step = term_step(*ratio)
+    T, e = _man_exp(ctx.mpf(first))
+    T, e = T << (wp - T.bit_length()), e - (wp - T.bit_length())
+    # t_k is T 2^e within E 2^e; the sum is S 2^es within R 2^es
+    S, es, E, R, k = T, e, 0, 0, start
+    tm, te = _man_exp(ctx.mpf(10) ** (-pol.working_digits - 5))
+    last = None if count is None else start + count - 1
+    while k != last:
+        if count is None:
+            stop = (tm * abs(S), te + es) if relative and _below(1, 0, abs(S), es) else (tm, te)
+            if k > 8 and _below(abs(T), e, *stop):
+                break
+            if k > pol.max_terms:
+                raise DivergenceError(f"{name} truncation cap hit after {pol.max_terms} "
+                                      "terms (raise --max-terms)")
+        p, q = step(k)
+        # shift so that the new T again has about wp bits
+        s = wp + q.bit_length() - T.bit_length() - p.bit_length() if T and p else 0
+        p, q = (p << s, q) if s >= 0 else (p, q << -s)
+        T, E, e, k = T * p // q, -(-E * abs(p) // abs(q)) + 1, e - s, k + 1
+        d = e - es
+        S, R = (S + (T << d), R + (E << d)) if d >= 0 else (S + (T >> -d), R + (E >> -d) + 2)
     x, alpha, beta = ratio
     rho = abs(Fraction(x))
     for a, b in zip(alpha, beta, strict=True):
@@ -180,12 +208,24 @@ def ratio_sum(terms, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
         raise TailBoundError(f"{name}: the term ratio past k = {k} is not bounded below 1, "
                              f"so the tail is not certified (raise {flag}, or the point "
                              "lies outside the disk of convergence)")
-    bound = abs(t) * (ctx.mpf(rho.numerator) / (rho.denominator - rho.numerator))
-    if bound > pol.tol:
-        raise TailBoundError(f"{name}: certified tail bound {ctx.nstr(bound, 3)} exceeds "
-                             f"10^-{pol.target_digits} after {k + 1 - start} terms "
+    tail = ctx.ldexp(abs(T) + E, e) * (ctx.mpf(rho.numerator) / (rho.denominator - rho.numerator))
+    rounding = ctx.ldexp(R, es)
+    if tail + rounding > pol.tol:
+        raise TailBoundError(f"{name}: certified tail bound {ctx.nstr(tail + rounding, 3)} "
+                             f"exceeds 10^-{pol.target_digits} after {k + 1 - start} terms "
                              f"(raise {flag})")
-    return acc, bound
+    return ctx.ldexp(S, es), tail, rounding
+
+
+def _man_exp(v) -> tuple:
+    """(m, e), integers with m 2^e = v for an mpf v."""
+    sign, m, e, _ = v._mpf_
+    return (-m if sign else m), e
+
+
+def _below(m: int, e: int, n: int, f: int) -> bool:
+    """m 2^e < n 2^f, exactly."""
+    return m << (e - f) < n if e >= f else m < n << (f - e)
 
 
 def fixed_terms(rate: float, pol: PrecisionPolicy, least: int, pad: int, name: str) -> int:

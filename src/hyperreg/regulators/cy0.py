@@ -9,9 +9,6 @@ n(n-4) squarefree it interpolates Dirichlet-regulator data, and the ratio
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from math import comb
-from operator import mul
 
 from ..lfun.dirichlet import dedekind_quadratic_deriv0, is_squarefree
 from ..mpnum import PrecisionPolicy, capped_terms, ratio_sum
@@ -22,11 +19,9 @@ def _series_value(t: Fraction, pol: PrecisionPolicy):
     """-2 log t - 2 sum_{k>0} binom(2k,k) t^k / k."""
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
-    powers = accumulate(repeat(tv), mul)         # t, t^2, ... by repeated products
-    terms = (comb(2 * k, k) * tk / k for k, tk in zip(count(1), powers))
-    # t_(k+1) / t_k = 4t (k + 1/2) k / (k + 1)^2
+    # t_1 = 2t, t_(k+1) / t_k = 4t (k + 1/2) k / (k + 1)^2
     ratio = (4 * t, (Fraction(1, 2), 0), (1, 1))
-    return -2 * ctx.log(tv) - 2 * ratio_sum(terms, ratio, pol, "cy0 series", start=1)[0]
+    return -2 * ctx.log(tv) - 2 * ratio_sum(2 * tv, ratio, pol, "cy0 series", start=1)[0]
 
 
 def cy0_regulator(t: Fraction, pol: PrecisionPolicy):

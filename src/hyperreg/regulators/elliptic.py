@@ -9,9 +9,6 @@ the identity log 16 - sum = (8/pi) L(chi_-4, 2) is checked to full precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count, repeat
-from math import comb
-from operator import mul
 
 from ..mpnum import PrecisionPolicy, ratio_sum, special
 from .reporting import CaseError
@@ -20,11 +17,9 @@ from .reporting import CaseError
 def _sum_interior(t: Fraction, pol: PrecisionPolicy):
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
-    powers = accumulate(repeat(tv), mul)         # t, t^2, ... by repeated products
-    terms = (ctx.mpf(comb(2 * m, m)) ** 2 * tm / m for m, tm in zip(count(1), powers))
-    # t_(m+1) / t_m = 16t (m + 1/2)^2 m / (m + 1)^3
+    # t_1 = 4t, t_(m+1) / t_m = 16t (m + 1/2)^2 m / (m + 1)^3
     ratio = (16 * t, (Fraction(1, 2), Fraction(1, 2), 0), (1, 1, 1))
-    return ratio_sum(terms, ratio, pol, "elliptic series", start=1)[0]
+    return ratio_sum(4 * tv, ratio, pol, "elliptic series", start=1)[0]
 
 
 def _sum_quadrature(t: Fraction, pol: PrecisionPolicy):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
 
 from mpmath.libmp import to_rational
 
@@ -226,18 +226,11 @@ def mb_right_series(z, pol: PrecisionPolicy):
     zv = ctx.convert(z)
     if abs(zv) >= 1:
         raise CaseError("right series needs |z| < 1")
-
-    def terms():
-        c, zp = Fraction(1), ctx.sqrt(zv)
-        for n in count():
-            yield ctx.mpf(c.numerator) / c.denominator * zp / (n + ctx.mpf(1) / 2)
-            c *= hgdata.term_ratio(-1, DATA.a, DATA.b, n)
-            zp *= zv
-
-    # t_(n+1) / t_n = -z prod_i (n + a_i) (n + 1/2) / ((n + 1)^4 (n + 3/2))
+    # t_0 = 2 |z|^(1/2), t_(n+1) / t_n = -z prod_i (n + a_i) (n + 1/2) / ((n + 1)^4 (n + 3/2))
     ratio = (-Fraction(*to_rational(zv._mpf_)),
              DATA.a + (Fraction(1, 2),), DATA.b + (Fraction(3, 2),))
-    return ratio_sum(terms(), ratio, pol, "k2 right series")[0]
+    val = ratio_sum(2 * ctx.sqrt(abs(zv)), ratio, pol, "k2 right series")[0]
+    return val if zv >= 0 else ctx.mpc(0, val)      # z^(1/2) = i |z|^(1/2) for z < 0
 
 
 # binary precision -> {s: (num, den)}: the z-free parts of the mb_contour

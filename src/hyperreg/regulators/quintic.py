@@ -8,19 +8,19 @@ with lam = exp(sum psi(a_i) - sum psi(b_i)) = 1/C, C the exact rational
 scale of the data.  Exponentials of suitable S_n are roots of quintic
 polynomials; their logs assemble the rank-2 regulator determinant.
 
-Each column j walks one G-stream over l (`column_sums`): the exact ratio
-G(s+1)/G(s) is formed once per step, in integers, and feeds every sum
-requested of the column (several t, weight 1/(l + a_j) or 1/t).  The
-branches n only recombine the column values with their phases, so each
-(data, t, j) column is summed once per determinant.
+Each column j forms G(a_j) once (`column_sums`), and each sum requested
+of it (several t, weight 1/(l + a_j) or 1/t) is summed by `ratio_sum` from
+its first term G(a_j) (lam t)^a_j / a_j or / t and its exact ratio, in
+which G(s+1)/G(s) = prod_i (b_i - s - 1) / (s + 1 - a_i).  The branches n
+only recombine the column values with their phases, so each (data, t, j)
+column is summed once per determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 
-from ..hgdata import HGData, parse_hg, scale_C, term_ratio
+from ..hgdata import HGData, parse_hg, scale_C
 from ..mpnum import PrecisionPolicy, ratio_sum
 from .reporting import CaseError, RegulatorReport
 
@@ -39,41 +39,21 @@ def gamma_big(h: HGData, s, pol: PrecisionPolicy):
     return val
 
 
-def _gamma_ratio(h: HGData, s: Fraction) -> Fraction:
-    """G(s+1)/G(s) = prod_i (b_i - s - 1) / prod_i (s + 1 - a_i): the step of
-    ((-1)^m, b, a) at k = -s - 1, exact."""
-    return term_ratio((-1) ** h.m, h.b, h.a, Fraction(-s.numerator - s.denominator, s.denominator))
-
-
 def column_sums(h: HGData, j: int, requests, pol: PrecisionPolicy) -> list:
-    """One G-stream over l for column j, serving every (t, derivative) request.
+    """The sums of column j, one per (t, derivative) request, in request order.
 
     Request (t, False) is S_Aj(t); (t, True) is its t-derivative
-    sum_l G(l + a_j) (lam t)^(l + a_j) / t.  G(l + a_j) is formed once per
-    step l, as far as the slowest request needs; each request is summed by
-    `ratio_sum` with its own power and a stop relative to its sum.
-    Returns the sums in request order.
+    sum_l G(l + a_j) (lam t)^(l + a_j) / t.  G(a_j) is formed once for the
+    column; each request is summed by `ratio_sum` from its first term and
+    its exact ratio, with a stop relative to its sum.  Every request is
+    checked before any is summed.
     """
     ctx = pol.ctx
     C = scale_C(h)
     aj = h.a[j]
     a_mp = ctx.mpf(aj.numerator) / aj.denominator
-    # G(s) and s as mpfs at s = l + a_j for l = 0, 1, ..., shared by the requests;
-    # s is the last one formed
-    gs, ds, s = [gamma_big(h, a_mp, pol)], [a_mp], aj
-
-    def terms(x, w):
-        nonlocal s
-        xp = ctx.power(x, a_mp)
-        for l in count():
-            if l == len(gs):
-                r, s = _gamma_ratio(h, s), s + 1
-                gs.append(gs[-1] * ctx.mpf(r.numerator) / r.denominator)
-                ds.append(ctx.mpf(s.numerator) / s.denominator)
-            yield gs[l] * xp / (ds[l] if w is None else w)
-            xp *= x
-
-    jobs = []       # every request is checked before any is summed
+    g0 = gamma_big(h, a_mp, pol)
+    jobs = []
     for t, derivative in requests:
         lam_t = Fraction(t, 1) / C
         if not (0 < lam_t < 1):
@@ -83,10 +63,10 @@ def column_sums(h: HGData, j: int, requests, pol: PrecisionPolicy) -> list:
         wt = () if derivative else (aj,)
         ratio = ((-1) ** h.m * lam_t, tuple(aj + 1 - bi for bi in h.b) + wt,
                  tuple(aj + 1 - ai for ai in h.a) + tuple(a + 1 for a in wt))
-        x = ctx.mpf(lam_t.numerator) / lam_t.denominator
-        w = ctx.mpf(t.numerator) / t.denominator if derivative else None
-        jobs.append((terms(x, w), ratio, "S_A'" if derivative else "S_A"))
-    return [ratio_sum(it, ratio, pol, name, relative=True)[0] for it, ratio, name in jobs]
+        w = ctx.mpf(t.numerator) / t.denominator if derivative else a_mp
+        first = g0 * ctx.power(ctx.mpf(lam_t.numerator) / lam_t.denominator, a_mp) / w
+        jobs.append((first, ratio, "S_A'" if derivative else "S_A"))
+    return [ratio_sum(first, ratio, pol, name, relative=True)[0] for first, ratio, name in jobs]
 
 
 def S_A(h: HGData, j: int, t: Fraction, pol: PrecisionPolicy):

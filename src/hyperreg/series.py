@@ -11,8 +11,9 @@ The carriers here are:
   marker slot, used by Frobenius deformations and the annulus-residue
   ("Hadamard") computations.
 
-:func:`ratio_sum`, re-exported from :mod:`mpnum`, sums numeric series to a
-stopping index or cap, with a tail bound certified by their exact term ratio.
+:func:`ratio_sum`, re-exported from :mod:`mpnum`, forms and sums numeric
+series from a first term and an exact term ratio, to a stopping index or
+cap, with a certified tail and rounding.
 ``LogSeries.evaluate`` sums a stored truncation through :func:`mpnum.power_sums`
 and bounds no tail: its K is fixed in advance, by ``mpnum.fixed_terms``.
 

@@ -1,5 +1,5 @@
-"""One pass per S_A column and integer-only exact loops: recorded CLI output,
-the Fraction loops the integer versions replaced, work counts, exit codes."""
+"""One pass per S_A column: recorded CLI output, the character table's
+multiplicativity check, work counts, exit codes."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperreg import cli
-from hyperreg.hypergeom import HGData
 from hyperreg.lfun.dirichlet import (DirichletChar, LfunError, kronecker_character,
                                      quartic_character_mod5)
 from hyperreg.mpnum import PrecisionPolicy
@@ -38,41 +37,6 @@ def test_regulator_cli_golden(argv, capsys, monkeypatch):
     out = capsys.readouterr()
     want = GOLDEN[argv]
     assert (code, out.out, out.err) == (want["exit"], want["stdout"], want["stderr"])
-
-
-# --- G(s+1)/G(s) in integers -------------------------------------------------
-
-def _gamma_ratio_fractions(h: HGData, s: Fraction) -> Fraction:
-    """The product of Fractions that the integer version replaced."""
-    num = F(1)
-    for bi in h.b:
-        num *= bi - s - 1
-    den = F(1)
-    for ai in h.a:
-        den *= s + 1 - ai
-    return num / den
-
-
-_index = st.integers(1, 60).flatmap(lambda q: st.builds(F, st.integers(1, q), st.just(q)))
-
-
-@st.composite
-def _data_and_point(draw):
-    m = draw(st.integers(1, 5))
-    a = tuple(draw(st.lists(_index, min_size=m, max_size=m)))
-    b = tuple(draw(st.lists(_index, min_size=m, max_size=m)))
-    j = draw(st.integers(0, m - 1))
-    return HGData(a, b), a[j] + draw(st.integers(0, 5000))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_data_and_point())
-def test_gamma_ratio_matches_fraction_product(case):
-    h, s = case
-    got = quintic._gamma_ratio(h, s)
-    want = _gamma_ratio_fractions(h, s)
-    assert isinstance(got, Fraction)
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 # --- DirichletChar's multiplicativity check ----------------------------------
@@ -139,27 +103,6 @@ def test_column_requests_are_independent():
     for j in range(appb.DATA.m):
         alone = [quintic.column_sums(appb.DATA, j, (r,), pol)[0] for r in requests]
         assert quintic.column_sums(appb.DATA, j, requests, pol) == alone
-
-
-def test_appB_det_one_G_stream_per_column(monkeypatch):
-    """appB_det(7) walks 4 G-streams, each as long as its slowest sum, not 24."""
-    pol = PrecisionPolicy(30)
-    t, th = F(7), F(1, 10 ** 8)
-    requests = ((t, False), (t, True), (t + th, False), (t - th, False))
-    ratios = _count_calls(monkeypatch, quintic, "_gamma_ratio")
-    passes = _count_calls(monkeypatch, appb, "column_sums")
-    longest = []
-    for j in range(appb.DATA.m):
-        steps = []
-        for r in requests:
-            ratios.clear()
-            quintic.column_sums(appb.DATA, j, (r,), pol)
-            steps.append(len(ratios))
-        longest.append(max(steps))
-    ratios.clear()
-    appb.appB_det(t, pol)
-    assert len(passes) == 4
-    assert len(ratios) == sum(longest)
 
 
 def test_quintic_det_sums_each_column_once(monkeypatch):

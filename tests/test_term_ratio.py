@@ -1,6 +1,7 @@
-"""hgdata.term_ratio and hgdata.ratio_stream: the one hypergeometric term
-ratio, against Fraction-by-Fraction products and against the loops each
-caller ran before it read the ratio from hgdata, kept here as references."""
+"""hgdata.term_step and hgdata.ratio_stream: the one hypergeometric term
+ratio, as the integers p / q of its step, against Fraction-by-Fraction
+products and against the loops each caller ran before it read the ratio
+from hgdata, kept here as references."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def _fraction_ratio(x, alpha, beta, k):
 @settings(max_examples=300, deadline=None)
 @given(_triple(), st.one_of(st.integers(0, 300), _rational.filter(lambda c: c >= 0)))
 def test_term_ratio_is_the_fraction_product(triple, k):
-    got = hgdata.term_ratio(*triple, k)
+    got = F(*hgdata.term_step(*triple)(k))
     want = _fraction_ratio(*triple, k)
     assert isinstance(got, Fraction)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
@@ -81,7 +82,7 @@ def test_term_ratio_matches_old_ratio(data):
     h = parse_hg(data)
     val = F(1)
     for k in range(60):
-        assert hgdata.term_ratio(1, h.a, h.b, k) == _ref_ratio(h, k)
+        assert F(*hgdata.term_step(1, h.a, h.b)(k)) == _ref_ratio(h, k)
         assert hgdata.coeff_ak(h, k) == val
         val *= _ref_ratio(h, k)
 
