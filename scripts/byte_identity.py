@@ -64,8 +64,9 @@ ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
 # the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
 # exit 3 with one error line: a point outside the disk of convergence, two
-# truncations whose certified tail exceeds 10^-30, two series cap hits, and
-# the fixed truncations of k4 and k2 past the cap
+# truncations whose certified tail exceeds 10^-30, two series cap hits, the
+# fixed truncations of k4 and k2 past the cap, and cy0's residue sum past the
+# default cap (D = 4221, refused before the squarefree test)
 EXIT_ARGVS = (
     ["period", "1/2;1", "-K", "3", "--point", "2"],
     ["period", "1/2;1", "-K", "30", "--point", "9/10"],
@@ -74,6 +75,7 @@ EXIT_ARGVS = (
     ["--max-terms", "16", "verify", "continuation"],
     ["--max-terms", "16", "regulator", "--case", "k4", "--t", "1/1024"],
     ["--max-terms", "16", "regulator", "--case", "k2", "--t", "49"],
+    ["regulator", "--case", "cy0", "--t", "1/67"],
 )
 
 # the other period paths: gamma vectors, floating output, appB's relative series,
@@ -134,7 +136,8 @@ def regulator_argvs() -> list:
             out.append(["period", f"{a};1,1,1,1", "--var", var, "-K", "120"])
     for a in ("1/2,1/2,1/2,1/2", "1/2,1/2,1/3,2/3"):
         out.append(["period", f"{a};1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"])
-    for n in (7, 11, 35):
+    # 1/61: D = 3477, h = 4, the largest D under the default cap
+    for n in (7, 11, 35, 61):
         out.append(["regulator", "--case", "cy0", "--t", f"1/{n}"])
     out.append(["regulator", "--case", "k4", "--t", "1/65536"])
     out.append(["regulator", "--case", "k4", "--t", K4_T])

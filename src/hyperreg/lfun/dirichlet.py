@@ -1,10 +1,10 @@
 """Dirichlet characters and native L / L' evaluation via Hurwitz zeta.
 
 L(chi, s) = q^(-s) sum_a chi(a) zeta(s, a/q); the s-derivative routes
-through the Hurwitz-zeta derivative, and so does L'(chi, 0) in
-dedekind_quadratic_deriv0, which sums chi(a) zeta'(0, a/q).  Lerch's
-zeta'(0, x) = log Gamma(x) - log(2 pi)/2, which would write that sum with
-log Gamma, is not used here; `verify identities` checks it at x = k/12.
+through the Hurwitz-zeta derivative.  dedekind_quadratic_deriv0 uses Lerch's
+zeta'(0, x) = log Gamma(x) - log(2 pi)/2 (`verify identities` checks it at
+x = k/12) with Gamma reflection: its log-sine sum is the cyclotomic-unit
+form of the class number formula (Washington, GTM 83, ch. 4).
 """
 
 from __future__ import annotations
@@ -175,50 +175,40 @@ def dirichlet_L(chi: DirichletChar, s, derivative_order: int, pol: PrecisionPoli
             if v:
                 acc += v * (-ctx.psi(0, ctx.mpf(a) / q))
         return acc / q
-    total = _hurwitz_sum(chi, sc, 0, pol)
-    dtotal = _hurwitz_sum(chi, sc, 1, pol) if derivative_order else None
-    return _assemble_L(chi.modulus, sc, total, dtotal, ctx)
-
-
-def _hurwitz_sum(chi: DirichletChar, sc, derivative_in_s: int, pol: PrecisionPolicy):
-    """sum_a chi(a) zeta^(d)(s, a/q) over a = 1..q, in ascending a."""
-    ctx = pol.ctx
-    q = chi.modulus
-    total = ctx.mpf(0)
-    for a in range(1, q + 1):
-        v = chi.value(a, ctx)
-        if not v:
-            continue
-        total += v * hurwitz_zeta(sc, Fraction(a, q), derivative_in_s, pol)
-    return total
-
-
-def _assemble_L(q: int, sc, total, dtotal, ctx):
-    """q^-s total for L(chi, s), or q^-s (dtotal - log q total) for L'(chi, s)."""
+    # sum_a chi(a) zeta^(d)(s, a/q) over a = 1..q, in ascending a, for d = 0..order
+    totals = []
+    for d in range(derivative_order + 1):
+        total = ctx.mpf(0)
+        for a in range(1, q + 1):
+            v = chi.value(a, ctx)
+            if v:
+                total += v * hurwitz_zeta(sc, Fraction(a, q), d, pol)
+        totals.append(total)
     qs = ctx.power(q, -sc)
-    out = qs * total if dtotal is None else qs * (dtotal - ctx.log(q) * total)
+    out = qs * totals[0] if derivative_order == 0 else qs * (totals[1] - ctx.log(q) * totals[0])
     if isinstance(out, ctx.mpc) and out.imag == 0:
         return out.real
     return out
 
 
 def dedekind_quadratic_deriv0(D: int, pol: PrecisionPolicy):
-    """zeta_K'(0) = zeta(0) L'(chi_D, 0) = -L'(chi_D, 0)/2 for real quadratic K.
+    """zeta_K'(0) = -L'(chi_D, 0)/2 for real quadratic K, with no Hurwitz zeta.
 
-    The order-0 Hurwitz sum is computed once and serves both the check
-    L(chi_D, 0) = 0 and L'(chi_D, 0): 2 phi(D) Hurwitz-zeta calls in all.
+    chi_D(a) = kronecker_symbol(D, a) is even, so zeta(0, x) = 1/2 - x makes
+    L(chi_D, 0) = -(1/D) sum_a a chi_D(a), checked as that integer identity, and
+    Lerch's formula with Gamma reflection gives (1/2) sum_{0<a<D/2} chi_D(a) log sin(pi a/D).
     """
     if D <= 1:
         raise LfunError("need a real quadratic field (D > 1)")
-    chi = kronecker_character(D)
+    if not _is_fundamental(D):
+        raise LfunError(f"{D} is not a fundamental discriminant")
+    chi = [kronecker_symbol(D, a) for a in range(D)]
+    moment = sum(a * c for a, c in enumerate(chi))
+    if moment:
+        raise LfunError(f"L(chi_{D}, 0) expected to vanish, got {Fraction(-moment, D)}")
     ctx = pol.ctx
-    sc = ctx.mpf(0)
-    total = _hurwitz_sum(chi, sc, 0, pol)
-    lval = _assemble_L(D, sc, total, None, ctx)
-    if abs(lval) > pol.tol:
-        raise LfunError(f"L(chi_{D}, 0) expected to vanish, got {ctx.nstr(lval, 5)}")
-    lp = _assemble_L(D, sc, total, _hurwitz_sum(chi, sc, 1, pol), ctx)
-    return -lp / 2
+    return ctx.fsum(chi[a] * ctx.log(ctx.sinpi(ctx.mpf(a) / D))
+                    for a in range(1, (D + 1) // 2) if chi[a]) / 2
 
 
 def gauss_sum(chi: DirichletChar, pol: PrecisionPolicy):

@@ -170,11 +170,16 @@ def ratio_sum(first, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
     for rho = sup over k >= n of |t_(k+1) / t_k|: the explicit-ratio case of
     Mezzarobba and Salvy (JSC 2010); |t_n| is taken as (|T| + E) 2^e.
     TailBoundError, naming `flag`, when rho >= 1 or tail + rounding exceeds
-    10^-digits.  Returns (sum, tail, rounding).
+    10^-digits; MPNumError, before any term, when some k >= start is a pole
+    of the ratio (k + beta_i = 0).  Returns (sum, tail, rounding).
     """
     ctx = pol.ctx
     wp = ctx.prec + _GUARD_BITS
-    step = term_step(*ratio)
+    x, alpha, beta = ratio
+    poles = [-b for b in beta if -b >= start and b == int(b)]
+    if poles:
+        raise MPNumError(f"{name}: the term ratio t_(k+1) / t_k has a pole at k = {min(poles)}")
+    step = term_step(x, alpha, beta)
     T, e = _man_exp(ctx.mpf(first))
     T, e = T << (wp - T.bit_length()), e - (wp - T.bit_length())
     # t_k is T 2^e within E 2^e; the sum is S 2^es within R 2^es
@@ -196,7 +201,6 @@ def ratio_sum(first, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
         T, E, e, k = T * p // q, -(-E * abs(p) // abs(q)) + 1, e - s, k + 1
         d = e - es
         S, R = (S + (T << d), R + (E << d)) if d >= 0 else (S + (T >> -d), R + (E >> -d) + 2)
-    x, alpha, beta = ratio
     rho = abs(Fraction(x))
     for a, b in zip(alpha, beta, strict=True):
         if k + a < 0 or k + b <= 0:         # not past this factor's zero and pole

@@ -154,7 +154,7 @@ def _fundamental_unit_norm(D: int) -> int:
 def check_class_number_point(n: int, pol: PrecisionPolicy) -> int:
     """D = n(n - 4) for t = 1/n; CaseError unless n > 5 and D is squarefree.
 
-    zeta_K'(0) is a sum over the D residues mod D, counted against the
+    zeta_K'(0) reads chi_D at all D residues mod D, counted against the
     policy's cap: DivergenceError, naming --max-terms, when D exceeds it.
     That is checked first, so the squarefree test's trial division, which
     grows like sqrt(D), only runs on a D that can be summed.

@@ -209,13 +209,20 @@ def test_k4_floats_entries_once_per_K_and_precision(monkeypatch):
     assert len(floats) == 16
 
 
-def test_cy0_makes_two_phi_hurwitz_calls(monkeypatch):
-    pol = PrecisionPolicy(20)
-    D = 21                                   # t = 1/7: n(n - 4) = 21, phi(21) = 12
+@pytest.mark.parametrize("digits", [20, 30])
+@pytest.mark.parametrize("n", [7, 11, 15, 17, 19, 21, 23])
+def test_cy0_log_sine_sum_matches_the_hurwitz_route(n, digits, monkeypatch):
+    """zeta_K'(0) by the log-sine sum: no Hurwitz zeta, no character table,
+    and within 10^-(digits+10) of -L'(chi_D, 0)/2 by the Hurwitz route."""
+    pol = PrecisionPolicy(digits)
+    D = n * (n - 4)
     want = -dirichlet_L(kronecker_character(D), 0, 1, pol) / 2
-    calls = _count_calls(monkeypatch, dirichlet, "hurwitz_zeta")
-    assert dirichlet.dedekind_quadratic_deriv0(D, pol) == want
-    assert len(calls) == 2 * 12
+    hurwitz = _count_calls(monkeypatch, dirichlet, "hurwitz_zeta")
+    zetas = _count_calls(monkeypatch, pol.ctx, "zeta")
+    tables = _count_calls(monkeypatch, dirichlet.DirichletChar, "__post_init__")
+    got = dirichlet.dedekind_quadratic_deriv0(D, pol)
+    assert hurwitz == zetas == tables == []
+    assert abs(got - want) < pol.ctx.mpf(10) ** -(digits + 10)
 
 
 # --- appB's finite-difference probe --------------------------------------------

@@ -58,6 +58,19 @@ def test_dedekind_values(pol):
         dedekind_quadratic_deriv0(12 + 3, pol)       # 15 not fundamental... is it?
 
 
+def test_dedekind_vanishing_check_is_exact(pol, monkeypatch):
+    """L(chi_D, 0) = -(1/D) sum_a a chi_D(a), checked as an integer identity:
+    a character table off by one value fails it with the exact value."""
+    from hyperreg.lfun import dirichlet
+    with pytest.raises(LfunError, match="need a real quadratic field"):
+        dedekind_quadratic_deriv0(-4, pol)
+    true = dirichlet.kronecker_symbol
+    monkeypatch.setattr(dirichlet, "kronecker_symbol",
+                        lambda D, a: -true(D, a) if a == 2 else true(D, a))
+    with pytest.raises(LfunError, match=r"^L\(chi_21, 0\) expected to vanish, got -4/21$"):
+        dedekind_quadratic_deriv0(21, pol)
+
+
 def test_functional_equations_ten_characters(pol):
     ctx = pol.ctx
     s_points = [ctx.mpc("0.7", "0.3"), ctx.mpc("1.4", "-0.8")]

@@ -87,6 +87,19 @@ def test_ratio_before_a_pole_is_not_certified():
         ratio_sum(pol.ctx.mpf(10) ** -40, (F(1, 100), (F(0),), (F(-5, 2),)), pol, count=2)
 
 
+def test_pole_at_a_summed_index_is_refused():
+    """-beta_i an integer >= start: MPNumError naming the sum and the first
+    such index, before any term is formed."""
+    with pytest.raises(mpnum.MPNumError, match=r"^series: .* pole at k = 3$"):
+        ratio_sum(1, (F(1, 2), (F(1),), (F(-3),)), PrecisionPolicy(10), count=6)
+    with pytest.raises(mpnum.MPNumError, match=r"^demo: .* pole at k = 4$"):
+        ratio_sum(1, (F(1, 2), (F(1), F(1)), (F(-7), F(-4))), PrecisionPolicy(10), "demo",
+                  start=4)
+    # a pole below start is never stepped over: t_k = C(k, 4) 2^(4-k) from t_4 = 1
+    val = ratio_sum(1, (F(1, 2), (F(1),), (F(-3),)), PrecisionPolicy(10), start=4)[0]
+    assert abs(_exact(val) - 32) < F(1, 10 ** 10)
+
+
 def test_series_reexports_ratio_sum():
     assert series.ratio_sum is mpnum.ratio_sum
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperreg.mpnum import special
+from hyperreg.mpnum import PrecisionPolicy, special
 from hyperreg.regulators.cy0 import (class_number_real_quadratic,
                                      cy0_class_number_check, cy0_regulator,
                                      is_squarefree, selected_cy0_cases)
@@ -52,6 +52,27 @@ def test_cy0_ratio_oracle(pol):
         assert rep.detected_ratio == oracle
     with pytest.raises(CaseError):
         cy0_class_number_check(9, pol)      # 45 not squarefree
+
+
+# h(n(n - 4)) for every n in (5, 65] with n(n - 4) squarefree: D < 4000, the
+# default cap, by the reduced-form cycle count
+_CY0_CLASS_NUMBERS = {7: 1, 11: 1, 15: 2, 17: 2, 19: 2, 21: 2, 23: 1, 33: 2, 35: 2,
+                      37: 4, 39: 4, 41: 2, 43: 4, 47: 3, 51: 2, 55: 4, 57: 6, 59: 4,
+                      61: 4, 65: 4}
+
+
+def test_cy0_class_number_sweep():
+    """The log-sine zeta_K'(0) detects h/8 at every squarefree point under the cap."""
+    assert sorted(_CY0_CLASS_NUMBERS) == [n for n in range(6, 66) if is_squarefree(n * (n - 4))]
+    pol = PrecisionPolicy(20)
+    limit = pol.ctx.mpf(10) ** -(pol.target_digits - 5)
+    for n, h in _CY0_CLASS_NUMBERS.items():
+        assert class_number_real_quadratic(n * (n - 4)) == h
+        rep = cy0_class_number_check(n, pol)
+        assert [name for name, _ in rep.crosschecks] == ["series_vs_quadratic_formula",
+                                                          "ratio_vs_class_number_oracle"]
+        assert all(dev <= limit for _, dev in rep.crosschecks), n
+        assert rep.expected_ratio == rep.detected_ratio == F(h, 8), n
 
 
 def test_cy0_intro_anchor(pol):
