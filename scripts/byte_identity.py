@@ -96,7 +96,8 @@ PERIOD_ARGVS = (
 # exit 2 with one error line: malformed data, an unknown case, a t outside
 # its case's interval, a k2 point too close to |z| = 1, a missing spec file,
 # and (fixture_usage_argvs) a k4 fixture that is not JSON or whose L-value is
-# shorter than --digits, and an lfun spec that is not a JSON object
+# shorter than --digits, an lfun spec that is not a JSON object, and one whose
+# Euler table has a gap below its largest prime
 USAGE_ARGVS = (
     ["period", "1/2,1/2;1"],
     ["regulator", "--case", "nope", "--t", "1/2"],
@@ -112,11 +113,13 @@ BAD_K4_FIXTURES = {
 
 
 BAD_SPEC = "[1, 2]"
+# factors at p = 2 and 5 only: none at 3
+GAPPED_EULER = '{"p": 2, "factor": [1, 1]}\n{"p": 5, "factor": [1, -1]}\n'
 
 
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
-    BAD_SPEC, written under directory."""
+    BAD_SPEC and on a spec of GAPPED_EULER, written under directory."""
     out = []
     for name, text in BAD_K4_FIXTURES.items():
         (directory / name).mkdir()
@@ -126,6 +129,11 @@ def fixture_usage_argvs(directory: Path) -> list:
         out.append(["--fixtures", fixtures, "verify", "ratios"])
     (directory / "bad-spec.json").write_text(BAD_SPEC)
     out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
+    (directory / "gapped.jsonl").write_text(GAPPED_EULER)
+    (directory / "gapped-spec.json").write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": [["R", "0"]], "sign": 1,
+        "euler_path": str(directory / "gapped.jsonl")}))
+    out.append(["lfun", str(directory / "gapped-spec.json"), "--s", "2"])
     return out
 
 

@@ -197,12 +197,8 @@ def cmd_period(args, pol: PrecisionPolicy):
 
 def cmd_regulator(args, pol: PrecisionPolicy):
     from .lfun.ratio import check_ratio_point, ratio_report
-    from .regulators.reporting import CaseError, check_case
+    from .regulators.reporting import CaseError
     case = args.case
-    try:
-        check_case(case)
-    except CaseError as exc:
-        raise CliError(str(exc))
     points = [_parse_rational(x) for x in args.t.split(",") if x.strip()]
     if not points:
         raise CliError("no t-points given")
@@ -242,6 +238,7 @@ def cmd_verify(args, pol: PrecisionPolicy):
 
 
 def cmd_lfun(args, pol: PrecisionPolicy):
+    from .lfun.euler import EulerError
     from .lfun.motive import MotiveError, PointError, motive_L, spec_from_json
     try:
         s_val = Fraction(args.s)
@@ -258,6 +255,8 @@ def cmd_lfun(args, pol: PrecisionPolicy):
                             store=os.path.join(_cache_dir(args), "kernels"))
     except PointError as exc:
         raise CliError(str(exc))
+    except EulerError as exc:       # no factors, or none at a prime below the largest
+        raise CliError(f"bad spec file: {exc}")
     except MotiveError as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     return {"label": spec.label, "s": args.s, "order": args.order,
@@ -266,10 +265,11 @@ def cmd_lfun(args, pol: PrecisionPolicy):
 
 
 def cmd_fetch(args, pol: PrecisionPolicy):
+    from .lfun.euler import EulerError
     from .lfun.web import FetchError, lmfdb_fetch
     try:
         table = lmfdb_fetch(args.label, _cache_dir(args), offline=args.offline)
-    except FetchError as exc:
+    except (FetchError, EulerError) as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     return {"label": args.label, "p_max": table.p_max,
             "primes": len(table.factors), "provenance": table.provenance}

@@ -181,16 +181,13 @@ class ExactNum:
         return " + ".join(parts)
 
     # -- numerics -----------------------------------------------------
-    def to_mp(self, ctx, extra_values: dict | None = None):
+    def to_mp(self, ctx):
         """Numeric value under an mpmath context.
 
-        Atoms without built-in values must appear in extra_values.  The
-        built-in transcendental atoms come from the per-precision memo
-        ``mpnum.special``; extra_values never enter it.
+        The transcendental atoms come from the per-precision memo
+        ``mpnum.special``; an atom without a value raises AtomValueError.
         """
         vals = {"i": ctx.mpc(0, 1)}
-        if extra_values:
-            vals.update(extra_values)
         total = ctx.mpf(0)
         for mono, c in self.terms.items():
             term = ctx.mpf(c.numerator) / c.denominator

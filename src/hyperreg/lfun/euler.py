@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["EulerFactorTable", "euler_ingest", "euler_from_character",
@@ -36,7 +36,6 @@ class EulerFactorTable:
     factors: dict                      # prime -> [1, c1, c2, ...] ints
     degree: int                        # motive degree (good-prime degree)
     provenance: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for p, f in self.factors.items():
@@ -48,9 +47,6 @@ class EulerFactorTable:
     @property
     def p_max(self) -> int:
         return max(self.factors) if self.factors else 0
-
-    def good(self, p: int) -> bool:
-        return p in self.factors and len(self.factors[p]) - 1 == self.degree
 
 
 def write_atomic(path, data: bytes):
@@ -113,20 +109,20 @@ def euler_from_character(chi, P: int) -> EulerFactorTable:
     return EulerFactorTable(factors, 1, provenance=f"character mod {chi.modulus}")
 
 
-def dirichlet_coefficients(table: EulerFactorTable, M: int,
-                           require_coverage: bool = True) -> list:
-    """a_1..a_M (index 0 unused) from 1/f_p(p^-s) expansions."""
+def dirichlet_coefficients(table: EulerFactorTable, M: int) -> list:
+    """a_1..a_M (index 0 unused) from 1/f_p(p^-s) expansions; EulerError
+    unless M >= 1 and the table has a factor at every prime up to M."""
+    if M < 1:
+        raise EulerError(f"no Euler factors to expand (P_max={table.p_max})")
     primes = _primes_upto(M)
     missing = [p for p in primes if p not in table.factors]
-    if missing and require_coverage:
+    if missing:
         raise EulerError(f"missing Euler factors for primes {missing[:5]}..."
                          f" (P_max={table.p_max}, need {M})")
     a = [0] * (M + 1)
     a[1] = 1
     for p in primes:
-        f = table.factors.get(p)
-        if f is None:
-            continue
+        f = table.factors[p]
         # inverse power series of f in x = p^-s, up to p^e <= M
         emax = 0
         pe = 1
@@ -154,10 +150,10 @@ def dirichlet_coefficients(table: EulerFactorTable, M: int,
     return a
 
 
-def check_multiplicativity(a: list, limit: int | None = None) -> bool:
+def check_multiplicativity(a: list) -> bool:
     """Brute-force a_{mn} = a_m a_n for gcd(m,n) = 1."""
     from math import gcd
-    M = len(a) - 1 if limit is None else min(limit, len(a) - 1)
+    M = len(a) - 1
     for m in range(2, M + 1):
         for n in range(2, M // m + 1):
             if gcd(m, n) == 1 and a[m * n] != a[m] * a[n]:

@@ -694,7 +694,7 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
 
 
 def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolicy,
-             cutoff_A=None, self_test: bool = True, store=None):
+             cutoff_A=None, store=None):
     """L-derivative at s0 with an error estimate: returns (value, err).
 
     At trivial zeros forced by gamma poles of order m, only
@@ -717,15 +717,12 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
-    err = ctx.mpf(0)
-    if self_test:
-        lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a, store=store)[0]
-        lam1 = lams[0] if cutoff_A is None \
-            else lambda_derivs(spec, s0, 0, pol, a=a, store=store)[0]
-        err = abs(lamA - lam1)
-        if err > ctx.mpf(10) ** (-pol.target_digits):
-            raise MotiveError(
-                f"functional-equation self-test residual {ctx.nstr(err, 4)} too large")
+    lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a, store=store)[0]
+    lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol, a=a, store=store)[0]
+    err = abs(lamA - lam1)
+    if err > ctx.mpf(10) ** (-pol.target_digits):
+        raise MotiveError(
+            f"functional-equation self-test residual {ctx.nstr(err, 4)} too large")
     if m > 0:
         g = _gamma_pole_limit(spec, ctx, s0f)
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator

@@ -14,10 +14,10 @@ from ..mpnum import PrecisionPolicy
 from ..regulators.fixtures import fixture_L_value, load_fixture
 from ..regulators.reporting import CaseError, RegulatorReport, detect_rational
 
-__all__ = ["ratio_report", "check_ratio_point"]
+__all__ = ["ratio_report", "check_ratio_point", "CASE_MODULES"]
 
-# case -> its module under hyperreg.regulators
-_MODULES = {"k4": "k4", "k2": "k2", "appB": "appb", "cy0": "cy0"}
+# the cases with a ratio pipeline -> their modules under hyperreg.regulators
+CASE_MODULES = {"k4": "k4", "k2": "k2", "appB": "appb", "cy0": "cy0"}
 
 
 def _find_entry(rows: list, t: Fraction):
@@ -29,9 +29,10 @@ def _find_entry(rows: list, t: Fraction):
 
 def _case_module(case: str):
     """The case's module, imported alone, so a process loads one case module."""
-    if case not in _MODULES:
-        raise CaseError(f"no ratio pipeline for case {case!r}")
-    return import_module(f"..regulators.{_MODULES[case]}", __package__)
+    if case not in CASE_MODULES:
+        raise CaseError(f"no ratio pipeline for case {case!r}; "
+                        f"expected one of {', '.join(CASE_MODULES)}")
+    return import_module(f"..regulators.{CASE_MODULES[case]}", __package__)
 
 
 def check_ratio_point(case: str, t: Fraction, pol: PrecisionPolicy):

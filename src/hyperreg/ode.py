@@ -30,23 +30,13 @@ __all__ = ["HGOperator", "ResidualReport", "hg_operator", "apply_operator",
 
 @dataclass(frozen=True)
 class HGOperator:
-    """L = prod_j (D + b_j - 1) - scale * z * prod_j (D + a_j)."""
+    """L = prod_j (D + b_j - 1) - z * prod_j (D + a_j)."""
     b_part: tuple
     a_part: tuple
-    var: str = "z"          # written in z (scale 1) or t (z = scale * t)
-    scale: Fraction = Fraction(1)
-
-    @property
-    def degree(self) -> int:
-        return len(self.b_part)
 
 
-def hg_operator(h: HGData, var: str = "z", scale: Fraction = Fraction(1)) -> HGOperator:
-    if var not in ("z", "t"):
-        raise ValueError("var must be 'z' or 't'")
-    if var == "z":
-        scale = Fraction(1)
-    return HGOperator(tuple(h.b), tuple(h.a), var, Fraction(scale))
+def hg_operator(h: HGData) -> HGOperator:
+    return HGOperator(tuple(h.b), tuple(h.a))
 
 
 @lru_cache(maxsize=64)
@@ -112,10 +102,7 @@ def _apply_shifted_chain(factors, f: LogSeries) -> LogSeries:
 def apply_operator(L: HGOperator, f: LogSeries) -> LogSeries:
     """L f; input truncated at K terms, output exact through the same window."""
     lead = _apply_shifted_chain([bj - 1 for bj in L.b_part], f)
-    tail = _apply_shifted_chain(list(L.a_part), f).shift(1)
-    if L.scale != 1:
-        tail = tail.scale(L.scale)
-    return lead - tail
+    return lead - _apply_shifted_chain(list(L.a_part), f).shift(1)
 
 
 def apply_operator_s(L: HGOperator, F: SLaurent) -> SLaurent:
@@ -126,13 +113,8 @@ def apply_operator_s(L: HGOperator, F: SLaurent) -> SLaurent:
 
 @dataclass
 class ResidualReport:
-    max_abs_residual: int        # 0 when every residual coefficient vanishes, else 1
+    exact_zero: bool             # every residual coefficient vanishes
     terms_checked: int
-    mode = "exact"               # residuals are only ever checked exactly
-
-    @property
-    def exact_zero(self) -> bool:
-        return self.max_abs_residual == 0
 
 
 def _s_poly_b_shift(h: HGData, s_order: int) -> list:
@@ -174,8 +156,8 @@ def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
         diffE = apply_operator_s(L, E) - rhsE
     else:
         diffE = SLaurent({}, s_order, 0)
-    bad = not (_is_zero_slaurent(diff) and _is_zero_slaurent(diffE))
-    return ResidualReport(1 if bad else 0, _count_terms(lhs))
+    return ResidualReport(_is_zero_slaurent(diff) and _is_zero_slaurent(diffE),
+                          _count_terms(lhs))
 
 
 def _is_zero_slaurent(F: SLaurent) -> bool:
@@ -189,4 +171,4 @@ def residual_inhomogeneous(h: HGData, r: int, K: int) -> ResidualReport:
     lhs = apply_operator(L, w)
     rhs = LogSeries.from_pow(PowSeries(Fraction(1, r), [Fraction(1)] + [0] * (K - 1)))
     n = sum(len(p.coeffs) for p in lhs.parts if p is not None)
-    return ResidualReport(0 if (lhs - rhs).is_zero() else 1, n)
+    return ResidualReport((lhs - rhs).is_zero(), n)

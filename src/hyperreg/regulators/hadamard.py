@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import comb
 
 from ..exactnum import ExactNum, two_pi_i_pow
-from ..series import (EpsExpansion, LogSeries, PowSeries, ResidueRule,
-                      SLaurent, residue_extract)
+from ..series import (EpsExpansion, LogSeries, PowSeries, SeriesError, SLaurent,
+                      residue_extract)
 from .reporting import CaseError
 
 PI_I = ExactNum.atom("pi") * ExactNum.atom("i")
@@ -56,7 +56,7 @@ def k4_engine(K: int) -> LogSeries:
         f2_terms[(-m, 0)] = LogSeries.from_pow(PowSeries(0, coeffs))
     f2 = SLaurent(f2_terms, 0, -K)
     integrand = f1 * f2
-    res = residue_extract(integrand, ResidueRule("counterclockwise"))
+    res = residue_extract(integrand)
 
     # chain-intersection correction, per the delta-term of the cup product:
     # + (pi i + log(t/-eps) + sum binom^2 t^m/(m (-eps)^m)) + pi i
@@ -71,12 +71,16 @@ def k4_engine(K: int) -> LogSeries:
         coeffs[m] = Fraction((-1) ** m * B2[m], m)
         chain.add(("epspow", -m), LogSeries.from_pow(PowSeries(0, coeffs)))
 
-    total = res + chain
-    bad = total.surviving_eps_terms()
-    if bad:
-        raise CaseError(f"eps terms survive the k4 assembly: {bad}")
-    out = total.finite()
-    return out.scale(two_pi_i_pow(3))
+    return _finite(res + chain, "k4").scale(two_pi_i_pow(3))
+
+
+def _finite(total: EpsExpansion, which: str) -> LogSeries:
+    """The eps-free part of an engine's residues; CaseError when log(eps) or
+    eps^-m terms survive."""
+    try:
+        return total.finite()
+    except SeriesError as exc:
+        raise CaseError(f"{which} assembly: {exc}") from None
 
 
 def log_t_series(K: int) -> LogSeries:
@@ -114,9 +118,7 @@ def k2_r0_engine(K: int) -> LogSeries:
         coeffs[2 * m + 1] = Fraction(B2[m])
         f2_terms[(-(2 * m + 1), 0)] = LogSeries.from_pow(PowSeries(0, coeffs))
     f2 = SLaurent(f2_terms, 0, -(2 * K + 1))
-    res = residue_extract(f1 * f2, ResidueRule("counterclockwise"))
-    out = res.finite()
-    return out.scale(two_pi_i_pow(3) * 16)
+    return _finite(residue_extract(f1 * f2), "k2_R0").scale(two_pi_i_pow(3) * 16)
 
 
 def k2_r0_expected(K: int) -> LogSeries:

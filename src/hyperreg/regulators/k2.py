@@ -146,9 +146,8 @@ def _entries(z, pol: PrecisionPolicy):
     e12 = 4 * sq2 / (ctx.pi * ctx.sqrt(zv)) * s2
     e21 = -(zv ** ctx.mpf("0.25") * r1 + zv ** ctx.mpf("-0.25") * r3) / (4 * ctx.pi)
     e22 = (zv ** ctx.mpf("-0.25") * s1 + zv ** ctx.mpf("-0.75") * s3) / ctx.pi
-    mat = RegulatorMatrix([[e11, e12], [e21, e22]],
-                          normalization="(2 pi i)^2 divided out of the chain rows")
-    return mat, (r2, r1, r3)
+    # (2 pi i)^2 is divided out of the chain rows
+    return RegulatorMatrix([[e11, e12], [e21, e22]]), (r2, r1, r3)
 
 
 def integral_model_point(t: Fraction) -> bool:

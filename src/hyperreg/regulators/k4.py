@@ -228,16 +228,15 @@ def check_point(t: Fraction, pol: PrecisionPolicy):
         raise CaseError(f"t = {t} outside the validity interval of case k4")
 
 
-def k4_det(t: Fraction, pol: PrecisionPolicy, K: int | None = None) -> RegulatorReport:
+def k4_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     """The 2x2 determinant r(t) for t in (0, 4^-4).
 
-    K defaults to the fixed truncation of terms falling like (256 t)^k; the
-    doubled run takes 2K terms under the doubled policy, whose cap is doubled too.
+    K is the fixed truncation of terms falling like (256 t)^k; the doubled
+    run takes 2K terms under the doubled policy, whose cap is doubled too.
     """
     check_point(t, pol)
-    if K is None:
-        x = SCALE * float(t)        # 0.0 below the float range: K is then the least
-        K = fixed_terms(-math.log(x) if x else math.inf, pol, 32, 8, "k4 entries")
+    x = SCALE * float(t)            # 0.0 below the float range: K is then the least
+    K = fixed_terms(-math.log(x) if x else math.inf, pol, 32, 8, "k4 entries")
     if K <= 40:
         _entries_checked(K)
     val = _det_value(K, t, pol)

@@ -26,6 +26,7 @@ from .reporting import CaseError, RegulatorReport
 
 DATA_J0 = parse_hg("1/10,3/10,7/10,9/10;1/4,1/2,3/4,1")
 DATA_J1 = parse_hg("1/5,2/5,3/5,4/5;1/4,1/2,3/4,1")
+T = Fraction(1)         # the point of the quintic case
 
 
 def gamma_big(h: HGData, s, pol: PrecisionPolicy):
@@ -133,33 +134,32 @@ def _intertwining(x0: list, x1: list, t: Fraction, pol: PrecisionPolicy):
     return best
 
 
-def quintic_roots_residuals(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
-    """Residuals of the Puiseux exponentials in their quintics at t,
+def quintic_roots_residuals(pol: PrecisionPolicy):
+    """Residuals of the Puiseux exponentials in their quintics at t = 1,
     minimized over the branch index n; returns (res0, res1, branch0, branch1)."""
-    return _roots_residuals(*_exponentials(*_columns(t, pol), pol), t, pol)
+    return _roots_residuals(*_exponentials(*_columns(T, pol), pol), T, pol)
 
 
-def quintic_intertwining(pol: PrecisionPolicy, t: Fraction = Fraction(1)):
-    """phi(exp(S1(t^2))) = exp(S0(256 t^2)/5) with
+def quintic_intertwining(pol: PrecisionPolicy):
+    """phi(exp(S1(t^2))) = exp(S0(256 t^2)/5) at t = 1 with
     phi(x) = -((x-1)^3 - t x + t/2) * 2/t; residual minimized over branches."""
-    return _intertwining(*_exponentials(*_columns(t, pol), pol), t, pol)
+    return _intertwining(*_exponentials(*_columns(T, pol), pol), T, pol)
 
 
 def quintic_det(pol: PrecisionPolicy) -> RegulatorReport:
     """(25/2) det Re [[S0_1(256), S1_1(1)], [S0_3(256), S1_3(1)]]."""
     ctx = pol.ctx
-    t = Fraction(1)
-    c0, c1 = _columns(t, pol)
+    c0, c1 = _columns(T, pol)
     m = [[S_n(DATA_J0, 1, c0, pol), S_n(DATA_J1, 1, c1, pol)],
          [S_n(DATA_J0, 3, c0, pol), S_n(DATA_J1, 3, c1, pol)]]
     det = ctx.re(m[0][0]) * ctx.re(m[1][1]) - ctx.re(m[0][1]) * ctx.re(m[1][0])
     val = ctx.mpf(25) / 2 * det
     rep = RegulatorReport("quintic", None, val)
     x0, x1 = _exponentials(c0, c1, pol)
-    res0, res1, b0, b1 = _roots_residuals(x0, x1, t, pol)
+    res0, res1, b0, b1 = _roots_residuals(x0, x1, T, pol)
     rep.check("puiseux_root_residual_J0", res0, pol)
     rep.check("puiseux_root_residual_J1", res1, pol)
-    inter = _intertwining(x0, x1, t, pol)
+    inter = _intertwining(x0, x1, T, pol)
     rep.check("phi_intertwining_residual", inter[0], pol)
     rep.notes.append(f"branch assignment: roots (n0={b0}, n1={b1}), "
                      f"intertwining pair {inter[1:]} chosen by minimal residual")

@@ -8,23 +8,15 @@ from fractions import Fraction
 
 from ..mpnum import PrecisionPolicy
 
-CASE_IDS = ("cy0", "elliptic", "quintic", "k4", "k2", "appB")
-
 
 class CaseError(ValueError):
     pass
 
 
-def check_case(case: str) -> str:
-    if case not in CASE_IDS:
-        raise CaseError(f"unknown case {case!r}; expected one of {CASE_IDS}")
-    return case
-
-
-def detect_rational(x, tol, max_height: int = 10 ** 6):
+def detect_rational(x, tol):
     """Nearest small-height rational within 10*tol, or None.
 
-    Heights (|p| and q) are capped at max_height, mirroring the
+    Heights (|p| and q) are capped at 10^6, mirroring the
     numerical-evidence methodology: failure to match is an answer,
     not an error.  x is an mpmath number; the candidate is formed in x's own
     context, at its precision.
@@ -34,8 +26,8 @@ def detect_rational(x, tol, max_height: int = 10 ** 6):
         if abs(x.imag) > tol:
             return None
         x = x.real
-    fr = Fraction(ctx.nstr(x, 40)).limit_denominator(max_height)
-    if abs(fr.numerator) > max_height:
+    fr = Fraction(ctx.nstr(x, 40)).limit_denominator(10 ** 6)
+    if abs(fr.numerator) > 10 ** 6:
         return None
     err = abs(x - ctx.mpf(fr.numerator) / fr.denominator)
     if err <= 10 * tol:
@@ -45,13 +37,10 @@ def detect_rational(x, tol, max_height: int = 10 ** 6):
 
 @dataclass
 class RegulatorMatrix:
-    entries: list                 # 2x2 (or 1x1) of mp reals
-    normalization: str = ""       # which power of 2*pi*i was divided out
+    entries: list                 # 2x2 of mp reals
 
     def det(self):
         e = self.entries
-        if len(e) == 1:
-            return e[0][0]
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
 

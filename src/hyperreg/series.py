@@ -25,7 +25,6 @@ losslessly to floating at any precision policy via ``to_floating``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from numbers import Rational
@@ -33,7 +32,7 @@ from numbers import Rational
 from .exactnum import ExactNum
 from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError, power_sums, ratio_sum
 
-__all__ = ["PowSeries", "LogSeries", "SLaurent", "ResidueRule", "EpsExpansion",
+__all__ = ["PowSeries", "LogSeries", "SLaurent", "EpsExpansion",
            "SeriesError", "OffsetMismatch", "DivergenceError", "TailBoundError",
            "ratio_sum",
            "theta", "anti_dlog", "hadamard", "residue_extract",
@@ -274,7 +273,7 @@ class LogSeries:
         return total
 
     # -- serialization ---------------------------------------------------
-    def to_json(self, pol: PrecisionPolicy | None = None) -> str:
+    def to_json(self, pol: PrecisionPolicy) -> str:
         def enc(c):
             if isinstance(c, int):
                 return f"{c}/1"
@@ -284,10 +283,8 @@ class LogSeries:
                 if c.is_rational():
                     q = c.as_rational()
                     return f"{q.numerator}/{q.denominator}"
-                ctx = (pol or PrecisionPolicy()).ctx
-                return ctx.nstr(c.to_mp(ctx), (pol or PrecisionPolicy()).target_digits)
-            ctx = (pol or PrecisionPolicy()).ctx
-            return ctx.nstr(c, (pol or PrecisionPolicy()).target_digits)
+                c = c.to_mp(pol.ctx)
+            return pol.ctx.nstr(c, pol.target_digits)
 
         doc = {"parts": [
             None if p is None else {
@@ -388,15 +385,6 @@ def hadamard(a: PowSeries, b: PowSeries) -> PowSeries:
 # ---------------------------------------------------------------------------
 # Laurent series in the deformation parameter s
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidueRule:
-    orientation: str = "counterclockwise"   # or "clockwise"
-
-    def __post_init__(self):
-        if self.orientation not in ("counterclockwise", "clockwise"):
-            raise SeriesError("orientation must be clockwise or counterclockwise")
-
 
 class SLaurent:
     """Truncated Laurent series in s with LogSeries coefficients.
@@ -502,9 +490,6 @@ class EpsExpansion:
             out.add(k, v)
         return out
 
-    def scale(self, c) -> "EpsExpansion":
-        return EpsExpansion({k: v.scale(c) for k, v in self.slots.items()})
-
     def surviving_eps_terms(self) -> list:
         bad = []
         for k, v in self.slots.items():
@@ -515,39 +500,37 @@ class EpsExpansion:
                     bad.append(k)
         return bad
 
-    def finite(self, strict: bool = True) -> LogSeries:
+    def finite(self) -> LogSeries:
         """The eps-free part; raises if log(eps)/eps^-m terms survive."""
-        if strict:
-            bad = self.surviving_eps_terms()
-            if bad:
-                raise SeriesError(f"eps-dependent terms survive combination: {bad}")
+        bad = self.surviving_eps_terms()
+        if bad:
+            raise SeriesError(f"eps-dependent terms survive combination: {bad}")
         return self.slots.get(("one",), LogSeries([]))
 
 
-def residue_extract(integrand: SLaurent, rule: ResidueRule) -> EpsExpansion:
-    """(1/2 pi i) * contour integral of integrand * ds/s over |s| = eps.
+def residue_extract(integrand: SLaurent) -> EpsExpansion:
+    """(1/2 pi i) * contour integral of integrand * ds/s over |s| = eps,
+    counterclockwise.
 
-    Closed-form table (counterclockwise):
+    Closed-form table:
       s^m, no log:  m == 0 -> coefficient, else 0;
       s^0 log s  -> log(eps);
       s^-m log s (m>0) -> (-1)^(m-1) / (m eps^m);
       s^m log s (m>0)  -> (-1)^m eps^m / m   (vanishes as eps -> 0).
-    Clockwise orientation flips the global sign.
     """
-    sign = 1 if rule.orientation == "counterclockwise" else -1
     out = EpsExpansion()
     for (m, lg), v in integrand.terms.items():
         if lg == 0:
             if m == 0:
-                out.add(("one",), v.scale(sign))
+                out.add(("one",), v)
         else:
             if m == 0:
-                out.add(("logeps",), v.scale(sign))
+                out.add(("logeps",), v)
             elif m < 0:
                 mm = -m
-                out.add(("epspow", -mm), v.scale(sign * Fraction((-1) ** (mm - 1), mm)))
+                out.add(("epspow", -mm), v.scale(Fraction((-1) ** (mm - 1), mm)))
             else:
-                out.add(("epspow", m), v.scale(sign * Fraction((-1) ** m, m)))
+                out.add(("epspow", m), v.scale(Fraction((-1) ** m, m)))
     return out
 
 

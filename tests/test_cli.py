@@ -412,7 +412,7 @@ def test_shared_atomic_writer_loads_no_openssl_or_mpmath(tmp_path):
     assert not loaded & {"urllib.request", "http.client", "ssl", "_ssl"}
     fetch = ("import json, sys\nfrom hyperreg.lfun.web import lmfdb_fetch\n"
              "lmfdb_fetch('test/label', json.loads(sys.argv[1]), opener=lambda url: json.dumps(\n"
-             "    {'degree': 1, 'factors': {'2': [1, -1]}}).encode())\n"
+             "    {'data': [{'degree': 1, 'euler_factors': [[2, [1, -1]]]}]}).encode())\n"
              "print(json.dumps(sorted(sys.modules)))\n")
     loaded = _loaded_modules(str(cache), fetch)
     assert len(list((cache / "lmfdb").iterdir())) == 2

@@ -1,0 +1,168 @@
+"""`lfun` and `fetch` keep the CLI's exit contract whatever file they read.
+
+Every run goes in process through `cli.main`: `lfun` on tiny degree-1 specs
+whose Euler tables are drawn at random (gaps below the largest prime, factors
+past the spec's degree, a wrong constant term, no factor at all), with the
+kernel store under a temporary `--cache`, and `fetch --offline` on random
+cached bodies.  Each run exits 0, 2, 3 or 4; a non-zero exit writes one
+`error:` line and no traceback, and exit 0 prints JSON.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hyperreg.lfun import web
+from hyperreg.lfun.dirichlet import kronecker_symbol
+
+from test_regulator_points import _run_in_process
+
+PRIMES = tuple(p for p in range(2, 80) if all(p % q for q in range(2, p)))
+LABEL = "tiny/label/1"
+NOT_CACHED = f"error: offline mode and no cached response for {LABEL!r}\n"
+
+
+def _assert_contract(code, out, err):
+    assert code in (0, 2, 3, 4), (code, err)
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+        json.loads(out)
+
+
+def _spec(directory, lines, conductor=5, shift="0", sign=1):
+    """A degree-1 spec at directory/spec.json with the Euler lines given."""
+    (directory / "euler.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
+    spec = directory / "spec.json"
+    spec.write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": conductor,
+        "gamma_shifts": [["R", shift]], "sign": sign,
+        "euler_path": str(directory / "euler.jsonl"), "label": "tiny"}))
+    return spec
+
+
+@st.composite
+def lfun_specs(draw):
+    """(Euler lines, conductor, gamma shift, sign) of a degree-1 spec.  The
+    factors of degree at most 1 cover every prime up to a drawn largest one.
+    They are those of a real character chi_D with its conductor and shift, or
+    random ones with at most one flaw: a gap below the largest prime, a
+    constant term other than 1, a factor past degree 1, or no factor at all."""
+    kind = draw(st.sampled_from(("character", "none", "gap", "constant term", "degree",
+                                 "empty")))
+    if kind == "empty":
+        return [], 5, "0", 1
+    top = draw(st.integers(2, len(PRIMES)))
+    if kind == "character":
+        D = draw(st.sampled_from((-8, -7, -4, -3, 5, 8)))
+        lines = [{"p": p, "factor": [1, -kronecker_symbol(D, p)] if D % p else [1]}
+                 for p in PRIMES[:top]]
+        return lines, abs(D), "1" if D < 0 else "0", 1
+    lines = [{"p": p, "factor": [1] + draw(st.lists(st.integers(-2, 2), max_size=1))}
+             for p in PRIMES[:top]]
+    i = draw(st.integers(0, top - 2))
+    if kind == "gap":
+        del lines[i]
+    elif kind == "constant term":
+        lines[i]["factor"][0] = draw(st.sampled_from((0, 2, -1)))
+    elif kind == "degree":
+        lines[i]["factor"] += [1, -1]
+    return (lines, draw(st.integers(1, 12)), draw(st.sampled_from(("0", "1"))),
+            draw(st.sampled_from((1, -1))))
+
+
+def test_lfun_gapped_euler_table_exit2(tmp_path):
+    """Factors at p = 2 and 5 only: the table has no factor at 3."""
+    spec = _spec(tmp_path, [{"p": 2, "factor": [1, 1]}, {"p": 5, "factor": [1, -1]}])
+    code, out, err = _run_in_process(["--cache", str(tmp_path / "cache"), "--digits", "6",
+                                      "lfun", str(spec), "--s", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad spec file: missing Euler factors for primes [3]")
+    assert len(err.splitlines()) == 1
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=lfun_specs())
+def test_lfun_on_random_euler_tables_keeps_the_exit_contract(tmp_path, spec):
+    _assert_contract(*_run_in_process(["--cache", str(tmp_path / "cache"), "--digits", "6",
+                                       "lfun", str(_spec(tmp_path, *spec)), "--s", "2"]))
+
+
+def _row(degree, factors):
+    return {"data": [{"degree": degree, "euler_factors": factors}]}
+
+
+USABLE = json.dumps(_row(2, [[2, [1, -1]], [3, [1, 2]]])).encode()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("data", "degree", "euler_factors", "x")), inner,
+                      max_size=3),
+    max_leaves=10)
+SCALARS = st.one_of(st.integers(-2, 40), st.floats(), st.text(max_size=2), st.none())
+LMFDB_LIKE = st.builds(
+    _row, st.one_of(st.integers(-1, 3), SCALARS),
+    st.lists(st.one_of(st.tuples(SCALARS, st.lists(st.one_of(st.integers(-3, 3), SCALARS),
+                                                   max_size=3)).map(list),
+                       JSON_VALUES),
+             max_size=4))
+CACHED_BODIES = st.one_of(
+    st.binary(max_size=24),
+    JSON_VALUES.map(lambda doc: json.dumps(doc).encode()),
+    LMFDB_LIKE.map(lambda doc: json.dumps(doc).encode()),
+    st.just(USABLE))
+
+
+def _cache_body(cache, body: bytes):
+    body_path, _ = web._cache_paths(LABEL, cache)
+    body_path.parent.mkdir(parents=True, exist_ok=True)
+    body_path.write_bytes(body)
+
+
+def _fetch(cache, *flags):
+    return _run_in_process(["--cache", str(cache), *flags, "fetch", LABEL])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=CACHED_BODIES)
+def test_fetch_offline_on_random_cached_bodies_keeps_the_exit_contract(tmp_path, body):
+    """A cached body is a table (exit 0) or a miss (exit 3, the not-cached line)."""
+    _cache_body(tmp_path, body)
+    code, out, err = _fetch(tmp_path, "--offline")
+    _assert_contract(code, out, err)
+    assert code == 0 or (code, err) == (3, NOT_CACHED)
+
+
+@pytest.mark.parametrize("doc", [
+    {"hello": 1},
+    _row(2, [[2, [2, 1]]]),
+    _row("x", [[2, [1, -1]]]),
+])
+def test_fetch_offline_unusable_cached_body_is_a_miss(tmp_path, doc):
+    _cache_body(tmp_path, json.dumps(doc).encode())
+    assert _fetch(tmp_path, "--offline") == (3, "", NOT_CACHED)
+    _cache_body(tmp_path, USABLE)
+    code, out, _ = _fetch(tmp_path, "--offline")
+    assert code == 0 and json.loads(out)["primes"] == 2
+
+
+@pytest.mark.parametrize("body, message", [
+    (json.dumps(_row(2, [[2, [2, 1]]])).encode(),
+     "error: factor at p=2 must have constant term 1\n"),
+    (json.dumps({"hello": 1}).encode(), f"error: unrecognized response shape for {LABEL!r}\n"),
+    (USABLE[:17], f"error: unparseable response body for {LABEL!r}\n"),
+])
+def test_fetch_refused_fresh_body_exit3_and_not_cached(tmp_path, monkeypatch, body, message):
+    monkeypatch.setattr(web, "_open_url", lambda url: body)
+    assert _fetch(tmp_path) == (3, "", message)
+    assert not (tmp_path / "lmfdb").exists()

@@ -67,14 +67,10 @@ def test_memo_is_keyed_by_binary_precision(monkeypatch):
     assert zb.context is b.ctx
 
 
-def test_extra_values_stay_per_call():
+def test_atoms_take_only_the_memo_values():
     ctx = PrecisionPolicy(20).ctx
-    a1 = ExactNum.atom("a1")
-    assert (a1 * 2).to_mp(ctx, {"a1": ctx.mpf(3)}) == 6
     with pytest.raises(AtomValueError):
-        a1.to_mp(ctx)
-    # an override of a built-in atom applies to its own call only
-    assert EX_PI.to_mp(ctx, {"pi": ctx.mpf(3)}) == 3
+        ExactNum.atom("a1").to_mp(ctx)
     assert EX_PI.to_mp(ctx) == +ctx.pi
 
 

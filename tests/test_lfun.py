@@ -117,7 +117,6 @@ def test_euler_ingest_errors(tmp_path):
 
 def test_degree_zero_bad_factor():
     table = EulerFactorTable({2: [1]}, 4)
-    assert not table.good(2)
     assert table.p_max == 2
 
 
@@ -165,11 +164,17 @@ def test_dirichlet_coefficients_vs_brute_force(data):
     factors = {}
     for p in (p for p in range(2, M + 1) if all(p % q for q in range(2, p))):
         if data.draw(st.booleans()):
-            continue                    # a missing prime
+            factors[p] = [1]            # a gap: the factor 1, no local term
+            continue
         factors[p] = [1] + data.draw(st.lists(st.integers(-9, 9), max_size=degree))
     table = EulerFactorTable(factors, degree)
-    assert dirichlet_coefficients(table, M, require_coverage=False) \
-        == _dirichlet_inverse_of_product(factors, M)
+    assert dirichlet_coefficients(table, M) == _dirichlet_inverse_of_product(factors, M)
+
+
+LABEL = "test/label/1-2-3"
+# the LMFDB API shape: one row per L-function, its Euler factors as [p, factor] pairs
+BODY = json.dumps({"data": [{"degree": 2,
+                             "euler_factors": [[2, [1, -1]], [3, [1, 2]]]}]}).encode()
 
 
 def test_gamma_pole_order():
@@ -260,10 +265,10 @@ def test_motive_chi4_and_derivatives():
     val, err = motive_L(spec, 2, 0, pol)
     assert abs(val - ctx.catalan) < ctx.mpf(10) ** -15
     # derivative kernels vs central finite differences
-    L1, _ = motive_L(spec, 2, 1, pol, self_test=False)
-    L2, _ = motive_L(spec, 2, 2, pol, self_test=False)
+    L1, _ = motive_L(spec, 2, 1, pol)
+    L2, _ = motive_L(spec, 2, 2, pol)
     h = ctx.mpf(10) ** -4
-    f = lambda s: motive_L(spec, s, 0, pol, self_test=False)[0]
+    f = lambda s: motive_L(spec, s, 0, pol)[0]
     assert abs(L1 - (f(2 + h) - f(2 - h)) / (2 * h)) < ctx.mpf(10) ** -7
     assert abs(L2 - (f(2 + h) - 2 * f(2) + f(2 - h)) / h ** 2) < ctx.mpf(10) ** -6
     # and against the independent Hurwitz route
@@ -292,8 +297,8 @@ def test_motive_cutoff_stability():
     chi4 = kronecker_character(-4)
     spec = LFunctionSpec(1, 0, 4, (("R", F(1)),), 1,
                          euler_from_character(chi4, 400))
-    v1, _ = motive_L(spec, 2, 0, pol, self_test=False)
-    v2, _ = motive_L(spec, 2, 0, pol, cutoff_A=2, self_test=False)
+    v1, _ = motive_L(spec, 2, 0, pol)
+    v2, _ = motive_L(spec, 2, 0, pol, cutoff_A=2)
     assert abs(v1 - v2) < ctx.mpf(10) ** -14
 
 
@@ -303,12 +308,12 @@ def test_coverage_error():
                          poles=((F(1), 1), (F(0), -1)))
     pol = PrecisionPolicy(20)
     with pytest.raises(CoverageError) as err:
-        motive_L(spec, 2, 0, pol, self_test=False)
+        motive_L(spec, 2, 0, pol)
     assert err.value.required > 7
 
 
 def test_web_cache_roundtrip(tmp_path):
-    body = json.dumps({"degree": 2, "factors": {"2": [1, -1], "3": [1, 2]}}).encode()
+    body = BODY
     calls = []
 
     def opener(url):
@@ -329,8 +334,6 @@ def test_web_cache_roundtrip(tmp_path):
         lmfdb_fetch("missing/label", tmp_path, offline=True)
 
 
-LABEL = "test/label/1-2-3"
-BODY = json.dumps({"degree": 2, "factors": {"2": [1, -1], "3": [1, 2]}}).encode()
 
 
 def _opener(calls, body=BODY):

