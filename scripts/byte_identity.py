@@ -14,8 +14,8 @@ output with a warm kernel store is compared as well as the cold one.
 
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
-CLI path through the Mellin-Barnes contour), the k4, cy0 and appB points at
---digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
+CLI path through the Mellin-Barnes contour), `verify identities` at --digits
+20 and 50, the k4, cy0 and appB points at --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
 KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
@@ -96,8 +96,8 @@ PERIOD_ARGVS = (
 # exit 2 with one error line: malformed data, an unknown case, a t outside
 # its case's interval, a k2 point too close to |z| = 1, a missing spec file,
 # and (fixture_usage_argvs) a k4 fixture that is not JSON or whose L-value is
-# shorter than --digits, an lfun spec that is not a JSON object, and one whose
-# Euler table has a gap below its largest prime
+# shorter than --digits, an lfun spec that is not a JSON object, one whose
+# Euler table has a gap below its largest prime, and one with a factor at p = 4
 USAGE_ARGVS = (
     ["period", "1/2,1/2;1"],
     ["regulator", "--case", "nope", "--t", "1/2"],
@@ -115,11 +115,14 @@ BAD_K4_FIXTURES = {
 BAD_SPEC = "[1, 2]"
 # factors at p = 2 and 5 only: none at 3
 GAPPED_EULER = '{"p": 2, "factor": [1, 1]}\n{"p": 5, "factor": [1, -1]}\n'
+# factors at 2 and 3 and at the non-prime 4
+NONPRIME_EULER = '{"p": 2, "factor": [1]}\n{"p": 3, "factor": [1]}\n{"p": 4, "factor": [1, 1]}\n'
 
 
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
-    BAD_SPEC and on a spec of GAPPED_EULER, written under directory."""
+    BAD_SPEC and on specs of GAPPED_EULER and NONPRIME_EULER, written under
+    directory."""
     out = []
     for name, text in BAD_K4_FIXTURES.items():
         (directory / name).mkdir()
@@ -129,11 +132,12 @@ def fixture_usage_argvs(directory: Path) -> list:
         out.append(["--fixtures", fixtures, "verify", "ratios"])
     (directory / "bad-spec.json").write_text(BAD_SPEC)
     out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
-    (directory / "gapped.jsonl").write_text(GAPPED_EULER)
-    (directory / "gapped-spec.json").write_text(json.dumps({
-        "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": [["R", "0"]], "sign": 1,
-        "euler_path": str(directory / "gapped.jsonl")}))
-    out.append(["lfun", str(directory / "gapped-spec.json"), "--s", "2"])
+    for name, euler in (("gapped", GAPPED_EULER), ("nonprime", NONPRIME_EULER)):
+        (directory / f"{name}.jsonl").write_text(euler)
+        (directory / f"{name}-spec.json").write_text(json.dumps({
+            "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": [["R", "0"]], "sign": 1,
+            "euler_path": str(directory / f"{name}.jsonl")}))
+        out.append(["lfun", str(directory / f"{name}-spec.json"), "--s", "2"])
     return out
 
 
@@ -157,6 +161,8 @@ def regulator_argvs() -> list:
     out.append(["hadamard", "k2_R0", "-K", "12"])
     for suite in ("ode", "identities", "ratios", "continuation"):
         out.append(["verify", suite])
+    for digits in ("20", "50"):
+        out.append(["--digits", digits, "verify", "identities"])
     for digits in ("20", "30", "50"):
         for case, points in (("k4", K4_T), ("cy0", "1/7,1/11,1/35")):
             out.append(["--digits", digits, "regulator", "--case", case, "--t", points])

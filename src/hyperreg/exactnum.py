@@ -90,9 +90,6 @@ class ExactNum:
             raise ValueError(f"not rational: {self}")
         return self.terms[()]
 
-    def atoms(self) -> set:
-        return {name for mono in self.terms for name, _ in mono}
-
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

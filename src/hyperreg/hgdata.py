@@ -103,6 +103,10 @@ def _mobius(n: int) -> int:
     return result
 
 
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and _mobius(n) != 0
+
+
 def _roots_of_unity(n: int) -> list:
     """Roots of T^n - 1 as fractions in (0, 1]."""
     return [Fraction(j, n) if j else Fraction(1) for j in range(n)]

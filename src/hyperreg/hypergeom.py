@@ -16,7 +16,7 @@ from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
 from .hgdata import (CycleType, GammaVector, HGData, HGError, coeff_ak,  # noqa: F401
                      coeff_stream, from_gamma, parse_gamma, parse_hg, ratio_stream, scale_C)
 from .mpnum import PrecisionPolicy
-from .series import LogSeries, PowSeries, SLaurent, sp_exp, sp_mul
+from .series import LogSeries, PowSeries, SLaurent, _linear_product, sp_exp, sp_mul
 
 __all__ = ["HGData", "GammaVector", "CycleType", "HGError",
            "parse_hg", "parse_gamma", "from_gamma", "scale_C",
@@ -58,14 +58,6 @@ def _ck_rows(h: HGData, K: int, s_order: int) -> list:
     return rows
 
 
-def _linear_product(roots: list, order: int) -> list:
-    """Coefficients of prod_c (c + u) in u, through u^order."""
-    out = [1]
-    for c in roots:
-        out = [c * out[0]] + [c * out[i] + out[i - 1] for i in range(1, len(out))] + [out[-1]]
-    return (out + [0] * order)[:order + 1]
-
-
 def ck_s(h: HGData, k: int, s_order: int) -> list:
     """c_k(s) = prod_j [a_j+s]_k / prod_j [b_j+s]_k, truncated s-series.
 
@@ -100,15 +92,11 @@ _PSI_BASE_DIFF = {
 EXACT_INDICES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
 
 
-def psi_diff_exact(a: Fraction, m: int, k: int = 0) -> ExactNum:
-    """psi^(m)(k+a) - psi^(m)(k+1) in harmonic-number atoms."""
+def psi_diff_exact(a: Fraction, m: int) -> ExactNum:
+    """psi^(m)(a) - psi^(m)(1) in harmonic-number atoms."""
     if (a, m) not in _PSI_BASE_DIFF:
         raise HGError(f"no exact polygamma reduction for index {a}, order {m}")
-    base = _PSI_BASE_DIFF[(a, m)]
-    sign_fac = Fraction((-1) ** m * factorial(m))
-    tail_a = sum((Fraction(1) / (a + j) ** (m + 1) for j in range(k)), Fraction(0))
-    tail_1 = sum((Fraction(1, j ** (m + 1)) for j in range(1, k + 1)), Fraction(0))
-    return base + sign_fac * (tail_a - tail_1)
+    return _PSI_BASE_DIFF[(a, m)]
 
 
 def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
@@ -133,7 +121,7 @@ def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
         for m in range(1, s_order + 1):
             acc = ExactNum.from_rational(0)
             for aj in h.a:
-                acc = acc + psi_diff_exact(aj, m - 1, 0)
+                acc = acc + psi_diff_exact(aj, m - 1)
             log_alpha[m] = acc * Fraction(1, factorial(m))
         return sp_exp(log_alpha, s_order)
     if mode == "floating":

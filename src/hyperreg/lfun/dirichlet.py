@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ..hgdata import is_squarefree
 from ..mpnum import PrecisionPolicy, hurwitz_zeta
 
 __all__ = ["DirichletChar", "kronecker_character", "quartic_character_mod5",
@@ -130,17 +131,6 @@ def quartic_character_mod5() -> DirichletChar:
     """The order-4 odd character mod 5 with chi(2) = i."""
     return DirichletChar(5, (None, Fraction(0), Fraction(1, 4),
                              Fraction(3, 4), Fraction(1, 2)))
-
-
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 def _is_fundamental(D: int) -> bool:

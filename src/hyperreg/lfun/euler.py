@@ -111,7 +111,8 @@ def euler_from_character(chi, P: int) -> EulerFactorTable:
 
 def dirichlet_coefficients(table: EulerFactorTable, M: int) -> list:
     """a_1..a_M (index 0 unused) from 1/f_p(p^-s) expansions; EulerError
-    unless M >= 1 and the table has a factor at every prime up to M."""
+    unless M >= 1, the table has a factor at every prime up to M and none
+    at a non-prime up to M."""
     if M < 1:
         raise EulerError(f"no Euler factors to expand (P_max={table.p_max})")
     primes = _primes_upto(M)
@@ -119,26 +120,26 @@ def dirichlet_coefficients(table: EulerFactorTable, M: int) -> list:
     if missing:
         raise EulerError(f"missing Euler factors for primes {missing[:5]}..."
                          f" (P_max={table.p_max}, need {M})")
+    known = set(primes)
+    nonprime = sorted(p for p in table.factors if p <= M and p not in known)
+    if nonprime:
+        raise EulerError(f"Euler factors at non-primes {nonprime[:5]}")
     a = [0] * (M + 1)
     a[1] = 1
     for p in primes:
         f = table.factors[p]
-        # inverse power series of f in x = p^-s, up to p^e <= M
-        emax = 0
-        pe = 1
-        while pe * p <= M:
-            pe *= p
-            emax += 1
+        # the powers p^e <= M, and 1/f in x = p^-s through x^emax
+        pe = [1]
+        while pe[-1] * p <= M:
+            pe.append(pe[-1] * p)
+        emax = len(pe) - 1
         inv = [1] + [0] * emax
         for n in range(1, emax + 1):
             acc = 0
             for i in range(1, min(n, len(f) - 1) + 1):
                 acc += f[i] * inv[n - i]
             inv[n] = -acc
-        # multiply into a[] along p-powers (standard multiplicative sieve)
-        pe = [1]
-        while pe[-1] * p <= M:
-            pe.append(pe[-1] * p)
+        # multiply into a[] along p-powers (standard multiplicative sieve);
         # only n <= M // p have a multiple n p^e <= M: O(M log log M) over all p
         for n in range(M // p, 0, -1):
             if n % p == 0:

@@ -4,10 +4,8 @@ Operators act on LogSeries purely symbolically (D = z d/dz); no numerical
 differentiation happens anywhere, so residuals of the Frobenius and
 inhomogeneous equations are asserted to be *exactly* zero.  Residuals are
 checked in exact mode only; there is no floating residual.
-Each factor product P(D) = prod (D + c) of L acts in one step through P's
-Taylor table at each exponent:
-
-    P(D) z^e log^j z = sum_i C(j, i) P^(i)(e) z^e log^(j-i) z.
+Each factor product P(D) = prod (D + c) of L acts in one step through
+``series._apply_shifted_chain``, whose one-factor case is theta.
 
 ``residual_frobenius`` builds Phi(s, z) once and forms E = alpha Phi from it.
 """
@@ -16,13 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
 
 from .hypergeom import (HGData, W_r, _s_series_times, alpha_s, frobenius_E, frobenius_phi,
                         z_s_logs)
-from .series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent,
-                     _czero, sp_mul)
+from .series import LogSeries, PowSeries, SLaurent, _apply_shifted_chain, _linear_product, sp_mul
 
 __all__ = ["HGOperator", "ResidualReport", "hg_operator", "apply_operator",
            "residual_frobenius", "residual_inhomogeneous"]
@@ -37,66 +32,6 @@ class HGOperator:
 
 def hg_operator(h: HGData) -> HGOperator:
     return HGOperator(tuple(h.b), tuple(h.a))
-
-
-@lru_cache(maxsize=64)
-def _taylor_table(factors: tuple, offset: Fraction, K: int) -> tuple:
-    """Rows (P(e), P'(e), ..., P^(n)(e)) at e = offset + k for k < K,
-    where P(x) = prod_c (x + c) over the n factors."""
-    table = []
-    for k in range(K):
-        e = offset + k
-        t = [Fraction(1)]                  # Taylor coefficients of P(e + x)
-        for c in factors:
-            a = e + c
-            t = [a * t[0]] + [a * t[i] + t[i - 1] for i in range(1, len(t))] + [t[-1]]
-        for i in range(2, len(t)):
-            t[i] = factorial(i) * t[i]
-        table.append(tuple(t))
-    return tuple(table)
-
-
-def _apply_shifted_chain(factors, f: LogSeries) -> LogSeries:
-    """prod (D + c) applied to f, exactly, in one step.
-
-    With P(x) = prod (x + c), D acts on z^e log^j z as e plus the lowering
-    map log^j -> j log^(j-1), so
-
-        P(D) z^e log^j z = sum_i C(j, i) P^(i)(e) z^e log^(j-i) z.
-
-    P's Taylor table is computed once per exponent.  Output part m gathers
-    the input parts m .. m + deg P on the window PowSeries addition gives
-    them: from the lowest offset up to the lowest bound.
-    """
-    factors = tuple(Fraction(c) for c in factors)
-    n = len(factors)
-    out = []
-    for m in range(len(f.parts)):
-        src = [(m + i, p) for i, p in enumerate(f.parts[m:m + n + 1]) if p is not None]
-        if not src:
-            out.append(None)
-            continue
-        lo = min(p.offset for _, p in src)
-        if any((p.offset - lo).denominator != 1 for _, p in src):
-            raise OffsetMismatch("log-parts on exponent lattices differing by a non-integer")
-        width = int(min(p.bound for _, p in src) - lo)
-        if width <= 0:
-            raise SeriesError("truncation windows do not overlap")
-        acc = [None] * width
-        for j, p in src:
-            i = j - m
-            b = comb(j, i)
-            base = int(p.offset - lo)
-            table = _taylor_table(factors, p.offset, p.K)
-            for k, c in enumerate(p.coeffs[:max(0, width - base)]):
-                w = table[k][i]
-                if not w or _czero(c):
-                    continue
-                term = c * (w if b == 1 else b * w)
-                prev = acc[base + k]
-                acc[base + k] = term if prev is None else prev + term
-        out.append(PowSeries(lo, [0 if x is None else x for x in acc]))
-    return LogSeries(out)
 
 
 def apply_operator(L: HGOperator, f: LogSeries) -> LogSeries:
@@ -118,11 +53,8 @@ class ResidualReport:
 
 
 def _s_poly_b_shift(h: HGData, s_order: int) -> list:
-    """prod_j (s + b_j - 1) as an s-polynomial (s^(n+1) for b all ones)."""
-    out = [Fraction(1)] + [Fraction(0)] * s_order
-    for bj in h.b:
-        out = sp_mul(out, [bj - 1, Fraction(1)], s_order)
-    return out
+    """prod_j (s + b_j - 1) as an s-polynomial (s^m for b all ones, m = len(b))."""
+    return _linear_product([bj - 1 for bj in h.b], s_order)
 
 
 def _count_terms(F: SLaurent) -> int:

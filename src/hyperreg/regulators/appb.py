@@ -16,7 +16,7 @@ from fractions import Fraction
 from ..hgdata import parse_hg, ratio_stream
 from ..mpnum import PrecisionPolicy
 from .quintic import S_n, column_sums
-from .reporting import CaseError, RegulatorReport
+from .reporting import CaseError, RegulatorMatrix, RegulatorReport
 
 DATA = parse_hg("1/5,2/5,3/5,4/5;1/6,5/6,1,1")
 T_SUP = Fraction(3125, 432)      # = scale_C(DATA): the S-series converge on (0, C)
@@ -67,14 +67,13 @@ def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     # one pass per column: S_Aj(t), S_Aj'(t) (termwise exact), S_Aj(t +- th)
     requests = ((t, False), (t, True), (t + th, False), (t - th, False))
     cols = list(zip(*(column_sums(DATA, j, requests, pol) for j in range(DATA.m))))
-    m = [[S_n(DATA, 0, cols[0], pol), S_n(DATA, 0, cols[1], pol)],
-         [S_n(DATA, 1, cols[0], pol), S_n(DATA, 1, cols[1], pol)]]
-    det = ctx.re(m[0][0]) * ctx.re(m[1][1]) - ctx.re(m[0][1]) * ctx.re(m[1][0])
-    rep = RegulatorReport("appB", t, det)
+    m = [[S_n(DATA, n, cols[0], pol), S_n(DATA, n, cols[1], pol)] for n in (0, 1)]
+    mat = RegulatorMatrix([[ctx.re(x) for x in row] for row in m])
+    rep = RegulatorReport("appB", t, mat.det())
     # finite-difference probe of the derivative column (fd error budget 1e-12)
     fd = (ctx.re(S_n(DATA, 0, cols[2], pol)) - ctx.re(S_n(DATA, 0, cols[3], pol))) \
         / (2 * ctx.mpf(10) ** -8)
-    dev = abs(fd - ctx.re(m[0][1])) / max(1, abs(m[0][1]))
+    dev = abs(fd - mat.entries[0][1]) / max(1, abs(m[0][1]))
     rep.crosschecks.append(("derivative_column_fd_probe", dev))
     if dev > ctx.mpf(10) ** -12:
         raise CaseError(f"derivative column fails the fd probe: {ctx.nstr(dev, 3)}")

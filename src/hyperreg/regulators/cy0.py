@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..lfun.dirichlet import dedekind_quadratic_deriv0, is_squarefree
+from ..hgdata import is_squarefree
+from ..lfun.dirichlet import dedekind_quadratic_deriv0
 from ..mpnum import PrecisionPolicy, capped_terms, ratio_sum
 from .reporting import CaseError, RegulatorReport, detect_rational
 

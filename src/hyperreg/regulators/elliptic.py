@@ -24,12 +24,13 @@ def _sum_interior(t: Fraction, pol: PrecisionPolicy):
 
 def _sum_quadrature(t: Fraction, pol: PrecisionPolicy):
     """sum_{m>0} binom(2m,m)^2 t^m / m = int_0^t (2F1(1/2,1/2;1;16x) - 1) dx/x,
-    valid up to and including the conifold boundary t = 1/16."""
+    valid up to and including the conifold boundary t = 1/16.  The integrand
+    reads 2F1(1/2,1/2;1;m) = (2/pi) K(m), with K computed by the AGM."""
     ctx = pol.ctx
     tv = ctx.mpf(t.numerator) / t.denominator
     with ctx.workdps(pol.working_digits + 10):
         def f(x):
-            return (ctx.hyp2f1(ctx.mpf(1) / 2, ctx.mpf(1) / 2, 1, 16 * x) - 1) / x
+            return (2 * ctx.ellipk(16 * x) / ctx.pi - 1) / x
         val = ctx.quad(f, [0, tv / 2, 3 * tv / 4, tv])
     return +val
 

@@ -34,7 +34,7 @@ from .. import hypergeom
 from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
 from ..mpnum import PrecisionPolicy, fixed_terms, power_sums
 from ..series import LogSeries, PowSeries, SLaurent, sp_exp, sp_inv, sp_mul, theta
-from .reporting import CaseError, RegulatorReport
+from .reporting import CaseError, RegulatorMatrix, RegulatorReport
 
 DATA = hypergeom.parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
 SCALE = 256          # z = 256 t
@@ -173,9 +173,10 @@ def k4_entries(K: int):
 
     Returns dict with the four closed-form LogSeries; raises on any
     cross-path disagreement.  The check runs once per K, on the first K + 1
-    coefficients of the largest K built so far; each call gets its own copy.
+    coefficients of the largest K built so far; each call gets its own build.
     """
-    return _copy_entries(_entries_checked(K))
+    _entries_checked(K)
+    return _build_entries(K)
 
 
 @lru_cache(maxsize=8)
@@ -312,17 +313,6 @@ def _build_entries(K: int, floating: dict | None = None) -> _Entries:
     }, K, {} if floating is None else floating)
 
 
-def _copy_entries(ent):
-    """A copy of cached entries that shares no mutable container with them."""
-    def copy_coeff(c):
-        return ExactNum(c.terms) if isinstance(c, ExactNum) else c
-
-    return {name: LogSeries([None if p is None else
-                             PowSeries(p.offset, [copy_coeff(c) for c in p.coeffs])
-                             for p in ls.parts])
-            for name, ls in ent.items()}
-
-
 def _det_value(K: int, t: Fraction, pol: PrecisionPolicy):
     """r(t) from the entries of K.
 
@@ -347,4 +337,4 @@ def _det_value(K: int, t: Fraction, pol: PrecisionPolicy):
     sp = sq * val["sqrt_primitive_inner"]
     sd = sq * pref * val["sqrt_deformed_inner"]
     ld = pref * val["log_deformed_inner"]
-    return sp * ld - sd * lp
+    return RegulatorMatrix([[sp, sd], [lp, ld]]).det()

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ..hgdata import HGData, parse_hg, scale_C
 from ..mpnum import PrecisionPolicy, ratio_sum
-from .reporting import CaseError, RegulatorReport
+from .reporting import CaseError, RegulatorMatrix, RegulatorReport
 
 DATA_J0 = parse_hg("1/10,3/10,7/10,9/10;1/4,1/2,3/4,1")
 DATA_J1 = parse_hg("1/5,2/5,3/5,4/5;1/4,1/2,3/4,1")
@@ -150,10 +150,9 @@ def quintic_det(pol: PrecisionPolicy) -> RegulatorReport:
     """(25/2) det Re [[S0_1(256), S1_1(1)], [S0_3(256), S1_3(1)]]."""
     ctx = pol.ctx
     c0, c1 = _columns(T, pol)
-    m = [[S_n(DATA_J0, 1, c0, pol), S_n(DATA_J1, 1, c1, pol)],
-         [S_n(DATA_J0, 3, c0, pol), S_n(DATA_J1, 3, c1, pol)]]
-    det = ctx.re(m[0][0]) * ctx.re(m[1][1]) - ctx.re(m[0][1]) * ctx.re(m[1][0])
-    val = ctx.mpf(25) / 2 * det
+    m = RegulatorMatrix([[ctx.re(S_n(DATA_J0, n, c0, pol)), ctx.re(S_n(DATA_J1, n, c1, pol))]
+                         for n in (1, 3)])
+    val = ctx.mpf(25) / 2 * m.det()
     rep = RegulatorReport("quintic", None, val)
     x0, x1 = _exponentials(c0, c1, pol)
     res0, res1, b0, b1 = _roots_residuals(x0, x1, T, pol)

@@ -11,6 +11,10 @@ The carriers here are:
   marker slot, used by Frobenius deformations and the annulus-residue
   ("Hadamard") computations.
 
+P(D) = prod (D + c), D = z d/dz, acts exactly in one step through P's Taylor
+table (``_apply_shifted_chain``); :func:`theta` is its one-factor case P(x) = x,
+and ``_linear_product`` expands prod (x + c) for it, ``ode`` and ``hypergeom``.
+
 :func:`ratio_sum`, re-exported from :mod:`mpnum`, forms and sums numeric
 series from a first term and an exact term ratio, to a stopping index or
 cap, with a certified tail and rounding.
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
+from math import comb, factorial
 from numbers import Rational
 
 from .exactnum import ExactNum
@@ -296,23 +302,68 @@ class LogSeries:
 
 
 # ---------------------------------------------------------------------------
-# theta = z d/dz and its inverse
+# P(D) = prod (D + c), theta = z d/dz its one-factor case, and theta's inverse
 # ---------------------------------------------------------------------------
 
-def theta(a: LogSeries) -> LogSeries:
-    """D = z d/dz applied termwise:
-    D(z^e log^j z) = e z^e log^j z + j z^e log^(j-1) z."""
-    nparts = len(a.parts)
-    out: list = [None] * nparts
-    for j, p in enumerate(a.parts):
-        if p is None:
+@lru_cache(maxsize=64)
+def _taylor_table(factors: tuple, offset: Fraction, K: int) -> tuple:
+    """Rows (P(e), P'(e), ..., P^(n)(e)) at e = offset + k for k < K,
+    where P(x) = prod_c (x + c) over the n factors."""
+    table = []
+    for k in range(K):
+        t = _linear_product([offset + k + c for c in factors], len(factors))  # P(e + x)
+        table.append(tuple(factorial(i) * x for i, x in enumerate(t)))
+    return tuple(table)
+
+
+def _apply_shifted_chain(factors, f: LogSeries) -> LogSeries:
+    """prod (D + c) applied to f, exactly, in one step.
+
+    With P(x) = prod (x + c), D acts on z^e log^j z as e plus the lowering
+    map log^j -> j log^(j-1), so
+
+        P(D) z^e log^j z = sum_i C(j, i) P^(i)(e) z^e log^(j-i) z.
+
+    P's Taylor table is computed once per exponent.  Output part m gathers
+    the input parts m .. m + deg P on the window PowSeries addition gives
+    them: from the lowest offset up to the lowest bound.  A lone part keeps
+    its own window, even an empty one.
+    """
+    factors = tuple(Fraction(c) for c in factors)
+    n = len(factors)
+    out = []
+    for m in range(len(f.parts)):
+        src = [(m + i, p) for i, p in enumerate(f.parts[m:m + n + 1]) if p is not None]
+        if not src:
+            out.append(None)
             continue
-        scaled = PowSeries(p.offset, [(p.offset + k) * c for k, c in enumerate(p.coeffs)])
-        out[j] = scaled if out[j] is None else out[j] + scaled
-        if j >= 1:
-            down = p.scale(j)
-            out[j - 1] = down if out[j - 1] is None else out[j - 1] + down
+        lo = min(p.offset for _, p in src)
+        if any((p.offset - lo).denominator != 1 for _, p in src):
+            raise OffsetMismatch("log-parts on exponent lattices differing by a non-integer")
+        width = int(min(p.bound for _, p in src) - lo)
+        if width <= 0 and len(src) > 1:
+            raise SeriesError("truncation windows do not overlap")
+        acc = [None] * width
+        for j, p in src:
+            i = j - m
+            b = comb(j, i)
+            base = int(p.offset - lo)
+            table = _taylor_table(factors, p.offset, p.K)
+            for k, c in enumerate(p.coeffs[:max(0, width - base)]):
+                w = table[k][i]
+                if not w or _czero(c):
+                    continue
+                term = c * (w if b == 1 else b * w)
+                prev = acc[base + k]
+                acc[base + k] = term if prev is None else prev + term
+        out.append(PowSeries(lo, [0 if x is None else x for x in acc]))
     return LogSeries(out)
+
+
+def theta(a: LogSeries) -> LogSeries:
+    """D = z d/dz, the chain of the one factor D + 0:
+    D(z^e log^j z) = e z^e log^j z + j z^e log^(j-1) z."""
+    return _apply_shifted_chain((0,), a)
 
 
 def anti_dlog(a: LogSeries, constant=0) -> LogSeries:
@@ -549,6 +600,14 @@ def sp_mul(a: list, b: list, order: int) -> list:
                 continue
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def _linear_product(roots: list, order: int) -> list:
+    """Coefficients of prod_c (c + u) in u, through u^order."""
+    out = [1]
+    for c in roots:
+        out = [c * out[0]] + [c * out[i] + out[i - 1] for i in range(1, len(out))] + [out[-1]]
+    return (out + [0] * order)[:order + 1]
 
 
 def sp_inv(a: list, order: int) -> list:

@@ -88,6 +88,19 @@ def test_lfun_gapped_euler_table_exit2(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("lines", [
+    [{"p": 2, "factor": [1]}, {"p": 3, "factor": [1]}, {"p": p, "factor": [1, 1]}]
+    for p in (4, 1, 0, -3)] + [[{"p": 1, "factor": [1, 1]}]])
+def test_lfun_factor_at_a_non_prime_exit2(tmp_path, lines):
+    """A factor at p = 4, 1, 0 or -3 is refused as a bad spec file, beside
+    factors at 2 and 3 or alone, not read as too short an Euler table."""
+    spec = _spec(tmp_path, lines)
+    code, out, err = _run_in_process(["--cache", str(tmp_path / "cache"), "--digits", "6",
+                                      "lfun", str(spec), "--s", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad spec file: Euler factors at non-primes [{lines[-1]['p']}]\n"
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(spec=lfun_specs())

@@ -1,6 +1,7 @@
 """Exact construction without repeated work: the one-step operator action
-against the theta chain it replaced, Frobenius rows against the direct
-Pochhammer product, work counts, recorded CLI output and appB's probe points."""
+against the theta chain it replaced, theta, now its one-factor case, against
+theta's former loop, Frobenius rows against the direct Pochhammer product,
+work counts, recorded CLI output and appB's probe points."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperreg import cli, hypergeom, ode
@@ -61,11 +62,12 @@ def _theta_chain(factors, f: LogSeries) -> LogSeries:
 
 
 def _outcome(fn, *args):
-    """The result, or SeriesError when the parts' exponent lattices differ."""
+    """The result, or the type of the SeriesError raised: OffsetMismatch when
+    the parts' exponent lattices differ."""
     try:
         return fn(*args)
-    except SeriesError:
-        return SeriesError
+    except SeriesError as exc:
+        return type(exc)
 
 
 def _shape(ls: LogSeries) -> list:
@@ -79,7 +81,7 @@ _exact = st.builds(
 
 
 @st.composite
-def _log_series(draw):
+def _log_series(draw, min_size=1):
     coeff = draw(st.sampled_from(("fraction", "exact")))
     values = _small if coeff == "fraction" else _exact
     values = st.one_of(st.just(0), values)            # explicit zero coefficients
@@ -92,7 +94,7 @@ def _log_series(draw):
         offset = base + draw(st.integers(-1, 2))
         if draw(st.integers(0, 9)) == 0:
             offset += F(1, 7)                          # a lattice no add can match
-        parts.append(PowSeries(offset, draw(st.lists(values, min_size=1, max_size=6))))
+        parts.append(PowSeries(offset, draw(st.lists(values, min_size=min_size, max_size=6))))
     if parts[-1] is None:
         parts[-1] = PowSeries(base, [F(1)])
     return LogSeries(parts)
@@ -105,11 +107,48 @@ def test_one_step_action_matches_theta_chain(f, factors):
     as every series the program builds does."""
     got = _outcome(ode._apply_shifted_chain, factors, f)
     want = _outcome(_theta_chain, factors, f)
-    if want is SeriesError:
-        assert got is SeriesError
+    if isinstance(want, type):
+        assert isinstance(got, type)
         return
     assert _shape(got) == _shape(want)
     assert got == want
+
+
+def _theta_loop(a: LogSeries) -> LogSeries:
+    """theta by its own loop (the replaced path): each part times its
+    exponents, plus j times part j moved down to log power j - 1."""
+    out: list = [None] * len(a.parts)
+    for j, p in enumerate(a.parts):
+        if p is None:
+            continue
+        scaled = PowSeries(p.offset, [(p.offset + k) * c for k, c in enumerate(p.coeffs)])
+        out[j] = scaled if out[j] is None else out[j] + scaled
+        if j >= 1:
+            down = p.scale(j)
+            out[j - 1] = down if out[j - 1] is None else out[j - 1] + down
+    return LogSeries(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_series(min_size=0))
+@example(LogSeries([PowSeries(F(1, 2), [])]))                         # a lone empty part
+@example(LogSeries([None, None, PowSeries(F(-1, 3), [])]))
+@example(LogSeries([PowSeries(0, [0, F(1), 0]), PowSeries(-1, [0, 0, F(3)])]))  # zeros
+@example(LogSeries([PowSeries(0, [F(1)]), PowSeries(F(1, 7), [F(2)])]))     # two lattices
+@example(LogSeries([PowSeries(0, []), PowSeries(0, [F(1)])]))     # windows that miss
+def test_theta_matches_the_replaced_loop(f):
+    """Same parts, windows and values, and the same error where the loop raised."""
+    got, want = _outcome(theta, f), _outcome(_theta_loop, f)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert _shape(got) == _shape(want)
+    assert got == want
+
+
+def test_theta_of_a_lone_empty_part_is_an_empty_part():
+    assert _shape(theta(LogSeries([PowSeries(F(1, 2), [])]))) == [(F(1, 2), 0)]
+    assert _shape(theta(LogSeries([None, PowSeries(F(2), [])]))) == [(F(2), 0), (F(2), 0)]
 
 
 def test_operator_on_symbolic_E_matches_theta_chain():

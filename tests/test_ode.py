@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperreg import ode
 from hyperreg.hypergeom import parse_hg, W_r
 from hyperreg.ode import (apply_operator, hg_operator, residual_frobenius,
                           residual_inhomogeneous)
-from hyperreg.series import LogSeries, PowSeries
+from hyperreg.series import LogSeries, PowSeries, _linear_product, _taylor_table, sp_mul
 
 F = Fraction
 K4 = parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
@@ -102,3 +108,49 @@ def test_uniqueness_probe():
     assert e0.scale(c).part(0).coeffs[0] == c
     # and W_r itself vanishes at 0 (positive leading exponent)
     assert w.part(0).offset > 0
+
+
+# --- prod (x + c) against the loops it replaced -------------------------------
+
+VERIFY_ODE_DATA = TABLE + ("1/5,2/5,3/5,4/5;1/6,5/6,1,1",)    # the `verify ode` list
+
+
+def _s_poly_by_sp_mul(roots, order):
+    """prod (s + c) by one sp_mul per factor (the former _s_poly_b_shift)."""
+    out = [F(1)] + [F(0)] * order
+    for c in roots:
+        out = sp_mul(out, [c, F(1)], order)
+    return out
+
+
+def _taylor_row_loop(factors, e):
+    """(P(e), P'(e), ..., P^(n)(e)) for P(x) = prod (x + c), by the former
+    loop of the Taylor table."""
+    t = [F(1)]
+    for c in factors:
+        a = e + c
+        t = [a * t[0]] + [a * t[i] + t[i - 1] for i in range(1, len(t))] + [t[-1]]
+    for i in range(2, len(t)):
+        t[i] = factorial(i) * t[i]
+    return tuple(t)
+
+
+@pytest.mark.parametrize("text", VERIFY_ODE_DATA)
+def test_linear_product_matches_the_replaced_loops(text):
+    h = parse_hg(text)
+    for order in range(6):
+        want = _s_poly_by_sp_mul([bj - 1 for bj in h.b], order)
+        assert ode._s_poly_b_shift(h, order) == want
+    for factors in ([bj - 1 for bj in h.b], list(h.a)):
+        for offset in (F(0), F(1, 5), F(-1, 3), F(1)):
+            want = tuple(_taylor_row_loop(factors, offset + k) for k in range(6))
+            assert _taylor_table(tuple(factors), offset, 6) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=6),
+       st.integers(0, 8), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+def test_linear_product_on_random_roots(roots, order, e):
+    assert _linear_product(roots, order) == _s_poly_by_sp_mul(roots, order)
+    got = _linear_product([e + c for c in roots], len(roots))
+    assert tuple(factorial(i) * x for i, x in enumerate(got)) == _taylor_row_loop(roots, e)

@@ -83,6 +83,23 @@ def test_cy0_intro_anchor(pol):
     assert abs(val + ctx.log((1 + ctx.sqrt(5)) / 2) / 2) < pol.tol
 
 
+def _trial_division_squarefree(n: int) -> bool:
+    """The replaced test: no d^2 with 2 <= d <= sqrt(n) divides n >= 1."""
+    if n < 1:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_squarefree_matches_trial_division():
+    assert [n for n in range(-3, 5001) if is_squarefree(n)] \
+        == [n for n in range(-3, 5001) if _trial_division_squarefree(n)]
+
+
 def test_selected_cases():
     sel = selected_cy0_cases(50)
     assert sel and all(is_squarefree(n * (n - 4)) for n in sel)
