@@ -20,8 +20,9 @@ CLI path through the Mellin-Barnes contour), `verify identities` at --digits
 KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
 both sides share their kernel values), the ZETA_RUNS (zeta at orders 1 and
-2, the one spec whose Lambda has poles), one Gamma_C order-2 `lfun` run on the
-quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, the
+2, the one spec whose Lambda has poles), the Gamma_C order-2 `lfun` runs on the
+quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, at
+--digits QUINTIC_DIGITS (6, and 20 for a Gamma_C^2 kernel at 20 digits), the
 PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0`, the appB data, and two `--point` sums of K
 terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
@@ -61,8 +62,9 @@ KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2"
 CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
-# the quintic L''(0) at 6 digits: both Gamma_C kernel paths and order 2
+# the quintic L''(0) at 6 and 20 digits: both Gamma_C kernel paths and order 2
 QUINTIC_P = 3000
+QUINTIC_DIGITS = ("6", "20")
 # exit 3 with one error line: a point outside the disk of convergence, two
 # truncations whose certified tail exceeds 10^-30, two series cap hits, the
 # fixed truncations of k4 and k2 past the cap, and cy0's residue sum past the
@@ -269,8 +271,9 @@ def main(argv=None) -> int:
         zeta = str(zeta_spec(Path(tmp)))
         argvs += [["--digits", "8", "lfun", zeta, "--s", s, "--order", str(order)]
                   for s, order in ZETA_RUNS]
-        argvs.append(["--digits", "6", "lfun", str(quintic_spec(roots[0], Path(tmp))),
-                      "--s", "0", "--order", "2"])
+        quintic = str(quintic_spec(roots[0], Path(tmp)))
+        argvs += [["--digits", digits, "lfun", quintic, "--s", "0", "--order", "2"]
+                  for digits in QUINTIC_DIGITS]
         argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
         argvs += fixture_usage_argvs(Path(tmp))
         # the second run of an lfun line finds its kernels in the store

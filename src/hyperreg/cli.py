@@ -64,7 +64,7 @@ def _load_config(path):
                     raise CliError(f"unknown config key {k!r}; "
                                    f"allowed: {', '.join(CONFIG_KEYS)}")
                 out[k] = v
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}")
     return out
 

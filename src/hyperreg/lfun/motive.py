@@ -18,14 +18,15 @@ One raw evaluator, _gamma_raw, forms gamma on libmp tuples with the bits of
 the per-kind mpc expressions, at every node s + u and at motive_L's real s;
 the logs of pi and 2 pi are formed once per kernel, and x, the power and
 Gamma once per node and distinct (kind, shift) factor, so Gamma_C(s)^2 costs
-one Gamma per node.  Evaluation is one pass over the nodes that forms each
-power of the rotation once and feeds it to every I_j, accumulating only the
-real part of each trapezoid sum, the one the kernel uses, on signed integer
-mantissas; each sum is rounded once by _sum to the bits mpf_add gives, so
-the values have the bits of the same loop on mpc objects (see
-_Kernel.__call__).  A point the request cannot be served at (a pole of
-Lambda, or the wrong order at a trivial zero) raises PointError before any
-table or kernel is built.
+one Gamma per node.  Evaluation sums in absolute fixed point, _GUARD_BITS
+past the working precision, as mpnum.ratio_sum does: the nodes become
+integers once per kernel and precision, each power of the rotation is one
+truncated integer product shared by every I_j, and the real part of each
+trapezoid sum, the one the kernel uses, is accumulated exactly and rounded
+once (see _Kernel.__call__); _Kernel.rounding bounds each value, and a bound
+past 10^-digits on Lambda is a MotiveError.  A point the request cannot be
+served at (a pole of Lambda, or the wrong order at a trivial zero) raises
+PointError before any table or kernel is built.
 
 Each side of the functional equation is one pass over n that accumulates
 every R_j = sum_n a_n n^(-s) N^(s/2) I_(j+1)(y_n), each with its own stopping
@@ -71,12 +72,13 @@ import threading
 import types
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp, mpc_gamma,
-                          mpc_log, mpc_mul, mpc_neg, mpc_pow, mpc_shift, mpf_add, mpf_lt,
-                          mpf_mul_int, mpf_neg, round_nearest)
+                          mpc_log, mpc_mul, mpc_neg, mpc_pow, mpc_shift, mpf_cos_sin, mpf_log,
+                          mpf_lt, mpf_mul, mpf_mul_int, round_nearest, to_fixed)
 
-from ..mpnum import PrecisionPolicy, digamma
+from ..mpnum import _GUARD_BITS, PrecisionPolicy, digamma
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
 
 __all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
@@ -271,44 +273,6 @@ _KERNEL_CACHE_SIZE = 32
 _KERNEL_VALUES_SIZE = 1024
 
 
-_ANY_GAP = 1 << 62     # _sum's far for operands of at most prec + 1 bits
-
-
-def _sum(m1, e1, m2, e2, prec, far):
-    """m1 2^e1 + m2 2^e2 rounded once to prec bits, to nearest with ties to
-    even, as (signed mantissa of prec or prec + 1 bits, exponent) or (0, 0):
-    mpf_add's value, by a floor shift whose remainder is compared with half.
-    mpf_add rounds inexactly only for an operand over prec + 4 bits below the
-    other's lead and 100 below its last, and a larger one of over prec + 5
-    significant bits; products of two prec- or (prec + 1)-bit values lie so
-    far apart only if their exponents differ by more than far = prec + 1,
-    and go to mpf_add.  Operands of at most prec + 1 bits take _ANY_GAP.
-    """
-    d = e1 - e2
-    if d >= 0:
-        man, exp = (m1 << d) + m2, e2
-    else:
-        man, exp, d = m1 + (m2 << -d), e1, -d
-    if d > far:
-        x, y = from_man_exp(m1, e1), from_man_exp(m2, e2)
-        return _widen(mpf_add(x, y, prec, round_nearest), prec)
-    n = man.bit_length() - prec
-    if n > 0:
-        q = man >> n
-        rem, half = man - (q << n), 1 << (n - 1)
-        if rem > half or rem == half and q & 1:
-            q += 1
-        return q, exp + n
-    return (man << -n, exp + n) if man else (0, 0)
-
-
-def _widen(raw, prec):
-    """A finite raw mpf as _sum's (signed mantissa widened to prec bits, exponent)."""
-    sign, man, exp, bc = raw
-    shift = max(prec - bc, 0) if man else 0
-    return (-man if sign else man) << shift, exp - shift
-
-
 class _Kernel:
     """I_j(s, y) = (1/2 pi i) int gamma(s+u) y^-u u^-j du, j = 1, 2, 3.
 
@@ -358,58 +322,78 @@ class _Kernel:
             k += 1
 
     def _signed(self, prec, order):
-        """The nodes of I_1..I_(order+1), each as (re, exp, -im, exp) for _sum,
-        widened to prec bits (the context's, which rounded it).  I_1's are the
-        built nodes and I_(j+1)'s are I_j's divided by u = c + i h k; a list is
-        formed when a call first needs it, once per kernel and precision."""
-        held, raws, signed = getattr(self, "_signed_nodes", (None, None, None))
+        """(F, [(re, im, S0, S1) of I_1..I_(order+1)]): the parts of the nodes
+        truncated to integers in units of 2^-F, which puts the top bit of I_1's
+        at 2^wp, wp = prec + _GUARD_BITS, and the sums over k of w_k =
+        |re_k| + |im_k| + 2 and of k w_k, for rounding().  I_1's nodes are the
+        built ones and I_(j+1)'s are I_j's divided by u = c + i h k at prec.
+        A list is formed when a call first needs it, once per kernel and
+        precision."""
+        held, raws, (f, fixed) = getattr(self, "_signed_nodes", (None, None, (None, None)))
         if held != prec:
-            raws, signed = [self._raw], []
-        if len(signed) <= order:
+            top = max(r[i + 2] + r[i + 3] for r in self._raw for i in (0, 4) if r[i + 1])
+            raws, f, fixed = [self._raw], prec + _GUARD_BITS - top, []
+        if len(fixed) <= order:
             c, h = self.c._mpf_, self.h._mpf_
             while len(raws) <= order:
-                divided = []
-                for k, r in enumerate(raws[-1]):
-                    u = (c, mpf_mul_int(h, k, prec, round_nearest))
-                    q = mpc_div((r[:4], r[4:]), u, prec, round_nearest)
-                    divided.append(q[0] + q[1])
-                raws = raws + [divided]
-            signed = signed + [[_widen(r[:4], prec) + _widen(mpf_neg(r[4:]), prec) for r in raw]
-                               for raw in raws[len(signed):order + 1]]
-            self._signed_nodes = prec, raws, signed
-        return signed
+                divided = (mpc_div((r[:4], r[4:]), (c, mpf_mul_int(h, k, prec, round_nearest)),
+                                   prec, round_nearest) for k, r in enumerate(raws[-1]))
+                raws = raws + [[q[0] + q[1] for q in divided]]
+            for j in range(len(fixed), order + 1):
+                re, im = ([to_fixed(r[i:i + 4], f) for r in raws[j]] for i in (0, 4))
+                # w_k 2^-F bounds |g_k|
+                weights = [abs(a) + abs(b) + 2 for a, b in zip(re, im)]
+                fixed = fixed + [(re, im, sum(weights),
+                                  sum(k * w for k, w in enumerate(weights)))]
+            self._signed_nodes = prec, raws, (f, fixed)
+        return f, fixed
 
     def __call__(self, y, order):
-        """[I_1(s, y), ..., I_(order+1)(s, y)], order <= 2.
-
-        Each is the real part of the sum of node * rot^k, which the full-line
-        trapezoid uses, with the bits of `r = r * rot; acc += g * r` on mpc
-        objects, which rounds each part of a product and each addition once:
-        here _sum does, on signed integer mantissas, in one pass over k.
-        mpmath contexts round to nearest, the mode _sum serves.
+        """[I_1(s, y), ..., I_(order+1)(s, y)], order <= 2: y^-c h/pi times the
+        real part of sum_k g_k w^k, w = e^(-i h log y), half weight on k = 0,
+        the full-line trapezoid by conjugate symmetry f(-t) = conj(f(t)).  w^k,
+        in units of 2^-wp, is one truncated complex product per k, shared by
+        every order; each order's sum of re_k Re w^k - im_k Im w^k is one exact
+        integer, rounded once with y^-c h/pi.  rounding() bounds the error.
         """
         ctx = self.ctx
         prec, rnd = ctx._prec_rounding
         if rnd != round_nearest:
             raise MotiveError(f"kernel sums round to nearest, not {rnd!r}")
-        lists = self._signed(prec, order)[:order + 1]
-        re, im = ctx.expj(-self.h * ctx.log(y))._mpc_
-        # r_1 = rot, and each sum starts at half its first node
-        a, ea, b, eb = c, ec, s, es = _widen(re, prec) + _widen(im, prec)
-        acc = [(g[0][0], g[0][1] - 1) for g in lists]
-        far = prec + 1
-        for k in range(1, len(self._raw)):
-            for j, nodes in enumerate(lists):
-                g_re, e_re, g_im, e_im = nodes[k]
-                t, et = _sum(g_re * a, e_re + ea, g_im * b, e_im + eb, prec, far)
-                m, e = acc[j]
-                acc[j] = _sum(m, e, t, et, prec, _ANY_GAP)
-            a, ea, b, eb = _sum(a * c, ea + ec, -b * s, eb + es, prec, far) + \
-                _sum(a * s, ea + es, b * c, eb + ec, prec, far)
-        scale = ctx.power(y, -self.c)
-        # full-line trapezoid via conjugate symmetry: f(-t) = conj(f(t))
-        return [scale * (2 * ctx.make_mpf(from_man_exp(*total)) * self.h / (2 * ctx.pi))
-                for total in acc]
+        f, lists = self._signed(prec, order)
+        wp = prec + _GUARD_BITS
+        cos, sin = mpf_cos_sin(mpf_mul(self.h._mpf_, mpf_log(y._mpf_, wp + 20), wp + 20), wp + 20)
+        c, s = to_fixed(cos, wp), -to_fixed(sin, wp)
+        # w^k, the k = 0 node at half weight
+        re_w, im_w = [1 << (wp - 1)], [0]
+        a, b = c, s
+        for _ in range(len(self._raw) - 1):
+            re_w.append(a)
+            im_w.append(b)
+            a, b = (a * c - b * s) >> wp, (a * s + b * c) >> wp
+        scale = (ctx.power(y, -self.c) * self.h / ctx.pi)._mpf_
+        sums = (sum(map(mul, re, re_w)) - sum(map(mul, im, im_w))
+                for re, im, *_ in lists[:order + 1])
+        return [ctx.make_mpf(mpf_mul(from_man_exp(t, -f - wp), scale, prec, rnd)) for t in sums]
+
+    def rounding(self, order):
+        """[R_1, ..., R_(order+1)]: a call's I_j(y) is within y^-c R_j of the
+        same trapezoid in exact arithmetic, for |h log y| < 10^5.  R_j is h/pi
+        times the sum over the nodes, |g_k| <= w_k 2^-F (see _signed), of
+        - 4k |g_k| 2^-wp: w is within 2 units of 2^-wp (formed at wp + 20
+          bits, truncated), and each step of w^k truncates within 2 more;
+        - 2^(1-F): each part of the node truncated within 2^-F;
+        - 4(j + 1) |g_k| 2^(1-prec): an allowance of 4j ulps for the node's
+          build (mpmath's Gamma carries no certified error, and each division
+          by u rounds once more) and 4 for y^-c h/pi and the final rounding,
+          as |I_j| <= y^-c (h/pi) sum_k |g_k|.
+        """
+        ctx = self.ctx
+        prec = ctx.prec
+        f, lists = self._signed(prec, order)
+        return [(ctx.ldexp(4 * s1, -prec - _GUARD_BITS) + ctx.ldexp((j + 2) * s0, 3 - prec)
+                 + 2 * len(self._raw)) * ctx.ldexp(self.h, -f) / ctx.pi
+                for j, (_, _, s0, s1) in enumerate(lists[:order + 1])]
 
     def values(self, y, order):
         """[I_1(s, y), ..., I_(order+1)(s, y)] at an mpf y: a copy of the
@@ -575,13 +559,16 @@ def _write_entry(path, key, k):
 # ---------------------------------------------------------------------------
 
 def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None):
-    """[sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order], one side.
+    """[sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order]
+    on one side, and a bound on the kernel's rounding in each.
 
     mirror = False: sigma = s0, argument y_n = n/(A sqrt(N));
     mirror = True:  sigma = w+1-s0, y_n = n A / sqrt(N).
     a holds the Dirichlet coefficients a_1..a_P of the Euler table.  One pass
     over n serves every j; a sum that meets its stopping rule stops
-    accumulating while the others go on.  store is _kernel's.
+    accumulating while the others go on.  Bound j is R_j (_Kernel.rounding)
+    times sum_n |a_n n^(-sigma) N^(sigma/2)| y_n^-c over the n evaluated, in
+    binary64.  store is _kernel's.
     """
     ctx = pol.ctx
     w = spec.weight
@@ -595,6 +582,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     M_cap = spec.euler.p_max
     N_half_sigma = ctx.power(ctx.mpf(spec.conductor), sigma / 2)
     totals = [ctx.mpf(0)] * (order + 1)
+    weight, minus_c = 0.0, -float(c)
     quiet = [0] * (order + 1)
     live = list(range(order + 1))          # the sums still accumulating
     for n in range(1, M_cap + 1):
@@ -611,6 +599,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
                 break
             continue
         base = an * ctx.power(n, -sigma) * N_half_sigma
+        weight += abs(float(base)) * float(yn) ** minus_c
         kv = ker.values(yn, live[-1])
         for j in list(live):
             term = base * kv[j]
@@ -629,7 +618,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
             f"Euler coverage P_max={spec.euler.p_max} insufficient "
             f"(series still contributing at n={M_cap}); need roughly {needed}",
             required=needed)
-    return totals
+    return totals, [ctx.mpf(weight) * r for r in ker.rounding(order)]
 
 
 def _pole_correction(spec, ctx, s_val, j, A):
@@ -673,24 +662,29 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     if a is None:
         a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right = _sum_side(spec, s_val, pol, order, A, False, a, store)
-    left = _sum_side(spec, s_val, pol, order, A, True, a, store)
+    right, right_bound = _sum_side(spec, s_val, pol, order, A, False, a, store)
+    left, left_bound = _sum_side(spec, s_val, pol, order, A, True, a, store)
     sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
         else ctx.mpf(spec.sign)
+
+    def taylor(c, x):
+        """[d! sum_k x^k/k! c[d-k] for d = 0..order]"""
+        return [ctx.factorial(d) * sum(x ** k / ctx.factorial(k) * c[d - k] for k in range(d + 1))
+                for d in range(order + 1)]
+
+    # the kernel's rounding reaches Lambda^(d) through the same combination
+    bound = max(taylor([r + abs(sign) * m for r, m in zip(right_bound, left_bound)],
+                       abs(ctx.log(A))))
+    if bound > pol.tol:
+        raise MotiveError(f"AFE kernel rounding bound {ctx.nstr(bound, 3)} exceeds "
+                          f"10^-{pol.target_digits}")
     # Lambda(s+eps) = A^(-eps) sum_j eps^j coeffs[j]; A^(-eps) has the
-    # coefficients (-log A)^k / k!, and at d = 0 every factor below is an
-    # exact 1, so Lambda(s0) keeps the bits of coeffs[0]
+    # coefficients (-log A)^k / k!, and at d = 0 every factor is an exact 1,
+    # so Lambda(s0) keeps the bits of coeffs[0]
     coeffs = [right[j] + (-1) ** j * sign * left[j] - _pole_correction(spec, ctx, s_val, j, A)
               for j in range(order + 1)]
-    lnA = ctx.log(A)
-    out = []
-    for d in range(order + 1):
-        val = ctx.factorial(d) * sum((-lnA) ** k / ctx.factorial(k) * coeffs[d - k]
-                                     for k in range(d + 1))
-        if hasattr(val, "imag") and abs(val.imag) < ctx.mpf(10) ** (-pol.target_digits):
-            val = val.real
-        out.append(val)
-    return out
+    return [val.real if hasattr(val, "imag") and abs(val.imag) < pol.tol else val
+            for val in taylor(coeffs, -ctx.log(A))]
 
 
 def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolicy,
@@ -700,8 +694,9 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     At trivial zeros forced by gamma poles of order m, only
     derivative_order == m is meaningful and the value is
     m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
-    The self-test compares Lambda(s0) at the cutoffs 1.31 and 1; the
-    cutoff-1 value is the main path's own when no cutoff_A is given.  All
+    The self-test compares Lambda^(k)(s0), k <= d, at the cutoffs 1.31 and
+    1; err is the order-0 residual.  The cutoff-1 values are the main path's
+    own when no cutoff_A is given.  All
     paths share one Dirichlet table and the kernel store `store`, a
     directory, which None, the default, leaves unread and unwritten.
     """
@@ -717,12 +712,14 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
-    lamA = lambda_derivs(spec, s0, 0, pol, ctx.mpf("1.31"), a, store=store)[0]
-    lam1 = lams[0] if cutoff_A is None else lambda_derivs(spec, s0, 0, pol, a=a, store=store)[0]
-    err = abs(lamA - lam1)
-    if err > ctx.mpf(10) ** (-pol.target_digits):
-        raise MotiveError(
-            f"functional-equation self-test residual {ctx.nstr(err, 4)} too large")
+    lamA = lambda_derivs(spec, s0, order, pol, ctx.mpf("1.31"), a, store=store)
+    lam1 = lams if cutoff_A is None else lambda_derivs(spec, s0, order, pol, a=a, store=store)
+    for d in range(order + 1):
+        residual = abs(lamA[d] - lam1[d])
+        if residual > pol.tol:
+            raise MotiveError(f"functional-equation self-test residual {ctx.nstr(residual, 4)} "
+                              f"too large at order {d}")
+    err = abs(lamA[0] - lam1[0])
     if m > 0:
         g = _gamma_pole_limit(spec, ctx, s0f)
         s0v = ctx.mpf(s0f.numerator) / s0f.denominator

@@ -35,7 +35,8 @@ from .hgdata import term_step
 _CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
 
 
-_GUARD_BITS = 32        # bits of ratio_sum's running term beyond the working precision
+_GUARD_BITS = 32        # bits beyond the working precision of the fixed-point sums:
+                        # ratio_sum's running term and the AFE kernel's trapezoid
 
 
 class MPNumError(ValueError):

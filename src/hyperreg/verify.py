@@ -79,11 +79,12 @@ def suite_continuation(pol: PrecisionPolicy) -> list:
                            f"residual {ctx.nstr(dev, 3)} mod (2 pi i)^3 Q ({q})"))
     out.append(_result("theta_ladder", theta_ladder_residual(24) == 0, "exact"))
     from .regulators.hadamard import hadamard_regulator
+    from .regulators.reporting import CaseError
     try:
         hadamard_regulator("k4", 20)
         hadamard_regulator("k2_R0", 12)
         out.append(_result("hadamard_engines", True, "closed forms reproduced"))
-    except Exception as exc:         # noqa: BLE001 - report, don't crash
+    except CaseError as exc:         # an engine's documented refusal is a failing row
         out.append(_result("hadamard_engines", False, str(exc)))
     return out
 

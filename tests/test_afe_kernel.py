@@ -1,10 +1,11 @@
-"""The AFE kernel on raw tuples: its one-rounding sum and its node construction.
+"""The AFE kernel on raw tuples: its fixed-point sum and its node construction.
 
-`_sum` is checked bit for bit against mpmath's mpf_add and mpf_sub at
-round_nearest, on both sides of its hand-off to mpf_add.  The nodes, and
-`_gamma_raw` that builds them, are checked `==` against the per-node loop
-over `_gamma_value`, the mpc expressions of each kind of factor, and the
-I_2 and I_3 nodes `==` against that list divided by u on mpc objects.  The
+Each node list is turned to fixed point once per kernel and precision; the
+sums' accuracy, within their counted rounding bound, is checked in
+test_motive_afe.py.  The nodes, and `_gamma_raw` that builds them, are
+checked `==` against the per-node loop over `_gamma_value`, the mpc
+expressions of each kind of factor, and the I_2 and I_3 nodes `==` against
+that list divided by u on mpc objects.  The
 digamma-weighted nodes of `_reference_raw` (`_gamma_logderiv`), which
 differentiate under the integral, are the accuracy reference for the
 s-derivatives of F that the kernel's I_j give by parts.
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import fone, from_man_exp, fzero, mpf_add, mpf_sub, round_floor, round_nearest
+from mpmath.libmp import round_floor
 
 from hyperreg.lfun import motive
 from hyperreg.lfun.motive import LFunctionSpec, MotiveError
@@ -26,121 +27,7 @@ from hyperreg.mpnum import PrecisionPolicy
 F = Fraction
 
 
-# --- the rounding of the kernel sums ---------------------------------------------
-
-def _value(sign, man, exp):
-    """_sum's (signed mantissa, exponent) of a value of at most prec bits,
-    widened as the kernel widens its nodes and rotation."""
-    return motive._widen((sign, man, exp, man.bit_length()) if man else fzero, 0)
-
-
-@st.composite
-def _factor(draw, prec):
-    """A rounded value as the kernel holds one: an odd mantissa of up to prec
-    bits widened to prec, a carry to a power of two (prec + 1 bits), or zero."""
-    kind = draw(st.integers(0, 19))
-    exp = draw(st.integers(-300, 300))
-    if kind == 0:
-        return 0, 0
-    if kind == 1:
-        return (-1) ** draw(st.integers(0, 1)) << prec, exp
-    bits = draw(st.integers(1, prec))
-    man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
-    return motive._widen((draw(st.integers(0, 1)), man, exp, bits), prec)
-
-
-@st.composite
-def _operands(draw, prec):
-    """Two operands of _sum with the far bound the kernel passes for them: two
-    products of rounded values (odd mantissas of up to 2 prec bits), far =
-    prec + 1, or two rounded values, far = _ANY_GAP; the second at an exponent
-    offset of up to 400 bits, the exact negation of the first (the sum
-    cancels), or one bit `drop` places below the first's last place of prec
-    bits (drop = 1 puts the exact sum on a tie)."""
-    products = draw(st.booleans())
-    far = prec + 1 if products else motive._ANY_GAP
-    one = motive._widen(fone, prec)
-
-    def operand():
-        (m1, e1), (m2, e2) = draw(_factor(prec)), draw(_factor(prec)) if products else one
-        return m1 * m2, e1 + e2
-
-    m1, e1 = operand()
-    kind = draw(st.sampled_from(["random", "cancel", "tie"]))
-    if kind == "cancel":
-        return (m1, e1), (-m1, e1), far
-    if kind == "tie":
-        bits = draw(st.integers(max(1, prec - 20), prec))
-        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
-        exp = draw(st.integers(-300, 300))
-        drop = draw(st.sampled_from([1, 1, 1, 2, 3, 60, 120]))
-        (m1, e1), (m2, e2) = (motive._widen((draw(st.integers(0, 1)), man, exp, bits), prec),
-                              _value(draw(st.integers(0, 1)), 1, exp + bits - prec - drop))
-        return (m1 * one[0], e1 + one[1]), (m2 * one[0], e2 + one[1]), far
-    m2, e2 = operand()
-    return (m1, e1), (m2, e1 + draw(st.integers(-400, 400)) if m2 else e2), far
-
-
-@st.composite
-def _case(draw):
-    prec = draw(st.integers(10, 300))
-    return (prec,) + draw(_operands(prec))
-
-
-def _as_mpf(value):
-    return from_man_exp(*value)
-
-
-@settings(max_examples=1500, deadline=None)
-@given(_case())
-def test_sum_matches_mpf_add_bit_for_bit(case):
-    """_sum is mpf_add at round_nearest, bit for bit, on the operands the
-    kernel gives it, at every exponent offset; its mantissa stays prec or
-    prec + 1 bits wide."""
-    prec, (m1, e1), (m2, e2), far = case
-    x, y = _as_mpf((m1, e1)), _as_mpf((m2, e2))
-    for total, expected in ((motive._sum(m1, e1, m2, e2, prec, far), mpf_add),
-                            (motive._sum(m1, e1, -m2, e2, prec, far), mpf_sub)):
-        assert _as_mpf(total) == expected(x, y, prec, round_nearest)
-        assert total == (0, 0) or abs(total[0]).bit_length() in (prec, prec + 1)
-
-
-# products of four 200-bit factors whose exact sum rounds to another value
-# than mpf_add's: the second lies 206 bits below the first, and mpf_add
-# rounds the first nudged by one unit in its place
-FAR_FACTORS = (1328900471813977952006156982734440419263294114624991380833169,
-               1383464709271363398548657431838961016598679971894673224120897,
-               1076462849601229472546594364562531592668518944921899074883793,
-               1329676814298799045148698172081730086349227379507374993113167)
-
-
-def test_far_products_take_mpf_adds_rounding():
-    """Past far, _sum hands the products to mpf_add, which is not the exact
-    rounding there: the bits of the mpc loop are mpf_add's."""
-    prec = 200
-    x, y, u, v = FAR_FACTORS
-    p, q, eq = x * y, u * v, -206
-    expected = mpf_add(_as_mpf((p, 0)), _as_mpf((q, eq)), prec, round_nearest)
-    assert _as_mpf(motive._sum(p, 0, q, eq, prec, prec + 1)) == expected
-    total = (p << -eq) + q                  # the exact sum in units of 2^eq
-    n = total.bit_length() - prec
-    exact = round(Fraction(total, 1 << n))  # to nearest, ties to even
-    assert from_man_exp(exact, n + eq) != expected
-
-
-@pytest.mark.parametrize("gap", ["-far-1", "-far", "far", "far+1"])
-def test_sum_at_the_far_edge(gap):
-    """Products far and far + 1 bits apart in exponent, on either side of the
-    hand-off to mpf_add."""
-    prec = 53
-    far = prec + 1
-    offset = {"-far-1": -far - 1, "-far": -far, "far": far, "far+1": far + 1}[gap]
-    for s1, s2 in ((0, 0), (0, 1), (1, 0)):
-        p = (-1) ** s1 * ((1 << 53) - 1) * ((1 << 53) - 3)
-        q = (-1) ** s2 * (1 << 52) * ((1 << 53) - 5)
-        assert _as_mpf(motive._sum(p, 0, q, -offset, prec, far)) == \
-            mpf_add(_as_mpf((p, 0)), _as_mpf((q, -offset)), prec, round_nearest)
-
+# --- the kernel sums ---------------------------------------------------------------
 
 def test_kernel_rounds_to_nearest_only(monkeypatch):
     """The rounding mode is checked once per call: another than nearest fails."""
@@ -166,12 +53,12 @@ def _counted(monkeypatch, name):
 
 
 def test_signed_nodes_derived_once_per_kernel(monkeypatch):
-    """Each node list is widened on the first call that needs it only; each
-    call widens just the two parts of its rotation."""
+    """Each node list is turned to fixed point on the first call that needs
+    it only; each call converts just the two parts of its rotation."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
     ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
-    calls = _counted(monkeypatch, "_widen")
+    calls = _counted(monkeypatch, "to_fixed")
     y = ctx.mpf("0.5")
     first = ker(y, 1)
     assert len(calls) == 2 * 2 * len(ker._raw) + 2
@@ -198,24 +85,6 @@ def test_order_zero_divides_no_node(monkeypatch):
     ker(y, 2)
     ker(y, 1)
     assert len(divisions) == 2 * len(ker._raw)
-
-
-def test_kernel_sums_take_their_far_bounds(monkeypatch):
-    """One call rounds 2 sums per rotation step and 2 per node past the
-    first of each of its node lists, all of one length: the products with
-    far = prec + 1, the accumulations with _ANY_GAP."""
-    pol = PrecisionPolicy(6)
-    ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(-1), ctx.mpf("2.75"), pol)
-    for order in (0, 1, 2):
-        calls = _counted(monkeypatch, "_sum")
-        ker(ctx.mpf("0.5"), order)
-        monkeypatch.undo()
-        fars = [args[-1] for args in calls]
-        steps = len(ker._raw) - 1
-        terms = (order + 1) * steps
-        assert fars.count(ctx.prec + 1) == 2 * steps + terms
-        assert fars.count(motive._ANY_GAP) == terms and len(fars) == 2 * steps + 2 * terms
 
 
 # --- the node construction -------------------------------------------------------
@@ -375,9 +244,10 @@ def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
     + 2 I_3, formed from the kernel's values on mpf objects, the s-derivatives
     of F by parts, are each within 10^-(working digits - 1) of the
     digamma-weighted reference at doubled precision, relative to
-    max(1, |F_d|).  The trapezoid sums round at the working precision: at
-    y = 0.05 the order-0 value, the reference's own construction, is off by
-    up to 2.2 10^-(working digits), and orders 1 and 2 by up to 4.1."""
+    max(1, |F_d|).  The nodes are rounded at the working precision, and
+    y^-c scales their rounding: at y = 0.05 the order-0 value, the
+    reference's own construction, is off by up to 0.89 10^-(working digits),
+    and orders 1 and 2 by up to 1.4 and 1.95."""
     pol, ref = PrecisionPolicy(digits), PrecisionPolicy(digits).doubled()
     ctx, rctx = pol.ctx, ref.ctx
     ker = motive._Kernel(*_grid_args(gamma, sigma, ctx), pol)

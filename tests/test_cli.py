@@ -354,6 +354,41 @@ def test_continuation_cap_hit_skips_contour(monkeypatch, capsys):
     assert calls == []
 
 
+def _continuation_with_engine(monkeypatch, engine):
+    """verify.suite_continuation at 30 digits with the Mellin-Barnes and
+    theta-ladder checks stubbed to pass and hadamard_regulator replaced."""
+    from hyperreg import verify
+    from hyperreg.mpnum import PrecisionPolicy
+    from hyperreg.regulators import hadamard, k2
+    monkeypatch.setattr(k2, "mb_compare", lambda z, pol: (pol.ctx.mpf(0), "1"))
+    monkeypatch.setattr(k2, "theta_ladder_residual", lambda K: 0)
+    monkeypatch.setattr(hadamard, "hadamard_regulator", engine)
+    return verify.suite_continuation(PrecisionPolicy(30))
+
+
+def test_hadamard_engine_refusal_is_a_failing_row(monkeypatch):
+    """A CaseError from an engine, the one error the engines document, is a
+    failing hadamard_engines row carrying its message."""
+    from hyperreg.regulators.reporting import CaseError
+
+    def refuses(which, K):
+        raise CaseError("k4 annulus assembly does not match the closed form")
+
+    rows = _continuation_with_engine(monkeypatch, refuses)
+    assert rows[-1] == {"check": "hadamard_engines", "status": "fail",
+                        "detail": "k4 annulus assembly does not match the closed form"}
+
+
+def test_hadamard_engine_defect_propagates(monkeypatch):
+    """Any other exception from an engine is a defect, not a verification
+    result: it propagates out of the suite."""
+    def broken(which, K):
+        raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError, match="unsupported operand"):
+        _continuation_with_engine(monkeypatch, broken)
+
+
 # a fresh interpreter runs cli.main(argv), then prints its loaded modules as the last line
 _PROBE = ("import json, sys\nfrom hyperreg import cli\ncli.main(json.loads(sys.argv[1]))\n"
           "print(json.dumps(sorted(sys.modules)))\n")

@@ -1,11 +1,14 @@
-"""`lfun` and `fetch` keep the CLI's exit contract whatever file they read.
+"""`lfun`, `fetch`, `period`, `hadamard` and `--config` files keep the CLI's
+exit contract whatever they read.
 
 Every run goes in process through `cli.main`: `lfun` on tiny degree-1 specs
 whose Euler tables are drawn at random (gaps below the largest prime, factors
 past the spec's degree, a wrong constant term, no factor at all), with the
-kernel store under a temporary `--cache`, and `fetch --offline` on random
-cached bodies.  Each run exits 0, 2, 3 or 4; a non-zero exit writes one
-`error:` line and no traceback, and exit 0 prints JSON.
+kernel store under a temporary `--cache`; `fetch --offline` on random
+cached bodies; `period` on random data, options and points; `hadamard` at
+small K; and `period` and `hadamard` under config files of random lines.
+Each run exits 0, 2, 3 or 4; a non-zero exit writes one `error:` line and
+no traceback, and exit 0 prints JSON.
 """
 
 from __future__ import annotations
@@ -179,3 +182,72 @@ def test_fetch_refused_fresh_body_exit3_and_not_cached(tmp_path, monkeypatch, bo
     monkeypatch.setattr(web, "_open_url", lambda url: body)
     assert _fetch(tmp_path) == (3, "", message)
     assert not (tmp_path / "lmfdb").exists()
+
+
+# --- period, hadamard and config files ----------------------------------------
+
+RATIONAL_TEXTS = st.one_of(
+    st.fractions(-3, 3, max_denominator=12).map(str),
+    st.sampled_from(("0", "1/0", "x", "", "1.5", "1e3", " 1/3", "-1/2", "10**3")))
+
+
+@st.composite
+def period_argvs(draw):
+    """`period` on random hypergeometric data (index lists of random length
+    and rationals, some outside (0, 1] or not rationals at all), a random
+    gamma vector or appB:pi0, with random -K, --var, --mode, --digits and
+    --point."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--digits", str(draw(st.integers(-1, 40)))]
+    if draw(st.booleans()):
+        argv += ["--mode", draw(st.sampled_from(("exact", "floating")))]
+    argv += ["period", "-K", str(draw(st.integers(-2, 30))),
+             "--var", draw(st.sampled_from(("z", "t")))]
+    if draw(st.booleans()):
+        argv += ["--point", draw(RATIONAL_TEXTS)]
+    kind = draw(st.sampled_from(("hg", "gamma", "appB")))
+    if kind == "gamma":
+        return argv + ["--gamma", "--", ",".join(map(str, draw(st.lists(st.integers(-6, 6),
+                                                                           max_size=6))))]
+    if kind == "appB":
+        return argv + ["appB:pi0"]
+    a, b = (draw(st.lists(RATIONAL_TEXTS, max_size=4)) for _ in range(2))
+    return argv + [",".join(a) + ";" + ",".join(b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=period_argvs())
+def test_period_on_random_data_keeps_the_exit_contract(argv):
+    _assert_contract(*_run_in_process(argv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(("k4", "k2_R0", "k3")), K=st.integers(-3, 6))
+def test_hadamard_at_small_K_keeps_the_exit_contract(which, K):
+    _assert_contract(*_run_in_process(["hadamard", which, "-K", str(K)]))
+
+
+CONFIG_LINES = st.one_of(
+    st.builds("{}={}".format,
+              st.sampled_from(("digits", "max_terms", "mode", "fixtures", "cache", "digitz", "")),
+              st.sampled_from(("5", "16", "-3", "0", "abc", "1e3", " 7 ", "", "floating",
+                               "exact", "bogus"))).map(str.encode),
+    st.sampled_from((b"# a comment", b"", b"no equals sign", b"\xef\xbb\xbfdigits=5")),
+    st.binary(max_size=8))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(CONFIG_LINES, max_size=5),
+       argv=st.sampled_from((["period", "1/2;1", "-K", "4"],
+                             ["period", "1/2;1", "-K", "4", "--point", "1/3"],
+                             ["hadamard", "k2_R0", "-K", "2"])),
+       before=st.booleans())
+def test_config_files_keep_the_exit_contract(tmp_path, lines, argv, before):
+    """A --config file of random lines, any bytes among them, given before
+    or after the subcommand."""
+    config = tmp_path / "hyperreg.cfg"
+    config.write_bytes(b"\n".join(lines) + b"\n")
+    flag = ["--config", str(config)]
+    _assert_contract(*_run_in_process(flag + argv if before else argv[:1] + flag + argv[1:]))

@@ -33,10 +33,10 @@ GAMMAS = {"R1": (("R", Fraction(1)),), "R0": (("R", Fraction(0)),),
           "CC": (("C", Fraction(0)), ("C", Fraction(0)))}
 # `hyperreg --digits 8 lfun` on L(chi_-4, s) at s = 2, as tests/test_motive_afe.py records it
 CHI4_STDOUT = ('{\n "label": "chi_-4",\n "order": 0,\n "s": "2",\n'
-               ' "self_test_residual": "1.08e-23",\n "value": "0.91596559"\n}\n')
+               ' "self_test_residual": "8.27e-25",\n "value": "0.91596559"\n}\n')
 # the same with --order 2, as the digamma-weighted order-2 kernels printed it
 CHI4_ORDER2_STDOUT = ('{\n "label": "chi_-4",\n "order": 2,\n "s": "2",\n'
-                      ' "self_test_residual": "1.08e-23",\n "value": "-0.074415212"\n}\n')
+                      ' "self_test_residual": "8.27e-25",\n "value": "-0.074415212"\n}\n')
 # PYTHONPATH for a fresh interpreter that imports this hyperreg
 SRC = str(Path(hyperreg.__file__).resolve().parents[1])
 

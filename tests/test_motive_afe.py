@@ -20,16 +20,18 @@ from hyperreg.lfun.motive import (LFunctionSpec, MotiveError, PointError, lambda
 from hyperreg.mpnum import PrecisionPolicy
 
 from eulerfile import to_jsonl
+from test_afe_kernel import _gamma_value
 
 EULER_P = 400
 
 # stdout of `hyperreg --digits 8 lfun SPEC --s S --order K`, recorded before the
-# AFE sides were fused into one pass; any change in a printed byte fails here.
+# AFE sides were fused into one pass, with the self-test residuals of the
+# fixed-point kernel sums; any change in a printed byte fails here.
 GOLDEN = {
     (-4, "2", 0): '{\n "label": "chi_-4",\n "order": 0,\n "s": "2",\n'
-                  ' "self_test_residual": "1.08e-23",\n "value": "0.91596559"\n}\n',
+                  ' "self_test_residual": "8.27e-25",\n "value": "0.91596559"\n}\n',
     (5, "0", 1): '{\n "label": "chi_5",\n "order": 1,\n "s": "0",\n'
-                 ' "self_test_residual": "3.31e-24",\n "value": "0.48121183"\n}\n',
+                 ' "self_test_residual": "0.0",\n "value": "0.48121183"\n}\n',
 }
 
 
@@ -79,6 +81,47 @@ def test_self_test_limit_is_ten_to_the_minus_digits(monkeypatch, tmp_path, capsy
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
     assert len(out.err.splitlines()) == 1 and "self-test residual" in out.err
+
+
+def test_self_test_checks_every_order(monkeypatch, tmp_path, capsys):
+    """A cutoff residual of 10^-(digits - 2) in Lambda' alone leaves an
+    order-0 request alone and fails an order-1 or order-2 one: MotiveError
+    naming order 1, and exit 3 from `lfun` with one error line."""
+    original = motive.lambda_derivs
+
+    def spoiled(spec, s0, order, pol, cutoff_A=None, *args, **kwargs):
+        out = original(spec, s0, order, pol, cutoff_A, *args, **kwargs)
+        if cutoff_A is not None and order > 0:
+            out[1] += pol.ctx.mpf(10) ** (2 - pol.target_digits)
+        return out
+
+    monkeypatch.setattr(motive, "lambda_derivs", spoiled)
+    pol = PrecisionPolicy(8)
+    motive_L(_character_spec(-4), 2, 0, pol)
+    for order in (1, 2):
+        with pytest.raises(MotiveError, match="self-test residual .* at order 1"):
+            motive_L(_character_spec(-4), 2, order, pol)
+    code = cli.main(["--digits", "8", "lfun", str(_write_spec(-4, tmp_path)), "--s", "2",
+                     "--order", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "at order 1" in out.err
+
+
+def test_rounding_bound_past_the_target_exits_3(monkeypatch, tmp_path, capsys):
+    """With every kernel's rounding count scaled by 10^40, the bound on
+    Lambda exceeds 10^-digits: MotiveError from lambda_derivs, and exit 3
+    from `lfun` with one error line."""
+    rounding = motive._Kernel.rounding
+    monkeypatch.setattr(motive._Kernel, "rounding",
+                        lambda self, order: [r * 10 ** 40 for r in rounding(self, order)])
+    with pytest.raises(MotiveError, match="rounding bound .* exceeds 10\\^-8"):
+        lambda_derivs(_character_spec(-4), 2, 0, PrecisionPolicy(8))
+    code = cli.main(["--cache", str(tmp_path / "cache"), "--digits", "8", "lfun",
+                     str(_write_spec(-4, tmp_path)), "--s", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "rounding bound" in out.err
 
 
 def _hurwitz_L(D, s, order):
@@ -229,42 +272,47 @@ def test_kernel_cache_is_bounded(monkeypatch):
     assert len(motive._kernel_cache) <= 2
 
 
-def _nodes(ker):
-    """The node lists of I_1, I_2 and I_3 as mpc objects: the kernel's nodes
-    from their raw tuples, then each list divided by u = c + i h k."""
-    ctx = ker.ctx
-    lists = [[ctx.make_mpc((r[:4], r[4:])) for r in ker._raw]]
-    for _ in range(2):
-        lists.append([g / ctx.mpc(ker.c, k * ker.h) for k, g in enumerate(lists[-1])])
-    return lists
-
-
-def _mpc_object_sums(ker, y):
-    """[I_1, I_2, I_3] with mpc arithmetic, the imaginary part included.
-
-    The reference bits for `_Kernel.__call__`, which forms only the real
-    part on raw tuples.  Each I_j is summed on its own, so a request for
-    orders 0..k is the first k + 1 entries of this list.
-    """
-    ctx = ker.ctx
-    rot = ctx.expj(-ker.h * ctx.log(y))
-    powers = []
-    r = ctx.mpc(1)
-    for _ in range(len(ker._raw) - 1):
-        r = r * rot
-        powers.append(r)
-    scale = ctx.power(y, -ker.c)
-    ints = []
-    for nodes in _nodes(ker):
-        acc = nodes[0] / 2
-        for g, r in zip(nodes[1:], powers):
-            acc += g * r
-        total = 2 * acc.real * ker.h / (2 * ctx.pi)
-        ints.append(scale * total)
-    return ints
-
-
 QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
+
+
+def _kernel_at(gamma, sigma, digits):
+    """The kernel of gamma data at sigma on the line abscissa _sum_side picks
+    for weight 0."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    sigma = ctx.mpf(sigma)
+    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
+    return motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
+
+
+@functools.cache
+def _bound_check(gamma, sigma, digits):
+    """check(y, order): every value of the kernel's call is within y^-c R_j
+    (_Kernel.rounding) of its trapezoid at doubled precision, with the
+    kernel's c, h and node count, the nodes gamma(sigma + u)/u at
+    u = c + i h k from the per-kind mpc expressions, divided by u once and
+    twice for I_2 and I_3, and the sum on mpc objects."""
+    ker = _kernel_at(gamma, sigma, digits)
+    rctx = PrecisionPolicy(digits).doubled().ctx
+    spec = LFunctionSpec(1, 0, 1, gamma)
+    c, h = rctx.mpf(ker.c), rctx.mpf(ker.h)
+    us = [rctx.mpc(c, k * h) for k in range(len(ker._raw))]
+    lists = [[_gamma_value(spec, rctx, rctx.mpf(sigma) + u) / u for u in us]]
+    for _ in range(2):
+        lists.append([g / u for g, u in zip(lists[-1], us)])
+
+    def check(y, order):
+        w = rctx.expj(-h * rctx.log(rctx.mpf(y)))
+        decay = rctx.power(rctx.mpf(y), -c)
+        for value, nodes, rounding in zip(ker(y, order), lists, ker.rounding(order)):
+            acc, r = nodes[0] / 2, rctx.mpc(1)
+            for g in nodes[1:]:
+                r *= w
+                acc += g * r
+            assert abs(rctx.mpf(value) - decay * acc.real * h / rctx.pi) <= \
+                decay * rctx.mpf(rounding)
+
+    return ker.ctx, check
 
 
 # (gamma data, sigma, digits): the two sides of the chi_-4 run at s = 2 and
@@ -278,22 +326,29 @@ QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
     (QUINTIC_GAMMA, "0", 20),
     (QUINTIC_GAMMA, "1", 8),
 ])
-def test_kernel_real_part_sum_is_bit_identical(gamma, sigma, digits):
-    """Summing only the real part on raw tuples, and dividing the nodes by u
-    on raw tuples, keeps every bit of the mpc loop."""
-    pol = PrecisionPolicy(digits)
-    ctx = pol.ctx
-    sigma = ctx.mpf(sigma)
-    # the line abscissa _sum_side picks for weight 0
-    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
-    # the raw sum reads a zero mantissa as zero, which needs finite nodes
-    assert all(ctx.isfinite(v) for nodes in _nodes(ker) for v in nodes)
+def test_kernel_real_part_sum_is_within_its_bound(gamma, sigma, digits):
+    """At y from 0.05 to 40 and every order, each value is within its
+    counted rounding bound of the same trapezoid at doubled precision."""
+    ctx, check = _bound_check(gamma, sigma, digits)
     for y in ("0.05", "0.7", "1", "3.9", "40"):
-        y = ctx.mpf(y)
-        expected = _mpc_object_sums(ker, y)
         for order in (2, 0, 1):
-            assert ker(y, order) == expected[:order + 1]
+            check(ctx.mpf(y), order)
+
+
+# Gamma_R(s) on the chi_8 mirror side at s = 2, Gamma_R(s + 1) on chi_-4's
+# (sigma = -1), and the quintic's Gamma_C(s)^2 at s = 0, at 8 digits
+BOUND_KERNELS = ((("R", Fraction(0)),), (("R", Fraction(1)),), QUINTIC_GAMMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BOUND_KERNELS),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
+       st.sampled_from([0, 1, 2]))
+def test_kernel_sum_is_within_its_bound_at_any_y(gamma, y, order):
+    """At any y in [1/1000, 1000], every order's value is within its bound
+    of the doubled-precision trapezoid."""
+    ctx, check = _bound_check(gamma, "0" if gamma == QUINTIC_GAMMA else "-1", 8)
+    check(ctx.mpf(y.numerator) / y.denominator, order)
 
 
 @functools.cache
@@ -304,16 +359,6 @@ def _mirror_kernel():
     ctx = pol.ctx
     return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), ctx.mpf(-1),
                           ctx.mpf("2.75"), pol)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
-       st.sampled_from([0, 1, 2]))
-def test_kernel_sum_is_bit_identical_at_any_y(y, order):
-    """At any y, every order's value is the mpc loop's, bit for bit."""
-    ker = _mirror_kernel()
-    y = ker.ctx.mpf(y.numerator) / y.denominator
-    assert ker(y, order) == _mpc_object_sums(ker, y)[:order + 1]
 
 
 # --- the table of kernel values ----------------------------------------------------
@@ -418,10 +463,11 @@ def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
     ctx = pol.ctx
     s_val, A = ctx.mpf(1) / 2, ctx.mpf(1)
     a = euler.dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right = motive._sum_side(spec, s_val, pol, order, A, False, a)
+    right, right_bound = motive._sum_side(spec, s_val, pol, order, A, False, a)
     calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
-    left = motive._sum_side(spec, s_val, pol, order, A, True, a)
+    left, left_bound = motive._sum_side(spec, s_val, pol, order, A, True, a)
     assert calls == [] and _bits(left) == _bits(right)
+    assert _bits(left_bound) == _bits(right_bound)
 
 
 def test_kernel_table_is_not_saved(tmp_path):
