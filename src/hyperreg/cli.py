@@ -52,7 +52,7 @@ def _load_config(path):
     if not path:
         return out
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -3,7 +3,7 @@
 Everything here is exact: the deformed coefficients c_k(s) =
 prod [a_j+s]_k / prod [b_j+s]_k (rational s-series), the deformation
 generating series Phi(s, z), the inhomogeneous solutions W_r, and the
-kappa / cycle-type classifiers.  The data, the gamma-vector dictionary and
+cycle-type classifier.  The data, the gamma-vector dictionary and
 the coefficient streams come from :mod:`hyperreg.hgdata`, re-exported here.
 """
 
@@ -15,14 +15,12 @@ from math import factorial, gcd, lcm
 from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
 from .hgdata import (CycleType, GammaVector, HGData, HGError, coeff_ak,  # noqa: F401
                      coeff_stream, from_gamma, parse_gamma, parse_hg, ratio_stream, scale_C)
-from .mpnum import PrecisionPolicy
-from .series import LogSeries, PowSeries, SLaurent, _linear_product, sp_exp, sp_mul
+from .series import LogSeries, PowSeries, SLaurent, _linear_product, sp_exp
 
 __all__ = ["HGData", "GammaVector", "CycleType", "HGError",
            "parse_hg", "parse_gamma", "from_gamma", "scale_C",
-           "coeff_ak", "coeff_stream", "ck_s", "alpha_s", "ak_s",
-           "frobenius_phi", "frobenius_E", "z_s_logs", "W_r",
-           "kappa", "classify", "constant_term_oracle"]
+           "coeff_ak", "coeff_stream", "ck_s", "alpha_s",
+           "frobenius_phi", "frobenius_E", "z_s_logs", "W_r", "classify"]
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +97,12 @@ def psi_diff_exact(a: Fraction, m: int) -> ExactNum:
     return _PSI_BASE_DIFF[(a, m)]
 
 
-def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
-            mode: str = "exact") -> list:
+def alpha_s(h: HGData, s_order: int, mode: str = "exact") -> list:
     """alpha(s) = prod_j Gamma(s+a_j) / (Gamma(a_j) Gamma(s+1)) as an s-series.
 
     mode "exact" needs all a_j in {1, 1/2, 1/4, 3/4} (harmonic-number
-    atoms); "floating" falls back to numeric polygamma under pol;
-    "symbolic" returns opaque generators alpha_1..alpha_order, useful for
-    residual checks that must hold for arbitrary alpha.
+    atoms); "symbolic" returns opaque generators alpha_1..alpha_order,
+    useful for residual checks that must hold for arbitrary alpha.
     """
     if not h.b_all_ones():
         raise HGError("alpha(s) is defined for maximal unipotent data (b all ones)")
@@ -116,7 +112,7 @@ def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
         return out
     if mode == "exact":
         if any(aj not in EXACT_INDICES for aj in h.a):
-            raise HGError(f"unsupported a_j for exact mode in {h}; use floating")
+            raise HGError(f"unsupported a_j for exact mode in {h}")
         log_alpha = [ExactNum.from_rational(0)] * (s_order + 1)
         for m in range(1, s_order + 1):
             acc = ExactNum.from_rational(0)
@@ -124,28 +120,7 @@ def alpha_s(h: HGData, s_order: int, pol: PrecisionPolicy | None = None,
                 acc = acc + psi_diff_exact(aj, m - 1)
             log_alpha[m] = acc * Fraction(1, factorial(m))
         return sp_exp(log_alpha, s_order)
-    if mode == "floating":
-        if pol is None:
-            raise HGError("floating mode requires a precision policy")
-        ctx = pol.ctx
-        log_alpha = [ctx.mpf(0)] * (s_order + 1)
-        for m in range(1, s_order + 1):
-            acc = ctx.mpf(0)
-            for aj in h.a:
-                acc += ctx.psi(m - 1, ctx.mpf(aj.numerator) / aj.denominator) \
-                    - ctx.psi(m - 1, 1)
-            log_alpha[m] = acc / factorial(m)
-        return sp_exp(log_alpha, s_order)
     raise HGError(f"unknown mode {mode!r}")
-
-
-def ak_s(h: HGData, k: int, s_order: int, pol: PrecisionPolicy | None = None,
-         mode: str = "exact") -> list:
-    """a_k(s) = alpha(s) c_k(s): the deformed coefficient as an s-series."""
-    if s_order > 4:
-        raise HGError("s_order is capped at 4")
-    alpha = alpha_s(h, s_order, pol, mode)
-    return sp_mul(alpha, ck_s(h, k, s_order), s_order)
 
 
 def z_s_logs(s_order: int, K: int = 1) -> SLaurent:
@@ -201,17 +176,17 @@ def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
     return _rows_slaurent(_ck_rows(h, K, s_order), s_order)
 
 
-def frobenius_E(h: HGData, K: int, s_order: int,
-                pol: PrecisionPolicy | None = None, mode: str = "exact",
+def frobenius_E(h: HGData, K: int, s_order: int, mode: str = "exact",
                 phi: SLaurent | None = None) -> SLaurent:
-    """E(s, z) = alpha(s) * Phi(s, z), the Betti-period generating series.
+    """E(s, z) = alpha(s) * Phi(s, z), the Betti-period generating series,
+    with alpha_s(h, s_order, mode).
 
     phi, when given, is frobenius_phi(h, K, s_order) already built by the
     caller; otherwise it is built here.
     """
     if phi is None:
         phi = frobenius_phi(h, K, s_order)
-    return _s_series_times(alpha_s(h, s_order, pol, mode), phi)
+    return _s_series_times(alpha_s(h, s_order, mode), phi)
 
 
 def W_r(h: HGData, r: int, K: int) -> LogSeries:
@@ -228,13 +203,8 @@ def W_r(h: HGData, r: int, K: int) -> LogSeries:
 
 
 # ---------------------------------------------------------------------------
-# classifiers
+# classifier
 # ---------------------------------------------------------------------------
-
-def kappa(h: HGData) -> int:
-    """Number of integer indices (the number of times 1 occurs)."""
-    return sum(1 for x in h.a + h.b if x == 1)
-
 
 _TABLE_LABELS = {
     (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)): "Ia",
@@ -260,30 +230,3 @@ def classify(h: HGData) -> CycleType:
     label = _TABLE_LABELS.get(tuple(sorted(h.a)), "generic")
     return CycleType(label, p, f"K{2 * p - 4}")
 
-
-# ---------------------------------------------------------------------------
-# constant-term oracle
-# ---------------------------------------------------------------------------
-
-def constant_term_oracle(phi: dict, k: int, cap: int = 6,
-                         max_monomials: int = 2_000_000) -> int:
-    """Constant term of phi^k by brute-force expansion.
-
-    phi maps exponent vectors (tuples of ints) to integer coefficients.
-    """
-    if k < 0 or k > cap:
-        raise HGError(f"k = {k} exceeds the oracle cap {cap}")
-    if k == 0:
-        return 1
-    nvars = len(next(iter(phi)))
-    acc = {(0,) * nvars: 1}
-    for _ in range(k):
-        new: dict = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in phi.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                new[e] = new.get(e, 0) + c1 * c2
-                if len(new) > max_monomials:
-                    raise HGError("expansion exceeds memory cap")
-        acc = new
-    return acc.get((0,) * nvars, 0)

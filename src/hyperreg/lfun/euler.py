@@ -1,4 +1,4 @@
-"""Euler-factor tables: ingestion, expansion, multiplicativity.
+"""Euler-factor tables: ingestion and expansion into Dirichlet coefficients.
 
 Local factors are ingested from JSON-lines files (or the web cache); they
 are trusted as given, with provenance recorded.  Nothing here ever
@@ -12,8 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["EulerFactorTable", "euler_ingest", "euler_from_character",
-           "dirichlet_coefficients", "check_multiplicativity", "EulerError"]
+__all__ = ["EulerFactorTable", "euler_ingest", "dirichlet_coefficients", "EulerError"]
 
 
 class EulerError(ValueError):
@@ -92,23 +91,6 @@ def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:
     return EulerFactorTable(factors, degree, provenance=str(path))
 
 
-def euler_from_character(chi, P: int) -> EulerFactorTable:
-    """Degree-1 table for a Dirichlet character with exact +-1/0 values
-    (real characters only)."""
-    factors = {}
-    for p in _primes_upto(P):
-        ang = chi.angles[p % chi.modulus]
-        if ang is None:
-            factors[p] = [1]
-        elif ang == 0:
-            factors[p] = [1, -1]
-        elif 2 * ang == 1:
-            factors[p] = [1, 1]
-        else:
-            raise EulerError("euler_from_character needs a real character")
-    return EulerFactorTable(factors, 1, provenance=f"character mod {chi.modulus}")
-
-
 def dirichlet_coefficients(table: EulerFactorTable, M: int) -> list:
     """a_1..a_M (index 0 unused) from 1/f_p(p^-s) expansions; EulerError
     unless M >= 1, the table has a factor at every prime up to M and none
@@ -150,13 +132,3 @@ def dirichlet_coefficients(table: EulerFactorTable, M: int) -> list:
                 a[n * pe[e]] = a[n] * inv[e]
     return a
 
-
-def check_multiplicativity(a: list) -> bool:
-    """Brute-force a_{mn} = a_m a_n for gcd(m,n) = 1."""
-    from math import gcd
-    M = len(a) - 1
-    for m in range(2, M + 1):
-        for n in range(2, M // m + 1):
-            if gcd(m, n) == 1 and a[m * n] != a[m] * a[n]:
-                return False
-    return True

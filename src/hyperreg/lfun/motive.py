@@ -568,7 +568,9 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     over n serves every j; a sum that meets its stopping rule stops
     accumulating while the others go on.  Bound j is R_j (_Kernel.rounding)
     times sum_n |a_n n^(-sigma) N^(sigma/2)| y_n^-c over the n evaluated, in
-    binary64.  store is _kernel's.
+    binary64.  store is _kernel's.  When the table runs out before every
+    sum stops, the error is the rounding bound's MotiveError if that bound
+    is past 10^-digits, and CoverageError otherwise.
     """
     ctx = pol.ctx
     w = spec.weight
@@ -612,13 +614,24 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
                 quiet[j] = 0
         if not live:
             break
-    else:
+    bounds = [ctx.mpf(weight) * r for r in ker.rounding(order)]
+    if live:
+        # the table ran out: a sum held above the floor by the kernel's own
+        # rounding is lost precision, not missing Euler data
+        _check_rounding(max(bounds), pol)
         needed = int(2 * M_cap) + 100
         raise CoverageError(
             f"Euler coverage P_max={spec.euler.p_max} insufficient "
             f"(series still contributing at n={M_cap}); need roughly {needed}",
             required=needed)
-    return totals, [ctx.mpf(weight) * r for r in ker.rounding(order)]
+    return totals, bounds
+
+
+def _check_rounding(bound, pol):
+    """MotiveError when the kernel's rounding bound is past 10^-digits."""
+    if bound > pol.tol:
+        raise MotiveError(f"AFE kernel rounding bound {pol.ctx.nstr(bound, 3)} exceeds "
+                          f"10^-{pol.target_digits}")
 
 
 def _pole_correction(spec, ctx, s_val, j, A):
@@ -675,9 +688,7 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     # the kernel's rounding reaches Lambda^(d) through the same combination
     bound = max(taylor([r + abs(sign) * m for r, m in zip(right_bound, left_bound)],
                        abs(ctx.log(A))))
-    if bound > pol.tol:
-        raise MotiveError(f"AFE kernel rounding bound {ctx.nstr(bound, 3)} exceeds "
-                          f"10^-{pol.target_digits}")
+    _check_rounding(bound, pol)
     # Lambda(s+eps) = A^(-eps) sum_j eps^j coeffs[j]; A^(-eps) has the
     # coefficients (-log A)^k / k!, and at d = 0 every factor is an exact 1,
     # so Lambda(s0) keeps the bits of coeffs[0]

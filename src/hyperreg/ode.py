@@ -4,6 +4,7 @@ Operators act on LogSeries purely symbolically (D = z d/dz); no numerical
 differentiation happens anywhere, so residuals of the Frobenius and
 inhomogeneous equations are asserted to be *exactly* zero.  Residuals are
 checked in exact mode only; there is no floating residual.
+``apply_operator(h, f)`` applies the operator L of data h, read from h.a and h.b.
 Each factor product P(D) = prod (D + c) of L acts in one step through
 ``series._apply_shifted_chain``, whose one-factor case is theta.
 
@@ -19,30 +20,20 @@ from .hypergeom import (HGData, W_r, _s_series_times, alpha_s, frobenius_E, frob
                         z_s_logs)
 from .series import LogSeries, PowSeries, SLaurent, _apply_shifted_chain, _linear_product, sp_mul
 
-__all__ = ["HGOperator", "ResidualReport", "hg_operator", "apply_operator",
-           "residual_frobenius", "residual_inhomogeneous"]
+__all__ = ["ResidualReport", "apply_operator", "residual_frobenius",
+           "residual_inhomogeneous"]
 
 
-@dataclass(frozen=True)
-class HGOperator:
-    """L = prod_j (D + b_j - 1) - z * prod_j (D + a_j)."""
-    b_part: tuple
-    a_part: tuple
+def apply_operator(h: HGData, f: LogSeries) -> LogSeries:
+    """L f for L = prod_j (D + b_j - 1) - z prod_j (D + a_j) of h; input
+    truncated at K terms, output exact through the same window."""
+    lead = _apply_shifted_chain([bj - 1 for bj in h.b], f)
+    return lead - _apply_shifted_chain(list(h.a), f).shift(1)
 
 
-def hg_operator(h: HGData) -> HGOperator:
-    return HGOperator(tuple(h.b), tuple(h.a))
-
-
-def apply_operator(L: HGOperator, f: LogSeries) -> LogSeries:
-    """L f; input truncated at K terms, output exact through the same window."""
-    lead = _apply_shifted_chain([bj - 1 for bj in L.b_part], f)
-    return lead - _apply_shifted_chain(list(L.a_part), f).shift(1)
-
-
-def apply_operator_s(L: HGOperator, F: SLaurent) -> SLaurent:
+def apply_operator_s(h: HGData, F: SLaurent) -> SLaurent:
     """L applied slotwise in s (D touches only the z-dependence)."""
-    return SLaurent({k: apply_operator(L, v) for k, v in F.terms.items()},
+    return SLaurent({k: apply_operator(h, v) for k, v in F.terms.items()},
                     F.s_order, F.min_order)
 
 
@@ -71,12 +62,11 @@ def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
     """
     if s_order > 4:
         raise ValueError("s_order capped at 4")
-    L = hg_operator(h)
     rhs_poly = _s_poly_b_shift(h, s_order)
     zs = z_s_logs(s_order, K)
 
     phi = frobenius_phi(h, K, s_order)
-    lhs = apply_operator_s(L, phi)
+    lhs = apply_operator_s(h, phi)
     diff = lhs - _s_series_times(rhs_poly, zs)
 
     if h.b_all_ones():
@@ -85,7 +75,7 @@ def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
         E = frobenius_E(h, K, s_order, mode="symbolic", phi=phi)
         alpha = alpha_s(h, s_order, mode="symbolic")
         rhsE = _s_series_times(sp_mul(rhs_poly, alpha, s_order), zs)
-        diffE = apply_operator_s(L, E) - rhsE
+        diffE = apply_operator_s(h, E) - rhsE
     else:
         diffE = SLaurent({}, s_order, 0)
     return ResidualReport(_is_zero_slaurent(diff) and _is_zero_slaurent(diffE),
@@ -98,9 +88,8 @@ def _is_zero_slaurent(F: SLaurent) -> bool:
 
 def residual_inhomogeneous(h: HGData, r: int, K: int) -> ResidualReport:
     """Verify L W_r = z^(1/r) in every retained coefficient slot."""
-    L = hg_operator(h)
     w = W_r(h, r, K)
-    lhs = apply_operator(L, w)
+    lhs = apply_operator(h, w)
     rhs = LogSeries.from_pow(PowSeries(Fraction(1, r), [Fraction(1)] + [0] * (K - 1)))
     n = sum(len(p.coeffs) for p in lhs.parts if p is not None)
     return ResidualReport((lhs - rhs).is_zero(), n)

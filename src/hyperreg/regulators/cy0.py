@@ -195,14 +195,14 @@ def cy0_class_number_check(n: int, pol: PrecisionPolicy) -> RegulatorReport:
     return rep
 
 
-def selected_cy0_cases(n_max: int = 50, class_number_one: bool = True) -> list:
-    """Odd n in (5, n_max] with n(n-4) squarefree (and h = 1 if requested)."""
+def selected_cy0_cases(n_max: int = 50) -> list:
+    """Odd n in (5, n_max] with n(n-4) squarefree and h = 1."""
     out = []
     for n in range(7, n_max + 1, 2):
         D = n * (n - 4)
         if not is_squarefree(D):
             continue
-        if class_number_one and class_number_real_quadratic(D) != 1:
+        if class_number_real_quadratic(D) != 1:
             continue
         out.append(n)
     return out

@@ -1,9 +1,10 @@
-"""Elliptic family: the vanishing-cycle regulator period and its boundary value.
+"""Elliptic family: the series of the vanishing-cycle period and its boundary value.
 
-Psi(t) = -2 pi i (log t + sum_{m>0} binom(2m,m)^2 t^m / m) for 0 < |t| <= 1/16.
-At the conifold boundary t = 1/16 the series converges only like 1/m^2, so
-the value is produced by quadrature of the hypergeometric integrand, and
-the identity log 16 - sum = (8/pi) L(chi_-4, 2) is checked to full precision.
+The period is Psi(t) = -2 pi i (log t + S(t)); psi_sum gives
+S(t) = sum_{m>0} binom(2m,m)^2 t^m / m for 0 < t <= 1/16.  At the conifold
+boundary t = 1/16 the series converges only like 1/m^2, so the value is
+produced by quadrature of the hypergeometric integrand, and the identity
+log 16 - sum = (8/pi) L(chi_-4, 2) is checked to full precision.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ def psi_sum(t: Fraction, pol: PrecisionPolicy):
         # too close to the boundary for geometric summation
         return _sum_quadrature(t, pol)
     return _sum_interior(t, pol)
-
-
-def elliptic_psi(t: Fraction, pol: PrecisionPolicy):
-    """Psi(t) = -2 pi i (log t + sum binom^2 t^m/m)."""
-    ctx = pol.ctx
-    s = psi_sum(t, pol)
-    tv = ctx.mpf(t.numerator) / t.denominator
-    return -2 * ctx.pi * ctx.mpc(0, 1) * (ctx.log(tv) + s)
 
 
 def conifold_catalan_identity(pol: PrecisionPolicy):

@@ -114,16 +114,6 @@ def _stream_sums(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
     return [g0 * acc for acc in power_sums(rows, 1 / ctx.convert(z), ctx)] + [g0]
 
 
-def S_alpha(alpha: Fraction, z, pol: PrecisionPolicy):
-    """sum_k Gamma^alpha_k z^-k, |z| > 1."""
-    return _stream_sums(alpha, z, pol, "S")[0]
-
-
-def R_alpha(alpha: Fraction, z, pol: PrecisionPolicy):
-    """sum_k Gamma^alpha_k z^-k / (k - 1/2 + alpha), k > 0 if alpha = 1/2."""
-    return _stream_sums(alpha, z, pol, "R")[0]
-
-
 # ---------------------------------------------------------------------------
 # the determinant matrix
 # ---------------------------------------------------------------------------

@@ -58,12 +58,8 @@ def G_list(K: int) -> list:
     return [H[2 * k] - H[k] for k in range(K + 1)]
 
 
-def Gp_list(K: int) -> list:
-    """G'_k = 8 G_k^2 - 2 H'_2k + H'_k + zeta(2) in the atom ring."""
-    return _gp_from(G_list(K))
-
-
 def _gp_from(G: list) -> list:
+    """G'_k = 8 G_k^2 - 2 H'_2k + H'_k + zeta(2) in the atom ring, k <= len(G) - 1."""
     K = len(G) - 1
     H2 = harmonic2(2 * K)
     z2 = ex_zeta2()
@@ -97,12 +93,8 @@ def _deformed_atoms(K: int) -> tuple:
     return binom4_list(K), G, _gp_from(G)
 
 
-def sqrt_deformed_inner(K: int) -> LogSeries:
-    """Braced series of the sqrt(t)/(-4 pi^2) entry (log^2-coefficient halved)."""
-    return _sqrt_deformed(*_deformed_atoms(K))
-
-
 def _sqrt_deformed(B: list, G: list, Gp: list) -> LogSeries:
+    """Braced series of the sqrt(t)/(-4 pi^2) entry (log^2-coefficient halved)."""
     K = len(B) - 1
     c0, c1, c2 = [], [], []
     for k in range(K + 1):
@@ -114,12 +106,8 @@ def _sqrt_deformed(B: list, G: list, Gp: list) -> LogSeries:
     return LogSeries([PowSeries(0, c0), PowSeries(0, c1), PowSeries(0, c2)])
 
 
-def log_deformed_inner(K: int) -> LogSeries:
-    """Braced series of the (-1/4 pi^2) entry (log^2-coefficient halved)."""
-    return _log_deformed(*_deformed_atoms(K))
-
-
 def _log_deformed(B: list, G: list, Gp: list) -> LogSeries:
+    """Braced series of the (-1/4 pi^2) entry (log^2-coefficient halved)."""
     K = len(B) - 1
     z3 = EX_Z3
     z2 = ex_zeta2()

@@ -118,6 +118,23 @@ def test_config_file_merging(tmp_path):
     assert out2.returncode == 0
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    """A config file saved with a UTF-8 byte-order mark reads as the same file
+    without one; a file that is not UTF-8 still exits 2 with one line."""
+    argv = ("period", "1/2;1", "-K", "12", "--point", "1/8", "--json")
+    plain, marked, latin = (tmp_path / n for n in ("plain.cfg", "bom.cfg", "latin.cfg"))
+    plain.write_bytes(b"digits=5\n")
+    marked.write_bytes(b"\xef\xbb\xbfdigits=5\n")
+    latin.write_bytes(b"\xef\xbbdigits=5\n")
+    want = run("--config", str(plain), *argv)
+    assert (want.returncode, want.stdout) == (0, run("--digits", "5", *argv).stdout)
+    got = run("--config", str(marked), *argv)
+    assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, want.stderr)
+    bad = run("--config", str(latin), *argv)
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")
+
+
 def test_verify_ratios_skip_exit0(tmp_path):
     """Without L-data the ratio suite reports skipped and exits 0."""
     out = run("--digits", "20", "--fixtures", str(tmp_path), "verify", "ratios")

@@ -154,13 +154,12 @@ def test_theta_of_a_lone_empty_part_is_an_empty_part():
 def test_operator_on_symbolic_E_matches_theta_chain():
     """L applied to E = alpha Phi with symbolic alpha, slot by slot."""
     h = parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
-    L = ode.hg_operator(h)
-    E = hypergeom.frobenius_E(h, 8, 4, None, "symbolic")
+    E = hypergeom.frobenius_E(h, 8, 4, "symbolic")
     for key, v in E.terms.items():
-        lead = _theta_chain([bj - 1 for bj in L.b_part], v)
-        tail = _theta_chain(list(L.a_part), v).shift(1)
+        lead = _theta_chain([bj - 1 for bj in h.b], v)
+        tail = _theta_chain(list(h.a), v).shift(1)
         want = lead - tail
-        got = ode.apply_operator(L, v)
+        got = ode.apply_operator(h, v)
         assert _shape(got) == _shape(want) and got == want, key
 
 

@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hyperreg.exactnum import EX_LN2
-from hyperreg.hypergeom import (HGError, classify, coeff_ak, coeff_stream,
-                                constant_term_oracle, ck_s, from_gamma, kappa,
-                                parse_gamma, parse_hg, scale_C, ak_s, W_r,
-                                frobenius_phi, alpha_s)
+from hyperreg.hypergeom import (HGError, classify, coeff_ak, coeff_stream, ck_s, from_gamma,
+                                parse_gamma, parse_hg, scale_C, W_r, frobenius_phi, alpha_s)
+from hyperreg.series import sp_exp, sp_mul
 F = Fraction
 
 K4 = parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
@@ -78,16 +78,41 @@ def test_ak_s_s0_equals_coeff(pol):
         assert ck_s(h, k, 3)[0] == coeff_ak(h, k)
 
 
-def test_ak_s_exact_vs_floating(pol):
+def _alpha_numeric(h, s_order, ctx):
+    """alpha(s) from mpmath's polygamma: log alpha(s) is
+    sum_m s^m / m! sum_j (psi^(m-1)(a_j) - psi^(m-1)(1))."""
+    log_alpha = [ctx.mpf(0)] * (s_order + 1)
+    for m in range(1, s_order + 1):
+        acc = ctx.mpf(0)
+        for aj in h.a:
+            acc += ctx.psi(m - 1, ctx.mpf(aj.numerator) / aj.denominator) - ctx.psi(m - 1, 1)
+        log_alpha[m] = acc / factorial(m)
+    return sp_exp(log_alpha, s_order)
+
+
+def _close(e, f, pol):
     ctx = pol.ctx
-    s1 = ak_s(K4, 1, 2, mode="exact")
-    fl = ak_s(K4, 1, 2, pol, mode="floating")
+    return abs(e.to_mp(ctx) - f) < pol.tol if hasattr(e, "to_mp") \
+        else abs(ctx.mpf(e.numerator) / e.denominator - f) < pol.tol
+
+
+def test_ak_s_exact_vs_floating(pol):
+    """a_k(s) = alpha(s) c_k(s) with the exact alpha(s) table against the
+    same product with alpha(s) from mpmath's psi; then alpha(s) itself
+    through s^4 on data reading every entry of the table."""
+    ck = ck_s(K4, 1, 2)
+    s1 = sp_mul(alpha_s(K4, 2), ck, 2)
+    fl = sp_mul(_alpha_numeric(K4, 2, pol.ctx), ck, 2)
     for e, f in zip(s1, fl):
-        assert abs(e.to_mp(ctx) - f) < pol.tol if hasattr(e, "to_mp") \
-            else abs(ctx.mpf(e.numerator) / e.denominator - f) < pol.tol
+        assert _close(e, f, pol)
     # t-normalized s^1 coefficient: 256 (a_1,1 + 8 ln2 a_1,0) = binom(2,1)^4 8 G_1 = 64
     val = (s1[1] + s1[0] * 8 * EX_LN2) * 256
     assert val == 64
+    for text in ("1/2,1/2,1/2,1/2;1,1,1,1", "1/4,1/2,1/2,3/4;1,1,1,1",
+                 "1/4,1/4,3/4,3/4;1,1,1,1", "1,1,1,1;1,1,1,1"):
+        h = parse_hg(text)
+        for e, f in zip(alpha_s(h, 4), _alpha_numeric(h, 4, pol.ctx)):
+            assert _close(e, f, pol), text
 
 
 def test_ak_s_unsupported_exact():
@@ -164,9 +189,7 @@ def test_W_r():
         W_r(APPB, 2, 4)
 
 
-def test_kappa_and_classify():
-    assert kappa(APPB) == 2
-    assert kappa(K4) == 4
+def test_classify():
     ct = classify(K4)
     assert (ct.label, ct.p, ct.k_theory) == ("IV", 4, "K4")
     ct2 = classify(parse_hg("1/4,1/2,1/2,3/4;1,1,1,1"))
@@ -183,6 +206,30 @@ def test_table_self_duality():
                  "1/3,1/3,2/3,2/3;1,1,1,1", "1/2,1/2,1/2,1/2;1,1,1,1"):
         h = parse_hg(text)
         assert sorted(h.a) == sorted((1 - x) if x != 1 else F(1) for x in h.a)
+
+
+def constant_term_oracle(phi: dict, k: int, cap: int = 6,
+                         max_monomials: int = 2_000_000) -> int:
+    """Constant term of phi^k by brute-force expansion.
+
+    phi maps exponent vectors (tuples of ints) to integer coefficients.
+    """
+    if k < 0 or k > cap:
+        raise HGError(f"k = {k} exceeds the oracle cap {cap}")
+    if k == 0:
+        return 1
+    nvars = len(next(iter(phi)))
+    acc = {(0,) * nvars: 1}
+    for _ in range(k):
+        new: dict = {}
+        for e1, c1 in acc.items():
+            for e2, c2 in phi.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                new[e] = new.get(e, 0) + c1 * c2
+                if len(new) > max_monomials:
+                    raise HGError("expansion exceeds memory cap")
+        acc = new
+    return acc.get((0,) * nvars, 0)
 
 
 def test_constant_term_oracle():

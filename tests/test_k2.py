@@ -22,7 +22,7 @@ def test_S_at_infinity(pol):
     ctx = pol.ctx
     for alpha in (F(1, 4), F(1, 2), F(3, 4)):
         big = ctx.mpf(10) ** 18
-        assert abs(k2.S_alpha(alpha, big, pol) - k2.gamma_alpha0(alpha, pol)) \
+        assert abs(k2._stream_sums(alpha, big, pol, "S")[0] - k2.gamma_alpha0(alpha, pol)) \
             < ctx.mpf(10) ** -15
 
 
@@ -199,8 +199,8 @@ def test_stream_sums_match_the_separate_loops(digits, z):
     pol = PrecisionPolicy(digits)
     zv = pol.ctx.mpf(z)
     for alpha in (F(1, 4), F(1, 2), F(3, 4)):
-        assert k2.S_alpha(alpha, zv, pol) == _ref_S_alpha(alpha, zv, pol)
-        assert k2.R_alpha(alpha, zv, pol) == _ref_R_alpha(alpha, zv, pol)
+        assert k2._stream_sums(alpha, zv, pol, "S")[0] == _ref_S_alpha(alpha, zv, pol)
+        assert k2._stream_sums(alpha, zv, pol, "R")[0] == _ref_R_alpha(alpha, zv, pol)
         for harmonic in (False, True):
             assert k2._stream_sums(alpha, zv, pol, "D" if harmonic else "R",
                                    alternating=True)[0] \
@@ -236,12 +236,12 @@ def _ref_chain_vs_entries(z, pol):
     mat = k2.k2_entries(zv, pol)
     log4z = ctx.log(4 * zv)
     sq2 = ctx.sqrt(ctx.mpf(2))
-    R1_tw = -16 * sq2 * ctx.pi * k2.R_alpha(F(1, 2), zv, pol) \
+    R1_tw = -16 * sq2 * ctx.pi * k2._stream_sums(F(1, 2), zv, pol, "R")[0] \
         + 64 * ctx.pi ** 2 * (log4z + 4)
     dev1 = abs(mat.entries[0][0] - ctx.re(-(R1_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4))
     z14 = zv ** ctx.mpf("0.25")
-    R4_tw = 4 * ctx.pi * k2.R_alpha(F(1, 4), zv, pol) * z14 \
-        + 4 * ctx.pi * k2.R_alpha(F(3, 4), zv, pol) / z14
+    R4_tw = 4 * ctx.pi * k2._stream_sums(F(1, 4), zv, pol, "R")[0] * z14 \
+        + 4 * ctx.pi * k2._stream_sums(F(3, 4), zv, pol, "R")[0] / z14
     dev2 = abs(mat.entries[1][0] - ctx.re((R4_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4))
     return max(dev1, dev2)
 

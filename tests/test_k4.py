@@ -8,7 +8,7 @@ from hyperreg.exactnum import ExactNum, ex_zeta2, two_pi_i_pow
 from hyperreg.regulators.hadamard import (hadamard_regulator, k4_engine,
                                           k4_expected, k2_r0_engine,
                                           k2_r0_expected, _pure_tate_shift)
-from hyperreg.regulators.k4 import (G_list, Gp_list, T_POINTS, log_primitive_series,
+from hyperreg.regulators.k4 import (G_list, T_POINTS, _gp_from, log_primitive_series,
                                     sqrt_primitive_inner, frobenius_generator,
                                     k4_det, k4_entries)
 from hyperreg.series import LogSeries, theta
@@ -19,7 +19,7 @@ F = Fraction
 def test_harmonic_atoms():
     G = G_list(2)
     assert G[1] == F(1, 2)
-    Gp = Gp_list(2)
+    Gp = _gp_from(G)
     assert Gp[1] == ExactNum.from_rational(F(1, 2)) + ex_zeta2()
 
 

@@ -23,11 +23,10 @@ import hyperreg
 from hyperreg import cli
 from hyperreg.lfun import motive
 from hyperreg.lfun.dirichlet import kronecker_character
-from hyperreg.lfun.euler import euler_from_character
 from hyperreg.lfun.motive import LFunctionSpec, motive_L
 from hyperreg.mpnum import PrecisionPolicy
 
-from eulerfile import to_jsonl
+from eulerfile import euler_from_character, to_jsonl
 
 GAMMAS = {"R1": (("R", Fraction(1)),), "R0": (("R", Fraction(0)),),
           "CC": (("C", Fraction(0)), ("C", Fraction(0)))}

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from hyperreg.lfun.dirichlet import (LfunError, dedekind_quadratic_deriv0,
                                      dirichlet_L, functional_equation_residual,
                                      kronecker_character, quartic_character_mod5)
-from hyperreg.lfun.euler import (EulerError, EulerFactorTable,
-                                 check_multiplicativity, dirichlet_coefficients,
-                                 euler_from_character, euler_ingest)
+from hyperreg.lfun.euler import (EulerError, EulerFactorTable, dirichlet_coefficients,
+                                 euler_ingest)
 from hyperreg.lfun import motive
 from hyperreg.lfun.motive import (CoverageError, LFunctionSpec, MotiveError,
                                   gamma_pole_order, motive_L)
 from hyperreg.lfun.web import NotFoundError, lmfdb_fetch
 from hyperreg.mpnum import PrecisionPolicy, special
 
-from eulerfile import to_jsonl
+from eulerfile import check_multiplicativity, euler_from_character, to_jsonl
 
 F = Fraction
 

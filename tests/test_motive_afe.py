@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 from hyperreg import cli
 from hyperreg.lfun import euler, motive
 from hyperreg.lfun.dirichlet import dirichlet_L, kronecker_character
-from hyperreg.lfun.euler import euler_from_character
 from hyperreg.lfun.motive import (LFunctionSpec, MotiveError, PointError, lambda_derivs,
                                   motive_L)
 from hyperreg.mpnum import PrecisionPolicy
 
-from eulerfile import to_jsonl
+from eulerfile import euler_from_character, to_jsonl
 from test_afe_kernel import _gamma_value
 
 EULER_P = 400
@@ -117,6 +116,26 @@ def test_rounding_bound_past_the_target_exits_3(monkeypatch, tmp_path, capsys):
                         lambda self, order: [r * 10 ** 40 for r in rounding(self, order)])
     with pytest.raises(MotiveError, match="rounding bound .* exceeds 10\\^-8"):
         lambda_derivs(_character_spec(-4), 2, 0, PrecisionPolicy(8))
+    code = cli.main(["--cache", str(tmp_path / "cache"), "--digits", "8", "lfun",
+                     str(_write_spec(-4, tmp_path)), "--s", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "rounding bound" in out.err
+
+
+def test_lost_working_precision_is_not_reported_as_missing_euler_data(monkeypatch, tmp_path,
+                                                                      capsys):
+    """With 60 bits fewer than the working precision in the kernel sums, the
+    side sums stay above their stopping floor until the table runs out.  The
+    side's own rounding bound, about 1.5e-4 against 10^-8, names the cause:
+    the rounding-bound MotiveError, not CoverageError's "need roughly 894";
+    `lfun` exits 3 with that one line."""
+    monkeypatch.setattr(motive, "_GUARD_BITS", -60)
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    with pytest.raises(MotiveError, match="rounding bound .* exceeds 10\\^-8") as err:
+        lambda_derivs(_character_spec(-4), 2, 0, PrecisionPolicy(8))
+    assert not isinstance(err.value, motive.CoverageError)
+    monkeypatch.setattr(motive, "_kernel_cache", {})
     code = cli.main(["--cache", str(tmp_path / "cache"), "--digits", "8", "lfun",
                      str(_write_spec(-4, tmp_path)), "--s", "2"])
     out = capsys.readouterr()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,7 +11,7 @@ from hyperreg.mpnum import PrecisionPolicy, special
 from hyperreg.regulators.cy0 import (class_number_real_quadratic,
                                      cy0_class_number_check, cy0_regulator,
                                      is_squarefree, selected_cy0_cases)
-from hyperreg.regulators.elliptic import elliptic_psi, conifold_catalan_identity
+from hyperreg.regulators.elliptic import conifold_catalan_identity, psi_sum
 from hyperreg.regulators.reporting import CaseError
 
 F = Fraction
@@ -116,13 +117,12 @@ def test_conifold_identity(pol40):
 
 def test_psi_interior_and_limit(pol):
     ctx = pol.ctx
-    val = elliptic_psi(F(1, 32), pol)
-    assert abs(ctx.re(val)) < pol.tol
-    # Psi(t)/(-2 pi i) - log t -> 0 as t -> 0
-    t = F(1, 10 ** 12)
-    dev = elliptic_psi(t, pol) / (-2 * ctx.pi * ctx.mpc(0, 1)) \
-        - ctx.log(ctx.mpf(1) / 10 ** 12)
-    assert abs(dev) < ctx.mpf(10) ** -11
+    # Psi(t)/(-2 pi i) - log t = sum_{m>0} binom(2m,m)^2 t^m / m, term by term at
+    # t = 1/32, where the terms fall like 2^-m
+    direct = ctx.fsum(ctx.mpf(comb(2 * m, m) ** 2) / (m * 32 ** m) for m in range(1, 250))
+    assert abs(psi_sum(F(1, 32), pol) - direct) < 10 * pol.tol
+    # and it -> 0 as t -> 0
+    assert abs(psi_sum(F(1, 10 ** 12), pol)) < ctx.mpf(10) ** -11
 
 
 def test_quadrature_vs_summation_overlap(pol):
