@@ -19,15 +19,17 @@ CLI path through the Mellin-Barnes contour), `verify identities` at --digits
 `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
 KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
-both sides share their kernel values), the ZETA_RUNS (zeta at orders 1 and
-2, the one spec whose Lambda has poles), the Gamma_C order-2 `lfun` runs on the
-quintic spec with the Euler data of PARENT_SRC cut to p <= QUINTIC_P, at
---digits QUINTIC_DIGITS (6, and 20 for a Gamma_C^2 kernel at 20 digits), the
-PERIOD_ARGVS (`period --gamma`,
+both sides share their kernel values), the LARGE_S_RUNS (chi_-4 at s = 20,
+30, 34 and 40, --digits 8 and 30, far right of the critical strip), the
+ZETA_RUNS (zeta at orders 1 and 2, the one spec whose Lambda has poles),
+the Gamma_C order-2 `lfun` runs on the quintic spec with the Euler data of
+PARENT_SRC cut to p <= QUINTIC_P, at --digits QUINTIC_DIGITS (6, and 20 for
+a Gamma_C^2 kernel at 20 digits), the PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0`, the appB data, and two `--point` sums of K
 terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
-which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2.
+which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2:
+146 command lines in all.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ KERNEL_RUNS = ((8, "2", 1, "8"), (-4, "2", 2, "8"), (-4, "2", 0, "20"), (-4, "2"
 # chi_-4 at the centre s = 1/2, orders 0 and 1: both sides of the functional
 # equation take one kernel at the same points y_n
 CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
+# chi_-4 far right of the critical strip, where |N^(s/2) gamma(s)| grows to
+# 4e19 (s = 40): the kernels' rounding bound and the self-test at large s
+LARGE_S_RUNS = tuple((-4, s, 0, digits) for s in ("20", "30", "34", "40")
+                     for digits in ("8", "30"))
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
 # the quintic L''(0) at 6 and 20 digits: both Gamma_C kernel paths and order 2
@@ -263,7 +269,8 @@ def main(argv=None) -> int:
             return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] + list(KERNEL_RUNS + CENTRE_RUNS)
+        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] \
+            + list(KERNEL_RUNS + CENTRE_RUNS + LARGE_S_RUNS)
         specs = {D: str(character_spec(D, Path(tmp))) for D in {run[0] for run in runs}}
         argvs = regulator_argvs() + [
             ["--digits", digits, "lfun", specs[D], "--s", s, "--order", str(order)]

@@ -8,9 +8,13 @@ Gamma(x/2^e), with the halvings e = 1 and 0 held in _HALVINGS, which the
 pole order and the limit at a pole read as well.
 
 The incomplete-Mellin kernel F(s, y) = (1/2 pi i) int gamma(s+u) y^(-u) du/u
-is computed on a truncated vertical line with a uniform trapezoid rule.  A
-kernel returns I_1..I_(order+1), I_j(y) = (1/2 pi i) int gamma(s+u) y^(-u)
-u^(-j) du, so F = I_1, and shifting u by eps gives
+is computed on a truncated vertical line with a uniform trapezoid rule.  It
+has the same value on every line right of the poles of gamma(s+u)/u, so the
+line is free, and one rule (_abscissa) puts every kernel's 2.75 right of its
+rightmost pole: the strip free of poles, and with it the trapezoid step, is
+as wide for every kernel, while y^-c, which scales each value's rounding,
+stays small.  A kernel returns I_1..I_(order+1), I_j(y) = (1/2 pi i)
+int gamma(s+u) y^(-u) u^(-j) du, so F = I_1, and shifting u by eps gives
 F(s+eps, y) = y^eps sum_j eps^j I_(j+1)(y).  So one kernel per (gamma data,
 s, precision) holds one node list, gamma(s+u)/u, for every order; the I_2 and
 I_3 lists, it divided by u once and twice, are formed when first needed.
@@ -24,7 +28,8 @@ integers once per kernel and precision, each power of the rotation is one
 truncated integer product shared by every I_j, and the real part of each
 trapezoid sum, the one the kernel uses, is accumulated exactly and rounded
 once (see _Kernel.__call__); _Kernel.rounding bounds each value, and a bound
-past 10^-digits on Lambda is a MotiveError.  A point the request cannot be
+past 10^-digits on the printed L, carried there through the Lambda -> L step
+(_L_step), is a MotiveError.  A point the request cannot be
 served at (a pole of Lambda, or the wrong order at a trivial zero) raises
 PointError before any table or kernel is built.
 
@@ -44,10 +49,11 @@ Kernels are cached in memory per process, and, when motive_L or
 lambda_derivs is given a directory `store`, on disk as well: each kernel
 built is saved there as <sha256 of its key>.json and a later process loads
 it instead of building it (see _stored_kernel).  The key is the gamma data,
-the raw mpfs of s and c, the context's (prec, rounding), the working digits,
+the raw mpf of s, the context's (prec, rounding), the working digits,
 mpmath's version and backend, and a digest of the bytecode of
-_Kernel.__init__, of the motive functions it calls and of _HALVINGS, so an
-edit to the build invalidates every old entry.  An
+_Kernel.__init__, of the motive functions it calls (_abscissa, which places
+the line, among them) and of _HALVINGS, so an edit to the build invalidates
+every old entry.  An
 entry holds its key, c, h and the node list as (sign, mantissa, exponent)
 integers, under a sha256 of that text; one that does not decode, holds
 another key or fails its checksum is a miss, rebuilt and rewritten.  The
@@ -76,7 +82,8 @@ from operator import mul
 
 from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_add_mpf, mpc_div, mpc_exp, mpc_gamma,
                           mpc_log, mpc_mul, mpc_neg, mpc_pow, mpc_shift, mpf_cos_sin, mpf_log,
-                          mpf_lt, mpf_mul, mpf_mul_int, round_nearest, to_fixed)
+                          mpf_lt, mpf_mul, mpf_mul_int, round_nearest, to_fixed,
+                          to_rational)
 
 from ..mpnum import _GUARD_BITS, PrecisionPolicy, digamma
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
@@ -263,7 +270,7 @@ def _gamma_raw(factors, index, s, prec, rnd):
 # kernel on a truncated vertical line
 # ---------------------------------------------------------------------------
 
-# (gamma data, s, c, precision) -> _Kernel; the oldest insertion is evicted
+# (gamma data, s, precision) -> _Kernel; the oldest insertion is evicted
 # once more than _KERNEL_CACHE_SIZE kernels are held
 _kernel_cache: dict = {}
 _kernel_lock = threading.Lock()
@@ -273,17 +280,32 @@ _KERNEL_CACHE_SIZE = 32
 _KERNEL_VALUES_SIZE = 1024
 
 
+def _abscissa(ctx, u_max):
+    """(c, gap): the line Re u = c of every kernel, gap = 2.75 right of u_max,
+    the rightmost pole of gamma(s+u)/u (u = 0 among them).
+
+    I_j takes the same value on every line right of the poles, so c is free.
+    The trapezoid error on a strip of half-width gap is about
+    e^(-2 pi gap/h), so the node count falls like 1/gap; y^-c scales every
+    value and its rounding (_Kernel.rounding), and grows with c at y < 1.
+    """
+    gap = ctx.mpf("2.75")
+    return u_max + gap, gap
+
+
 class _Kernel:
     """I_j(s, y) = (1/2 pi i) int gamma(s+u) y^-u u^-j du, j = 1, 2, 3.
 
     One list of nodes gamma(s+u)/u at u = c + i h k, k = 0, 1, ..., ending at
     the decay floor, serves every order: I_1 is the kernel F(s, y) and
     F(s+eps, y) = y^eps sum_j eps^j I_(j+1)(y).  The I_2 and I_3 nodes are
-    the list divided by u once and twice, formed when first needed.  Valid
-    for real s, c > 0, y > 0.
+    the list divided by u once and twice, formed when first needed.  The
+    line is _abscissa's, 2.75 right of the rightmost pole for every kernel,
+    so one step h serves every kernel of a precision.  Valid for real s and
+    y > 0.
     """
 
-    def __init__(self, spec, s_val, c, pol: PrecisionPolicy):
+    def __init__(self, spec, s_val, pol: PrecisionPolicy):
         self.ctx = ctx = pol.ctx
         wd = pol.working_digits
         if not spec.gamma_shifts:
@@ -297,15 +319,13 @@ class _Kernel:
             while u > ctx.mpf("0.01"):
                 u_poles.append(u)
                 u -= 2 ** e
-        c = max(c, max(u_poles) + ctx.mpf("0.75"))
-        self.c = c
-        # trapezoid step from the distance to the nearest pole of the strip,
-        # u = 0 among them
-        d_min = min(c - u for u in u_poles)
-        self.h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
+        self.c, gap = _abscissa(ctx, max(u_poles))
+        # trapezoid step from the half-width of the strip free of poles, whose
+        # error is about e^(-2 pi gap / h) = 10^-(wd + 8)
+        self.h = 2 * ctx.pi * gap / ((wd + 8) * ctx.log(10))
         floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
         prec, rnd = ctx._prec_rounding
-        s_mpf, c_mpf, h_mpf = s_val._mpf_, ctx.mpf(c)._mpf_, self.h._mpf_
+        s_mpf, c_mpf, h_mpf = s_val._mpf_, self.c._mpf_, self.h._mpf_
         # each node as one flat raw tuple, the real part's raw mpf then the
         # imaginary part's, for __call__
         self._raw = []
@@ -412,19 +432,20 @@ class _Kernel:
         return vals[:order + 1]
 
 
-def _kernel(spec, s_val, c, pol, store=None):
-    """The cached kernel for (gamma data, s, c, precision).
+def _kernel(spec, s_val, pol, store=None):
+    """The cached kernel for (gamma data, s, precision); its line follows
+    from them (_abscissa).
 
     On a miss in memory the kernel comes from the directory `store` when one
     is given (see _stored_kernel), and is built here otherwise.
     """
-    key = (spec.gamma_signature(), repr(s_val), repr(c), pol.working_digits)
+    key = (spec.gamma_signature(), repr(s_val), pol.working_digits)
     with _kernel_lock:
         k = _kernel_cache.get(key)
     if k is not None:
         return k
-    k = _Kernel(spec, s_val, c, pol) if store is None \
-        else _stored_kernel(store, spec, s_val, c, pol)
+    k = _Kernel(spec, s_val, pol) if store is None \
+        else _stored_kernel(store, spec, s_val, pol)
     with _kernel_lock:
         # a concurrent build of the same key keeps its entry
         k = _kernel_cache.setdefault(key, k)
@@ -480,13 +501,13 @@ def _build_digest() -> str:
     return h.hexdigest()
 
 
-def _store_key(spec, s_val, c, pol) -> dict:
-    """Everything a kernel's nodes depend on, as JSON values."""
+def _store_key(spec, s_val, pol) -> dict:
+    """Everything a kernel's nodes depend on, as JSON values; its line is
+    the build's (_abscissa), which the build digest covers."""
     import mpmath
     ctx = pol.ctx
     return {"gamma": [[kind, str(sh)] for kind, sh in spec.gamma_signature()],
-            "s": list(s_val._mpf_), "c": list(ctx.mpf(c)._mpf_),
-            "prec_rounding": list(ctx._prec_rounding),
+            "s": list(s_val._mpf_), "prec_rounding": list(ctx._prec_rounding),
             "working_digits": pol.working_digits,
             "mpmath": [mpmath.__version__, mpmath.libmp.BACKEND], "build": _build_digest()}
 
@@ -496,7 +517,7 @@ def _entry_file(body: bytes) -> bytes:
     return b'{"sha256":"%s","entry":%s}\n' % (_sha256()(body).hexdigest().encode(), body)
 
 
-def _stored_kernel(store, spec, s_val, c, pol):
+def _stored_kernel(store, spec, s_val, pol):
     """The kernel read from the directory store, or built and saved there.
 
     The entry of a key is the file <sha256 of the key>.json, read only when
@@ -506,7 +527,7 @@ def _stored_kernel(store, spec, s_val, c, pol):
     a skipped write, never an error.
     """
     import json
-    key = _store_key(spec, s_val, c, pol)
+    key = _store_key(spec, s_val, pol)
     name = _sha256()(json.dumps(key, sort_keys=True).encode()).hexdigest() + ".json"
     path = os.path.join(store, name)
     try:
@@ -514,7 +535,7 @@ def _stored_kernel(store, spec, s_val, c, pol):
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         k = None
     if k is None:
-        k = _Kernel(spec, s_val, c, pol)
+        k = _Kernel(spec, s_val, pol)
         try:
             _write_entry(path, key, k)
         except (OSError, ValueError):
@@ -558,7 +579,7 @@ def _write_entry(path, key, k):
 # Lambda and L values
 # ---------------------------------------------------------------------------
 
-def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None):
+def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, on_L, store=None):
     """[sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order]
     on one side, and a bound on the kernel's rounding in each.
 
@@ -566,25 +587,24 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     mirror = True:  sigma = w+1-s0, y_n = n A / sqrt(N).
     a holds the Dirichlet coefficients a_1..a_P of the Euler table.  One pass
     over n serves every j; a sum that meets its stopping rule stops
-    accumulating while the others go on.  Bound j is R_j (_Kernel.rounding)
-    times sum_n |a_n n^(-sigma) N^(sigma/2)| y_n^-c over the n evaluated, in
-    binary64.  store is _kernel's.  When the table runs out before every
-    sum stops, the error is the rounding bound's MotiveError if that bound
-    is past 10^-digits, and CoverageError otherwise.
+    accumulating while the others go on.  The kernel is _kernel's at sigma,
+    on the line c = _abscissa's.  Bound j is R_j (_Kernel.rounding) times
+    sum_n |a_n n^(-sigma) N^(sigma/2)| y_n^-c over the n evaluated, in
+    binary64; a weight past binary64 is a MotiveError.  store is _kernel's.  When the table runs out before every
+    sum stops, the error is the rounding bound's MotiveError if on_L(bounds),
+    the bound they alone put on the value judged (lambda_derivs passes the
+    one on the printed L), is past 10^-digits, and CoverageError otherwise.
     """
     ctx = pol.ctx
-    w = spec.weight
-    sigma = (w + 1 - s_val) if mirror else s_val
-    sig_abs = ctx.mpf(w) / 2 + 1
-    c = max(sig_abs - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = _kernel(spec, sigma, c, pol, store)
+    sigma = (spec.weight + 1 - s_val) if mirror else s_val
+    ker = _kernel(spec, sigma, pol, store)
     sqN = ctx.sqrt(ctx.mpf(spec.conductor))
     # break threshold above the kernel's trapezoid noise plateau
     floor = ctx.mpf(10) ** (-(pol.working_digits - 6))
     M_cap = spec.euler.p_max
     N_half_sigma = ctx.power(ctx.mpf(spec.conductor), sigma / 2)
     totals = [ctx.mpf(0)] * (order + 1)
-    weight, minus_c = 0.0, -float(c)
+    weight, minus_c = 0.0, -float(ker.c)
     quiet = [0] * (order + 1)
     live = list(range(order + 1))          # the sums still accumulating
     for n in range(1, M_cap + 1):
@@ -601,7 +621,10 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
                 break
             continue
         base = an * ctx.power(n, -sigma) * N_half_sigma
-        weight += abs(float(base)) * float(yn) ** minus_c
+        try:
+            weight += abs(float(base)) * float(yn) ** minus_c
+        except OverflowError:
+            weight = math.inf
         kv = ker.values(yn, live[-1])
         for j in list(live):
             term = base * kv[j]
@@ -614,11 +637,14 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
                 quiet[j] = 0
         if not live:
             break
+    if not weight < math.inf:
+        # an overflow, or inf times 0, leaves no finite bound
+        raise MotiveError("AFE kernel rounding bound past binary64")
     bounds = [ctx.mpf(weight) * r for r in ker.rounding(order)]
     if live:
         # the table ran out: a sum held above the floor by the kernel's own
         # rounding is lost precision, not missing Euler data
-        _check_rounding(max(bounds), pol)
+        _check_rounding(on_L(bounds), pol)
         needed = int(2 * M_cap) + 100
         raise CoverageError(
             f"Euler coverage P_max={spec.euler.p_max} insufficient "
@@ -667,7 +693,12 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
 
     `a` is the Dirichlet table of spec.euler up to its p_max; it is built
     here when not given.  `store` is a directory of saved kernels, read and
-    written (see _stored_kernel); None, the default, touches no file.
+    written (see _stored_kernel); None, the default, touches no file.  Each
+    side's kernel lies on _abscissa's line; the values do not depend on its
+    c, but each kernel's rounding bound does, through y_n^-c.  The bounds
+    reach each Lambda^(d) through the same Taylor combination as the sums,
+    and L^(d) through motive_L's Lambda -> L step (_L_step): a bound past
+    10^-digits on that L^(d), the value motive_L prints, is a MotiveError.
     """
     ctx = pol.ctx
     s_val = _s_value(ctx, s0)
@@ -675,20 +706,22 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     if a is None:
         a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right, right_bound = _sum_side(spec, s_val, pol, order, A, False, a, store)
-    left, left_bound = _sum_side(spec, s_val, pol, order, A, True, a, store)
-    sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
-        else ctx.mpf(spec.sign)
+    inv, pref = _L_step(spec, s0, s_val, order, pol)
 
     def taylor(c, x):
         """[d! sum_k x^k/k! c[d-k] for d = 0..order]"""
         return [ctx.factorial(d) * sum(x ** k / ctx.factorial(k) * c[d - k] for k in range(d + 1))
                 for d in range(order + 1)]
 
-    # the kernel's rounding reaches Lambda^(d) through the same combination
-    bound = max(taylor([r + abs(sign) * m for r, m in zip(right_bound, left_bound)],
-                       abs(ctx.log(A))))
-    _check_rounding(bound, pol)
+    def on_L(bounds):
+        """The largest bound on an L^(d) from bounds on the eps^j coefficients."""
+        return max(_to_L(taylor(bounds, abs(ctx.log(A))), [abs(v) for v in inv], abs(pref), ctx))
+
+    right, right_bound = _sum_side(spec, s_val, pol, order, A, False, a, on_L, store)
+    left, left_bound = _sum_side(spec, s_val, pol, order, A, True, a, on_L, store)
+    sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
+        else ctx.mpf(spec.sign)
+    _check_rounding(on_L([r + abs(sign) * m for r, m in zip(right_bound, left_bound)]), pol)
     # Lambda(s+eps) = A^(-eps) sum_j eps^j coeffs[j]; A^(-eps) has the
     # coefficients (-log A)^k / k!, and at d = 0 every factor is an exact 1,
     # so Lambda(s0) keeps the bits of coeffs[0]
@@ -698,13 +731,58 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
             for val in taylor(coeffs, -ctx.log(A))]
 
 
+def _rational(s0, s_val) -> Fraction:
+    """s0 exactly: as given when an int or a Fraction, else s_val's binary value."""
+    return Fraction(s0) if isinstance(s0, (int, Fraction)) else Fraction(*to_rational(s_val._mpf_))
+
+
+def _L_step(spec, s0, s_val, order, pol):
+    """(inv, pref) of the Lambda -> L step at s0: the printed L^(d) is
+    _to_L(Lambda derivatives, inv, pref)[d].
+
+    Off a trivial zero pref = N^(s/2) gamma(s) from the kernel's evaluator,
+    and pref(s)/pref(s+eps) = exp(-ell_1 eps - ell_2 eps^2/2 - ...), with
+    ell_j = (d/ds)^j log pref through psi^(j-1)(x/2^e), has the coefficients
+    inv.  At a trivial zero, a pole of gamma of order m, the printed value is
+    m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)): pref is that
+    denominator over m!, and inv is 1 on Lambda(s0) alone.
+    """
+    ctx = pol.ctx
+    s0f = _rational(s0, s_val)
+    m = gamma_pole_order(spec, s0f)
+    if m > 0:
+        return [1, 0, 0][:order + 1], ctx.power(ctx.mpf(spec.conductor), s_val / 2) \
+            * _gamma_pole_limit(spec, ctx, s0f) / ctx.factorial(m)
+    pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * ctx.make_mpf(_gamma_raw(
+        *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), *ctx._prec_rounding)[0])
+    ell = [ctx.log(spec.conductor) / 2, ctx.mpf(0)]
+    for kind, sh in spec.gamma_shifts:
+        e = _HALVINGS[kind]
+        x = ctx.ldexp(s_val + _s_value(ctx, Fraction(sh)), -e)
+        ell[0] -= ctx.ldexp(ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
+        for j in range(order):
+            ell[j] += ctx.ldexp(digamma(x, j, pol), -(j + 1) * e)
+    return [1, -ell[0], (ell[0] ** 2 - ell[1]) / 2][:order + 1], pref
+
+
+def _to_L(lams, inv, pref, ctx):
+    """[d! sum_k lams[k]/k! inv[d-k] / pref for d < len(lams)]: the L^(d)
+    of the Lambda^(k) in lams, or bounds on them from bounds on the
+    Lambda^(k) with |inv| and |pref|."""
+    return [ctx.factorial(d) * sum(lams[k] / ctx.factorial(k) * inv[d - k]
+                                   for k in range(d + 1)) / pref for d in range(len(lams))]
+
+
 def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolicy,
              cutoff_A=None, store=None):
     """L-derivative at s0 with an error estimate: returns (value, err).
 
     At trivial zeros forced by gamma poles of order m, only
     derivative_order == m is meaningful and the value is
-    m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).
+    m! Lambda(s0) / (N^(s0/2) lim (s-s0)^m gamma(s)).  Every Lambda^(k)
+    comes from lambda_derivs, which has judged the kernels' rounding bound
+    on the value printed here, carried through the same Lambda -> L step
+    (_L_step); the line each kernel lies on is _abscissa's.
     The self-test compares Lambda^(k)(s0), k <= d, at the cutoffs 1.31 and
     1; err is the order-0 residual.  The cutoff-1 values are the main path's
     own when no cutoff_A is given.  All
@@ -712,14 +790,13 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     directory, which None, the default, leaves unread and unwritten.
     """
     ctx = pol.ctx
-    s0f = Fraction(s0) if isinstance(s0, (int, Fraction)) else None
-    m = gamma_pole_order(spec, s0f) if s0f is not None else 0
+    s_val = _s_value(ctx, s0)
+    m = gamma_pole_order(spec, _rational(s0, s_val))
     if m > 0 and derivative_order != m:
         raise PointError(
             f"gamma pole of order {m} at s0: only the order-{m} derivative "
             "(leading Taylor coefficient) is supported here")
     order = 0 if m > 0 else derivative_order
-    s_val = _s_value(ctx, s0)
     _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
@@ -731,25 +808,4 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
             raise MotiveError(f"functional-equation self-test residual {ctx.nstr(residual, 4)} "
                               f"too large at order {d}")
     err = abs(lamA[0] - lam1[0])
-    if m > 0:
-        g = _gamma_pole_limit(spec, ctx, s0f)
-        s0v = ctx.mpf(s0f.numerator) / s0f.denominator
-        val = ctx.factorial(m) * lams[0] / (ctx.power(ctx.mpf(spec.conductor), s0v / 2) * g)
-        return val, err
-    # L = Lambda / pref, pref = N^(s/2) gamma(s) from the kernel's evaluator:
-    # pref(s)/pref(s+eps) = exp(-ell_1 eps - ell_2 eps^2/2 - ...), with
-    # ell_j = (d/ds)^j log pref through psi^(j-1)(x/2^e), has the
-    # coefficients inv
-    pref = ctx.power(ctx.mpf(spec.conductor), s_val / 2) * ctx.make_mpf(_gamma_raw(
-        *_gamma_factors(spec, ctx), (s_val._mpf_, fzero), *ctx._prec_rounding)[0])
-    ell = [ctx.log(spec.conductor) / 2, ctx.mpf(0)]
-    for kind, sh in spec.gamma_shifts:
-        e = _HALVINGS[kind]
-        x = ctx.ldexp(s_val + _s_value(ctx, Fraction(sh)), -e)
-        ell[0] -= ctx.ldexp(ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
-        for j in range(derivative_order):
-            ell[j] += ctx.ldexp(digamma(x, j, pol), -(j + 1) * e)
-    inv = [1, -ell[0], (ell[0] ** 2 - ell[1]) / 2]
-    d = derivative_order
-    return ctx.factorial(d) * sum(lams[k] / ctx.factorial(k) * inv[d - k]
-                                  for k in range(d + 1)) / pref, err
+    return _to_L(lams, *_L_step(spec, s0, s_val, order, pol), ctx)[order], err

@@ -22,15 +22,6 @@ DATA = parse_hg("1/5,2/5,3/5,4/5;1/6,5/6,1,1")
 T_SUP = Fraction(3125, 432)      # = scale_C(DATA): the S-series converge on (0, C)
 
 
-def gamma_closed_form(s, pol: PrecisionPolicy):
-    """-(1/2) Gamma(6s+1) Gamma(s+1)^3 27^-s / (Gamma(2s+1)^3 Gamma(3s+1) (3s - 1/2))."""
-    ctx = pol.ctx
-    s = ctx.convert(s)
-    num = ctx.gamma(6 * s + 1) * ctx.gamma(s + 1) ** 3 * ctx.power(27, -s)
-    den = ctx.gamma(2 * s + 1) ** 3 * ctx.gamma(3 * s + 1) * (3 * s - ctx.mpf(1) / 2)
-    return -num / (2 * den)
-
-
 def pi0_relative_coefficients(n_terms: int) -> list:
     """[1, 2/9, 10/81, ...]: Gamma_cf(k + 1/2)/Gamma_cf(1/2) for k < n_terms.
 

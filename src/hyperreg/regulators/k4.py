@@ -197,19 +197,6 @@ def _entries_checked(K: int):
     return closed
 
 
-def generator_derivative_identity(K: int) -> bool:
-    """D applied to the deformed antiderivative reproduces the deformed
-    period slotwise: theta_z of sum binom^4(s) t^(k+s)/(k+s) equals
-    sum binom^4(s) t^(k+s) in every retained (s, log) slot."""
-    M = frobenius_generator(K, 2, Fraction(0))
-    DM = M.theta_z()
-    E = frobenius_generator(K, 2, None)
-    for m in range(-1, 3):
-        if not (DM.slot(m) == E.slot(m)):
-            return False
-    return True
-
-
 def check_point(t: Fraction, pol: PrecisionPolicy):
     """Raise CaseError unless t lies in (0, 4^-4), where the z = 256 t series
     converge; pol sets no bound here (k4_det checks K against its cap)."""

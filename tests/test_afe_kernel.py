@@ -33,7 +33,7 @@ def test_kernel_rounds_to_nearest_only(monkeypatch):
     """The rounding mode is checked once per call: another than nearest fails."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     monkeypatch.setattr(ctx, "_prec_rounding", [ctx.prec, round_floor])
     with pytest.raises(MotiveError, match="round to nearest"):
         ker(ctx.mpf("0.5"), 0)
@@ -57,7 +57,7 @@ def test_signed_nodes_derived_once_per_kernel(monkeypatch):
     it only; each call converts just the two parts of its rotation."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     calls = _counted(monkeypatch, "to_fixed")
     y = ctx.mpf("0.5")
     first = ker(y, 1)
@@ -75,7 +75,7 @@ def test_order_zero_divides_no_node(monkeypatch):
     once, on the first call of an order that needs them."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), ctx.mpf("0.75"), pol)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     divisions = _counted(monkeypatch, "mpc_div")
     y = ctx.mpf("0.5")
     ker(y, 0)
@@ -144,19 +144,20 @@ def test_gamma_raw_matches_the_mpc_expressions(point):
     assert g == _gamma_value(spec, ctx, s)._mpc_
 
 
-def _reference_raw(spec, s_val, c, pol, order):
+def _reference_raw(spec, s_val, pol, order):
     """(c, h, node lists of orders 0..order) from the per-node mpc loop over
     _gamma_value and _gamma_logderiv, each node's real and imaginary raw mpf
     in one tuple: order d weights the integrand by 1, ell or ell^2 + ell',
     ell = (log gamma)', and each order's list ends at its own decay floor.
-    Its order-0 list is the kernel's construction."""
+    The line is the rule's (motive._abscissa) at the rightmost pole, and h
+    is set by its gap to that pole.  Its order-0 list is the kernel's
+    construction."""
     ctx = pol.ctx
     wd = pol.working_digits
     u_poles = [ctx.mpf(0)] + [u for kind, sh in spec.gamma_shifts
                               for u in _pole_abscissae(ctx, s_val, kind, sh)]
-    c = max(c, max(u_poles) + ctx.mpf("0.75"))
-    d_min = min(min(c - u for u in u_poles), c)
-    h = 2 * ctx.pi * d_min / ((wd + 8) * ctx.log(10))
+    c, gap = motive._abscissa(ctx, max(u_poles))
+    h = 2 * ctx.pi * gap / ((wd + 8) * ctx.log(10))
     raw = [[] for _ in range(order + 1)]
     building = list(range(order + 1))
     k = 0
@@ -194,19 +195,17 @@ GAMMAS = {
 
 
 # Gamma_R with shifts 0 and 1, Gamma_C^2 and Gamma_R(s) Gamma_R(s + 1) at
-# sigma = -1 and 6 digits and at sigma = 0 and 8 digits (the mirror sides,
-# whose lines sit right of a gamma pole); Gamma_C^2 also at sigma = 2 (the
-# line at 0.75) and at 20 digits
+# sigma = -1 and 6 digits and at sigma = 0 and 8 digits (the mirror sides;
+# at sigma = -1 all but Gamma_R(s + 1) have a gamma pole at u = 1, right of
+# u = 0); Gamma_C^2 also at sigma = 2 (no gamma pole right of u = 0) and at
+# 20 digits
 GRID = [(g, "-1", 6) for g in GAMMAS] + [(g, "0", 8) for g in GAMMAS] + \
        [("CC", "2", 6), ("CC", "-1", 20)]
 
 
 def _grid_args(gamma, sigma, ctx):
-    """(spec, sigma, c) of a GRID row, c the line abscissa _sum_side picks for
-    weight 0."""
-    s_val = ctx.mpf(sigma)
-    c = max(1 - s_val + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    return LFunctionSpec(1, 0, 1, GAMMAS[gamma]), s_val, c
+    """(spec, sigma) of a GRID row; the kernel's line follows from them."""
+    return LFunctionSpec(1, 0, 1, GAMMAS[gamma]), ctx.mpf(sigma)
 
 
 @pytest.mark.parametrize("gamma, sigma, digits", GRID)
@@ -263,6 +262,43 @@ def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
             assert abs(rctx.mpf(value) - expected) < limit
 
 
+def _second_line(ctx, u_max):
+    """A line 0.75 right of the rightmost pole, the least gap the line had
+    before the one rule."""
+    gap = ctx.mpf("0.75")
+    return u_max + gap, gap
+
+
+@pytest.mark.parametrize("gamma, sigma, digits", GRID)
+def test_kernel_values_do_not_depend_on_the_line(monkeypatch, gamma, sigma, digits):
+    """I_1..I_3 on the rule's line and on a second line, 0.75 right of the
+    rightmost pole with its own step and nodes, agree within
+    10^-(working digits - 2) relative to max(1, |I_j|) for y from 1/100 to
+    30: each is the same integral, whichever line right of the poles
+    carries it."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    args = _grid_args(gamma, sigma, ctx)
+    ker = motive._Kernel(*args, pol)
+    monkeypatch.setattr(motive, "_abscissa", _second_line)
+    other = motive._Kernel(*args, pol)
+    assert other.c < ker.c and other.h < ker.h
+    limit = ctx.mpf(10) ** (2 - pol.working_digits)
+    for y in ("0.01", "0.05", "0.3", "1", "3.9", "30"):
+        y = ctx.mpf(y)
+        for a, b in zip(ker(y, 2), other(y, 2)):
+            assert abs(a - b) <= limit * max(1, abs(a))
+
+
+def test_chi4_kernel_node_count():
+    """The right-side kernel of `lfun` on chi_-4 at s = 2 and 8 digits,
+    Gamma_R(s + 1) at sigma = 2, has 389 nodes on its line at c = 2.75;
+    the former line, 0.75 from the pole at u = 0, took 1369."""
+    pol = PrecisionPolicy(8)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 4, GAMMAS["R1"]), pol.ctx.mpf(2), pol)
+    assert (ker.c, len(ker._raw)) == (2.75, 389)
+
+
 @pytest.mark.parametrize("gamma, per_node", [("CC", 1), ("RR", 2)])
 def test_one_gamma_per_distinct_factor_per_node(monkeypatch, gamma, per_node):
     """Gamma_C(s)^2 forms its Gamma once per node, N calls for N nodes, not 2N."""
@@ -275,8 +311,7 @@ def test_one_gamma_per_distinct_factor_per_node(monkeypatch, gamma, per_node):
 
     monkeypatch.setattr(motive, "mpc_gamma", counted)
     pol = PrecisionPolicy(6)
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol.ctx.mpf(-1),
-                         pol.ctx.mpf("2.75"), pol)
+    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol.ctx.mpf(-1), pol)
     assert len(calls) == per_node * len(ker._raw)
 
 
@@ -284,4 +319,4 @@ def test_kernel_without_gamma_factors_fails():
     """No gamma factor: the integrand never decays, so no node list can end."""
     pol = PrecisionPolicy(8)
     with pytest.raises(MotiveError, match="failed to decay"):
-        motive._Kernel(LFunctionSpec(1, 0, 1, ()), pol.ctx.mpf(2), pol.ctx.mpf("0.75"), pol)
+        motive._Kernel(LFunctionSpec(1, 0, 1, ()), pol.ctx.mpf(2), pol)

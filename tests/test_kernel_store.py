@@ -41,14 +41,12 @@ SRC = str(Path(hyperreg.__file__).resolve().parents[1])
 
 
 def _sides(gamma, s, digits):
-    """(spec, pol, [(sigma, c) of the right side, then the mirrored one]) of an
-    `lfun` run at s on a weight-0 spec, as _sum_side forms them."""
+    """(spec, pol, [sigma of the right side, then of the mirrored one]) of an
+    `lfun` run at s on a weight-0 spec, as _sum_side forms them; each
+    kernel's line follows from its sigma."""
     pol = PrecisionPolicy(digits)
     ctx = pol.ctx
-    sides = []
-    for sigma in (ctx.mpf(s), 1 - ctx.mpf(s)):
-        sides.append((sigma, max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))))
-    return LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol, sides
+    return LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol, [ctx.mpf(s), 1 - ctx.mpf(s)]
 
 
 def _entries(store):
@@ -62,9 +60,9 @@ def builds(monkeypatch):
     calls = []
     original = motive._Kernel.__init__
 
-    def counted(self, spec, s_val, c, pol):
+    def counted(self, spec, s_val, pol):
         calls.append(s_val)
-        original(self, spec, s_val, c, pol)
+        original(self, spec, s_val, pol)
 
     monkeypatch.setattr(motive._Kernel, "__init__", counted)
     return calls
@@ -74,12 +72,12 @@ def builds(monkeypatch):
                          [("R1", 2, 0, 8), ("R0", 2, 1, 8), ("CC", 0, 2, 6)])
 def test_loaded_kernel_is_the_built_one(tmp_path, builds, gamma, s, order, digits):
     spec, pol, sides = _sides(gamma, s, digits)
-    for sigma, c in sides:
-        built = motive._stored_kernel(tmp_path, spec, sigma, c, pol)
-        loaded = motive._stored_kernel(tmp_path, spec, sigma, c, pol)
+    for sigma in sides:
+        built = motive._stored_kernel(tmp_path, spec, sigma, pol)
+        loaded = motive._stored_kernel(tmp_path, spec, sigma, pol)
         assert len(builds) == 1
         builds.clear()
-        fresh = motive._Kernel(spec, sigma, c, pol)
+        fresh = motive._Kernel(spec, sigma, pol)
         for k in (built, loaded):
             assert k._raw == fresh._raw
             assert (k.c._mpf_, k.h._mpf_) == (fresh.c._mpf_, fresh.h._mpf_)
@@ -183,25 +181,25 @@ def _other_key(path, other):
 @pytest.mark.parametrize("spoil", [_truncate, _flip_digit, _other_key])
 def test_spoiled_entry_is_a_miss_and_rewritten(tmp_path, builds, spoil):
     spec, pol, sides = _sides("R1", 2, 8)
-    kernels = [motive._stored_kernel(tmp_path, spec, sigma, c, pol) for sigma, c in sides]
+    kernels = [motive._stored_kernel(tmp_path, spec, sigma, pol) for sigma in sides]
     files = {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()}
     path = next(p for p in Path(tmp_path).iterdir()
-                if json.loads(p.read_bytes())["entry"]["key"]["s"] == list(sides[0][0]._mpf_))
+                if json.loads(p.read_bytes())["entry"]["key"]["s"] == list(sides[0]._mpf_))
     other = next(p for p in Path(tmp_path).iterdir() if p != path)
     spoil(path, other)
     builds.clear()
-    again = motive._stored_kernel(tmp_path, spec, sides[0][0], sides[0][1], pol)
-    assert builds == [sides[0][0]]
+    again = motive._stored_kernel(tmp_path, spec, sides[0], pol)
+    assert builds == [sides[0]]
     assert again._raw == kernels[0]._raw
     assert {p.name: p.read_bytes() for p in Path(tmp_path).iterdir()} == files
 
 
 def test_other_mpmath_version_is_a_miss(tmp_path, builds, monkeypatch):
-    spec, pol, [(sigma, c), _] = _sides("R1", 2, 8)
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
+    spec, pol, [sigma, _] = _sides("R1", 2, 8)
+    motive._stored_kernel(tmp_path, spec, sigma, pol)
     monkeypatch.setattr(mpmath, "__version__", mpmath.__version__ + ".other")
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
-    motive._stored_kernel(tmp_path, spec, sigma, c, pol)
+    motive._stored_kernel(tmp_path, spec, sigma, pol)
+    motive._stored_kernel(tmp_path, spec, sigma, pol)
     assert len(builds) == 2
     assert len(_entries(tmp_path)) == 2
 
@@ -213,30 +211,31 @@ def _edited(*args):
 
 def test_build_code_is_in_the_key(monkeypatch):
     """Editing the build, a function of motive it calls (_gamma_raw, the raw
-    Gamma evaluator, or _gamma_factors) or the halving table gives other
-    keys, so no entry of the old build is read; undoing the edit gives the
-    old key back."""
-    spec, pol, [(sigma, c), _] = _sides("R1", 2, 8)
+    Gamma evaluator, _gamma_factors, or _abscissa, which places the line the
+    key no longer holds) or the halving table gives other keys, so no entry
+    of the old build is read; undoing the edit gives the old key back."""
+    spec, pol, [sigma, _] = _sides("R1", 2, 8)
     motive._build_digest.cache_clear()
-    before = motive._store_key(spec, sigma, c, pol)
+    before = motive._store_key(spec, sigma, pol)
     edits = [(motive._Kernel, "__init__", lambda self, *args: None),
              (motive, "_HALVINGS", {"R": 1, "C": 1}),
              (motive, "_HALVINGS", {"R": 1, "C": 0, "D": 2}),
              (motive._gamma_raw, "__code__", _edited.__code__),
-             (motive._gamma_factors, "__code__", _edited.__code__)]
+             (motive._gamma_factors, "__code__", _edited.__code__),
+             (motive._abscissa, "__code__", _edited.__code__)]
     builds = set()
     try:
         for target, name, value in edits:
             with monkeypatch.context() as m:
                 m.setattr(target, name, value)
                 motive._build_digest.cache_clear()
-                after = motive._store_key(spec, sigma, c, pol)
+                after = motive._store_key(spec, sigma, pol)
             assert {k for k in before if before[k] != after[k]} == {"build"}
             builds.add(after["build"])
     finally:
         motive._build_digest.cache_clear()
     assert len(builds) == len(edits)
-    assert motive._store_key(spec, sigma, c, pol) == before
+    assert motive._store_key(spec, sigma, pol) == before
 
 
 def test_unwritable_store_changes_no_output(tmp_path):

@@ -30,7 +30,7 @@ GOLDEN = {
     (-4, "2", 0): '{\n "label": "chi_-4",\n "order": 0,\n "s": "2",\n'
                   ' "self_test_residual": "8.27e-25",\n "value": "0.91596559"\n}\n',
     (5, "0", 1): '{\n "label": "chi_5",\n "order": 1,\n "s": "0",\n'
-                 ' "self_test_residual": "0.0",\n "value": "0.48121183"\n}\n',
+                 ' "self_test_residual": "8.27e-25",\n "value": "0.48121183"\n}\n',
 }
 
 
@@ -175,6 +175,42 @@ def test_derivatives_match_the_hurwitz_route(D, s):
             assert abs(value - _hurwitz_L(D, s, order)) < pol.ctx.mpf(10) ** -(digits + 10)
 
 
+@pytest.mark.parametrize("s, digits", [("20", 8), ("20", 30), ("30", 8), ("30", 30), ("34", 30)])
+def test_large_s_prints_beta_in_every_digit(s, digits, tmp_path, capsys):
+    """L(chi_-4, s) = beta(s) = 4^-s (zeta(s, 1/4) - zeta(s, 3/4)) far right
+    of the critical strip, where |N^(s/2) gamma(s)| is 7e6 at s = 20 and
+    3e15 at s = 34: `lfun` exits 0 and prints beta(s), formed at 60 digits,
+    to its last digit.  The kernels' rounding bound is judged on the printed
+    L; judged on Lambda it refused s = 34 at 30 digits (2.4e-28 against
+    10^-30), and s = 30 came within a factor 1.1 of the limit."""
+    code = cli.main(["--digits", str(digits), "lfun", str(_write_spec(-4, tmp_path)),
+                     "--s", s])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    ctx = PrecisionPolicy(45).ctx
+    beta = ctx.power(4, -int(s)) * (ctx.zeta(int(s), ctx.mpf(1) / 4)
+                                    - ctx.zeta(int(s), ctx.mpf(3) / 4))
+    assert json.loads(out.out)["value"] == ctx.nstr(beta, digits)
+
+
+def test_rounding_weight_past_binary64_exits_3(tmp_path, capsys):
+    """At s = 1100 the mirror side's y_n^-c, c = 1100.75, overflows binary64
+    for chi_-4 (y_1 = 1/2), and for zeta y_2^-c underflows to 0 where
+    |a_2 2^-sigma| is past it (inf times 0): no finite rounding bound, so a
+    MotiveError, and exit 3 from `lfun` with one error line, not a
+    traceback."""
+    primes = [p for p in range(2, EULER_P) if all(p % q for q in range(2, p))]
+    zeta = LFunctionSpec(1, 0, 1, (("R", Fraction(0)),), 1,
+                         euler.EulerFactorTable({p: [1, -1] for p in primes}, 1, "zeta"),
+                         poles=((Fraction(1), 1), (Fraction(0), -1)))
+    with pytest.raises(MotiveError, match="rounding bound past binary64"):
+        motive_L(zeta, 1100, 0, PrecisionPolicy(8))
+    code = cli.main(["--digits", "8", "lfun", str(_write_spec(-4, tmp_path)), "--s", "1100"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err == "error: AFE kernel rounding bound past binary64\n"
+
+
 def test_orders_stop_independently():
     """Each order keeps its own stopping rule: asking for more orders changes none."""
     pol = PrecisionPolicy(8)
@@ -277,17 +313,16 @@ def test_kernel_cache_is_bounded(monkeypatch):
     pol = PrecisionPolicy(8)
     ctx = pol.ctx
     sigmas = [ctx.mpf(2) + ctx.mpf(i) / 7 for i in range(4)]
-    c = ctx.mpf("0.75")
     y = ctx.mpf("0.3")
-    first = motive._kernel(spec, sigmas[0], c, pol)
+    first = motive._kernel(spec, sigmas[0], pol)
     values = first(y, 1)
     for sigma in sigmas[1:]:
-        motive._kernel(spec, sigma, c, pol)
+        motive._kernel(spec, sigma, pol)
         assert len(motive._kernel_cache) <= 2
     assert all(k is not first for k in motive._kernel_cache.values())
-    rebuilt = motive._kernel(spec, sigmas[0], c, pol)
+    rebuilt = motive._kernel(spec, sigmas[0], pol)
     assert rebuilt is not first and rebuilt(y, 1) == values
-    assert motive._kernel(spec, sigmas[0], c, pol) is rebuilt
+    assert motive._kernel(spec, sigmas[0], pol) is rebuilt
     assert len(motive._kernel_cache) <= 2
 
 
@@ -295,13 +330,9 @@ QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
 
 
 def _kernel_at(gamma, sigma, digits):
-    """The kernel of gamma data at sigma on the line abscissa _sum_side picks
-    for weight 0."""
+    """The kernel of gamma data at sigma, on the rule's line."""
     pol = PrecisionPolicy(digits)
-    ctx = pol.ctx
-    sigma = ctx.mpf(sigma)
-    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    return motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
+    return motive._Kernel(LFunctionSpec(1, 0, 1, gamma), pol.ctx.mpf(sigma), pol)
 
 
 @functools.cache
@@ -375,9 +406,7 @@ def _mirror_kernel():
     """The Gamma_R(s + 1) kernel of the chi_-4 mirror side at s = 2
     (sigma = -1, 8 digits): one node list of 367 nodes."""
     pol = PrecisionPolicy(8)
-    ctx = pol.ctx
-    return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), ctx.mpf(-1),
-                          ctx.mpf("2.75"), pol)
+    return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), pol.ctx.mpf(-1), pol)
 
 
 # --- the table of kernel values ----------------------------------------------------
@@ -396,11 +425,8 @@ def _bits(values):
 def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
     """Every order the table serves, a hit, a miss or a longer refill, has the
     bits of the call of a fresh copy of the kernel, which has no table."""
-    pol = PrecisionPolicy(digits)
-    ctx = pol.ctx
-    sigma = ctx.mpf(sigma)
-    c = max(1 - sigma + ctx.mpf("0.75"), ctx.mpf("0.75"))
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, gamma), sigma, c, pol)
+    ker = _kernel_at(gamma, sigma, digits)
+    ctx = ker.ctx
     fresh = copy.copy(ker)
     for y in ("0.05", "0.7", "1", "3.9"):
         y = ctx.mpf(y)
@@ -482,9 +508,9 @@ def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
     ctx = pol.ctx
     s_val, A = ctx.mpf(1) / 2, ctx.mpf(1)
     a = euler.dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right, right_bound = motive._sum_side(spec, s_val, pol, order, A, False, a)
+    right, right_bound = motive._sum_side(spec, s_val, pol, order, A, False, a, max)
     calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
-    left, left_bound = motive._sum_side(spec, s_val, pol, order, A, True, a)
+    left, left_bound = motive._sum_side(spec, s_val, pol, order, A, True, a, max)
     assert calls == [] and _bits(left) == _bits(right)
     assert _bits(left_bound) == _bits(right_bound)
 
@@ -494,11 +520,11 @@ def test_kernel_table_is_not_saved(tmp_path):
     fills, and the kernel loaded from it makes a table of its own."""
     pol = PrecisionPolicy(8)
     ctx = pol.ctx
-    spec, s_val, c = _character_spec(-4), ctx.mpf(-1), ctx.mpf("2.75")
-    ker = motive._stored_kernel(tmp_path, spec, s_val, c, pol)
+    spec, s_val = _character_spec(-4), ctx.mpf(-1)
+    ker = motive._stored_kernel(tmp_path, spec, s_val, pol)
     (entry,) = tmp_path.iterdir()
     before = entry.read_bytes()
-    y, key = ctx.mpf("0.3"), motive._store_key(spec, s_val, c, pol)
+    y, key = ctx.mpf("0.3"), motive._store_key(spec, s_val, pol)
     filled = ker.values(y, 1)
     motive._write_entry(entry, key, ker)
     assert entry.read_bytes() == before

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperreg.hypergeom import scale_C
-from hyperreg.regulators.appb import (appB_det, gamma_closed_form,
-                                      integral_model_point,
+from hyperreg.regulators.appb import (appB_det, integral_model_point,
                                       pi0_relative_coefficients, DATA as APPB)
 from hyperreg.regulators.quintic import (DATA_J0, DATA_J1, gamma_big,
                                          quintic_det, quintic_intertwining,
@@ -69,6 +68,15 @@ def _unit_regulator(ctx):
     lY = [ctx.log(abs(real)), 2 * ctx.log(abs(cplx[0]))]
     lY1 = [ctx.log(abs(real + 1)), 2 * ctx.log(abs(cplx[0] + 1))]
     return abs(lY[0] * lY1[1] - lY[1] * lY1[0])
+
+
+def gamma_closed_form(s, pol):
+    """-(1/2) Gamma(6s+1) Gamma(s+1)^3 27^-s / (Gamma(2s+1)^3 Gamma(3s+1) (3s - 1/2))."""
+    ctx = pol.ctx
+    s = ctx.convert(s)
+    num = ctx.gamma(6 * s + 1) * ctx.gamma(s + 1) ** 3 * ctx.power(27, -s)
+    den = ctx.gamma(2 * s + 1) ** 3 * ctx.gamma(3 * s + 1) * (3 * s - ctx.mpf(1) / 2)
+    return -num / (2 * den)
 
 
 def test_gamma_closed_form(pol):

@@ -16,6 +16,8 @@ from hyperreg.hypergeom import W_r, parse_hg
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import appb
 
+from test_quintic_appb import gamma_closed_form
+
 F = Fraction
 
 _rational = st.builds(F, st.integers(-40, 40), st.integers(1, 24))
@@ -134,7 +136,7 @@ def test_pi0_stream_matches_gamma_cf_product():
 def test_pi0_stream_matches_closed_form():
     pol = PrecisionPolicy(30)
     ctx = pol.ctx
-    g0 = appb.gamma_closed_form(ctx.mpf(1) / 2, pol)
+    g0 = gamma_closed_form(ctx.mpf(1) / 2, pol)
     for k, c in enumerate(appb.pi0_relative_coefficients(21)):
-        want = appb.gamma_closed_form(k + ctx.mpf(1) / 2, pol) / g0
+        want = gamma_closed_form(k + ctx.mpf(1) / 2, pol) / g0
         assert abs(ctx.mpf(c.numerator) / c.denominator - want) <= pol.tol * abs(want)
