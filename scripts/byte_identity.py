@@ -28,8 +28,9 @@ a Gamma_C^2 kernel at 20 digits), the PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0`, the appB data, and two `--point` sums of K
 terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
-which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2:
-146 command lines in all.
+which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
+but for fixture_usage_argvs' spec without gamma factors, which exits 3:
+148 command lines in all.
 """
 
 from __future__ import annotations
@@ -125,12 +126,15 @@ BAD_SPEC = "[1, 2]"
 GAPPED_EULER = '{"p": 2, "factor": [1, 1]}\n{"p": 5, "factor": [1, -1]}\n'
 # factors at 2 and 3 and at the non-prime 4
 NONPRIME_EULER = '{"p": 2, "factor": [1]}\n{"p": 3, "factor": [1]}\n{"p": 4, "factor": [1, 1]}\n'
+# a usable table at 2 and 3, for the spec with no gamma factor
+ZETA_EULER = '{"p": 2, "factor": [1, -1]}\n{"p": 3, "factor": [1, -1]}\n'
 
 
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
-    BAD_SPEC and on specs of GAPPED_EULER and NONPRIME_EULER, written under
-    directory."""
+    BAD_SPEC, on specs of GAPPED_EULER and NONPRIME_EULER, and on a spec of
+    ZETA_EULER with an empty gamma_shifts (exit 3: no kernel can decay),
+    written under directory."""
     out = []
     for name, text in BAD_K4_FIXTURES.items():
         (directory / name).mkdir()
@@ -140,10 +144,12 @@ def fixture_usage_argvs(directory: Path) -> list:
         out.append(["--fixtures", fixtures, "verify", "ratios"])
     (directory / "bad-spec.json").write_text(BAD_SPEC)
     out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
-    for name, euler in (("gapped", GAPPED_EULER), ("nonprime", NONPRIME_EULER)):
+    for name, euler, gamma in (("gapped", GAPPED_EULER, [["R", "0"]]),
+                               ("nonprime", NONPRIME_EULER, [["R", "0"]]),
+                               ("no-gamma", ZETA_EULER, [])):
         (directory / f"{name}.jsonl").write_text(euler)
         (directory / f"{name}-spec.json").write_text(json.dumps({
-            "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": [["R", "0"]], "sign": 1,
+            "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": gamma, "sign": 1,
             "euler_path": str(directory / f"{name}.jsonl")}))
         out.append(["lfun", str(directory / f"{name}-spec.json"), "--s", "2"])
     return out

@@ -9,7 +9,7 @@ win.
 The cache directory is --cache (or the config key cache), else
 HYPERREG_CACHE, else .hyperreg-cache in the working directory.  `fetch`
 keeps web responses in its lmfdb/ and `lfun` keeps built AFE kernels in its
-kernels/, one file per (gamma data, s, c, precision, mpmath version and
+kernels/, one file per (gamma data, s, precision, mpmath version and
 backend, kernel build code); a corrupt or stale file is rebuilt, and the
 directory is safe to delete.
 """

@@ -11,7 +11,7 @@ series algebra.  :mod:`hyperreg.hypergeom` re-exports the data and stream names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -20,19 +20,18 @@ class HGError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HGData:
-    a: tuple
-    b: tuple
+class HGData(namedtuple("HGData", "a b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __new__(cls, a, b):
+        if len(a) != len(b):
             raise HGError("index lists must have equal cardinality")
-        if not self.a:
+        if not a:
             raise HGError("empty hypergeometric data")
-        for x in self.a + self.b:
+        for x in a + b:
             if not isinstance(x, Fraction) or not (0 < x <= 1):
                 raise HGError(f"index {x} outside (0, 1]")
+        return super().__new__(cls, a, b)
 
     @property
     def m(self) -> int:
@@ -47,22 +46,18 @@ class HGData:
         return f"{fa};{fb}"
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    entries: tuple
+class GammaVector(namedtuple("GammaVector", "entries")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.entries or any(g == 0 for g in self.entries):
+    def __new__(cls, entries):
+        if not entries or any(g == 0 for g in entries):
             raise HGError("gamma entries must be nonzero")
-        if sum(self.entries) != 0:
+        if sum(entries) != 0:
             raise HGError("gamma entries must sum to 0")
+        return super().__new__(cls, entries)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    label: str            # Ia | Ib | II | IV | generic
-    p: int | None         # twist
-    k_theory: str | None  # K0 | K2 | K4
+CycleType = namedtuple("CycleType", "label p k_theory")   # Ia|Ib|II|IV|generic, twist, K0|K2|K4
 
 
 def parse_hg(text: str) -> HGData:

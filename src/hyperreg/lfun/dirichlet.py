@@ -9,7 +9,7 @@ form of the class number formula (Washington, GTM 83, ch. 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -25,33 +25,32 @@ class LfunError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DirichletChar:
+class DirichletChar(namedtuple("DirichletChar", "modulus angles")):
     """Character values stored as exact angles: chi(a) = e(angles[a]).
 
     angles[a] is a Fraction in [0,1) for units, None when gcd(a,q) > 1.
     """
-    modulus: int
-    angles: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = self.modulus
-        if q < 1 or len(self.angles) != q:
+    def __new__(cls, modulus, angles):
+        q = modulus
+        if q < 1 or len(angles) != q:
             raise LfunError("angle table must have length q")
         for a in range(q):
             unit = gcd(a, q) == 1
-            if unit != (self.angles[a] is not None):
+            if unit != (angles[a] is not None):
                 raise LfunError("angle table support must be the units mod q")
         # multiplicativity on the table, in integer numerators over the lcm L
         # of the angle denominators: e(x) = 1 iff L x = 0 mod L
-        L = lcm(*(x.denominator for x in self.angles if x is not None))
+        L = lcm(*(x.denominator for x in angles if x is not None))
         num = [None if x is None else x.numerator * (L // x.denominator)
-               for x in self.angles]
+               for x in angles]
         units = [b for b in range(1, q) if num[b] is not None]
         for a in units:
             for b in units:
                 if (num[a] + num[b] - num[a * b % q]) % L:
                     raise LfunError(f"table not multiplicative at ({a},{b})")
+        return super().__new__(cls, modulus, angles)
 
     @property
     def parity(self) -> str:

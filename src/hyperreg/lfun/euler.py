@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
+
+from ..mpnum import Record
 
 __all__ = ["EulerFactorTable", "euler_ingest", "dirichlet_coefficients", "EulerError"]
 
@@ -30,18 +31,18 @@ def _primes_upto(n: int) -> list:
     return [i for i, v in enumerate(sieve) if v]
 
 
-@dataclass
-class EulerFactorTable:
-    factors: dict                      # prime -> [1, c1, c2, ...] ints
-    degree: int                        # motive degree (good-prime degree)
-    provenance: str = ""
+class EulerFactorTable(Record):
+    __slots__ = ("factors", "degree", "provenance")
 
-    def __post_init__(self):
-        for p, f in self.factors.items():
+    def __init__(self, factors: dict, degree: int, provenance: str = ""):
+        self.factors = factors          # prime -> [1, c1, c2, ...] ints
+        self.degree = degree            # motive degree (good-prime degree)
+        self.provenance = provenance
+        for p, f in factors.items():
             if not f or f[0] != 1:
                 raise EulerError(f"factor at p={p} must have constant term 1")
-            if len(f) - 1 > self.degree:
-                raise EulerError(f"factor at p={p} exceeds degree {self.degree}")
+            if len(f) - 1 > degree:
+                raise EulerError(f"factor at p={p} exceeds degree {degree}")
 
     @property
     def p_max(self) -> int:

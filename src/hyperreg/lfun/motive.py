@@ -76,7 +76,6 @@ import math
 import os
 import threading
 import types
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -85,7 +84,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_add_mpf, mpc_div, mp
                           mpf_lt, mpf_mul, mpf_mul_int, round_nearest, to_fixed,
                           to_rational)
 
-from ..mpnum import _GUARD_BITS, PrecisionPolicy, digamma
+from ..mpnum import _GUARD_BITS, PrecisionPolicy, Record, digamma
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
 
 __all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
@@ -109,21 +108,20 @@ class CoverageError(MotiveError):
         self.required = required
 
 
-@dataclass
-class LFunctionSpec:
-    degree: int
-    weight: int
-    conductor: int
-    gamma_shifts: tuple            # of ("R"|"C", Fraction)
-    sign: complex = 1
-    euler: EulerFactorTable | None = None
-    poles: tuple = ()              # of (s0, residue of Lambda), simple poles
-    label: str = ""
+class LFunctionSpec(Record):
+    __slots__ = ("degree", "weight", "conductor", "gamma_shifts", "sign", "euler", "poles",
+                 "label")
 
-    def __post_init__(self):
-        if self.conductor < 1:
+    def __init__(self, degree: int, weight: int, conductor: int, gamma_shifts: tuple,
+                 sign: complex = 1, euler: EulerFactorTable | None = None, poles: tuple = (),
+                 label: str = ""):
+        self.degree, self.weight, self.conductor = degree, weight, conductor
+        self.gamma_shifts = gamma_shifts    # of ("R"|"C", Fraction)
+        self.sign, self.euler, self.label = sign, euler, label
+        self.poles = poles                  # of (s0, residue of Lambda), simple poles
+        if conductor < 1:
             raise MotiveError("conductor must be positive")
-        for kind, _ in self.gamma_shifts:
+        for kind, _ in gamma_shifts:
             if kind not in _HALVINGS:
                 raise MotiveError("gamma factor kind must be R or C")
 
@@ -682,6 +680,8 @@ def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
         raise MotiveError("spec has no Euler data")
     if order not in (0, 1, 2):
         raise MotiveError("derivative_order must be 0, 1, or 2")
+    if not spec.gamma_shifts:
+        raise MotiveError("kernel quadrature failed to decay")
     for p0, _ in spec.poles:
         if ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator == s_val:
             raise PointError("evaluation point sits on a pole of Lambda")

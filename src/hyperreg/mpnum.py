@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-
-from .hgdata import term_step
+from operator import attrgetter
 
 _CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
 
@@ -55,27 +54,36 @@ class TailBoundError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
+class Record:
+    """Field-wise repr and equality, and no hash; __slots__ names the fields in order."""
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        get = attrgetter(*self.__slots__)
+        return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+class PrecisionPolicy(namedtuple("PrecisionPolicy", "target_digits guard_digits max_terms")):
     """Requested accuracy plus working headroom.
 
     working precision (decimal digits) = target_digits + guard_digits,
     with guard_digits >= 10 so the last requested digit is trustworthy.
     """
 
-    target_digits: int = 30
-    guard_digits: int = 15
-    max_terms: int = 4000
-    _local: threading.local = field(default_factory=threading.local,
-                                    repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.target_digits < 1:
+    def __new__(cls, target_digits=30, guard_digits=15, max_terms=4000):
+        if target_digits < 1:
             raise MPNumError("target_digits must be positive")
-        if self.guard_digits < 10:
+        if guard_digits < 10:
             raise MPNumError("guard_digits must be at least 10")
-        if self.max_terms < 16:
+        if max_terms < 16:
             raise MPNumError("max_terms must be at least 16")
+        self = super().__new__(cls, target_digits, guard_digits, max_terms)
+        self._local = threading.local()     # not a field: outside ==, hash and repr
+        return self
 
     @property
     def working_digits(self) -> int:
@@ -180,6 +188,7 @@ def ratio_sum(first, ratio: tuple, pol: PrecisionPolicy, name: str = "series",
     poles = [-b for b in beta if -b >= start and b == int(b)]
     if poles:
         raise MPNumError(f"{name}: the term ratio t_(k+1) / t_k has a pole at k = {min(poles)}")
+    from .hgdata import term_step     # here, so that lfun, which sums no series, loads no hgdata
     step = term_step(x, alpha, beta)
     T, e = _man_exp(ctx.mpf(first))
     T, e = T << (wp - T.bit_length()), e - (wp - T.bit_length())

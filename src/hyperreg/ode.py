@@ -13,11 +13,11 @@ Each factor product P(D) = prod (D + c) of L acts in one step through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypergeom import (HGData, W_r, _s_series_times, alpha_s, frobenius_E, frobenius_phi,
                         z_s_logs)
+from .mpnum import Record
 from .series import LogSeries, PowSeries, SLaurent, _apply_shifted_chain, _linear_product, sp_mul
 
 __all__ = ["ResidualReport", "apply_operator", "residual_frobenius",
@@ -37,10 +37,12 @@ def apply_operator_s(h: HGData, F: SLaurent) -> SLaurent:
                     F.s_order, F.min_order)
 
 
-@dataclass
-class ResidualReport:
-    exact_zero: bool             # every residual coefficient vanishes
-    terms_checked: int
+class ResidualReport(Record):
+    __slots__ = ("exact_zero", "terms_checked")
+
+    def __init__(self, exact_zero: bool, terms_checked: int):
+        self.exact_zero = exact_zero    # every residual coefficient vanishes
+        self.terms_checked = terms_checked
 
 
 def _s_poly_b_shift(h: HGData, s_order: int) -> list:

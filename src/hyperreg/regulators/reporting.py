@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..mpnum import PrecisionPolicy
+from ..mpnum import PrecisionPolicy, Record
 
 
 class CaseError(ValueError):
@@ -35,25 +34,29 @@ def detect_rational(x, tol):
     return None
 
 
-@dataclass
-class RegulatorMatrix:
-    entries: list                 # 2x2 of mp reals
+class RegulatorMatrix(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries          # 2x2 of mp reals
 
     def det(self):
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
 
-@dataclass
-class RegulatorReport:
-    case: str
-    t: Fraction | None
-    r_value: object
-    crosschecks: list = field(default_factory=list)   # (name, max deviation)
-    expected_ratio: Fraction | None = None
-    measured_ratio: object | None = None
-    detected_ratio: Fraction | None = None
-    notes: list = field(default_factory=list)
+class RegulatorReport(Record):
+    __slots__ = ("case", "t", "r_value", "crosschecks", "expected_ratio", "measured_ratio",
+                 "detected_ratio", "notes")
+
+    def __init__(self, case: str, t: Fraction | None, r_value, crosschecks: list | None = None,
+                 expected_ratio: Fraction | None = None, measured_ratio=None,
+                 detected_ratio: Fraction | None = None, notes: list | None = None):
+        self.case, self.t, self.r_value = case, t, r_value
+        self.crosschecks = [] if crosschecks is None else crosschecks   # (name, max deviation)
+        self.expected_ratio, self.measured_ratio = expected_ratio, measured_ratio
+        self.detected_ratio = detected_ratio
+        self.notes = [] if notes is None else notes
 
     def check(self, name: str, deviation, pol: PrecisionPolicy):
         """Record a crosscheck; deviations must clear 10^-(target-5)."""

@@ -450,7 +450,33 @@ def test_lfun_loads_no_hypergeom_or_series(tmp_path):
     loaded = _loaded_modules(["--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)),
                               "--s", "2"])
     assert "hyperreg.lfun.motive" in loaded
-    assert not loaded & {"hyperreg.hypergeom", "hyperreg.series"}
+    assert not loaded & {"hyperreg.hypergeom", "hyperreg.series", "hyperreg.hgdata"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "120"],
+    ["period", "1/2,1/2,1/3,2/3;1,1,1,1", "--var", "t", "-K", "120", "--point", "1/1024"],
+    ["regulator", "--case", "k4", "--t", "1/1024"],
+    ["regulator", "--case", "k2", "--t", "1/16"],
+    ["regulator", "--case", "appB", "--t", "2"],
+    ["regulator", "--case", "cy0", "--t", "1/7"],
+    ["verify", "ode"],
+    ["verify", "identities"],
+    ["verify", "continuation"],
+    ["verify", "ratios"],
+    ["--digits", "8", "lfun", "SPEC", "--s", "2"],
+    ["fetch", "--offline", "test/label"],
+    ["hadamard", "k4", "-K", "20"],
+], ids=["period", "period-point", "regulator-k4", "regulator-k2", "regulator-appB",
+        "regulator-cy0", "verify-ode", "verify-identities", "verify-continuation",
+        "verify-ratios", "lfun", "fetch-offline", "hadamard"])
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, argv):
+    """No class of the package is generated at import: importing dataclasses
+    pulls in inspect, ast, dis and tokenize, and execs each class's methods."""
+    argv = [str(_chi_minus4_spec(tmp_path)) if a == "SPEC" else a for a in argv]
+    loaded = _loaded_modules(["--cache", str(tmp_path / "cache")] + argv)
+    assert "hyperreg.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_shared_atomic_writer_loads_no_openssl_or_mpmath(tmp_path):

@@ -3,10 +3,11 @@ exit contract whatever they read.
 
 Every run goes in process through `cli.main`: `lfun` on tiny degree-1 specs
 whose Euler tables are drawn at random (gaps below the largest prime, factors
-past the spec's degree, a wrong constant term, no factor at all), with the
-kernel store under a temporary `--cache`; `fetch --offline` on random
-cached bodies; `period` on random data, options and points; `hadamard` at
-small K; and `period` and `hadamard` under config files of random lines.
+past the spec's degree, a wrong constant term, no factor at all) and whose
+gamma data is drawn too, with the kernel store under a temporary `--cache`;
+`fetch --offline` on random cached bodies; `period` on random data, options
+and points; `hadamard` at small K; and `period` and `hadamard` under config
+files of random lines.
 Each run exits 0, 2, 3 or 4; a non-zero exit writes one `error:` line and
 no traceback, and exit 0 prints JSON.
 """
@@ -40,34 +41,39 @@ def _assert_contract(code, out, err):
         json.loads(out)
 
 
-def _spec(directory, lines, conductor=5, shift="0", sign=1):
-    """A degree-1 spec at directory/spec.json with the Euler lines given."""
+def _spec(directory, lines, conductor=5, gamma=(("R", "0"),), sign=1):
+    """A degree-1 spec at directory/spec.json with the Euler lines and the
+    gamma factors (kind, shift) given."""
     (directory / "euler.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
     spec = directory / "spec.json"
     spec.write_text(json.dumps({
         "degree": 1, "weight": 0, "conductor": conductor,
-        "gamma_shifts": [["R", shift]], "sign": sign,
+        "gamma_shifts": [list(g) for g in gamma], "sign": sign,
         "euler_path": str(directory / "euler.jsonl"), "label": "tiny"}))
     return spec
 
 
 @st.composite
 def lfun_specs(draw):
-    """(Euler lines, conductor, gamma shift, sign) of a degree-1 spec.  The
+    """(Euler lines, conductor, gamma factors, sign) of a degree-1 spec.  The
     factors of degree at most 1 cover every prime up to a drawn largest one.
-    They are those of a real character chi_D with its conductor and shift, or
-    random ones with at most one flaw: a gap below the largest prime, a
-    constant term other than 1, a factor past degree 1, or no factor at all."""
+    They are those of a real character chi_D with its conductor and gamma
+    factor, or random ones with at most one flaw: a gap below the largest
+    prime, a constant term other than 1, a factor past degree 1, or no factor
+    at all.  Beside the random factors the gamma data is drawn too: 0 to 3
+    factors Gamma_R or Gamma_C with shifts 0, 1/2 or 1."""
     kind = draw(st.sampled_from(("character", "none", "gap", "constant term", "degree",
                                  "empty")))
+    gamma = draw(st.lists(st.tuples(st.sampled_from("RC"), st.sampled_from(("0", "1/2", "1"))),
+                          max_size=3))
     if kind == "empty":
-        return [], 5, "0", 1
+        return [], 5, gamma, 1
     top = draw(st.integers(2, len(PRIMES)))
     if kind == "character":
         D = draw(st.sampled_from((-8, -7, -4, -3, 5, 8)))
         lines = [{"p": p, "factor": [1, -kronecker_symbol(D, p)] if D % p else [1]}
                  for p in PRIMES[:top]]
-        return lines, abs(D), "1" if D < 0 else "0", 1
+        return lines, abs(D), [("R", "1" if D < 0 else "0")], 1
     lines = [{"p": p, "factor": [1] + draw(st.lists(st.integers(-2, 2), max_size=1))}
              for p in PRIMES[:top]]
     i = draw(st.integers(0, top - 2))
@@ -77,8 +83,7 @@ def lfun_specs(draw):
         lines[i]["factor"][0] = draw(st.sampled_from((0, 2, -1)))
     elif kind == "degree":
         lines[i]["factor"] += [1, -1]
-    return (lines, draw(st.integers(1, 12)), draw(st.sampled_from(("0", "1"))),
-            draw(st.sampled_from((1, -1))))
+    return lines, draw(st.integers(1, 12)), gamma, draw(st.sampled_from((1, -1)))
 
 
 def test_lfun_gapped_euler_table_exit2(tmp_path):
