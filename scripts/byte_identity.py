@@ -29,8 +29,8 @@ a Gamma_C^2 kernel at 20 digits), the PERIOD_ARGVS (`period --gamma`,
 terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
-but for fixture_usage_argvs' spec without gamma factors, which exits 3:
-148 command lines in all.
+but for fixture_usage_argvs' spec without gamma factors and its spec whose
+Euler table is too short, which exit 3: 150 command lines in all.
 """
 
 from __future__ import annotations
@@ -128,13 +128,16 @@ GAPPED_EULER = '{"p": 2, "factor": [1, 1]}\n{"p": 5, "factor": [1, -1]}\n'
 NONPRIME_EULER = '{"p": 2, "factor": [1]}\n{"p": 3, "factor": [1]}\n{"p": 4, "factor": [1, 1]}\n'
 # a usable table at 2 and 3, for the spec with no gamma factor
 ZETA_EULER = '{"p": 2, "factor": [1, -1]}\n{"p": 3, "factor": [1, -1]}\n'
+# zeta's factors at p <= 7, the table of tests/test_lfun.py::test_coverage_error
+SHORT_EULER = "".join('{"p": %d, "factor": [1, -1]}\n' % p for p in (2, 3, 5, 7))
 
 
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
-    BAD_SPEC, on specs of GAPPED_EULER and NONPRIME_EULER, and on a spec of
-    ZETA_EULER with an empty gamma_shifts (exit 3: no kernel can decay),
-    written under directory."""
+    BAD_SPEC, on specs of GAPPED_EULER and NONPRIME_EULER, on a spec of
+    ZETA_EULER with an empty gamma_shifts (exit 3: no kernel can decay), and
+    on zeta's spec with SHORT_EULER at conductor 10^6 and --digits 20 (exit 3:
+    the side sums run out of Euler data), written under directory."""
     out = []
     for name, text in BAD_K4_FIXTURES.items():
         (directory / name).mkdir()
@@ -152,6 +155,11 @@ def fixture_usage_argvs(directory: Path) -> list:
             "degree": 1, "weight": 0, "conductor": 5, "gamma_shifts": gamma, "sign": 1,
             "euler_path": str(directory / f"{name}.jsonl")}))
         out.append(["lfun", str(directory / f"{name}-spec.json"), "--s", "2"])
+    (directory / "short.jsonl").write_text(SHORT_EULER)
+    (directory / "short-spec.json").write_text(json.dumps({
+        "degree": 1, "weight": 0, "conductor": 10 ** 6, "gamma_shifts": [["R", "0"]],
+        "sign": 1, "poles": [["1", 1], ["0", -1]], "euler_path": str(directory / "short.jsonl")}))
+    out.append(["--digits", "20", "lfun", str(directory / "short-spec.json"), "--s", "2"])
     return out
 
 

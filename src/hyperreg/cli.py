@@ -212,8 +212,7 @@ def cmd_regulator(args, pol: PrecisionPolicy):
     from .regulators.fixtures import FixtureError
     fixtures_dir = args.fixtures or "fixtures"
     try:
-        docs = [json.loads(ratio_report(case, t, pol, fixtures_dir).to_json(pol))
-                for t in points]
+        docs = [ratio_report(case, t, pol, fixtures_dir).to_doc(pol) for t in points]
     except (DivergenceError, TailBoundError) as exc:
         raise CliError(str(exc), EXIT_DIVERGENCE)
     except CaseError as exc:
@@ -285,7 +284,7 @@ def cmd_hadamard(args, pol: PrecisionPolicy):
     except CaseError as exc:
         raise CliError(str(exc), EXIT_VERIFY)
     return {"engine": args.which, "K": args.K,
-            "series": json.loads(out.to_json(pol)),
+            "series": out.to_doc(pol),
             "verified": "matches closed form coefficientwise"}
 
 

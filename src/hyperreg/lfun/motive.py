@@ -50,16 +50,16 @@ lambda_derivs is given a directory `store`, on disk as well: each kernel
 built is saved there as <sha256 of its key>.json and a later process loads
 it instead of building it (see _stored_kernel).  The key is the gamma data,
 the raw mpf of s, the context's (prec, rounding), the working digits,
-mpmath's version and backend, and a digest of the bytecode of
-_Kernel.__init__, of the motive functions it calls (_abscissa, which places
-the line, among them) and of _HALVINGS, so an edit to the build invalidates
-every old entry.  An
-entry holds its key, c, h and the node list as (sign, mantissa, exponent)
-integers, under a sha256 of that text; one that does not decode, holds
-another key or fails its checksum is a miss, rebuilt and rewritten.  The
-loaded nodes are the saved ones, so every value keeps its bits, and the
-directory is safe to delete.  With store=None, the default, the library
-reads and writes no file; the `lfun` command passes <cache dir>/kernels.
+mpmath's version and backend, and the sha256 of this file's bytes, which
+hold the build (_abscissa, which places the line, among it) and _HALVINGS,
+so an edit to the build invalidates every old entry; so does any other edit
+to this file, at the cost of one rebuild per kernel.  An entry holds its
+key, c, h and the node list as (sign, mantissa, exponent) integers, under a
+sha256 of that text; one that does not decode, holds another key or fails
+its checksum is a miss, rebuilt and rewritten.  The loaded nodes are the
+saved ones, so every value keeps its bits, and the directory is safe to
+delete.  With store=None, the default, the library reads and writes no
+file; the `lfun` command passes <cache dir>/kernels.
 
 Each kernel also keeps a table of its values (_Kernel.values): the list
 I_1..I_(d+1) a call returns, per (prec, rounding) and raw mpf of y, at most
@@ -75,7 +75,6 @@ import functools
 import math
 import os
 import threading
-import types
 from fractions import Fraction
 from operator import mul
 
@@ -300,44 +299,16 @@ class _Kernel:
     the list divided by u once and twice, formed when first needed.  The
     line is _abscissa's, 2.75 right of the rightmost pole for every kernel,
     so one step h serves every kernel of a precision.  Valid for real s and
-    y > 0.
+    y > 0.  _build_kernel makes the nodes and _read_entry loads them.
     """
 
-    def __init__(self, spec, s_val, pol: PrecisionPolicy):
-        self.ctx = ctx = pol.ctx
-        wd = pol.working_digits
-        if not spec.gamma_shifts:
-            # the integrand y^-u / u alone decays like 1/|u|, never to the floor
-            raise MotiveError("kernel quadrature failed to decay")
-        factors, index = _gamma_factors(spec, ctx)
-        # real parts of the integrand poles in u: u = 0 plus the gamma poles
-        u_poles = [ctx.mpf(0)]
-        for e, shift, *_ in factors:
-            u = -(s_val + ctx.make_mpf(shift))
-            while u > ctx.mpf("0.01"):
-                u_poles.append(u)
-                u -= 2 ** e
-        self.c, gap = _abscissa(ctx, max(u_poles))
-        # trapezoid step from the half-width of the strip free of poles, whose
-        # error is about e^(-2 pi gap / h) = 10^-(wd + 8)
-        self.h = 2 * ctx.pi * gap / ((wd + 8) * ctx.log(10))
-        floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
-        prec, rnd = ctx._prec_rounding
-        s_mpf, c_mpf, h_mpf = s_val._mpf_, self.c._mpf_, self.h._mpf_
+    def __init__(self, ctx, c, h, raw):
+        self.ctx, self.c, self.h = ctx, c, h
         # each node as one flat raw tuple, the real part's raw mpf then the
         # imaginary part's, for __call__
-        self._raw = []
-        k = 0
-        while True:
-            u = (c_mpf, mpf_mul_int(h_mpf, k, prec, rnd))
-            val = mpc_div(_gamma_raw(factors, index, mpc_add_mpf(u, s_mpf, prec, rnd), prec, rnd),
-                          u, prec, rnd)
-            self._raw.append(val[0] + val[1])
-            if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
-                break
-            if k > 40000:
-                raise MotiveError("kernel quadrature failed to decay")
-            k += 1
+        self._raw = raw
+        self._values = {}
+        self._signed_nodes = None, None, (None, None)
 
     def _signed(self, prec, order):
         """(F, [(re, im, S0, S1) of I_1..I_(order+1)]): the parts of the nodes
@@ -347,7 +318,7 @@ class _Kernel:
         built ones and I_(j+1)'s are I_j's divided by u = c + i h k at prec.
         A list is formed when a call first needs it, once per kernel and
         precision."""
-        held, raws, (f, fixed) = getattr(self, "_signed_nodes", (None, None, (None, None)))
+        held, raws, (f, fixed) = self._signed_nodes
         if held != prec:
             top = max(r[i + 2] + r[i + 3] for r in self._raw for i in (0, 4) if r[i + 1])
             raws, f, fixed = [self._raw], prec + _GUARD_BITS - top, []
@@ -415,11 +386,10 @@ class _Kernel:
 
     def values(self, y, order):
         """[I_1(s, y), ..., I_(order+1)(s, y)] at an mpf y: a copy of the
-        prefix of the list stored in the kernel's table, made at the first
-        lookup so a loaded kernel has one too; a miss, or fewer orders
-        stored, calls."""
+        prefix of the list stored in the kernel's table; a miss, or fewer
+        orders stored, calls."""
         key = (tuple(self.ctx._prec_rounding), y._mpf_)
-        table = vars(self).setdefault("_values", {})
+        table = self._values
         vals = table.get(key)
         if vals is None or len(vals) <= order:
             vals = self(y, order)
@@ -428,6 +398,44 @@ class _Kernel:
                 while len(table) > _KERNEL_VALUES_SIZE:
                     del table[next(iter(table))]
         return vals[:order + 1]
+
+
+def _build_kernel(spec, s_val, pol: PrecisionPolicy):
+    """The kernel of (gamma data, s, precision), its nodes summed up to the
+    decay floor on _abscissa's line."""
+    ctx = pol.ctx
+    wd = pol.working_digits
+    if not spec.gamma_shifts:
+        # the integrand y^-u / u alone decays like 1/|u|, never to the floor
+        raise MotiveError("kernel quadrature failed to decay")
+    factors, index = _gamma_factors(spec, ctx)
+    # real parts of the integrand poles in u: u = 0 plus the gamma poles
+    u_poles = [ctx.mpf(0)]
+    for e, shift, *_ in factors:
+        u = -(s_val + ctx.make_mpf(shift))
+        while u > ctx.mpf("0.01"):
+            u_poles.append(u)
+            u -= 2 ** e
+    c, gap = _abscissa(ctx, max(u_poles))
+    # trapezoid step from the half-width of the strip free of poles, whose
+    # error is about e^(-2 pi gap / h) = 10^-(wd + 8)
+    h = 2 * ctx.pi * gap / ((wd + 8) * ctx.log(10))
+    floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
+    prec, rnd = ctx._prec_rounding
+    s_mpf, c_mpf, h_mpf = s_val._mpf_, c._mpf_, h._mpf_
+    raw = []
+    k = 0
+    while True:
+        u = (c_mpf, mpf_mul_int(h_mpf, k, prec, rnd))
+        val = mpc_div(_gamma_raw(factors, index, mpc_add_mpf(u, s_mpf, prec, rnd), prec, rnd),
+                      u, prec, rnd)
+        raw.append(val[0] + val[1])
+        if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
+            break
+        if k > 40000:
+            raise MotiveError("kernel quadrature failed to decay")
+        k += 1
+    return _Kernel(ctx, c, h, raw)
 
 
 def _kernel(spec, s_val, pol, store=None):
@@ -442,7 +450,7 @@ def _kernel(spec, s_val, pol, store=None):
         k = _kernel_cache.get(key)
     if k is not None:
         return k
-    k = _Kernel(spec, s_val, pol) if store is None \
+    k = _build_kernel(spec, s_val, pol) if store is None \
         else _stored_kernel(store, spec, s_val, pol)
     with _kernel_lock:
         # a concurrent build of the same key keeps its entry
@@ -474,34 +482,17 @@ def _sha256():
 
 @functools.cache
 def _build_digest() -> str:
-    """sha256 of the bytecode, names and constants of _Kernel.__init__, of
-    the code nested in it and of every function of this module it calls,
-    directly or not, and of _HALVINGS; source positions are left out."""
-    h = _sha256()(repr(sorted(_HALVINGS.items())).encode())
-    codes, seen = [_Kernel.__init__.__code__], set()
-    while codes:
-        code = codes.pop()
-        h.update(code.co_code)
-        h.update(repr(code.co_names).encode())
-        for name in code.co_names:
-            f = globals().get(name)
-            if name not in seen and isinstance(f, types.FunctionType) \
-                    and f.__module__ == __name__:
-                seen.add(name)
-                codes.append(f.__code__)
-        for const in code.co_consts:
-            if isinstance(const, types.CodeType):
-                codes.append(const)
-            else:
-                # a frozenset's repr follows string hashing, which varies by process
-                h.update(repr(sorted(map(repr, const)) if isinstance(const, frozenset)
-                              else const).encode())
-    return h.hexdigest()
+    """sha256 of this file's bytes, read once per process: the build
+    (_build_kernel, every function of this module it calls, _abscissa among
+    them) and _HALVINGS are all here, so an edit to any of them changes it,
+    as does any other edit, a comment's too."""
+    return _sha256()(__loader__.get_data(__file__)).hexdigest()
 
 
 def _store_key(spec, s_val, pol) -> dict:
     """Everything a kernel's nodes depend on, as JSON values; its line is
-    the build's (_abscissa), which the build digest covers."""
+    the build's (_abscissa), which the build digest, of this file's bytes,
+    covers."""
     import mpmath
     ctx = pol.ctx
     return {"gamma": [[kind, str(sh)] for kind, sh in spec.gamma_signature()],
@@ -521,23 +512,26 @@ def _stored_kernel(store, spec, s_val, pol):
     The entry of a key is the file <sha256 of the key>.json, read only when
     the in-memory cache misses.  An entry that does not decode, holds another
     key or fails its checksum is a miss, and the kernel built then replaces
-    it.  An OSError while reading or writing is a miss or
-    a skipped write, never an error.
+    it.  An OSError while reading this file for the key, or the entry, is a
+    miss, and one while writing a skipped write, never an error; with no key
+    there is no entry to write.
     """
     import json
-    key = _store_key(spec, s_val, pol)
-    name = _sha256()(json.dumps(key, sort_keys=True).encode()).hexdigest() + ".json"
-    path = os.path.join(store, name)
+    path = k = None
     try:
+        key = _store_key(spec, s_val, pol)
+        name = _sha256()(json.dumps(key, sort_keys=True).encode()).hexdigest() + ".json"
+        path = os.path.join(store, name)
         k = _read_entry(path, key, pol.ctx)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        k = None
+        pass
     if k is None:
-        k = _Kernel(spec, s_val, pol)
-        try:
-            _write_entry(path, key, k)
-        except (OSError, ValueError):
-            pass    # ValueError: a mantissa past Python's int-to-text digit limit
+        k = _build_kernel(spec, s_val, pol)
+        if path is not None:
+            try:
+                _write_entry(path, key, k)
+            except (OSError, ValueError):
+                pass    # ValueError: a mantissa past Python's int-to-text digit limit
     return k
 
 
@@ -552,13 +546,10 @@ def _read_entry(path, key, ctx):
     entry = json.loads(body)
     if entry["key"] != key:
         return None
-    k = _Kernel.__new__(_Kernel)
-    k.ctx = ctx
     # the nodes, c and h are finite mpfs, whose bit count is their mantissa's
-    k.c, k.h = (ctx.make_mpf((s, m, e, m.bit_length())) for s, m, e in (entry["c"], entry["h"]))
-    k._raw = [(s1, m1, e1, m1.bit_length(), s2, m2, e2, m2.bit_length())
-              for s1, m1, e1, s2, m2, e2 in entry["nodes"]]
-    return k
+    c, h = (ctx.make_mpf((s, m, e, m.bit_length())) for s, m, e in (entry["c"], entry["h"]))
+    return _Kernel(ctx, c, h, [(s1, m1, e1, m1.bit_length(), s2, m2, e2, m2.bit_length())
+                               for s1, m1, e1, s2, m2, e2 in entry["nodes"]])
 
 
 def _write_entry(path, key, k):
@@ -577,9 +568,10 @@ def _write_entry(path, key, k):
 # Lambda and L values
 # ---------------------------------------------------------------------------
 
-def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, on_L, store=None):
-    """[sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order]
-    on one side, and a bound on the kernel's rounding in each.
+def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None):
+    """([sum_n a_n n^(-sigma) N^(sigma/2) I_(j+1)(sigma, y_n) for j = 0..order]
+    on one side, a bound on the kernel's rounding in each, and whether the
+    table ran out before every sum stopped).
 
     mirror = False: sigma = s0, argument y_n = n/(A sqrt(N));
     mirror = True:  sigma = w+1-s0, y_n = n A / sqrt(N).
@@ -588,10 +580,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, on_L, stor
     accumulating while the others go on.  The kernel is _kernel's at sigma,
     on the line c = _abscissa's.  Bound j is R_j (_Kernel.rounding) times
     sum_n |a_n n^(-sigma) N^(sigma/2)| y_n^-c over the n evaluated, in
-    binary64; a weight past binary64 is a MotiveError.  store is _kernel's.  When the table runs out before every
-    sum stops, the error is the rounding bound's MotiveError if on_L(bounds),
-    the bound they alone put on the value judged (lambda_derivs passes the
-    one on the printed L), is past 10^-digits, and CoverageError otherwise.
+    binary64; a weight past binary64 is a MotiveError.  store is _kernel's.
     """
     ctx = pol.ctx
     sigma = (spec.weight + 1 - s_val) if mirror else s_val
@@ -638,24 +627,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, on_L, stor
     if not weight < math.inf:
         # an overflow, or inf times 0, leaves no finite bound
         raise MotiveError("AFE kernel rounding bound past binary64")
-    bounds = [ctx.mpf(weight) * r for r in ker.rounding(order)]
-    if live:
-        # the table ran out: a sum held above the floor by the kernel's own
-        # rounding is lost precision, not missing Euler data
-        _check_rounding(on_L(bounds), pol)
-        needed = int(2 * M_cap) + 100
-        raise CoverageError(
-            f"Euler coverage P_max={spec.euler.p_max} insufficient "
-            f"(series still contributing at n={M_cap}); need roughly {needed}",
-            required=needed)
-    return totals, bounds
-
-
-def _check_rounding(bound, pol):
-    """MotiveError when the kernel's rounding bound is past 10^-digits."""
-    if bound > pol.tol:
-        raise MotiveError(f"AFE kernel rounding bound {pol.ctx.nstr(bound, 3)} exceeds "
-                          f"10^-{pol.target_digits}")
+    return totals, [ctx.mpf(weight) * r for r in ker.rounding(order)], bool(live)
 
 
 def _pole_correction(spec, ctx, s_val, j, A):
@@ -699,6 +671,8 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     reach each Lambda^(d) through the same Taylor combination as the sums,
     and L^(d) through motive_L's Lambda -> L step (_L_step): a bound past
     10^-digits on that L^(d), the value motive_L prints, is a MotiveError.
+    A side whose sums the table runs out on, the right one first, has its own
+    bound judged so, and CoverageError follows if it passes.
     """
     ctx = pol.ctx
     s_val = _s_value(ctx, s0)
@@ -709,19 +683,28 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     inv, pref = _L_step(spec, s0, s_val, order, pol)
 
     def taylor(c, x):
-        """[d! sum_k x^k/k! c[d-k] for d = 0..order]"""
-        return [ctx.factorial(d) * sum(x ** k / ctx.factorial(k) * c[d - k] for k in range(d + 1))
-                for d in range(order + 1)]
+        """[d! sum_k x^k/k! c[d-k] for d = 0..order]; the division by 1 is exact"""
+        return _to_L([x ** k for k in range(order + 1)], c, 1, ctx)
 
-    def on_L(bounds):
-        """The largest bound on an L^(d) from bounds on the eps^j coefficients."""
-        return max(_to_L(taylor(bounds, abs(ctx.log(A))), [abs(v) for v in inv], abs(pref), ctx))
-
-    right, right_bound = _sum_side(spec, s_val, pol, order, A, False, a, on_L, store)
-    left, left_bound = _sum_side(spec, s_val, pol, order, A, True, a, on_L, store)
+    right, right_bound, right_out = _sum_side(spec, s_val, pol, order, A, False, a, store)
+    left, left_bound, left_out = _sum_side(spec, s_val, pol, order, A, True, a, store)
     sign = ctx.mpc(spec.sign) if not isinstance(spec.sign, (int, float)) \
         else ctx.mpf(spec.sign)
-    _check_rounding(on_L([r + abs(sign) * m for r, m in zip(right_bound, left_bound)]), pol)
+    # a side whose table ran out is judged on its own bound: a sum held above
+    # the floor by the kernel's own rounding is lost precision, not missing
+    # Euler data
+    out = right_bound if right_out else left_bound if left_out else None
+    bounds = [r + abs(sign) * m for r, m in zip(right_bound, left_bound)] if out is None else out
+    bound = max(_to_L(taylor(bounds, abs(ctx.log(A))), [abs(v) for v in inv], abs(pref), ctx))
+    if bound > pol.tol:
+        raise MotiveError(f"AFE kernel rounding bound {ctx.nstr(bound, 3)} exceeds "
+                          f"10^-{pol.target_digits}")
+    if out is not None:
+        needed = int(2 * spec.euler.p_max) + 100
+        raise CoverageError(
+            f"Euler coverage P_max={spec.euler.p_max} insufficient "
+            f"(series still contributing at n={spec.euler.p_max}); need roughly {needed}",
+            required=needed)
     # Lambda(s+eps) = A^(-eps) sum_j eps^j coeffs[j]; A^(-eps) has the
     # coefficients (-log A)^k / k!, and at d = 0 every factor is an exact 1,
     # so Lambda(s0) keeps the bits of coeffs[0]

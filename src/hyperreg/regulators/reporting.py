@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from ..mpnum import PrecisionPolicy, Record
@@ -67,7 +66,7 @@ class RegulatorReport(Record):
                 f"crosscheck {name!r} deviates by {pol.ctx.nstr(deviation, 5)} "
                 f"(limit {pol.ctx.nstr(limit, 3)})")
 
-    def to_json(self, pol: PrecisionPolicy) -> str:
+    def to_doc(self, pol: PrecisionPolicy) -> dict:
         ctx = pol.ctx
         d = pol.target_digits
 
@@ -78,7 +77,7 @@ class RegulatorReport(Record):
                 return f"{x.numerator}/{x.denominator}"
             return ctx.nstr(x, d)
 
-        doc = {
+        return {
             "case": self.case,
             "t": None if self.t is None else f"{self.t.numerator}/{self.t.denominator}",
             "r_value": num(self.r_value),
@@ -88,4 +87,3 @@ class RegulatorReport(Record):
             "detected_ratio": num(self.detected_ratio),
             "notes": list(self.notes),
         }
-        return json.dumps(doc, sort_keys=True)

@@ -28,7 +28,6 @@ losslessly to floating at any precision policy via ``to_floating``.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -279,7 +278,7 @@ class LogSeries:
         return total
 
     # -- serialization ---------------------------------------------------
-    def to_json(self, pol: PrecisionPolicy) -> str:
+    def to_doc(self, pol: PrecisionPolicy) -> dict:
         def enc(c):
             if isinstance(c, int):
                 return f"{c}/1"
@@ -292,13 +291,17 @@ class LogSeries:
                 c = c.to_mp(pol.ctx)
             return pol.ctx.nstr(c, pol.target_digits)
 
-        doc = {"parts": [
+        return {"parts": [
             None if p is None else {
                 "offset": f"{p.offset.numerator}/{p.offset.denominator}",
                 "coeffs": [enc(c) for c in p.coeffs],
             }
             for p in self.parts]}
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self, pol: PrecisionPolicy) -> str:
+        """to_doc as JSON text, which perfbench/api_warm.py parses."""
+        import json
+        return json.dumps(self.to_doc(pol), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

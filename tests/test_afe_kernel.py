@@ -33,7 +33,7 @@ def test_kernel_rounds_to_nearest_only(monkeypatch):
     """The rounding mode is checked once per call: another than nearest fails."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
+    ker = motive._build_kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     monkeypatch.setattr(ctx, "_prec_rounding", [ctx.prec, round_floor])
     with pytest.raises(MotiveError, match="round to nearest"):
         ker(ctx.mpf("0.5"), 0)
@@ -57,7 +57,7 @@ def test_signed_nodes_derived_once_per_kernel(monkeypatch):
     it only; each call converts just the two parts of its rotation."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
+    ker = motive._build_kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     calls = _counted(monkeypatch, "to_fixed")
     y = ctx.mpf("0.5")
     first = ker(y, 1)
@@ -75,7 +75,7 @@ def test_order_zero_divides_no_node(monkeypatch):
     once, on the first call of an order that needs them."""
     pol = PrecisionPolicy(6)
     ctx = pol.ctx
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
+    ker = motive._build_kernel(LFunctionSpec(1, 0, 1, GAMMAS["R1"]), ctx.mpf(2), pol)
     divisions = _counted(monkeypatch, "mpc_div")
     y = ctx.mpf("0.5")
     ker(y, 0)
@@ -215,7 +215,7 @@ def test_kernel_nodes_match_the_mpc_loop(gamma, sigma, digits):
     pol = PrecisionPolicy(digits)
     ctx = pol.ctx
     args = _grid_args(gamma, sigma, ctx)
-    ker = motive._Kernel(*args, pol)
+    ker = motive._build_kernel(*args, pol)
     c_ref, h_ref, (raw_ref,) = _reference_raw(*args, pol, 0)
     assert (ker.c, ker.h) == (c_ref, h_ref)
     assert ker._raw == raw_ref
@@ -249,7 +249,7 @@ def test_kernel_orders_match_the_digamma_reference(gamma, sigma, digits):
     and orders 1 and 2 by up to 1.4 and 1.95."""
     pol, ref = PrecisionPolicy(digits), PrecisionPolicy(digits).doubled()
     ctx, rctx = pol.ctx, ref.ctx
-    ker = motive._Kernel(*_grid_args(gamma, sigma, ctx), pol)
+    ker = motive._build_kernel(*_grid_args(gamma, sigma, ctx), pol)
     c_ref, h_ref, raws = _reference_raw(*_grid_args(gamma, sigma, rctx), ref, 2)
     for y in ("0.05", "0.7", "1", "3.9", "40"):
         i1, i2, i3 = ker(ctx.mpf(y), 2)
@@ -279,9 +279,9 @@ def test_kernel_values_do_not_depend_on_the_line(monkeypatch, gamma, sigma, digi
     pol = PrecisionPolicy(digits)
     ctx = pol.ctx
     args = _grid_args(gamma, sigma, ctx)
-    ker = motive._Kernel(*args, pol)
+    ker = motive._build_kernel(*args, pol)
     monkeypatch.setattr(motive, "_abscissa", _second_line)
-    other = motive._Kernel(*args, pol)
+    other = motive._build_kernel(*args, pol)
     assert other.c < ker.c and other.h < ker.h
     limit = ctx.mpf(10) ** (2 - pol.working_digits)
     for y in ("0.01", "0.05", "0.3", "1", "3.9", "30"):
@@ -295,7 +295,7 @@ def test_chi4_kernel_node_count():
     Gamma_R(s + 1) at sigma = 2, has 389 nodes on its line at c = 2.75;
     the former line, 0.75 from the pole at u = 0, took 1369."""
     pol = PrecisionPolicy(8)
-    ker = motive._Kernel(LFunctionSpec(1, 0, 4, GAMMAS["R1"]), pol.ctx.mpf(2), pol)
+    ker = motive._build_kernel(LFunctionSpec(1, 0, 4, GAMMAS["R1"]), pol.ctx.mpf(2), pol)
     assert (ker.c, len(ker._raw)) == (2.75, 389)
 
 
@@ -311,7 +311,7 @@ def test_one_gamma_per_distinct_factor_per_node(monkeypatch, gamma, per_node):
 
     monkeypatch.setattr(motive, "mpc_gamma", counted)
     pol = PrecisionPolicy(6)
-    ker = motive._Kernel(LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol.ctx.mpf(-1), pol)
+    ker = motive._build_kernel(LFunctionSpec(1, 0, 1, GAMMAS[gamma]), pol.ctx.mpf(-1), pol)
     assert len(calls) == per_node * len(ker._raw)
 
 
@@ -319,4 +319,4 @@ def test_kernel_without_gamma_factors_fails():
     """No gamma factor: the integrand never decays, so no node list can end."""
     pol = PrecisionPolicy(8)
     with pytest.raises(MotiveError, match="failed to decay"):
-        motive._Kernel(LFunctionSpec(1, 0, 1, ()), pol.ctx.mpf(2), pol)
+        motive._build_kernel(LFunctionSpec(1, 0, 1, ()), pol.ctx.mpf(2), pol)

@@ -41,14 +41,15 @@ def _assert_contract(code, out, err):
         json.loads(out)
 
 
-def _spec(directory, lines, conductor=5, gamma=(("R", "0"),), sign=1):
-    """A degree-1 spec at directory/spec.json with the Euler lines and the
-    gamma factors (kind, shift) given."""
+def _spec(directory, lines, conductor=5, gamma=(("R", "0"),), sign=1, poles=()):
+    """A degree-1 spec at directory/spec.json with the Euler lines, the
+    gamma factors (kind, shift) and the poles (s, residue) of Lambda given."""
     (directory / "euler.jsonl").write_text("".join(json.dumps(x) + "\n" for x in lines))
     spec = directory / "spec.json"
     spec.write_text(json.dumps({
         "degree": 1, "weight": 0, "conductor": conductor,
         "gamma_shifts": [list(g) for g in gamma], "sign": sign,
+        "poles": [list(p) for p in poles],
         "euler_path": str(directory / "euler.jsonl"), "label": "tiny"}))
     return spec
 
@@ -94,6 +95,18 @@ def test_lfun_gapped_euler_table_exit2(tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: bad spec file: missing Euler factors for primes [3]")
     assert len(err.splitlines()) == 1
+
+
+def test_lfun_euler_table_too_short_exit3(tmp_path):
+    """The spec of tests/test_lfun.py::test_coverage_error: zeta's factors at
+    p <= 7 at conductor 10^6 run out before either side sum stops, and the
+    kernels' rounding is not the cause: exit 3 with the coverage line."""
+    spec = _spec(tmp_path, [{"p": p, "factor": [1, -1]} for p in (2, 3, 5, 7)],
+                 conductor=10 ** 6, poles=(("1", 1), ("0", -1)))
+    code, out, err = _run_in_process(["--cache", str(tmp_path / "cache"), "--digits", "20",
+                                      "lfun", str(spec), "--s", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Euler coverage") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("lines", [

@@ -56,15 +56,14 @@ def _entries(store):
 @pytest.fixture
 def builds(monkeypatch):
     """The s of every kernel built from here on."""
-    motive._build_digest()          # the store key reads the unwrapped build
     calls = []
-    original = motive._Kernel.__init__
+    original = motive._build_kernel
 
-    def counted(self, spec, s_val, pol):
+    def counted(spec, s_val, pol):
         calls.append(s_val)
-        original(self, spec, s_val, pol)
+        return original(spec, s_val, pol)
 
-    monkeypatch.setattr(motive._Kernel, "__init__", counted)
+    monkeypatch.setattr(motive, "_build_kernel", counted)
     return calls
 
 
@@ -77,7 +76,7 @@ def test_loaded_kernel_is_the_built_one(tmp_path, builds, gamma, s, order, digit
         loaded = motive._stored_kernel(tmp_path, spec, sigma, pol)
         assert len(builds) == 1
         builds.clear()
-        fresh = motive._Kernel(spec, sigma, pol)
+        fresh = motive._build_kernel(spec, sigma, pol)
         for k in (built, loaded):
             assert k._raw == fresh._raw
             assert (k.c._mpf_, k.h._mpf_) == (fresh.c._mpf_, fresh.h._mpf_)
@@ -204,37 +203,39 @@ def test_other_mpmath_version_is_a_miss(tmp_path, builds, monkeypatch):
     assert len(_entries(tmp_path)) == 2
 
 
-def _edited(*args):
-    """The code of an edited build function."""
-    return args
+# (text, edited text) of motive.py: a comment alone, the line's gap
+# (_abscissa) and the halving table
+KEY_EDITS = ((b"# kernel on a truncated vertical line", b"# the kernel on a vertical line"),
+             (b'gap = ctx.mpf("2.75")', b'gap = ctx.mpf("2.5")'),
+             (b'_HALVINGS = {"R": 1, "C": 0}', b'_HALVINGS = {"R": 1, "C": 1}'))
 
 
-def test_build_code_is_in_the_key(monkeypatch):
-    """Editing the build, a function of motive it calls (_gamma_raw, the raw
-    Gamma evaluator, _gamma_factors, or _abscissa, which places the line the
-    key no longer holds) or the halving table gives other keys, so no entry
-    of the old build is read; undoing the edit gives the old key back."""
+def test_build_code_is_in_the_key(tmp_path, monkeypatch):
+    """The build key is read from motive.py itself: a copy with only a
+    comment, the line's gap or the halving table edited gives another build
+    key for each edit, so no entry of the old file is read, and an unedited
+    copy gives the old key back."""
     spec, pol, [sigma, _] = _sides("R1", 2, 8)
-    motive._build_digest.cache_clear()
+    source = Path(motive.__file__).read_bytes()
     before = motive._store_key(spec, sigma, pol)
-    edits = [(motive._Kernel, "__init__", lambda self, *args: None),
-             (motive, "_HALVINGS", {"R": 1, "C": 1}),
-             (motive, "_HALVINGS", {"R": 1, "C": 0, "D": 2}),
-             (motive._gamma_raw, "__code__", _edited.__code__),
-             (motive._gamma_factors, "__code__", _edited.__code__),
-             (motive._abscissa, "__code__", _edited.__code__)]
     builds = set()
     try:
-        for target, name, value in edits:
+        for i, (old, new) in enumerate(KEY_EDITS + ((b"", b""),)):
+            assert old == b"" or source.count(old) == 1
+            edited = tmp_path / f"motive{i}.py"
+            edited.write_bytes(source.replace(old, new))
             with monkeypatch.context() as m:
-                m.setattr(target, name, value)
+                m.setattr(motive, "__file__", str(edited))
                 motive._build_digest.cache_clear()
                 after = motive._store_key(spec, sigma, pol)
-            assert {k for k in before if before[k] != after[k]} == {"build"}
-            builds.add(after["build"])
+            if old:
+                assert {k for k in before if before[k] != after[k]} == {"build"}
+                builds.add(after["build"])
+            else:
+                assert after == before
     finally:
         motive._build_digest.cache_clear()
-    assert len(builds) == len(edits)
+    assert len(builds) == len(KEY_EDITS)
     assert motive._store_key(spec, sigma, pol) == before
 
 

@@ -237,7 +237,7 @@ def test_motive_L_work_counts(monkeypatch):
     monkeypatch.setattr(motive, "_kernel_cache", {})
     lam_calls = _count_calls(monkeypatch, motive, "lambda_derivs")
     coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
-    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    kernel_builds = _count_calls(monkeypatch, motive, "_build_kernel")
     motive_L(_character_spec(-4), 2, 1, PrecisionPolicy(8))
     assert len(lam_calls) == 2
     assert len(coeff_calls) <= 2
@@ -263,7 +263,7 @@ def test_pole_of_lambda_fails_fast(monkeypatch, s0, order):
     """A point on a pole of Lambda is refused before any table or kernel is built."""
     monkeypatch.setattr(motive, "_kernel_cache", {})
     coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
-    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    kernel_builds = _count_calls(monkeypatch, motive, "_build_kernel")
     pol = PrecisionPolicy(8)
     with pytest.raises(PointError, match="pole of Lambda"):
         motive_L(_zeta_spec(), s0, order, pol)
@@ -277,7 +277,7 @@ def test_pole_of_lambda_fails_fast(monkeypatch, s0, order):
 def test_unsupported_order_fails_fast(monkeypatch):
     monkeypatch.setattr(motive, "_kernel_cache", {})
     coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
-    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    kernel_builds = _count_calls(monkeypatch, motive, "_build_kernel")
     for order in (-1, 3):
         with pytest.raises(MotiveError):
             motive_L(_character_spec(-4), 2, order, PrecisionPolicy(8))
@@ -286,7 +286,7 @@ def test_unsupported_order_fails_fast(monkeypatch):
 
 def test_lambda_derivs_needs_euler_data(monkeypatch):
     monkeypatch.setattr(motive, "_kernel_cache", {})
-    kernel_builds = _count_calls(monkeypatch, motive, "_Kernel")
+    kernel_builds = _count_calls(monkeypatch, motive, "_build_kernel")
     spec = LFunctionSpec(1, 0, 4, (("R", Fraction(1)),), 1, None)
     with pytest.raises(MotiveError):
         lambda_derivs(spec, 2, 0, PrecisionPolicy(8))
@@ -332,7 +332,7 @@ QUINTIC_GAMMA = (("C", Fraction(0)), ("C", Fraction(0)))
 def _kernel_at(gamma, sigma, digits):
     """The kernel of gamma data at sigma, on the rule's line."""
     pol = PrecisionPolicy(digits)
-    return motive._Kernel(LFunctionSpec(1, 0, 1, gamma), pol.ctx.mpf(sigma), pol)
+    return motive._build_kernel(LFunctionSpec(1, 0, 1, gamma), pol.ctx.mpf(sigma), pol)
 
 
 @functools.cache
@@ -406,7 +406,7 @@ def _mirror_kernel():
     """The Gamma_R(s + 1) kernel of the chi_-4 mirror side at s = 2
     (sigma = -1, 8 digits): one node list of 367 nodes."""
     pol = PrecisionPolicy(8)
-    return motive._Kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), pol.ctx.mpf(-1), pol)
+    return motive._build_kernel(LFunctionSpec(1, 0, 4, (("R", Fraction(1)),)), pol.ctx.mpf(-1), pol)
 
 
 # --- the table of kernel values ----------------------------------------------------
@@ -424,7 +424,7 @@ def _bits(values):
 ])
 def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
     """Every order the table serves, a hit, a miss or a longer refill, has the
-    bits of the call of a fresh copy of the kernel, which has no table."""
+    bits of the call of a fresh copy of the kernel, which reads no table."""
     ker = _kernel_at(gamma, sigma, digits)
     ctx = ker.ctx
     fresh = copy.copy(ker)
@@ -437,6 +437,7 @@ def test_kernel_table_is_the_call_bit_for_bit(gamma, sigma, digits):
 def _table_kernel():
     """A copy of _mirror_kernel(), whose table starts empty, and its context."""
     ker = copy.copy(_mirror_kernel())
+    ker._values = {}
     return ker, ker.ctx
 
 
@@ -508,9 +509,10 @@ def test_mirror_side_at_the_centre_reads_the_table(monkeypatch, order):
     ctx = pol.ctx
     s_val, A = ctx.mpf(1) / 2, ctx.mpf(1)
     a = euler.dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    right, right_bound = motive._sum_side(spec, s_val, pol, order, A, False, a, max)
+    right, right_bound, right_out = motive._sum_side(spec, s_val, pol, order, A, False, a)
     calls = _count_calls(monkeypatch, motive._Kernel, "__call__")
-    left, left_bound = motive._sum_side(spec, s_val, pol, order, A, True, a, max)
+    left, left_bound, left_out = motive._sum_side(spec, s_val, pol, order, A, True, a)
+    assert not right_out and not left_out
     assert calls == [] and _bits(left) == _bits(right)
     assert _bits(left_bound) == _bits(right_bound)
 

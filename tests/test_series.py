@@ -183,7 +183,7 @@ def test_slaurent_log_s_depth_guard():
 
 
 def _from_json(text: str) -> LogSeries:
-    """The LogSeries that LogSeries.to_json wrote."""
+    """The LogSeries of the JSON text of a LogSeries.to_doc."""
     doc = json.loads(text)
     parts = []
     for p in doc["parts"]:
@@ -203,7 +203,7 @@ def _from_json(text: str) -> LogSeries:
 
 def test_json_roundtrip(pol):
     ls = LogSeries([PowSeries(F(1, 2), [F(3, 7), F(1)]), PowSeries(0, [F(2)])])
-    text = ls.to_json(pol)
+    text = json.dumps(ls.to_doc(pol))
     back = _from_json(text)
     assert back == ls
 
