@@ -15,8 +15,10 @@ output with a warm kernel store is compared as well as the cold one.
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), `verify identities` at --digits
-20 and 50, the k4, cy0 and appB points at --digits 20, 30 and 50, the k2 list K2_T at --digits 20 and 50, the two
-`lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
+20 and 50, the k4, cy0 and appB points at --digits 20, 30 and 50, appB's t = 2
+and 7 at --digits 3 (where the finite-difference probe's two sums need more
+working digits than the target gives), the k2 list K2_T at --digits 20 and
+50, the two `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
 KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
 both sides share their kernel values), the LARGE_S_RUNS (chi_-4 at s = 20,
@@ -30,7 +32,8 @@ terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
 but for fixture_usage_argvs' spec without gamma factors and its spec whose
-Euler table is too short, which exit 3: 150 command lines in all.
+Euler table is too short, which exit 3, and `regulator` on the refused-t
+fixture, which has no row at its t and exits 0: 160 command lines in all.
 """
 
 from __future__ import annotations
@@ -104,9 +107,11 @@ PERIOD_ARGVS = (
 )
 # exit 2 with one error line: malformed data, an unknown case, a t outside
 # its case's interval, a k2 point too close to |z| = 1, a missing spec file,
-# and (fixture_usage_argvs) a k4 fixture that is not JSON or whose L-value is
-# shorter than --digits, an lfun spec that is not a JSON object, one whose
-# Euler table has a gap below its largest prime, and one with a factor at p = 4
+# and (fixture_usage_argvs) a k4 fixture that is not JSON, whose L-value is
+# shorter than --digits, is a JSON number or is not a decimal, or whose row with
+# L-data has a t k4 refuses, an lfun spec that is not a JSON object, one whose
+# Euler table has a gap below its largest prime, one with a factor at p = 4 and
+# one with a factor at p = 3.9
 USAGE_ARGVS = (
     ["period", "1/2,1/2;1"],
     ["regulator", "--case", "nope", "--t", "1/2"],
@@ -118,6 +123,14 @@ BAD_K4_FIXTURES = {
     "not-json": "[{",
     "short-L": json.dumps([{"t": "1/1024", "expected_ratio": "4", "L_value": "0.123456",
                             "L_derivative_order": 2}]),
+    "number-L": json.dumps([{"t": "1/1024", "expected_ratio": "4", "L_value": 1.5,
+                             "L_derivative_order": 2}]),
+    "not-decimal-L": json.dumps([{"t": "1/1024", "expected_ratio": "4",
+                                  "L_value": "0.12345678901234567890123456789x123",
+                                  "L_derivative_order": 2}]),
+    "refused-t": json.dumps([{"t": "1", "expected_ratio": "4",
+                              "L_value": "0.1234567890123456789012345678901234",
+                              "L_derivative_order": 2}]),
 }
 
 
@@ -126,6 +139,8 @@ BAD_SPEC = "[1, 2]"
 GAPPED_EULER = '{"p": 2, "factor": [1, 1]}\n{"p": 5, "factor": [1, -1]}\n'
 # factors at 2 and 3 and at the non-prime 4
 NONPRIME_EULER = '{"p": 2, "factor": [1]}\n{"p": 3, "factor": [1]}\n{"p": 4, "factor": [1, 1]}\n'
+# a factor at p = 3.9, not an integer
+FLOAT_P_EULER = '{"p": 2, "factor": [1]}\n{"p": 3.9, "factor": [1, 1]}\n'
 # a usable table at 2 and 3, for the spec with no gamma factor
 ZETA_EULER = '{"p": 2, "factor": [1, -1]}\n{"p": 3, "factor": [1, -1]}\n'
 # zeta's factors at p <= 7, the table of tests/test_lfun.py::test_coverage_error
@@ -134,7 +149,7 @@ SHORT_EULER = "".join('{"p": %d, "factor": [1, -1]}\n' % p for p in (2, 3, 5, 7)
 
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
-    BAD_SPEC, on specs of GAPPED_EULER and NONPRIME_EULER, on a spec of
+    BAD_SPEC, on specs of GAPPED_EULER, NONPRIME_EULER and FLOAT_P_EULER, on a spec of
     ZETA_EULER with an empty gamma_shifts (exit 3: no kernel can decay), and
     on zeta's spec with SHORT_EULER at conductor 10^6 and --digits 20 (exit 3:
     the side sums run out of Euler data), written under directory."""
@@ -149,6 +164,7 @@ def fixture_usage_argvs(directory: Path) -> list:
     out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
     for name, euler, gamma in (("gapped", GAPPED_EULER, [["R", "0"]]),
                                ("nonprime", NONPRIME_EULER, [["R", "0"]]),
+                               ("float-p", FLOAT_P_EULER, [["R", "0"]]),
                                ("no-gamma", ZETA_EULER, [])):
         (directory / f"{name}.jsonl").write_text(euler)
         (directory / f"{name}-spec.json").write_text(json.dumps({
@@ -191,6 +207,8 @@ def regulator_argvs() -> list:
         # one process per point: at --digits 50 the point 7 hits the S_A cap
         for t in ("2", "5", "7"):
             out.append(["--digits", digits, "regulator", "--case", "appB", "--t", t])
+    for t in ("2", "7"):
+        out.append(["--digits", "3", "regulator", "--case", "appB", "--t", t])
     for digits in ("20", "50"):
         out.append(["--digits", digits, "regulator", "--case", "k2", "--t", K2_T])
     return out

@@ -20,6 +20,14 @@ class EulerError(ValueError):
     pass
 
 
+def _json_int(x) -> int:
+    """x when it is a JSON integer; ValueError for anything else, a float
+    such as 3.9 and the booleans true and false included."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def _primes_upto(n: int) -> list:
     if n < 2:
         return []
@@ -66,7 +74,8 @@ def write_atomic(path, data: bytes):
 
 
 def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:
-    """Read a JSONL file of {"p": int, "factor": [1, c1, ...]} lines."""
+    """Read a JSONL file of {"p": int, "factor": [1, c1, ...]} lines; p and
+    every c must be JSON integers."""
     path = Path(path)
     factors = {}
     maxdeg = 0
@@ -77,8 +86,8 @@ def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:
                 continue
             try:
                 obj = json.loads(line)
-                p = int(obj["p"])
-                fac = [int(c) for c in obj["factor"]]
+                p = _json_int(obj["p"])
+                fac = [_json_int(c) for c in obj["factor"]]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise EulerError(f"{path}:{lineno}: malformed line ({exc})") from None
             if not fac or fac[0] != 1:

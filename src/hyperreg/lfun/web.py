@@ -21,7 +21,7 @@ import urllib.parse
 import urllib.request
 from pathlib import Path
 
-from .euler import EulerError, EulerFactorTable, write_atomic
+from .euler import EulerError, EulerFactorTable, _json_int, write_atomic
 
 __all__ = ["lmfdb_fetch", "FetchError", "NotFoundError", "ENDPOINT_TEMPLATE"]
 
@@ -109,8 +109,9 @@ def _table(doc, label: str, provenance: str) -> EulerFactorTable:
         raise NotFoundError(f"no data rows for label {label!r}")
     rec = rows[0]
     try:
-        degree = int(rec.get("degree", 0))
-        factors = {int(p): [int(c) for c in fac] for p, fac in rec.get("euler_factors", [])}
+        degree = _json_int(rec.get("degree", 0))
+        factors = {_json_int(p): [_json_int(c) for c in fac]
+                   for p, fac in rec.get("euler_factors", [])}
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise EulerError(f"malformed response for {label!r}: {exc}") from None
     return EulerFactorTable(factors, degree, provenance=provenance)

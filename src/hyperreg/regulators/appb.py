@@ -31,6 +31,7 @@ def pi0_relative_coefficients(n_terms: int) -> list:
 
 
 PROBE_STEP = Fraction(1, 10 ** 8)   # step of the finite-difference derivative probe
+PROBE_DIGITS = 35                   # least working digits of the probe's two sums
 # below this t the central difference at PROBE_STEP misses the probe's 10^-12
 # budget at every --digits (1/250 reads 1.17e-12, 1/500 4.77e-12; 1/200 passes)
 T_INF = Fraction(1, 200)
@@ -55,15 +56,20 @@ def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     check_point(t, pol)
     ctx = pol.ctx
     th = PROBE_STEP
+    # the probe subtracts S_A(t +- th), so every sum runs with at least
+    # PROBE_DIGITS working digits: the probe's rounding is 10^-wd / th
+    wp = pol if pol.working_digits >= PROBE_DIGITS else \
+        PrecisionPolicy(PROBE_DIGITS - pol.guard_digits, pol.guard_digits, pol.max_terms)
+    wctx = wp.ctx
     # one pass per column: S_Aj(t), S_Aj'(t) (termwise exact), S_Aj(t +- th)
     requests = ((t, False), (t, True), (t + th, False), (t - th, False))
-    cols = list(zip(*(column_sums(DATA, j, requests, pol) for j in range(DATA.m))))
-    m = [[S_n(DATA, n, cols[0], pol), S_n(DATA, n, cols[1], pol)] for n in (0, 1)]
+    cols = list(zip(*(column_sums(DATA, j, requests, wp) for j in range(DATA.m))))
+    m = [[S_n(DATA, n, cols[0], wp), S_n(DATA, n, cols[1], wp)] for n in (0, 1)]
     mat = RegulatorMatrix([[ctx.re(x) for x in row] for row in m])
     rep = RegulatorReport("appB", t, mat.det())
     # finite-difference probe of the derivative column (fd error budget 1e-12)
-    fd = (ctx.re(S_n(DATA, 0, cols[2], pol)) - ctx.re(S_n(DATA, 0, cols[3], pol))) \
-        / (2 * ctx.mpf(10) ** -8)
+    fd = (wctx.re(S_n(DATA, 0, cols[2], wp)) - wctx.re(S_n(DATA, 0, cols[3], wp))) \
+        / (2 * wctx.mpf(10) ** -8)
     dev = abs(fd - mat.entries[0][1]) / max(1, abs(m[0][1]))
     rep.crosschecks.append(("derivative_column_fd_probe", dev))
     if dev > ctx.mpf(10) ** -12:

@@ -3,13 +3,15 @@
 fixtures/<case>.json holds a list of entries
   {"t": "p/q" | null, "expected_ratio": "p/q" | null,
    "L_value": decimal string | null, "L_derivative_order": 0|1|2}
-plus free-form provenance keys.  The loader refuses L-values carrying
-fewer digits than the active precision target.
+plus free-form provenance keys.  The loader refuses an L-value that is
+neither null nor a decimal string, and `fixture_L_value` one carrying fewer
+digits than the active precision target.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,9 @@ __all__ = ["FixtureError", "load_fixture", "fixture_L_value"]
 
 class FixtureError(ValueError):
     pass
+
+
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def load_fixture(case: str, fixtures_dir) -> list:
@@ -43,6 +48,10 @@ def load_fixture(case: str, fixtures_dir) -> list:
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise FixtureError(f"{path}: entry {i}: cannot parse {key} {row[key]!r}: "
                                    f"{exc}") from None
+        raw = row.get("L_value")
+        if raw is not None and not (isinstance(raw, str) and _DECIMAL.fullmatch(raw)):
+            raise FixtureError(f"{path}: entry {i}: L_value {raw!r} is neither null "
+                               "nor a decimal string")
         out.append(entry)
     return out
 

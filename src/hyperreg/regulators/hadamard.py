@@ -21,8 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from ..exactnum import ExactNum, two_pi_i_pow
-from ..series import (EpsExpansion, LogSeries, PowSeries, SeriesError, SLaurent,
-                      residue_extract)
+from ..series import LogSeries, PowSeries, SLaurent, residue_extract
 from .reporting import CaseError
 
 PI_I = ExactNum.atom("pi") * ExactNum.atom("i")
@@ -60,27 +59,26 @@ def k4_engine(K: int) -> LogSeries:
 
     # chain-intersection correction, per the delta-term of the cup product:
     # + (pi i + log(t/-eps) + sum binom^2 t^m/(m (-eps)^m)) + pi i
-    # with log(t / -eps) = log t - log eps - pi i on the branch in use.
-    chain = EpsExpansion()
+    # with log(t / -eps) = log t - log eps - pi i on the branch in use;
+    # an SLaurent in eps, like res
     const = LogSeries.constant(PI_I, K + 1) + log_t_series(K) \
         + LogSeries.constant(PI_I, K + 1) + LogSeries.constant(-PI_I, K + 1)
-    chain.add(("one",), const)
-    chain.add(("logeps",), LogSeries.constant(Fraction(-1), K + 1))
+    chain = {(0, 0): const, (0, 1): LogSeries.constant(Fraction(-1), K + 1)}
     for m in range(1, K + 1):
         coeffs = [Fraction(0)] * (K + 1)
         coeffs[m] = Fraction((-1) ** m * B2[m], m)
-        chain.add(("epspow", -m), LogSeries.from_pow(PowSeries(0, coeffs)))
+        chain[(-m, 0)] = LogSeries.from_pow(PowSeries(0, coeffs))
 
-    return _finite(res + chain, "k4").scale(two_pi_i_pow(3))
+    return _finite(res + SLaurent(chain, 0, -K), "k4").scale(two_pi_i_pow(3))
 
 
-def _finite(total: EpsExpansion, which: str) -> LogSeries:
-    """The eps-free part of an engine's residues; CaseError when log(eps) or
-    eps^-m terms survive."""
-    try:
-        return total.finite()
-    except SeriesError as exc:
-        raise CaseError(f"{which} assembly: {exc}") from None
+def _finite(total: SLaurent, which: str) -> LogSeries:
+    """The eps -> 0 limit of an engine's residues, an SLaurent in eps: its
+    eps^0 slot; CaseError when a log(eps) or eps^-m slot survives."""
+    bad = sorted(k for k in total.terms if k[1] or k[0] < 0)
+    if bad:
+        raise CaseError(f"{which} assembly: eps-dependent terms survive combination: {bad}")
+    return total.slot(0)
 
 
 def log_t_series(K: int) -> LogSeries:
@@ -156,25 +154,13 @@ def hadamard_regulator(which: str, K: int) -> LogSeries:
 
 
 def _pure_tate_shift(diff: LogSeries):
-    """The integer c with diff = c (2 pi i)^3 pi i in the constant slot only,
-    or None when other slots differ."""
-    unit = two_pi_i_pow(3) * PI_I
-    for j, p in enumerate(diff.parts):
-        if p is None:
-            continue
-        for k, c in enumerate(p.coeffs):
-            val = ExactNum._coerce(c)
-            if val.is_zero():
-                continue
-            if j != 0 or p.offset + k != 0:
-                return None
-            # c must be an integer multiple of (2 pi i)^3 pi i = 8 pi^4
-            q = None
-            for mono, coeff in val.terms.items():
-                if mono != (("pi", 4),):
-                    return None
-                q = coeff / 8
-            if q is None or q.denominator != 1:
-                return None
-            return int(q)
-    return 0
+    """The integer q with diff == q (2 pi i)^3 pi i, a constant, or None.
+
+    q is read from the pi^4 coefficient of the constant slot, since
+    (2 pi i)^3 pi i = 8 pi^4; the one equality then compares every slot."""
+    p = diff.part(0)
+    c0 = p.coeffs[0] if p is not None and p.coeffs else 0
+    q = Fraction(ExactNum._coerce(c0).terms.get((("pi", 4),), 0)) / 8
+    if q.denominator != 1 or diff != LogSeries.constant(two_pi_i_pow(3) * PI_I * q):
+        return None
+    return int(q)

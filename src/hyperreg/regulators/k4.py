@@ -40,7 +40,6 @@ DATA = hypergeom.parse_hg("1/2,1/2,1/2,1/2;1,1,1,1")
 SCALE = 256          # z = 256 t
 T_POINTS = (Fraction(1, 4 ** 5), Fraction(1, 4 ** 6),
             Fraction(1, 4 ** 7), Fraction(1, 4 ** 8))
-EXPECTED_RATIOS = (Fraction(4), Fraction(64, 3), Fraction(8), Fraction(4))
 
 
 # -- harmonic atoms ----------------------------------------------------------

@@ -9,7 +9,7 @@ The carriers here are:
 * :class:`SLaurent`  -- truncated Laurent series in a deformation
   parameter s whose coefficients are LogSeries, with an optional log(s)
   marker slot, used by Frobenius deformations and the annulus-residue
-  ("Hadamard") computations.
+  ("Hadamard") computations, whose eps-expansions are SLaurents in eps.
 
 P(D) = prod (D + c), D = z d/dz, acts exactly in one step through P's Taylor
 table (``_apply_shifted_chain``); :func:`theta` is its one-factor case P(x) = x,
@@ -37,7 +37,7 @@ from numbers import Rational
 from .exactnum import ExactNum
 from .mpnum import DivergenceError, PrecisionPolicy, TailBoundError, power_sums, ratio_sum
 
-__all__ = ["PowSeries", "LogSeries", "SLaurent", "EpsExpansion",
+__all__ = ["PowSeries", "LogSeries", "SLaurent",
            "SeriesError", "OffsetMismatch", "DivergenceError", "TailBoundError",
            "ratio_sum",
            "theta", "anti_dlog", "hadamard", "residue_extract",
@@ -445,7 +445,9 @@ class SLaurent:
 
     terms maps (s_exponent, log_s_power in {0,1}) -> LogSeries.
     Frobenius-deformation instances keep min_order >= -1; annulus-residue
-    integrands may go deeper (min_order = -K).
+    integrands may go deeper (min_order = -K).  The eps-expansions of
+    ``residue_extract`` are instances in eps: slot (m, 0) holds eps^m and
+    slot (0, 1) holds log(eps).
     """
 
     __slots__ = ("terms", "s_order", "min_order")
@@ -519,73 +521,23 @@ class SLaurent:
         return True
 
 
-class EpsExpansion:
-    """Residue-extraction output: LogSeries coefficients of eps-monomials.
-
-    keys: ("one",), ("logeps",), ("epspow", m) with m != 0.
-    Positive powers of eps vanish in the annulus limit eps -> 0 and are
-    dropped by ``finite``; log(eps) and negative powers must cancel.
-    """
-
-    def __init__(self, slots: dict | None = None):
-        self.slots = {k: v for k, v in (slots or {}).items() if not v.is_zero()}
-
-    def add(self, key, series: LogSeries):
-        if key in self.slots:
-            self.slots[key] = self.slots[key] + series
-        else:
-            self.slots[key] = series
-        if self.slots[key].is_zero():
-            del self.slots[key]
-
-    def __add__(self, other: "EpsExpansion") -> "EpsExpansion":
-        out = EpsExpansion(dict(self.slots))
-        for k, v in other.slots.items():
-            out.add(k, v)
-        return out
-
-    def surviving_eps_terms(self) -> list:
-        bad = []
-        for k, v in self.slots.items():
-            if k == ("one",):
-                continue
-            if k == ("logeps",) or (k[0] == "epspow" and k[1] < 0):
-                if not v.is_zero():
-                    bad.append(k)
-        return bad
-
-    def finite(self) -> LogSeries:
-        """The eps-free part; raises if log(eps)/eps^-m terms survive."""
-        bad = self.surviving_eps_terms()
-        if bad:
-            raise SeriesError(f"eps-dependent terms survive combination: {bad}")
-        return self.slots.get(("one",), LogSeries([]))
-
-
-def residue_extract(integrand: SLaurent) -> EpsExpansion:
+def residue_extract(integrand: SLaurent) -> SLaurent:
     """(1/2 pi i) * contour integral of integrand * ds/s over |s| = eps,
-    counterclockwise.
+    counterclockwise, as an SLaurent in eps on the integrand's window.
 
     Closed-form table:
       s^m, no log:  m == 0 -> coefficient, else 0;
       s^0 log s  -> log(eps);
-      s^-m log s (m>0) -> (-1)^(m-1) / (m eps^m);
-      s^m log s (m>0)  -> (-1)^m eps^m / m   (vanishes as eps -> 0).
+      s^m log s (m != 0) -> (-1)^|m| eps^m / m, which vanishes as eps -> 0
+      for m > 0.
     """
-    out = EpsExpansion()
+    out = {}
     for (m, lg), v in integrand.terms.items():
-        if lg == 0:
-            if m == 0:
-                out.add(("one",), v)
-        else:
-            if m == 0:
-                out.add(("logeps",), v)
-            elif m < 0:
-                mm = -m
-                out.add(("epspow", -mm), v.scale(Fraction((-1) ** (mm - 1), mm)))
-            else:
-                out.add(("epspow", m), v.scale(Fraction((-1) ** m, m)))
-    return out
+        if lg and m:
+            out[(m, 0)] = v.scale(Fraction((-1) ** abs(m), m))
+        elif m == 0:
+            out[(0, lg)] = v
+    return SLaurent(out, integrand.s_order, integrand.min_order)
 
 
 # ---------------------------------------------------------------------------

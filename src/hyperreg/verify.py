@@ -7,9 +7,10 @@ skipped (exit 0) when no L-data is present in the fixtures.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 from .mpnum import PrecisionPolicy, special
-from .regulators.fixtures import fixture_L_value, load_fixture
+from .regulators.fixtures import FixtureError, fixture_L_value, load_fixture
 
 
 def _result(name, ok, detail=""):
@@ -92,16 +93,22 @@ def suite_continuation(pol: PrecisionPolicy) -> list:
 def suite_ratios(pol: PrecisionPolicy, fixtures_dir) -> list:
     ctx = pol.ctx
     out = []
-    from .lfun.ratio import ratio_report
+    from .lfun.ratio import check_ratio_point, ratio_report
+    from .regulators.reporting import CaseError
     any_data = False
     for case in ("k4", "k2", "appB"):
         rows = load_fixture(case, fixtures_dir)
-        for row in rows:
+        for i, row in enumerate(rows):
             if row.get("t") is None:
                 continue
             lv = fixture_L_value(row, pol)
             if lv is None:
                 continue
+            try:        # a row whose t its case refuses is a fixture error
+                check_ratio_point(case, row["t"], pol)
+            except CaseError as exc:
+                raise FixtureError(f"{Path(fixtures_dir) / f'{case}.json'}: entry {i}: "
+                                   f"{exc}") from None
             any_data = True
             rep = ratio_report(case, row["t"], pol, fixtures_dir)
             expect = row.get("expected_ratio")

@@ -290,6 +290,18 @@ def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, me
     assert message in out.stderr and "Traceback" not in out.stderr
 
 
+def test_non_integer_euler_data_exit2_one_line(tmp_path):
+    """An Euler file with p = 3.9 is a bad spec file, not a factor at p = 3."""
+    spec = _chi_minus4_spec(tmp_path)
+    euler = tmp_path / "chi-4.jsonl"
+    euler.write_text(euler.read_text().replace('"p": 3,', '"p": 3.9,'))
+    out = run("--digits", "8", "lfun", str(spec), "--s", "2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: bad spec file: ") and "3.9" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("change", [
     {"sign": "abc"}, {"sign": None}, {"sign": [1]},
     {"gamma_shifts": [["R", [1]]]}, {"gamma_shifts": 5},
@@ -519,6 +531,14 @@ _K4_ROW = {"t": "1/1024", "expected_ratio": "4", "L_derivative_order": 2}
     (json.dumps([dict(_K4_ROW, t="one")]), ["verify", "ratios"]),
     (json.dumps([dict(_K4_ROW, t=[1])]), ["regulator", "--case", "k4", "--t", "1/1024"]),
     (json.dumps([dict(_K4_ROW, expected_ratio="4/0")]), ["verify", "ratios"]),
+    # an L-value that is neither null nor a decimal string
+    (json.dumps([dict(_K4_ROW, L_value=1.5)]), ["regulator", "--case", "k4", "--t", "1/1024"]),
+    (json.dumps([dict(_K4_ROW, L_value=1.5)]), ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, L_value="0.12345678901234567890123456789x123")]),
+     ["verify", "ratios"]),
+    # a row with L-data whose t its case refuses
+    (json.dumps([dict(_K4_ROW, t="1", L_value="0.1234567890123456789012345678901234")]),
+     ["verify", "ratios"]),
 ])
 def test_fixture_error_exit2_one_line(tmp_path, fixture, argv):
     (tmp_path / "k4.json").write_text(fixture)

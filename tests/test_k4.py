@@ -11,6 +11,7 @@ from hyperreg.regulators.hadamard import (hadamard_regulator, k4_engine,
 from hyperreg.regulators.k4 import (G_list, T_POINTS, _gp_from, log_primitive_series,
                                     sqrt_primitive_inner, frobenius_generator,
                                     k4_det, k4_entries)
+from hyperreg.regulators.reporting import CaseError
 from hyperreg.series import LogSeries, theta
 
 F = Fraction
@@ -125,6 +126,29 @@ def test_hadamard_k4_engine():
     out = hadamard_regulator("k4", 20)
     assert out == k4_expected(20)
     assert _pure_tate_shift(k4_engine(8) - k4_expected(8)) == 1
+
+
+def test_tate_shift_compares_every_slot(monkeypatch):
+    """The k4 constant slot may differ by q (2 pi i)^3 pi i = 8 q pi^4, and
+    no other slot may differ at all."""
+    from hyperreg.regulators import hadamard
+    from hyperreg.series import PowSeries
+    unit = two_pi_i_pow(3) * ExactNum.atom("pi") * ExactNum.atom("i")
+    assert unit == ExactNum.atom("pi", 4, 8)
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [unit * 2, 0])])) == 2
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [0, 0])])) == 0
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [unit / 2])])) is None
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [unit, F(1, 3)])])) is None
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [unit]),
+                                       PowSeries(0, [F(0), F(1)])])) is None
+    assert _pure_tate_shift(LogSeries([PowSeries(0, [unit + 1])])) is None
+
+    def stray(K):
+        return k4_engine(K) + LogSeries([PowSeries(0, [F(0), F(1)] + [F(0)] * (K - 1))])
+
+    monkeypatch.setattr(hadamard, "k4_engine", stray)
+    with pytest.raises(CaseError):
+        hadamard_regulator("k4", 8)
 
 
 def test_hadamard_vs_o_lp(pol):

@@ -114,6 +114,30 @@ def test_euler_ingest_errors(tmp_path):
     assert ":1:" in str(err2.value)
 
 
+@pytest.mark.parametrize("line", [
+    '{"p": 3.9, "factor": [1, -1]}', '{"p": 3.0, "factor": [1, -1]}',
+    '{"p": true, "factor": [1]}', '{"p": "3", "factor": [1, -1]}',
+    '{"p": 3, "factor": [1, 1.99]}', '{"p": 3, "factor": [1, true]}',
+    '{"p": 3, "factor": [true, -1]}', '{"p": 3, "factor": [1, "-1"]}',
+])
+def test_euler_ingest_refuses_non_integers(tmp_path, line):
+    """p and every coefficient are JSON integers: 3.9 is not read as 3, nor
+    1.99 or true as 1."""
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"p": 2, "factor": [1, -1]}\n' + line + "\n")
+    with pytest.raises(EulerError, match=":2: malformed line"):
+        euler_ingest(path)
+
+
+@pytest.mark.parametrize("factors", [
+    [[3.9, [1, -1]]], [[True, [1]]], [[2, [1, 1.99]]], [[2, [1, True]]], [[2, ["1"]]],
+])
+def test_web_table_refuses_non_integers(tmp_path, factors):
+    body = json.dumps({"data": [{"degree": 2, "euler_factors": factors}]}).encode()
+    with pytest.raises(EulerError, match="malformed response"):
+        lmfdb_fetch(LABEL, tmp_path, opener=_opener([], body))
+
+
 def test_degree_zero_bad_factor():
     table = EulerFactorTable({2: [1]}, 4)
     assert table.p_max == 2

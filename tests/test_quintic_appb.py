@@ -107,3 +107,14 @@ def test_appb_stability(pol):
     r1 = appB_det(F(2), pol).r_value
     r2 = appB_det(F(2), pol.doubled()).r_value
     assert abs(r1 - ctx.convert(r2)) < ctx.mpf(10) ** (-pol.target_digits + 2)
+
+
+@pytest.mark.parametrize("digits", [1, 3, 4])
+@pytest.mark.parametrize("t", [F(1, 200), F(2), F(7)])
+def test_appb_probe_passes_at_low_digits(digits, t):
+    """Every sum, the probe's two at t +- 10^-8 among them, keeps 35 working
+    digits, so their difference meets the 10^-12 budget at any --digits."""
+    from hyperreg.mpnum import PrecisionPolicy
+    rep = appB_det(t, PrecisionPolicy(digits))
+    (name, dev), = rep.crosschecks
+    assert name == "derivative_column_fd_probe" and dev < 1e-12

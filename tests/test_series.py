@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hyperreg.exactnum import (EX_I, EX_PI, ExactNum, ex_zeta2, two_pi_i_pow)
 from hyperreg.mpnum import PrecisionPolicy
+from hyperreg.regulators.hadamard import _finite
+from hyperreg.regulators.reporting import CaseError
 from hyperreg.series import (LogSeries, OffsetMismatch, PowSeries, SeriesError, SLaurent, _czero, anti_dlog, hadamard,
                              residue_extract, theta)
 
@@ -162,17 +164,21 @@ def test_residue_table():
     # s^0 ds/(2 pi i s) -> 1
     sl = SLaurent({(0, 0): one}, 3, -3)
     out = residue_extract(sl)
-    assert out.finite() == one
+    assert out == SLaurent({(0, 0): one}, 3, -3)
+    assert _finite(out, "s^0") == one
     # s^3 -> 0
     sl3 = SLaurent({(3, 0): one}, 3, -3)
-    assert residue_extract(sl3).finite().is_zero()
-    # log s at s^0 -> log eps slot; s^-2 log s -> (-1)/(2 eps^2)
-    sl_log = SLaurent({(0, 1): one, (-2, 1): one}, 3, -3)
+    assert not residue_extract(sl3).terms
+    # log s at s^0 -> log eps slot; s^-2 log s -> (-1)/(2 eps^2); s log s -> -eps
+    sl_log = SLaurent({(0, 1): one, (-2, 1): one, (1, 1): one}, 3, -3)
     ext = residue_extract(sl_log)
-    assert ("logeps",) in ext.slots
-    assert ext.slots[("epspow", -2)].part(0).coeffs[0] == F(-1, 2)
-    with pytest.raises(Exception):
-        ext.finite()
+    assert ext.slot(0, 1) == one
+    assert ext.slot(-2).part(0).coeffs[0] == F(-1, 2)
+    assert ext.slot(1).part(0).coeffs[0] == F(-1)
+    with pytest.raises(CaseError, match=r"\(-2, 0\), \(0, 1\)"):
+        _finite(ext, "log")
+    # eps^1 vanishes in the limit
+    assert _finite(residue_extract(SLaurent({(1, 1): one}, 3, -3)), "eps").is_zero()
 
 
 def test_slaurent_log_s_depth_guard():
