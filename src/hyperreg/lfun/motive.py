@@ -767,8 +767,9 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     on the value printed here, carried through the same Lambda -> L step
     (_L_step); the line each kernel lies on is _abscissa's.
     The self-test compares Lambda^(k)(s0), k <= d, at the cutoffs 1.31 and
-    1; err is the order-0 residual.  The cutoff-1 values are the main path's
-    own when no cutoff_A is given.  All
+    1, and judges each order's residual on the printed L, carried through the
+    same step in absolute value; err is the order-0 residual on Lambda.  The
+    cutoff-1 values are the main path's own when no cutoff_A is given.  All
     paths share one Dirichlet table and the kernel store `store`, a
     directory, which None, the default, leaves unread and unwritten.
     """
@@ -785,10 +786,10 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
     lamA = lambda_derivs(spec, s0, order, pol, ctx.mpf("1.31"), a, store=store)
     lam1 = lams if cutoff_A is None else lambda_derivs(spec, s0, order, pol, a=a, store=store)
-    for d in range(order + 1):
-        residual = abs(lamA[d] - lam1[d])
+    inv, pref = _L_step(spec, s0, s_val, order, pol)
+    residuals = [abs(x - y) for x, y in zip(lamA, lam1)]
+    for d, residual in enumerate(_to_L(residuals, [abs(v) for v in inv], abs(pref), ctx)):
         if residual > pol.tol:
             raise MotiveError(f"functional-equation self-test residual {ctx.nstr(residual, 4)} "
-                              f"too large at order {d}")
-    err = abs(lamA[0] - lam1[0])
-    return _to_L(lams, *_L_step(spec, s0, s_val, order, pol), ctx)[order], err
+                              f"on L too large at order {d}")
+    return _to_L(lams, inv, pref, ctx)[order], residuals[0]

@@ -24,7 +24,8 @@ import threading
 from fractions import Fraction
 from itertools import accumulate
 
-from mpmath.libmp import to_rational
+from mpmath.libmp import (fzero, mpc_log, mpc_mul, mpf_add, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_mul, mpf_sub, to_rational)
 
 from .. import hgdata
 from ..mpnum import PrecisionPolicy, fixed_terms, power_sums, ratio_sum
@@ -222,17 +223,18 @@ def mb_right_series(z, pol: PrecisionPolicy):
     return val if zv >= 0 else ctx.mpc(0, val)      # z^(1/2) = i |z|^(1/2) for z < 0
 
 
-# binary precision -> {s: (num, den)}: the z-free parts of the mb_contour
-# integrand at the quadrature node s as raw _mpc_ tuples, the same for every
-# z.  Only the node sets of the last _MB_PRECISIONS precisions are kept.
+# binary precision -> {s: (num, den, |den|^2)}: the z-free parts of the mb_contour
+# integrand at the quadrature node s as raw tuples, the same for every z.  Only
+# the node sets of the last _MB_PRECISIONS precisions are kept.
 _mb_cache: dict = {}
 _mb_lock = threading.Lock()
 _MB_PRECISIONS = 4
 
 
 def _mb_parts(ctx, s):
-    """(Gamma(-s) Gamma(1+4s) Gamma(1+2s), Gamma(1+s)^5 2^(10s) (s+1/2)) as
-    raw tuples, memoized per (ctx.prec, s)."""
+    """(Gamma(-s) Gamma(1+4s) Gamma(1+2s), Gamma(1+s)^5 2^(10s) (s+1/2), and the
+    latter's |.|^2 as mpc_div forms it, at ctx.prec + 10) as raw tuples,
+    memoized per (ctx.prec, s)."""
     prec = ctx.prec
     with _mb_lock:
         nodes = _mb_cache.get(prec)
@@ -244,7 +246,7 @@ def _mb_parts(ctx, s):
     if parts is None:
         num = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s)
         den = ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2)
-        parts = (num._mpc_, den._mpc_)
+        parts = (num._mpc_, den._mpc_, mpf_add(*(mpf_mul(x, x) for x in den._mpc_), prec + 10))
         with _mb_lock:
             nodes[s._mpc_] = parts
     return parts
@@ -255,19 +257,41 @@ def mb_contour(z, pol: PrecisionPolicy):
     (1/2 pi i) int Gamma(-s) Gamma(1+4s) Gamma(1+2s) z^(s+1/2)
                  / (Gamma(1+s)^5 2^(10 s) (s+1/2)) ds.
 
-    The z-free numerator and denominator at each quadrature node s are
-    memoized in `_mb_cache`, keyed by (working binary precision, s)."""
+    Each node has the bits of num * z^(s+1/2) / den in mpmath, by the libmp
+    calls of mpc_pow, mpc_mul and mpc_div on raw tuples: num, den and |den|^2
+    from `_mb_cache`, keyed by (working binary precision, s), and log z and
+    |z^(s+1/2)|, the same at every node, once per precision quad evaluates at."""
     ctx = pol.ctx
     zv = ctx.convert(z)
     if zv <= 0:
         raise CaseError("contour evaluator needs z > 0")
     sigma = -ctx.mpf(1) / 8
+    hoisted = {}
 
     def integrand(tt):
         s = ctx.mpc(sigma, tt)
-        num, den = _mb_parts(ctx, s)
-        # num * z^(s+1/2) / den: the left-to-right order of the full product
-        return ctx.make_mpc(num) * ctx.power(zv, s + ctx.mpf(1) / 2) / ctx.make_mpc(den)
+        num, den, mag = _mb_parts(ctx, s)
+        prec, rnd = ctx._prec_rounding
+        if prec not in hoisted:
+            # log z is real for z > 0, so Re((s + 1/2) log z) is the same at every node
+            logz = mpc_log((zv._mpf_, fzero), prec + 10)[0]
+            re = mpf_mul(logz, (sigma + ctx.mpf(1) / 2)._mpf_, prec + 10)
+            hoisted[prec] = logz, re, mpf_exp(re, prec + 4, rnd)
+        logz, re, modulus = hoisted[prec]
+        im = mpf_mul(logz, s._mpc_[1], prec + 10)
+        # z^(s+1/2) = mpc_exp((re, im), prec), with its branches at z = 1 and t = 0
+        if re == fzero:
+            power = mpf_cos_sin(im, prec, rnd)
+        elif im == fzero:
+            power = mpf_exp(re, prec, rnd), fzero
+        else:
+            cos, sin = mpf_cos_sin(im, prec + 4, rnd)
+            power = mpf_mul(modulus, cos, prec, rnd), mpf_mul(modulus, sin, prec, rnd)
+        a, b = mpc_mul(num, power, prec, rnd)
+        c, d = den
+        t = mpf_add(mpf_mul(a, c), mpf_mul(b, d), prec + 10)
+        u = mpf_sub(mpf_mul(b, c), mpf_mul(a, d), prec + 10)
+        return ctx.make_mpc((mpf_div(t, mag, prec, rnd), mpf_div(u, mag, prec, rnd)))
 
     # conjugate symmetry: (1/2 pi) int_R = (1/pi) Re int_0^inf
     T = (pol.working_digits + 10) * ctx.log(10) / ctx.pi

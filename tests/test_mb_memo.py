@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import fone, fzero, libmpc
 
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import k2
@@ -75,10 +76,13 @@ def test_memo_matches_unmemoized_integrand(monkeypatch, reference, contour_first
             assert (repr(cont), repr(cmp)) == reference[digits, z], (digits, z)
 
 
-def test_integrand_bits_at_every_node(monkeypatch):
-    """Cold and warm, the memoized integrand equals the full expression exactly."""
+@pytest.mark.parametrize("digits", [15, 30])
+def test_integrand_bits_at_every_node(monkeypatch, digits):
+    """Cold and warm, the memoized integrand equals the full expression
+    exactly: z = 1 has log z = 0 (mpc_exp's zero real part) and z = 1/2 a
+    negative log z."""
     monkeypatch.setattr(k2, "_mb_cache", {})
-    pol = PrecisionPolicy(15)
+    pol = PrecisionPolicy(digits)
     ctx = pol.ctx
     sigma = -ctx.mpf(1) / 8
     real_quad = ctx.quad
@@ -90,13 +94,35 @@ def test_integrand_bits_at_every_node(monkeypatch):
             assert val._mpc_ == _full_integrand(ctx, zv, sigma, tt)._mpc_, tt
             checked.append(tt)
             return val
+        # t = 0, where s + 1/2 is real, is no quad node: check it at quad's precision
+        with ctx.extraprec(20):
+            g(ctx.mpf(0))
         return real_quad(g, points, **kw)
 
     monkeypatch.setattr(ctx, "quad", checking_quad)
-    for z in ("2", "10"):
+    for z in ("1", "1/2", "2", "10"):
         zv = _point(z, pol)
         k2.mb_contour(zv, pol)
-    assert len(checked) > 1000
+    assert len(checked) > 2000
+
+
+def test_warm_contour_forms_log_z_once_per_precision(monkeypatch):
+    """log z is the same at every node: a warm contour takes it once for the
+    one precision quad evaluates at, not once per node (mpc_pow took it per
+    node)."""
+    monkeypatch.setattr(k2, "_mb_cache", {})
+    pol = PrecisionPolicy(15)
+    k2.mb_contour(_point("2", pol), pol)
+    logs = []
+
+    def counting_log(z, prec, rnd=libmpc.round_fast, _log=libmpc.mpc_log):
+        logs.append(prec)
+        return _log(z, prec, rnd)
+
+    monkeypatch.setattr(libmpc, "mpc_log", counting_log)
+    monkeypatch.setattr(k2, "mpc_log", counting_log, raising=False)
+    k2.mb_contour(_point("10", pol), pol)
+    assert len(logs) == 1
 
 
 def test_second_contour_adds_no_entries(monkeypatch):
@@ -124,6 +150,17 @@ def _direct_parts(ctx, s):
     return num._mpc_, den._mpc_
 
 
+def _mpc_div_mag(monkeypatch, den, prec):
+    """mpc_div's own |den|^2 at prec: the divisor of its two mpf_div calls."""
+    mags = []
+    real_div = libmpc.mpf_div
+    with monkeypatch.context() as m:
+        m.setattr(libmpc, "mpf_div", lambda t, mag, *a: mags.append(mag) or real_div(t, mag, *a))
+        libmpc.mpc_div((fone, fzero), den, prec)
+    assert mags[0] == mags[1]
+    return mags[0]
+
+
 def test_precisions_never_share_entries(monkeypatch):
     """The same node at another precision is computed at that precision."""
     monkeypatch.setattr(k2, "_mb_cache", {})
@@ -131,7 +168,9 @@ def test_precisions_never_share_entries(monkeypatch):
     s = ctx.mpc(-ctx.mpf(1) / 8, ctx.mpf(3) / 8)
     for prec in (100, 200, 100, 133, 200):
         with ctx.workprec(prec):
-            assert k2._mb_parts(ctx, s) == _direct_parts(ctx, s), prec
+            num, den, mag = k2._mb_parts(ctx, s)
+            assert (num, den) == _direct_parts(ctx, s), prec
+            assert mag == _mpc_div_mag(monkeypatch, den, prec), prec
     assert sorted(k2._mb_cache) == [100, 133, 200]
     assert all(len(nodes) == 1 for nodes in k2._mb_cache.values())
 

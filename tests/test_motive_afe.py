@@ -82,6 +82,25 @@ def test_self_test_limit_is_ten_to_the_minus_digits(monkeypatch, tmp_path, capsy
     assert len(out.err.splitlines()) == 1 and "self-test residual" in out.err
 
 
+def test_self_test_is_judged_on_the_printed_L(monkeypatch, tmp_path, capsys):
+    """A cutoff residual of 0.8 10^-digits on Lambda(2) of chi_-4 is under the
+    limit on Lambda, but |N^(s/2) gamma(s)| = 4 pi^-3/2 Gamma(3/2) is about
+    0.64 there, so on the printed L(2) it is 1.26 10^-digits: exit 3."""
+    original = motive.lambda_derivs
+
+    def spoiled(spec, s0, order, pol, cutoff_A=None, *args, **kwargs):
+        out = original(spec, s0, order, pol, cutoff_A, *args, **kwargs)
+        if cutoff_A is not None:
+            out[0] += pol.ctx.mpf("0.8") * pol.tol
+        return out
+
+    monkeypatch.setattr(motive, "lambda_derivs", spoiled)
+    code = cli.main(["--digits", "8", "lfun", str(_write_spec(-4, tmp_path)), "--s", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert len(out.err.splitlines()) == 1 and "self-test residual 1.25" in out.err
+
+
 def test_self_test_checks_every_order(monkeypatch, tmp_path, capsys):
     """A cutoff residual of 10^-(digits - 2) in Lambda' alone leaves an
     order-0 request alone and fails an order-1 or order-2 one: MotiveError
@@ -175,14 +194,17 @@ def test_derivatives_match_the_hurwitz_route(D, s):
             assert abs(value - _hurwitz_L(D, s, order)) < pol.ctx.mpf(10) ** -(digits + 10)
 
 
-@pytest.mark.parametrize("s, digits", [("20", 8), ("20", 30), ("30", 8), ("30", 30), ("34", 30)])
+@pytest.mark.parametrize("s, digits", [("20", 8), ("20", 30), ("30", 8), ("30", 30), ("34", 8),
+                                       ("34", 30), ("40", 8), ("40", 30)])
 def test_large_s_prints_beta_in_every_digit(s, digits, tmp_path, capsys):
     """L(chi_-4, s) = beta(s) = 4^-s (zeta(s, 1/4) - zeta(s, 3/4)) far right
-    of the critical strip, where |N^(s/2) gamma(s)| is 7e6 at s = 20 and
-    3e15 at s = 34: `lfun` exits 0 and prints beta(s), formed at 60 digits,
-    to its last digit.  The kernels' rounding bound is judged on the printed
-    L; judged on Lambda it refused s = 34 at 30 digits (2.4e-28 against
-    10^-30), and s = 30 came within a factor 1.1 of the limit."""
+    of the critical strip, where |N^(s/2) gamma(s)| is 7e6 at s = 20, 3e15
+    at s = 34 and 4e19 at s = 40: `lfun` exits 0 and prints beta(s), formed
+    at 60 digits, to its last digit.  The kernels' rounding bound and the
+    self-test are judged on the printed L.  Judged on Lambda, the bound
+    refused s = 34 at 30 digits (2.4e-28 against 10^-30), and s = 30 came
+    within a factor 1.1 of the limit; the self-test refused s = 34 at 8
+    digits (1.5e-8) and s = 40 at 8 and 30 digits (6.1e-4 and 6.5e-27)."""
     code = cli.main(["--digits", str(digits), "lfun", str(_write_spec(-4, tmp_path)),
                      "--s", s])
     out = capsys.readouterr()
