@@ -279,10 +279,9 @@ def mb_contour(z, pol: PrecisionPolicy):
             hoisted[prec] = logz, re, mpf_exp(re, prec + 4, rnd)
         logz, re, modulus = hoisted[prec]
         im = mpf_mul(logz, s._mpc_[1], prec + 10)
-        # z^(s+1/2) = mpc_exp((re, im), prec), with its branches at z = 1 and t = 0
-        if re == fzero:
-            power = mpf_cos_sin(im, prec, rnd)
-        elif im == fzero:
+        # z^(s+1/2) = mpc_exp((re, im), prec); im = 0 at t = 0, and at z = 1, where
+        # re = 0 too and mpc_exp's branch for it gives the same (1, 0)
+        if im == fzero:
             power = mpf_exp(re, prec, rnd), fzero
         else:
             cos, sin = mpf_cos_sin(im, prec + 4, rnd)

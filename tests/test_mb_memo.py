@@ -76,13 +76,15 @@ def test_memo_matches_unmemoized_integrand(monkeypatch, reference, contour_first
             assert (repr(cont), repr(cmp)) == reference[digits, z], (digits, z)
 
 
-@pytest.mark.parametrize("digits", [15, 30])
-def test_integrand_bits_at_every_node(monkeypatch, digits):
-    """Cold and warm, the memoized integrand equals the full expression
-    exactly: z = 1 has log z = 0 (mpc_exp's zero real part) and z = 1/2 a
-    negative log z."""
-    monkeypatch.setattr(k2, "_mb_cache", {})
-    pol = PrecisionPolicy(digits)
+def test_integrand_bits_at_every_node(monkeypatch):
+    """Cold and warm, at 15 and 30 digits, the memoized integrand equals the
+    full expression exactly: z = 1 has log z = 0 (mpc_exp's zero real part)
+    and z = 1/2 a negative log z."""
+    for digits in (15, 30):
+        _check_integrand_bits(monkeypatch, PrecisionPolicy(digits))
+
+
+def _check_integrand_bits(monkeypatch, pol):
     ctx = pol.ctx
     sigma = -ctx.mpf(1) / 8
     real_quad = ctx.quad
@@ -94,16 +96,38 @@ def test_integrand_bits_at_every_node(monkeypatch, digits):
             assert val._mpc_ == _full_integrand(ctx, zv, sigma, tt)._mpc_, tt
             checked.append(tt)
             return val
-        # t = 0, where s + 1/2 is real, is no quad node: check it at quad's precision
-        with ctx.extraprec(20):
-            g(ctx.mpf(0))
         return real_quad(g, points, **kw)
 
-    monkeypatch.setattr(ctx, "quad", checking_quad)
-    for z in ("1", "1/2", "2", "10"):
-        zv = _point(z, pol)
-        k2.mb_contour(zv, pol)
+    with monkeypatch.context() as m:
+        m.setattr(k2, "_mb_cache", {})
+        m.setattr(ctx, "quad", checking_quad)
+        for z in ("1", "1/2", "2", "10"):
+            zv = _point(z, pol)
+            k2.mb_contour(zv, pol)
     assert len(checked) > 2000
+
+
+@pytest.mark.parametrize("digits, z", [(15, "1"), (15, "3/4"), (15, "52"), (30, "15"),
+                                       (30, "17/2")])
+def test_integrand_bits_at_t_zero(monkeypatch, digits, z):
+    """t = 0 is no quad node, but there s + 1/2 is real and mpc_pow's
+    exponential is exp at the working precision, not exp at 4 bits more
+    times cos 0: at these z but 1 the two round apart.  At z = 1 the
+    exponent is 0."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    zv = _point(z, pol)
+    values = []
+
+    def node_zero(f, points, **kw):
+        with ctx.extraprec(20):
+            values.append((f(ctx.mpf(0)), _full_integrand(ctx, zv, -ctx.mpf(1) / 8, ctx.mpf(0))))
+        return values[0][0]
+
+    monkeypatch.setattr(k2, "_mb_cache", {})
+    monkeypatch.setattr(ctx, "quad", node_zero)
+    k2.mb_contour(zv, pol)
+    assert values[0][0]._mpc_ == values[0][1]._mpc_
 
 
 def test_warm_contour_forms_log_z_once_per_precision(monkeypatch):
