@@ -8,15 +8,16 @@ PARENT_SRC and CHANGE_SRC are the roots of two checkouts, each holding
 `python -m hyperreg.cli` process from each root, the two side by side; any
 difference in stdout, stderr or exit code is printed, and the script exits
 1 if there was one, 0 otherwise; a line of CHANGED_RUNS whose output differs
-is printed as `changed` and does not count.  Standard library only.  Each root gets its
-own empty HYPERREG_CACHE directory, and every `lfun` line runs twice per
-root, so the second run reads the AFE kernels the first one saved: the
-output with a warm kernel store is compared as well as the cold one.
+is printed as `changed` and does not count.  Standard library only.  Each
+root gets its own empty HYPERREG_CACHE directory, and every `lfun` line runs
+twice per root, so the second run reads the AFE kernels the first one saved:
+the output with a warm kernel store is compared as well as the cold one.
 
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, `verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), `verify identities` at --digits
-20 and 50, `verify continuation` at --digits 15 and 50, the k4, cy0 and appB points at --digits 20, 30 and 50, appB's t = 2
+20 and 50, `verify continuation` at --digits 15 and 50, the k4, cy0 and appB
+points at --digits 20, 30 and 50, appB's t = 2
 and 7 at --digits 3 (where the finite-difference probe's two sums need more
 working digits than the target gives), the k2 list K2_T at --digits 20 and
 50, the two `lfun` runs whose stdout the tests pin (Gamma_R, orders 0 and 1), the
