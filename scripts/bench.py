@@ -18,7 +18,9 @@ the wall and CPU (user + system, from the child's rusage) seconds of every
 run with their median, minimum and quartiles, whether the stdout was the
 same on both sides in every run, the machine facts and the two commit ids:
 `git rev-parse HEAD` of each root, or the --ids given for roots that are not
-git checkouts (a `git archive` copy, say).  Standard library only.
+git checkouts (a `git archive` copy, say).  The machine facts name the mpmath
+version and backend (imported for that alone) and PYTHONDONTWRITEBYTECODE as
+the children see it.  Otherwise standard library only.
 
 The operations: `verify continuation`, the one CLI path through the
 Mellin-Barnes contour, at the default digits and at --digits 50, and two
@@ -126,8 +128,12 @@ def machine_facts() -> dict:
                           if line.startswith("model name")), None)
     except OSError:
         pass
+    import mpmath
     return {"cpu": model, "nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "loadavg_at_start": os.getloadavg()}
+            "python": platform.python_version(), "mpmath": mpmath.__version__,
+            "mpmath_backend": mpmath.libmp.BACKEND,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "loadavg_at_start": os.getloadavg()}
 
 
 def main(argv=None) -> int:

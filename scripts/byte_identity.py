@@ -35,7 +35,7 @@ terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
 but for fixture_usage_argvs' spec without gamma factors and its spec whose
 Euler table is too short, which exit 3, and `regulator` on the refused-t
-fixture, which has no row at its t and exits 0: 162 command lines in all.
+fixture, which has no row at its t and exits 0: 163 command lines in all.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ PERIOD_ARGVS = (
 )
 # exit 2 with one error line: malformed data, an unknown case, a t outside
 # its case's interval, a k2 point too close to |z| = 1, a missing spec file,
-# and (fixture_usage_argvs) a k4 fixture that is not JSON, whose L-value is
-# shorter than --digits, is a JSON number or is not a decimal, or whose row with
-# L-data has a t k4 refuses, an lfun spec that is not a JSON object, one whose
+# a missing required option (argparse's error path), and (fixture_usage_argvs)
+# a k4 fixture that is not JSON, whose L-value is shorter than --digits, is a
+# JSON number or is not a decimal, or whose row with L-data has a t k4
+# refuses, an lfun spec that is not a JSON object, one whose
 # Euler table has a gap below its largest prime, one with a factor at p = 4 and
 # one with a factor at p = 3.9
 USAGE_ARGVS = (
@@ -123,6 +124,7 @@ USAGE_ARGVS = (
     ["regulator", "--case", "k4", "--t", "1/2"],
     ["regulator", "--case", "k2", "--t", "1/1000"],
     ["lfun", "missing-spec.json", "--s", "2"],
+    ["regulator", "--case", "k4"],
 )
 BAD_K4_FIXTURES = {
     "not-json": "[{",
@@ -290,6 +292,29 @@ def quintic_spec(root: Path, directory: Path) -> Path:
     return spec
 
 
+def command_lines(root: Path, directory: Path) -> tuple:
+    """(argvs, changed): the command lines of the list, with their specs and
+    fixtures written under directory and the quintic's Euler data read from
+    root, every lfun line twice in a row (the second run finds its kernels in
+    the store), and those of them whose output moved on purpose."""
+    runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] \
+        + list(KERNEL_RUNS + CENTRE_RUNS + LARGE_S_RUNS)
+    specs = {D: str(character_spec(D, directory)) for D in {run[0] for run in runs}}
+    lfun_argv = {run: ["--digits", run[3], "lfun", specs[run[0]], "--s", run[1],
+                       "--order", str(run[2])] for run in runs}
+    argvs = regulator_argvs() + [lfun_argv[run] for run in runs]
+    zeta = str(zeta_spec(directory))
+    argvs += [["--digits", "8", "lfun", zeta, "--s", s, "--order", str(order)]
+              for s, order in ZETA_RUNS]
+    quintic = str(quintic_spec(root, directory))
+    argvs += [["--digits", digits, "lfun", quintic, "--s", "0", "--order", "2"]
+              for digits in QUINTIC_DIGITS]
+    argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
+    argvs += fixture_usage_argvs(directory)
+    argvs = [cmd for cmd in argvs for _ in range(2 if "lfun" in cmd else 1)]
+    return argvs, [lfun_argv[run] for run in CHANGED_RUNS]
+
+
 def start(root: Path, argv: list, cache: Path) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), HYPERREG_CACHE=str(cache))
     return subprocess.Popen([sys.executable, "-m", "hyperreg.cli"] + argv, cwd=root,
@@ -308,23 +333,7 @@ def main(argv=None) -> int:
             return 2
     differ = changed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [(D, s, order, "8") for D, s, order in LFUN_RUNS] \
-            + list(KERNEL_RUNS + CENTRE_RUNS + LARGE_S_RUNS)
-        specs = {D: str(character_spec(D, Path(tmp))) for D in {run[0] for run in runs}}
-        lfun_argv = {run: ["--digits", run[3], "lfun", specs[run[0]], "--s", run[1],
-                           "--order", str(run[2])] for run in runs}
-        argvs = regulator_argvs() + [lfun_argv[run] for run in runs]
-        changed_argvs = [lfun_argv[run] for run in CHANGED_RUNS]
-        zeta = str(zeta_spec(Path(tmp)))
-        argvs += [["--digits", "8", "lfun", zeta, "--s", s, "--order", str(order)]
-                  for s, order in ZETA_RUNS]
-        quintic = str(quintic_spec(roots[0], Path(tmp)))
-        argvs += [["--digits", digits, "lfun", quintic, "--s", "0", "--order", "2"]
-                  for digits in QUINTIC_DIGITS]
-        argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
-        argvs += fixture_usage_argvs(Path(tmp))
-        # the second run of an lfun line finds its kernels in the store
-        argvs = [cmd for cmd in argvs for _ in range(2 if "lfun" in cmd else 1)]
+        argvs, changed_argvs = command_lines(roots[0], Path(tmp))
         caches = [Path(tmp) / f"cache{i}" for i in range(len(roots))]
         for i, cmd in enumerate(argvs):
             procs = [start(root, cmd, cache) for root, cache in zip(roots, caches)]

@@ -225,13 +225,6 @@ def ratio_stream(x, alpha, beta, K: int) -> list:
     return out
 
 
-def coeff_ak(h: HGData, k: int) -> Fraction:
-    """a_k = prod_j [a_j]_k / prod_j [b_j]_k, exactly."""
-    if k < 0:
-        raise HGError("k must be nonnegative")
-    return ratio_stream(1, h.a, h.b, k + 1)[k]
-
-
 def coeff_stream(h: HGData, K: int, scale: Fraction = Fraction(1)) -> list:
     """[a_0, a_1 C, a_2 C^2, ...]: coefficients in t when z = C t."""
     return ratio_stream(scale, h.a, h.b, K)

@@ -13,14 +13,14 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .exactnum import EX_B4, EX_CAT, EX_LN2, EX_Z3, ExactNum
-from .hgdata import (CycleType, GammaVector, HGData, HGError, coeff_ak,  # noqa: F401
-                     coeff_stream, from_gamma, parse_gamma, parse_hg, ratio_stream, scale_C)
+from .hgdata import (CycleType, GammaVector, HGData, HGError, coeff_stream,  # noqa: F401
+                     from_gamma, parse_gamma, parse_hg, ratio_stream, scale_C)
 from .series import LogSeries, PowSeries, SLaurent, _linear_product, sp_exp
 
 __all__ = ["HGData", "GammaVector", "CycleType", "HGError",
            "parse_hg", "parse_gamma", "from_gamma", "scale_C",
-           "coeff_ak", "coeff_stream", "ck_s", "alpha_s",
-           "frobenius_phi", "frobenius_E", "z_s_logs", "W_r", "classify"]
+           "coeff_stream", "ck_s", "alpha_s",
+           "frobenius_phi", "z_s_logs", "W_r", "classify"]
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +174,6 @@ def frobenius_phi(h: HGData, K: int, s_order: int) -> SLaurent:
     if s_order > 4:
         raise HGError("s_order is capped at 4")
     return _rows_slaurent(_ck_rows(h, K, s_order), s_order)
-
-
-def frobenius_E(h: HGData, K: int, s_order: int, mode: str = "exact",
-                phi: SLaurent | None = None) -> SLaurent:
-    """E(s, z) = alpha(s) * Phi(s, z), the Betti-period generating series,
-    with alpha_s(h, s_order, mode).
-
-    phi, when given, is frobenius_phi(h, K, s_order) already built by the
-    caller; otherwise it is built here.
-    """
-    if phi is None:
-        phi = frobenius_phi(h, K, s_order)
-    return _s_series_times(alpha_s(h, s_order, mode), phi)
 
 
 def W_r(h: HGData, r: int, K: int) -> LogSeries:

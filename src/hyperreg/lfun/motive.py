@@ -83,7 +83,7 @@ from mpmath.libmp import (from_man_exp, fzero, mpc_abs, mpc_add_mpf, mpc_div, mp
                           mpf_lt, mpf_mul, mpf_mul_int, round_nearest, to_fixed,
                           to_rational)
 
-from ..mpnum import _GUARD_BITS, PrecisionPolicy, Record, digamma
+from ..mpnum import _GUARD_BITS, PrecisionPolicy, Record
 from .euler import EulerFactorTable, dirichlet_coefficients, euler_ingest, write_atomic
 
 __all__ = ["LFunctionSpec", "spec_from_json", "motive_L", "lambda_derivs",
@@ -183,7 +183,7 @@ def spec_from_json(doc) -> LFunctionSpec:
     return LFunctionSpec(
         degree=degree, weight=_spec_int(doc["weight"], "weight"),
         conductor=_spec_int(doc["conductor"], "conductor"),
-        gamma_shifts=tuple((k, _spec_rational(s, "gamma shift"))
+        gamma_shifts=tuple((_spec_str(k, "gamma factor kind"), _spec_rational(s, "gamma shift"))
                            for k, s in _spec_pairs(doc["gamma_shifts"], "gamma_shifts")),
         sign=_spec_real(doc.get("sign", 1), "sign"), euler=table,
         poles=tuple((_spec_rational(p, "pole"), _spec_real(r, "pole residue"))
@@ -744,7 +744,7 @@ def _L_step(spec, s0, s_val, order, pol):
         x = ctx.ldexp(s_val + _s_value(ctx, Fraction(sh)), -e)
         ell[0] -= ctx.ldexp(ctx.log(ctx.ldexp(ctx.pi, 1 - e)), -e)
         for j in range(order):
-            ell[j] += ctx.ldexp(digamma(x, j, pol), -(j + 1) * e)
+            ell[j] += ctx.ldexp(ctx.psi(j, x), -(j + 1) * e)
     return [1, -ell[0], (ell[0] ** 2 - ell[1]) / 2][:order + 1], pref
 
 

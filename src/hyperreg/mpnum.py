@@ -277,30 +277,6 @@ def capped_terms(K: int, pol: PrecisionPolicy, name: str) -> int:
     return K
 
 
-def _check_not_nonpositive_integer(ctx, x):
-    xc = ctx.mpc(x)
-    if xc.imag == 0:
-        xr = xc.real
-        if xr <= 0 and xr == ctx.nint(xr):
-            raise PolesError(f"pole at non-positive integer argument {xr}")
-
-
-def loggamma(x, pol: PrecisionPolicy):
-    """Principal branch of log Gamma."""
-    ctx = pol.ctx
-    _check_not_nonpositive_integer(ctx, x)
-    return ctx.loggamma(x)
-
-
-def digamma(x, order: int, pol: PrecisionPolicy):
-    """psi(x) for order 0, psi'(x) for order 1 (orders up to 3 supported)."""
-    ctx = pol.ctx
-    if order not in (0, 1, 2, 3):
-        raise MPNumError("digamma order must be 0..3")
-    _check_not_nonpositive_integer(ctx, x)
-    return ctx.psi(order, x)
-
-
 def hurwitz_zeta(s, x, derivative_in_s: int, pol: PrecisionPolicy):
     """zeta(s, x) or d/ds zeta(s, x) for x in (0, 1]."""
     ctx = pol.ctx
@@ -315,16 +291,3 @@ def hurwitz_zeta(s, x, derivative_in_s: int, pol: PrecisionPolicy):
     if sc.imag == 0:
         sc = sc.real
     return ctx.zeta(sc, xr, derivative_in_s)
-
-
-def dilog(x, pol: PrecisionPolicy):
-    """Li_2 on the principal branch (cut along [1, oo), limit from above)."""
-    ctx = pol.ctx
-    xc = ctx.mpc(x)
-    if xc.imag == 0 and xc.real > 1:
-        # boundary of the cut: approach from above
-        xc = ctx.mpc(xc.real, ctx.mpf(10) ** (-2 * pol.working_digits))
-    val = ctx.polylog(2, xc)
-    if ctx.im(val) == 0:
-        return ctx.re(val)
-    return val

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hypergeom import (HGData, W_r, _s_series_times, alpha_s, frobenius_E, frobenius_phi,
-                        z_s_logs)
+from .hypergeom import HGData, W_r, _s_series_times, alpha_s, frobenius_phi, z_s_logs
 from .mpnum import Record
 from .series import LogSeries, PowSeries, SLaurent, _apply_shifted_chain, _linear_product, sp_mul
 
@@ -74,8 +73,8 @@ def residual_frobenius(h: HGData, s_order: int, K: int) -> ResidualReport:
     if h.b_all_ones():
         # E = alpha * Phi with alpha carried symbolically: the residual is
         # asserted as a polynomial identity in alpha_1..alpha_s_order.
-        E = frobenius_E(h, K, s_order, mode="symbolic", phi=phi)
         alpha = alpha_s(h, s_order, mode="symbolic")
+        E = _s_series_times(alpha, phi)
         rhsE = _s_series_times(sp_mul(rhs_poly, alpha, s_order), zs)
         diffE = apply_operator_s(h, E) - rhsE
     else:

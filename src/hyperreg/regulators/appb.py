@@ -77,6 +77,3 @@ def appB_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     rep.notes.append("integral-model points: integer t in (0, 3125/432)")
     return rep
 
-
-def integral_model_point(t: Fraction) -> bool:
-    return t.denominator == 1 and 0 < t < T_SUP

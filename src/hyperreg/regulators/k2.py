@@ -34,14 +34,6 @@ from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_ratio
 
 DATA = hgdata.parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
 A4 = DATA.a
-EXPECTED_RATIOS = {
-    Fraction(1, 16): Fraction(1, 64),
-    Fraction(1, 4): Fraction(-1, 16),
-    Fraction(1): Fraction(1, 640),
-    Fraction(9): Fraction(3),
-    Fraction(25): Fraction(-40),
-    Fraction(49): Fraction(-248),
-}
 
 
 def gamma_alpha0(alpha: Fraction, pol: PrecisionPolicy):
@@ -176,7 +168,6 @@ def k2_det(t: Fraction, pol: PrecisionPolicy) -> RegulatorReport:
     rep.check("theta_ladder_exact", dev, pol)
     if not integral_model_point(t):
         rep.notes.append("t is not of the form n^2/4^o: rationality not expected")
-    rep.expected_ratio = EXPECTED_RATIOS.get(t)
     return rep
 
 

@@ -501,14 +501,6 @@ class SLaurent:
                 out[key] = prod if key not in out else out[key] + prod
         return SLaurent(out, s_order, min_order)
 
-    def scale(self, c) -> "SLaurent":
-        return SLaurent({k: v.scale(c) for k, v in self.terms.items()},
-                        self.s_order, self.min_order)
-
-    def theta_z(self) -> "SLaurent":
-        return SLaurent({k: theta(v) for k, v in self.terms.items()},
-                        self.s_order, self.min_order)
-
     def __eq__(self, other):
         if not isinstance(other, SLaurent):
             return NotImplemented

@@ -24,18 +24,17 @@ def suite_identities(pol: PrecisionPolicy) -> list:
     dev, _ = conifold_catalan_identity(pol)
     out.append(_result("conifold_identity", dev < pol.tol, f"deviation {ctx.nstr(dev, 3)}"))
     # Lerch at twelfths
-    from .mpnum import hurwitz_zeta, loggamma
+    from .mpnum import hurwitz_zeta
     worst = ctx.mpf(0)
     for num in range(1, 12):
         x = Fraction(num, 12)
         lhs = hurwitz_zeta(0, x, 1, pol)
-        rhs = loggamma(ctx.mpf(num) / 12, pol) - ctx.log(2 * ctx.pi) / 2
+        rhs = ctx.loggamma(ctx.mpf(num) / 12) - ctx.log(2 * ctx.pi) / 2
         worst = max(worst, abs(lhs - rhs))
     out.append(_result("lerch", worst < pol.tol, f"max deviation {ctx.nstr(worst, 3)}"))
     # Catalan three ways
-    from .mpnum import dilog
     cat = special("catalan", pol)
-    dev_cat = abs(ctx.im(dilog(ctx.mpc(0, 1), pol)) - cat)
+    dev_cat = abs(ctx.im(ctx.polylog(2, ctx.mpc(0, 1))) - cat)
     out.append(_result("catalan", dev_cat < pol.tol, f"deviation {ctx.nstr(dev_cat, 3)}"))
     # quintic roots
     from .regulators.quintic import quintic_roots_residuals

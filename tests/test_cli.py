@@ -71,7 +71,7 @@ def test_regulator_cy0(tmp_path):
 
 
 def test_determinism_and_concurrency():
-    """Identical config => byte-identical output, also under fan-out."""
+    """Identical config => byte-identical output, across processes."""
     args = ("--digits", "20", "--json", "regulator", "--case", "k4",
             "--t", "1/1024,1/4096,1/16384")
     a = run(*args)
@@ -307,6 +307,7 @@ def test_non_integer_euler_data_exit2_one_line(tmp_path):
     {"gamma_shifts": [["R", [1]]]}, {"gamma_shifts": 5},
     {"poles": [["1", "x"]]}, {"euler_path": ["chi-4.jsonl"]},
     {"conductor": 4.5}, {"degree": True},
+    {"gamma_shifts": [[["R"], "0"]]}, {"gamma_shifts": [[{"R": 1}, "0"]]},
 ])
 def test_malformed_lfun_spec_exit2_one_line(tmp_path, change):
     """Each field's JSON type is checked where it is read; a conductor of 4.5

@@ -154,7 +154,8 @@ def test_theta_of_a_lone_empty_part_is_an_empty_part():
 def test_operator_on_symbolic_E_matches_theta_chain():
     """L applied to E = alpha Phi with symbolic alpha, slot by slot."""
     h = parse_hg("1/4,1/2,1/2,3/4;1,1,1,1")
-    E = hypergeom.frobenius_E(h, 8, 4, "symbolic")
+    E = hypergeom._s_series_times(hypergeom.alpha_s(h, 4, "symbolic"),
+                                  hypergeom.frobenius_phi(h, 8, 4))
     for key, v in E.terms.items():
         lead = _theta_chain([bj - 1 for bj in h.b], v)
         tail = _theta_chain(list(h.a), v).shift(1)

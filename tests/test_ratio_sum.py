@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from hyperreg import cli, hgdata, hypergeom, mpnum, series
 from hyperreg.mpnum import PrecisionPolicy
-from hyperreg.regulators import appb, cy0, elliptic, k2, quintic
+from hyperreg.regulators import appb, cy0, k2, quintic
 from hyperreg.series import DivergenceError, TailBoundError, ratio_sum
 
 F = Fraction
@@ -176,22 +176,15 @@ def test_cy0_ratio(monkeypatch):
     _check(calls, [lambda k: comb(2 * k, k) * t ** k / k], pol)
 
 
-def test_elliptic_ratio(monkeypatch):
-    pol = PrecisionPolicy(30)
-    calls = _spy(monkeypatch, elliptic)
-    t = F(1, 32)
-    elliptic.psi_sum(t, pol)
-    _check(calls, [lambda m: comb(2 * m, m) ** 2 * t ** m / m], pol)
-
-
 def test_k2_right_series_ratio(monkeypatch):
     pol = PrecisionPolicy(30)
     calls = _spy(monkeypatch, k2)
     z = pol.ctx.mpf("0.5")
     k2.mb_right_series(z, pol)
     zq = F(1, 2)
+    a = hypergeom.coeff_stream(k2.DATA, 50)
     # every term carries z^(1/2)
-    _check(calls, [lambda n: (-zq) ** n * hypergeom.coeff_ak(k2.DATA, n) / (n + F(1, 2))],
+    _check(calls, [lambda n: (-zq) ** n * a[n] / (n + F(1, 2))],
            pol, [pol.ctx.sqrt(z)])
 
 
@@ -258,7 +251,6 @@ _dyadic = st.integers(-(2 ** 20) + 1, 2 ** 20 - 1).filter(bool).map(lambda n: F(
 _CALLERS = {
     # owner, point strategy, run(point, pol)
     "cy0": (cy0, _point(F(1, 4)), lambda t, pol: cy0._series_value(t, pol)),
-    "elliptic": (elliptic, _point(F(99, 1600)), lambda t, pol: elliptic.psi_sum(t, pol)),
     # dyadic, so that z is the same mpf at both precisions
     "k2": (k2, _dyadic, lambda z, pol: k2.mb_right_series(
         pol.ctx.mpf(z.numerator) / z.denominator, pol)),

@@ -7,11 +7,11 @@ from math import comb
 
 import pytest
 
-from hyperreg.mpnum import PrecisionPolicy, special
+from hyperreg.mpnum import PrecisionPolicy, ratio_sum, special
 from hyperreg.regulators.cy0 import (class_number_real_quadratic,
                                      cy0_class_number_check, cy0_regulator,
                                      is_squarefree, selected_cy0_cases)
-from hyperreg.regulators.elliptic import conifold_catalan_identity, psi_sum
+from hyperreg.regulators.elliptic import _sum_quadrature, conifold_catalan_identity
 from hyperreg.regulators.reporting import CaseError
 
 F = Fraction
@@ -115,19 +115,27 @@ def test_conifold_identity(pol40):
     assert abs(lhs - 8 * special("catalan", pol40) / ctx.pi) < ctx.mpf(10) ** -30
 
 
+def _sum_interior(t, pol):
+    """sum_{m>0} binom(2m,m)^2 t^m / m by geometric summation, for t well
+    inside (0, 1/16): the reference elliptic._sum_quadrature is checked against."""
+    tv = pol.ctx.mpf(t.numerator) / t.denominator
+    # t_1 = 4t, t_(m+1) / t_m = 16t (m + 1/2)^2 m / (m + 1)^3
+    ratio = (16 * t, (F(1, 2), F(1, 2), 0), (1, 1, 1))
+    return ratio_sum(4 * tv, ratio, pol, "elliptic series", start=1)[0]
+
+
 def test_psi_interior_and_limit(pol):
     ctx = pol.ctx
     # Psi(t)/(-2 pi i) - log t = sum_{m>0} binom(2m,m)^2 t^m / m, term by term at
     # t = 1/32, where the terms fall like 2^-m
     direct = ctx.fsum(ctx.mpf(comb(2 * m, m) ** 2) / (m * 32 ** m) for m in range(1, 250))
-    assert abs(psi_sum(F(1, 32), pol) - direct) < 10 * pol.tol
+    assert abs(_sum_interior(F(1, 32), pol) - direct) < 10 * pol.tol
     # and it -> 0 as t -> 0
-    assert abs(psi_sum(F(1, 10 ** 12), pol)) < ctx.mpf(10) ** -11
+    assert abs(_sum_interior(F(1, 10 ** 12), pol)) < ctx.mpf(10) ** -11
 
 
 def test_quadrature_vs_summation_overlap(pol):
     """Quadrature and direct summation agree on the overlap of their domains."""
-    from hyperreg.regulators.elliptic import _sum_interior, _sum_quadrature
     for t in (F(1, 20), F(1, 32), F(3, 64)):
         assert abs(_sum_interior(t, pol) - _sum_quadrature(t, pol)) < 10 * pol.tol
 
