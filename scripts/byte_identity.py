@@ -7,8 +7,9 @@ PARENT_SRC and CHANGE_SRC are the roots of two checkouts, each holding
 `src/` and `fixtures/`.  Every command line of a fixed list runs as a fresh
 `python -m hyperreg.cli` process from each root, the two side by side; any
 difference in stdout, stderr or exit code is printed, and the script exits
-1 if there was one, 0 otherwise; a line of CHANGED_RUNS whose output differs
-is printed as `changed` and does not count.  Standard library only.  Each
+1 if there was one, 0 otherwise; a line of CHANGED_RUNS or
+TYPED_K4_FIXTURES whose output differs is printed as `changed` and does not
+count.  Standard library only.  Each
 root gets its own empty HYPERREG_CACHE directory, and every `lfun` line runs
 twice per root, so the second run reads the AFE kernels the first one saved:
 the output with a warm kernel store is compared as well as the cold one.
@@ -35,7 +36,11 @@ terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
 but for fixture_usage_argvs' spec without gamma factors and its spec whose
 Euler table is too short, which exit 3, and `regulator` on the refused-t
-fixture, which has no row at its t and exits 0: 163 command lines in all.
+fixture, which has no row at its t and exits 0, the config_argvs (a config
+file setting digits, mode and fixtures, one with a byte-order mark, and an
+unknown key and a digits that is not an integer, which exit 2), and the
+rows that moved on purpose, CHANGED_RUNS (chi_-4 at |s| past what the
+working precision holds) and TYPED_K4_FIXTURES: 185 command lines in all.
 """
 
 from __future__ import annotations
@@ -72,9 +77,11 @@ CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
 # 4e19 (s = 40): the kernels' rounding bound and the self-test at large s
 LARGE_S_RUNS = tuple((-4, s, 0, digits) for s in ("20", "30", "34", "40")
                      for digits in ("8", "30"))
-# runs whose output moved on purpose: with the self-test judged on the printed
-# L, not on Lambda, these exit 0 and print beta(s) where they exited 3
-CHANGED_RUNS = ((-4, "34", 0, "8"), (-4, "40", 0, "8"), (-4, "40", 0, "30"))
+# (s, order) of chi_-4 at --digits 8 with |s| >= 2^72, which 80 working bits
+# cannot hold apart from the gamma poles: a PointError, exit 2, where s + 1
+# rounded onto a pole of Gamma_R(s + 1) (exit 1) or the kernel failed to
+# decay (exit 3); these rows moved on purpose, as did TYPED_K4_FIXTURES'
+CHANGED_RUNS = (("-1e30", 0), ("-1e30", 1), ("-1e400", 0), ("1e400", 0))
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
 # the quintic L''(0) at 6 and 20 digits: both Gamma_C kernel paths and order 2
@@ -139,6 +146,26 @@ BAD_K4_FIXTURES = {
                               "L_value": "0.1234567890123456789012345678901234",
                               "L_derivative_order": 2}]),
 }
+# k4 fixtures whose t or expected ratio is a JSON boolean or number, or an
+# empty string, not a "p/q" string: exit 2, where they were read as t = 1, as
+# no t (twice) and as the binary value of 0.1 (exit 0)
+TYPED_K4_FIXTURES = {
+    "true-t": json.dumps([{"t": True, "expected_ratio": "4", "L_derivative_order": 2}]),
+    "empty-t": json.dumps([{"t": "", "expected_ratio": "4", "L_derivative_order": 2}]),
+    "zero-t": json.dumps([{"t": 0, "expected_ratio": "4", "L_derivative_order": 2}]),
+    "number-ratio": json.dumps([{"t": "1/1024", "expected_ratio": 0.1,
+                                 "L_derivative_order": 2}]),
+}
+# key=value config files: one setting digits, mode and fixtures (a copy of
+# the k4 fixture) under a comment line, one with a UTF-8 byte-order mark, and
+# two that exit 2, an unknown key and a digits that is not an integer
+CONFIGS = {
+    "all-keys": "# every key but max_terms and cache\ndigits = 20\nmode = floating\n"
+                "fixtures = {fixtures}\n",
+    "bom": "\ufeffdigits=5\n",
+    "unknown-key": "digitz=5\n",
+    "text-digits": "digits=abc\n",
+}
 
 
 BAD_SPEC = "[1, 2]"
@@ -154,19 +181,43 @@ ZETA_EULER = '{"p": 2, "factor": [1, -1]}\n{"p": 3, "factor": [1, -1]}\n'
 SHORT_EULER = "".join('{"p": %d, "factor": [1, -1]}\n' % p for p in (2, 3, 5, 7))
 
 
+def k4_fixture_argvs(directory: Path, fixtures: dict) -> list:
+    """regulator k4 and verify ratios on each k4.json text of fixtures,
+    written under directory."""
+    out = []
+    for name, text in fixtures.items():
+        (directory / name).mkdir()
+        (directory / name / "k4.json").write_text(text)
+        out.append(["--fixtures", str(directory / name), "regulator", "--case", "k4",
+                    "--t", "1/1024"])
+        out.append(["--fixtures", str(directory / name), "verify", "ratios"])
+    return out
+
+
+def config_argvs(root: Path, directory: Path) -> list:
+    """The CONFIGS, written under directory, each with `period` at
+    --point 1/8 and all-keys also with `period` in t and `regulator` k4."""
+    (directory / "cfg-fixtures").mkdir()
+    (directory / "cfg-fixtures" / "k4.json").write_bytes(
+        (root / "fixtures" / "k4.json").read_bytes())
+    out = []
+    for name, text in CONFIGS.items():
+        path = directory / f"{name}.cfg"
+        path.write_text(text.format(fixtures=directory / "cfg-fixtures"), encoding="utf-8")
+        out.append(["--config", str(path), "period", "1/2;1", "-K", "12", "--point", "1/8"])
+    path = str(directory / "all-keys.cfg")
+    out.append(["--config", path, "period", "1/5,2/5,3/5,4/5;1,1,1,1", "--var", "t", "-K", "20"])
+    out.append(["--config", path, "regulator", "--case", "k4", "--t", "1/1024"])
+    return out
+
+
 def fixture_usage_argvs(directory: Path) -> list:
     """regulator k4 and verify ratios on each of BAD_K4_FIXTURES, and lfun on
     BAD_SPEC, on specs of GAPPED_EULER, NONPRIME_EULER and FLOAT_P_EULER, on a spec of
     ZETA_EULER with an empty gamma_shifts (exit 3: no kernel can decay), and
     on zeta's spec with SHORT_EULER at conductor 10^6 and --digits 20 (exit 3:
     the side sums run out of Euler data), written under directory."""
-    out = []
-    for name, text in BAD_K4_FIXTURES.items():
-        (directory / name).mkdir()
-        (directory / name / "k4.json").write_text(text)
-        fixtures = str(directory / name)
-        out.append(["--fixtures", fixtures, "regulator", "--case", "k4", "--t", "1/1024"])
-        out.append(["--fixtures", fixtures, "verify", "ratios"])
+    out = k4_fixture_argvs(directory, BAD_K4_FIXTURES)
     (directory / "bad-spec.json").write_text(BAD_SPEC)
     out.append(["lfun", str(directory / "bad-spec.json"), "--s", "2"])
     for name, euler, gamma in (("gapped", GAPPED_EULER, [["R", "0"]]),
@@ -310,9 +361,11 @@ def command_lines(root: Path, directory: Path) -> tuple:
     argvs += [["--digits", digits, "lfun", quintic, "--s", "0", "--order", "2"]
               for digits in QUINTIC_DIGITS]
     argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
-    argvs += fixture_usage_argvs(directory)
-    argvs = [cmd for cmd in argvs for _ in range(2 if "lfun" in cmd else 1)]
-    return argvs, [lfun_argv[run] for run in CHANGED_RUNS]
+    argvs += fixture_usage_argvs(directory) + config_argvs(root, directory)
+    changed = [["--digits", "8", "lfun", specs[-4], f"--s={s}", "--order", str(order)]
+               for s, order in CHANGED_RUNS] + k4_fixture_argvs(directory, TYPED_K4_FIXTURES)
+    argvs = [cmd for cmd in argvs + changed for _ in range(2 if "lfun" in cmd else 1)]
+    return argvs, changed
 
 
 def start(root: Path, argv: list, cache: Path) -> subprocess.Popen:

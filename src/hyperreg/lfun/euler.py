@@ -73,12 +73,11 @@ def write_atomic(path, data: bytes):
         raise
 
 
-def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:
-    """Read a JSONL file of {"p": int, "factor": [1, c1, ...]} lines; p and
-    every c must be JSON integers."""
+def euler_ingest(path, degree: int) -> EulerFactorTable:
+    """Read a JSONL file of {"p": int, "factor": [1, c1, ...]} lines into a
+    table of the given degree; p and every c must be JSON integers."""
     path = Path(path)
     factors = {}
-    maxdeg = 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -95,9 +94,6 @@ def euler_ingest(path, degree: int | None = None) -> EulerFactorTable:
             if p in factors:
                 raise EulerError(f"{path}:{lineno}: duplicate prime {p}")
             factors[p] = fac
-            maxdeg = max(maxdeg, len(fac) - 1)
-    if degree is None:
-        degree = maxdeg
     return EulerFactorTable(factors, degree, provenance=str(path))
 
 

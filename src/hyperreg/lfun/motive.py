@@ -409,13 +409,12 @@ def _build_kernel(spec, s_val, pol: PrecisionPolicy):
         # the integrand y^-u / u alone decays like 1/|u|, never to the floor
         raise MotiveError("kernel quadrature failed to decay")
     factors, index = _gamma_factors(spec, ctx)
-    # real parts of the integrand poles in u: u = 0 plus the gamma poles
+    # the rightmost integrand pole in u: u = 0 or a factor's first gamma pole
     u_poles = [ctx.mpf(0)]
-    for e, shift, *_ in factors:
+    for _, shift, *_ in factors:
         u = -(s_val + ctx.make_mpf(shift))
-        while u > ctx.mpf("0.01"):
+        if u > ctx.mpf("0.01"):
             u_poles.append(u)
-            u -= 2 ** e
     c, gap = _abscissa(ctx, max(u_poles))
     # trapezoid step from the half-width of the strip free of poles, whose
     # error is about e^(-2 pi gap / h) = 10^-(wd + 8)
@@ -596,7 +595,6 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
     live = list(range(order + 1))          # the sums still accumulating
     for n in range(1, M_cap + 1):
         an = a[n]
-        yn = n / (sqN * A) if not mirror else n * A / sqN
         if an == 0:
             # the kernel only shrinks with n; reuse the quiet counter
             for j in list(live):
@@ -607,6 +605,7 @@ def _sum_side(spec, s_val, pol, order: int, A, mirror: bool, a: list, store=None
             if not live:
                 break
             continue
+        yn = n / (sqN * A) if not mirror else n * A / sqN
         base = an * ctx.power(n, -sigma) * N_half_sigma
         try:
             weight += abs(float(base)) * float(yn) ** minus_c
@@ -654,6 +653,9 @@ def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
         raise MotiveError("derivative_order must be 0, 1, or 2")
     if not spec.gamma_shifts:
         raise MotiveError("kernel quadrature failed to decay")
+    if abs(s_val) >= ctx.ldexp(1, ctx.prec - 8):
+        # s + shift, resolved no finer than 2^-7, could round onto a gamma pole
+        raise PointError(f"evaluation point |s| >= 2^{ctx.prec - 8}, past the working precision")
     for p0, _ in spec.poles:
         if ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator == s_val:
             raise PointError("evaluation point sits on a pole of Lambda")
@@ -757,7 +759,7 @@ def _to_L(lams, inv, pref, ctx):
 
 
 def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolicy,
-             cutoff_A=None, store=None):
+             store=None):
     """L-derivative at s0 with an error estimate: returns (value, err).
 
     At trivial zeros forced by gamma poles of order m, only
@@ -766,12 +768,12 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     comes from lambda_derivs, which has judged the kernels' rounding bound
     on the value printed here, carried through the same Lambda -> L step
     (_L_step); the line each kernel lies on is _abscissa's.
-    The self-test compares Lambda^(k)(s0), k <= d, at the cutoffs 1.31 and
-    1, and judges each order's residual on the printed L, carried through the
-    same step in absolute value; err is the order-0 residual on Lambda.  The
-    cutoff-1 values are the main path's own when no cutoff_A is given.  All
-    paths share one Dirichlet table and the kernel store `store`, a
-    directory, which None, the default, leaves unread and unwritten.
+    The self-test compares Lambda^(k)(s0), k <= d, at the cutoff 1.31 with
+    the main path's own, at cutoff 1, and judges each order's residual on the
+    printed L, carried through the same step in absolute value; err is the
+    order-0 residual on Lambda.  Both paths share one Dirichlet table and the
+    kernel store `store`, a directory, which None, the default, leaves unread
+    and unwritten.
     """
     ctx = pol.ctx
     s_val = _s_value(ctx, s0)
@@ -783,11 +785,10 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
     order = 0 if m > 0 else derivative_order
     _check_request(spec, order, ctx, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
-    lams = lambda_derivs(spec, s0, order, pol, cutoff_A, a, store=store)
+    lams = lambda_derivs(spec, s0, order, pol, a=a, store=store)
     lamA = lambda_derivs(spec, s0, order, pol, ctx.mpf("1.31"), a, store=store)
-    lam1 = lams if cutoff_A is None else lambda_derivs(spec, s0, order, pol, a=a, store=store)
     inv, pref = _L_step(spec, s0, s_val, order, pol)
-    residuals = [abs(x - y) for x, y in zip(lamA, lam1)]
+    residuals = [abs(x - y) for x, y in zip(lamA, lams)]
     for d, residual in enumerate(_to_L(residuals, [abs(v) for v in inv], abs(pref), ctx)):
         if residual > pol.tol:
             raise MotiveError(f"functional-equation self-test residual {ctx.nstr(residual, 4)} "

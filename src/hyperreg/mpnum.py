@@ -6,9 +6,9 @@ mpmath context, so concurrent evaluations with different policies never
 fight over a global precision setting.
 
 :func:`special` is the one memo of transcendental constants (pi, log 2,
-Catalan's constant, Euler's gamma, zeta(2), zeta(3), beta(4)), keyed by
-the context's binary precision and filled on first use; the exact-to-float
-boundary (``ExactNum.to_mp``) reads its atoms from it.
+Catalan's constant, zeta(3), beta(4)), keyed by the context's binary
+precision and filled on first use; the exact-to-float boundary
+(``ExactNum.to_mp``) reads its atoms from it.
 
 :func:`ratio_sum` sums every numeric series of the package that stops
 where its terms fall below the working precision: from the first term and
@@ -31,7 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
 
-_CONSTANT_NAMES = ("pi", "ln2", "catalan", "euler_gamma", "zeta2", "zeta3", "b4")
+_CONSTANT_NAMES = ("pi", "ln2", "catalan", "zeta3", "b4")
 
 
 _GUARD_BITS = 32        # bits beyond the working precision of the fixed-point sums:
@@ -139,10 +139,6 @@ def special(name: str, pol):
         val = +ctx.ln2
     elif name == "catalan":
         val = +ctx.catalan
-    elif name == "euler_gamma":
-        val = +ctx.euler
-    elif name == "zeta2":
-        val = ctx.pi ** 2 / 6
     elif name == "zeta3":
         val = ctx.zeta(3)
     elif name == "b4":

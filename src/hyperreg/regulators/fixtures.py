@@ -3,9 +3,9 @@
 fixtures/<case>.json holds a list of entries
   {"t": "p/q" | null, "expected_ratio": "p/q" | null,
    "L_value": decimal string | null, "L_derivative_order": 0|1|2}
-plus free-form provenance keys.  The loader refuses an L-value that is
-neither null nor a decimal string, and `fixture_L_value` one carrying fewer
-digits than the active precision target.
+plus free-form provenance keys.  The loader refuses a t, expected ratio or
+L-value of another JSON type or form (a number or a boolean among them), and
+`fixture_L_value` an L-value carrying fewer digits than the precision target.
 """
 
 from __future__ import annotations
@@ -43,11 +43,14 @@ def load_fixture(case: str, fixtures_dir) -> list:
             raise FixtureError(f"{path}: entry {i} is not an object")
         entry = dict(row)
         for key in ("t", "expected_ratio"):
+            raw = row.get(key)
             try:
-                entry[key] = Fraction(row[key]) if row.get(key) else None
+                if raw is not None and not isinstance(raw, str):
+                    raise TypeError("neither null nor a 'p/q' string")
+                entry[key] = None if raw is None else Fraction(raw)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise FixtureError(f"{path}: entry {i}: cannot parse {key} {row[key]!r}: "
-                                   f"{exc}") from None
+                raise FixtureError(f"{path}: entry {i}: cannot parse {key} "
+                                   f"{json.dumps(raw)}: {exc}") from None
         raw = row.get("L_value")
         if raw is not None and not (isinstance(raw, str) and _DECIMAL.fullmatch(raw)):
             raise FixtureError(f"{path}: entry {i}: L_value {raw!r} is neither null "

@@ -281,6 +281,13 @@ def _chi5_spec(directory):
     (_chi5_spec, ["--s", "0", "--order", "0"], "gamma pole of order 1"),
     (_zeta_spec, ["--s", "1"], "pole of Lambda"),
     (_zeta_spec, ["--s", "0", "--order", "1"], "pole of Lambda"),
+    # |s| >= 2^72 at 80 working bits: s + 1 rounds onto a pole of Gamma_R(s + 1)
+    # (s = -1e30 and -1e400), or a kernel line lies past any decay (s = 1e400)
+    (_chi_minus4_spec, ["--s=-1e30"], "|s| >= 2^72"),
+    (_chi_minus4_spec, ["--s=-1e30", "--order", "1"], "|s| >= 2^72"),
+    (_chi_minus4_spec, ["--s=-1e400"], "|s| >= 2^72"),
+    (_chi_minus4_spec, ["--s=-1e400", "--order", "1"], "|s| >= 2^72"),
+    (_chi_minus4_spec, ["--s=1e400"], "|s| >= 2^72"),
 ])
 def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, message):
     out = run("--digits", "8", "lfun", str(make_spec(tmp_path)), *argv)
@@ -288,6 +295,16 @@ def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, me
     assert out.stdout == ""
     assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
     assert message in out.stderr and "Traceback" not in out.stderr
+
+
+def test_lfun_far_left_of_the_strip_exits_3_at_once(tmp_path):
+    """At s = -99999999 the kernel's line lies 10^8 right of 0 and its
+    rounding weight overflows binary64: exit 3 with one line, well within
+    30 s, since the kernel build reads only each gamma factor's first pole."""
+    out = run("--digits", "8", "lfun", str(_chi_minus4_spec(tmp_path)), "--s=-99999999",
+              "--order", "1", timeout=30)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: AFE kernel rounding bound past binary64\n"
 
 
 def test_non_integer_euler_data_exit2_one_line(tmp_path):
@@ -540,6 +557,13 @@ _K4_ROW = {"t": "1/1024", "expected_ratio": "4", "L_derivative_order": 2}
     # a row with L-data whose t its case refuses
     (json.dumps([dict(_K4_ROW, t="1", L_value="0.1234567890123456789012345678901234")]),
      ["verify", "ratios"]),
+    # a t or an expected ratio that is a JSON boolean or number, or empty, not a
+    # "p/q" string
+    (json.dumps([dict(_K4_ROW, t=True)]), ["regulator", "--case", "k4", "--t", "1/1024"]),
+    (json.dumps([dict(_K4_ROW, t="")]), ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, t=0)]), ["verify", "ratios"]),
+    (json.dumps([dict(_K4_ROW, expected_ratio=0.1)]),
+     ["regulator", "--case", "k4", "--t", "1/1024"]),
 ])
 def test_fixture_error_exit2_one_line(tmp_path, fixture, argv):
     (tmp_path / "k4.json").write_text(fixture)

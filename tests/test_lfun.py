@@ -16,7 +16,7 @@ from hyperreg.lfun.euler import (EulerError, EulerFactorTable, dirichlet_coeffic
                                  euler_ingest)
 from hyperreg.lfun import motive
 from hyperreg.lfun.motive import (CoverageError, LFunctionSpec, MotiveError,
-                                  gamma_pole_order, motive_L)
+                                  gamma_pole_order, lambda_derivs, motive_L)
 from hyperreg.lfun.web import NotFoundError, lmfdb_fetch
 from hyperreg.mpnum import PrecisionPolicy, special
 
@@ -90,26 +90,26 @@ def test_L_at_1(pol):
 def test_euler_ingest_roundtrip(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text('{"p": 2, "factor": [1]}\n{"p": 3, "factor": [1, -1, 3]}\n')
-    table = euler_ingest(path)
+    table = euler_ingest(path, 2)
     assert table.factors == {2: [1], 3: [1, -1, 3]}
     # the table written back as JSON lines reads back to the same text
     text = to_jsonl(table)
     path2 = tmp_path / "t2.jsonl"
     path2.write_text(text)
-    assert euler_ingest(path2).factors == table.factors
-    assert to_jsonl(euler_ingest(path2)) == text
+    assert euler_ingest(path2, 2).factors == table.factors
+    assert to_jsonl(euler_ingest(path2, 2)) == text
 
 
 def test_euler_ingest_errors(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"p": 2, "factor": [1, -1]}\n{"p": 3, "factor": [2, 1]}\n')
     with pytest.raises(EulerError) as err:
-        euler_ingest(bad)
+        euler_ingest(bad, 1)
     assert ":2:" in str(err.value)          # reports the line number
     bad2 = tmp_path / "bad2.jsonl"
     bad2.write_text("not json\n")
     with pytest.raises(EulerError) as err2:
-        euler_ingest(bad2)
+        euler_ingest(bad2, 1)
     assert ":1:" in str(err2.value)
 
 
@@ -125,7 +125,7 @@ def test_euler_ingest_refuses_non_integers(tmp_path, line):
     path = tmp_path / "t.jsonl"
     path.write_text('{"p": 2, "factor": [1, -1]}\n' + line + "\n")
     with pytest.raises(EulerError, match=":2: malformed line"):
-        euler_ingest(path)
+        euler_ingest(path, 1)
 
 
 @pytest.mark.parametrize("factors", [
@@ -143,7 +143,7 @@ def test_degree_zero_bad_factor():
 
 
 def test_multiplicativity_brute(fixtures_dir):
-    table = euler_ingest(fixtures_dir / "euler" / "quintic_field.jsonl")
+    table = euler_ingest(fixtures_dir / "euler" / "quintic_field.jsonl", 4)
     a = dirichlet_coefficients(table, 10 ** 4)
     assert a[1] == 1
     assert check_multiplicativity(a)
@@ -265,13 +265,18 @@ def test_motive_zeta(pol):
 @pytest.mark.parametrize("cutoff", [None, "1.31", 2], ids=["A=1", "A=1.31", "A=2"])
 @pytest.mark.parametrize("s", [F(2), F(3), F(1, 2)], ids=["s=2", "s=3", "s=1/2"])
 def test_motive_zeta_derivatives_at_any_cutoff(s, cutoff):
-    """zeta, zeta' and zeta'' within 10^-12 of mpmath's: the pole terms of
-    Lambda at orders 0, 1 and 2, and the factor A^(-eps) of a cutoff A != 1
-    at every order."""
+    """zeta, zeta' and zeta'' within 10^-12 of mpmath's at the cutoff 1: the
+    pole terms of Lambda at orders 0, 1 and 2.  At a cutoff A != 1, whose
+    factor A^(-eps) enters every order, Lambda, Lambda' and Lambda'' within
+    10^-12 of theirs at 1."""
     pol = PrecisionPolicy(12)
     spec = _zeta_spec(400)
+    if cutoff is not None:
+        at_A, at_1 = lambda_derivs(spec, s, 2, pol, cutoff), lambda_derivs(spec, s, 2, pol)
+        assert all(abs(x - y) < pol.ctx.mpf(10) ** -12 for x, y in zip(at_A, at_1))
+        return
     for order in (0, 1, 2):
-        value, _ = motive_L(spec, s, order, pol, cutoff_A=cutoff)
+        value, _ = motive_L(spec, s, order, pol)
         with mpmath.workdps(pol.working_digits):
             expected = mpmath.zeta(mpmath.mpf(s.numerator) / s.denominator, derivative=order)
             assert abs(mpmath.mpf(value) - expected) < mpmath.mpf(10) ** -12
@@ -319,8 +324,8 @@ def test_motive_cutoff_stability():
     chi4 = kronecker_character(-4)
     spec = LFunctionSpec(1, 0, 4, (("R", F(1)),), 1,
                          euler_from_character(chi4, 400))
-    v1, _ = motive_L(spec, 2, 0, pol)
-    v2, _ = motive_L(spec, 2, 0, pol, cutoff_A=2)
+    v1, = lambda_derivs(spec, 2, 0, pol)
+    v2, = lambda_derivs(spec, 2, 0, pol, 2)
     assert abs(v1 - v2) < ctx.mpf(10) ** -14
 
 

@@ -315,14 +315,13 @@ def test_lambda_derivs_needs_euler_data(monkeypatch):
     assert kernel_builds == []
 
 
-@pytest.mark.parametrize("cutoff_A", [None, "1.2"])
-def test_motive_L_builds_one_dirichlet_table(monkeypatch, cutoff_A):
+def test_motive_L_builds_one_dirichlet_table(monkeypatch):
     """Main path and self-test share one Dirichlet table."""
     monkeypatch.setattr(motive, "_kernel_cache", {})
     lam_calls = _count_calls(monkeypatch, motive, "lambda_derivs")
     coeff_calls = _count_calls(monkeypatch, motive, "dirichlet_coefficients")
-    motive_L(_character_spec(-4), 2, 1, PrecisionPolicy(8), cutoff_A=cutoff_A)
-    assert len(lam_calls) == (2 if cutoff_A is None else 3)
+    motive_L(_character_spec(-4), 2, 1, PrecisionPolicy(8))
+    assert len(lam_calls) == 2
     assert len(coeff_calls) == 1
 
 

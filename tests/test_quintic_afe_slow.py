@@ -23,7 +23,7 @@ from hyperreg.regulators.quintic import quintic_det
 def test_quintic_afe_end_to_end(fixtures_dir):
     pol = PrecisionPolicy(25, guard_digits=12)
     ctx = pol.ctx
-    table = euler_ingest(fixtures_dir / "euler" / "quintic_field.jsonl")
+    table = euler_ingest(fixtures_dir / "euler" / "quintic_field.jsonl", 4)
     spec = LFunctionSpec(
         degree=4, weight=0, conductor=2869,
         gamma_shifts=(("C", Fraction(0)), ("C", Fraction(0))),
