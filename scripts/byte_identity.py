@@ -7,15 +7,16 @@ PARENT_SRC and CHANGE_SRC are the roots of two checkouts, each holding
 `src/` and `fixtures/`.  Every command line of a fixed list runs as a fresh
 `python -m hyperreg.cli` process from each root, the two side by side; any
 difference in stdout, stderr or exit code is printed, and the script exits
-1 if there was one, 0 otherwise; a line of CHANGED_RUNS or
-TYPED_K4_FIXTURES whose output differs is printed as `changed` and does not
-count.  Standard library only.  Each
+1 if there was one, 0 otherwise; a line of CHANGED_RUNS whose output
+differs is printed as `changed` and does not count.  Standard library only.
+Each
 root gets its own empty HYPERREG_CACHE directory, and every `lfun` line runs
 twice per root, so the second run reads the AFE kernels the first one saved:
 the output with a warm kernel store is compared as well as the cold one.
 
 The list: the cli-regulators operations of the benchmark with every seeded
-variant, `verify ode|identities|ratios|continuation` (the last is the one
+variant, cy0 at t = 1/15, 1/37 and 1/57 in one process (h = 2, 4 and 6),
+`verify ode|identities|ratios|continuation` (the last is the one
 CLI path through the Mellin-Barnes contour), `verify identities` at --digits
 20 and 50, `verify continuation` at --digits 15 and 50, the k4, cy0 and appB
 points at --digits 20, 30 and 50, appB's t = 2
@@ -33,14 +34,15 @@ a Gamma_C^2 kernel at 20 digits), the PERIOD_ARGVS (`period --gamma`,
 `--mode floating`, `appB:pi0`, the appB data, and two `--point` sums of K
 terms at --digits 50, a wide running mantissa), the EXIT_ARGVS: `period
 --point` rows whose tail is not certified and series truncation caps, all of
-which exit 3, and the USAGE_ARGVS and fixture_usage_argvs, which exit 2,
-but for fixture_usage_argvs' spec without gamma factors and its spec whose
-Euler table is too short, which exit 3, and `regulator` on the refused-t
-fixture, which has no row at its t and exits 0, the config_argvs (a config
-file setting digits, mode and fixtures, one with a byte-order mark, and an
-unknown key and a digits that is not an integer, which exit 2), and the
-rows that moved on purpose, CHANGED_RUNS (chi_-4 at |s| past what the
-working precision holds) and TYPED_K4_FIXTURES: 185 command lines in all.
+which exit 3, the HUGE_S_RUNS (chi_-4 at |s| past what the working
+precision holds, exit 2), and the USAGE_ARGVS and fixture_usage_argvs, which
+exit 2, but for fixture_usage_argvs' spec without gamma factors and its spec
+whose Euler table is too short, which exit 3, and `regulator` on the
+refused-t fixture, which has no row at its t and exits 0, the config_argvs
+(a config file setting digits, mode and fixtures, one with a byte-order
+mark, and an unknown key and a digits that is not an integer, which exit
+2), and the rows that moved on purpose, CHANGED_RUNS (a k2 point with
+o = 41 and chi_5 within rounding of a gamma pole): 191 command lines in all.
 """
 
 from __future__ import annotations
@@ -78,10 +80,19 @@ CENTRE_RUNS = ((-4, "1/2", 0, "8"), (-4, "1/2", 1, "8"))
 LARGE_S_RUNS = tuple((-4, s, 0, digits) for s in ("20", "30", "34", "40")
                      for digits in ("8", "30"))
 # (s, order) of chi_-4 at --digits 8 with |s| >= 2^72, which 80 working bits
-# cannot hold apart from the gamma poles: a PointError, exit 2, where s + 1
-# rounded onto a pole of Gamma_R(s + 1) (exit 1) or the kernel failed to
-# decay (exit 3); these rows moved on purpose, as did TYPED_K4_FIXTURES'
-CHANGED_RUNS = (("-1e30", 0), ("-1e30", 1), ("-1e400", 0), ("1e400", 0))
+# cannot hold apart from the gamma poles: a PointError, exit 2
+HUGE_S_RUNS = (("-1e30", 0), ("-1e30", 1), ("-1e400", 0), ("1e400", 0))
+# the rows that moved on purpose: k2 at t = (2^41 + 1)^2 / 4^41, a point of
+# the integral model (o = 41) the parent's note called not of the form
+# n^2/4^o, and chi_5 (the spec {chi5}) at --digits 8, orders 0 and 1, at an s
+# that 80 working bits round onto the pole -2 of Gamma_R(s): a PointError,
+# exit 2, where the parent's gamma raised at the pole (exit 1)
+NEAR_POLE_S = "--s=-2.0000000000000000000000000000001"
+CHANGED_RUNS = (
+    ["regulator", "--case", "k2", "--t", "4835703278462914745335809/4835703278458516698824704"],
+    ["--digits", "8", "lfun", "{chi5}", NEAR_POLE_S, "--order", "0"],
+    ["--digits", "8", "lfun", "{chi5}", NEAR_POLE_S, "--order", "1"],
+)
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
 # the quintic L''(0) at 6 and 20 digits: both Gamma_C kernel paths and order 2
@@ -145,11 +156,8 @@ BAD_K4_FIXTURES = {
     "refused-t": json.dumps([{"t": "1", "expected_ratio": "4",
                               "L_value": "0.1234567890123456789012345678901234",
                               "L_derivative_order": 2}]),
-}
-# k4 fixtures whose t or expected ratio is a JSON boolean or number, or an
-# empty string, not a "p/q" string: exit 2, where they were read as t = 1, as
-# no t (twice) and as the binary value of 0.1 (exit 0)
-TYPED_K4_FIXTURES = {
+    # a t or expected ratio that is a JSON boolean or number, or an empty
+    # string, not a "p/q" string
     "true-t": json.dumps([{"t": True, "expected_ratio": "4", "L_derivative_order": 2}]),
     "empty-t": json.dumps([{"t": "", "expected_ratio": "4", "L_derivative_order": 2}]),
     "zero-t": json.dumps([{"t": 0, "expected_ratio": "4", "L_derivative_order": 2}]),
@@ -247,6 +255,8 @@ def regulator_argvs() -> list:
     # 1/61: D = 3477, h = 4, the largest D under the default cap
     for n in (7, 11, 35, 61):
         out.append(["regulator", "--case", "cy0", "--t", f"1/{n}"])
+    # h = 2, 4 and 6 in one process
+    out.append(["regulator", "--case", "cy0", "--t", "1/15,1/37,1/57"])
     out.append(["regulator", "--case", "k4", "--t", "1/65536"])
     out.append(["regulator", "--case", "k4", "--t", K4_T])
     for t in ("1/16", "1", "49", "2", "3", "5"):
@@ -361,9 +371,10 @@ def command_lines(root: Path, directory: Path) -> tuple:
     argvs += [["--digits", digits, "lfun", quintic, "--s", "0", "--order", "2"]
               for digits in QUINTIC_DIGITS]
     argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
+    argvs += [["--digits", "8", "lfun", specs[-4], f"--s={s}", "--order", str(order)]
+              for s, order in HUGE_S_RUNS]
     argvs += fixture_usage_argvs(directory) + config_argvs(root, directory)
-    changed = [["--digits", "8", "lfun", specs[-4], f"--s={s}", "--order", str(order)]
-               for s, order in CHANGED_RUNS] + k4_fixture_argvs(directory, TYPED_K4_FIXTURES)
+    changed = [[arg.format(chi5=specs[5]) for arg in argv] for argv in CHANGED_RUNS]
     argvs = [cmd for cmd in argvs + changed for _ in range(2 if "lfun" in cmd else 1)]
     return argvs, changed
 

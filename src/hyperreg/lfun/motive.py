@@ -30,7 +30,8 @@ trapezoid sum, the one the kernel uses, is accumulated exactly and rounded
 once (see _Kernel.__call__); _Kernel.rounding bounds each value, and a bound
 past 10^-digits on the printed L, carried there through the Lambda -> L step
 (_L_step), is a MotiveError.  A point the request cannot be
-served at (a pole of Lambda, or the wrong order at a trivial zero) raises
+served at (a pole of Lambda, the wrong order at a trivial zero, or an s that
+the working precision rounds onto a gamma pole it is not on) raises
 PointError before any table or kernel is built.
 
 Each side of the functional equation is one pass over n that accumulates
@@ -645,7 +646,7 @@ def _s_value(ctx, s0):
     return ctx.convert(s0)
 
 
-def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
+def _check_request(spec: LFunctionSpec, order: int, ctx, s0, s_val):
     """Refuse what no sum can serve, before any table or kernel is built."""
     if spec.euler is None:
         raise MotiveError("spec has no Euler data")
@@ -656,6 +657,13 @@ def _check_request(spec: LFunctionSpec, order: int, ctx, s_val):
     if abs(s_val) >= ctx.ldexp(1, ctx.prec - 8):
         # s + shift, resolved no finer than 2^-7, could round onto a gamma pole
         raise PointError(f"evaluation point |s| >= 2^{ctx.prec - 8}, past the working precision")
+    s_exact = _rational(s0, s_val)
+    for kind, sh in spec.gamma_shifts:
+        sh = Fraction(sh)
+        # s + shift rounded as _gamma_raw rounds it, then halved exactly
+        x = ctx.ldexp(s_val + ctx.mpf(sh.numerator) / sh.denominator, -_HALVINGS[kind])
+        if x <= 0 and ctx.isint(x) and _pole_index(kind, s_exact + sh) is None:
+            raise PointError(f"evaluation point within rounding of a gamma pole at {ctx.prec} bits")
     for p0, _ in spec.poles:
         if ctx.mpf(Fraction(p0).numerator) / Fraction(p0).denominator == s_val:
             raise PointError("evaluation point sits on a pole of Lambda")
@@ -678,7 +686,7 @@ def lambda_derivs(spec: LFunctionSpec, s0, order: int, pol: PrecisionPolicy,
     """
     ctx = pol.ctx
     s_val = _s_value(ctx, s0)
-    _check_request(spec, order, ctx, s_val)
+    _check_request(spec, order, ctx, s0, s_val)
     A = ctx.mpf(1) if cutoff_A is None else ctx.convert(cutoff_A)
     if a is None:
         a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
@@ -783,7 +791,7 @@ def motive_L(spec: LFunctionSpec, s0, derivative_order: int, pol: PrecisionPolic
             f"gamma pole of order {m} at s0: only the order-{m} derivative "
             "(leading Taylor coefficient) is supported here")
     order = 0 if m > 0 else derivative_order
-    _check_request(spec, order, ctx, s_val)
+    _check_request(spec, order, ctx, s0, s_val)
     a = dirichlet_coefficients(spec.euler, spec.euler.p_max)
     lams = lambda_derivs(spec, s0, order, pol, a=a, store=store)
     lamA = lambda_derivs(spec, s0, order, pol, ctx.mpf("1.31"), a, store=store)

@@ -8,10 +8,11 @@ n(n-4) squarefree it interpolates Dirichlet-regulator data, and the ratio
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..hgdata import is_squarefree
-from ..lfun.dirichlet import dedekind_quadratic_deriv0
+from ..lfun.dirichlet import _is_fundamental, dedekind_quadratic_deriv0
 from ..mpnum import PrecisionPolicy, capped_terms, ratio_sum
 from .reporting import CaseError, RegulatorReport, detect_rational
 
@@ -43,64 +44,23 @@ def cy0_regulator(t: Fraction, pol: PrecisionPolicy):
 
 # --- exact real-quadratic class number -------------------------------------
 
-def _reduced_forms(D: int) -> set:
-    """All reduced indefinite forms (a,b,c) of discriminant D > 0."""
-    import math
-    s = math.isqrt(D)
-    forms = set()
-    for a in range(-s, s + 1):
-        if a == 0:
-            continue
-        for b in range(1, s + 1):
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if _reduced(a, b, c, D):
-                forms.add((a, b, c))
-    return forms
-
-
-def _reduced(a: int, b: int, c: int, D: int) -> bool:
-    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, exactly."""
-    if b <= 0 or b * b >= D:
-        return False
-    ta = 2 * abs(a)
-    # sqrt(D) < ta + b  <=>  D < (ta+b)^2 ; ta < sqrt(D)+b <=> (ta-b)^2 < D or ta<=b
-    if D >= (ta + b) ** 2:
-        return False
-    if ta > b and (ta - b) ** 2 >= D:
-        return False
-    return True
-
-
-def _rho(form: tuple, D: int) -> tuple:
-    """Reduction step on reduced indefinite forms."""
-    import math
-    a, b, c = form
-    s = math.isqrt(D)
-    # choose b' = -b + 2|c| m with sqrt(D) - 2|c| < b' < sqrt(D)
-    ac = abs(c)
-    m = (s + b) // (2 * ac)
-    bp = -b + 2 * ac * m
-    while bp > s:
-        bp -= 2 * ac
-    while s - 2 * ac >= bp:
-        bp += 2 * ac
-    cp = (bp * bp - D) // (4 * c)
-    return (c, bp, cp)
-
-
 def class_number_real_quadratic(D: int) -> int:
-    """h(D) for a fundamental discriminant D > 0.
+    """h(D) for a fundamental discriminant D > 1: the rho-cycles of reduced
+    indefinite forms, taken up to the sign (a, b, c) -> (-a, b, -c).
 
-    Counts rho-cycles of reduced indefinite forms (the narrow class
-    number), then halves when the fundamental unit has norm +1, detected
-    by the parity of the continued-fraction period of (1+sqrt(D))/2.
+    That sign is the class of the ideal (sqrt D), so the cycles up to it are
+    the wide classes (Cohen, GTM 138, 5.6).  A fundamental D makes every form
+    primitive and is no square, so x < sqrt(D) iff x <= s = isqrt(D): a form
+    is held as (a, b, -c) with a, -c > 0, the reduced ones are
+    0 < b <= s, s - b < 2a <= s + b, and rho followed by the sign takes
+    (a, b, k) to (k, b', (D - b'^2)/4k) with b' = s - (s + b) mod 2k.
     """
-    if D <= 0:
-        raise CaseError("D must be a positive fundamental discriminant")
-    forms = _reduced_forms(D)
+    if D <= 1 or not _is_fundamental(D):
+        raise CaseError(f"{D} is not a fundamental discriminant > 1")
+    s = math.isqrt(D)
+    forms = {(a, b, (D - b * b) // (4 * a))
+             for b in range(1, s + 1) for a in range((s - b) // 2 + 1, (s + b) // 2 + 1)
+             if (D - b * b) % (4 * a) == 0}
     seen = set()
     cycles = 0
     for f in sorted(forms):
@@ -110,46 +70,14 @@ def class_number_real_quadratic(D: int) -> int:
         g = f
         while True:
             seen.add(g)
-            g = _rho(g, D)
+            _, b, k = g
+            b = s - (s + b) % (2 * k)
+            g = (k, b, (D - b * b) // (4 * k))
             if g == f:
                 break
             if g not in forms:
                 raise CaseError(f"rho left the reduced set at {g} (D={D})")
-    h_narrow = cycles
-    if _fundamental_unit_norm(D) == -1:
-        return h_narrow
-    assert h_narrow % 2 == 0, (D, h_narrow)
-    return h_narrow // 2
-
-
-def _fundamental_unit_norm(D: int) -> int:
-    """Norm of the fundamental unit: -1 iff the CF period of omega is odd."""
-    import math
-    if D % 4 == 1:
-        # omega = (1 + sqrt(D))/2: states (P + sqrt(d))/Q with Q | d - P^2
-        d, P, Q = D, 1, 2
-    elif D % 4 == 0:
-        d, P, Q = D // 4, 0, 1
-    else:
-        raise CaseError(f"{D} is not a discriminant")
-    s = math.isqrt(d)
-    seen = {}
-    period = 0
-    state = (P, Q)
-    while True:
-        if state in seen:
-            period -= seen[state]
-            break
-        seen[state] = period
-        P, Q = state
-        if Q <= 0:
-            raise CaseError(f"continued fraction left the positive-Q regime (D={D})")
-        a = (P + s) // Q
-        P2 = a * Q - P
-        Q2 = (d - P2 * P2) // Q
-        state = (P2, Q2)
-        period += 1
-    return -1 if period % 2 else 1
+    return cycles
 
 
 def check_class_number_point(n: int, pol: PrecisionPolicy) -> int:

@@ -134,16 +134,11 @@ def _entries(z, pol: PrecisionPolicy):
 
 
 def integral_model_point(t: Fraction) -> bool:
-    """t of the form n^2 / 4^o with n a positive integer."""
-    if t <= 0:
-        return False
-    x = t
-    for _ in range(40):
-        if x.denominator == 1:
-            r = math.isqrt(x.numerator)
-            return r * r == x.numerator
-        x *= 4
-    return False
+    """t of the form n^2 / 4^o with n a positive integer: in lowest terms, a
+    square over a power of 4."""
+    q = t.denominator
+    return t > 0 and q & (q - 1) == 0 and q.bit_length() % 2 == 1 \
+        and math.isqrt(t.numerator) ** 2 == t.numerator
 
 
 def check_point(t: Fraction, pol: PrecisionPolicy):

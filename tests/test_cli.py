@@ -288,6 +288,10 @@ def _chi5_spec(directory):
     (_chi_minus4_spec, ["--s=-1e400"], "|s| >= 2^72"),
     (_chi_minus4_spec, ["--s=-1e400", "--order", "1"], "|s| >= 2^72"),
     (_chi_minus4_spec, ["--s=1e400"], "|s| >= 2^72"),
+    # s = -2 - 10^-31 is no pole of Gamma_R(s), but rounds onto -2 at 80 bits
+    (_chi5_spec, ["--s=-2.0000000000000000000000000000001"], "within rounding of a gamma pole"),
+    (_chi5_spec, ["--s=-2.0000000000000000000000000000001", "--order", "1"],
+     "within rounding of a gamma pole"),
 ])
 def test_lfun_point_it_cannot_serve_exit2_one_line(tmp_path, make_spec, argv, message):
     out = run("--digits", "8", "lfun", str(make_spec(tmp_path)), *argv)

@@ -104,7 +104,9 @@ def test_det_continuity(pol):
 
 
 def test_integral_model_points():
-    for t in (F(1, 16), F(1, 4), F(1), F(9), F(25), F(49), F(4, 1), F(9, 4)):
+    # o = 41: (2^41 + 1)^2 / 4^41, past any fixed count of multiplications by 4
+    for t in (F(1, 16), F(1, 4), F(1), F(9), F(25), F(49), F(4, 1), F(9, 4),
+              F((2 ** 41 + 1) ** 2, 4 ** 41)):
         assert k2.integral_model_point(t), t
     for t in (F(2), F(3), F(5, 4), F(1, 2)):
         assert not k2.integral_model_point(t), t

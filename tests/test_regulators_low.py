@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from hyperreg.lfun.dirichlet import _is_fundamental
 from hyperreg.mpnum import PrecisionPolicy, ratio_sum, special
 from hyperreg.regulators.cy0 import (class_number_real_quadratic,
                                      cy0_class_number_check, cy0_regulator,
@@ -40,6 +41,136 @@ def test_class_numbers_known():
              165: 2, 229: 3, 33: 1, 136: 2, 305: 2}
     for D, h in known.items():
         assert class_number_real_quadratic(D) == h, D
+
+
+# --- the replaced oracle: the narrow count over both signs of a, halved when
+# the fundamental unit has norm +1 (the continued-fraction period is even)
+
+def _reduced_forms(D: int) -> set:
+    """All reduced indefinite forms (a,b,c) of discriminant D > 0."""
+    import math
+    s = math.isqrt(D)
+    forms = set()
+    for a in range(-s, s + 1):
+        if a == 0:
+            continue
+        for b in range(1, s + 1):
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if _reduced(a, b, c, D):
+                forms.add((a, b, c))
+    return forms
+
+
+def _reduced(a: int, b: int, c: int, D: int) -> bool:
+    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, exactly."""
+    if b <= 0 or b * b >= D:
+        return False
+    ta = 2 * abs(a)
+    # sqrt(D) < ta + b  <=>  D < (ta+b)^2 ; ta < sqrt(D)+b <=> (ta-b)^2 < D or ta<=b
+    if D >= (ta + b) ** 2:
+        return False
+    if ta > b and (ta - b) ** 2 >= D:
+        return False
+    return True
+
+
+def _rho(form: tuple, D: int) -> tuple:
+    """Reduction step on reduced indefinite forms."""
+    import math
+    a, b, c = form
+    s = math.isqrt(D)
+    # choose b' = -b + 2|c| m with sqrt(D) - 2|c| < b' < sqrt(D)
+    ac = abs(c)
+    m = (s + b) // (2 * ac)
+    bp = -b + 2 * ac * m
+    while bp > s:
+        bp -= 2 * ac
+    while s - 2 * ac >= bp:
+        bp += 2 * ac
+    cp = (bp * bp - D) // (4 * c)
+    return (c, bp, cp)
+
+
+def _narrow_class_number_halved(D: int) -> int:
+    """h(D) for a fundamental discriminant D > 0.
+
+    Counts rho-cycles of reduced indefinite forms (the narrow class
+    number), then halves when the fundamental unit has norm +1, detected
+    by the parity of the continued-fraction period of (1+sqrt(D))/2.
+    """
+    if D <= 0:
+        raise CaseError("D must be a positive fundamental discriminant")
+    forms = _reduced_forms(D)
+    seen = set()
+    cycles = 0
+    for f in sorted(forms):
+        if f in seen:
+            continue
+        cycles += 1
+        g = f
+        while True:
+            seen.add(g)
+            g = _rho(g, D)
+            if g == f:
+                break
+            if g not in forms:
+                raise CaseError(f"rho left the reduced set at {g} (D={D})")
+    h_narrow = cycles
+    if _fundamental_unit_norm(D) == -1:
+        return h_narrow
+    assert h_narrow % 2 == 0, (D, h_narrow)
+    return h_narrow // 2
+
+
+def _fundamental_unit_norm(D: int) -> int:
+    """Norm of the fundamental unit: -1 iff the CF period of omega is odd."""
+    import math
+    if D % 4 == 1:
+        # omega = (1 + sqrt(D))/2: states (P + sqrt(d))/Q with Q | d - P^2
+        d, P, Q = D, 1, 2
+    elif D % 4 == 0:
+        d, P, Q = D // 4, 0, 1
+    else:
+        raise CaseError(f"{D} is not a discriminant")
+    s = math.isqrt(d)
+    seen = {}
+    period = 0
+    state = (P, Q)
+    while True:
+        if state in seen:
+            period -= seen[state]
+            break
+        seen[state] = period
+        P, Q = state
+        if Q <= 0:
+            raise CaseError(f"continued fraction left the positive-Q regime (D={D})")
+        a = (P + s) // Q
+        P2 = a * Q - P
+        Q2 = (d - P2 * P2) // Q
+        state = (P2, Q2)
+        period += 1
+    return -1 if period % 2 else 1
+
+
+def test_class_number_matches_the_narrow_count_halved():
+    """The cycles up to sign equal the narrow count halved on every fundamental
+    D < 6000, the unit-norm -1 branch (D = 5, 13, 229, ...) among them."""
+    Ds = [D for D in range(2, 6000) if _is_fundamental(D)]
+    assert len(Ds) == 1826
+    assert {_fundamental_unit_norm(D) for D in (5, 13, 229)} == {-1}
+    for D in Ds:
+        assert class_number_real_quadratic(D) == _narrow_class_number_halved(D), D
+
+
+@pytest.mark.parametrize("D", (0, 1, 4, 9, 20, 80, 7))
+def test_class_number_refuses_a_non_fundamental_D(D):
+    """D = 80 is a discriminant of a non-maximal order, where the count of
+    reduced forms over all of them, imprimitive ones too, read 2."""
+    with pytest.raises(CaseError, match="not a fundamental discriminant"):
+        class_number_real_quadratic(D)
 
 
 def test_cy0_ratio_oracle(pol):
