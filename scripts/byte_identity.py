@@ -16,9 +16,8 @@ the output with a warm kernel store is compared as well as the cold one.
 
 The list: the cli-regulators operations of the benchmark with every seeded
 variant, cy0 at t = 1/15, 1/37 and 1/57 in one process (h = 2, 4 and 6),
-`verify ode|identities|ratios|continuation` (the last is the one
-CLI path through the Mellin-Barnes contour), `verify identities` at --digits
-20 and 50, `verify continuation` at --digits 15 and 50, the k4, cy0 and appB
+k2 at a point with o = 41, `verify ode|identities|ratios`, `verify
+identities` at --digits 20 and 50, the k4, cy0 and appB
 points at --digits 20, 30 and 50, appB's t = 2
 and 7 at --digits 3 (where the finite-difference probe's two sums need more
 working digits than the target gives), the k2 list K2_T at --digits 20 and
@@ -27,6 +26,7 @@ KERNEL_RUNS (order 1 on Gamma_R(s), order 2 on Gamma_R(s + 1), and chi_-4 at
 --digits 20, orders 0 then 2, and 12), the CENTRE_RUNS (chi_-4 at s = 1/2, where
 both sides share their kernel values), the LARGE_S_RUNS (chi_-4 at s = 20,
 30, 34 and 40, --digits 8 and 30, far right of the critical strip), the
+NEAR_POLE_RUNS (chi_5 at an s within rounding of a gamma pole, exit 2), the
 ZETA_RUNS (zeta at orders 1 and 2, the one spec whose Lambda has poles),
 the Gamma_C order-2 `lfun` runs on the quintic spec with the Euler data of
 PARENT_SRC cut to p <= QUINTIC_P, at --digits QUINTIC_DIGITS (6, and 20 for
@@ -41,8 +41,9 @@ whose Euler table is too short, which exit 3, and `regulator` on the
 refused-t fixture, which has no row at its t and exits 0, the config_argvs
 (a config file setting digits, mode and fixtures, one with a byte-order
 mark, and an unknown key and a digits that is not an integer, which exit
-2), and the rows that moved on purpose, CHANGED_RUNS (a k2 point with
-o = 41 and chi_5 within rounding of a gamma pole): 191 command lines in all.
+2), and the rows that moved on purpose, CHANGED_RUNS (`verify
+continuation` at the default digits and at --digits 15 and 50, the one CLI
+path through the Mellin-Barnes contour): 191 command lines in all.
 """
 
 from __future__ import annotations
@@ -82,16 +83,17 @@ LARGE_S_RUNS = tuple((-4, s, 0, digits) for s in ("20", "30", "34", "40")
 # (s, order) of chi_-4 at --digits 8 with |s| >= 2^72, which 80 working bits
 # cannot hold apart from the gamma poles: a PointError, exit 2
 HUGE_S_RUNS = (("-1e30", 0), ("-1e30", 1), ("-1e400", 0), ("1e400", 0))
-# the rows that moved on purpose: k2 at t = (2^41 + 1)^2 / 4^41, a point of
-# the integral model (o = 41) the parent's note called not of the form
-# n^2/4^o, and chi_5 (the spec {chi5}) at --digits 8, orders 0 and 1, at an s
-# that 80 working bits round onto the pole -2 of Gamma_R(s): a PointError,
-# exit 2, where the parent's gamma raised at the pole (exit 1)
-NEAR_POLE_S = "--s=-2.0000000000000000000000000000001"
+# chi_5 at --digits 8, orders 0 and 1, at an s that 80 working bits round
+# onto the pole -2 of Gamma_R(s): a PointError, exit 2
+NEAR_POLE_RUNS = (("-2.0000000000000000000000000000001", 0),
+                  ("-2.0000000000000000000000000000001", 1))
+# the rows that moved on purpose: `verify continuation`, whose contour is a
+# trapezoid on Re s = 1/2, so its printed deviations move, and which has a
+# chain_identity row
 CHANGED_RUNS = (
-    ["regulator", "--case", "k2", "--t", "4835703278462914745335809/4835703278458516698824704"],
-    ["--digits", "8", "lfun", "{chi5}", NEAR_POLE_S, "--order", "0"],
-    ["--digits", "8", "lfun", "{chi5}", NEAR_POLE_S, "--order", "1"],
+    ["verify", "continuation"],
+    ["--digits", "15", "verify", "continuation"],
+    ["--digits", "50", "verify", "continuation"],
 )
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
@@ -257,6 +259,9 @@ def regulator_argvs() -> list:
         out.append(["regulator", "--case", "cy0", "--t", f"1/{n}"])
     # h = 2, 4 and 6 in one process
     out.append(["regulator", "--case", "cy0", "--t", "1/15,1/37,1/57"])
+    # k2 at t = (2^41 + 1)^2 / 4^41, a point of the integral model with o = 41
+    out.append(["regulator", "--case", "k2", "--t",
+                "4835703278462914745335809/4835703278458516698824704"])
     out.append(["regulator", "--case", "k4", "--t", "1/65536"])
     out.append(["regulator", "--case", "k4", "--t", K4_T])
     for t in ("1/16", "1", "49", "2", "3", "5"):
@@ -265,12 +270,10 @@ def regulator_argvs() -> list:
         out.append(["regulator", "--case", "appB", "--t", t])
     out.append(["hadamard", "k4", "-K", "20"])
     out.append(["hadamard", "k2_R0", "-K", "12"])
-    for suite in ("ode", "identities", "ratios", "continuation"):
+    for suite in ("ode", "identities", "ratios"):
         out.append(["verify", suite])
     for digits in ("20", "50"):
         out.append(["--digits", digits, "verify", "identities"])
-    for digits in ("15", "50"):
-        out.append(["--digits", digits, "verify", "continuation"])
     for digits in ("20", "30", "50"):
         for case, points in (("k4", K4_T), ("cy0", "1/7,1/11,1/35")):
             out.append(["--digits", digits, "regulator", "--case", case, "--t", points])
@@ -373,8 +376,10 @@ def command_lines(root: Path, directory: Path) -> tuple:
     argvs += [list(argv) for argv in PERIOD_ARGVS + EXIT_ARGVS + USAGE_ARGVS]
     argvs += [["--digits", "8", "lfun", specs[-4], f"--s={s}", "--order", str(order)]
               for s, order in HUGE_S_RUNS]
+    argvs += [["--digits", "8", "lfun", specs[5], f"--s={s}", "--order", str(order)]
+              for s, order in NEAR_POLE_RUNS]
     argvs += fixture_usage_argvs(directory) + config_argvs(root, directory)
-    changed = [[arg.format(chi5=specs[5]) for arg in argv] for argv in CHANGED_RUNS]
+    changed = [list(argv) for argv in CHANGED_RUNS]
     argvs = [cmd for cmd in argvs + changed for _ in range(2 if "lfun" in cmd else 1)]
     return argvs, changed
 

@@ -301,6 +301,12 @@ class _Kernel:
     line is _abscissa's, 2.75 right of the rightmost pole for every kernel,
     so one step h serves every kernel of a precision.  Valid for real s and
     y > 0.  _build_kernel makes the nodes and _read_entry loads them.
+
+    The sums and their rounding bound read nothing but the nodes, c and h, so
+    they serve any node list g(c + i h k) of an integrand g(u) y^-u with
+    g(conj u) = conj g(u).  The second user is regulators.k2's Mellin-Barnes
+    contour: its nodes are G(1/2 + i h k), made by k2._contour_nodes, and it
+    calls at y = 1/z, order 0 (see k2._contour_kernel).
     """
 
     def __init__(self, ctx, c, h, raw):
@@ -339,9 +345,10 @@ class _Kernel:
         return f, fixed
 
     def __call__(self, y, order):
-        """[I_1(s, y), ..., I_(order+1)(s, y)], order <= 2: y^-c h/pi times the
-        real part of sum_k g_k w^k, w = e^(-i h log y), half weight on k = 0,
-        the full-line trapezoid by conjugate symmetry f(-t) = conj(f(t)).  w^k,
+        """[I_1(s, y), ..., I_(order+1)(s, y)], order <= 2 (0 for k2's
+        contour): y^-c h/pi times the real part of sum_k g_k w^k,
+        w = e^(-i h log y), half weight on k = 0, the full-line trapezoid by
+        conjugate symmetry f(-t) = conj(f(t)).  w^k,
         in units of 2^-wp, is one truncated complex product per k, shared by
         every order; each order's sum of re_k Re w^k - im_k Im w^k is one exact
         integer, rounded once with y^-c h/pi.  rounding() bounds the error.
@@ -445,13 +452,20 @@ def _kernel(spec, s_val, pol, store=None):
     On a miss in memory the kernel comes from the directory `store` when one
     is given (see _stored_kernel), and is built here otherwise.
     """
-    key = (spec.gamma_signature(), repr(s_val), pol.working_digits)
+    return _cached((spec.gamma_signature(), repr(s_val), pol.working_digits),
+                   lambda: _build_kernel(spec, s_val, pol) if store is None
+                   else _stored_kernel(store, spec, s_val, pol))
+
+
+def _cached(key, build):
+    """The kernel _kernel_cache holds under key, or the one build() returns,
+    stored there.  The AFE's keys are (gamma data, s, working digits) and
+    regulators.k2's contour kernel has its own (see k2._contour_kernel)."""
     with _kernel_lock:
         k = _kernel_cache.get(key)
     if k is not None:
         return k
-    k = _build_kernel(spec, s_val, pol) if store is None \
-        else _stored_kernel(store, spec, s_val, pol)
+    k = build()
     with _kernel_lock:
         # a concurrent build of the same key keeps its entry
         k = _kernel_cache.setdefault(key, k)

@@ -8,11 +8,14 @@ Machinery:
   R_alpha(z) = sum Gamma^alpha_k z^-k/(k - 1/2 + alpha);
 * every k2 sum is sum_k (+-1)^k Gamma^alpha_k z^-k w(k) with a weight of
   _weights; _stream_sums forms all a caller needs in one pass per stream;
-* the period R_0 three ways: right-half-plane series (|z| < 1), numeric
-  Mellin-Barnes line integral (any z > 0), and the left-plane assembly
-  in the alternating series A~, B~, C~, D~ (|z| > 1), compared modulo
+* the period R_0 three ways: right-half-plane series (|z| < 1), the
+  Mellin-Barnes line integral (any z > 0) as a trapezoid on Re s = 1/2 with
+  a bound, summed by the AFE's kernel (lfun.motive._Kernel) from z-free
+  nodes built once per precision, and the left-plane assembly in the
+  alternating series A~, B~, C~, D~ (|z| > 1), compared modulo
   (2 pi i)^3 Q;
-* the monodromy chain R_1..R_4 and its relation to the matrix rows.
+* the monodromy chain R_1..R_4 and its relation to the matrix rows, R1 and
+  R4 written once for both.
 
 All values are normalized so the methods return R_0 / ((1/4)(2 pi i)^3).
 """
@@ -20,15 +23,16 @@ All values are normalized so the methods return R_0 / ((1/4)(2 pi i)^3).
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from itertools import accumulate
 
-from mpmath.libmp import (fzero, mpc_log, mpc_mul, mpf_add, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_mul, mpf_sub, to_rational)
+from mpmath import fp
+from mpmath.libmp import (fone, from_int, mpc_abs, mpc_div, mpc_gamma, mpc_mul, mpc_neg,
+                          mpc_pow_int, mpc_shift, mpf_cos_sin, mpf_ln2, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_shift, to_float, to_rational)
 
 from .. import hgdata
-from ..mpnum import PrecisionPolicy, fixed_terms, power_sums, ratio_sum
+from ..mpnum import _GUARD_BITS, PrecisionPolicy, fixed_terms, power_sums, ratio_sum
 from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
@@ -209,80 +213,147 @@ def mb_right_series(z, pol: PrecisionPolicy):
     return val if zv >= 0 else ctx.mpc(0, val)      # z^(1/2) = i |z|^(1/2) for z < 0
 
 
-# binary precision -> {s: (num, den, |den|^2)}: the z-free parts of the mb_contour
-# integrand at the quadrature node s as raw tuples, the same for every z.  Only
-# the node sets of the last _MB_PRECISIONS precisions are kept.
-_mb_cache: dict = {}
-_mb_lock = threading.Lock()
-_MB_PRECISIONS = 4
+def _contour_nodes(pol: PrecisionPolicy):
+    """(c, h, raw): mb_contour's line Re s = c = 1/2, its step h and the nodes
+    G(c + i h k), k = 0, 1, ..., each a flat raw tuple (the real part's raw
+    mpf, then the imaginary part's), up to the first past k = 8 under the
+    decay floor 10^-(wd + 8), wd the working digits, as the AFE's kernels stop.
+
+    The strip 0 < Re s < 1 about the line holds no pole, so its half-width
+    is a = 1/2, and h = 2 pi a / ((wd + 8) log 10) puts the trapezoid's error
+    near e^(-2 pi a / h) = 10^-(wd + 8).  On the line Gamma(1 - s) is
+    conj Gamma(s), so Gamma(-s) = -conj Gamma(s) / s and Gamma(1+s) = s Gamma(s),
+    and with s = 1/2 + it, 2^(10 s) = 32 e^(10 i t log 2):
+        G(s) = -conj Gamma(s) Gamma(3 + 4it) Gamma(2 + 2it)
+               / (32 Gamma(1+s)^5 s (s + 1/2) e^(10 i t log 2)),
+    three Gammas a node.  h carries 16 bits fewer than the working precision,
+    so t = h k is exact and fits it for k < 2^16; so are 3 + 4it, 2 + 2it,
+    s + 1/2 = 1 + it and the division by 32.  Each other step is one libmp
+    call at the working precision, rounded to nearest, with the phase
+    10 t log 2 formed 20 bits past it.
+    """
+    ctx = pol.ctx
+    wd = pol.working_digits
+    prec, rnd = ctx._prec_rounding
+    c = a = ctx.mpf(1) / 2
+    with ctx.workprec(prec - 16):
+        h = 2 * ctx.pi * a / ((wd + 8) * ctx.log(10))
+    floor = (ctx.mpf(10) ** (-(wd + 8)))._mpf_
+    ten_log2 = mpf_mul_int(mpf_ln2(prec + 20, rnd), 10, prec + 20, rnd)
+    three, two = from_int(3), from_int(2)
+    raw = []
+    k = 0
+    while True:
+        t = mpf_mul(h._mpf_, from_int(k))
+        s = c._mpf_, t
+        g = mpc_gamma(s, prec, rnd)
+        num = mpc_mul(mpc_mul((g[0], mpf_neg(g[1])), mpc_gamma((three, mpf_shift(t, 2)), prec, rnd),
+                              prec, rnd),
+                      mpc_gamma((two, mpf_shift(t, 1)), prec, rnd), prec, rnd)
+        den = mpc_mul(mpc_mul(mpc_pow_int(mpc_mul(s, g, prec, rnd), 5, prec, rnd),
+                              mpc_mul(s, (fone, t), prec, rnd), prec, rnd),
+                      mpf_cos_sin(mpf_mul(t, ten_log2, prec + 20, rnd), prec, rnd), prec, rnd)
+        val = mpc_neg(mpc_shift(mpc_div(num, den, prec, rnd), -5))
+        raw.append(val[0] + val[1])
+        if k > 8 and mpf_lt(mpc_abs(val, prec, rnd), floor):
+            return c, h, raw
+        k += 1
 
 
-def _mb_parts(ctx, s):
-    """(Gamma(-s) Gamma(1+4s) Gamma(1+2s), Gamma(1+s)^5 2^(10s) (s+1/2), and the
-    latter's |.|^2 as mpc_div forms it, at ctx.prec + 10) as raw tuples,
-    memoized per (ctx.prec, s)."""
-    prec = ctx.prec
-    with _mb_lock:
-        nodes = _mb_cache.get(prec)
-        if nodes is None:
-            nodes = _mb_cache[prec] = {}
-            while len(_mb_cache) > _MB_PRECISIONS:
-                del _mb_cache[next(iter(_mb_cache))]
-        parts = nodes.get(s._mpc_)
-    if parts is None:
-        num = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s)
-        den = ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2)
-        parts = (num._mpc_, den._mpc_, mpf_add(*(mpf_mul(x, x) for x in den._mpc_), prec + 10))
-        with _mb_lock:
-            nodes[s._mpc_] = parts
-    return parts
+def _contour_kernel(pol: PrecisionPolicy):
+    """The contour's nodes (_contour_nodes) as an AFE kernel,
+    lfun.motive._Kernel, built once per working precision and held in
+    lfun.motive's kernel cache.  motive is imported here, so a run that sums
+    no contour never loads it."""
+    from ..lfun import motive
+    return motive._cached(("k2 mb_contour", pol.working_digits),
+                          lambda: motive._Kernel(pol.ctx, *_contour_nodes(pol)))
 
 
 def mb_contour(z, pol: PrecisionPolicy):
-    """R_0 normalized, by the vertical-line integral at Re s = -1/8:
-    (1/2 pi i) int Gamma(-s) Gamma(1+4s) Gamma(1+2s) z^(s+1/2)
-                 / (Gamma(1+s)^5 2^(10 s) (s+1/2)) ds.
+    """R_0 normalized, by the Mellin-Barnes integral (1/2 pi i) int G(s) z^(s+1/2) ds,
+    G(s) = Gamma(-s) Gamma(1+4s) Gamma(1+2s) / (Gamma(1+s)^5 2^(10 s) (s+1/2)),
+    on a line -1/4 < Re s < 0, between the poles of Gamma(1+4s) and Gamma(-s).
 
-    Each node has the bits of num * z^(s+1/2) / den in mpmath, by the libmp
-    calls of mpc_pow, mpc_mul and mpc_div on raw tuples: num, den and |den|^2
-    from `_mb_cache`, keyed by (working binary precision, s), and log z and
-    |z^(s+1/2)|, the same at every node, once per precision quad evaluates at."""
+    The line is moved to Re s = 1/2, past the pole of Gamma(-s) at s = 0,
+    whose residue 2 sqrt z is added back.  There G(s) z^(s+1/2) is
+    sqrt z G(s) y^-s at y = 1/z, so the integral is sqrt z times the value of
+    the AFE kernel of G's nodes at y, order 0 (_contour_kernel): the nodes do
+    not depend on z, and each z costs one fixed-point sum.  y is formed at
+    the bits the kernel takes log y at.  mb_contour_bound bounds the error.
+    """
     ctx = pol.ctx
     zv = ctx.convert(z)
     if zv <= 0:
         raise CaseError("contour evaluator needs z > 0")
-    sigma = -ctx.mpf(1) / 8
-    hoisted = {}
+    kernel = _contour_kernel(pol)
+    with ctx.extraprec(_GUARD_BITS + 20):
+        y = 1 / zv
+    root = ctx.sqrt(zv)
+    return 2 * root + root * kernel(y, 0)[0]
 
-    def integrand(tt):
-        s = ctx.mpc(sigma, tt)
-        num, den, mag = _mb_parts(ctx, s)
-        prec, rnd = ctx._prec_rounding
-        if prec not in hoisted:
-            # log z is real for z > 0, so Re((s + 1/2) log z) is the same at every node
-            logz = mpc_log((zv._mpf_, fzero), prec + 10)[0]
-            re = mpf_mul(logz, (sigma + ctx.mpf(1) / 2)._mpf_, prec + 10)
-            hoisted[prec] = logz, re, mpf_exp(re, prec + 4, rnd)
-        logz, re, modulus = hoisted[prec]
-        im = mpf_mul(logz, s._mpc_[1], prec + 10)
-        # z^(s+1/2) = mpc_exp((re, im), prec); im = 0 at t = 0, and at z = 1, where
-        # re = 0 too and mpc_exp's branch for it gives the same (1, 0)
-        if im == fzero:
-            power = mpf_exp(re, prec, rnd), fzero
-        else:
-            cos, sin = mpf_cos_sin(im, prec + 4, rnd)
-            power = mpf_mul(modulus, cos, prec, rnd), mpf_mul(modulus, sin, prec, rnd)
-        a, b = mpc_mul(num, power, prec, rnd)
-        c, d = den
-        t = mpf_add(mpf_mul(a, c), mpf_mul(b, d), prec + 10)
-        u = mpf_sub(mpf_mul(b, c), mpf_mul(a, d), prec + 10)
-        return ctx.make_mpc((mpf_div(t, mag, prec, rnd), mpf_div(u, mag, prec, rnd)))
 
-    # conjugate symmetry: (1/2 pi) int_R = (1/pi) Re int_0^inf
-    T = (pol.working_digits + 10) * ctx.log(10) / ctx.pi
-    with ctx.workdps(pol.working_digits + 10):
-        val = ctx.quad(integrand, [0, T / 8, T / 3, T])
-    return (val.real if hasattr(val, "real") else val) / ctx.pi
+def _edge_integral(sigma: float, d: float) -> float:
+    """J(sigma) = int |G(sigma + it)| dt over the real line, in binary64.
+
+    The substitution t = d sinh v resolves the pole of Gamma(-s) at distance
+    d from the line Re s = d or 1 - d, and the trapezoid in v, step 1/8, is
+    summed up to t = 30, past which |G| < 10^-40."""
+    total, k = 0.0, 0
+    while True:
+        v = k / 8
+        s = complex(sigma, d * math.sinh(v))
+        G = fp.gamma(-s) * fp.gamma(1 + 4 * s) * fp.gamma(1 + 2 * s) \
+            / (fp.gamma(1 + s) ** 5 * 2 ** (10 * s) * (s + 0.5))
+        total += abs(G) * d * math.cosh(v) / (2 if k == 0 else 1)
+        if s.imag > 30:
+            return total / 4          # twice the half-line, times the step 1/8
+        k += 1
+
+
+def mb_contour_bound(z, pol: PrecisionPolicy):
+    """A bound on |mb_contour(z, pol) - R_0|, R_0 normalized: the sum of
+
+    * the trapezoid error.  The sum approximates int u(t) dt,
+      u(t) = G(1/2 + it) z^(1 + it) / 2 pi, analytic in the strip
+      |Im t| < 1/2.  In the narrower strip |Im t| < a' = 1/2 - d,
+      d = 1/(wd + 8), the trapezoid with step h is within
+      2M / (e^(2 pi a' / h) - 1) of the integral when M bounds
+      int |u(t + ib)| dt for every |b| < a' (Trefethen and Weideman, SIAM
+      Review 56, 2014, Thm 5.1); e^(2 pi a' / h) is about 10^(wd + 6) for
+      _contour_nodes' h.  That L^1 norm is log-convex in b (Doetsch's
+      three-lines theorem for integral means), so M is its larger value on
+      the edges Re s = d and 1 - d: z^(sigma + 1/2) J(sigma) / 2 pi, with J
+      _edge_integral's binary64 estimate taken twice;
+    * the truncation.  The nodes stop at the first |g_K| under the decay
+      floor; |G(1/2 + it)| falls like t^-3 e^(-pi t), so past K each node is
+      within q = e^(-pi h) of the one before, and those left out add at most
+      z (h/pi) |g_K| q / (1 - q);
+    * the rounding: z R_1, the kernel's bound (_Kernel.rounding) at
+      y^-c = sqrt z times sqrt z; 2^(5 - prec) z S for the nodes' build past
+      the 4 ulps R_1 allows: three Gammas, the fifth power and eight more
+      roundings, each within 2^-prec of its value, with Gamma(s) counted six
+      times and s Gamma(s) five; and 2^(2 - prec) (2 sqrt z + z S) for the
+      square root, the product and the sum.  S = (h/pi) sum_k (|Re g_k| +
+      |Im g_k|), so z S bounds sqrt z times the kernel's value.
+    """
+    ctx = pol.ctx
+    zv = ctx.convert(z)
+    if zv <= 0:
+        raise CaseError("contour evaluator needs z > 0")
+    kernel = _contour_kernel(pol)
+    h, raw = kernel.h, kernel._raw
+    d = 1 / (pol.working_digits + 8)
+    M = max(zv ** (d + 0.5) * _edge_integral(d, d),
+            zv ** (1.5 - d) * _edge_integral(1 - d, d)) / ctx.pi
+    trapezoid = 2 * M / ctx.expm1(2 * ctx.pi * (ctx.mpf(1) / 2 - d) / h)
+    q = ctx.exp(-ctx.pi * h)
+    last = ctx.make_mpc((raw[-1][:4], raw[-1][4:]))
+    truncation = zv * h / ctx.pi * abs(last) * q / (1 - q)
+    S = h / ctx.pi * math.fsum(abs(to_float(r[:4])) + abs(to_float(r[4:])) for r in raw)
+    rounding = zv * kernel.rounding(0)[0] \
+        + ctx.ldexp(32 * zv * S + 4 * (2 * ctx.sqrt(zv) + zv * S), -ctx.prec)
+    return trapezoid + truncation + rounding
 
 
 def _left_blocks(zv, pol: PrecisionPolicy):
@@ -345,6 +416,17 @@ def mb_compare(z, pol: PrecisionPolicy):
 # monodromy chain
 # ---------------------------------------------------------------------------
 
+def _R1(ctx, C, log4z):
+    """The chain's R1 = -16 sqrt2 pi C + 64 pi^2 (log 4z + 4) at the alpha = 1/2 sum C."""
+    return -16 * ctx.sqrt(ctx.mpf(2)) * ctx.pi * C + 64 * ctx.pi ** 2 * (log4z + 4)
+
+
+def _R4(ctx, A, B, z14):
+    """The chain's R4 = 4 pi A z^(1/4) + 4 pi B z^(-1/4) at the alpha = 1/4 and
+    3/4 sums A and B, z14 = z^(1/4)."""
+    return 4 * ctx.pi * A * z14 + 4 * ctx.pi * B / z14
+
+
 def k2_monodromy_chain(z, pol: PrecisionPolicy):
     """The monodromy combinations (R1, R2, R3, R4), |z| > 1."""
     ctx = pol.ctx
@@ -354,12 +436,10 @@ def k2_monodromy_chain(z, pol: PrecisionPolicy):
     i = ctx.mpc(0, 1)
     sq2 = ctx.sqrt(ctx.mpf(2))
     z14 = zv ** ctx.mpf("0.25")
-    R1 = -16 * sq2 * ctx.pi * Ct + 64 * ctx.pi ** 2 * (log4z + 4)
     R2 = 8 * sq2 * i * log4z * Ct + 8 * sq2 * i * Dt + 256 * ctx.pi * i \
         - 16 * ctx.pi * i * (log4z + 4) ** 2
     R3 = 4 * ctx.pi * i * At * z14 - 4 * ctx.pi * i * Bt / z14
-    R4 = 4 * ctx.pi * At * z14 + 4 * ctx.pi * Bt / z14
-    return R1, R2, R3, R4
+    return _R1(ctx, Ct, log4z), R2, R3, _R4(ctx, At, Bt, z14)
 
 
 def chain_vs_entries(z, pol: PrecisionPolicy):
@@ -375,14 +455,11 @@ def chain_vs_entries(z, pol: PrecisionPolicy):
     # C~(-z) = R-type series in z: the twist is the identity on our
     # normalized streams, so compare against the chain built from the
     # non-alternating series directly.
-    log4z = ctx.log(4 * zv)
-    sq2 = ctx.sqrt(ctx.mpf(2))
-    R1_tw = -16 * sq2 * ctx.pi * r2 + 64 * ctx.pi ** 2 * (log4z + 4)
+    R1_tw = _R1(ctx, r2, ctx.log(4 * zv))
     lhs1 = mat.entries[0][0]
     rhs1 = -(R1_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4
     dev1 = abs(lhs1 - ctx.re(rhs1))
-    z14 = zv ** ctx.mpf("0.25")
-    R4_tw = 4 * ctx.pi * r1 * z14 + 4 * ctx.pi * r3 / z14
+    R4_tw = _R4(ctx, r1, r3, zv ** ctx.mpf("0.25"))
     lhs2 = mat.entries[1][0]
     rhs2 = (R4_tw / (2 * ctx.pi * ctx.mpc(0, 1)) ** 2) / 4
     dev2 = abs(lhs2 - ctx.re(rhs2))

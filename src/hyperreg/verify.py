@@ -67,16 +67,21 @@ def suite_ode(pol: PrecisionPolicy) -> list:
 def suite_continuation(pol: PrecisionPolicy) -> list:
     ctx = pol.ctx
     out = []
-    from .regulators.k2 import mb_compare, theta_ladder_residual
+    from .regulators.k2 import (chain_vs_entries, mb_compare, mb_contour_bound,
+                                theta_ladder_residual)
     tol15 = ctx.mpf(10) ** -15
+    # each mb row also holds the contour's own error bound to its limit
     for z in ("0.5", "0.9"):
         dev, _ = mb_compare(ctx.mpf(z), pol)
-        out.append(_result(f"mb_right[z={z}]", dev < tol15, ctx.nstr(dev, 3)))
+        ok = dev < tol15 and mb_contour_bound(ctx.mpf(z), pol) < tol15
+        out.append(_result(f"mb_right[z={z}]", ok, ctx.nstr(dev, 3)))
     for z in ("1.2", "2", "10"):
         dev, q = mb_compare(ctx.mpf(z), pol)
-        ok = dev < tol15 and q is not None
+        ok = dev < tol15 and q is not None and mb_contour_bound(ctx.mpf(z), pol) < tol15
         out.append(_result(f"mb_left[z={z}]", ok,
                            f"residual {ctx.nstr(dev, 3)} mod (2 pi i)^3 Q ({q})"))
+    dev = chain_vs_entries(ctx.mpf(1024), pol)
+    out.append(_result("chain_identity[z=1024]", dev < tol15, ctx.nstr(dev, 3)))
     out.append(_result("theta_ladder", theta_ladder_residual(24) == 0, "exact"))
     from .regulators.hadamard import hadamard_regulator
     from .regulators.reporting import CaseError

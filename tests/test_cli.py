@@ -412,6 +412,7 @@ def _continuation_with_engine(monkeypatch, engine):
     from hyperreg.mpnum import PrecisionPolicy
     from hyperreg.regulators import hadamard, k2
     monkeypatch.setattr(k2, "mb_compare", lambda z, pol: (pol.ctx.mpf(0), "1"))
+    monkeypatch.setattr(k2, "mb_contour_bound", lambda z, pol: pol.ctx.mpf(0))
     monkeypatch.setattr(k2, "theta_ladder_residual", lambda K: 0)
     monkeypatch.setattr(hadamard, "hadamard_regulator", engine)
     return verify.suite_continuation(PrecisionPolicy(30))

@@ -1,218 +1,230 @@
-"""The mb_contour memo of the integrand's z-free Gamma factors.
+"""mb_contour's nodes, held once per working precision in the AFE's kernel
+cache, and its error bound.
 
-Every memoized result must be bit-identical to the integral of the full
-integrand, evaluated here without the memo, whatever the memo held before.
+The nodes G(1/2 + i h k) have the bits of a plain mpc loop, and a warm
+contour the bits of a cold one.  mb_contour_bound covers the distance to a
+reference at doubled digits: the contour itself for z < 1, and mpmath's quad
+over the whole integrand on the line Re s = -1/8 for z > 1.
 """
 
 from __future__ import annotations
 
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
-from mpmath.libmp import fone, fzero, libmpc
 
+from hyperreg.lfun import motive
 from hyperreg.mpnum import PrecisionPolicy
 from hyperreg.regulators import k2
 
 DIGITS = (15, 20, 30)
-ZS = ("1/2", "2", "10", "49")
+ZS = ("0.5", "0.9", "2", "10", "49")
 
 
-def _full_integrand(ctx, zv, sigma, tt):
-    """The contour integrand as one expression, nothing memoized."""
-    s = ctx.mpc(sigma, tt)
-    return ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s) \
-        * ctx.power(zv, s + ctx.mpf(1) / 2) \
-        / (ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2))
-
-
-def _unmemoized_contour(z, pol):
-    """mb_contour with the whole integrand computed at every node."""
+def _mpc_nodes(pol, count):
+    """The first `count` contour nodes by a plain loop on mpc objects."""
     ctx = pol.ctx
-    zv = ctx.convert(z)
+    wd = pol.working_digits
+    c = a = ctx.mpf(1) / 2
+    with ctx.workprec(ctx.prec - 16):
+        h = 2 * ctx.pi * a / ((wd + 8) * ctx.log(10))
+    with ctx.workprec(ctx.prec + 20):
+        ten_log2 = 10 * ctx.ln2
+    nodes = []
+    for k in range(count):
+        t = k * h
+        s = ctx.mpc(c, t)
+        g = ctx.gamma(s)
+        num = ctx.conj(g) * ctx.gamma(ctx.mpc(3, 4 * t)) * ctx.gamma(ctx.mpc(2, 2 * t))
+        with ctx.workprec(ctx.prec + 20):
+            phase = t * ten_log2
+        den = (s * g) ** 5 * (s * (s + a)) * ctx.mpc(*ctx.cos_sin(phase))
+        nodes.append(-(num / den) / 32)
+    return h, nodes
+
+
+def test_integrand_bits_at_every_node():
+    """At 15 and 30 digits every node is the mpc loop's G(1/2 + i h k), the
+    last under the decay floor; the 40 past it, which the sum leaves out,
+    each fall by at least q = e^(-pi h), the rate mb_contour_bound takes for
+    them."""
+    for digits in (15, 30):
+        _check_nodes(PrecisionPolicy(digits))
+
+
+def _check_nodes(pol):
+    ctx = pol.ctx
+    c, h, raw = k2._contour_nodes(pol)
+    h_ref, nodes = _mpc_nodes(pol, len(raw) + 40)
+    assert (c, h) == (ctx.mpf(1) / 2, h_ref)
+    assert raw == [g._mpc_[0] + g._mpc_[1] for g in nodes[:len(raw)]]
+    assert abs(nodes[len(raw) - 1]) < ctx.mpf(10) ** -(pol.working_digits + 8)
+    q = ctx.exp(-ctx.pi * h)
+    tail = nodes[len(raw) - 1:]
+    assert all(abs(b) <= q * abs(a) for a, b in zip(tail, tail[1:]))
+
+
+def _quad_contour(zs, pol):
+    """{z: R_0 normalized} by quad on Re s = -1/8 at pol's working digits + 10,
+    the z-free Gamma factors formed once per quadrature node."""
+    ctx = pol.ctx
     sigma = -ctx.mpf(1) / 8
-    T = (pol.working_digits + 10) * ctx.log(10) / ctx.pi
+    factors = {}
+
+    def G(tt):
+        if tt not in factors:
+            s = ctx.mpc(sigma, tt)
+            factors[tt] = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s) \
+                / (ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2))
+        return factors[tt]
+
+    out = {}
     with ctx.workdps(pol.working_digits + 10):
-        val = ctx.quad(lambda tt: _full_integrand(ctx, zv, sigma, tt), [0, T / 8, T / 3, T])
-    return val.real / ctx.pi
-
-
-def _point(z, pol):
-    return pol.ctx.convert(Fraction(z))
+        T = (pol.working_digits + 10) * ctx.log(10) / ctx.pi
+        for z in zs:
+            zv = ctx.convert(z)
+            val = ctx.quad(lambda tt: G(tt) * ctx.power(zv, ctx.mpc(sigma + ctx.mpf(1) / 2, tt)),
+                           [0, T / 8, T / 3, T])
+            out[z] = +ctx.re(val) / ctx.pi
+    return out
 
 
 @pytest.fixture(scope="module")
 def reference():
-    """(digits, z) -> (contour, compare) computed without the memo."""
+    """digits -> {z: the reference value at doubled digits}, computed once per digits."""
+    held = {}
+
+    def at(digits):
+        if digits not in held:
+            pol, ref = PrecisionPolicy(digits), PrecisionPolicy(digits).doubled()
+            zs = {z: pol.ctx.mpf(z) for z in ZS}
+            held[digits] = {z: k2.mb_contour(ref.ctx.convert(zv), ref)
+                            for z, zv in zs.items() if zv < 1}
+            quads = _quad_contour([zv for zv in zs.values() if zv > 1], ref)
+            held[digits].update({z: quads[zv] for z, zv in zs.items() if zv > 1})
+        return held[digits]
+    return at
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("z", ZS)
+def test_bound_covers_the_reference(reference, digits, z):
+    """|contour - reference| <= mb_contour_bound, at the binary z of the
+    working precision, and the bound is far under the 10^-15 the verify rows
+    hold the contour to."""
+    pol = PrecisionPolicy(digits)
+    ctx = pol.ctx
+    zv = ctx.mpf(z)
+    bound = k2.mb_contour_bound(zv, pol)
+    assert abs(k2.mb_contour(zv, pol) - reference(digits)[z]) <= bound
+    assert bound < ctx.mpf(10) ** -(digits + 10)
+
+
+def _fresh_contour(z, pol, nodes):
+    """mb_contour on a kernel made from the given nodes for this call alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(k2, "_contour_kernel", lambda _pol: motive._Kernel(pol.ctx, *nodes))
+        return k2.mb_contour(z, pol)
+
+
+@pytest.fixture(scope="module")
+def cold():
+    """(digits, z) -> (contour, compare), each contour on a kernel of its own."""
     out = {}
     for digits in DIGITS:
         pol = PrecisionPolicy(digits)
+        nodes = k2._contour_nodes(pol)
         for z in ZS:
-            cont = _unmemoized_contour(_point(z, pol), pol)
+            cont = _fresh_contour(pol.ctx.mpf(z), pol, nodes)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(k2, "mb_contour", lambda _z, _pol, cont=cont: cont)
-                cmp = k2.mb_compare(_point(z, pol), pol)
+                cmp = k2.mb_compare(pol.ctx.mpf(z), pol)
             out[digits, z] = (repr(cont), repr(cmp))
     return out
 
 
 @pytest.mark.parametrize("contour_first", [True, False])
-def test_memo_matches_unmemoized_integrand(monkeypatch, reference, contour_first):
-    """The first call at each precision runs cold, every later one warm;
-    contour before compare and after it, z ascending and descending."""
-    monkeypatch.setattr(k2, "_mb_cache", {})
+def test_memo_matches_unmemoized_integrand(monkeypatch, cold, contour_first):
+    """The first call at each precision builds the kernel, every later one
+    reads it from the cache; contour before compare and after it, z
+    ascending and descending: each value has the bits of a kernel of its own."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
     zs = ZS if contour_first else ZS[::-1]
     for digits in DIGITS:
         pol = PrecisionPolicy(digits)
         for z in zs:
             if contour_first:
-                cont = k2.mb_contour(_point(z, pol), pol)
-                cmp = k2.mb_compare(_point(z, pol), pol)
+                cont = k2.mb_contour(pol.ctx.mpf(z), pol)
+                cmp = k2.mb_compare(pol.ctx.mpf(z), pol)
             else:
-                cmp = k2.mb_compare(_point(z, pol), pol)
-                cont = k2.mb_contour(_point(z, pol), pol)
-            assert (repr(cont), repr(cmp)) == reference[digits, z], (digits, z)
+                cmp = k2.mb_compare(pol.ctx.mpf(z), pol)
+                cont = k2.mb_contour(pol.ctx.mpf(z), pol)
+            assert (repr(cont), repr(cmp)) == cold[digits, z], (digits, z)
 
 
-def test_integrand_bits_at_every_node(monkeypatch):
-    """Cold and warm, at 15 and 30 digits, the memoized integrand equals the
-    full expression exactly: z = 1 has log z = 0 (mpc_exp's zero real part)
-    and z = 1/2 a negative log z."""
-    for digits in (15, 30):
-        _check_integrand_bits(monkeypatch, PrecisionPolicy(digits))
-
-
-def _check_integrand_bits(monkeypatch, pol):
-    ctx = pol.ctx
-    sigma = -ctx.mpf(1) / 8
-    real_quad = ctx.quad
-    checked = []
-
-    def checking_quad(f, points, **kw):
-        def g(tt):
-            val = f(tt)
-            assert val._mpc_ == _full_integrand(ctx, zv, sigma, tt)._mpc_, tt
-            checked.append(tt)
-            return val
-        return real_quad(g, points, **kw)
-
-    with monkeypatch.context() as m:
-        m.setattr(k2, "_mb_cache", {})
-        m.setattr(ctx, "quad", checking_quad)
-        for z in ("1", "1/2", "2", "10"):
-            zv = _point(z, pol)
-            k2.mb_contour(zv, pol)
-    assert len(checked) > 2000
-
-
-@pytest.mark.parametrize("digits, z", [(15, "1"), (15, "3/4"), (15, "52"), (30, "15"),
-                                       (30, "17/2")])
-def test_integrand_bits_at_t_zero(monkeypatch, digits, z):
-    """t = 0 is no quad node, but there s + 1/2 is real and mpc_pow's
-    exponential is exp at the working precision, not exp at 4 bits more
-    times cos 0: at these z but 1 the two round apart.  At z = 1 the
-    exponent is 0."""
-    pol = PrecisionPolicy(digits)
-    ctx = pol.ctx
-    zv = _point(z, pol)
-    values = []
-
-    def node_zero(f, points, **kw):
-        with ctx.extraprec(20):
-            values.append((f(ctx.mpf(0)), _full_integrand(ctx, zv, -ctx.mpf(1) / 8, ctx.mpf(0))))
-        return values[0][0]
-
-    monkeypatch.setattr(k2, "_mb_cache", {})
-    monkeypatch.setattr(ctx, "quad", node_zero)
-    k2.mb_contour(zv, pol)
-    assert values[0][0]._mpc_ == values[0][1]._mpc_
+def _count_builds(monkeypatch):
+    builds = []
+    real = k2._contour_nodes
+    monkeypatch.setattr(k2, "_contour_nodes", lambda pol: builds.append(pol) or real(pol))
+    return builds
 
 
 def test_warm_contour_forms_log_z_once_per_precision(monkeypatch):
-    """log z is the same at every node: a warm contour takes it once for the
-    one precision quad evaluates at, not once per node (mpc_pow took it per
-    node)."""
-    monkeypatch.setattr(k2, "_mb_cache", {})
+    """A warm contour computes no Gamma and takes one logarithm, the
+    kernel's log y."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
     pol = PrecisionPolicy(15)
-    k2.mb_contour(_point("2", pol), pol)
-    logs = []
-
-    def counting_log(z, prec, rnd=libmpc.round_fast, _log=libmpc.mpc_log):
-        logs.append(prec)
-        return _log(z, prec, rnd)
-
-    monkeypatch.setattr(libmpc, "mpc_log", counting_log)
-    monkeypatch.setattr(k2, "mpc_log", counting_log, raising=False)
-    k2.mb_contour(_point("10", pol), pol)
-    assert len(logs) == 1
+    k2.mb_contour(pol.ctx.mpf(2), pol)
+    logs, gammas = [], []
+    real_log, real_gamma = motive.mpf_log, k2.mpc_gamma
+    monkeypatch.setattr(motive, "mpf_log", lambda *a: logs.append(a) or real_log(*a))
+    monkeypatch.setattr(k2, "mpc_gamma", lambda *a: gammas.append(a) or real_gamma(*a))
+    k2.mb_contour(pol.ctx.mpf(10), pol)
+    assert len(logs) == 1 and gammas == []
 
 
 def test_second_contour_adds_no_entries(monkeypatch):
-    monkeypatch.setattr(k2, "_mb_cache", {})
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    builds = _count_builds(monkeypatch)
     pol = PrecisionPolicy(15)
-    k2.mb_contour(_point("2", pol), pol)
-    sizes = {prec: len(nodes) for prec, nodes in k2._mb_cache.items()}
-    assert len(sizes) == 1 and sum(sizes.values()) > 0
-    computed = []
-    ctx = pol.ctx
-
-    def counting_gamma(x, _gamma=ctx.gamma):
-        computed.append(x)
-        return _gamma(x)
-
-    monkeypatch.setattr(ctx, "gamma", counting_gamma)
-    k2.mb_contour(_point("10", pol), pol)
-    assert {prec: len(nodes) for prec, nodes in k2._mb_cache.items()} == sizes
-    assert computed == []
-
-
-def _direct_parts(ctx, s):
-    num = ctx.gamma(-s) * ctx.gamma(1 + 4 * s) * ctx.gamma(1 + 2 * s)
-    den = ctx.gamma(1 + s) ** 5 * ctx.power(2, 10 * s) * (s + ctx.mpf(1) / 2)
-    return num._mpc_, den._mpc_
-
-
-def _mpc_div_mag(monkeypatch, den, prec):
-    """mpc_div's own |den|^2 at prec: the divisor of its two mpf_div calls."""
-    mags = []
-    real_div = libmpc.mpf_div
-    with monkeypatch.context() as m:
-        m.setattr(libmpc, "mpf_div", lambda t, mag, *a: mags.append(mag) or real_div(t, mag, *a))
-        libmpc.mpc_div((fone, fzero), den, prec)
-    assert mags[0] == mags[1]
-    return mags[0]
+    k2.mb_contour(pol.ctx.mpf(2), pol)
+    held = dict(motive._kernel_cache)
+    assert list(held) == [("k2 mb_contour", pol.working_digits)] and len(builds) == 1
+    k2.mb_contour(pol.ctx.mpf(10), pol)
+    k2.mb_contour_bound(pol.ctx.mpf(10), pol)
+    assert motive._kernel_cache == held and len(builds) == 1
 
 
 def test_precisions_never_share_entries(monkeypatch):
-    """The same node at another precision is computed at that precision."""
-    monkeypatch.setattr(k2, "_mb_cache", {})
-    ctx = PrecisionPolicy(15).ctx
-    s = ctx.mpc(-ctx.mpf(1) / 8, ctx.mpf(3) / 8)
-    for prec in (100, 200, 100, 133, 200):
-        with ctx.workprec(prec):
-            num, den, mag = k2._mb_parts(ctx, s)
-            assert (num, den) == _direct_parts(ctx, s), prec
-            assert mag == _mpc_div_mag(monkeypatch, den, prec), prec
-    assert sorted(k2._mb_cache) == [100, 133, 200]
-    assert all(len(nodes) == 1 for nodes in k2._mb_cache.values())
+    """Each working precision has its own kernel, built once at that
+    precision with its own step."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    builds = _count_builds(monkeypatch)
+    for digits in (10, 20, 10, 13, 20):
+        pol = PrecisionPolicy(digits)
+        k2.mb_contour(pol.ctx.mpf(2), pol)
+        kernel = motive._kernel_cache["k2 mb_contour", pol.working_digits]
+        assert kernel.h == _mpc_nodes(pol, 0)[0] and kernel.ctx.prec == pol.ctx.prec
+    assert sorted(key[1] for key in motive._kernel_cache) == [25, 28, 35]
+    assert len(builds) == 3
 
 
 def test_memo_keeps_the_latest_precisions(monkeypatch):
-    monkeypatch.setattr(k2, "_mb_cache", {})
-    ctx = PrecisionPolicy(15).ctx
-    s = ctx.mpc(-ctx.mpf(1) / 8, ctx.mpf(1) / 4)
-    precs = [60 + 10 * i for i in range(k2._MB_PRECISIONS + 3)]
-    for prec in precs:
-        with ctx.workprec(prec):
-            k2._mb_parts(ctx, s)
-        assert len(k2._mb_cache) <= k2._MB_PRECISIONS
-    assert list(k2._mb_cache) == precs[-k2._MB_PRECISIONS:]
+    """The contour's kernels live in the one bounded kernel cache."""
+    monkeypatch.setattr(motive, "_kernel_cache", {})
+    monkeypatch.setattr(motive, "_KERNEL_CACHE_SIZE", 2)
+    for digits in (5, 6, 7):
+        pol = PrecisionPolicy(digits)
+        k2.mb_contour(pol.ctx.mpf(2), pol)
+        assert len(motive._kernel_cache) <= 2
+    assert list(motive._kernel_cache) == [("k2 mb_contour", 21), ("k2 mb_contour", 22)]
 
 
 def test_import_computes_nothing():
-    code = ("import hyperreg.regulators.k2 as m; "
-            "assert m._mb_cache == {}, m._mb_cache")
+    """Importing k2 builds no kernel and loads no lfun module: the contour
+    imports lfun.motive when it first runs."""
+    code = ("import sys, hyperreg.regulators.k2; "
+            "assert not any(m.startswith('hyperreg.lfun') for m in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
