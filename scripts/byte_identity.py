@@ -43,7 +43,9 @@ refused-t fixture, which has no row at its t and exits 0, the config_argvs
 mark, and an unknown key and a digits that is not an integer, which exit
 2), and the rows that moved on purpose, CHANGED_RUNS (`verify
 continuation` at the default digits and at --digits 15 and 50, the one CLI
-path through the Mellin-Barnes contour): 191 command lines in all.
+path through the Mellin-Barnes contour, and, marked where the list above
+runs them, k4's four-point list at the default digits and at --digits 20, 30
+and 50 and the refused-t fixture's k4 line): 191 command lines in all.
 """
 
 from __future__ import annotations
@@ -88,12 +90,20 @@ HUGE_S_RUNS = (("-1e30", 0), ("-1e30", 1), ("-1e400", 0), ("1e400", 0))
 NEAR_POLE_RUNS = (("-2.0000000000000000000000000000001", 0),
                   ("-2.0000000000000000000000000000001", 1))
 # the rows that moved on purpose: `verify continuation`, whose contour is a
-# trapezoid on Re s = 1/2, so its printed deviations move, and which has a
-# chain_identity row
+# trapezoid on Re s = 1/2 and whose z^-k streams are one fixed-point pass, so
+# its printed deviations move, and which has a chain_identity row; and k4's
+# four-point list and the refused-t fixture's k4 line, whose
+# precision_doubling_stability moved when the entries' sums became one
+# fixed-point pass.  A line of the list above is marked, not run again;
+# {directory} is the directory the fixtures are written under.
 CHANGED_RUNS = (
     ["verify", "continuation"],
     ["--digits", "15", "verify", "continuation"],
     ["--digits", "50", "verify", "continuation"],
+    ["regulator", "--case", "k4", "--t", K4_T],
+    *(["--digits", digits, "regulator", "--case", "k4", "--t", K4_T]
+      for digits in ("20", "30", "50")),
+    ["--fixtures", "{directory}/refused-t", "regulator", "--case", "k4", "--t", "1/1024"],
 )
 # (s, order) of zeta at --digits 8: the pole terms of Lambda at orders 1 and 2
 ZETA_RUNS = (("2", 1), ("2", 2), ("1/2", 2))
@@ -379,8 +389,9 @@ def command_lines(root: Path, directory: Path) -> tuple:
     argvs += [["--digits", "8", "lfun", specs[5], f"--s={s}", "--order", str(order)]
               for s, order in NEAR_POLE_RUNS]
     argvs += fixture_usage_argvs(directory) + config_argvs(root, directory)
-    changed = [list(argv) for argv in CHANGED_RUNS]
-    argvs = [cmd for cmd in argvs + changed for _ in range(2 if "lfun" in cmd else 1)]
+    changed = [[a.format(directory=directory) for a in argv] for argv in CHANGED_RUNS]
+    argvs += [argv for argv in changed if argv not in argvs]
+    argvs = [cmd for cmd in argvs for _ in range(2 if "lfun" in cmd else 1)]
     return argvs, changed
 
 

@@ -19,7 +19,8 @@ the bound on its own rounding.
 rate (the k4 entries and k2's z^-k streams), and holds them to the same
 cap, ``max_terms``, through :func:`capped_terms`, which also caps cy0's
 finite residue sum; :func:`power_sums` sums those truncations, all rows
-of one point in one pass.  They live here, beside the policy they read,
+of one point in one integer pass, as ratio_sum forms its terms, and counts
+its own rounding per row.  They live here, beside the policy they read,
 so that a process that sums a series loads no series algebra.
 """
 
@@ -35,7 +36,8 @@ _CONSTANT_NAMES = ("pi", "ln2", "catalan", "zeta3", "b4")
 
 
 _GUARD_BITS = 32        # bits beyond the working precision of the fixed-point sums:
-                        # ratio_sum's running term and the AFE kernel's trapezoid
+                        # ratio_sum's running term, power_sums' powers and the AFE
+                        # kernel's trapezoid
 
 
 class MPNumError(ValueError):
@@ -82,7 +84,8 @@ class PrecisionPolicy(namedtuple("PrecisionPolicy", "target_digits guard_digits 
         if max_terms < 16:
             raise MPNumError("max_terms must be at least 16")
         self = super().__new__(cls, target_digits, guard_digits, max_terms)
-        self._local = threading.local()     # not a field: outside ==, hash and repr
+        self._local = threading.local()     # not fields: outside ==, hash and repr
+        self._doubled = None
         return self
 
     @property
@@ -107,8 +110,13 @@ class PrecisionPolicy(namedtuple("PrecisionPolicy", "target_digits guard_digits 
         return c
 
     def doubled(self) -> "PrecisionPolicy":
-        return PrecisionPolicy(2 * self.target_digits, self.guard_digits,
-                               2 * self.max_terms)
+        """Twice the target digits and max_terms: one policy per policy, so
+        its contexts are cloned once."""
+        d = self._doubled
+        if d is None:
+            d = self._doubled = PrecisionPolicy(2 * self.target_digits, self.guard_digits,
+                                                2 * self.max_terms)
+        return d
 
     @property
     def tol(self):
@@ -249,19 +257,61 @@ def fixed_terms(rate: float, pol: PrecisionPolicy, least: int, pad: int, name: s
                         pol, name)
 
 
-def power_sums(rows, x, ctx) -> list:
-    """[sum_k row[k] x^k for each row of ctx numbers], in one pass over k
-    ascending: x^k is formed once, by repeated multiplication, and a zero
-    row[k] adds nothing.  A row ends at the K fixed_terms chose; no tail is
-    bounded here."""
-    accs = [ctx.mpf(0)] * len(rows)
-    xp = ctx.mpf(1)
-    for k in range(max(map(len, rows), default=0)):
-        for i, row in enumerate(rows):
-            if k < len(row) and row[k]:
-                accs[i] = accs[i] + row[k] * xp
-        xp = xp * x
-    return accs
+def power_sums(rows, x, ctx) -> tuple:
+    """(sums, bounds): sum_k row[k] x^k for each row, in one integer pass
+    over k ascending, and a bound on each sum's error.
+
+    A row holds raw mpfs (sign, man, exp, bc), or any such tuple with
+    man < 2^bc, not necessarily normalized.  x^k is P 2^e, P an integer of
+    wp = prec + _GUARD_BITS bits, formed once for every row by one truncated
+    product with x's mantissa X (x is first cut to wp bits if it has more),
+    within E units: E <- ((E (|X| + u) + |P| u) >> s) + 2 for the shift s,
+    u = 1 if x was cut, else 0; so x^k is within Emax 2^(1-wp) of P 2^e,
+    relatively.  Each c_k x^k is the exact product of c_k's mantissa with P,
+    truncated into one integer accumulator per row, in units of 2^es that put
+    every term under 2^wp units; a zero c_k adds nothing.  A row of m nonzero
+    terms is therefore within m (2 Emax + 1) units of its exact sum, and its
+    rounding to the working precision adds 2^(L - prec) units for a sum of
+    L bits; the bound is their total.  The coefficients and x are taken as
+    exact: their own rounding is the caller's.  A row ends at the K
+    fixed_terms chose; no tail is bounded here.
+    """
+    from mpmath.libmp import from_man_exp
+    prec, rnd = ctx._prec_rounding
+    wp = prec + _GUARD_BITS
+    n = max(map(len, rows), default=0)
+    X, ex = _man_exp(x)
+    cut = X.bit_length() - wp
+    X, ex, u = (X >> cut, ex + cut, 1) if cut > 0 else (X << -cut, ex + cut, 0)
+    # x^k = pows[k] 2^exps[k], x^0 = 2^(wp-1) 2^(1-wp) exactly
+    P, e, E = 1 << (wp - 1), 1 - wp, 0
+    pows, exps, Emax = [P], [e], 0
+    for _ in range(n - 1 if X else 0):
+        Q = P * X
+        s = abs(Q).bit_length() - wp
+        E = ((E * (abs(X) + u) + u * abs(P)) >> s) + 2
+        P, e, Emax = Q >> s, e + ex + s, max(Emax, E)
+        pows.append(P)
+        exps.append(e)
+    sums, bounds = [], []
+    for row in rows:
+        # |c_k x^k| < 2^(exp + bc + e_k + wp)
+        tops = [c[2] + c[3] + e for c, e in zip(row, exps) if c[1]]
+        if not tops:
+            sums.append(ctx.zero)
+            bounds.append(ctx.zero)
+            continue
+        es = max(tops)
+        S = 0
+        for (sign, man, f, _), P, e in zip(row, pows, exps):
+            if man:
+                d = f + e - es
+                t = man * P << d if d >= 0 else man * P >> -d
+                S = S - t if sign else S + t
+        R = len(tops) * (2 * Emax + 1) + (1 << max(0, S.bit_length() - prec))
+        sums.append(ctx.make_mpf(from_man_exp(S, es, prec, rnd)))
+        bounds.append(ctx.ldexp(R, es))
+    return sums, bounds
 
 
 def capped_terms(K: int, pol: PrecisionPolicy, name: str) -> int:

@@ -6,8 +6,11 @@ Machinery:
   rational ratios Gamma^alpha_(k+1)/Gamma^alpha_k;
 * the determinant matrix in S_alpha(z) = sum Gamma^alpha_k z^-k and
   R_alpha(z) = sum Gamma^alpha_k z^-k/(k - 1/2 + alpha);
-* every k2 sum is sum_k (+-1)^k Gamma^alpha_k z^-k w(k) with a weight of
-  _weights; _stream_sums forms all a caller needs in one pass per stream;
+* every k2 sum is sum_k (+-1)^k Gamma^alpha_k z^-k w(k), its terms
+  Gamma^alpha_k w(k) formed in fixed point by _stream_rows (the exact R and
+  S rows of _weights are the theta ladder's); _stream_sums sums all a
+  caller needs in one mpnum.power_sums pass per stream, with a counted
+  rounding bound held to 10^-digits;
 * the period R_0 three ways: right-half-plane series (|z| < 1), the
   Mellin-Barnes line integral (any z > 0) as a trapezoid on Re s = 1/2 with
   a bound, summed by the AFE's kernel (lfun.motive._Kernel) from z-free
@@ -27,12 +30,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 from mpmath import fp
-from mpmath.libmp import (fone, from_int, mpc_abs, mpc_div, mpc_gamma, mpc_mul, mpc_neg,
-                          mpc_pow_int, mpc_shift, mpf_cos_sin, mpf_ln2, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_shift, to_float, to_rational)
+from mpmath.libmp import (fone, from_int, mpc_abs, mpc_div, mpc_gamma, mpc_mul,
+                          mpc_neg, mpc_pow_int, mpc_shift, mpf_cos_sin, mpf_ln2, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_shift, to_float, to_rational)
 
 from .. import hgdata
-from ..mpnum import _GUARD_BITS, PrecisionPolicy, fixed_terms, power_sums, ratio_sum
+from ..mpnum import (_GUARD_BITS, PrecisionPolicy, TailBoundError, fixed_terms, power_sums,
+                     ratio_sum)
 from ..series import LogSeries, PowSeries, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport, detect_rational
 
@@ -75,40 +79,94 @@ def _suggest_K(z, pol: PrecisionPolicy) -> int:
 
 def _weights(rel: list, alpha: Fraction, kind: str) -> list:
     """Exact w(k) Gamma^alpha_k / Gamma^alpha_0 for k = 0..K, rel from
-    gamma_ratios_rel; 0 where a sum leaves k out.
+    gamma_ratios_rel, the rows theta_ladder_residual checks; 0 where a sum
+    leaves k out.
 
-    "S": w = 1;  "R": w = 1/(k - 1/2 + alpha), k > 0 if alpha = 1/2;
-    "D": D~'s harmonic factor w = (4 H_(4k+1) - 10 H_2k + 6 H_k + 1/k)/k, k > 0.
+    "S": w = 1;  "R": w = 1/(k - 1/2 + alpha), k > 0 if alpha = 1/2.
     """
-    half = Fraction(1, 2)
     if kind == "S":
         return list(rel)
-    if kind == "R":
-        return [Fraction(0) if k == 0 and alpha == half else c / (k - half + alpha)
-                for k, c in enumerate(rel)]
-    H = list(accumulate((Fraction(1, j) for j in range(1, 4 * len(rel) - 2)),
-                        initial=Fraction(0)))
-    return [Fraction(0)] + [c * (4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k]
-                                 + Fraction(1, k)) / k
-                            for k, c in enumerate(rel) if k]
+    half = Fraction(1, 2)
+    return [Fraction(0) if k == 0 and alpha == half else c / (k - half + alpha)
+            for k, c in enumerate(rel)]
+
+
+def _stream_rows(alpha: Fraction, K: int, wp: int, kinds: str, alternating: bool) -> tuple:
+    """(rows, errs): for each kind in kinds, [(+-1)^k w(k) Gamma^alpha_k /
+    Gamma^alpha_0 for k = 0..K] as integers in units of 2^-wp, each within
+    errs[i] units: the weights of _weights, and for "D" D~'s harmonic factor
+    w = (4 H_(4k+1) - 10 H_2k + 6 H_k + 1/k)/k, k > 0 (0 at k = 0).
+
+    G = Gamma^alpha_k / Gamma^alpha_0 steps by the integers p < q of
+    hgdata.term_step, G <- G p // q, so it is within k units.  The R entry is
+    one division by d = 4k - 2 + 4 alpha, within 4k / |d| + 1 < 3.  Each H_j
+    is a sum of truncated 2^wp // i, within j units, so the bracket F is
+    within 42k + 5, and the D entry G F // (k 2^wp) within
+    (k |F| + (G + k)(42k + 5)) / (k 2^wp) + 1.
+    """
+    step = hgdata.term_step(1, (alpha,) * 4, tuple(alpha + a for a in A4))
+    one = 1 << wp
+    G = [one]
+    for k in range(K):
+        p, q = step(k)
+        G.append(G[-1] * p // q)
+    n = int(4 * alpha)
+    rows, errs = [], []
+    for kind in kinds:
+        if kind == "S":
+            row, err = G, K
+        elif kind == "R":
+            row, err = [4 * g // d if (d := 4 * k - 2 + n) else 0 for k, g in enumerate(G)], 3
+        else:
+            H = list(accumulate((one // j for j in range(1, 4 * K + 2)), initial=0))
+            F = [4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k] + one // k for k in range(1, K + 1)]
+            row = [0] + [G[k] * f // (k << wp) for k, f in enumerate(F, 1)]
+            err = max(((k * abs(f) + (G[k] + k) * (42 * k + 5)) // (k << wp)
+                       for k, f in enumerate(F, 1)), default=0) + 2
+        rows.append([-v if k % 2 else v for k, v in enumerate(row)] if alternating else row)
+        errs.append(err)
+    return rows, errs
+
+
+def _stream_bounded(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
+                    alternating: bool = False) -> tuple:
+    """(sums, bounds): sum_k (+-1)^k w(k) Gamma^alpha_k / Gamma^alpha_0 z^-k
+    over k <= K (_suggest_K) for each kind of _stream_rows in kinds, in one
+    power_sums pass, so the kinds share the powers z^-k, and a bound on each
+    sum's distance from the same K + 1 terms in exact arithmetic at z.
+
+    The bound is power_sums' plus, in units of 2^-wp, the rows' build, err
+    units an entry against sum_k x^k = z / (z - 1), and the rounding of
+    x = 1/z to wp bits, |x'^k - x^k| <= 2k x^k 2^-wp on entries of at most c
+    units (the row's largest plus err) against sum_k k x^k = z / (z - 1)^2;
+    each is doubled, for x' >= x and the rounding of the bound.  |z| > 1.05."""
+    ctx = pol.ctx
+    K = _suggest_K(z, pol)
+    zv = ctx.convert(z)
+    wp = ctx.prec + _GUARD_BITS
+    rows, errs = _stream_rows(alpha, K, wp, kinds, alternating)
+    with ctx.workprec(wp):
+        x = 1 / zv
+    sums, bounds = power_sums([[(int(v < 0), abs(v), -wp, abs(v).bit_length()) for v in row]
+                               for row in rows], x, ctx)
+    q = zv / (zv - 1)
+    return sums, [b + ctx.ldexp(err * q, 1 - wp)
+                  + ctx.ldexp((max(map(abs, row)) + err) * q * q / zv, 1 - 2 * wp)
+                  for b, row, err in zip(bounds, rows, errs)]
 
 
 def _stream_sums(alpha: Fraction, z, pol: PrecisionPolicy, kinds: str,
                  alternating: bool = False) -> list:
-    """[sum_k (+-1)^k Gamma^alpha_k z^-k w(k) for each kind of _weights in
-    kinds] followed by Gamma^alpha_0, |z| > 1.
-
-    The floated weights of all kinds are summed in one power_sums pass, so
-    they share the powers z^-k; a zero weight adds nothing."""
-    ctx = pol.ctx
-    K = _suggest_K(z, pol)
-    rel = gamma_ratios_rel(alpha, K)
+    """[Gamma^alpha_0 s for each sum s of _stream_bounded] followed by
+    Gamma^alpha_0, |z| > 1.05.  TailBoundError when Gamma^alpha_0 times a
+    sum's counted bound exceeds 10^-digits."""
+    sums, bounds = _stream_bounded(alpha, z, pol, kinds, alternating)
     g0 = gamma_alpha0(alpha, pol)
-    ws = [_weights(rel, alpha, kind) for kind in kinds]
-    if alternating:
-        ws = [[-c if k % 2 else c for k, c in enumerate(w)] for w in ws]
-    rows = [[ctx.mpf(c.numerator) / c.denominator for c in w] for w in ws]
-    return [g0 * acc for acc in power_sums(rows, 1 / ctx.convert(z), ctx)] + [g0]
+    worst = abs(g0) * max(bounds)
+    if worst > pol.tol:
+        raise TailBoundError(f"k2 z^-k streams: counted rounding {pol.ctx.nstr(worst, 3)} "
+                             f"exceeds 10^-{pol.target_digits}")
+    return [g0 * acc for acc in sums] + [g0]
 
 
 # ---------------------------------------------------------------------------

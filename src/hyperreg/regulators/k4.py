@@ -32,7 +32,7 @@ from math import comb
 
 from .. import hypergeom
 from ..exactnum import EX_LN2, EX_Z3, ExactNum, ex_zeta2
-from ..mpnum import PrecisionPolicy, fixed_terms, power_sums
+from ..mpnum import PrecisionPolicy, TailBoundError, fixed_terms, power_sums
 from ..series import LogSeries, PowSeries, SLaurent, sp_exp, sp_inv, sp_mul, theta
 from .reporting import CaseError, RegulatorMatrix, RegulatorReport
 
@@ -291,24 +291,34 @@ def _det_value(K: int, t: Fraction, pol: PrecisionPolicy):
     """r(t) from the entries of K.
 
     Their floating copies at pol's precision are converted once per
-    coefficient (see _Entries.floated); later calls only rewrap the stored
-    values, so every call sums the same bits.  Every log-part of the four
-    entries is summed at t in one power_sums pass, and each entry is then
-    sum_j s_j (log t)^j in ascending j.
+    coefficient (see _Entries.floated), and every log-part of the four
+    entries is summed at t from those raw copies in one power_sums pass;
+    each entry is then sum_j s_j (log t)^j in ascending j.  The sums' counted
+    rounding, carried through the entries' prefactors and the determinant
+    to first order and their product, must stay under 10^-digits, or
+    TailBoundError; the coefficients' and t's own rounding is what the
+    doubled run of k4_det measures.
     """
     ctx = pol.ctx
     raw = _entries_built(K).floated(K, pol)
     tv = ctx.mpf(t.numerator) / t.denominator
-    sums = iter(power_sums([[ctx.make_mpf(c) for c in part]
-                            for parts in raw.values() for part in parts], tv, ctx))
+    sums, bounds = power_sums([part for parts in raw.values() for part in parts], tv, ctx)
+    sums, bounds = iter(sums), iter(bounds)
     lg = ctx.log(tv)
     # the sums come in the order of raw's entries and, within one, of j
-    val = {name: sum((next(sums) * lg ** j for j in range(len(parts))), ctx.mpf(0))
-           for name, parts in raw.items()}
+    val, err = {}, {}
+    for name, parts in raw.items():
+        val[name] = sum((next(sums) * lg ** j for j in range(len(parts))), ctx.mpf(0))
+        err[name] = sum((next(bounds) * abs(lg) ** j for j in range(len(parts))), ctx.mpf(0))
     sq = ctx.sqrt(tv)
     pref = -1 / (4 * ctx.pi ** 2)
-    lp = val["log_primitive"]
-    sp = sq * val["sqrt_primitive_inner"]
-    sd = sq * pref * val["sqrt_deformed_inner"]
-    ld = pref * val["log_deformed_inner"]
-    return RegulatorMatrix([[sp, sd], [lp, ld]]).det()
+    # (value, counted rounding) of each matrix entry
+    sp, sd, lp, ld = ((c * val[name], abs(c) * err[name]) for c, name in (
+        (sq, "sqrt_primitive_inner"), (sq * pref, "sqrt_deformed_inner"),
+        (1, "log_primitive"), (pref, "log_deformed_inner")))
+    # det = sp ld - sd lp
+    bound = sum(abs(a) * f + abs(b) * e + e * f for (a, e), (b, f) in ((sp, ld), (sd, lp)))
+    if bound > pol.tol:
+        raise TailBoundError(f"k4 entries: counted rounding {ctx.nstr(bound, 3)} exceeds "
+                             f"10^-{pol.target_digits} after {K + 1} terms")
+    return RegulatorMatrix([[sp[0], sd[0]], [lp[0], ld[0]]]).det()

@@ -18,8 +18,9 @@ and ``_linear_product`` expands prod (x + c) for it, ``ode`` and ``hypergeom``.
 :func:`ratio_sum`, re-exported from :mod:`mpnum`, forms and sums numeric
 series from a first term and an exact term ratio, to a stopping index or
 cap, with a certified tail and rounding.
-``LogSeries.evaluate`` sums a stored truncation through :func:`mpnum.power_sums`
-and bounds no tail: its K is fixed in advance, by ``mpnum.fixed_terms``.
+``LogSeries.evaluate`` sums a stored truncation through :func:`mpnum.power_sums`,
+the one fixed-point pass of the sums fixed in advance (``mpnum.fixed_terms``),
+and bounds no tail.
 
 Coefficients are exact (int / Fraction / ExactNum) or floating (mpf/mpc);
 the two modes are never mixed inside one series.  Exact series convert
@@ -261,19 +262,24 @@ class LogSeries:
     def evaluate(self, z0, pol: PrecisionPolicy):
         """Value at z0 > 0 of the stored truncation.
 
-        Every log-part is summed in one power_sums pass (ascending k, a fixed
-        order), and the parts are added as sum_j z0^offset (log z0)^j s_j in
-        ascending j.  No tail is bounded: the truncation is the caller's.
+        The real and imaginary parts of every log-part's coefficients, floated
+        at pol's precision, are summed in one power_sums pass, and the parts
+        are added as sum_j z0^offset (log z0)^j s_j in ascending j.  Neither
+        power_sums' rounding bound nor a tail is returned: the truncation is
+        the caller's.
         """
         ctx = pol.ctx
         z = ctx.mpf(z0.numerator) / z0.denominator if isinstance(z0, Rational) else ctx.convert(z0)
         if z <= 0:
             raise SeriesError("evaluation point must be positive")
         parts = [(j, p) for j, p in enumerate(self.parts) if p is not None]
-        sums = power_sums([[_to_mp(c, ctx) for c in p.coeffs] for _, p in parts], z, ctx)
+        vals = [[ctx.convert(_to_mp(c, ctx)) for c in p.coeffs] for _, p in parts]
+        sums, _ = power_sums([[ctx.re(v)._mpf_ for v in row] for row in vals]
+                             + [[ctx.im(v)._mpf_ for v in row] for row in vals], z, ctx)
         lg = ctx.log(z)
         total = ctx.mpf(0)
-        for (j, p), acc in zip(parts, sums):
+        for (j, p), re, im in zip(parts, sums, sums[len(parts):]):
+            acc = ctx.mpc(re, im) if im else re
             total = total + acc * z ** _to_mp(p.offset, ctx) * lg ** j
         return total
 

@@ -64,7 +64,15 @@ def suite_ode(pol: PrecisionPolicy) -> list:
     return out
 
 
+# least working digits of the continuation suite's sums: its rows hold their
+# deviations to 10^-15, which 16 working digits (--digits 1) cannot hold
+CONTINUATION_DIGITS = 30
+
+
 def suite_continuation(pol: PrecisionPolicy) -> list:
+    if pol.working_digits < CONTINUATION_DIGITS:
+        pol = PrecisionPolicy(CONTINUATION_DIGITS - pol.guard_digits, pol.guard_digits,
+                              pol.max_terms)
     ctx = pol.ctx
     out = []
     from .regulators.k2 import (chain_vs_entries, mb_compare, mb_contour_bound,

@@ -405,6 +405,14 @@ def test_continuation_cap_hit_skips_contour(monkeypatch, capsys):
     assert calls == []
 
 
+def test_continuation_at_one_digit_passes():
+    """--digits 1 sums the suite at its floor of working digits
+    (verify.CONTINUATION_DIGITS), so its 10^-15 limits hold: every row passes."""
+    out = run("--digits", "1", "verify", "continuation")
+    assert out.returncode == 0, out.stderr
+    assert {row["status"] for row in json.loads(out.stdout)} == {"pass"}
+
+
 def _continuation_with_engine(monkeypatch, engine):
     """verify.suite_continuation at 30 digits with the Mellin-Barnes and
     theta-ladder checks stubbed to pass and hadamard_regulator replaced."""

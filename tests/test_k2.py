@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import to_rational
 
 from hyperreg.lfun.ratio import ratio_report
 from hyperreg.mpnum import PrecisionPolicy
@@ -125,91 +127,77 @@ def test_k2_det_reports(pol, fixtures_dir):
 
 
 # The three summation loops k2 had before they became one pass, kept as the
-# reference the one pass must match bit for bit.
+# reference in exact arithmetic: the one pass must lie within its counted
+# bound of them.
 
 def _ref_gamma_ratios_rel(alpha, K):
     out = [F(1)]
     for k in range(K):
-        num = (alpha + k) ** 4
-        den = F(1)
-        for ai in k2.A4:
-            den *= alpha + k + ai
-        out.append(out[-1] * (num / den))
+        out.append(out[-1] * _ref_ratio(alpha, k))
     return out
 
 
-def _ref_S_alpha(alpha, z, pol):
-    ctx = pol.ctx
+def _ref_ratio(alpha, k):
+    """Gamma^alpha_(k+1) / Gamma^alpha_k."""
+    den = F(1)
+    for ai in k2.A4:
+        den *= alpha + k + ai
+    return (alpha + k) ** 4 / den
+
+
+def _ref_weights(alpha, K, kind, alternating):
+    """The former loops' weights w(k) (+-1)^k for k = 0..K, and a common
+    denominator L of them all: S, R, and (kind "D") the harmonic factor of D~."""
+    L, w = 1, [F(1)] * (K + 1)
+    if kind == "R":
+        w = [F(0) if k == 0 and alpha == F(1, 2) else 1 / (k - F(1, 2) + alpha)
+             for k in range(K + 1)]
+    elif kind == "D":
+        H = [F(0)]
+        for j in range(1, 4 * K + 2):
+            H.append(H[-1] + F(1, j))
+            L = math.lcm(L, j)
+        w = [F(0)] + [(4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k] + F(1, k)) / k
+                      for k in range(1, K + 1)]
+    return [-c if alternating and k % 2 else c for k, c in enumerate(w)], L
+
+
+def _ref_stream(alpha, z, pol, kind, alternating=False):
+    """sum_k (+-1)^k w(k) Gamma^alpha_k / Gamma^alpha_0 z^-k over the K + 1
+    terms k2 sums, exactly at the exact value of z, by Horner from k = K down
+    on an unreduced numerator and denominator: every weight times L and the
+    ratios Gamma^alpha_(k+1) / Gamma^alpha_k are small fractions, so the
+    running pair grows by a few hundred bits a step and needs no gcd."""
     K = k2._suggest_K(z, pol)
-    rel = _ref_gamma_ratios_rel(alpha, K)
-    g0 = k2.gamma_alpha0(alpha, pol)
-    zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
-    zp = ctx.mpf(1)
-    for k in range(K + 1):
-        c = rel[k]
-        acc += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return g0 * acc
-
-
-def _ref_R_alpha(alpha, z, pol):
-    ctx = pol.ctx
-    K = k2._suggest_K(z, pol)
-    rel = _ref_gamma_ratios_rel(alpha, K)
-    g0 = k2.gamma_alpha0(alpha, pol)
-    zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
-    zp = ctx.mpf(1)
-    start = 1 if alpha == F(1, 2) else 0
-    for k in range(K + 1):
-        if k >= start:
-            c = rel[k] / (k - F(1, 2) + alpha)
-            acc += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return g0 * acc
-
-
-def _ref_tilde_series(alpha, z, pol, harmonic_factor=False):
-    ctx = pol.ctx
-    K = k2._suggest_K(z, pol)
-    rel = _ref_gamma_ratios_rel(alpha, K)
-    g0 = k2.gamma_alpha0(alpha, pol)
-    zin = 1 / ctx.convert(z)
-    acc = ctx.mpf(0)
-    zp = ctx.mpf(1)
-    H = [F(0)]
-    for j in range(1, 4 * K + 2):
-        H.append(H[-1] + F(1, j))
-    for k in range(K + 1):
-        if harmonic_factor:
-            if k == 0:
-                zp *= zin
-                continue
-            c = rel[k] * (4 * H[4 * k + 1] - 10 * H[2 * k] + 6 * H[k] + F(1, k)) / k
-        else:
-            if k == 0 and alpha == F(1, 2):
-                zp *= zin
-                continue
-            c = rel[k] / (k + alpha - F(1, 2))
-        c = (-1) ** k * c
-        acc += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return g0 * acc
+    a, b = to_rational(pol.ctx.convert(z)._mpf_)      # x = 1/z = b / a
+    w, L = _ref_weights(alpha, K, kind, alternating)
+    n, d = 0, 1
+    for k in range(K, -1, -1):
+        c = w[k] * L
+        r = _ref_ratio(alpha, k) * F(b, a)
+        # c + r n / d
+        n, d = c.numerator * r.denominator * d + c.denominator * r.numerator * n, \
+            c.denominator * r.denominator * d
+    return F(n, d * L)
 
 
 @pytest.mark.parametrize("digits", [15, 30])
 @pytest.mark.parametrize("z", ["1.2", "2", "10", "1024"])
 def test_stream_sums_match_the_separate_loops(digits, z):
+    """Each stream's sum lies within its counted bound of the exact sum of
+    the same terms, and _stream_sums is Gamma^alpha_0 times it."""
     pol = PrecisionPolicy(digits)
     zv = pol.ctx.mpf(z)
     for alpha in (F(1, 4), F(1, 2), F(3, 4)):
-        assert k2._stream_sums(alpha, zv, pol, "S")[0] == _ref_S_alpha(alpha, zv, pol)
-        assert k2._stream_sums(alpha, zv, pol, "R")[0] == _ref_R_alpha(alpha, zv, pol)
-        for harmonic in (False, True):
-            assert k2._stream_sums(alpha, zv, pol, "D" if harmonic else "R",
-                                   alternating=True)[0] \
-                == _ref_tilde_series(alpha, zv, pol, harmonic_factor=harmonic)
+        g0 = k2.gamma_alpha0(alpha, pol)
+        for kinds, alternating in (("SR", False), ("RD", True)):
+            sums, bounds = k2._stream_bounded(alpha, zv, pol, kinds, alternating)
+            for kind, s, b in zip(kinds, sums, bounds, strict=True):
+                ref = _ref_stream(alpha, zv, pol, kind, alternating)
+                assert abs(F(*to_rational(s._mpf_)) - ref) <= F(*to_rational(b._mpf_)), \
+                    (alpha, kind)
+            assert k2._stream_sums(alpha, zv, pol, kinds, alternating) \
+                == [g0 * s for s in sums] + [g0]
 
 
 def _count_gamma_alpha0(monkeypatch):
@@ -266,3 +254,19 @@ def test_chain_vs_entries_reuses_the_matrix_sums(monkeypatch, digits, z):
 def test_gamma_ratios_rel_matches_fraction_loop(alpha):
     for K in (0, 1, 60):
         assert k2.gamma_ratios_rel(alpha, K) == _ref_gamma_ratios_rel(alpha, K)
+
+
+def test_streams_refuse_a_counted_rounding_past_the_target(monkeypatch, pol):
+    """Gamma^alpha_0 times a stream's counted bound past 10^-digits is a
+    TailBoundError, exit 3."""
+    from hyperreg import cli
+    from hyperreg.mpnum import TailBoundError
+    real = k2.power_sums
+
+    def loose(rows, x, ctx):
+        return real(rows, x, ctx)[0], [ctx.mpf(10) ** -(ctx.dps - 20)] * len(rows)
+
+    monkeypatch.setattr(k2, "power_sums", loose)
+    with pytest.raises(TailBoundError, match="k2 z\\^-k streams: counted rounding"):
+        k2.k2_det(F(1), pol)
+    assert cli.main(["regulator", "--case", "k2", "--t", "1"]) == 3

@@ -267,3 +267,21 @@ def test_point_list_builds_and_floats_the_largest_K_once(monkeypatch):
     assert floats == {pol.ctx.prec: 10 * 100, pol.doubled().ctx.prec: 10 * 199}
     assert [k4_det(t, pol).r_value for t in T_POINTS] == first
     assert builds == [99, 198] and sum(floats.values()) == 10 * 299
+
+
+def test_det_refuses_a_counted_rounding_past_the_target(monkeypatch, pol, capsys):
+    """A power sum whose counted bound, carried into r(t), exceeds
+    10^-digits is a TailBoundError, exit 3."""
+    from hyperreg import cli
+    from hyperreg.mpnum import TailBoundError
+    from hyperreg.regulators import k4
+    real = k4.power_sums
+
+    def loose(rows, x, ctx):
+        return real(rows, x, ctx)[0], [ctx.mpf(10) ** -(ctx.dps - 20)] * len(rows)
+
+    monkeypatch.setattr(k4, "power_sums", loose)
+    with pytest.raises(TailBoundError, match="k4 entries: counted rounding"):
+        k4_det(F(1, 1024), pol)
+    assert cli.main(["regulator", "--case", "k4", "--t", "1/1024"]) == 3
+    assert "exceeds 10^-30" in capsys.readouterr().err

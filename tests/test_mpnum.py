@@ -26,6 +26,17 @@ def test_policy_invariants():
     assert p.working_digits >= p.target_digits + 10
 
 
+def test_doubled_is_one_policy_per_policy():
+    """doubled() is memoized on the policy, outside its fields: ==, hash and
+    repr are those of the fields alone, and its context is cloned once."""
+    p = PrecisionPolicy(20, max_terms=100)
+    d = p.doubled()
+    assert p.doubled() is d and d.ctx is p.doubled().ctx
+    assert d == PrecisionPolicy(40, 15, 200) and hash(d) == hash(PrecisionPolicy(40, 15, 200))
+    assert p == PrecisionPolicy(20, max_terms=100) and hash(p) == hash(PrecisionPolicy(20, 15, 100))
+    assert repr(p) == "PrecisionPolicy(target_digits=20, guard_digits=15, max_terms=100)"
+
+
 def test_special_values(pol):
     ctx = pol.ctx
     assert abs(special("pi", pol) ** 2 / 6 - ctx.zeta(2)) < pol.tol

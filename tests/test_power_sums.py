@@ -1,7 +1,9 @@
 """mpnum.power_sums, the one fixed-K summation of the k4 entries and k2's
-z^-k streams, against the two loops it replaced, kept here verbatim as the
-reference: the value lines of the former LogSeries.evaluate and the former
-loop of k2._stream_sums.  All comparisons are bit for bit."""
+z^-k streams, against the two loops it replaced, kept here as the reference:
+the value loop of the former LogSeries.evaluate and the former loop of
+k2._stream_sums, run in exact arithmetic on the same floated coefficients
+and the same x, and k4's determinant against the former sum at doubled
+precision.  Each sum must lie within the bound power_sums returns for it."""
 
 from __future__ import annotations
 
@@ -12,12 +14,18 @@ from numbers import Rational
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 from hyperreg.mpnum import DivergenceError, PrecisionPolicy, fixed_terms, power_sums
 from hyperreg.regulators import k4
 from hyperreg.series import LogSeries, PowSeries, _to_mp
 
 F = Fraction
+
+
+def _exact(v) -> Fraction:
+    """The exact value of an mpf."""
+    return F(*to_rational(v._mpf_))
 
 
 def _ref_evaluate(self, z0, pol):
@@ -40,23 +48,26 @@ def _ref_evaluate(self, z0, pol):
     return total
 
 
-def _ref_stream_loop(ws, z, ctx):
-    """The former k-loop of k2._stream_sums over exact weight rows ws."""
-    K = len(ws[0]) - 1
-    zin = 1 / ctx.convert(z)
-    accs = [ctx.mpf(0)] * len(ws)
-    zp = ctx.mpf(1)
-    for k in range(K + 1):
-        for i, w in enumerate(ws):
-            c = w[k]
-            if c:
-                accs[i] += ctx.mpf(c.numerator) / c.denominator * zp
-        zp *= zin
-    return accs
+def _ref_exact_loop(row, x) -> Fraction:
+    """The former loops' sum of one row at x, acc += c_k x^k over k
+    ascending, in exact arithmetic on the exact values of the mpfs."""
+    acc, xp, xe = F(0), F(1), _exact(x)
+    for c in row:
+        acc += _exact(c) * xp
+        xp *= xe
+    return acc
 
 
 def _floated(row, ctx):
     return [ctx.mpf(c.numerator) / c.denominator for c in row]
+
+
+def _within_bounds(rows, x, ctx):
+    """power_sums of the floated rows at x, each within its bound of the exact sum."""
+    sums, bounds = power_sums([[c._mpf_ for c in row] for row in rows], x, ctx)
+    for row, s, b in zip(rows, sums, bounds, strict=True):
+        assert abs(_exact(s) - _ref_exact_loop(row, x)) <= _exact(b)
+    return sums
 
 
 _coeff = st.one_of(
@@ -78,13 +89,15 @@ def _rows(draw):
 def test_power_sums_at_t_are_the_former_evaluate(rows, t, digits):
     pol = PrecisionPolicy(digits)
     ctx = pol.ctx
-    sums = power_sums([_floated(r, ctx) for r in rows], ctx.mpf(t.numerator) / t.denominator,
-                      ctx)
-    for row, s in zip(rows, sums):
-        assert s._mpf_ == _ref_evaluate(LogSeries([PowSeries(0, row)]), t, pol)._mpf_
-    # the rows as the log-parts of one series: evaluate is the former value
+    tv = ctx.mpf(t.numerator) / t.denominator
+    sums = _within_bounds([_floated(r, ctx) for r in rows], tv, ctx)
+    # the rows as the log-parts of one series: evaluate adds those sums in ascending j
     ls = LogSeries([PowSeries(0, r) for r in rows])
-    assert ls.evaluate(t, pol)._mpf_ == _ref_evaluate(ls, t, pol)._mpf_
+    lg = ctx.log(tv)
+    total = ctx.mpf(0)
+    for j, s in enumerate(sums):
+        total = total + s * lg ** j
+    assert ls.evaluate(t, pol) == total
 
 
 @settings(max_examples=100, deadline=None)
@@ -93,14 +106,15 @@ def test_power_sums_at_t_are_the_former_evaluate(rows, t, digits):
 def test_power_sums_at_inverse_z_are_the_former_k2_loop(rows, z, digits):
     ctx = PrecisionPolicy(digits).ctx
     zv = ctx.mpf(z.numerator) / z.denominator
-    sums = power_sums([_floated(r, ctx) for r in rows], 1 / ctx.convert(zv), ctx)
-    assert [s._mpf_ for s in sums] == [a._mpf_ for a in _ref_stream_loop(rows, zv, ctx)]
+    _within_bounds([_floated(r, ctx) for r in rows], 1 / zv, ctx)
 
 
 def test_power_sums_rows_may_differ_in_length():
     ctx = PrecisionPolicy(20).ctx
-    assert power_sums([[ctx.mpf(1)] * 3, [ctx.mpf(2)], []], ctx.mpf(2), ctx) == [7, 2, 0]
-    assert power_sums([], ctx.mpf(2), ctx) == []
+    one, two = ctx.mpf(1)._mpf_, ctx.mpf(2)._mpf_
+    sums, bounds = power_sums([[one] * 3, [two], []], ctx.mpf(2), ctx)
+    assert sums == [7, 2, 0] and bounds[2] == 0
+    assert power_sums([], ctx.mpf(2), ctx) == ([], [])
 
 
 def _ref_det_value(K, t, pol):
@@ -123,11 +137,22 @@ def _ref_det_value(K, t, pol):
 
 @pytest.mark.parametrize("digits", [6, 20, 30, 50])
 def test_det_value_is_the_former_sum_at_K_and_2K(digits):
+    """Every log-part's sum at t lies within its bound of the same raw rows
+    summed at doubled precision, and r(t) within 10^-(working digits - 3) of
+    the former sum at doubled precision: the coefficients' own rounding,
+    which no bound counts, is about 10^-(working digits + 1)."""
     pol = PrecisionPolicy(digits)
     for t in k4.T_POINTS:
         K = fixed_terms(-math.log(k4.SCALE * float(t)), pol, 32, 8, "k4 entries")
         for KK, p in ((K, pol), (2 * K, pol.doubled())):
-            assert k4._det_value(KK, t, p)._mpf_ == _ref_det_value(KK, t, p)._mpf_
+            ctx, ref = p.ctx, p.doubled().ctx
+            rows = [part for parts in k4._entries_built(KK).floated(KK, p).values()
+                    for part in parts]
+            tv = ctx.mpf(t.numerator) / t.denominator
+            for s, b, s2, b2 in zip(*power_sums(rows, tv, ctx), *power_sums(rows, tv, ref)):
+                assert abs(_exact(s) - _exact(s2)) <= _exact(b) + _exact(b2)
+            dev = abs(k4._det_value(KK, t, p) - ctx.convert(_ref_det_value(KK, t, p.doubled())))
+            assert dev < ctx.mpf(10) ** -(p.working_digits - 3)
 
 
 def test_the_cap_refuses_every_k4_point_the_old_guess_refused():
